@@ -5,6 +5,7 @@ share alone carries no information about the secret, the pair recombines
 to the secret, and a forged substitute for either share is caught with
 probability approaching one as the block grows.
 """
+from ._version import __version__
 from .outcome import DecodeOutcome, REJECT, accepted
 from .prob import (
     PMF,
@@ -95,5 +96,3 @@ from .harness import (
     read_report_jsonl,
     read_report_csv,
 )
-
-__version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .iidsum import convolve, mean_tail_strict, merge_values, power_convolve
 from .prob import (CapExceededError, JointPMF, PMF, RandomStream,
                    binary_entropy, iid_extension, sample)
 from .symbol import SymbolwiseCodec, legit_score_distribution
+from .typical import atypical_mass
 
 TYPE_CAP = 1 << 20
 
@@ -46,40 +47,24 @@ def _check_side(side: str):
 # Blockwise attacks
 
 
+def _blockwise_forgery_success(params: BlockwiseParams) -> float:
+    # a forged share matches the uniform honest u_l with mass 1/L, and its
+    # masked component is rejected by exactly one of the M+1 honest masked
+    # values, each of which has mass 1/(M+1) whichever share is honest
+    return params.m_count / (params.m_count + 1) / params.l_count
+
+
 def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     """Exact optimal forgery against the blockwise acceptance test.
 
-    The test is a conjunction of a first-component match and a modular-sum
-    condition on the second components, and the two components of the honest
-    share are independent, so each forged share's success probability is the
-    product of two componentwise acceptance masses.
+    Both components of either honest share are uniform (the masked X
+    component is the rank shifted by a uniform mask), so every forged
+    share succeeds with the same mass M / ((M+1) L).  The tie resolves to
+    the lexicographically least forgery (0, 0).
     """
     _check_side(side)
-    mp1 = params.m_count + 1
-    m = params.m_count
-    if side == "x":
-        # honest counterpart is Y = (u_l, u_m), both components uniform
-        p_m = np.full(mp1, 1.0 / mp1)
-    else:
-        # honest counterpart is X; its masked component is a uniform mask
-        # of the rank, accumulated here by explicit enumeration
-        z_all = params.index.xi_plus_all()
-        p_sn = iid_extension(params.index.source, params.n).all_probs()
-        p_m = np.zeros(mp1)
-        for u in range(mp1):
-            np.add.at(p_m, (z_all - u) % mp1, p_sn / mp1)
-    # success of forged component value c against honest component j:
-    # accepted iff (c + j) mod (M+1) != M
-    c = np.arange(mp1, dtype=np.int64)
-    bad = (m - c) % mp1  # the single rejected honest value per forged c
-    comp_m = 1.0 - p_m[bad]
-    # the honest first component is uniform, so every forged first value
-    # succeeds with probability exactly 1/L; forged value 0 is the
-    # lexicographically least maximiser
-    best_m = int(np.argmax(comp_m))
-    prob = float(comp_m[best_m]) / params.l_count
-    return AttackResult(success_prob=prob, optimal_forgery=(0, best_m),
-                        side=side, mode="exact")
+    return AttackResult(success_prob=_blockwise_forgery_success(params),
+                        optimal_forgery=(0, 0), side=side, mode="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +350,15 @@ def test_quantities(joint_xy: JointPMF, accept_fn: Callable[[int, int], bool]) -
 
 
 def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
-    """Exact alpha and beta via the componentwise factorization."""
-    mp1 = params.m_count + 1
-    p_sn = iid_extension(params.index.source, params.n).all_probs()
-    z_all = params.index.xi_plus_all()
-    alpha = float(np.dot(p_sn, (z_all == params.m_count).astype(np.float64)))
-    # independent share pair: first components match with mass 1/L, and the
-    # modular sum avoids the sentinel for all but one honest value
-    p_xm = np.zeros(mp1)
-    for u in range(mp1):
-        np.add.at(p_xm, (z_all - u) % mp1, p_sn / mp1)
-    p_ym = np.full(mp1, 1.0 / mp1)
-    c = np.arange(mp1, dtype=np.int64)
-    bad = (params.m_count - c) % mp1
-    beta_m = float(np.dot(p_xm, 1.0 - p_ym[bad]))
-    beta = (1.0 / params.l_count) * beta_m
-    return TestQuantities(alpha=alpha, beta=beta)
+    """Exact alpha and beta from the type classes.
+
+    A legitimate pair is rejected exactly when the secret is atypical, so
+    alpha is the atypical mass.  An independent X is uniform like any
+    forged share, so beta equals the forgery success M / ((M+1) L).
+    """
+    idx = params.index
+    return TestQuantities(alpha=atypical_mass(idx.source, idx.n, idx.gamma),
+                          beta=_blockwise_forgery_success(params))
 
 
 def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:

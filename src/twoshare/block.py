@@ -20,9 +20,8 @@ import numpy as np
 import mpmath
 
 from .outcome import DecodeOutcome, REJECT, accepted
-from .prob import (PMF, RandomStream, entropy, iid_extension,
-                   _entropy_bits)
-from .typical import TypicalIndex
+from .prob import RandomStream, entropy, iid_extension
+from .typical import TypicalIndex, type_classes, typical_set_totals
 
 # floor(2**bits) stays exactly representable as float64 up to 2**52; the
 # exact evaluators cap far lower, at 40 bits of masking randomness.
@@ -153,14 +152,6 @@ class BlockQuantities:
     sandwich_hi: float
 
 
-def _mask_part_entropy(l_count: int) -> float:
-    # entropy of the uniform mask component; summed explicitly while the
-    # table is small, closed form beyond that
-    if l_count <= (1 << 20):
-        return _entropy_bits(np.full(l_count, 1.0 / l_count))
-    return math.log2(l_count)
-
-
 def _clamp_mi(value: float) -> float:
     # mutual information is nonnegative; differences of entropies pick up
     # rounding noise of order 1e-15
@@ -170,90 +161,51 @@ def _clamp_mi(value: float) -> float:
 
 
 def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
-    """Exhaustive evaluation of error, secrecy, and correlation.
+    """Exact error, secrecy, and correlation from the type classes.
 
-    The error probability runs the acceptance test over every
-    (secret, mask) pair, chunked over secrets to bound memory.
-    Information quantities are assembled exactly from entropies of
-    small distributions: the common component u_l is drawn
-    independently of everything else and appears identically in both
-    shares, so it contributes log2(L) to I(X;Y) and nothing to I(S;X)
-    or I(S;Y); the masked components see the block only through its
-    rank z, so the rank distribution p_z carries the rest.
+    Every quantity depends on the secret block only through its rank z,
+    and z's law follows from the type classes: each typical member has
+    its own rank, and the atypical mass delta sits on the sentinel M.
+      - A legitimate pair is rejected exactly when z = M, so
+        p_e = delta.
+      - Either masked component alone is uniform over M+1 values given
+        any secret, and u_l is independent of the secret, so
+        I(S;X) = I(S;Y) = 0.
+      - u_l appears in both shares and the masked pair is the circulant
+        p_z[(x+y) mod (M+1)] / (M+1), so
+        I(X;Y) = log2 L + log2(M+1) - H(Z).
+      - The pair determines (u_l, u_m, z) and s^n -> (s^n, z) is a
+        bijection, so H(S^n | X Y) = n H(S) - H(Z).
+
+    Raises ArithmeticError when the dense index disagrees with the type
+    classes on M, i.e. when float rounding split a class across the
+    window edge.
     """
     n = params.n
     idx = params.index
     source = idx.source
-    mp1 = params.m_count + 1
-    m = params.m_count
-    ext = iid_extension(source, n)
-    p_sn = ext.all_probs()
-    ns = p_sn.shape[0]
-    z_all = idx.xi_plus_all()
-    um = np.arange(mp1, dtype=np.int64)
-
-    # one pass over the (secret, u_m) grid: acceptance of the legitimate
-    # pair, the exact marginal of the masked X component, and the
-    # conditional entropy H(X_m | S^n); legitimate shares always carry
-    # matching u_l components, so none of this depends on u_l
-    err_frac = np.empty(ns)
-    p_xm = np.zeros(mp1)
-    h_xm_given_s = 0.0
-    chunk = max(1, (1 << 22) // mp1)
-    for lo in range(0, ns, chunk):
-        hi = min(ns, lo + chunk)
-        z = z_all[lo:hi]
-        rows = hi - lo
-        xm = (z[:, None] - um[None, :]) % mp1
-        t = (xm + um[None, :]) % mp1
-        ok = (t != m) & (t == z[:, None])
-        err_frac[lo:hi] = (mp1 - ok.sum(axis=1)) / float(mp1)
-        w = p_sn[lo:hi] / mp1
-        flat = (np.arange(rows, dtype=np.int64)[:, None] * mp1 + xm).ravel()
-        counts = np.bincount(flat, minlength=rows * mp1).reshape(rows, mp1)
-        cond = counts / float(mp1)
-        p_xm += np.bincount(xm.ravel(), weights=np.repeat(w, mp1),
-                            minlength=mp1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(cond > 0.0, cond * np.log2(cond), 0.0)
-        h_xm_given_s += float(np.dot(p_sn[lo:hi], -terms.sum(axis=1)))
-    p_e = float(np.dot(p_sn, err_frac))
-
-    atypical = (z_all == m).astype(np.float64)
-    delta = float(np.dot(p_sn, atypical))
-
-    i_sx = _clamp_mi(_entropy_bits(p_xm) - h_xm_given_s)
-    # the masked Y component is the mask itself, so its conditional
-    # distribution given any secret is the same uniform law
-    p_ym = np.full(mp1, float(p_sn.sum()) / mp1)
-    i_sy = _clamp_mi(_entropy_bits(p_ym) - _entropy_bits(np.full(mp1, 1.0 / mp1)))
-
-    # correlation: common component plus the masked-component pair; the
-    # joint of the masked components is the circulant p_z[(x+y) mod (M+1)]
-    # / (M+1), so every row is a permutation of p_z/(M+1) and both
-    # marginals equal the full mass over M+1
-    p_z = np.bincount(z_all, weights=p_sn, minlength=mp1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells = np.where(p_z > 0.0, p_z / mp1 * np.log2(p_z / mp1), 0.0)
-    h_joint_mm = -mp1 * float(cells.sum())
-    h_marg = _entropy_bits(np.full(mp1, float(p_z.sum()) / mp1))
-    i_l = _mask_part_entropy(params.l_count)
-    i_xy = i_l + _clamp_mi(2.0 * h_marg - h_joint_mm)
-
-    # residual secret uncertainty given both shares: the pair determines
-    # exactly (u_l, u_m, z), the mask is independent of the secret, and
-    # s^n -> (s^n, z) is a bijection, so H(S^n | X Y) = H(S^n) - H(Z)
-    h_s_given_xy = max(_entropy_bits(p_sn) - _entropy_bits(p_z), 0.0)
+    classes = type_classes(source, n, idx.gamma)
+    m, delta = typical_set_totals(classes)
+    if m != idx.m_count:
+        raise ArithmeticError(
+            f"type classes give M={m} but the index holds {idx.m_count} "
+            f"members at n={n}, gamma={idx.gamma}: a type class was split")
+    h_z = math.fsum(-c.mass * c.logp for c in classes if c.typical)
+    if delta > 0.0:
+        h_z -= delta * math.log2(delta)
+    i_l = math.log2(params.l_count)
+    i_xy = i_l + _clamp_mi(math.log2(m + 1) - h_z)
+    h_s = entropy(source)
+    h_s_given_xy = max(n * h_s - h_z, 0.0)
 
     rate = math.log2(params.share_size) / n
-    h_s = entropy(source)
     lo = i_l / n
     penalty = (delta * math.log2(delta) if delta > 0.0 else 0.0) + 1.0
-    hi = lo + delta * h_s + (2.0 - delta) * params.index.gamma + penalty / n
+    hi = lo + delta * h_s + (2.0 - delta) * idx.gamma + penalty / n
     return BlockQuantities(
-        n=n, gamma=params.index.gamma, l_count=params.l_count,
-        m_count=m, h_s=h_s, delta=delta, p_e=p_e,
-        i_sx=i_sx, i_sy=i_sy, i_xy=i_xy,
+        n=n, gamma=idx.gamma, l_count=params.l_count,
+        m_count=m, h_s=h_s, delta=delta, p_e=delta,
+        i_sx=0.0, i_sy=0.0, i_xy=i_xy,
         rate_x=rate, rate_y=rate, rate_u=rate,
         h_s_given_xy=h_s_given_xy, sandwich_lo=lo, sandwich_hi=hi)
 

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import attack as atk
 from . import block, symbol
+from ._version import __version__
 from .prob import PMF, RandomStream, entropy
 from .typical import EmptyTypicalSetError, GammaSchedule, build_index
 from .prob import CapExceededError
@@ -179,7 +180,7 @@ class RunRecord:
 class ExperimentReport:
     config: ExperimentConfig
     records: list[RunRecord]
-    version: str = "0.1.0"
+    version: str = __version__
     wall_time_s: float = 0.0
 
     @property

@@ -3,11 +3,15 @@
 Membership uses the two-sided window |mean surprisal - H(S)| <= gamma.
 Surprisals accumulate left to right everywhere (scalar and vectorized
 paths), so a sequence lands on the same side of the window no matter
-which path tests it.
+which path tests it.  Exact masses and counts come from the type classes
+(compositions), whose number is polynomial in n; only the rank index
+enumerates all k**n sequences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,14 +177,65 @@ def build_index(source: PMF, n: int, gamma: float,
     return TypicalIndex(source, n, gamma, codes)
 
 
-def atypical_mass(source: PMF, n: int, gamma: float,
-                  cap: int = DENSE_CAP) -> float:
+class TypeClass(NamedTuple):
+    """All length-n sequences sharing one composition (symbol counts)."""
+
+    count: int       # members: the exact multinomial coefficient
+    logp: float      # log2 probability of each member
+    typical: bool
+
+    @property
+    def mass(self) -> float:
+        # summed in the exponent, so a huge count times a tiny per-member
+        # probability cannot overflow
+        return 2.0 ** (math.log2(self.count) + self.logp)
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
+    """Every composition of a length-n block over the source's support.
+
+    Membership depends on a sequence only through its composition, so it
+    is decided once per class, by `is_typical` on the lexicographically
+    smallest member: that is the same left-to-right surprisal sum the
+    dense index takes for that sequence.  Compositions that use a
+    zero-probability symbol carry no mass and are never typical, so they
+    are left out.  Cost is O(C(n+k-1, k-1)) classes, not k**n sequences.
+    """
+    if n < 1:
+        raise ValueError("blocklength must be positive")
+    support = [a for a, p in enumerate(source.probs) if p > 0.0]
+    logs = [math.log2(float(source.probs[a])) for a in support]
+    out = []
+    for counts in _compositions(n, len(support)):
+        count, rem = 1, n
+        for c in counts:
+            count *= math.comb(rem, c)
+            rem -= c
+        member = [a for a, c in zip(support, counts) for _ in range(c)]
+        out.append(TypeClass(
+            count, math.fsum(c * lg for c, lg in zip(counts, logs)),
+            is_typical(member, source, gamma)))
+    return out
+
+
+def typical_set_totals(classes: list[TypeClass]) -> tuple[int, float]:
+    """Typical-set size M and atypical mass of a type-class list."""
+    m_count = sum(c.count for c in classes if c.typical)
+    return m_count, math.fsum(c.mass for c in classes if not c.typical)
+
+
+def atypical_mass(source: PMF, n: int, gamma: float) -> float:
     """Exact probability of the complement of the typical set."""
-    totals = surprisal_totals(source, n, cap)
-    h = entropy(source)
-    mask = np.abs(totals / n - h) <= gamma
-    probs = iid_extension(source, n).all_probs(cap)
-    return float(np.dot(probs, (~mask).astype(np.float64)))
+    return typical_set_totals(type_classes(source, n, gamma))[1]
 
 
 def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,

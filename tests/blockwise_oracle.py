@@ -1,0 +1,191 @@
+"""Dense grid evaluator of the blockwise scheme, kept as a test oracle.
+
+These are the library's former exact routines, unchanged: they walk every
+one of the k**n secret blocks, and the error pass walks every (secret,
+u_m) pair.  Their cost grows as k**n * (M+1), so they serve only to
+certify the type-class engine on small blocks.
+"""
+import math
+
+import numpy as np
+
+from twoshare.attack import AttackResult, TestQuantities
+from twoshare.block import BlockQuantities, BlockwiseParams
+from twoshare.prob import (DENSE_CAP, PMF, _entropy_bits, entropy,
+                           iid_extension)
+from twoshare.typical import surprisal_totals
+
+
+def _check_side(side: str):
+    if side not in ("x", "y"):
+        raise ValueError("side must be 'x' or 'y'")
+
+
+def atypical_mass(source: PMF, n: int, gamma: float,
+                  cap: int = DENSE_CAP) -> float:
+    """Exact probability of the complement of the typical set."""
+    totals = surprisal_totals(source, n, cap)
+    h = entropy(source)
+    mask = np.abs(totals / n - h) <= gamma
+    probs = iid_extension(source, n).all_probs(cap)
+    return float(np.dot(probs, (~mask).astype(np.float64)))
+
+
+def _mask_part_entropy(l_count: int) -> float:
+    # entropy of the uniform mask component; summed explicitly while the
+    # table is small, closed form beyond that
+    if l_count <= (1 << 20):
+        return _entropy_bits(np.full(l_count, 1.0 / l_count))
+    return math.log2(l_count)
+
+
+def _clamp_mi(value: float) -> float:
+    # mutual information is nonnegative; differences of entropies pick up
+    # rounding noise of order 1e-15
+    if value < -1e-9:
+        raise ArithmeticError(f"mutual information came out {value}")
+    return max(value, 0.0)
+
+
+def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
+    """Exhaustive evaluation of error, secrecy, and correlation.
+
+    The error probability runs the acceptance test over every
+    (secret, mask) pair, chunked over secrets to bound memory.
+    Information quantities are assembled exactly from entropies of
+    small distributions: the common component u_l is drawn
+    independently of everything else and appears identically in both
+    shares, so it contributes log2(L) to I(X;Y) and nothing to I(S;X)
+    or I(S;Y); the masked components see the block only through its
+    rank z, so the rank distribution p_z carries the rest.
+    """
+    n = params.n
+    idx = params.index
+    source = idx.source
+    mp1 = params.m_count + 1
+    m = params.m_count
+    ext = iid_extension(source, n)
+    p_sn = ext.all_probs()
+    ns = p_sn.shape[0]
+    z_all = idx.xi_plus_all()
+    um = np.arange(mp1, dtype=np.int64)
+
+    # one pass over the (secret, u_m) grid: acceptance of the legitimate
+    # pair, the exact marginal of the masked X component, and the
+    # conditional entropy H(X_m | S^n); legitimate shares always carry
+    # matching u_l components, so none of this depends on u_l
+    err_frac = np.empty(ns)
+    p_xm = np.zeros(mp1)
+    h_xm_given_s = 0.0
+    chunk = max(1, (1 << 22) // mp1)
+    for lo in range(0, ns, chunk):
+        hi = min(ns, lo + chunk)
+        z = z_all[lo:hi]
+        rows = hi - lo
+        xm = (z[:, None] - um[None, :]) % mp1
+        t = (xm + um[None, :]) % mp1
+        ok = (t != m) & (t == z[:, None])
+        err_frac[lo:hi] = (mp1 - ok.sum(axis=1)) / float(mp1)
+        w = p_sn[lo:hi] / mp1
+        flat = (np.arange(rows, dtype=np.int64)[:, None] * mp1 + xm).ravel()
+        counts = np.bincount(flat, minlength=rows * mp1).reshape(rows, mp1)
+        cond = counts / float(mp1)
+        p_xm += np.bincount(xm.ravel(), weights=np.repeat(w, mp1),
+                            minlength=mp1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(cond > 0.0, cond * np.log2(cond), 0.0)
+        h_xm_given_s += float(np.dot(p_sn[lo:hi], -terms.sum(axis=1)))
+    p_e = float(np.dot(p_sn, err_frac))
+
+    atypical = (z_all == m).astype(np.float64)
+    delta = float(np.dot(p_sn, atypical))
+
+    i_sx = _clamp_mi(_entropy_bits(p_xm) - h_xm_given_s)
+    # the masked Y component is the mask itself, so its conditional
+    # distribution given any secret is the same uniform law
+    p_ym = np.full(mp1, float(p_sn.sum()) / mp1)
+    i_sy = _clamp_mi(_entropy_bits(p_ym) - _entropy_bits(np.full(mp1, 1.0 / mp1)))
+
+    # correlation: common component plus the masked-component pair; the
+    # joint of the masked components is the circulant p_z[(x+y) mod (M+1)]
+    # / (M+1), so every row is a permutation of p_z/(M+1) and both
+    # marginals equal the full mass over M+1
+    p_z = np.bincount(z_all, weights=p_sn, minlength=mp1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = np.where(p_z > 0.0, p_z / mp1 * np.log2(p_z / mp1), 0.0)
+    h_joint_mm = -mp1 * float(cells.sum())
+    h_marg = _entropy_bits(np.full(mp1, float(p_z.sum()) / mp1))
+    i_l = _mask_part_entropy(params.l_count)
+    i_xy = i_l + _clamp_mi(2.0 * h_marg - h_joint_mm)
+
+    # residual secret uncertainty given both shares: the pair determines
+    # exactly (u_l, u_m, z), the mask is independent of the secret, and
+    # s^n -> (s^n, z) is a bijection, so H(S^n | X Y) = H(S^n) - H(Z)
+    h_s_given_xy = max(_entropy_bits(p_sn) - _entropy_bits(p_z), 0.0)
+
+    rate = math.log2(params.share_size) / n
+    h_s = entropy(source)
+    lo = i_l / n
+    penalty = (delta * math.log2(delta) if delta > 0.0 else 0.0) + 1.0
+    hi = lo + delta * h_s + (2.0 - delta) * params.index.gamma + penalty / n
+    return BlockQuantities(
+        n=n, gamma=params.index.gamma, l_count=params.l_count,
+        m_count=m, h_s=h_s, delta=delta, p_e=p_e,
+        i_sx=i_sx, i_sy=i_sy, i_xy=i_xy,
+        rate_x=rate, rate_y=rate, rate_u=rate,
+        h_s_given_xy=h_s_given_xy, sandwich_lo=lo, sandwich_hi=hi)
+
+
+def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
+    """Exact optimal forgery against the blockwise acceptance test.
+
+    The test is a conjunction of a first-component match and a modular-sum
+    condition on the second components, and the two components of the honest
+    share are independent, so each forged share's success probability is the
+    product of two componentwise acceptance masses.
+    """
+    _check_side(side)
+    mp1 = params.m_count + 1
+    m = params.m_count
+    if side == "x":
+        # honest counterpart is Y = (u_l, u_m), both components uniform
+        p_m = np.full(mp1, 1.0 / mp1)
+    else:
+        # honest counterpart is X; its masked component is a uniform mask
+        # of the rank, accumulated here by explicit enumeration
+        z_all = params.index.xi_plus_all()
+        p_sn = iid_extension(params.index.source, params.n).all_probs()
+        p_m = np.zeros(mp1)
+        for u in range(mp1):
+            np.add.at(p_m, (z_all - u) % mp1, p_sn / mp1)
+    # success of forged component value c against honest component j:
+    # accepted iff (c + j) mod (M+1) != M
+    c = np.arange(mp1, dtype=np.int64)
+    bad = (m - c) % mp1  # the single rejected honest value per forged c
+    comp_m = 1.0 - p_m[bad]
+    # the honest first component is uniform, so every forged first value
+    # succeeds with probability exactly 1/L; forged value 0 is the
+    # lexicographically least maximiser
+    best_m = int(np.argmax(comp_m))
+    prob = float(comp_m[best_m]) / params.l_count
+    return AttackResult(success_prob=prob, optimal_forgery=(0, best_m),
+                        side=side, mode="exact")
+
+
+def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
+    """Exact alpha and beta via the componentwise factorization."""
+    mp1 = params.m_count + 1
+    p_sn = iid_extension(params.index.source, params.n).all_probs()
+    z_all = params.index.xi_plus_all()
+    alpha = float(np.dot(p_sn, (z_all == params.m_count).astype(np.float64)))
+    # independent share pair: first components match with mass 1/L, and the
+    # modular sum avoids the sentinel for all but one honest value
+    p_xm = np.zeros(mp1)
+    for u in range(mp1):
+        np.add.at(p_xm, (z_all - u) % mp1, p_sn / mp1)
+    p_ym = np.full(mp1, 1.0 / mp1)
+    c = np.arange(mp1, dtype=np.int64)
+    bad = (params.m_count - c) % mp1
+    beta_m = float(np.dot(p_xm, 1.0 - p_ym[bad]))
+    beta = (1.0 / params.l_count) * beta_m
+    return TestQuantities(alpha=alpha, beta=beta)

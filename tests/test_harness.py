@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import twoshare
 from twoshare import cli, harness
 from twoshare.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                               ExperimentReport, HOLDS, NOT_APPLICABLE,
@@ -184,6 +185,11 @@ class TestEmission:
         assert back.records == report.records
         assert back.version == report.version
         assert back.wall_time_s == report.wall_time_s
+
+    def test_jsonl_metadata_carries_package_version(self):
+        report = self.make_report(n_values=[4])
+        meta = json.loads(emit_jsonl(report).splitlines()[0])
+        assert meta["version"] == twoshare.__version__
 
     def test_jsonl_round_trip_skipped_record(self):
         report = self.make_report(
