@@ -74,7 +74,6 @@ from .attack import (
     symbolwise_attack,
     attack_bruteforce,
     monte_carlo_attack,
-    modular_attack_success,
     exponent_points,
     exponent_fit,
     test_quantities,

@@ -11,7 +11,6 @@ Bound checkers operate on exact or estimated test quantities:
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,13 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .block import BlockwiseParams
-from .iidsum import convolve, mean_tail_strict, merge_values, power_convolve
-from .prob import (CapExceededError, JointPMF, PMF, RandomStream,
-                   binary_entropy, iid_extension, sample)
-from .symbol import SymbolwiseCodec, legit_score_distribution
-from .typical import atypical_mass
-
-TYPE_CAP = 1 << 20
+from .prob import (JointPMF, PMF, RandomStream, binary_entropy,
+                   iid_extension, sample)
+from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
+                     count_distribution, rejection_probability, score_lattice)
+from .typical import atypical_mass, compositions
 
 
 @dataclass(frozen=True)
@@ -71,72 +68,47 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
 # Symbolwise attacks
 
 
-def _forged_symbol_dists(codec: SymbolwiseCodec, side: str) -> list[dict[float, float]]:
-    """Score distribution per forged symbol value against the honest marginal."""
-    if side == "x":
-        marginal = codec.p_y.probs
-        rows = [codec.score_table[a, :] for a in range(codec.scheme.share_size)]
-    else:
-        marginal = codec.p_x.probs
-        rows = [codec.score_table[:, a] for a in range(codec.scheme.share_size)]
-    return [merge_values(row, marginal) for row in rows]
-
-
-def _compositions(total: int, parts: int):
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for c in cuts:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
-
-
 def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
-                      type_cap: int = TYPE_CAP) -> AttackResult:
-    """Exact optimal forged sequence by score-distribution convolution.
+                      type_cap: int = LATTICE_CAP) -> AttackResult:
+    """Exact optimal forged sequence on the score lattice.
 
-    Success depends only on how many positions carry each distinct
-    per-symbol score distribution, so the scan runs over forged-sequence
-    types rather than all sequences.
+    A forged symbol fixes the mass the honest share puts on each lattice
+    value, so forged symbols with equal mass vectors are interchangeable
+    and success depends only on how many positions each such class fills.
+    Per class the count vector is multinomial; the classes' count-vector
+    laws are convolved on integer keys.  `type_cap` bounds the forged
+    compositions times the lattice points.  Against the modular splitter
+    every forged symbol falls in one class, so this is one lattice sum.
     """
     _check_side(side)
     n = codec.n
-    dists = _forged_symbol_dists(codec, side)
-    # group forged symbols with identical score distributions
-    keys: dict[tuple, int] = {}
-    classes: list[dict[float, float]] = []
-    class_min: list[int] = []
-    for a, d in enumerate(dists):
-        key = tuple(sorted((round(v, 12), round(p, 12)) for v, p in d.items()))
-        if key in keys:
-            continue
-        keys[key] = len(classes)
-        classes.append(d)
-        class_min.append(a)
-    kc = len(classes)
-    n_types = math.comb(n + kc - 1, kc - 1)
-    if n_types > type_cap:
-        raise CapExceededError(f"{n_types} forged-sequence types exceed the "
-                               f"cap {type_cap}; use the Monte Carlo path")
-    # lazily memoized per-class convolution powers
-    powers: dict[tuple[int, int], dict[float, float]] = {}
+    lat = score_lattice(codec)
+    # rows indexed by the forged symbol, against the honest marginal
+    table, honest = ((codec.score_table, codec.p_y.probs) if side == "x"
+                     else (codec.score_table.T, codec.p_x.probs))
+    classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
+    for a, row in enumerate(table):
+        classes.setdefault(lat.masses(row, honest), a)
+    masses, class_min = list(classes), list(classes.values())
+    kc, kv = len(masses), len(lat.values)
+    check_lattice_points(n, math.comb(n + kc - 1, kc - 1)
+                         * math.comb(n + kv - 1, kv - 1), type_cap)
+    powers: dict[tuple[int, int], dict] = {}
 
-    def class_power(ci: int, count: int) -> dict[float, float]:
-        key = (ci, count)
-        if key not in powers:
-            powers[key] = power_convolve(classes[ci], count)
-        return powers[key]
+    def class_power(ci: int, count: int) -> dict:
+        if (ci, count) not in powers:
+            powers[ci, count] = count_distribution(masses[ci], count)
+        return powers[ci, count]
 
     best_prob = -1.0
     best_seq: tuple[int, ...] | None = None
-    for counts in _compositions(n, kc):
-        dist = {0.0: 1.0}
+    for counts in compositions(n, kc):
+        dist = None
         for ci, cnt in enumerate(counts):
             if cnt:
-                dist = convolve(dist, class_power(ci, cnt))
-        prob = mean_tail_strict(dist, n, codec.threshold)
+                part = class_power(ci, cnt)
+                dist = part if dist is None else _convolve_counts(dist, part)
+        prob = lat.accepted_mass(dist)
         seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
                            for sym in [class_min[ci]] * cnt))
         if prob > best_prob or (prob == best_prob and best_seq is not None
@@ -147,36 +119,13 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
                         side=side, mode="exact")
 
 
-def modular_attack_success(codec: SymbolwiseCodec, side: str = "x") -> float:
-    """Success probability of any fixed forgery against the modular splitter.
-
-    Against a uniform honest share the reconstructed symbols are uniform
-    over the share alphabet whatever the forgery, so the success mass is
-    the count of accepted reconstructed sequences over M**n, accumulated
-    by secret-type counting.  Serves as an independent cross-check for
-    `symbolwise_attack`.
-    """
-    _check_side(side)
-    m = codec.scheme.share_size
-    p_s = codec.source.probs
-    n = codec.n
-    values = [math.log2(m * p) if p > 0.0 else -math.inf for p in p_s]
-    total = 0.0
-    k = codec.source.support_size
-    for counts in _compositions(n, k):
-        if any(p_s[i] == 0.0 and c > 0 for i, c in enumerate(counts)):
-            continue
-        score = 0.0
-        for v, cnt in zip(values, counts):
-            score += v * cnt
-        if score / n > codec.threshold:
-            ways = math.comb(n, counts[0])
-            rem = n - counts[0]
-            for cnt in counts[1:]:
-                ways *= math.comb(rem, cnt)
-                rem -= cnt
-            total += ways
-    return total / float(m) ** n
+def _convolve_counts(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, ...], float] = {}
+    for ca, pa in a.items():
+        for cb, pb in b.items():
+            c = tuple(x + y for x, y in zip(ca, cb))
+            out[c] = out.get(c, 0.0) + pa * pb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +310,18 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
                           beta=_blockwise_forgery_success(params))
 
 
+def symbolwise_beta(codec: SymbolwiseCodec) -> float:
+    """Exact beta: the lattice mass of accepted independent pairs."""
+    lat = score_lattice(codec)
+    indep = np.outer(codec.p_x.probs, codec.p_y.probs)
+    return lat.accepted_mass(
+        count_distribution(lat.masses(codec.score_table, indep), codec.n))
+
+
 def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
-    """Exact alpha and beta by score-sum convolution."""
-    legit = power_convolve(legit_score_distribution(codec), codec.n)
-    alpha = 1.0 - mean_tail_strict(legit, codec.n, codec.threshold)
-    indep = merge_values(codec.score_table.ravel(),
-                         np.outer(codec.p_x.probs, codec.p_y.probs).ravel())
-    beta = mean_tail_strict(power_convolve(indep, codec.n), codec.n,
-                            codec.threshold)
-    return TestQuantities(alpha=min(max(alpha, 0.0), 1.0), beta=beta)
+    """Exact alpha and beta on the score lattice."""
+    return TestQuantities(alpha=rejection_probability(codec),
+                          beta=symbolwise_beta(codec))
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,16 @@ be dropped in; `validate_base` checks the profile exactly before use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .outcome import DecodeOutcome, REJECT, accepted
-from .iidsum import mean_tail_strict, merge_values, power_convolve
-from .prob import (JointPMF, PMF, RandomStream, conditional_entropy, entropy,
-                   induce_joint, mutual_information, sample)
+from .prob import (CapExceededError, JointPMF, PMF, RandomStream,
+                   conditional_entropy, entropy, induce_joint,
+                   mutual_information, sample)
 
 
 @dataclass(frozen=True)
@@ -289,11 +290,111 @@ def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
     return accepted(out)
 
 
+# ---------------------------------------------------------------------------
+# Score lattice: exact sums over count vectors
+
+
+LATTICE_CAP = 1 << 20
+
+
+class LatticeCapError(CapExceededError):
+    """An exact score-lattice sum would visit more points than its cap."""
+
+
+def check_lattice_points(n: int, points: int, cap: int = LATTICE_CAP):
+    if points > cap:
+        raise LatticeCapError(f"n={n}: {points} score-lattice points exceed "
+                              f"the cap {cap}; lower n")
+
+
+@dataclass(frozen=True)
+class ScoreLattice:
+    """The acceptance test of an n-block, decided on count vectors.
+
+    The per-symbol score takes only the values in `values`, the distinct
+    finite entries of the score table (a -inf entry is never accepted), so
+    a block's mean score is fixed by how many positions take each value.
+    Scores and the threshold are binary fractions; `weights` and `bar`
+    are them scaled to one common denominator, so the strict test (ties
+    rejected) is an exact integer comparison.
+    """
+
+    values: tuple[float, ...]
+    weights: tuple[int, ...]
+    bar: int
+
+    def accepts(self, counts) -> bool:
+        return sum(map(operator.mul, counts, self.weights)) > self.bar
+
+    def masses(self, scores: np.ndarray, probs: np.ndarray) -> tuple[float, ...]:
+        """Mass that probs puts on each value; mass on -inf is dropped."""
+        return tuple(math.fsum(probs[scores == v]) for v in self.values)
+
+    def accepted_mass(self, dist: dict[tuple[int, ...], float]) -> float:
+        return math.fsum(p for c, p in dist.items() if self.accepts(c))
+
+
+def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
+    table = codec.score_table
+    values = tuple(float(v) for v in np.unique(table[np.isfinite(table)]))
+    ratios = [v.as_integer_ratio() for v in values + (float(codec.threshold),)]
+    den = max(d for _, d in ratios)
+    *weights, bar = (num * (den // d) for num, d in ratios)
+    return ScoreLattice(values, tuple(weights), codec.n * bar)
+
+
+def count_distribution(masses: tuple[float, ...],
+                       m: int) -> dict[tuple[int, ...], float]:
+    """Law of the count vector of m i.i.d. scores with per-value masses.
+
+    Each vector weighs multinomial(m; c) * prod q_j**c_j.  The multinomial
+    is built exactly, one binomial factor per value, and the product is
+    summed in the exponent so that large m cannot overflow.  Vectors that
+    use a zero-mass value are left out, and so is any mass off the lattice.
+    Raises LatticeCapError when the vectors would outnumber LATTICE_CAP.
+    """
+    support = [j for j, q in enumerate(masses) if q > 0.0]
+    if not support:
+        return {(0,) * len(masses): 1.0} if m == 0 else {}
+    check_lattice_points(m, math.comb(m + len(support) - 1, len(support) - 1))
+    logs = [math.log2(masses[j]) for j in support]
+    # grow the count vectors one value at a time; each partial vector
+    # carries the positions left, its exact arrangements and log2 mass
+    partial = [((), m, 1, 0.0)]
+    for lg in logs[:-1]:
+        grown = []
+        for head, rem, ways, logp in partial:
+            binom = 1  # comb(rem, c), stepped exactly
+            for c in range(rem + 1):
+                grown.append((head + (c,), rem - c, ways * binom, logp + c * lg))
+                binom = binom * (rem - c) // (c + 1)
+        partial = grown
+    out = {head + (rem,): 2.0 ** (math.log2(ways) + logp + rem * logs[-1])
+           for head, rem, ways, logp in partial}
+    if len(support) < len(masses):
+        at = {j: i for i, j in enumerate(support)}
+        out = {tuple(c[at[j]] if j in at else 0 for j in range(len(masses))): p
+               for c, p in out.items()}
+    return out
+
+
 def legit_score_distribution(codec: SymbolwiseCodec) -> dict[float, float]:
     """Per-symbol score distribution under legitimate share pairs."""
-    table = codec.p_xy.probs
-    mask = table > 0.0
-    return merge_values(codec.score_table[mask], table[mask])
+    lat = score_lattice(codec)
+    return dict(zip(lat.values, lat.masses(codec.score_table, codec.p_xy.probs)))
+
+
+def rejection_probability(codec: SymbolwiseCodec) -> float:
+    """Exact probability that a legitimate share pair is rejected.
+
+    Legitimate pairs never score -inf, so the rejected mass is the sum
+    over the count vectors the test rejects.
+    """
+    lat = score_lattice(codec)
+    dist = count_distribution(
+        lat.masses(codec.score_table, codec.p_xy.probs), codec.n)
+    return min(math.fsum(p for c, p in dist.items() if not lat.accepts(c)),
+               1.0)
 
 
 @dataclass(frozen=True)
@@ -314,14 +415,11 @@ class SymbolQuantities:
 
 
 def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
-    """Error probability by score-sum convolution, the rest from the
+    """Error probability on the score lattice, the rest from the
     per-symbol joint."""
-    dist = power_convolve(legit_score_distribution(codec), codec.n)
-    acc = mean_tail_strict(dist, codec.n, codec.threshold)
-    p_e = min(max(1.0 - acc, 0.0), 1.0)
     joint = codec.joint
     return SymbolQuantities(
-        n=codec.n, gamma=codec.gamma, p_e=p_e,
+        n=codec.n, gamma=codec.gamma, p_e=rejection_probability(codec),
         i_xy_per_symbol=codec.i_xy,
         i_sx_per_symbol=mutual_information(joint.marginal(0, 2)),
         i_sy_per_symbol=mutual_information(joint.marginal(0, 3)),

@@ -191,12 +191,13 @@ class TypeClass(NamedTuple):
         return 2.0 ** (math.log2(self.count) + self.logp)
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
+    """Every way to split `total` into `parts` ordered non-negative counts."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -215,7 +216,7 @@ def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
     support = [a for a, p in enumerate(source.probs) if p > 0.0]
     logs = [math.log2(float(source.probs[a])) for a in support]
     out = []
-    for counts in _compositions(n, len(support)):
+    for counts in compositions(n, len(support)):
         count, rem = 1, n
         for c in counts:
             count *= math.comb(rem, c)

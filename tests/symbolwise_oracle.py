@@ -1,0 +1,234 @@
+"""Float-keyed score-sum convolution, kept as a test oracle for the
+symbolwise scheme.
+
+These are the library's former `iidsum` module and its former exact
+symbolwise routines, unchanged: n sequential dict convolutions keyed by
+float score sums, tail masses read off by dividing each key by n, an
+attack scan over forged-sequence types whose classes are grouped by
+12-digit rounded keys, and the integer count of accepted recombined
+sequences that cross-checks the modular splitter's attack.  They serve
+only to certify the score-lattice engine on small blocks.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from twoshare.attack import AttackResult, TestQuantities, _check_side
+from twoshare.prob import CapExceededError, conditional_entropy, mutual_information
+from twoshare.symbol import SymbolQuantities, SymbolwiseCodec
+
+TYPE_CAP = 1 << 20
+
+DIST_CAP = 1 << 20
+
+
+class SumDistCapError(CapExceededError):
+    """A convolution grew past DIST_CAP support points; switch to Monte Carlo."""
+
+
+def merge_values(values, probs, tol: float = 1e-12) -> dict[float, float]:
+    """Group (value, prob) pairs whose values coincide within tol."""
+    pairs = sorted((float(v), float(p)) for v, p in zip(values, probs) if p > 0.0)
+    out: dict[float, float] = {}
+    anchor = None
+    for v, p in pairs:
+        if anchor is not None and (v == anchor or v - anchor <= tol):
+            out[anchor] += p
+        else:
+            anchor = v
+            out[anchor] = out.get(anchor, 0.0) + p
+    return out
+
+
+def convolve(a: dict[float, float], b: dict[float, float],
+             cap: int = DIST_CAP) -> dict[float, float]:
+    out: dict[float, float] = {}
+    for va, pa in a.items():
+        for vb, pb in b.items():
+            s = va + vb
+            out[s] = out.get(s, 0.0) + pa * pb
+    if len(out) > cap:
+        raise SumDistCapError(f"{len(out)} support points exceed {cap}")
+    return out
+
+
+def power_convolve(dist: dict[float, float], n: int,
+                   cap: int = DIST_CAP) -> dict[float, float]:
+    """Distribution of the sum of n i.i.d. draws from dist."""
+    if n < 0:
+        raise ValueError("power must be non-negative")
+    out = {0.0: 1.0}
+    for _ in range(n):
+        out = convolve(out, dist, cap)
+    return out
+
+
+def tail_mass_strict(dist: dict[float, float], threshold: float) -> float:
+    """Probability that the sum is strictly above the threshold."""
+    total = 0.0
+    for v, p in sorted(dist.items()):
+        if v > threshold:
+            total += p
+    return total
+
+
+def mean_tail_strict(dist: dict[float, float], n: int, per_symbol_threshold: float) -> float:
+    """Probability that (sum / n) strictly exceeds the per-symbol threshold.
+
+    Divides each support point by n before comparing, matching the scalar
+    acceptance test applied to sampled share pairs.
+    """
+    total = 0.0
+    for v, p in sorted(dist.items()):
+        if math.isinf(v) and v < 0:
+            continue
+        if v / n > per_symbol_threshold:
+            total += p
+    return total
+
+
+def legit_score_distribution(codec: SymbolwiseCodec) -> dict[float, float]:
+    """Per-symbol score distribution under legitimate share pairs."""
+    table = codec.p_xy.probs
+    mask = table > 0.0
+    return merge_values(codec.score_table[mask], table[mask])
+
+
+def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
+    """Error probability by score-sum convolution, the rest from the
+    per-symbol joint."""
+    dist = power_convolve(legit_score_distribution(codec), codec.n)
+    acc = mean_tail_strict(dist, codec.n, codec.threshold)
+    p_e = min(max(1.0 - acc, 0.0), 1.0)
+    joint = codec.joint
+    return SymbolQuantities(
+        n=codec.n, gamma=codec.gamma, p_e=p_e,
+        i_xy_per_symbol=codec.i_xy,
+        i_sx_per_symbol=mutual_information(joint.marginal(0, 2)),
+        i_sy_per_symbol=mutual_information(joint.marginal(0, 3)),
+        h_s_given_x=conditional_entropy(joint.marginal(0, 2), 0),
+        h_s_given_y=conditional_entropy(joint.marginal(0, 3), 0),
+        h_s_given_xy=conditional_entropy(joint.marginal(0, 2, 3), 0),
+        rate=math.log2(codec.scheme.share_size))
+
+
+def _forged_symbol_dists(codec: SymbolwiseCodec, side: str) -> list[dict[float, float]]:
+    """Score distribution per forged symbol value against the honest marginal."""
+    if side == "x":
+        marginal = codec.p_y.probs
+        rows = [codec.score_table[a, :] for a in range(codec.scheme.share_size)]
+    else:
+        marginal = codec.p_x.probs
+        rows = [codec.score_table[:, a] for a in range(codec.scheme.share_size)]
+    return [merge_values(row, marginal) for row in rows]
+
+
+def _compositions(total: int, parts: int):
+    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for c in cuts:
+            out.append(c - prev - 1)
+            prev = c
+        out.append(total + parts - 2 - prev)
+        yield tuple(out)
+
+
+def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
+                      type_cap: int = TYPE_CAP) -> AttackResult:
+    """Exact optimal forged sequence by score-distribution convolution.
+
+    Success depends only on how many positions carry each distinct
+    per-symbol score distribution, so the scan runs over forged-sequence
+    types rather than all sequences.
+    """
+    _check_side(side)
+    n = codec.n
+    dists = _forged_symbol_dists(codec, side)
+    # group forged symbols with identical score distributions
+    keys: dict[tuple, int] = {}
+    classes: list[dict[float, float]] = []
+    class_min: list[int] = []
+    for a, d in enumerate(dists):
+        key = tuple(sorted((round(v, 12), round(p, 12)) for v, p in d.items()))
+        if key in keys:
+            continue
+        keys[key] = len(classes)
+        classes.append(d)
+        class_min.append(a)
+    kc = len(classes)
+    n_types = math.comb(n + kc - 1, kc - 1)
+    if n_types > type_cap:
+        raise CapExceededError(f"{n_types} forged-sequence types exceed the "
+                               f"cap {type_cap}; use the Monte Carlo path")
+    # lazily memoized per-class convolution powers
+    powers: dict[tuple[int, int], dict[float, float]] = {}
+
+    def class_power(ci: int, count: int) -> dict[float, float]:
+        key = (ci, count)
+        if key not in powers:
+            powers[key] = power_convolve(classes[ci], count)
+        return powers[key]
+
+    best_prob = -1.0
+    best_seq: tuple[int, ...] | None = None
+    for counts in _compositions(n, kc):
+        dist = {0.0: 1.0}
+        for ci, cnt in enumerate(counts):
+            if cnt:
+                dist = convolve(dist, class_power(ci, cnt))
+        prob = mean_tail_strict(dist, n, codec.threshold)
+        seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
+                           for sym in [class_min[ci]] * cnt))
+        if prob > best_prob or (prob == best_prob and best_seq is not None
+                                and seq < best_seq):
+            best_prob = prob
+            best_seq = seq
+    return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
+                        side=side, mode="exact")
+
+
+def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
+    """Exact alpha and beta by score-sum convolution."""
+    legit = power_convolve(legit_score_distribution(codec), codec.n)
+    alpha = 1.0 - mean_tail_strict(legit, codec.n, codec.threshold)
+    indep = merge_values(codec.score_table.ravel(),
+                         np.outer(codec.p_x.probs, codec.p_y.probs).ravel())
+    beta = mean_tail_strict(power_convolve(indep, codec.n), codec.n,
+                            codec.threshold)
+    return TestQuantities(alpha=min(max(alpha, 0.0), 1.0), beta=beta)
+
+
+def modular_attack_success(codec: SymbolwiseCodec, side: str = "x") -> float:
+    """Success probability of any fixed forgery against the modular splitter.
+
+    Against a uniform honest share the reconstructed symbols are uniform
+    over the share alphabet whatever the forgery, so the success mass is
+    the count of accepted reconstructed sequences over M**n, accumulated
+    by secret-type counting.  Serves as an independent cross-check for
+    `symbolwise_attack`.
+    """
+    _check_side(side)
+    m = codec.scheme.share_size
+    p_s = codec.source.probs
+    n = codec.n
+    values = [math.log2(m * p) if p > 0.0 else -math.inf for p in p_s]
+    total = 0.0
+    k = codec.source.support_size
+    for counts in _compositions(n, k):
+        if any(p_s[i] == 0.0 and c > 0 for i, c in enumerate(counts)):
+            continue
+        score = 0.0
+        for v, cnt in zip(values, counts):
+            score += v * cnt
+        if score / n > codec.threshold:
+            ways = math.comb(n, counts[0])
+            rem = n - counts[0]
+            for cnt in counts[1:]:
+                ways *= math.comb(rem, cnt)
+                rem -= cnt
+            total += ways
+    return total / float(m) ** n

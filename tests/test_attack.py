@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from twoshare.attack import TestQuantities as TQ
+from symbolwise_oracle import modular_attack_success
 from twoshare.attack import (attack_bruteforce, blockwise_attack,
                              blockwise_test_quantities,
                              converse_exponent_check, exponent_fit,
                              exponent_points, fano_check, logsum_bound_check,
-                             modular_attack_success, monte_carlo_attack,
-                             symbolwise_attack, symbolwise_test_quantities)
+                             monte_carlo_attack, symbolwise_attack,
+                             symbolwise_test_quantities)
 from twoshare.attack import test_quantities as dense_test_quantities
 from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
@@ -211,8 +212,13 @@ class TestSymbolwiseAttack:
     def test_type_cap_enforced(self):
         codec = make_codec(identity_leak_scheme(3, 2), SKEW, n=6, gamma=0.2,
                            require_valid=False)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as err:
             symbolwise_attack(codec, "x", type_cap=5)
+        # two forged classes give 7 compositions on a one-value lattice;
+        # Monte Carlo mode calls the exact attack too, so it is no way out
+        msg = str(err.value)
+        assert "n=6" in msg and "7 score-lattice points" in msg
+        assert "lower n" in msg and "Monte Carlo" not in msg
 
     def test_rejects_bad_side(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=2, gamma=0.5)

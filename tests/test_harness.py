@@ -2,11 +2,12 @@
 report emission round-trips, reproducibility, and exit codes."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import twoshare
-from twoshare import cli, harness
+from twoshare import attack, cli, harness
 from twoshare.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                               ExperimentReport, HOLDS, NOT_APPLICABLE,
                               RunRecord, VERDICT_KEYS, VIOLATED, emit_csv,
@@ -143,6 +144,39 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig.from_dict(
             base_dict(n_values=[4])))
         assert report.wall_time_s >= 0.0
+
+
+UNIFORM_MC = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                         / "blockwise_uniform_mc.json").read_text())
+
+
+class TestMonteCarloVerdicts:
+    # at these seeds the 95% Wald interval of an attack estimate falls
+    # below the converse floor, which the uniform source's exact success
+    # meets with equality
+    @pytest.mark.parametrize("seed", [0, 9, 12, 21, 27, 32, 36])
+    def test_tight_converse_not_violated_by_noise(self, seed):
+        report = run_experiment(ExperimentConfig.from_dict(
+            dict(UNIFORM_MC, seed=seed)))
+        assert [r.verdicts["exp"] for r in report.records] == [HOLDS] * 3
+
+    def test_estimate_far_above_one_over_l_violates(self, monkeypatch):
+        real = attack.monte_carlo_attack
+
+        def inflated(scheme, side, forgery, trials, rng):
+            res = real(scheme, side, forgery, trials, rng)
+            # ten times the direct cap 1/L, with its Wald half-width
+            p = 10.0 / scheme.l_count
+            return attack.AttackResult(
+                success_prob=p, optimal_forgery=res.optimal_forgery,
+                side=side, mode="mc", trials=trials,
+                ci_halfwidth=1.96 * math.sqrt(p * (1.0 - p) / trials))
+
+        monkeypatch.setattr(attack, "monte_carlo_attack", inflated)
+        cfg = ExperimentConfig.from_dict(dict(UNIFORM_MC, n_values=[6]))
+        rec = run_experiment(cfg).records[0]
+        assert rec.verdicts["exp"] == VIOLATED
+        assert rec.verdicts["logsum"] == HOLDS
 
 
 class TestEmission:

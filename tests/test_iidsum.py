@@ -1,11 +1,12 @@
-"""Sum-of-scores distributions: convolution against direct enumeration."""
+"""Sum-of-scores distributions of the convolution oracle against direct
+enumeration."""
 import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoshare.iidsum import (
+from symbolwise_oracle import (
     SumDistCapError, merge_values, convolve, power_convolve,
     tail_mass_strict, mean_tail_strict,
 )
