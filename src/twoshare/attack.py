@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .block import BlockwiseParams
-from .prob import (JointPMF, PMF, RandomStream, binary_entropy,
-                   iid_extension, sample)
+from .prob import JointPMF, PMF, RandomStream, _estimate, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
                      count_distribution, rejection_probability, score_lattice)
 from .typical import atypical_mass, compositions
@@ -83,9 +82,7 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     _check_side(side)
     n = codec.n
     lat = score_lattice(codec)
-    # rows indexed by the forged symbol, against the honest marginal
-    table, honest = ((codec.score_table, codec.p_y.probs) if side == "x"
-                     else (codec.score_table.T, codec.p_x.probs))
+    table, honest = _forged_rows(codec, side)
     classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
     for a, row in enumerate(table):
         classes.setdefault(lat.masses(row, honest), a)
@@ -117,6 +114,13 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
             best_seq = seq
     return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
                         side=side, mode="exact")
+
+
+def _forged_rows(codec: SymbolwiseCodec,
+                 side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Score rows indexed by the forged symbol, and the honest marginal."""
+    return ((codec.score_table, codec.p_y.probs) if side == "x"
+            else (codec.score_table.T, codec.p_x.probs))
 
 
 def _convolve_counts(a: dict, b: dict) -> dict:
@@ -160,66 +164,53 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
 
     `forgery` is a concrete share (blockwise: (l, m) pair; symbolwise: a
     symbol sequence) or a PMF sampled per trial (blockwise: over the flat
-    share alphabet; symbolwise: per position over symbols).
+    share alphabet; symbolwise: per position over symbols).  Blockwise,
+    either honest share is uniform in both components, whatever z is.
+    Symbolwise, a trial draws one score-bucket count vector: one multinomial
+    per distinct forged symbol against its row, or one from the
+    forgery-weighted mixture of the rows.
     """
     _check_side(side)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    hits = 0
-    done = 0
-    block = 0
     if isinstance(scheme, BlockwiseParams):
-        params = scheme
-        mp1 = params.m_count + 1
-        m = params.m_count
-        rank_map = params.index.xi_plus_all()
-        powers = params.index.k ** np.arange(params.n - 1, -1, -1, dtype=np.int64)
-        ext = iid_extension(params.index.source, params.n) if side == "y" else None
-        while done < trials:
-            take = min(chunk, trials - done)
-            sub = rng.substream(block)
+        l_count, m, mp1 = scheme.l_count, scheme.m_count, scheme.m_count + 1
+
+        def draw(gen, take):
             if isinstance(forgery, PMF):
-                flat = sample(forgery, sub, take)
+                flat = np.repeat(np.arange(forgery.support_size),
+                                 gen.multinomial(take, forgery.probs))
                 f_l, f_m = np.divmod(flat, mp1)
             else:
-                f_l = np.full(take, int(forgery[0]))
-                f_m = np.full(take, int(forgery[1]))
-            u_l = sub.gen.integers(params.l_count, size=take)
-            u_m = sub.gen.integers(mp1, size=take)
-            if side == "x":
-                h_l, h_m = u_l, u_m
-            else:
-                seqs = ext.sample(sub, take)
-                z = rank_map[seqs @ powers]
-                h_l, h_m = u_l, (z - u_m) % mp1
+                f_l, f_m = int(forgery[0]), int(forgery[1])
+            h_l = gen.integers(l_count, size=take)
+            h_m = gen.integers(mp1, size=take)
             ok = (f_l == h_l) & ((f_m + h_m) % mp1 != m)
-            hits += int(np.count_nonzero(ok))
-            done += take
-            block += 1
+            return int(np.count_nonzero(ok))
     elif isinstance(scheme, SymbolwiseCodec):
-        codec = scheme
-        n = codec.n
-        w = codec.score_table
-        honest = codec.p_y if side == "x" else codec.p_x
-        while done < trials:
-            take = min(chunk, trials - done)
-            sub = rng.substream(block)
-            if isinstance(forgery, PMF):
-                f = sample(forgery, sub, (take, n))
-            else:
-                f = np.tile(np.asarray(forgery, dtype=np.int64), (take, 1))
-            h = sample(honest, sub, (take, n))
-            scores = (w[f, h] if side == "x" else w[h, f]).sum(axis=1) / n
-            hits += int(np.count_nonzero(scores > codec.threshold))
-            done += take
-            block += 1
+        n = scheme.n
+        lat = score_lattice(scheme)
+        table, honest = _forged_rows(scheme, side)
+        rows = np.array([lat.buckets(row, honest) for row in table])
+        accepts = lat.count_test(n)
+        if isinstance(forgery, PMF):
+            mix = forgery.probs @ rows
+
+            def counts(gen, take):
+                return gen.multinomial(n, mix, size=take)
+        else:
+            seq = np.asarray(forgery, dtype=np.int64)
+            if seq.shape != (n,):
+                raise ValueError(f"forged sequence must have length {n}")
+            symbols, positions = np.unique(seq, return_counts=True)
+
+            def counts(gen, take):
+                return sum(gen.multinomial(int(c), rows[a], size=take)
+                           for a, c in zip(symbols, positions))
+
+        def draw(gen, take):
+            return int(np.count_nonzero(accepts(counts(gen, take))))
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-    est = hits / trials
-    if hits == 0:
-        half = 3.0 / trials
-    else:
-        half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
+    est, half = _estimate(trials, rng, chunk, draw)
     forged = tuple(forgery) if not isinstance(forgery, PMF) else ("sampled",)
     return AttackResult(success_prob=est, optimal_forgery=forged, side=side,
                         mode="mc", trials=trials, ci_halfwidth=half)

@@ -16,16 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import mpmath
 
 from .outcome import DecodeOutcome, REJECT, accepted
-from .prob import RandomStream, entropy, iid_extension
-from .typical import TypicalIndex, type_classes, typical_set_totals
+from .prob import CapExceededError, RandomStream, _estimate, entropy
+from .typical import (TypicalIndex, atypical_draw, type_classes,
+                      typical_set_totals)
 
 # floor(2**bits) stays exactly representable as float64 up to 2**52; the
 # exact evaluators cap far lower, at 40 bits of masking randomness.
 MAX_MASK_BITS = 40.0
+
+
+class MaskBitsError(CapExceededError, ValueError):
+    """n * ell asks for more masking bits than MAX_MASK_BITS."""
 
 
 def floor_pow2(bits: float) -> int:
@@ -33,7 +37,8 @@ def floor_pow2(bits: float) -> int:
     if bits < 0.0:
         raise ValueError("exponent must be non-negative")
     if bits > MAX_MASK_BITS + 1e-9:
-        raise ValueError(f"exponent {bits} exceeds the {MAX_MASK_BITS}-bit limit")
+        raise MaskBitsError(f"exponent {bits} exceeds the {MAX_MASK_BITS}-bit "
+                            "limit; lower n or ell")
     with mpmath.workprec(96):
         return int(mpmath.floor(mpmath.power(2, mpmath.mpf(bits))))
 
@@ -212,35 +217,11 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
 
 def monte_carlo_error(params: BlockwiseParams, trials: int,
                       rng: RandomStream, chunk: int = 1 << 16) -> tuple[float, float]:
-    """MC estimate of the decoding error probability with a 95% half-width."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    n = params.n
+    """MC estimate of the decoding error probability with a 95% half-width.
+
+    A legitimate pair is rejected exactly when z = M, so a trial draws the
+    secret's composition and reads its type class; the rank map is unused.
+    """
     idx = params.index
-    mp1 = params.m_count + 1
-    ext = iid_extension(idx.source, n)
-    powers = idx.k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rank_map = idx.xi_plus_all()
-    fails = 0
-    done = 0
-    block = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        sub = rng.substream(block)
-        seqs = ext.sample(sub, take)
-        u_m = sub.gen.integers(mp1, size=take)
-        codes = seqs @ powers
-        z = rank_map[codes]
-        xm = (z - u_m) % mp1
-        t = (xm + u_m) % mp1
-        # the u_l components of a legitimate pair match by construction,
-        # so acceptance rides on the masked components alone
-        ok = (t != params.m_count) & (t == z)
-        fails += int(take - np.count_nonzero(ok))
-        done += take
-        block += 1
-    est = fails / trials
-    if fails == 0:
-        return 0.0, 3.0 / trials
-    half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
-    return est, half
+    return _estimate(trials, rng, chunk,
+                     atypical_draw(idx.source, idx.n, idx.gamma))

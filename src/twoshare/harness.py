@@ -212,7 +212,7 @@ def _blockwise_record(cfg: ExperimentConfig, n: int, gamma: float,
         params = block.BlockwiseParams(cfg.ell, index)
         q = block.exact_quantities(params)
         tq = atk.blockwise_test_quantities(params)
-    except (CapExceededError, EmptyTypicalSetError, ValueError) as exc:
+    except (CapExceededError, EmptyTypicalSetError) as exc:
         rec.skipped = str(exc)
         rec.verdicts = {k: NOT_APPLICABLE for k in VERDICT_KEYS}
         return rec
@@ -301,7 +301,7 @@ def _symbolwise_record(cfg: ExperimentConfig, n: int, gamma: float,
         q = symbol.exact_symbolwise_quantities(codec)
         # alpha is the legitimate rejection mass p_e: computed once
         tq = atk.TestQuantities(alpha=q.p_e, beta=atk.symbolwise_beta(codec))
-    except (symbol.SchemeValidationError, CapExceededError, ValueError) as exc:
+    except (symbol.SchemeValidationError, CapExceededError) as exc:
         rec.skipped = str(exc)
         rec.verdicts = {k: NOT_APPLICABLE for k in VERDICT_KEYS}
         return rec

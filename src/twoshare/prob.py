@@ -306,10 +306,6 @@ class IIDExtension:
     def dense(self, cap: int = DENSE_CAP) -> PMF:
         return PMF(self.all_probs(cap))
 
-    def sample(self, rng: "RandomStream", size: int) -> np.ndarray:
-        """(size, n) matrix of i.i.d. sequences, via per-symbol inverse CDF."""
-        return sample(self.source, rng, (size, self.n))
-
 
 def iid_extension(source: PMF, n: int) -> IIDExtension:
     return IIDExtension(source, n)
@@ -356,6 +352,28 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
+
+
+def _estimate(trials: int, rng: RandomStream, chunk: int,
+              draw_chunk: Callable[[np.random.Generator, int], int]
+              ) -> tuple[float, float]:
+    """Monte Carlo rate of an event, with a 95% half-width.
+
+    `draw_chunk(gen, take)` runs `take` fresh trials on `gen` and returns
+    how many hit.  Chunk c of at most `chunk` trials draws from substream
+    c, so the estimate does not depend on execution order.  Zero hits fall
+    back to the rule of three: the half-width is then the one-sided 95%
+    upper bound 3/trials; otherwise it is the Wald half-width.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    hits = 0
+    for c, start in enumerate(range(0, trials, chunk)):
+        hits += draw_chunk(rng.substream(c).gen, min(chunk, trials - start))
+    if hits == 0:
+        return 0.0, 3.0 / trials
+    est = hits / trials
+    return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .outcome import DecodeOutcome, REJECT, accepted
-from .prob import (CapExceededError, JointPMF, PMF, RandomStream,
+from .prob import (CapExceededError, JointPMF, PMF, RandomStream, _estimate,
                    conditional_entropy, entropy, induce_joint,
-                   mutual_information, sample)
+                   mutual_information)
+from .typical import composition_lookup, compositions
 
 
 @dataclass(frozen=True)
@@ -200,15 +201,6 @@ class SymbolwiseCodec:
     def threshold(self) -> float:
         return self.i_xy - self.gamma
 
-    def encode_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        m_s, m_u = self.scheme.secret_size, self.scheme.rand_size
-        ex = np.zeros((m_s, m_u), dtype=np.int64)
-        ey = np.zeros((m_s, m_u), dtype=np.int64)
-        for s in range(m_s):
-            for u in range(m_u):
-                ex[s, u], ey[s, u] = self.scheme.encode_fn(s, u)
-        return ex, ey
-
 
 def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                require_valid: bool = True) -> SymbolwiseCodec:
@@ -330,6 +322,23 @@ class ScoreLattice:
         """Mass that probs puts on each value; mass on -inf is dropped."""
         return tuple(math.fsum(probs[scores == v]) for v in self.values)
 
+    def buckets(self, scores: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """Mass on -inf, then on each value: one position's score law."""
+        return np.array((math.fsum(probs[scores == -np.inf]),)
+                        + self.masses(scores, probs))
+
+    def count_test(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """`accepts` over rows of n-block bucket counts, -inf count first.
+
+        A row is accepted when it has no -inf count and its vector over
+        `values` is accepted; each such vector is decided once, here.
+        """
+        parts = len(self.values)
+        check_lattice_points(n, math.comb(n + parts - 1, parts - 1))
+        ok = composition_lookup(
+            [c for c in compositions(n, parts) if self.accepts(c)], n, parts)
+        return lambda counts: (counts[:, 0] == 0) & ok(counts[:, 1:])
+
     def accepted_mass(self, dist: dict[tuple[int, ...], float]) -> float:
         return math.fsum(p for c, p in dist.items() if self.accepts(c))
 
@@ -431,28 +440,13 @@ def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
 
 def monte_carlo_error(codec: SymbolwiseCodec, trials: int, rng: RandomStream,
                       chunk: int = 1 << 16) -> tuple[float, float]:
-    """MC estimate of the rejection probability for legitimate pairs."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    ex, ey = codec.encode_tables()
-    w = codec.score_table
-    n = codec.n
-    fails = 0
-    done = 0
-    block = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        sub = rng.substream(block)
-        s = sample(codec.source, sub, (take, n))
-        u = sub.gen.integers(codec.scheme.rand_size, size=(take, n))
-        xs = ex[s, u]
-        ys = ey[s, u]
-        scores = w[xs, ys].sum(axis=1) / n
-        fails += int(np.count_nonzero(~(scores > codec.threshold)))
-        done += take
-        block += 1
-    est = fails / trials
-    if fails == 0:
-        return 0.0, 3.0 / trials
-    half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
-    return est, half
+    """MC estimate of the rejection probability for legitimate pairs.
+
+    Each trial draws one block's count vector over the score buckets and
+    is decided on the score lattice.
+    """
+    lat = score_lattice(codec)
+    law = lat.buckets(codec.score_table, codec.p_xy.probs)
+    accepts = lat.count_test(codec.n)
+    return _estimate(trials, rng, chunk, lambda gen, take: take - int(
+        np.count_nonzero(accepts(gen.multinomial(codec.n, law, size=take)))))

@@ -4,18 +4,20 @@ Membership uses the two-sided window |mean surprisal - H(S)| <= gamma.
 Surprisals accumulate left to right everywhere (scalar and vectorized
 paths), so a sequence lands on the same side of the window no matter
 which path tests it.  Exact masses and counts come from the type classes
-(compositions), whose number is polynomial in n; only the rank index
+(compositions), whose number is polynomial in n, and Monte Carlo draws a
+block's composition and reads its class's flag; only the rank index
 enumerates all k**n sequences.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .prob import PMF, CapExceededError, DENSE_CAP, RandomStream, entropy, iid_extension
+from .prob import (PMF, CapExceededError, DENSE_CAP, RandomStream, _estimate,
+                   entropy)
 
 
 class EmptyTypicalSetError(Exception):
@@ -151,16 +153,6 @@ class TypicalIndex:
             return i
         return self.m_count
 
-    def xi_plus_all(self) -> np.ndarray:
-        """xi_plus over all k**n sequences in lexicographic order."""
-        out = np.full(self.k ** self.n, self.m_count, dtype=np.int64)
-        out[self.member_codes] = np.arange(self.m_count, dtype=np.int64)
-        return out
-
-    def member_probs(self) -> np.ndarray:
-        ext = iid_extension(self.source, self.n)
-        return ext.all_probs()[self.member_codes]
-
 
 def build_index(source: PMF, n: int, gamma: float,
                 cap: int = DENSE_CAP) -> TypicalIndex:
@@ -228,6 +220,35 @@ def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
     return out
 
 
+def composition_lookup(members, n: int,
+                       parts: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Membership in a set of compositions of n, for each row of an int
+    array.  A vector is coded in base n+1 over all but its last count,
+    which the others fix; raises CapExceededError past int64 codes."""
+    if (n + 1) ** (parts - 1) > np.iinfo(np.int64).max:
+        raise CapExceededError(f"n={n}: count vectors over {parts} values "
+                               "overflow a 64-bit code; lower n")
+    powers = np.array([(n + 1) ** j for j in range(parts - 2, -1, -1)],
+                      dtype=np.int64)
+    table = np.array(members, dtype=np.int64).reshape(-1, parts)
+    table = table[:, :-1] @ powers
+    return lambda counts: np.isin(counts[:, :-1] @ powers, table)
+
+
+def atypical_draw(source: PMF, n: int,
+                  gamma: float) -> Callable[[np.random.Generator, int], int]:
+    """Trials of the atypical mass: each draws one block's composition
+    and hits when its type class is atypical."""
+    support = source.probs[source.probs > 0.0]
+    # type_classes lists its classes in compositions() order
+    atypical = [c for c, cls in zip(compositions(n, support.size),
+                                    type_classes(source, n, gamma))
+                if not cls.typical]
+    hit = composition_lookup(atypical, n, support.size)
+    return lambda gen, take: int(np.count_nonzero(
+        hit(gen.multinomial(n, support, size=take))))
+
+
 def typical_set_totals(classes: list[TypeClass]) -> tuple[int, float]:
     """Typical-set size M and atypical mass of a type-class list."""
     m_count = sum(c.count for c in classes if c.typical)
@@ -246,22 +267,4 @@ def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
     Zero observed hits fall back to the rule of three: the half-width is
     then the one-sided 95% upper bound 3/trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    w = _surprisal_table(source)
-    h = entropy(source)
-    hits = 0
-    done = 0
-    idx = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        seqs = iid_extension(source, n).sample(rng.substream(idx), m)
-        means = w[seqs].sum(axis=1) / n
-        hits += int(np.count_nonzero(np.abs(means - h) > gamma))
-        done += m
-        idx += 1
-    est = hits / trials
-    if hits == 0:
-        return 0.0, 3.0 / trials
-    half = 1.96 * float(np.sqrt(est * (1.0 - est) / trials))
-    return est, half
+    return _estimate(trials, rng, chunk, atypical_draw(source, n, gamma))

@@ -3,7 +3,9 @@
 These are the library's former exact routines, unchanged: they walk every
 one of the k**n secret blocks, and the error pass walks every (secret,
 u_m) pair.  Their cost grows as k**n * (M+1), so they serve only to
-certify the type-class engine on small blocks.
+certify the type-class engine on small blocks.  `xi_plus_all` and
+`member_probs`, the dense rank map and member masses, were methods of
+`TypicalIndex` that only tests called.
 """
 import math
 
@@ -13,7 +15,19 @@ from twoshare.attack import AttackResult, TestQuantities
 from twoshare.block import BlockQuantities, BlockwiseParams
 from twoshare.prob import (DENSE_CAP, PMF, _entropy_bits, entropy,
                            iid_extension)
-from twoshare.typical import surprisal_totals
+from twoshare.typical import TypicalIndex, surprisal_totals
+
+
+def xi_plus_all(idx: TypicalIndex) -> np.ndarray:
+    """xi_plus over all k**n sequences in lexicographic order."""
+    out = np.full(idx.k ** idx.n, idx.m_count, dtype=np.int64)
+    out[idx.member_codes] = np.arange(idx.m_count, dtype=np.int64)
+    return out
+
+
+def member_probs(idx: TypicalIndex) -> np.ndarray:
+    """Probabilities of the typical members, in rank order."""
+    return iid_extension(idx.source, idx.n).all_probs()[idx.member_codes]
 
 
 def _check_side(side: str):
@@ -67,7 +81,7 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
     ext = iid_extension(source, n)
     p_sn = ext.all_probs()
     ns = p_sn.shape[0]
-    z_all = idx.xi_plus_all()
+    z_all = xi_plus_all(idx)
     um = np.arange(mp1, dtype=np.int64)
 
     # one pass over the (secret, u_m) grid: acceptance of the legitimate
@@ -153,7 +167,7 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     else:
         # honest counterpart is X; its masked component is a uniform mask
         # of the rank, accumulated here by explicit enumeration
-        z_all = params.index.xi_plus_all()
+        z_all = xi_plus_all(params.index)
         p_sn = iid_extension(params.index.source, params.n).all_probs()
         p_m = np.zeros(mp1)
         for u in range(mp1):
@@ -176,7 +190,7 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
     """Exact alpha and beta via the componentwise factorization."""
     mp1 = params.m_count + 1
     p_sn = iid_extension(params.index.source, params.n).all_probs()
-    z_all = params.index.xi_plus_all()
+    z_all = xi_plus_all(params.index)
     alpha = float(np.dot(p_sn, (z_all == params.m_count).astype(np.float64)))
     # independent share pair: first components match with mass 1/L, and the
     # modular sum avoids the sentinel for all but one honest value

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockwise_oracle import xi_plus_all
+
 from twoshare import attack as atk
 from twoshare import block, harness, symbol
 from twoshare.prob import (JointPMF, PMF, RandomStream, entropy,
@@ -102,7 +104,7 @@ def forgery_success_grid(params, side):
         p_val = np.full(mp1, 1.0 / mp1)  # honest Y carries the raw mask
     else:
         p_sn = iid_extension(params.index.source, params.n).all_probs()
-        z = params.index.xi_plus_all()
+        z = xi_plus_all(params.index)
         p_val = np.zeros(mp1)
         for u in range(mp1):
             p_val += np.bincount((z - u) % mp1, weights=p_sn,

@@ -140,6 +140,29 @@ class TestRunExperiment:
         assert all(v == NOT_APPLICABLE
                    for v in report.records[1].verdicts.values())
 
+    def test_mask_bits_past_the_limit_skip_record(self):
+        # n * ell = 45 masking bits exceed MAX_MASK_BITS = 40
+        cfg = ExperimentConfig.from_dict(base_dict(
+            scheme={"kind": "blockwise", "ell": 5.0}, n_values=[4, 9]))
+        report = run_experiment(cfg)
+        assert report.records[0].skipped is None
+        assert "40" in report.records[1].skipped
+        assert not report.any_violated
+
+    @pytest.mark.parametrize("kind", ["blockwise", "symbolwise"])
+    def test_unexpected_value_error_propagates(self, kind, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("unexpected")
+
+        monkeypatch.setattr(harness.block, "exact_quantities", broken)
+        monkeypatch.setattr(harness.symbol, "exact_symbolwise_quantities",
+                            broken)
+        scheme = ({"kind": "blockwise", "ell": 1.0} if kind == "blockwise"
+                  else {"kind": "symbolwise", "m": 3})
+        cfg = ExperimentConfig.from_dict(base_dict(scheme=scheme))
+        with pytest.raises(ValueError, match="unexpected"):
+            run_experiment(cfg)
+
     def test_wall_time_recorded(self):
         report = run_experiment(ExperimentConfig.from_dict(
             base_dict(n_values=[4])))

@@ -175,13 +175,6 @@ class TestCodecConstruction:
             np.testing.assert_allclose(codec.p_y.probs, np.full(m, 1.0 / m),
                                        atol=1e-12)
 
-    def test_encode_tables_match_encode_fn(self):
-        codec = make_codec(modular_scheme(3, 2), SKEW, n=2, gamma=0.5)
-        ex, ey = codec.encode_tables()
-        for s in range(2):
-            for u in range(3):
-                assert (ex[s, u], ey[s, u]) == codec.scheme.encode_fn(s, u)
-
 
 class TestBlockEncode:
     def test_worked_example(self):
