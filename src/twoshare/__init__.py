@@ -28,7 +28,6 @@ from .typical import (
     TypicalIndex,
     EmptyTypicalSetError,
     build_index,
-    surprisal_totals,
     is_typical,
     atypical_mass,
     atypical_mass_mc,

@@ -21,7 +21,7 @@ from .block import BlockwiseParams
 from .prob import JointPMF, PMF, RandomStream, _estimate, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
                      count_distribution, rejection_probability, score_lattice)
-from .typical import atypical_mass, compositions
+from .typical import compositions
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
-        l_count, m, mp1 = scheme.l_count, scheme.m_count, scheme.m_count + 1
+        l_count, m, mp1 = scheme.l_count, scheme.m_count, scheme.mask_range()
 
         def draw(gen, take):
             if isinstance(forgery, PMF):
@@ -183,7 +183,8 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
                 f_l, f_m = int(forgery[0]), int(forgery[1])
             h_l = gen.integers(l_count, size=take)
             h_m = gen.integers(mp1, size=take)
-            ok = (f_l == h_l) & ((f_m + h_m) % mp1 != m)
+            # the one rejected honest value; f_m + h_m could overflow int64
+            ok = (f_l == h_l) & (h_m != (m - f_m) % mp1)
             return int(np.count_nonzero(ok))
     elif isinstance(scheme, SymbolwiseCodec):
         n = scheme.n
@@ -296,8 +297,7 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
     alpha is the atypical mass.  An independent X is uniform like any
     forged share, so beta equals the forgery success M / ((M+1) L).
     """
-    idx = params.index
-    return TestQuantities(alpha=atypical_mass(idx.source, idx.n, idx.gamma),
+    return TestQuantities(alpha=params.index.delta,
                           beta=_blockwise_forgery_success(params))
 
 

@@ -20,8 +20,7 @@ import mpmath
 
 from .outcome import DecodeOutcome, REJECT, accepted
 from .prob import CapExceededError, RandomStream, _estimate, entropy
-from .typical import (TypicalIndex, atypical_draw, type_classes,
-                      typical_set_totals)
+from .typical import TypicalIndex, atypical_draw
 
 # floor(2**bits) stays exactly representable as float64 up to 2**52; the
 # exact evaluators cap far lower, at 40 bits of masking randomness.
@@ -30,6 +29,10 @@ MAX_MASK_BITS = 40.0
 
 class MaskBitsError(CapExceededError, ValueError):
     """n * ell asks for more masking bits than MAX_MASK_BITS."""
+
+
+class MaskDrawError(CapExceededError):
+    """M + 1 mask values are more than one 64-bit integer draw covers."""
 
 
 def floor_pow2(bits: float) -> int:
@@ -93,9 +96,16 @@ class BlockwiseParams:
         l, m = divmod(int(flat), self.m_count + 1)
         return BlockShare(l, m)
 
+    def mask_range(self) -> int:
+        """M + 1, the range of u_m: numpy draws it while M fits an int64."""
+        if self.m_count >= 1 << 63:
+            raise MaskDrawError(f"n={self.n}: {self.m_count + 1} mask values "
+                                "exceed a 64-bit integer draw; lower n")
+        return self.m_count + 1
+
     def draw_randomness(self, rng: RandomStream) -> BlockRandomness:
         u_l = int(rng.gen.integers(self.l_count))
-        u_m = int(rng.gen.integers(self.m_count + 1))
+        u_m = int(rng.gen.integers(self.mask_range()))
         return BlockRandomness(u_l, u_m)
 
 
@@ -181,21 +191,12 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
         I(X;Y) = log2 L + log2(M+1) - H(Z).
       - The pair determines (u_l, u_m, z) and s^n -> (s^n, z) is a
         bijection, so H(S^n | X Y) = n H(S) - H(Z).
-
-    Raises ArithmeticError when the dense index disagrees with the type
-    classes on M, i.e. when float rounding split a class across the
-    window edge.
     """
     n = params.n
     idx = params.index
     source = idx.source
-    classes = type_classes(source, n, idx.gamma)
-    m, delta = typical_set_totals(classes)
-    if m != idx.m_count:
-        raise ArithmeticError(
-            f"type classes give M={m} but the index holds {idx.m_count} "
-            f"members at n={n}, gamma={idx.gamma}: a type class was split")
-    h_z = math.fsum(-c.mass * c.logp for c in classes if c.typical)
+    m, delta = idx.m_count, idx.delta
+    h_z = math.fsum(-c.mass * c.logp for c in idx.classes if c.typical)
     if delta > 0.0:
         h_z -= delta * math.log2(delta)
     i_l = math.log2(params.l_count)
@@ -224,4 +225,4 @@ def monte_carlo_error(params: BlockwiseParams, trials: int,
     """
     idx = params.index
     return _estimate(trials, rng, chunk,
-                     atypical_draw(idx.source, idx.n, idx.gamma))
+                     atypical_draw(idx.source, idx.n, idx.classes))

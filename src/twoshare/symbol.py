@@ -387,12 +387,6 @@ def count_distribution(masses: tuple[float, ...],
     return out
 
 
-def legit_score_distribution(codec: SymbolwiseCodec) -> dict[float, float]:
-    """Per-symbol score distribution under legitimate share pairs."""
-    lat = score_lattice(codec)
-    return dict(zip(lat.values, lat.masses(codec.score_table, codec.p_xy.probs)))
-
-
 def rejection_probability(codec: SymbolwiseCodec) -> float:
     """Exact probability that a legitimate share pair is rejected.
 

@@ -1,23 +1,21 @@
-"""Typical sets over i.i.d. sources, with an indexable member list.
+"""Typical sets over i.i.d. sources, ranked by their type classes.
 
-Membership uses the two-sided window |mean surprisal - H(S)| <= gamma.
-Surprisals accumulate left to right everywhere (scalar and vectorized
-paths), so a sequence lands on the same side of the window no matter
-which path tests it.  Exact masses and counts come from the type classes
-(compositions), whose number is polynomial in n, and Monte Carlo draws a
-block's composition and reads its class's flag; only the rank index
-enumerates all k**n sequences.
+Membership uses the window |mean surprisal - H(S)| <= gamma, decided by
+composition, so the scalar test, the type classes, the rank index and the
+Monte Carlo draw put each type class on one side of it.  Counts, masses
+and ranks come from the type classes; none enumerates k**n sequences.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .prob import (PMF, CapExceededError, DENSE_CAP, RandomStream, _estimate,
-                   entropy)
+from .prob import PMF, CapExceededError, RandomStream, _estimate, entropy
 
 
 class EmptyTypicalSetError(Exception):
@@ -66,112 +64,25 @@ def _surprisal_table(source: PMF) -> np.ndarray:
     return np.where(p > 0.0, -np.log2(np.where(p > 0.0, p, 1.0)), np.inf)
 
 
-def surprisal_totals(source: PMF, n: int, cap: int = DENSE_CAP) -> np.ndarray:
-    """Total surprisal of every length-n sequence, lexicographic order."""
-    if source.support_size ** n > cap:
-        raise CapExceededError(
-            f"{source.support_size ** n} sequences exceed the cap {cap}; "
-            "use the Monte Carlo path")
-    w = _surprisal_table(source)
-    totals = w.copy()
-    for _ in range(n - 1):
-        totals = (totals[:, None] + w[None, :]).ravel()
-    return totals
-
-
 def is_typical(seq, source: PMF, gamma: float) -> bool:
-    """Window test on one sequence; symbols outside the support fail."""
+    """Window test on one sequence; symbols outside the support fail.
+    Surprisals are summed over the sorted sequence, so the verdict depends
+    on the composition alone and matches `type_classes` bit for bit."""
     w = _surprisal_table(source)
     total = 0.0
     n = 0
-    for s in seq:
-        total += w[int(s)]
+    for s in sorted(int(s) for s in seq):
+        total += w[s]
         n += 1
     if n == 0:
         raise ValueError("empty sequence")
     return bool(abs(total / n - entropy(source)) <= gamma)
 
 
-@dataclass(frozen=True)
-class TypicalIndex:
-    """The typical set of a source at blocklength n, with a rank bijection.
-
-    `member_codes` holds the lexicographic codes of members in increasing
-    order, so rank m corresponds to the (m+1)-th typical sequence in
-    lexicographic order.  `xi_plus` extends the rank map by sending every
-    atypical sequence to m_count.
-    """
-
-    source: PMF
-    n: int
-    gamma: float
-    member_codes: np.ndarray = field(repr=False)
-
-    @property
-    def k(self) -> int:
-        return self.source.support_size
-
-    @property
-    def m_count(self) -> int:
-        return int(self.member_codes.shape[0])
-
-    def _code(self, seq) -> int:
-        code = 0
-        for s in seq:
-            s = int(s)
-            if not 0 <= s < self.k:
-                raise ValueError(f"symbol {s} outside alphabet of size {self.k}")
-            code = code * self.k + s
-        return code
-
-    def contains(self, seq) -> bool:
-        code = self._code(seq)
-        i = int(np.searchsorted(self.member_codes, code))
-        return i < self.m_count and int(self.member_codes[i]) == code
-
-    def rank(self, seq) -> int:
-        code = self._code(seq)
-        i = int(np.searchsorted(self.member_codes, code))
-        if i >= self.m_count or int(self.member_codes[i]) != code:
-            raise KeyError(f"sequence {tuple(seq)} is not typical")
-        return i
-
-    def unrank(self, m: int) -> tuple[int, ...]:
-        if not 0 <= m < self.m_count:
-            raise IndexError(f"rank {m} outside [0, {self.m_count})")
-        code = int(self.member_codes[m])
-        digits = []
-        for _ in range(self.n):
-            code, d = divmod(code, self.k)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def xi_plus(self, seq) -> int:
-        code = self._code(seq)
-        i = int(np.searchsorted(self.member_codes, code))
-        if i < self.m_count and int(self.member_codes[i]) == code:
-            return i
-        return self.m_count
-
-
-def build_index(source: PMF, n: int, gamma: float,
-                cap: int = DENSE_CAP) -> TypicalIndex:
-    """Enumerate the typical set; raises EmptyTypicalSetError when empty."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    totals = surprisal_totals(source, n, cap)
-    h = entropy(source)
-    mask = np.abs(totals / n - h) <= gamma
-    codes = np.nonzero(mask)[0].astype(np.int64)
-    if codes.shape[0] == 0:
-        raise EmptyTypicalSetError(
-            f"no sequence is typical at n={n}, gamma={gamma}")
-    return TypicalIndex(source, n, gamma, codes)
-
-
 class TypeClass(NamedTuple):
     """All length-n sequences sharing one composition (symbol counts)."""
 
+    counts: tuple[int, ...]  # per support symbol, in alphabet order
     count: int       # members: the exact multinomial coefficient
     logp: float      # log2 probability of each member
     typical: bool
@@ -193,15 +104,22 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def multinomial(counts) -> int:
+    """Number of sequences with the given symbol counts, exactly."""
+    out, rem = 1, sum(counts)
+    for c in counts:
+        out *= math.comb(rem, c)
+        rem -= c
+    return out
+
+
 def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
     """Every composition of a length-n block over the source's support.
 
-    Membership depends on a sequence only through its composition, so it
-    is decided once per class, by `is_typical` on the lexicographically
-    smallest member: that is the same left-to-right surprisal sum the
-    dense index takes for that sequence.  Compositions that use a
-    zero-probability symbol carry no mass and are never typical, so they
-    are left out.  Cost is O(C(n+k-1, k-1)) classes, not k**n sequences.
+    Membership is decided once per class, by `is_typical` on the class's
+    smallest member.  Compositions that use a zero-probability symbol
+    carry no mass and are never typical, so they are left out.  Cost is
+    O(C(n+k-1, k-1)) classes, not k**n sequences.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
@@ -209,15 +127,99 @@ def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
     logs = [math.log2(float(source.probs[a])) for a in support]
     out = []
     for counts in compositions(n, len(support)):
-        count, rem = 1, n
-        for c in counts:
-            count *= math.comb(rem, c)
-            rem -= c
         member = [a for a, c in zip(support, counts) for _ in range(c)]
         out.append(TypeClass(
-            count, math.fsum(c * lg for c, lg in zip(counts, logs)),
+            counts, multinomial(counts),
+            math.fsum(c * lg for c, lg in zip(counts, logs)),
             is_typical(member, source, gamma)))
     return out
+
+
+class TypicalIndex:
+    """The typical set of a source at blocklength n, with a rank bijection.
+
+    Rank m is the (m+1)-th typical sequence in lexicographic order, found
+    by enumerative coding: each smaller support symbol at a position adds
+    the typical continuations of the prefix with it, a count fixed by the
+    prefix's composition.  `xi_plus` sends every atypical sequence to
+    m_count.  `delta` is the atypical mass."""
+
+    def __init__(self, source: PMF, n: int, gamma: float, classes):
+        self.source, self.n, self.gamma, self.k = (source, n, gamma,
+                                                   source.support_size)
+        self.classes = tuple(classes)
+        self.m_count = sum(c.count for c in self.classes if c.typical)
+        self.delta = math.fsum(c.mass for c in self.classes if not c.typical)
+        self._continuations = functools.cache(self._count_continuations)
+        # per symbol: None off the support, else the weight of its count in
+        # a prefix code and the weights of the smaller support symbols
+        support = [a for a, p in enumerate(source.probs) if p > 0.0]
+        self._walk = [None] * self.k
+        for j, a in enumerate(support):
+            self._walk[a] = ((n + 1) ** j, [(n + 1) ** i for i in range(j)])
+
+    def _count_continuations(self, code: int) -> int:
+        """Typical sequences that continue a prefix, whose composition is
+        coded in base n+1: a multinomial sum over the typical classes."""
+        base = self.n + 1
+        prefix = [code // base ** j % base
+                  for j in range(len(self.classes[0].counts))]
+        rests = ([c - p for c, p in zip(cls.counts, prefix)]
+                 for cls in self.classes if cls.typical)
+        return sum(multinomial(rest) for rest in rests if min(rest) >= 0)
+
+    def xi_plus(self, seq) -> int:
+        """Rank of a typical sequence, m_count for any other."""
+        symbols = [int(s) for s in seq]
+        if len(symbols) != self.n or min(symbols) < 0 or max(symbols) >= self.k:
+            raise ValueError(f"a block is n={self.n} symbols in [0, {self.k}), "
+                             f"not {tuple(symbols)}")
+        walk, cont = self._walk, self._continuations
+        code = z = 0
+        for s in symbols:
+            if walk[s] is None:
+                return self.m_count
+            w, smaller = walk[s]
+            for v in smaller:
+                z += cont(code + v)
+            code += w
+        return z if cont(code) else self.m_count
+
+    def contains(self, seq) -> bool:
+        return self.xi_plus(seq) != self.m_count
+
+    def rank(self, seq) -> int:
+        z = self.xi_plus(seq)
+        if z == self.m_count:
+            raise KeyError(f"sequence {tuple(seq)} is not typical")
+        return z
+
+    def unrank(self, m: int) -> tuple[int, ...]:
+        m = operator.index(m)
+        if not 0 <= m < self.m_count:
+            raise IndexError(f"rank {m} outside [0, {self.m_count})")
+        steps = [(a, e[0]) for a, e in enumerate(self._walk) if e]
+        cont, code, out = self._continuations, 0, []
+        for _ in range(self.n):
+            for a, w in steps:
+                here = cont(code + w)
+                if m < here:
+                    break
+                m -= here
+            code += w
+            out.append(a)
+        return tuple(out)
+
+
+def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
+    """Index the typical set; raises EmptyTypicalSetError when empty."""
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    index = TypicalIndex(source, n, gamma, type_classes(source, n, gamma))
+    if index.m_count == 0:
+        raise EmptyTypicalSetError(
+            f"no sequence is typical at n={n}, gamma={gamma}")
+    return index
 
 
 def composition_lookup(members, n: int,
@@ -236,28 +238,19 @@ def composition_lookup(members, n: int,
 
 
 def atypical_draw(source: PMF, n: int,
-                  gamma: float) -> Callable[[np.random.Generator, int], int]:
+                  classes) -> Callable[[np.random.Generator, int], int]:
     """Trials of the atypical mass: each draws one block's composition
     and hits when its type class is atypical."""
     support = source.probs[source.probs > 0.0]
-    # type_classes lists its classes in compositions() order
-    atypical = [c for c, cls in zip(compositions(n, support.size),
-                                    type_classes(source, n, gamma))
-                if not cls.typical]
-    hit = composition_lookup(atypical, n, support.size)
+    hit = composition_lookup([c.counts for c in classes if not c.typical],
+                             n, support.size)
     return lambda gen, take: int(np.count_nonzero(
         hit(gen.multinomial(n, support, size=take))))
 
 
-def typical_set_totals(classes: list[TypeClass]) -> tuple[int, float]:
-    """Typical-set size M and atypical mass of a type-class list."""
-    m_count = sum(c.count for c in classes if c.typical)
-    return m_count, math.fsum(c.mass for c in classes if not c.typical)
-
-
 def atypical_mass(source: PMF, n: int, gamma: float) -> float:
     """Exact probability of the complement of the typical set."""
-    return typical_set_totals(type_classes(source, n, gamma))[1]
+    return TypicalIndex(source, n, gamma, type_classes(source, n, gamma)).delta
 
 
 def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
@@ -267,4 +260,5 @@ def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
     Zero observed hits fall back to the rule of three: the half-width is
     then the one-sided 95% upper bound 3/trials.
     """
-    return _estimate(trials, rng, chunk, atypical_draw(source, n, gamma))
+    return _estimate(trials, rng, chunk,
+                     atypical_draw(source, n, type_classes(source, n, gamma)))

@@ -1,11 +1,14 @@
 """Dense grid evaluator of the blockwise scheme, kept as a test oracle.
 
-These are the library's former exact routines, unchanged: they walk every
-one of the k**n secret blocks, and the error pass walks every (secret,
-u_m) pair.  Their cost grows as k**n * (M+1), so they serve only to
-certify the type-class engine on small blocks.  `xi_plus_all` and
-`member_probs`, the dense rank map and member masses, were methods of
-`TypicalIndex` that only tests called.
+These are the library's former exact routines: they walk every one of the
+k**n secret blocks, and the error pass walks every (secret, u_m) pair.
+Their cost grows as k**n * (M+1), so they serve only to certify the
+type-class engine on small blocks.  `surprisal_totals` and `member_codes`
+are the former dense typical-set index: every sequence's left-to-right
+surprisal sum, screened by the window, lists the members' lexicographic
+codes.  The rank map `xi_plus_all`, the member masses `member_probs`, M
+(`dense_m_count`) and every routine here read those codes, never the
+library's index; the index supplies only source, n and gamma.
 """
 import math
 
@@ -13,21 +16,44 @@ import numpy as np
 
 from twoshare.attack import AttackResult, TestQuantities
 from twoshare.block import BlockQuantities, BlockwiseParams
-from twoshare.prob import (DENSE_CAP, PMF, _entropy_bits, entropy,
-                           iid_extension)
-from twoshare.typical import TypicalIndex, surprisal_totals
+from twoshare.prob import PMF, _entropy_bits, entropy, iid_extension
+from twoshare.typical import TypicalIndex, _surprisal_table
+
+
+def surprisal_totals(source: PMF, n: int) -> np.ndarray:
+    """Total surprisal of every length-n sequence, lexicographic order."""
+    w = _surprisal_table(source)
+    totals = w.copy()
+    for _ in range(n - 1):
+        totals = (totals[:, None] + w[None, :]).ravel()
+    return totals
+
+
+def member_codes(source: PMF, n: int, gamma: float) -> np.ndarray:
+    """Lexicographic codes of the typical sequences, in increasing order."""
+    totals = surprisal_totals(source, n)
+    mask = np.abs(totals / n - entropy(source)) <= gamma
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def xi_plus_all(idx: TypicalIndex) -> np.ndarray:
-    """xi_plus over all k**n sequences in lexicographic order."""
-    out = np.full(idx.k ** idx.n, idx.m_count, dtype=np.int64)
-    out[idx.member_codes] = np.arange(idx.m_count, dtype=np.int64)
+    """xi_plus over all k**n sequences in lexicographic order, from the
+    dense member codes of the index's source, n and gamma."""
+    codes = member_codes(idx.source, idx.n, idx.gamma)
+    out = np.full(idx.k ** idx.n, codes.shape[0], dtype=np.int64)
+    out[codes] = np.arange(codes.shape[0], dtype=np.int64)
     return out
+
+
+def dense_m_count(idx: TypicalIndex) -> int:
+    """Typical-set size M counted over the dense member codes."""
+    return int(member_codes(idx.source, idx.n, idx.gamma).shape[0])
 
 
 def member_probs(idx: TypicalIndex) -> np.ndarray:
     """Probabilities of the typical members, in rank order."""
-    return iid_extension(idx.source, idx.n).all_probs()[idx.member_codes]
+    return iid_extension(idx.source, idx.n).all_probs()[
+        member_codes(idx.source, idx.n, idx.gamma)]
 
 
 def _check_side(side: str):
@@ -35,13 +61,12 @@ def _check_side(side: str):
         raise ValueError("side must be 'x' or 'y'")
 
 
-def atypical_mass(source: PMF, n: int, gamma: float,
-                  cap: int = DENSE_CAP) -> float:
+def atypical_mass(source: PMF, n: int, gamma: float) -> float:
     """Exact probability of the complement of the typical set."""
-    totals = surprisal_totals(source, n, cap)
+    totals = surprisal_totals(source, n)
     h = entropy(source)
     mask = np.abs(totals / n - h) <= gamma
-    probs = iid_extension(source, n).all_probs(cap)
+    probs = iid_extension(source, n).all_probs()
     return float(np.dot(probs, (~mask).astype(np.float64)))
 
 
@@ -76,8 +101,8 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
     n = params.n
     idx = params.index
     source = idx.source
-    mp1 = params.m_count + 1
-    m = params.m_count
+    m = dense_m_count(idx)
+    mp1 = m + 1
     ext = iid_extension(source, n)
     p_sn = ext.all_probs()
     ns = p_sn.shape[0]
@@ -137,7 +162,7 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
     # s^n -> (s^n, z) is a bijection, so H(S^n | X Y) = H(S^n) - H(Z)
     h_s_given_xy = max(_entropy_bits(p_sn) - _entropy_bits(p_z), 0.0)
 
-    rate = math.log2(params.share_size) / n
+    rate = math.log2(params.l_count * mp1) / n
     h_s = entropy(source)
     lo = i_l / n
     penalty = (delta * math.log2(delta) if delta > 0.0 else 0.0) + 1.0
@@ -159,8 +184,8 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     product of two componentwise acceptance masses.
     """
     _check_side(side)
-    mp1 = params.m_count + 1
-    m = params.m_count
+    m = dense_m_count(params.index)
+    mp1 = m + 1
     if side == "x":
         # honest counterpart is Y = (u_l, u_m), both components uniform
         p_m = np.full(mp1, 1.0 / mp1)
@@ -188,10 +213,11 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
 
 def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
     """Exact alpha and beta via the componentwise factorization."""
-    mp1 = params.m_count + 1
+    m = dense_m_count(params.index)
+    mp1 = m + 1
     p_sn = iid_extension(params.index.source, params.n).all_probs()
     z_all = xi_plus_all(params.index)
-    alpha = float(np.dot(p_sn, (z_all == params.m_count).astype(np.float64)))
+    alpha = float(np.dot(p_sn, (z_all == m).astype(np.float64)))
     # independent share pair: first components match with mass 1/L, and the
     # modular sum avoids the sentinel for all but one honest value
     p_xm = np.zeros(mp1)
@@ -199,7 +225,7 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
         np.add.at(p_xm, (z_all - u) % mp1, p_sn / mp1)
     p_ym = np.full(mp1, 1.0 / mp1)
     c = np.arange(mp1, dtype=np.int64)
-    bad = (params.m_count - c) % mp1
+    bad = (m - c) % mp1
     beta_m = float(np.dot(p_xm, 1.0 - p_ym[bad]))
     beta = (1.0 / params.l_count) * beta_m
     return TestQuantities(alpha=alpha, beta=beta)

@@ -64,6 +64,12 @@ class TestEncode:
             x, _ = encode(p, (1, 1, 1, 1), BlockRandomness(0, u_m))
             assert x.m == (m - u_m) % (m + 1)
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_secret_of_the_wrong_length_rejected(self, length):
+        p = make_params(SKEW, 4, 0.5)
+        with pytest.raises(ValueError, match="n=4"):
+            encode(p, (0,) * (length - 1) + (1,), BlockRandomness(0, 0))
+
     def test_randomness_range_checked(self):
         p = make_params(U2, 2, 0.0, gamma=0.5)
         with pytest.raises(ValueError):

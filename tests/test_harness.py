@@ -129,16 +129,23 @@ class TestRunExperiment:
         assert math.isnan(rec.p_e)
         assert not report.any_violated
 
-    def test_oversized_block_skips_record(self):
-        # 2**26 source sequences blow the dense cap; the run keeps going
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_mask_draw_past_int64_skips_mc_record(self, mode):
+        # M + 1 = 2**70 + 1 mask values: exact mode needs no draw, Monte
+        # Carlo mode cannot draw u_m and skips; the run keeps going
         cfg = ExperimentConfig.from_dict(base_dict(
             source="uniform:2", scheme={"kind": "blockwise", "ell": 0.5},
-            n_values=[4, 26]))
+            n_values=[4, 70], mode=mode, trials=1000))
         report = run_experiment(cfg)
         assert report.records[0].skipped is None
-        assert report.records[1].skipped is not None
-        assert all(v == NOT_APPLICABLE
-                   for v in report.records[1].verdicts.values())
+        rec = report.records[1]
+        if mode == "exact":
+            assert rec.skipped is None
+            assert rec.p_x == pytest.approx(2.0 ** -35)
+            return
+        assert rec.skipped.startswith("n=70:")
+        assert rec.skipped.endswith("lower n")
+        assert all(v == NOT_APPLICABLE for v in rec.verdicts.values())
 
     def test_mask_bits_past_the_limit_skip_record(self):
         # n * ell = 45 masking bits exceed MAX_MASK_BITS = 40

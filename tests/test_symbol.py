@@ -16,11 +16,11 @@ from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              SchemeValidationError, SymbolwiseCodec,
                              accepts_n, decode_n, draw_randomness_n, encode_n,
                              exact_symbolwise_quantities, fstar, gstar,
-                             identity_leak_scheme, legit_score_distribution,
-                             llr_score, make_codec, modular_correlation_level,
-                             modular_scheme, monte_carlo_error,
-                             nondecodable_scheme, scheme_joint,
-                             undersized_scheme, validate_base)
+                             identity_leak_scheme, llr_score, make_codec,
+                             modular_correlation_level, modular_scheme,
+                             monte_carlo_error, nondecodable_scheme,
+                             scheme_joint, score_lattice, undersized_scheme,
+                             validate_base)
 
 H_73 = 0.88129089923069261822  # frozen H(0.7, 0.3), cross-checked in test_prob
 
@@ -223,7 +223,9 @@ class TestScoring:
 
     def test_legit_distribution_masses(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
-        dist = legit_score_distribution(codec)
+        lat = score_lattice(codec)
+        dist = dict(zip(lat.values,
+                        lat.masses(codec.score_table, codec.p_xy.probs)))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         expect = {math.log2(3 * 0.7): 0.7, math.log2(3 * 0.3): 0.3}
         assert len(dist) == 2

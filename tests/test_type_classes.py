@@ -1,15 +1,18 @@
-"""Type-class engine of the blockwise scheme: parity with the dense grid
-oracle, the index consistency guard, and long-block behaviour."""
+"""Type-class engine of the blockwise scheme: parity of the quantities and
+of the rank index with the dense oracle, one type-class list per record,
+and long-block behaviour."""
 import dataclasses
+import itertools
 import math
+import random
 
 import pytest
 
 import blockwise_oracle as dense
-from twoshare import attack, block, harness
+from twoshare import attack, block, harness, typical
 from twoshare.prob import PMF
 from twoshare.typical import (TypicalIndex, atypical_mass, build_index,
-                              type_classes, typical_set_totals)
+                              type_classes)
 
 SKEW = PMF.from_probs([0.7, 0.3])
 K3 = PMF.from_probs([0.5, 0.3, 0.2])
@@ -56,27 +59,87 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
     assert got.p_e == got.delta == tq.alpha == atypical_mass(source, n, gamma)
 
 
-def _split_index(n=8):
-    # a dense index with one typical member missing, as if float rounding
-    # had put it on the other side of the window from the rest of its class
-    idx = build_index(SKEW, n, power_gamma(n))
-    return TypicalIndex(idx.source, idx.n, idx.gamma, idx.member_codes[1:])
+INDEX_CASES = (
+    [pytest.param(SKEW, n, power_gamma(n), id=f"skew-n{n}")
+     for n in (4, 8, 12, 13)]
+    + [pytest.param(K3, n, power_gamma(n), id=f"k3-n{n}") for n in (6, 8)]
+    + [pytest.param(PMF.from_probs([0.6, 0.0, 0.4]), 8, power_gamma(8),
+                    id="zero-probability-symbol"),
+       pytest.param(PMF.uniform(2), 10, 0.4, id="uniform2-n10"),
+       pytest.param(PMF.point_mass(2, 0), 6, power_gamma(6),
+                    id="point-mass")]
+)
 
 
-def test_split_type_class_raises():
-    params = block.BlockwiseParams(0.5, _split_index())
-    with pytest.raises(ArithmeticError, match=r"n=8, gamma="):
-        block.exact_quantities(params)
+@pytest.mark.parametrize("source,n,gamma", INDEX_CASES)
+def test_index_matches_dense_oracle_on_every_sequence(source, n, gamma):
+    idx = build_index(source, n, gamma)
+    table = dense.xi_plus_all(idx)
+    assert idx.m_count == dense.dense_m_count(idx)
+    for code, seq in enumerate(itertools.product(range(idx.k), repeat=n)):
+        z = int(table[code])
+        assert idx.xi_plus(seq) == z
+        assert idx.contains(seq) == (z < idx.m_count)
+        if z < idx.m_count:
+            assert idx.rank(seq) == z
+            assert idx.unrank(z) == seq
+        else:
+            with pytest.raises(KeyError):
+                idx.rank(seq)
 
 
-def test_split_type_class_is_not_a_skipped_record(monkeypatch):
-    monkeypatch.setattr(harness, "build_index",
-                        lambda source, n, gamma: _split_index(n))
+def test_rank_round_trip_past_64_bits():
+    idx = build_index(SKEW, 200, power_gamma(200))
+    assert idx.m_count > 2 ** 100
+    rng = random.Random(5)
+    ranks = ([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 7, idx.m_count - 1]
+             + [rng.randrange(idx.m_count) for _ in range(20)])
+    seqs = [idx.unrank(m) for m in ranks]
+    for m, seq in zip(ranks, seqs):
+        assert len(seq) == 200
+        assert idx.rank(seq) == m
+    # lexicographic order: ranks and sequences sort alike
+    assert sorted(ranks) == [idx.rank(q) for q in sorted(seqs)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_type_classes_run_once_per_blockwise_record(mode, monkeypatch):
+    calls, real = [], typical.type_classes
+    monkeypatch.setattr(typical, "type_classes", lambda source, n, gamma:
+                        calls.append(n) or real(source, n, gamma))
     cfg = harness.ExperimentConfig.from_dict(
         {"source": [0.7, 0.3], "scheme": {"kind": "blockwise", "ell": 0.5},
-         "n_values": [8], "mode": "exact", "seed": 0})
-    with pytest.raises(ArithmeticError):
-        harness.run_experiment(cfg)
+         "n_values": [4, 8, 12], "mode": mode, "trials": 2000, "seed": 0})
+    report = harness.run_experiment(cfg)
+    assert all(r.skipped is None for r in report.records)
+    assert calls == [4, 8, 12]
+
+
+def blockwise_record(source, n, ell, gamma, mode):
+    cfg = harness.ExperimentConfig.from_dict(
+        {"source": source, "scheme": {"kind": "blockwise", "ell": ell},
+         "schedule": {"kind": "constant", "gamma": gamma},
+         "n_values": [n], "mode": mode, "trials": 2000, "seed": 0})
+    return harness.run_experiment(cfg).records[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_record_at_a_window_edge_evaluates(mode):
+    # summed left to right, (1,1,0) falls outside the window while the
+    # rest of its type class lies inside; the class decides: M = 9
+    rec = blockwise_record([0.6, 0.25, 0.15], 3, 0.5, 0.22626433576408078,
+                           mode)
+    assert rec.skipped is None
+    assert rec.rate_x == pytest.approx(math.log2(2 * 10) / 3)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_record_past_the_old_dense_wall_evaluates(mode):
+    # 2**26 source sequences, past any dense enumeration
+    rec = blockwise_record("uniform:2", 26, 1.5, 0.4, mode)
+    assert rec.skipped is None
+    assert rec.p_e == 0.0
+    assert all(v != harness.NOT_APPLICABLE for v in rec.verdicts.values())
 
 
 def test_long_block_masses_stay_finite():
@@ -87,5 +150,5 @@ def test_long_block_masses_stay_finite():
     masses = [c.mass for c in classes]
     assert all(math.isfinite(m) for m in masses)
     assert math.fsum(masses) == pytest.approx(1.0, abs=1e-9)
-    m_count, delta = typical_set_totals(classes)
-    assert m_count > 0 and 0.0 < delta < 1.0
+    idx = TypicalIndex(SKEW, 1100, power_gamma(1100), classes)
+    assert idx.m_count > 0 and 0.0 < idx.delta < 1.0

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from blockwise_oracle import member_probs, xi_plus_all
 
-from twoshare.prob import PMF, RandomStream, CapExceededError, entropy
+from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import (
-    GammaSchedule, EmptyTypicalSetError, build_index, surprisal_totals,
+    GammaSchedule, EmptyTypicalSetError, build_index,
     is_typical, atypical_mass, atypical_mass_mc,
 )
 
@@ -85,6 +85,18 @@ class TestMembership:
         gamma = 6 ** (-1.0 / 3.0)
         idx = build_index(src, 6, gamma)
         for seq in itertools.product(range(2), repeat=6):
+            assert is_typical(seq, src, gamma) == idx.contains(seq)
+
+    def test_is_typical_agrees_with_index_at_a_window_edge(self):
+        # (1,1,0) sums its surprisals to a total on the other side of the
+        # window from (0,1,1); deciding by composition puts the whole type
+        # class on one side
+        src = PMF.from_probs([0.6, 0.25, 0.15])
+        gamma = 0.22626433576408078
+        idx = build_index(src, 3, gamma)
+        assert idx.m_count == 9
+        assert is_typical((1, 1, 0), src, gamma)
+        for seq in itertools.product(range(3), repeat=3):
             assert is_typical(seq, src, gamma) == idx.contains(seq)
 
     def test_membership_depends_only_on_composition(self):
@@ -201,10 +213,6 @@ class TestMass:
                                      RandomStream(0))
         assert est == 0.0
         assert half == pytest.approx(3.0 / 1000)
-
-    def test_surprisal_totals_cap(self):
-        with pytest.raises(CapExceededError, match="Monte Carlo"):
-            surprisal_totals(PMF.uniform(2), 60)
 
 
 @settings(max_examples=30, deadline=None)
