@@ -20,7 +20,7 @@ import numpy as np
 from .block import BlockwiseParams
 from .prob import JointPMF, PMF, RandomStream, _estimate, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
-                     count_distribution, rejection_probability, score_lattice)
+                     count_distribution, rejection_probability)
 from .typical import compositions
 
 
@@ -81,7 +81,7 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     """
     _check_side(side)
     n = codec.n
-    lat = score_lattice(codec)
+    lat = codec.lattice
     table, honest = _forged_rows(codec, side)
     classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
     for a, row in enumerate(table):
@@ -158,6 +158,17 @@ def attack_bruteforce(accept_fn: Callable[[int, int], bool], forged_size: int,
     return best, best_at
 
 
+def _clear_gate(groups) -> tuple[float, list]:
+    """The -inf gate of a forged block, from (bucket row, positions) groups
+    whose rows put the -inf mass first.  Returns the probability that no
+    position scores -inf, prod (1 - q_inf)**c, and each group's finite law
+    given that.  A row with no finite mass closes the gate."""
+    if any(row[0] >= 1.0 or not row[1:].any() for row, _ in groups):
+        return 0.0, []
+    clear = math.exp(math.fsum(c * math.log1p(-row[0]) for row, c in groups))
+    return clear, [(row[1:] / math.fsum(row[1:]), c) for row, c in groups]
+
+
 def monte_carlo_attack(scheme, side: str, forgery, trials: int,
                        rng: RandomStream, chunk: int = 1 << 16) -> AttackResult:
     """Estimate a forgery's acceptance probability by sampling honest shares.
@@ -168,7 +179,10 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
     either honest share is uniform in both components, whatever z is.
     Symbolwise, a trial draws one score-bucket count vector: one multinomial
     per distinct forged symbol against its row, or one from the
-    forgery-weighted mixture of the rows.
+    forgery-weighted mixture of the rows.  A trial with any -inf score
+    fails, so each chunk first draws how many trials have none, one
+    binomial, and only those draw their finite counts from the rows
+    conditioned on no -inf score; the hit count keeps its exact law.
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
@@ -188,27 +202,25 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
             return int(np.count_nonzero(ok))
     elif isinstance(scheme, SymbolwiseCodec):
         n = scheme.n
-        lat = score_lattice(scheme)
+        lat = scheme.lattice
         table, honest = _forged_rows(scheme, side)
         rows = np.array([lat.buckets(row, honest) for row in table])
-        accepts = lat.count_test(n)
         if isinstance(forgery, PMF):
-            mix = forgery.probs @ rows
-
-            def counts(gen, take):
-                return gen.multinomial(n, mix, size=take)
+            groups = [(forgery.probs @ rows, n)]
         else:
             seq = np.asarray(forgery, dtype=np.int64)
             if seq.shape != (n,):
                 raise ValueError(f"forged sequence must have length {n}")
             symbols, positions = np.unique(seq, return_counts=True)
-
-            def counts(gen, take):
-                return sum(gen.multinomial(int(c), rows[a], size=take)
-                           for a, c in zip(symbols, positions))
+            groups = [(rows[a], int(c)) for a, c in zip(symbols, positions)]
+        clear, laws = _clear_gate(groups)
 
         def draw(gen, take):
-            return int(np.count_nonzero(accepts(counts(gen, take))))
+            live = gen.binomial(take, clear)
+            if not live:
+                return 0
+            counts = sum(gen.multinomial(c, law, size=live) for law, c in laws)
+            return int(np.count_nonzero(lat.accepted(counts)))
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
     est, half = _estimate(trials, rng, chunk, draw)
@@ -303,7 +315,7 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
 
 def symbolwise_beta(codec: SymbolwiseCodec) -> float:
     """Exact beta: the lattice mass of accepted independent pairs."""
-    lat = score_lattice(codec)
+    lat = codec.lattice
     indep = np.outer(codec.p_x.probs, codec.p_y.probs)
     return lat.accepted_mass(
         count_distribution(lat.masses(codec.score_table, indep), codec.n))

@@ -16,6 +16,7 @@ be dropped in; `validate_base` checks the profile exactly before use.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -183,7 +184,7 @@ class SymbolwiseCodec:
     Carries the exact per-symbol joints and the log-likelihood-ratio score
     table used by the acceptance test.  `threshold` is the per-symbol
     acceptance cutoff I(X;Y) - gamma; a pair is accepted when its mean
-    score strictly exceeds it.
+    score strictly exceeds it, decided exactly on `lattice`.
     """
 
     scheme: BaseScheme
@@ -196,6 +197,11 @@ class SymbolwiseCodec:
     p_y: PMF = field(repr=False)
     score_table: np.ndarray = field(repr=False)
     i_xy: float
+    lattice: "ScoreLattice" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # derived, so dataclasses.replace (of gamma, say) rebuilds it
+        object.__setattr__(self, "lattice", score_lattice(self))
 
     @property
     def threshold(self) -> float:
@@ -250,24 +256,41 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
                                                   size=codec.n))
 
 
-def llr_score(codec: SymbolwiseCodec, xs, ys) -> float:
-    """Mean per-symbol log-likelihood ratio; -inf on zero-probability pairs."""
-    xs = tuple(int(v) for v in xs)
-    ys = tuple(int(v) for v in ys)
+def _value_counts(codec: SymbolwiseCodec, xs, ys) -> list[int] | None:
+    """How many positions of a share pair score each lattice value, in
+    the order of `codec.lattice.values`; None when a position scores -inf.
+    Raises ValueError on shares of the wrong length or symbols outside
+    [0, M)."""
+    xs, ys = tuple(xs), tuple(ys)
     if len(xs) != codec.n or len(ys) != codec.n:
         raise ValueError(f"shares must have length {codec.n}")
-    total = 0.0
-    for x, y in zip(xs, ys):
-        w = codec.score_table[x, y]
-        if w == -np.inf:
-            return float("-inf")
-        total += float(w)
-    return total / codec.n
+    pair = np.array((xs, ys), dtype=np.int64)
+    m = codec.scheme.share_size
+    if pair.min() < 0 or pair.max() >= m:
+        bad = pair[(pair < 0) | (pair >= m)][0]
+        raise ValueError(f"share symbol {bad} outside [0, {m})")
+    scores = codec.score_table[pair[0], pair[1]]
+    if scores.min() == -np.inf:
+        return None
+    values = codec.lattice.values
+    return np.bincount(np.searchsorted(values, scores),
+                       minlength=len(values)).tolist()
+
+
+def llr_score(codec: SymbolwiseCodec, xs, ys) -> float:
+    """Mean per-symbol log-likelihood ratio; -inf on zero-probability pairs.
+    Summed from the value counts, so it does not depend on position order;
+    `accepts_n` decides on the counts exactly, not on this float."""
+    counts = _value_counts(codec, xs, ys)
+    if counts is None:
+        return float("-inf")
+    return math.fsum(map(operator.mul, counts, codec.lattice.values)) / codec.n
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
-    """Strict threshold test; ties are rejected."""
-    return llr_score(codec, xs, ys) > codec.threshold
+    """Strict threshold test on the score lattice; ties are rejected."""
+    counts = _value_counts(codec, xs, ys)
+    return counts is not None and codec.lattice.accepts(counts)
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
@@ -308,12 +331,13 @@ class ScoreLattice:
     a block's mean score is fixed by how many positions take each value.
     Scores and the threshold are binary fractions; `weights` and `bar`
     are them scaled to one common denominator, so the strict test (ties
-    rejected) is an exact integer comparison.
+    rejected) is an exact integer comparison for blocks of n positions.
     """
 
     values: tuple[float, ...]
     weights: tuple[int, ...]
     bar: int
+    n: int
 
     def accepts(self, counts) -> bool:
         return sum(map(operator.mul, counts, self.weights)) > self.bar
@@ -327,17 +351,23 @@ class ScoreLattice:
         return np.array((math.fsum(probs[scores == -np.inf]),)
                         + self.masses(scores, probs))
 
-    def count_test(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """`accepts` over rows of n-block bucket counts, -inf count first.
-
-        A row is accepted when it has no -inf count and its vector over
-        `values` is accepted; each such vector is decided once, here.
-        """
+    @functools.cached_property
+    def accepted(self) -> Callable[[np.ndarray], np.ndarray]:
+        """`accepts` over rows of count vectors over `values`.  Each of
+        the C(n+c-1, c-1) vectors is decided once, on first use."""
         parts = len(self.values)
-        check_lattice_points(n, math.comb(n + parts - 1, parts - 1))
-        ok = composition_lookup(
-            [c for c in compositions(n, parts) if self.accepts(c)], n, parts)
-        return lambda counts: (counts[:, 0] == 0) & ok(counts[:, 1:])
+        check_lattice_points(self.n, math.comb(self.n + parts - 1, parts - 1))
+        return composition_lookup(
+            [c for c in compositions(self.n, parts) if self.accepts(c)],
+            self.n, parts)
+
+    def count_test(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """`accepted` over rows of n-block bucket counts, -inf count first:
+        a row with any -inf count is rejected."""
+        if n != self.n:
+            raise ValueError(f"the lattice decides blocks of n={self.n}, "
+                             f"not n={n}")
+        return lambda counts: (counts[:, 0] == 0) & self.accepted(counts[:, 1:])
 
     def accepted_mass(self, dist: dict[tuple[int, ...], float]) -> float:
         return math.fsum(p for c, p in dist.items() if self.accepts(c))
@@ -345,11 +375,11 @@ class ScoreLattice:
 
 def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
     table = codec.score_table
-    values = tuple(float(v) for v in np.unique(table[np.isfinite(table)]))
+    values = tuple(sorted(set(table[np.isfinite(table)].tolist())))
     ratios = [v.as_integer_ratio() for v in values + (float(codec.threshold),)]
     den = max(d for _, d in ratios)
     *weights, bar = (num * (den // d) for num, d in ratios)
-    return ScoreLattice(values, tuple(weights), codec.n * bar)
+    return ScoreLattice(values, tuple(weights), codec.n * bar, codec.n)
 
 
 def count_distribution(masses: tuple[float, ...],
@@ -393,7 +423,7 @@ def rejection_probability(codec: SymbolwiseCodec) -> float:
     Legitimate pairs never score -inf, so the rejected mass is the sum
     over the count vectors the test rejects.
     """
-    lat = score_lattice(codec)
+    lat = codec.lattice
     dist = count_distribution(
         lat.masses(codec.score_table, codec.p_xy.probs), codec.n)
     return min(math.fsum(p for c, p in dist.items() if not lat.accepts(c)),
@@ -439,7 +469,7 @@ def monte_carlo_error(codec: SymbolwiseCodec, trials: int, rng: RandomStream,
     Each trial draws one block's count vector over the score buckets and
     is decided on the score lattice.
     """
-    lat = score_lattice(codec)
+    lat = codec.lattice
     law = lat.buckets(codec.score_table, codec.p_xy.probs)
     accepts = lat.count_test(codec.n)
     return _estimate(trials, rng, chunk, lambda gen, take: take - int(

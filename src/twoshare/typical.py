@@ -65,18 +65,21 @@ def _surprisal_table(source: PMF) -> np.ndarray:
 
 
 def is_typical(seq, source: PMF, gamma: float) -> bool:
-    """Window test on one sequence; symbols outside the support fail.
-    Surprisals are summed over the sorted sequence, so the verdict depends
-    on the composition alone and matches `type_classes` bit for bit."""
+    """Window test on one sequence; zero-probability symbols fail, and
+    symbols outside the alphabet raise ValueError.  Surprisals are summed
+    over the sorted sequence, so the verdict depends on the composition
+    alone and matches `type_classes` bit for bit."""
+    symbols = sorted(int(s) for s in seq)
+    if not symbols:
+        raise ValueError("empty sequence")
+    if symbols[0] < 0 or symbols[-1] >= source.support_size:
+        bad = symbols[0] if symbols[0] < 0 else symbols[-1]
+        raise ValueError(f"symbol {bad} outside [0, {source.support_size})")
     w = _surprisal_table(source)
     total = 0.0
-    n = 0
-    for s in sorted(int(s) for s in seq):
+    for s in symbols:
         total += w[s]
-        n += 1
-    if n == 0:
-        raise ValueError("empty sequence")
-    return bool(abs(total / n - entropy(source)) <= gamma)
+    return bool(abs(total / len(symbols) - entropy(source)) <= gamma)
 
 
 class TypeClass(NamedTuple):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import symbolwise_oracle as conv
-from twoshare import attack, block, prob, symbol, typical
+from twoshare import attack, block, harness, prob, symbol, typical
 from twoshare.prob import CapExceededError, PMF, RandomStream
 from twoshare.typical import build_index
 
@@ -222,7 +222,95 @@ class TestLatticeTables:
         # any -inf count rejects, whatever the finite counts
         rows[:, 0] = 1
         assert not lat.count_test(8)(rows).any()
+        # the lattice's threshold is for n=8 blocks only
+        with pytest.raises(ValueError, match="n=8, not n=9"):
+            lat.count_test(9)
+
+    def test_count_table_built_once_per_symbolwise_record(self, monkeypatch):
+        # the error estimate and both attack estimates share one table
+        calls, real = [], symbol.composition_lookup
+        monkeypatch.setattr(symbol, "composition_lookup",
+                            lambda members, n, parts:
+                            calls.append(n) or real(members, n, parts))
+        cfg = harness.ExperimentConfig.from_dict(
+            {"source": [0.7, 0.3], "scheme": {"kind": "symbolwise", "m": 4},
+             "n_values": [4, 8, 12], "mode": "mc", "trials": 2000,
+             "seed": 0})
+        report = harness.run_experiment(cfg)
+        assert all(r.skipped is None for r in report.records)
+        assert calls == [4, 8, 12]
 
     def test_code_overflow_is_a_cap(self):
         with pytest.raises(CapExceededError, match="n=4"):
             typical.composition_lookup([], 4, 32)
+
+
+class CountingGenerator:
+    """A generator that tallies the count-vector rows it hands out."""
+
+    def __init__(self, gen, rows):
+        self._gen, self._rows = gen, rows
+
+    def multinomial(self, n, pvals, size=None):
+        out = self._gen.multinomial(n, pvals, size=size)
+        self._rows.append(1 if size is None else out.shape[0])
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class CountingStream(RandomStream):
+    def __init__(self, seed, rows):
+        super().__init__(seed)
+        self.rows = rows
+
+    def substream(self, i):
+        child = super().substream(i)
+        child.gen = CountingGenerator(child.gen, self.rows)
+        return child
+
+
+class TestClearGate:
+    """A forged block can hit only with no -inf score, so each chunk draws
+    how many trials clear that gate and only those draw count vectors."""
+
+    def test_all_minus_inf_row_estimates_zero(self):
+        # share Y of `lopsided` takes only 0 and 1, so a forged 2 on side y
+        # scores -inf against every honest X: its finite law has no mass
+        codec = lopsided(8)
+        rows = []
+        res = attack.monte_carlo_attack(codec, "y", (2,) * 8, 5000,
+                                        CountingStream(1, rows))
+        assert (res.success_prob, res.ci_halfwidth) == (0.0, 3.0 / 5000)
+        assert sum(rows) == 0
+        mix = PMF.from_probs([0.0, 0.0, 0.5, 0.5])
+        res = attack.monte_carlo_attack(codec, "y", mix, 5000,
+                                        RandomStream(2))
+        assert (res.success_prob, res.ci_halfwidth) == (0.0, 3.0 / 5000)
+
+    def test_row_without_minus_inf_mass_clears(self):
+        clear, laws = attack._clear_gate([(np.array([0.0, 0.25, 0.75]), 5),
+                                          (np.array([0.0, 1.0, 0.0]), 3)])
+        assert clear == 1.0
+        assert [law.tolist() for law, _ in laws] == [[0.25, 0.75], [1.0, 0.0]]
+
+    def test_gate_multiplies_the_groups(self):
+        clear, laws = attack._clear_gate([(np.array([0.5, 0.25, 0.25]), 2),
+                                          (np.array([0.25, 0.0, 0.75]), 1)])
+        assert clear == pytest.approx(0.25 * 0.75, rel=1e-15)
+        assert [law.tolist() for law, _ in laws] == [[0.5, 0.5], [0.0, 1.0]]
+
+    def test_draws_far_fewer_rows_than_trials(self):
+        # uniform:2, M=4: each forged symbol scores -inf with mass 1/2, so
+        # a trial clears with probability 2**-32; a row per trial would
+        # draw 10**6 rows
+        codec = modular(4, U2, 32, gamma=0.25)
+        forged = attack.symbolwise_attack(codec, "x").optimal_forgery
+        rows = []
+        res = attack.monte_carlo_attack(codec, "x", forged, 10 ** 6,
+                                        CountingStream(3, rows))
+        assert sum(rows) < 100
+        assert res.trials == 10 ** 6
+        assert covers(res.success_prob, 10 ** 6,
+                      attack.symbolwise_attack(codec, "x").success_prob)

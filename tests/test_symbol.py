@@ -3,6 +3,7 @@ n-block codec, and its exact error computation."""
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,6 +287,56 @@ class TestAcceptance:
         assert accepts_n(codec, xs, ys)
         with pytest.raises(RuntimeError):
             decode_n(codec, xs, ys)
+
+
+# puts composition (2, 2) of [0.7, 0.3], M=4, exactly one unit in the
+# last place of the mean above the threshold: a left-to-right float mean
+# lands on either side of it depending on position order
+EDGE_GAMMA = 0.24447848426728958
+
+
+class TestLatticeDecisions:
+    @pytest.mark.parametrize("secret",
+                             sorted(set(itertools.permutations((0, 0, 1, 1)))),
+                             ids=lambda s: "".join(map(str, s)))
+    def test_window_edge_verdict_is_order_free(self, secret):
+        codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=EDGE_GAMMA)
+        xs, ys = encode_n(codec, secret, (0, 1, 2, 3))
+        total = sum(Fraction(codec.score_table[x, y]) for x, y in zip(xs, ys))
+        assert total > 4 * Fraction(codec.threshold)   # exact: accepted
+        assert accepts_n(codec, xs, ys)
+        assert decode_n(codec, xs, ys).secret == secret
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_decode_matches_the_lattice_on_every_share_pair(self, n):
+        codec = make_codec(modular_scheme(4, 2), SKEW, n=n, gamma=EDGE_GAMMA)
+        lat = codec.lattice
+        table = codec.score_table.tolist()
+        accepted = 0
+        for xs in itertools.product(range(4), repeat=n):
+            for ys in itertools.product(range(4), repeat=n):
+                scores = [table[x][y] for x, y in zip(xs, ys)]
+                expect = (-math.inf not in scores and lat.accepts(
+                    [scores.count(v) for v in lat.values]))
+                assert decode_n(codec, xs, ys).rejected is not expect
+                accepted += expect
+        assert 0 < accepted < 16 ** n
+
+    @pytest.mark.parametrize("xs,ys,bad", [((-1, 0, 0), (1, 0, 0), -1),
+                                           ((4, 0, 0), (0, 0, 0), 4),
+                                           ((0, 0, 0), (0, 7, 0), 7)])
+    def test_share_symbol_outside_the_alphabet_raises(self, xs, ys, bad):
+        # (-1, ...) used to decode to (0, 0, 0); 4 raised a bare IndexError
+        codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
+        for check in (decode_n, accepts_n, llr_score):
+            with pytest.raises(ValueError,
+                               match=rf"^share symbol {bad} outside \[0, 4\)$"):
+                check(codec, xs, ys)
+
+    def test_tie_rebuilds_the_lattice(self):
+        codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
+        tied = dataclasses.replace(codec, gamma=0.0)
+        assert tied.lattice == score_lattice(tied) != codec.lattice
 
 
 def brute_error_prob(codec):

@@ -113,6 +113,14 @@ class TestMembership:
         assert not is_typical((0, 1, 0), src, 10.0)
         assert is_typical((0, 0, 0), src, 0.1)
 
+    @pytest.mark.parametrize("seq,bad", [((-1, 0, 0, 0), -1),
+                                         ((0, 2, 0, 0), 2)])
+    def test_symbol_outside_the_alphabet_raises(self, seq, bad):
+        # -1 used to index the last surprisal and read typical; 2 raised a
+        # bare IndexError
+        with pytest.raises(ValueError, match=rf"^symbol {bad} outside \[0, 2\)"):
+            is_typical(seq, PMF.from_probs(SKEW), 0.5)
+
     def test_single_deviating_symbol(self):
         # one rare symbol at n=4 pushes the mean surprisal 0.856 bits off
         src = PMF.from_probs(SKEW)
