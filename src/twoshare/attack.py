@@ -20,7 +20,7 @@ import numpy as np
 from .block import BlockwiseParams
 from .prob import JointPMF, PMF, RandomStream, _estimate, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
-                     count_distribution, rejection_probability)
+                     rejection_probability, walk_size)
 from .typical import compositions
 
 
@@ -74,10 +74,12 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     A forged symbol fixes the mass the honest share puts on each lattice
     value, so forged symbols with equal mass vectors are interchangeable
     and success depends only on how many positions each such class fills.
-    Per class the count vector is multinomial; the classes' count-vector
-    laws are convolved on integer keys.  `type_cap` bounds the forged
-    compositions times the lattice points.  Against the modular splitter
-    every forged symbol falls in one class, so this is one lattice sum.
+    Per forged composition, the other classes' laws are convolved keyed by
+    their exact integer score, and the last class is summed by intervals
+    against the bar shifted by each key.  Against the modular splitter
+    every forged symbol falls in one class, so this is one interval sum.
+    `type_cap` bounds the points walked: per composition, the count
+    vectors of the other classes times the prefixes of the last.
     """
     _check_side(side)
     n = codec.n
@@ -87,25 +89,28 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     for a, row in enumerate(table):
         classes.setdefault(lat.masses(row, honest), a)
     masses, class_min = list(classes), list(classes.values())
-    kc, kv = len(masses), len(lat.values)
-    check_lattice_points(n, math.comb(n + kc - 1, kc - 1)
-                         * math.comb(n + kv - 1, kv - 1), type_cap)
-    powers: dict[tuple[int, int], dict] = {}
+    kc = len(masses)
+    sizes = [sum(q > 0.0 for q in ms) for ms in masses]
 
-    def class_power(ci: int, count: int) -> dict:
-        if (ci, count) not in powers:
-            powers[ci, count] = count_distribution(masses[ci], count)
-        return powers[ci, count]
+    def points(counts) -> int:
+        *rest, last = zip(counts, sizes)
+        return walk_size(*last) * math.prod(
+            math.comb(c + d - 1, d - 1) if d else 1 for c, d in rest)
 
+    # each composition walks at least one point: bound the scan first
+    check_lattice_points(n, math.comb(n + kc - 1, kc - 1), type_cap)
+    check_lattice_points(n, sum(map(points, compositions(n, kc))), type_cap)
+    steps = [{w: q for w, q in zip(lat.weights, ms) if q > 0.0}
+             for ms in masses]
     best_prob = -1.0
     best_seq: tuple[int, ...] | None = None
     for counts in compositions(n, kc):
-        dist = None
-        for ci, cnt in enumerate(counts):
-            if cnt:
-                part = class_power(ci, cnt)
-                dist = part if dist is None else _convolve_counts(dist, part)
-        prob = lat.accepted_mass(dist)
+        law = {0: 1.0}   # integer score of the other classes' positions
+        for step, cnt in zip(steps, counts[:-1]):
+            for _ in range(cnt):
+                law = _convolve_scores(law, step)
+        prob = math.fsum(p * lat.mass(masses[-1], counts[-1], offset=key)
+                         for key, p in law.items())
         seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
                            for sym in [class_min[ci]] * cnt))
         if prob > best_prob or (prob == best_prob and best_seq is not None
@@ -123,12 +128,11 @@ def _forged_rows(codec: SymbolwiseCodec,
             else (codec.score_table.T, codec.p_x.probs))
 
 
-def _convolve_counts(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], float] = {}
-    for ca, pa in a.items():
-        for cb, pb in b.items():
-            c = tuple(x + y for x, y in zip(ca, cb))
-            out[c] = out.get(c, 0.0) + pa * pb
+def _convolve_scores(a: dict, b: dict) -> dict:
+    out: dict[int, float] = {}
+    for ka, pa in a.items():
+        for kb, pb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0.0) + pa * pb
     return out
 
 
@@ -317,8 +321,7 @@ def symbolwise_beta(codec: SymbolwiseCodec) -> float:
     """Exact beta: the lattice mass of accepted independent pairs."""
     lat = codec.lattice
     indep = np.outer(codec.p_x.probs, codec.p_y.probs)
-    return lat.accepted_mass(
-        count_distribution(lat.masses(codec.score_table, indep), codec.n))
+    return lat.mass(lat.masses(codec.score_table, indep), codec.n)
 
 
 def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:

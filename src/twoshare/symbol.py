@@ -306,7 +306,7 @@ def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Score lattice: exact sums over count vectors
+# Score lattice: exact sums over count vectors, by intervals
 
 
 LATTICE_CAP = 1 << 20
@@ -320,6 +320,22 @@ def check_lattice_points(n: int, points: int, cap: int = LATTICE_CAP):
     if points > cap:
         raise LatticeCapError(f"n={n}: {points} score-lattice points exceed "
                               f"the cap {cap}; lower n")
+
+
+def walk_size(m: int, values: int) -> int:
+    """Prefixes `ScoreLattice.mass` walks for m positions over `values`
+    values of positive mass: C(m+c-2, c-2), and one below two values."""
+    return math.comb(m + values - 2, values - 2) if values >= 2 else 1
+
+
+@functools.lru_cache(maxsize=16)
+def _log2_factorials(m: int) -> np.ndarray:
+    """log2(t!) for t = 0..m, each rounded once from the exact integer."""
+    out, f = [0.0], 1
+    for t in range(1, m + 1):
+        f *= t
+        out.append(math.log2(f))
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -351,15 +367,79 @@ class ScoreLattice:
         return np.array((math.fsum(probs[scores == -np.inf]),)
                         + self.masses(scores, probs))
 
+    def cuts(self, m: int, idx, offset: int = 0):
+        """Every prefix of an m-position count vector over the values at
+        `idx` (ascending, at least two): yields (head, r, cut), where head
+        counts the values idx[:-2] and r positions are left to the last two
+        values i < j.  With a of them at i the score is x - a (w_j - w_i),
+        x = offset + head.w + r w_j - bar, so the strict test accepts
+        head + (a, r - a) exactly when a < cut = ceil(x / (w_j - w_i)),
+        clamped to [0, r+1]; a tie is rejected.  Grouped by r, ascending.
+        """
+        *head_idx, i, j = idx
+        hw = [self.weights[h] for h in head_idx]
+        wj, span = self.weights[j], self.weights[j] - self.weights[i]
+        for r in range(m + 1) if head_idx else (m,):
+            for head in (compositions(m - r, len(head_idx)) if head_idx
+                         else ((),)):
+                x = offset + sum(map(operator.mul, head, hw)) + r * wj - self.bar
+                yield head, r, min(max(-(-x // span), 0), r + 1)
+
+    def mass(self, masses, m: int, accepted: bool = True,
+             offset: int = 0) -> float:
+        """Accepted (or rejected) mass of the count vectors of m i.i.d.
+        scores with per-value `masses`, on top of an integer score `offset`
+        already collected; mass off the lattice is in neither side.
+
+        Walks the `cuts` over the values of positive mass: each prefix adds
+        one interval of a binomial row, multinomial(m; head, r) times the
+        terms C(r, a) q_i^a q_j^(r-a) with a below the cut (or from it on).
+        A row is built once per r in log2, scaled by its largest term, and
+        summed from the side asked for, so a tiny tail is never 1 minus the
+        rest.  Raises LatticeCapError past LATTICE_CAP prefixes.
+        """
+        idx = [j for j, q in enumerate(masses) if q > 0.0]
+        if not idx:
+            return float(m == 0 and (offset > self.bar) == accepted)
+        if len(idx) == 1:
+            j = idx[0]
+            hit = (offset + m * self.weights[j] > self.bar) == accepted
+            return masses[j] ** m if hit else 0.0
+        check_lattice_points(m, walk_size(m, len(idx)))
+        lf = _log2_factorials(m)
+        *head_logs, lq_i, lq_j = (math.log2(masses[j]) for j in idx)
+        ramp = np.arange(m + 1) * (lq_i - lq_j)
+        parts, row_r = [], -1
+        for head, r, cut in self.cuts(m, idx, offset):
+            if cut == (0 if accepted else r + 1):
+                continue   # the prefix has no vector on this side
+            if r != row_r:
+                row = ramp[:r + 1] + r * lq_j - lf[:r + 1] - lf[r::-1]
+                top = row.max()
+                e = np.exp2(row - top)
+                side = (np.cumsum(e) if accepted
+                        else np.cumsum(e[::-1])[::-1]).tolist()
+                row_r = r
+            # accepted: terms a < cut end at side[cut-1]; rejected: from cut
+            tail = side[cut - 1] if accepted else side[cut]
+            logw = lf[m] + top + math.fsum(
+                c * lg - lf[c] for c, lg in zip(head, head_logs))
+            parts.append(2.0 ** logw * tail)
+        return min(math.fsum(parts), 1.0)
+
     @functools.cached_property
     def accepted(self) -> Callable[[np.ndarray], np.ndarray]:
-        """`accepts` over rows of count vectors over `values`.  Each of
-        the C(n+c-1, c-1) vectors is decided once, on first use."""
+        """`accepts` over rows of count vectors over `values`.  The member
+        list is read off the `cuts`, once, on first use; it holds up to
+        C(n+c-1, c-1) vectors, and that is what the cap counts."""
         parts = len(self.values)
         check_lattice_points(self.n, math.comb(self.n + parts - 1, parts - 1))
-        return composition_lookup(
-            [c for c in compositions(self.n, parts) if self.accepts(c)],
-            self.n, parts)
+        if parts == 1:
+            members = [(self.n,)] if self.n * self.weights[0] > self.bar else []
+        else:
+            members = [head + (a, r - a) for head, r, cut
+                       in self.cuts(self.n, range(parts)) for a in range(cut)]
+        return composition_lookup(members, self.n, parts)
 
     def count_test(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """`accepted` over rows of n-block bucket counts, -inf count first:
@@ -368,9 +448,6 @@ class ScoreLattice:
             raise ValueError(f"the lattice decides blocks of n={self.n}, "
                              f"not n={n}")
         return lambda counts: (counts[:, 0] == 0) & self.accepted(counts[:, 1:])
-
-    def accepted_mass(self, dist: dict[tuple[int, ...], float]) -> float:
-        return math.fsum(p for c, p in dist.items() if self.accepts(c))
 
 
 def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
@@ -382,52 +459,15 @@ def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
     return ScoreLattice(values, tuple(weights), codec.n * bar, codec.n)
 
 
-def count_distribution(masses: tuple[float, ...],
-                       m: int) -> dict[tuple[int, ...], float]:
-    """Law of the count vector of m i.i.d. scores with per-value masses.
-
-    Each vector weighs multinomial(m; c) * prod q_j**c_j.  The multinomial
-    is built exactly, one binomial factor per value, and the product is
-    summed in the exponent so that large m cannot overflow.  Vectors that
-    use a zero-mass value are left out, and so is any mass off the lattice.
-    Raises LatticeCapError when the vectors would outnumber LATTICE_CAP.
-    """
-    support = [j for j, q in enumerate(masses) if q > 0.0]
-    if not support:
-        return {(0,) * len(masses): 1.0} if m == 0 else {}
-    check_lattice_points(m, math.comb(m + len(support) - 1, len(support) - 1))
-    logs = [math.log2(masses[j]) for j in support]
-    # grow the count vectors one value at a time; each partial vector
-    # carries the positions left, its exact arrangements and log2 mass
-    partial = [((), m, 1, 0.0)]
-    for lg in logs[:-1]:
-        grown = []
-        for head, rem, ways, logp in partial:
-            binom = 1  # comb(rem, c), stepped exactly
-            for c in range(rem + 1):
-                grown.append((head + (c,), rem - c, ways * binom, logp + c * lg))
-                binom = binom * (rem - c) // (c + 1)
-        partial = grown
-    out = {head + (rem,): 2.0 ** (math.log2(ways) + logp + rem * logs[-1])
-           for head, rem, ways, logp in partial}
-    if len(support) < len(masses):
-        at = {j: i for i, j in enumerate(support)}
-        out = {tuple(c[at[j]] if j in at else 0 for j in range(len(masses))): p
-               for c, p in out.items()}
-    return out
-
-
 def rejection_probability(codec: SymbolwiseCodec) -> float:
     """Exact probability that a legitimate share pair is rejected.
 
-    Legitimate pairs never score -inf, so the rejected mass is the sum
-    over the count vectors the test rejects.
+    Legitimate pairs never score -inf, so this is the lattice mass of the
+    count vectors the test rejects, summed on that side.
     """
     lat = codec.lattice
-    dist = count_distribution(
-        lat.masses(codec.score_table, codec.p_xy.probs), codec.n)
-    return min(math.fsum(p for c, p in dist.items() if not lat.accepts(c)),
-               1.0)
+    return lat.mass(lat.masses(codec.score_table, codec.p_xy.probs), codec.n,
+                    accepted=False)
 
 
 @dataclass(frozen=True)
@@ -467,10 +507,14 @@ def monte_carlo_error(codec: SymbolwiseCodec, trials: int, rng: RandomStream,
     """MC estimate of the rejection probability for legitimate pairs.
 
     Each trial draws one block's count vector over the score buckets and
-    is decided on the score lattice.
+    is decided on the score lattice.  When one bucket holds all the mass,
+    every trial draws the same vector, so none is drawn.
     """
     lat = codec.lattice
     law = lat.buckets(codec.score_table, codec.p_xy.probs)
     accepts = lat.count_test(codec.n)
+    if np.count_nonzero(law) == 1:
+        miss = not accepts(np.where(law > 0.0, codec.n, 0)[None])[0]
+        return _estimate(trials, rng, chunk, lambda gen, take: take * miss)
     return _estimate(trials, rng, chunk, lambda gen, take: take - int(
         np.count_nonzero(accepts(gen.multinomial(codec.n, law, size=take)))))

@@ -243,7 +243,12 @@ def composition_lookup(members, n: int,
 def atypical_draw(source: PMF, n: int,
                   classes) -> Callable[[np.random.Generator, int], int]:
     """Trials of the atypical mass: each draws one block's composition
-    and hits when its type class is atypical."""
+    and hits when its type class is atypical.  When every class is on one
+    side, each trial's outcome is fixed, so none is drawn."""
+    sides = {c.typical for c in classes}
+    if len(sides) == 1:
+        hit = not sides.pop()
+        return lambda gen, take: take * hit
     support = source.probs[source.probs > 0.0]
     hit = composition_lookup([c.counts for c in classes if not c.typical],
                              n, support.size)

@@ -8,17 +8,26 @@ attack scan over forged-sequence types whose classes are grouped by
 12-digit rounded keys, and the integer count of accepted recombined
 sequences that cross-checks the modular splitter's attack.  They serve
 only to certify the score-lattice engine on small blocks.
+
+The count-vector routines at the end are the library's former exact
+symbolwise engine, also unchanged: `count_distribution` lists the law of
+every count vector, and the accepted and rejected masses are summed over
+the whole list, vector by vector, with the scalar `ScoreLattice.accepts`.
+They certify the interval sums of `ScoreLattice.mass`.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from twoshare.attack import AttackResult, TestQuantities, _check_side
+from twoshare.attack import _forged_rows
 from twoshare.prob import CapExceededError, conditional_entropy, mutual_information
-from twoshare.symbol import SymbolQuantities, SymbolwiseCodec
+from twoshare.symbol import ScoreLattice, SymbolQuantities, SymbolwiseCodec
+from twoshare.typical import compositions
 
 TYPE_CAP = 1 << 20
 
@@ -232,3 +241,89 @@ def modular_attack_success(codec: SymbolwiseCodec, side: str = "x") -> float:
                 rem -= cnt
             total += ways
     return total / float(m) ** n
+
+
+# ---------------------------------------------------------------------------
+# Count-vector sums
+
+
+def count_distribution(masses: tuple[float, ...],
+                       m: int) -> dict[tuple[int, ...], float]:
+    """Law of the count vector of m i.i.d. scores with per-value masses.
+
+    Each vector weighs multinomial(m; c) * prod q_j**c_j.  The multinomial
+    is built exactly, one binomial factor per value, and the product is
+    summed in the exponent so that large m cannot overflow.  Vectors that
+    use a zero-mass value are left out, and so is any mass off the lattice.
+    """
+    support = [j for j, q in enumerate(masses) if q > 0.0]
+    if not support:
+        return {(0,) * len(masses): 1.0} if m == 0 else {}
+    logs = [math.log2(masses[j]) for j in support]
+    # grow the count vectors one value at a time; each partial vector
+    # carries the positions left, its exact arrangements and log2 mass
+    partial = [((), m, 1, 0.0)]
+    for lg in logs[:-1]:
+        grown = []
+        for head, rem, ways, logp in partial:
+            binom = 1  # comb(rem, c), stepped exactly
+            for c in range(rem + 1):
+                grown.append((head + (c,), rem - c, ways * binom, logp + c * lg))
+                binom = binom * (rem - c) // (c + 1)
+        partial = grown
+    out = {head + (rem,): 2.0 ** (math.log2(ways) + logp + rem * logs[-1])
+           for head, rem, ways, logp in partial}
+    if len(support) < len(masses):
+        at = {j: i for i, j in enumerate(support)}
+        out = {tuple(c[at[j]] if j in at else 0 for j in range(len(masses))): p
+               for c, p in out.items()}
+    return out
+
+
+def count_vector_mass(lat: ScoreLattice, masses, m: int,
+                      accepted: bool = True, offset: int = 0) -> float:
+    """Accepted (or rejected) mass, one exact integer test per count
+    vector, on top of an integer score `offset`."""
+    return math.fsum(
+        p for c, p in count_distribution(masses, m).items()
+        if (offset + sum(map(operator.mul, c, lat.weights)) > lat.bar)
+        == accepted)
+
+
+def _convolve_counts(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, ...], float] = {}
+    for ca, pa in a.items():
+        for cb, pb in b.items():
+            c = tuple(x + y for x, y in zip(ca, cb))
+            out[c] = out.get(c, 0.0) + pa * pb
+    return out
+
+
+def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
+    """Exact optimal forgery: per forged-class composition, the classes'
+    count-vector laws convolved on integer keys, then tested per vector."""
+    _check_side(side)
+    n = codec.n
+    lat = codec.lattice
+    table, honest = _forged_rows(codec, side)
+    classes: dict[tuple[float, ...], int] = {}
+    for a, row in enumerate(table):
+        classes.setdefault(lat.masses(row, honest), a)
+    masses, class_min = list(classes), list(classes.values())
+    best_prob = -1.0
+    best_seq = None
+    for counts in compositions(n, len(masses)):
+        dist = None
+        for ci, cnt in enumerate(counts):
+            if cnt:
+                part = count_distribution(masses[ci], cnt)
+                dist = part if dist is None else _convolve_counts(dist, part)
+        prob = math.fsum(p for c, p in dist.items() if lat.accepts(c))
+        seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
+                           for sym in [class_min[ci]] * cnt))
+        if prob > best_prob or (prob == best_prob and best_seq is not None
+                                and seq < best_seq):
+            best_prob = prob
+            best_seq = seq
+    return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
+                        side=side, mode="exact")

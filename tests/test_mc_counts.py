@@ -191,6 +191,25 @@ class TestExactEndpoints:
         assert symbol.exact_symbolwise_quantities(codec).p_e == 0.0
         assert symbol.monte_carlo_error(codec, 5000, RandomStream(3))[0] == 0.0
 
+    def test_fixed_outcomes_draw_nothing(self, monkeypatch):
+        # one count vector (symbolwise) or one side of the window for every
+        # class (blockwise): each trial's outcome is known without a draw
+        class Undrawable:
+            gen = None   # any draw raises AttributeError
+
+        monkeypatch.setattr(RandomStream, "substream",
+                            lambda self, i: Undrawable())
+        rng = RandomStream(4)
+        tied = dataclasses.replace(modular(4, U2, 6), gamma=0.0)
+        assert symbol.monte_carlo_error(tied, 10 ** 6, rng) == (1.0, 0.0)
+        assert symbol.monte_carlo_error(modular(4, U2, 6, gamma=0.25),
+                                        10 ** 6, rng) == (0.0, 3e-06)
+        assert block.monte_carlo_error(blockwise(U2, 6), 5000, rng) \
+            == (0.0, 3.0 / 5000)
+        # at n=1 both compositions of the skewed source miss a tight window
+        assert typical.atypical_mass(SKEW, 1, 0.01) == 1.0
+        assert typical.atypical_mass_mc(SKEW, 1, 0.01, 5000, rng) == (1.0, 0.0)
+
 
 class TestNoDenseIndex:
     def test_blockwise_monte_carlo_skips_the_rank_map(self, monkeypatch):

@@ -1,17 +1,23 @@
-"""Score-lattice engine of the symbolwise scheme: parity with the float-keyed
-convolution oracle, the strict-tie rule, and long-block behaviour."""
+"""Score-lattice engine of the symbolwise scheme: parity of its interval
+sums with the float-keyed convolution oracle and with the former
+count-vector engine, its cuts against the scalar test, the strict-tie rule,
+and long-block behaviour."""
 import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import symbolwise_oracle as conv
-from twoshare import attack, symbol
+from twoshare import attack, harness, symbol
 from twoshare.prob import PMF
+from twoshare.typical import compositions
 
 SKEW = PMF.from_probs([0.7, 0.3])
 K3 = PMF.from_probs([0.5, 0.3, 0.2])
 K4 = PMF.from_probs([0.4, 0.3, 0.2, 0.1])
+GAP = PMF.from_probs([0.6, 0.0, 0.4])   # a zero-probability symbol
 TOL = 1e-12
 
 
@@ -34,27 +40,48 @@ def leaky(m, source, n):
 CASES = (
     [pytest.param(m, SKEW, n, id=f"skew-m{m}-n{n}")
      for m in (3, 4) for n in (1, 2, 8, 16, 32)]
-    + [pytest.param(5, K3, n, id=f"k3-m5-n{n}") for n in (8, 32, 64)]
-    + [pytest.param(6, K4, n, id=f"k4-m6-n{n}") for n in (8, 16)]
+    + [pytest.param(5, K3, n, id=f"k3-m5-n{n}") for n in (1, 8, 32, 64)]
+    + [pytest.param(6, K4, n, id=f"k4-m6-n{n}") for n in (1, 8, 16)]
     + [pytest.param(4, PMF.uniform(2), n, id=f"uniform2-m4-n{n}")
-       for n in (8, 16)]
+       for n in (1, 8, 16)]
+    + [pytest.param(5, GAP, n, id=f"gap-m5-n{n}") for n in (1, 5, 24)]
 )
 
 
-def assert_parity(codec):
+def legit_and_indep(codec):
+    """Per-position score laws of legitimate and of independent pairs."""
+    lat = codec.lattice
+    return (lat.masses(codec.score_table, codec.p_xy.probs),
+            lat.masses(codec.score_table,
+                       codec.p_x.probs[:, None] * codec.p_y.probs))
+
+
+def assert_parity(codec, float_keyed=True):
+    """p_e = alpha, beta and both attacks against the count-vector oracle
+    and, unless a vector ties the bar, the float-keyed one: it compares
+    float sums to the threshold, so a tie can land on either side."""
+    lat = codec.lattice
+    legit, indep = legit_and_indep(codec)
     got_q = symbol.exact_symbolwise_quantities(codec)
-    want_q = conv.exact_symbolwise_quantities(codec)
-    assert got_q.p_e == pytest.approx(want_q.p_e, abs=TOL)
     got_t = attack.symbolwise_test_quantities(codec)
-    want_t = conv.symbolwise_test_quantities(codec)
-    assert got_t.alpha == pytest.approx(want_t.alpha, abs=TOL)
-    assert got_t.beta == pytest.approx(want_t.beta, abs=TOL)
     assert got_t.alpha == got_q.p_e
+    want_alpha = [conv.count_vector_mass(lat, legit, codec.n, accepted=False)]
+    want_beta = [conv.count_vector_mass(lat, indep, codec.n)]
+    if float_keyed:
+        want_alpha.append(conv.exact_symbolwise_quantities(codec).p_e)
+        want_beta.append(conv.symbolwise_test_quantities(codec).beta)
+    for want in want_alpha:
+        assert got_t.alpha == pytest.approx(want, abs=TOL)
+    for want in want_beta:
+        assert got_t.beta == pytest.approx(want, abs=TOL)
     for side in "xy":
         got = attack.symbolwise_attack(codec, side)
-        want = conv.symbolwise_attack(codec, side)
-        assert got.success_prob == pytest.approx(want.success_prob, abs=TOL)
-        assert got.optimal_forgery == want.optimal_forgery
+        wants = [conv.count_vector_attack(codec, side)]
+        if float_keyed:
+            wants.append(conv.symbolwise_attack(codec, side))
+        for want in wants:
+            assert got.success_prob == pytest.approx(want.success_prob, abs=TOL)
+            assert got.optimal_forgery == want.optimal_forgery
 
 
 @pytest.mark.parametrize("m,source,n", CASES)
@@ -102,8 +129,119 @@ def test_long_block_stays_finite():
 
 
 def test_lattice_cap_names_n_and_the_way_out():
-    # C(2002, 2) count vectors over three values, past the 2**20 cap
-    codec = modular(5, K3, 2000)
+    # four values: the interval sums walk C(1502, 2) prefixes of the first
+    # two counts, past the 2**20 cap (three values walk only n+1)
+    codec = modular(6, K4, 1500)
     with pytest.raises(symbol.LatticeCapError,
-                       match=r"^n=2000: 2003001 score-lattice points .*; lower n$"):
+                       match=r"^n=1500: 1127251 score-lattice points .*; lower n$"):
         symbol.exact_symbolwise_quantities(codec)
+
+
+# one shape per lattice size c = 1, 2, 3, 4, and one with an empty symbol
+SHAPES = [pytest.param(4, PMF.uniform(2), id="c1-uniform2-m4"),
+          pytest.param(4, SKEW, id="c2-skew-m4"),
+          pytest.param(5, K3, id="c3-k3-m5"),
+          pytest.param(6, K4, id="c4-k4-m6"),
+          pytest.param(5, GAP, id="gap-m5")]
+
+
+def laws(codec):
+    """Every distinct per-position score law the engines sum: legitimate
+    pairs, independent pairs, and each forged symbol's honest row."""
+    lat = codec.lattice
+    out = list(legit_and_indep(codec))
+    for side in "xy":
+        table, honest = attack._forged_rows(codec, side)
+        out += [lat.masses(row, honest) for row in table]
+    return list(dict.fromkeys(out))
+
+
+def assert_mass_parity(lat, masses, m, offset=0):
+    for accepted in (True, False):
+        assert lat.mass(masses, m, accepted, offset) == pytest.approx(
+            conv.count_vector_mass(lat, masses, m, accepted, offset), abs=TOL)
+
+
+@pytest.mark.parametrize("m,source", SHAPES)
+@pytest.mark.parametrize("n", (1, 2, 7, 32, 64))
+def test_mass_matches_count_vectors(m, source, n):
+    codec = modular(m, source, n)
+    for masses in laws(codec):
+        assert_mass_parity(codec.lattice, masses, n)
+
+
+def test_zero_mass_values():
+    lat = modular(5, K3, 24).lattice
+    for masses in ((0.6, 0.0, 0.4), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)):
+        assert_mass_parity(lat, masses, 24)
+
+
+def test_offsets_shift_the_bar():
+    # a score already collected elsewhere moves every cut by the same amount
+    lat = modular(5, K3, 10).lattice
+    masses = (0.2, 0.3, 0.5)
+    for m in (0, 1, 4):
+        for offset in (-3 * lat.weights[-1], 0, lat.bar // 2, lat.bar):
+            assert_mass_parity(lat, masses, m, offset)
+
+
+def tied_codec(m, source, n, counts):
+    """The codec whose threshold equals the mean score of `counts` exactly."""
+    codec = modular(m, source, n)
+    mean = sum(Fraction(v) * c for v, c in zip(codec.lattice.values, counts)) / n
+    assert float(mean) == mean
+    for gamma in (codec.i_xy - float(mean),
+                  math.nextafter(codec.i_xy - float(mean), 0.0),
+                  math.nextafter(codec.i_xy - float(mean), 1.0)):
+        if codec.i_xy - gamma == mean:
+            return modular(m, source, n, gamma)
+    raise AssertionError("no gamma puts the threshold on the vector")
+
+
+@pytest.mark.parametrize("m,source,counts", [
+    (6, K4, (5, 0, 1, 2)),   # the tie is inside the interval: a = 1
+    (5, K3, (6, 0, 2)),      # the tie sits on the clamp: a = 0
+])
+def test_window_edge_tie_is_rejected(m, source, counts):
+    n = sum(counts)
+    codec = tied_codec(m, source, n, counts)
+    lat = codec.lattice
+    assert sum(map(int.__mul__, counts, lat.weights)) == lat.bar
+    assert not lat.accepts(counts)
+    *head, a, rest = counts
+    (cut,) = [cut for h, r, cut in lat.cuts(n, range(len(counts)))
+              if h == tuple(head)]
+    assert cut == a   # a * (w_j - w_i) == x: the tied count is the cut
+    assert not lat.accepted(np.array([counts]))[0]
+    for masses in laws(codec):
+        assert_mass_parity(lat, masses, n)
+    assert_parity(codec, float_keyed=False)
+
+
+@pytest.mark.parametrize("m,source", SHAPES)
+@pytest.mark.parametrize("n", (1, 3, 9))
+def test_cuts_agree_with_scalar_accepts(m, source, n):
+    lat = modular(m, source, n).lattice
+    parts = len(lat.values)
+    vectors = list(compositions(n, parts))
+    if parts >= 2:
+        walked = {h + (a, r - a): a < cut
+                  for h, r, cut in lat.cuts(n, range(parts))
+                  for a in range(r + 1)}
+        assert sorted(walked) == sorted(vectors)
+        for c in vectors:
+            assert walked[c] == lat.accepts(c)
+    rows = np.array(vectors)
+    assert lat.accepted(rows).tolist() == [lat.accepts(c) for c in vectors]
+
+
+def test_k3_record_at_n2000_is_exact_and_finite():
+    cfg = harness.ExperimentConfig.from_dict({
+        "source": [0.5, 0.3, 0.2], "scheme": {"kind": "symbolwise", "m": 5},
+        "schedule": {"kind": "power_law", "a": 1.0 / 3.0},
+        "n_values": [2000], "mode": "exact"})
+    (rec,) = harness.run_experiment(cfg).records
+    assert rec.skipped is None
+    for v in (rec.p_e, rec.alpha, rec.beta, rec.p_x, rec.p_y):
+        assert math.isfinite(v) and 0.0 <= v <= 1.0
+    assert 0.0 < rec.p_e < 1e-9
