@@ -10,18 +10,13 @@ from .outcome import DecodeOutcome, REJECT, accepted
 from .prob import (
     PMF,
     JointPMF,
-    RationalJoint,
     RandomStream,
     CapExceededError,
     entropy,
-    entropy_mp,
     binary_entropy,
     mutual_information,
     conditional_entropy,
     induce_joint,
-    pushforward,
-    iid_extension,
-    sample,
 )
 from .typical import (
     GammaSchedule,
@@ -71,13 +66,10 @@ from .attack import (
     BoundCheck,
     blockwise_attack,
     symbolwise_attack,
-    attack_bruteforce,
     monte_carlo_attack,
     exponent_points,
     exponent_fit,
-    test_quantities,
     blockwise_test_quantities,
-    symbolwise_test_quantities,
     logsum_bound_check,
     fano_check,
     converse_exponent_check,

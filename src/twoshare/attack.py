@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .block import BlockwiseParams
-from .prob import JointPMF, PMF, RandomStream, _estimate, binary_entropy
+from .prob import PMF, RandomStream, _estimate, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
-                     rejection_probability, walk_size)
+                     walk_size)
 from .typical import compositions
 
 
@@ -136,30 +136,17 @@ def _convolve_scores(a: dict, b: dict) -> dict:
     return out
 
 
+def optimal_attack(scheme, side: str = "x") -> AttackResult:
+    """The exact optimal attack on either scheme object."""
+    if isinstance(scheme, BlockwiseParams):
+        return blockwise_attack(scheme, side)
+    if isinstance(scheme, SymbolwiseCodec):
+        return symbolwise_attack(scheme, side)
+    raise TypeError(f"unsupported scheme object {type(scheme)!r}")
+
+
 # ---------------------------------------------------------------------------
-# Brute-force oracle and Monte Carlo
-
-
-def attack_bruteforce(accept_fn: Callable[[int, int], bool], forged_size: int,
-                      honest_probs: np.ndarray) -> tuple[float, int]:
-    """Scan every forged value against every honest value.
-
-    accept_fn takes (forged_flat, honest_flat) indices.  Returns the best
-    success probability and the smallest forged index attaining it.
-    Intended as a small-instance oracle; cost is forged_size * |honest|.
-    """
-    best = -1.0
-    best_at = 0
-    honest_idx = range(honest_probs.shape[0])
-    for f in range(forged_size):
-        p = 0.0
-        for h in honest_idx:
-            if honest_probs[h] > 0.0 and accept_fn(f, h):
-                p += honest_probs[h]
-        if p > best:
-            best = p
-            best_at = f
-    return best, best_at
+# Monte Carlo
 
 
 def _clear_gate(groups) -> tuple[float, list]:
@@ -288,24 +275,6 @@ class TestQuantities:
     beta: float    # P{independent pair accepted}
 
 
-def test_quantities(joint_xy: JointPMF, accept_fn: Callable[[int, int], bool]) -> TestQuantities:
-    """Dense evaluation of alpha and beta for an arbitrary acceptance set."""
-    table = joint_xy.probs
-    if table.ndim != 2:
-        raise ValueError("need a two-axis share joint")
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    alpha = 0.0
-    beta = 0.0
-    for x in range(table.shape[0]):
-        for y in range(table.shape[1]):
-            if accept_fn(x, y):
-                beta += px[x] * py[y]
-            else:
-                alpha += table[x, y]
-    return TestQuantities(alpha=alpha, beta=beta)
-
-
 def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
     """Exact alpha and beta from the type classes.
 
@@ -322,12 +291,6 @@ def symbolwise_beta(codec: SymbolwiseCodec) -> float:
     lat = codec.lattice
     indep = np.outer(codec.p_x.probs, codec.p_y.probs)
     return lat.mass(lat.masses(codec.score_table, indep), codec.n)
-
-
-def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
-    """Exact alpha and beta on the score lattice."""
-    return TestQuantities(alpha=rejection_probability(codec),
-                          beta=symbolwise_beta(codec))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,9 @@ import sys
 
 from . import attack as atk
 from . import block, harness, symbol
-from .outcome import DecodeOutcome
-from .prob import PMF, RandomStream
-from .typical import EmptyTypicalSetError, GammaSchedule, build_index
-from .prob import CapExceededError
+from .prob import PMF, CapExceededError, RandomStream
 from .symbol import SchemeValidationError
+from .typical import EmptyTypicalSetError, GammaSchedule
 
 
 def _schedule_from(text: str) -> GammaSchedule:
@@ -61,13 +59,10 @@ def _scheme_flags(p: argparse.ArgumentParser):
 def _build_scheme(args):
     source = PMF.from_text(args.source)
     gamma = _schedule_from(args.gamma).gamma_at(args.n)
-    if args.scheme == "blockwise":
-        index = build_index(source, args.n, gamma)
-        return block.BlockwiseParams(args.ell, index), source
-    if args.m is None:
+    if args.scheme == "symbolwise" and args.m is None:
         raise ValueError("symbolwise runs need --m")
-    scheme = symbol.modular_scheme(args.m, source.support_size)
-    return symbol.make_codec(scheme, source, args.n, gamma), source
+    return harness.make_scheme(args.scheme, source, args.n, gamma, args.ell,
+                               args.m)
 
 
 def _emit(args, text: str):
@@ -79,7 +74,7 @@ def _emit(args, text: str):
 
 
 def _cmd_encode(args) -> int:
-    obj, source = _build_scheme(args)
+    obj = _build_scheme(args)
     secret = _int_list(args.secret)
     rng = RandomStream(args.seed)
     if isinstance(obj, block.BlockwiseParams):
@@ -96,7 +91,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    obj, source = _build_scheme(args)
+    obj = _build_scheme(args)
     if isinstance(obj, block.BlockwiseParams):
         xl, xm = _int_list(args.x)
         yl, ym = _int_list(args.y)
@@ -112,20 +107,11 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    obj, source = _build_scheme(args)
-    side = args.side
-    if args.mode == "exact":
-        if isinstance(obj, block.BlockwiseParams):
-            res = atk.blockwise_attack(obj, side)
-        else:
-            res = atk.symbolwise_attack(obj, side)
-    else:
-        if isinstance(obj, block.BlockwiseParams):
-            forged = atk.blockwise_attack(obj, side).optimal_forgery
-        else:
-            forged = atk.symbolwise_attack(obj, side).optimal_forgery
-        res = atk.monte_carlo_attack(obj, side, forged, args.trials,
-                                     RandomStream(args.seed))
+    obj = _build_scheme(args)
+    res = atk.optimal_attack(obj, args.side)
+    if args.mode == "mc":
+        res = atk.monte_carlo_attack(obj, args.side, res.optimal_forgery,
+                                     args.trials, RandomStream(args.seed))
     out = {"side": res.side, "mode": res.mode,
            "success_prob": res.success_prob,
            "optimal_forgery": list(res.optimal_forgery)}

@@ -36,9 +36,8 @@ from dataclasses import asdict, dataclass, field
 from . import attack as atk
 from . import block, symbol
 from ._version import __version__
-from .prob import PMF, RandomStream, entropy
+from .prob import PMF, CapExceededError, RandomStream, entropy
 from .typical import EmptyTypicalSetError, GammaSchedule, build_index
-from .prob import CapExceededError
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -204,65 +203,115 @@ def _exponent(p: float) -> float:
     return math.inf if p <= 0.0 else -math.log2(p)
 
 
-def _blockwise_record(cfg: ExperimentConfig, n: int, gamma: float,
-                      source: PMF, rng: RandomStream, rec_idx: int) -> RunRecord:
-    rec = RunRecord(n=n, gamma_n=gamma)
-    try:
-        index = build_index(source, n, gamma)
-        params = block.BlockwiseParams(cfg.ell, index)
-        q = block.exact_quantities(params)
-        tq = atk.blockwise_test_quantities(params)
-    except (CapExceededError, EmptyTypicalSetError) as exc:
-        rec.skipped = str(exc)
-        rec.verdicts = {k: NOT_APPLICABLE for k in VERDICT_KEYS}
-        return rec
-    rec.rate_x, rec.rate_y, rec.rate_u = q.rate_x, q.rate_y, q.rate_u
-    rec.i_sx, rec.i_sy = q.i_sx, q.i_sy
-    rec.i_xy_per_symbol = q.i_xy / n
-    rec.alpha, rec.beta = tq.alpha, tq.beta
+def make_scheme(kind: str, source: PMF, n: int, gamma: float,
+                ell: float | None, share_size: int | None):
+    """The scheme object one blocklength runs on: blockwise parameters
+    over the typical-set index, or the modular symbolwise codec with its
+    score lattice."""
+    if kind == "blockwise":
+        return block.BlockwiseParams(ell, build_index(source, n, gamma))
+    scheme = symbol.modular_scheme(share_size, source.support_size)
+    return symbol.make_codec(scheme, source, n, gamma)
 
-    if cfg.mode == "exact":
-        rec.p_e = q.p_e
-        ax = atk.blockwise_attack(params, "x")
-        ay = atk.blockwise_attack(params, "y")
+
+@dataclass(frozen=True)
+class _Exact:
+    """One scheme's exact evaluation: record fields in record units (alpha
+    and beta among them) and the inputs of the bound checks, informations
+    in bits over the whole block."""
+
+    fields: dict
+    direct_cap: float     # success every attack must stay under
+    i_xy: float
+    h_s_given_xy: float
+    rate_ok: bool
+    sandwich_ok: bool
+
+
+def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
+    n, gamma, ell = params.n, params.index.gamma, params.ell
+    q = block.exact_quantities(params)
+    tq = atk.blockwise_test_quantities(params)
+    h_s = q.h_s
+    # rate window around H(S) + ell, with the floor/sentinel slack 1/n;
+    # the typical-set cardinality floor M >= (1 - delta) 2**(n (H(S) -
+    # gamma)) backs its lower end, compared in log2 since M is an exact int
+    log_floor = (math.log2(1.0 - q.delta) + n * (h_s - gamma)
+                 + math.log2(1.0 - 1e-9) if q.delta < 1.0 else -math.inf)
+    rate_ok = (h_s + ell - gamma - 1.0 / n - BOUND_TOL <= q.rate_x
+               <= h_s + ell + gamma + 1.0 / n + BOUND_TOL
+               and math.log2(q.m_count) >= log_floor)
+    return _Exact(
+        fields=dict(rate_x=q.rate_x, rate_y=q.rate_y, rate_u=q.rate_u,
+                    p_e=q.p_e, i_sx=q.i_sx, i_sy=q.i_sy,
+                    i_xy_per_symbol=q.i_xy / n, alpha=tq.alpha, beta=tq.beta),
+        direct_cap=1.0 / params.l_count, i_xy=q.i_xy,
+        h_s_given_xy=q.h_s_given_xy, rate_ok=rate_ok,
+        sandwich_ok=(q.sandwich_lo - BOUND_TOL <= q.i_xy / n
+                     <= q.sandwich_hi + BOUND_TOL))
+
+
+def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
+    n, gamma, source = codec.n, codec.gamma, codec.source
+    q = symbol.exact_symbolwise_quantities(codec)
+    ell = symbol.modular_correlation_level(codec.scheme.share_size, source)
+    return _Exact(
+        # alpha is the legitimate rejection mass p_e: computed once
+        fields=dict(rate_x=q.rate, rate_y=q.rate, rate_u=q.rate, p_e=q.p_e,
+                    i_sx=n * q.i_sx_per_symbol, i_sy=n * q.i_sy_per_symbol,
+                    i_xy_per_symbol=q.i_xy_per_symbol, alpha=q.p_e,
+                    beta=atk.symbolwise_beta(codec)),
+        # success at most 2**(-n (ell - gamma)); past 1 it bounds nothing
+        direct_cap=2.0 ** min(-n * (ell - gamma), 0.0),
+        i_xy=n * q.i_xy_per_symbol, h_s_given_xy=n * q.h_s_given_xy,
+        rate_ok=abs(q.rate - (entropy(source) + ell)) <= BOUND_TOL,
+        sandwich_ok=abs(q.i_xy_per_symbol - ell) <= BOUND_TOL)
+
+
+# per scheme: its exact evaluation and the module of its error estimate
+_STEPS = {"blockwise": (_blockwise_exact, block),
+          "symbolwise": (_symbolwise_exact, symbol)}
+
+
+def _record(cfg: ExperimentConfig, n: int, gamma: float, source: PMF,
+            rng: RandomStream, rec_idx: int) -> RunRecord:
+    """One blocklength: exact fields, both optimal attacks, in "mc" mode
+    the estimates of p_e, p_x and p_y in their place, then the verdicts.
+    A typed skip anywhere leaves only n, gamma_n and the reason."""
+    exact, engine = _STEPS[cfg.scheme_kind]
+    try:
+        scheme = make_scheme(cfg.scheme_kind, source, n, gamma, cfg.ell,
+                             cfg.share_size)
+        ev = exact(scheme)
+        rec = RunRecord(n=n, gamma_n=gamma, **ev.fields)
+        ax = atk.optimal_attack(scheme, "x")
+        ay = atk.optimal_attack(scheme, "y")
         rec.p_x, rec.p_y = ax.success_prob, ay.success_prob
-    else:
-        base = rng.substream(rec_idx)
-        rec.p_e, rec.p_e_ci = block.monte_carlo_error(
-            params, cfg.trials, base.substream(0))
-        forged_x = atk.blockwise_attack(params, "x").optimal_forgery
-        forged_y = atk.blockwise_attack(params, "y").optimal_forgery
-        mx = atk.monte_carlo_attack(params, "x", forged_x, cfg.trials,
-                                    base.substream(1))
-        my = atk.monte_carlo_attack(params, "y", forged_y, cfg.trials,
-                                    base.substream(2))
-        rec.p_x, rec.p_x_ci = mx.success_prob, mx.ci_halfwidth
-        rec.p_y, rec.p_y_ci = my.success_prob, my.ci_halfwidth
+        if cfg.mode == "mc":
+            base = rng.substream(rec_idx)
+            rec.p_e, rec.p_e_ci = engine.monte_carlo_error(
+                scheme, cfg.trials, base.substream(0))
+            mx = atk.monte_carlo_attack(scheme, "x", ax.optimal_forgery,
+                                        cfg.trials, base.substream(1))
+            my = atk.monte_carlo_attack(scheme, "y", ay.optimal_forgery,
+                                        cfg.trials, base.substream(2))
+            rec.p_x, rec.p_x_ci = mx.success_prob, mx.ci_halfwidth
+            rec.p_y, rec.p_y_ci = my.success_prob, my.ci_halfwidth
+    except (CapExceededError, EmptyTypicalSetError,
+            symbol.SchemeValidationError) as exc:
+        return RunRecord(n=n, gamma_n=gamma, skipped=str(exc),
+                         verdicts={k: NOT_APPLICABLE for k in VERDICT_KEYS})
     rec.exp_x = _exponent(rec.p_x) / n
     rec.exp_y = _exponent(rec.p_y) / n
-
-    h_s = q.h_s
-    ell = cfg.ell
-    # rate window around H(S) + ell, with the floor/sentinel slack 1/n
-    rate_ok = (q.rate_x <= h_s + ell + gamma + 1.0 / n + BOUND_TOL
-               and q.rate_x >= h_s + ell - gamma - 1.0 / n - BOUND_TOL)
-    # typical-set cardinality floor backing the rate lower bound
-    m_floor = (1.0 - q.delta) * 2.0 ** (n * (h_s - gamma))
-    rate_ok = rate_ok and (q.m_count >= m_floor * (1.0 - 1e-9))
-
-    # direct guarantee: success at most 1/L
-    exp_ok = _exp_ok(rec, 1.0 / params.l_count, q.i_xy, cfg.trials)
-
-    ls = atk.logsum_bound_check(q.i_xy, tq)
-    fano = atk.fano_check(tq.alpha, q.h_s_given_xy, n, source.support_size)
-    sandwich_ok = (q.sandwich_lo - BOUND_TOL <= rec.i_xy_per_symbol
-                   <= q.sandwich_hi + BOUND_TOL)
+    ls = atk.logsum_bound_check(ev.i_xy, atk.TestQuantities(rec.alpha,
+                                                            rec.beta))
+    fano = atk.fano_check(rec.alpha, ev.h_s_given_xy, n, source.support_size)
     rec.verdicts = {
-        "rate": _verdict(rate_ok),
-        "exp": _verdict(exp_ok),
+        "rate": _verdict(ev.rate_ok),
+        "exp": _verdict(_exp_ok(rec, ev.direct_cap, ev.i_xy, cfg.trials)),
         "logsum": _verdict(ls.holds),
         "fano": _verdict(fano.holds),
-        "sandwich": _verdict(sandwich_ok),
+        "sandwich": _verdict(ev.sandwich_ok),
     }
     return rec
 
@@ -292,61 +341,6 @@ def _exp_ok(rec: RunRecord, direct_cap: float, i_xy_bits: float,
             and (conv.vacuous or conv.holds))
 
 
-def _symbolwise_record(cfg: ExperimentConfig, n: int, gamma: float,
-                       source: PMF, rng: RandomStream, rec_idx: int) -> RunRecord:
-    rec = RunRecord(n=n, gamma_n=gamma)
-    scheme = symbol.modular_scheme(cfg.share_size, source.support_size)
-    try:
-        codec = symbol.make_codec(scheme, source, n, gamma)
-        q = symbol.exact_symbolwise_quantities(codec)
-        # alpha is the legitimate rejection mass p_e: computed once
-        tq = atk.TestQuantities(alpha=q.p_e, beta=atk.symbolwise_beta(codec))
-    except (symbol.SchemeValidationError, CapExceededError) as exc:
-        rec.skipped = str(exc)
-        rec.verdicts = {k: NOT_APPLICABLE for k in VERDICT_KEYS}
-        return rec
-    rec.rate_x = rec.rate_y = rec.rate_u = q.rate
-    rec.i_sx, rec.i_sy = n * q.i_sx_per_symbol, n * q.i_sy_per_symbol
-    rec.i_xy_per_symbol = q.i_xy_per_symbol
-    rec.alpha, rec.beta = tq.alpha, tq.beta
-
-    if cfg.mode == "exact":
-        rec.p_e = q.p_e
-        rec.p_x = atk.symbolwise_attack(codec, "x").success_prob
-        rec.p_y = atk.symbolwise_attack(codec, "y").success_prob
-    else:
-        base = rng.substream(rec_idx)
-        rec.p_e, rec.p_e_ci = symbol.monte_carlo_error(codec, cfg.trials,
-                                                       base.substream(0))
-        fx = atk.symbolwise_attack(codec, "x").optimal_forgery
-        fy = atk.symbolwise_attack(codec, "y").optimal_forgery
-        mx = atk.monte_carlo_attack(codec, "x", fx, cfg.trials, base.substream(1))
-        my = atk.monte_carlo_attack(codec, "y", fy, cfg.trials, base.substream(2))
-        rec.p_x, rec.p_x_ci = mx.success_prob, mx.ci_halfwidth
-        rec.p_y, rec.p_y_ci = my.success_prob, my.ci_halfwidth
-    rec.exp_x = _exponent(rec.p_x) / n
-    rec.exp_y = _exponent(rec.p_y) / n
-
-    h_s = entropy(source)
-    ell = symbol.modular_correlation_level(cfg.share_size, source)
-    rate_ok = abs(q.rate - (h_s + ell)) <= BOUND_TOL
-    i_xy_total = n * q.i_xy_per_symbol
-    # direct guarantee: success at most 2**(-n (ell - gamma))
-    exp_ok = _exp_ok(rec, 2.0 ** (-n * (ell - gamma)), i_xy_total, cfg.trials)
-
-    ls = atk.logsum_bound_check(i_xy_total, tq)
-    fano = atk.fano_check(tq.alpha, n * q.h_s_given_xy, n, source.support_size)
-    sandwich_ok = abs(q.i_xy_per_symbol - ell) <= BOUND_TOL
-    rec.verdicts = {
-        "rate": _verdict(rate_ok),
-        "exp": _verdict(exp_ok),
-        "logsum": _verdict(ls.holds),
-        "fano": _verdict(fano.holds),
-        "sandwich": _verdict(sandwich_ok),
-    }
-    return rec
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate every blocklength; records are assembled in n order."""
     cfg.validate()
@@ -354,18 +348,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     source = PMF.from_probs(cfg.source)
     sched = cfg.schedule()
     rng = RandomStream(cfg.seed)
-    records = []
-    for i, n in enumerate(cfg.n_values):
-        gamma = sched.gamma_at(n)
-        builder = (_blockwise_record if cfg.scheme_kind == "blockwise"
-                   else _symbolwise_record)
-        try:
-            rec = builder(cfg, n, gamma, source, rng, i)
-        except CapExceededError as exc:
-            # tractability cap hit past the record's own guards
-            rec = RunRecord(n=n, gamma_n=gamma, skipped=str(exc),
-                            verdicts={k: NOT_APPLICABLE for k in VERDICT_KEYS})
-        records.append(rec)
+    records = [_record(cfg, n, sched.gamma_at(n), source, rng, i)
+               for i, n in enumerate(cfg.n_values)]
     report = ExperimentReport(config=cfg, records=records)
     report.wall_time_s = time.monotonic() - start
     return report

@@ -1,24 +1,19 @@
 """Finite probability mass functions and exact information quantities.
 
 All entropies and mutual informations are in bits (logs base 2) and use the
-0 * log 0 = 0 convention.  Probabilities are 64-bit floats; `RationalJoint`
-offers an exact big-integer rational mode for small joints, used as a test
-oracle.  Dense materialization is refused beyond `DENSE_CAP` states.
+0 * log 0 = 0 convention.  Probabilities are 64-bit floats.  Dense
+materialization is refused beyond `DENSE_CAP` states.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import mpmath
 
 # Largest number of states any dense table may hold.
 DENSE_CAP = 1 << 24
-# Largest number of states the exact-rational mode accepts.
-RATIONAL_CAP = 1 << 16
 # Probability vectors must sum to 1 within this tolerance.
 SUM_TOL = 1e-12
 
@@ -222,106 +217,6 @@ def induce_joint(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -
     return JointPMF(out)
 
 
-def pushforward(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -> JointPMF | PMF:
-    """Distribution of fn(inputs) alone; inputs are summed out on the fly."""
-    in_arr = src.probs
-    size = math.prod(out_dims)
-    if size > DENSE_CAP:
-        raise CapExceededError(f"{size} states exceed the dense cap {DENSE_CAP}")
-    out = np.zeros(tuple(out_dims))
-    for idx in np.ndindex(*in_arr.shape):
-        mass = in_arr[idx]
-        if mass == 0.0:
-            continue
-        mapped = fn(*idx)
-        if not isinstance(mapped, tuple):
-            mapped = (mapped,)
-        out[tuple(int(v) for v in mapped)] += mass
-    if out.ndim == 1:
-        return PMF(out)
-    return JointPMF(out)
-
-
-# ---------------------------------------------------------------------------
-# i.i.d. extensions
-
-
-@dataclass(frozen=True)
-class IIDExtension:
-    """n independent copies of a source, evaluated lazily.
-
-    Sequences are identified with their lexicographic index (first symbol
-    most significant).  Per-sequence probabilities and surprisals accumulate
-    left to right so that scalar and vectorized paths agree bit for bit.
-    """
-
-    source: PMF
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("extension length must be positive")
-
-    @property
-    def k(self) -> int:
-        return self.source.support_size
-
-    @property
-    def size(self) -> int:
-        return self.k ** self.n
-
-    def seq_to_index(self, seq) -> int:
-        code = 0
-        for s in seq:
-            s = int(s)
-            if not 0 <= s < self.k:
-                raise ValueError(f"symbol {s} outside alphabet of size {self.k}")
-            code = code * self.k + s
-        return code
-
-    def index_to_seq(self, code: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.n):
-            code, d = divmod(code, self.k)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def prob(self, seq) -> float:
-        p = self.source.probs
-        total = 1.0
-        for s in seq:
-            total = total * p[int(s)]
-        return float(total)
-
-    def all_probs(self, cap: int = DENSE_CAP) -> np.ndarray:
-        """Probabilities of every length-n sequence, in lexicographic order."""
-        if self.size > cap:
-            raise CapExceededError(f"{self.size} sequences exceed the cap {cap}")
-        p = self.source.probs
-        total = p.copy()
-        for _ in range(self.n - 1):
-            total = (total[:, None] * p[None, :]).ravel()
-        return total
-
-    def dense(self, cap: int = DENSE_CAP) -> PMF:
-        return PMF(self.all_probs(cap))
-
-
-def iid_extension(source: PMF, n: int) -> IIDExtension:
-    return IIDExtension(source, n)
-
-
-def sample(p: PMF, rng: "RandomStream", size=None) -> int | np.ndarray:
-    """Inverse-CDF sampling; deterministic given the stream state."""
-    cdf = np.cumsum(p.probs)
-    u = rng.gen.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, p.support_size - 1)
-    if size is None:
-        return int(idx)
-    return idx.astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Reproducible randomness
 
@@ -374,119 +269,3 @@ def _estimate(trials: int, rng: RandomStream, chunk: int,
         return 0.0, 3.0 / trials
     est = hits / trials
     return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
-
-
-# ---------------------------------------------------------------------------
-# Exact-rational oracle mode
-
-
-class RationalJoint:
-    """Dense joint with exact Fraction entries, for use as a test oracle.
-
-    Capped at RATIONAL_CAP states.  Entropy-style quantities are evaluated
-    with mpmath at `prec` bits (default 120) since logs of rationals are
-    irrational.
-    """
-
-    def __init__(self, dims: tuple[int, ...], probs: list[Fraction]):
-        self.dims = tuple(int(d) for d in dims)
-        size = math.prod(self.dims)
-        if size > RATIONAL_CAP:
-            raise CapExceededError(f"{size} states exceed the rational cap {RATIONAL_CAP}")
-        if len(probs) != size:
-            raise ValueError("probability list does not match dims")
-        if any(p < 0 for p in probs):
-            raise ValueError("negative probability")
-        if sum(probs) != 1:
-            raise ValueError("rational joint must sum to exactly 1")
-        self.probs = list(probs)
-
-    @classmethod
-    def outer(cls, *pmfs: Sequence[Fraction]) -> "RationalJoint":
-        dims = tuple(len(p) for p in pmfs)
-        probs = [Fraction(1)]
-        for p in pmfs:
-            probs = [a * b for a in probs for b in p]
-        return cls(dims, probs)
-
-    def _flat(self, idx: tuple[int, ...]) -> int:
-        code = 0
-        for d, i in zip(self.dims, idx):
-            code = code * d + i
-        return code
-
-    def pushforward(self, fn: Callable, out_dims: tuple[int, ...]) -> "RationalJoint":
-        size = math.prod(out_dims)
-        out = [Fraction(0)] * size
-        for flat, mass in enumerate(self.probs):
-            if mass == 0:
-                continue
-            idx = []
-            rem = flat
-            for d in reversed(self.dims):
-                rem, r = divmod(rem, d)
-                idx.append(r)
-            idx = tuple(reversed(idx))
-            mapped = fn(*idx)
-            if not isinstance(mapped, tuple):
-                mapped = (mapped,)
-            code = 0
-            for d, i in zip(out_dims, mapped):
-                code = code * d + i
-            out[code] += mass
-        return RationalJoint(tuple(out_dims), out)
-
-    def marginal(self, *axes: int) -> "RationalJoint":
-        keep = tuple(axes)
-        out_dims = tuple(self.dims[a] for a in keep)
-        out = [Fraction(0)] * math.prod(out_dims)
-        for flat, mass in enumerate(self.probs):
-            if mass == 0:
-                continue
-            idx = []
-            rem = flat
-            for d in reversed(self.dims):
-                rem, r = divmod(rem, d)
-                idx.append(r)
-            idx = tuple(reversed(idx))
-            code = 0
-            for a in keep:
-                code = code * self.dims[a] + idx[a]
-            out[code] += mass
-        return RationalJoint(out_dims, out)
-
-    def entropy_bits(self, prec: int = 120) -> mpmath.mpf:
-        with mpmath.workprec(prec):
-            total = mpmath.mpf(0)
-            for p in self.probs:
-                if p == 0:
-                    continue
-                x = mpmath.mpf(p.numerator) / mpmath.mpf(p.denominator)
-                total -= x * mpmath.log(x, 2)
-            return +total
-
-    def mutual_information(self, axis_a: int = 0, axis_b: int = 1,
-                           prec: int = 120) -> mpmath.mpf:
-        j = self.marginal(axis_a, axis_b)
-        ha = j.marginal(0).entropy_bits(prec)
-        hb = j.marginal(1).entropy_bits(prec)
-        return ha + hb - j.entropy_bits(prec)
-
-    def to_float(self) -> JointPMF:
-        arr = np.array([float(p) for p in self.probs]).reshape(self.dims)
-        return JointPMF(arr)
-
-
-def entropy_mp(probs, prec: int = 120) -> mpmath.mpf:
-    """High-precision entropy in bits; accepts floats or exact rationals."""
-    with mpmath.workprec(prec):
-        total = mpmath.mpf(0)
-        for p in probs:
-            if p == 0:
-                continue
-            if isinstance(p, Fraction):
-                x = mpmath.mpf(p.numerator) / mpmath.mpf(p.denominator)
-            else:
-                x = mpmath.mpf(p)
-            total -= x * mpmath.log(x, 2)
-        return +total

@@ -28,7 +28,7 @@ from .outcome import DecodeOutcome, REJECT, accepted
 from .prob import (CapExceededError, JointPMF, PMF, RandomStream, _estimate,
                    conditional_entropy, entropy, induce_joint,
                    mutual_information)
-from .typical import composition_lookup, compositions
+from .typical import compositions, prefix_lookup
 
 
 @dataclass(frozen=True)
@@ -429,17 +429,20 @@ class ScoreLattice:
 
     @functools.cached_property
     def accepted(self) -> Callable[[np.ndarray], np.ndarray]:
-        """`accepts` over rows of count vectors over `values`.  The member
-        list is read off the `cuts`, once, on first use; it holds up to
-        C(n+c-1, c-1) vectors, and that is what the cap counts."""
+        """`accepts` over rows of count vectors over `values`: a row is
+        accepted when its count of the second-last value is below its
+        prefix's cut.  The cuts are read off `cuts` once, on first use;
+        that walk of C(n+c-2, c-2) prefixes is what the cap counts, as in
+        `mass`."""
         parts = len(self.values)
-        check_lattice_points(self.n, math.comb(self.n + parts - 1, parts - 1))
         if parts == 1:
-            members = [(self.n,)] if self.n * self.weights[0] > self.bar else []
-        else:
-            members = [head + (a, r - a) for head, r, cut
-                       in self.cuts(self.n, range(parts)) for a in range(cut)]
-        return composition_lookup(members, self.n, parts)
+            hit = self.n * self.weights[0] > self.bar
+            return lambda counts: np.full(len(counts), hit)
+        check_lattice_points(self.n, walk_size(self.n, parts))
+        heads, cuts = zip(*((head, cut) for head, _, cut
+                            in self.cuts(self.n, range(parts))))
+        cut_of = prefix_lookup(heads, cuts, self.n, parts)
+        return lambda counts: counts[:, -2] < cut_of(counts)
 
     def count_test(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """`accepted` over rows of n-block bucket counts, -inf count first:

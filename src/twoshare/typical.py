@@ -225,19 +225,38 @@ def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
     return index
 
 
+def _coder(n: int, digits: int, parts: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Codes of the leading `digits` counts of each row of count vectors
+    over `parts` values, in base n+1; raises CapExceededError past int64."""
+    if (n + 1) ** digits > np.iinfo(np.int64).max:
+        raise CapExceededError(f"n={n}: count vectors over {parts} values "
+                               "overflow a 64-bit code; lower n")
+    powers = np.array([(n + 1) ** j for j in range(digits - 1, -1, -1)],
+                      dtype=np.int64)
+    return lambda rows: rows[:, :digits] @ powers
+
+
 def composition_lookup(members, n: int,
                        parts: int) -> Callable[[np.ndarray], np.ndarray]:
     """Membership in a set of compositions of n, for each row of an int
-    array.  A vector is coded in base n+1 over all but its last count,
-    which the others fix; raises CapExceededError past int64 codes."""
-    if (n + 1) ** (parts - 1) > np.iinfo(np.int64).max:
-        raise CapExceededError(f"n={n}: count vectors over {parts} values "
-                               "overflow a 64-bit code; lower n")
-    powers = np.array([(n + 1) ** j for j in range(parts - 2, -1, -1)],
-                      dtype=np.int64)
-    table = np.array(members, dtype=np.int64).reshape(-1, parts)
-    table = table[:, :-1] @ powers
-    return lambda counts: np.isin(counts[:, :-1] @ powers, table)
+    array.  A vector is coded over all but its last count, which the
+    others fix."""
+    code = _coder(n, parts - 1, parts)
+    table = code(np.array(members, dtype=np.int64).reshape(-1, parts))
+    return lambda counts: np.isin(code(counts), table)
+
+
+def prefix_lookup(prefixes, values, n: int,
+                  parts: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The value of each row's prefix, for rows of count vectors over
+    `parts` values: a prefix is a row's leading counts, and `prefixes`
+    holds every prefix a row can have, with its value alongside."""
+    table = np.array(prefixes, dtype=np.int64)
+    code = _coder(n, table.shape[1], parts)
+    keys = code(table)
+    order = np.argsort(keys)
+    keys, values = keys[order], np.asarray(values)[order]
+    return lambda counts: values[np.searchsorted(keys, code(counts))]
 
 
 def atypical_draw(source: PMF, n: int,

@@ -16,7 +16,8 @@ import numpy as np
 
 from twoshare.attack import AttackResult, TestQuantities
 from twoshare.block import BlockQuantities, BlockwiseParams
-from twoshare.prob import PMF, _entropy_bits, entropy, iid_extension
+from oracles import iid_extension
+from twoshare.prob import PMF, _entropy_bits, entropy
 from twoshare.typical import TypicalIndex, _surprisal_table
 
 

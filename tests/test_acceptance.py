@@ -14,12 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from blockwise_oracle import xi_plus_all
+from oracles import iid_extension
 
 from twoshare import attack as atk
 from twoshare import block, harness, symbol
 from twoshare.prob import (JointPMF, PMF, RandomStream, entropy,
-                           iid_extension, mutual_information)
+                           mutual_information)
 from twoshare.typical import GammaSchedule, atypical_mass, build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -133,7 +135,7 @@ def test_05_blockwise_forgery_never_beats_one_over_l():
         if n == 4:
             # scalar re-check through the real acceptance predicate
             probs = np.full(params.share_size, 1.0 / params.share_size)
-            brute, _ = atk.attack_bruteforce(
+            brute, _ = oracles.attack_bruteforce(
                 lambda f, h: block.accepts(params, params.flat_to_share(f),
                                            params.flat_to_share(h)),
                 params.share_size, probs)
@@ -211,7 +213,7 @@ def test_07_attack_exponents_converge_to_correlation_level():
         gamma = POWER.gamma_at(n)
         codec = symbol.make_codec(scheme, U2, n, gamma)
         q = symbol.exact_symbolwise_quantities(codec)
-        tq = atk.symbolwise_test_quantities(codec)
+        tq = oracles.symbolwise_test_quantities(codec)
         px = atk.symbolwise_attack(codec, "x").success_prob
         py = atk.symbolwise_attack(codec, "y").success_prob
         e = -math.log2(px) / n

@@ -9,17 +9,16 @@ import pytest
 
 from twoshare.attack import TestQuantities as TQ
 from symbolwise_oracle import modular_attack_success
-from twoshare.attack import (attack_bruteforce, blockwise_attack,
-                             blockwise_test_quantities,
+from oracles import (attack_bruteforce, iid_extension,
+                     symbolwise_test_quantities)
+from oracles import test_quantities as dense_test_quantities
+from twoshare.attack import (blockwise_attack, blockwise_test_quantities,
                              converse_exponent_check, exponent_fit,
                              exponent_points, fano_check, logsum_bound_check,
-                             monte_carlo_attack, symbolwise_attack,
-                             symbolwise_test_quantities)
-from twoshare.attack import test_quantities as dense_test_quantities
+                             monte_carlo_attack, symbolwise_attack)
 from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
-from twoshare.prob import (CapExceededError, JointPMF, PMF, RandomStream,
-                           iid_extension)
+from twoshare.prob import CapExceededError, JointPMF, PMF, RandomStream
 from twoshare.symbol import (BaseScheme, identity_leak_scheme, make_codec,
                              modular_scheme)
 from twoshare.typical import build_index

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import iid_extension, pushforward
 from twoshare.block import (
     BlockShare, BlockRandomness, BlockwiseParams, floor_pow2,
     encode, accepts, decode, exact_quantities, monte_carlo_error,
 )
 from twoshare.prob import (
     PMF, JointPMF, RandomStream, entropy, mutual_information,
-    conditional_entropy, iid_extension, pushforward,
+    conditional_entropy,
 )
 from twoshare.typical import build_index
 

@@ -1,5 +1,6 @@
 """Experiment driver and CLI tests: config validation, record evaluation,
 report emission round-trips, reproducibility, and exit codes."""
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -169,6 +170,62 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(base_dict(scheme=scheme))
         with pytest.raises(ValueError, match="unexpected"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("source,scheme,n,mode", [
+        pytest.param([0.7, 0.3], {"kind": "blockwise", "ell": 1.0}, 4,
+                     mode, id=f"empty-typical-set-{mode}")
+        for mode in ("exact", "mc")
+    ] + [
+        # 60 masking bits
+        pytest.param("uniform:2", {"kind": "blockwise", "ell": 2.0}, 30,
+                     mode, id=f"mask-bits-{mode}") for mode in ("exact", "mc")
+    ] + [
+        # 2**70 + 1 mask values
+        pytest.param("uniform:2", {"kind": "blockwise", "ell": 0.5}, 70,
+                     "mc", id="mask-draw-mc"),
+    ] + [
+        pytest.param([0.4, 0.3, 0.2, 0.1], {"kind": "symbolwise", "m": 6},
+                     1500, mode, id=f"lattice-cap-{mode}")
+        for mode in ("exact", "mc")
+    ])
+    def test_typed_skips_share_one_form(self, source, scheme, n, mode):
+        # gamma = 0.05 leaves [0.7, 0.3] at n=4 no typical block; the
+        # other walls do not depend on gamma
+        cfg = ExperimentConfig.from_dict(base_dict(
+            source=source, scheme=scheme, n_values=[n], mode=mode,
+            schedule={"kind": "constant", "gamma": 0.05}, trials=1000))
+        (rec,) = run_experiment(cfg).records
+        assert rec.skipped
+        assert rec.verdicts == {k: NOT_APPLICABLE for k in VERDICT_KEYS}
+        numbers = [f.name for f in dataclasses.fields(RunRecord)
+                   if isinstance(f.default, float)]
+        assert all(math.isnan(getattr(rec, k)) for k in numbers)
+        assert rec.p_e_ci is None and rec.p_x_ci is None \
+            and rec.p_y_ci is None
+
+    @pytest.mark.parametrize("source,scheme,n,mode,schedule", [
+        # the rate floor 2**(n (H(S) - gamma)) is past the float range
+        pytest.param([0.7, 0.3], {"kind": "blockwise", "ell": 0.0}, 2000,
+                     "exact", {"kind": "power_law", "a": 1.0 / 3.0},
+                     id="blockwise-rate-floor"),
+        # Monte Carlo decides rows on the 2001 cuts, not 2003001 vectors
+        pytest.param([0.5, 0.3, 0.2], {"kind": "symbolwise", "m": 5}, 2000,
+                     "mc", {"kind": "power_law", "a": 1.0 / 3.0},
+                     id="symbolwise-mc-cuts"),
+        # the direct cap 2**(n (gamma - ell)) is past the float range
+        pytest.param("uniform:2", {"kind": "symbolwise", "m": 2}, 1100,
+                     "exact", {"kind": "constant", "gamma": 1.0},
+                     id="symbolwise-direct-cap"),
+    ])
+    def test_records_past_float_and_cap_walls_evaluate(self, source, scheme,
+                                                       n, mode, schedule):
+        cfg = ExperimentConfig.from_dict(base_dict(
+            source=source, scheme=scheme, schedule=schedule, n_values=[n],
+            mode=mode, trials=1000))
+        (rec,) = run_experiment(cfg).records
+        assert rec.skipped is None
+        assert all(v == HOLDS for v in rec.verdicts.values())
+        assert 0.0 <= rec.p_e < 1e-9
 
     def test_wall_time_recorded(self):
         report = run_experiment(ExperimentConfig.from_dict(

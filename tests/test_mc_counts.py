@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import symbolwise_oracle as conv
-from twoshare import attack, block, harness, prob, symbol, typical
+from twoshare import attack, block, harness, symbol, typical
 from twoshare.prob import CapExceededError, PMF, RandomStream
 from twoshare.typical import build_index
 
@@ -222,7 +223,7 @@ class TestNoDenseIndex:
                             raising=False)
         for name in ("xi_plus", "rank", "unrank", "contains"):
             monkeypatch.setattr(typical.TypicalIndex, name, dense)
-        monkeypatch.setattr(prob.IIDExtension, "all_probs", dense)
+        monkeypatch.setattr(oracles.IIDExtension, "all_probs", dense)
         block.monte_carlo_error(params, 2000, RandomStream(1))
         for side in ("x", "y"):
             attack.monte_carlo_attack(params, side, (0, 0), 2000,
@@ -247,10 +248,10 @@ class TestLatticeTables:
 
     def test_count_table_built_once_per_symbolwise_record(self, monkeypatch):
         # the error estimate and both attack estimates share one table
-        calls, real = [], symbol.composition_lookup
-        monkeypatch.setattr(symbol, "composition_lookup",
-                            lambda members, n, parts:
-                            calls.append(n) or real(members, n, parts))
+        calls, real = [], symbol.prefix_lookup
+        monkeypatch.setattr(symbol, "prefix_lookup",
+                            lambda prefixes, values, n, parts:
+                            calls.append(n) or real(prefixes, values, n, parts))
         cfg = harness.ExperimentConfig.from_dict(
             {"source": [0.7, 0.3], "scheme": {"kind": "symbolwise", "m": 4},
              "n_values": [4, 8, 12], "mode": "mc", "trials": 2000,

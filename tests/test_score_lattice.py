@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import symbolwise_oracle as conv
 from twoshare import attack, harness, symbol
 from twoshare.prob import PMF
@@ -63,7 +64,7 @@ def assert_parity(codec, float_keyed=True):
     lat = codec.lattice
     legit, indep = legit_and_indep(codec)
     got_q = symbol.exact_symbolwise_quantities(codec)
-    got_t = attack.symbolwise_test_quantities(codec)
+    got_t = oracles.symbolwise_test_quantities(codec)
     assert got_t.alpha == got_q.p_e
     want_alpha = [conv.count_vector_mass(lat, legit, codec.n, accepted=False)]
     want_beta = [conv.count_vector_mass(lat, indep, codec.n)]
@@ -111,7 +112,7 @@ def test_tie_rejects_every_legitimate_pair():
     # zero margin rejects all of them
     tied = dataclasses.replace(modular(4, PMF.uniform(2), 6), gamma=0.0)
     assert symbol.exact_symbolwise_quantities(tied).p_e == 1.0
-    tq = attack.symbolwise_test_quantities(tied)
+    tq = oracles.symbolwise_test_quantities(tied)
     assert tq.alpha == 1.0
     assert tq.beta == 0.0
     assert attack.symbolwise_attack(tied, "x").success_prob == 0.0
@@ -119,7 +120,7 @@ def test_tie_rejects_every_legitimate_pair():
 
 def test_long_block_stays_finite():
     codec = modular(5, K3, 400)
-    tq = attack.symbolwise_test_quantities(codec)
+    tq = oracles.symbolwise_test_quantities(codec)
     vals = [symbol.exact_symbolwise_quantities(codec).p_e, tq.alpha, tq.beta,
             attack.symbolwise_attack(codec, "x").success_prob,
             attack.symbolwise_attack(codec, "y").success_prob]
