@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .outcome import DecodeOutcome, REJECT, accepted
+from .outcome import DecodeOutcome, REJECT
 from .prob import CapExceededError, RandomStream, _estimate, entropy
 from .typical import TypicalIndex, atypical_draw
 
@@ -137,7 +137,7 @@ def decode(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> DecodeOutco
     if not accepts(params, x, y):
         return REJECT
     z = (x.m + y.m) % (params.m_count + 1)
-    return accepted(params.index.unrank(z))
+    return DecodeOutcome(params.index.unrank(z))
 
 
 @dataclass(frozen=True)

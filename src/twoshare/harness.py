@@ -362,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _fmt(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return "nan"
-    return f"{v:.12g}"
+    return f"{v + 0.0:.12g}"   # + 0.0 turns -0.0 into 0.0
 
 
 def emit_csv(report: ExperimentReport) -> str:

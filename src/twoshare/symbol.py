@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .outcome import DecodeOutcome, REJECT, accepted
+from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, JointPMF, PMF, RandomStream, _estimate,
                    conditional_entropy, entropy, induce_joint,
                    mutual_information)
@@ -207,6 +207,12 @@ class SymbolwiseCodec:
     def threshold(self) -> float:
         return self.i_xy - self.gamma
 
+    @functools.cached_property
+    def tables(self) -> "SplitterTables":
+        """The lookup tables of `encode_n` and `decode_n`, built on first
+        use, so a codec that only evaluates never calls its splitter."""
+        return splitter_tables(self)
+
 
 def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                require_valid: bool = True) -> SymbolwiseCodec:
@@ -234,21 +240,28 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Apply the splitter position by position."""
-    secret = tuple(int(v) for v in secret)
-    rand = tuple(int(v) for v in rand)
-    if len(secret) != codec.n or len(rand) != codec.n:
-        raise ValueError(f"secret and randomness must have length {codec.n}")
-    xs, ys = [], []
-    for s, u in zip(secret, rand):
-        if not 0 <= s < codec.scheme.secret_size:
-            raise ValueError(f"secret symbol {s} outside the alphabet")
-        if not 0 <= u < codec.scheme.rand_size:
-            raise ValueError(f"randomness symbol {u} outside the alphabet")
-        x, y = codec.scheme.encode_fn(s, u)
-        xs.append(x)
-        ys.append(y)
-    return tuple(xs), tuple(ys)
+    """Apply the splitter position by position, by lookups in
+    `codec.tables`.  Raises ValueError on a wrong length, or naming the
+    first symbol outside its alphabet."""
+    secret, rand = tuple(map(int, secret)), tuple(map(int, rand))
+    n = codec.n
+    if len(secret) != n or len(rand) != n:
+        raise ValueError(f"secret and randomness must have length {n}")
+    k, r = codec.scheme.secret_size, codec.scheme.rand_size
+    # builtin reductions: a symbol past int64 is out of range, not an
+    # OverflowError
+    end = n
+    if min(secret) < 0 or max(secret) >= k or min(rand) < 0 or max(rand) >= r:
+        end = next(i for i, (s, u) in enumerate(zip(secret, rand))
+                   if not (0 <= s < k and 0 <= u < r))
+    # the positions before a bad one are encoded first, so a splitter
+    # cell that raises there still raises first
+    shares = codec.tables.encode(secret[:end], rand[:end])
+    if end < n:
+        if not 0 <= secret[end] < k:
+            raise ValueError(f"secret symbol {secret[end]} outside the alphabet")
+        raise ValueError(f"randomness symbol {rand[end]} outside the alphabet")
+    return shares
 
 
 def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, ...]:
@@ -256,11 +269,9 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
                                                   size=codec.n))
 
 
-def _value_counts(codec: SymbolwiseCodec, xs, ys) -> list[int] | None:
-    """How many positions of a share pair score each lattice value, in
-    the order of `codec.lattice.values`; None when a position scores -inf.
-    Raises ValueError on shares of the wrong length or symbols outside
-    [0, M)."""
+def _share_pair(codec: SymbolwiseCodec, xs, ys) -> np.ndarray:
+    """A share pair as one (2, n) array.  Raises ValueError on shares of
+    the wrong length or symbols outside [0, M)."""
     xs, ys = tuple(xs), tuple(ys)
     if len(xs) != codec.n or len(ys) != codec.n:
         raise ValueError(f"shares must have length {codec.n}")
@@ -269,19 +280,28 @@ def _value_counts(codec: SymbolwiseCodec, xs, ys) -> list[int] | None:
     if pair.min() < 0 or pair.max() >= m:
         bad = pair[(pair < 0) | (pair >= m)][0]
         raise ValueError(f"share symbol {bad} outside [0, {m})")
-    scores = codec.score_table[pair[0], pair[1]]
-    if scores.min() == -np.inf:
+    return pair
+
+
+def _value_counts(codec: SymbolwiseCodec, pair: np.ndarray) -> list[int] | None:
+    """How many positions of a share pair score each lattice value, in
+    the order of `codec.lattice.values`; None when a position scores -inf."""
+    idx = codec.tables.vidx[pair[0], pair[1]]
+    if idx.min() < 0:
         return None
-    values = codec.lattice.values
-    return np.bincount(np.searchsorted(values, scores),
-                       minlength=len(values)).tolist()
+    return np.bincount(idx, minlength=len(codec.lattice.values)).tolist()
+
+
+def _accepts(codec: SymbolwiseCodec, pair: np.ndarray) -> bool:
+    counts = _value_counts(codec, pair)
+    return counts is not None and codec.lattice.accepts(counts)
 
 
 def llr_score(codec: SymbolwiseCodec, xs, ys) -> float:
     """Mean per-symbol log-likelihood ratio; -inf on zero-probability pairs.
     Summed from the value counts, so it does not depend on position order;
     `accepts_n` decides on the counts exactly, not on this float."""
-    counts = _value_counts(codec, xs, ys)
+    counts = _value_counts(codec, _share_pair(codec, xs, ys))
     if counts is None:
         return float("-inf")
     return math.fsum(map(operator.mul, counts, codec.lattice.values)) / codec.n
@@ -289,20 +309,91 @@ def llr_score(codec: SymbolwiseCodec, xs, ys) -> float:
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
     """Strict threshold test on the score lattice; ties are rejected."""
-    counts = _value_counts(codec, xs, ys)
-    return counts is not None and codec.lattice.accepts(counts)
+    return _accepts(codec, _share_pair(codec, xs, ys))
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
-    if not accepts_n(codec, xs, ys):
+    """The secret of an accepted share pair, by lookups in `codec.tables`;
+    RuntimeError when an accepted pair hits a hole of the decoder."""
+    pair = _share_pair(codec, xs, ys)
+    if not _accepts(codec, pair):
         return REJECT
-    out = []
-    for x, y in zip(xs, ys):
-        s = codec.scheme.decode_fn(int(x), int(y))
-        if s is None:
-            raise RuntimeError("decoder undefined on an accepted share pair")
-        out.append(s)
-    return accepted(out)
+    return DecodeOutcome(codec.tables.decode(pair))
+
+
+@dataclass(frozen=True)
+class SplitterTables:
+    """A codec's splitter, decoder and score as lookup tables.
+
+    `enc[s, u]` holds (x, y), `dec[x, y]` holds s, and `vidx[x, y]` the
+    index of the cell's score in `lattice.values`, or -1 for -inf; `dec`
+    covers the finite-score cells, the only ones an accepted pair holds.
+    A cell is a miss when its function raised there, returned something
+    other than integers within int64, or, for the decoder, returned None
+    (a hole).  Misses sit in their own masks, None when there are none, so
+    no value a function returns reads as a miss; a call that hits one
+    calls the function there again, and so raises as a position-by-position
+    call would.  The splitter must be deterministic.
+    """
+
+    scheme: BaseScheme
+    enc: np.ndarray = field(repr=False)
+    enc_miss: np.ndarray | None = field(repr=False)
+    dec: np.ndarray = field(repr=False)
+    dec_miss: np.ndarray | None = field(repr=False)
+    vidx: np.ndarray = field(repr=False)
+
+    def encode(self, secret: tuple[int, ...],
+               rand: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Shares of in-range symbols, position by position."""
+        s = np.array(secret, dtype=np.int64)
+        u = np.array(rand, dtype=np.int64)
+        xs, ys = self.enc[s, u].T.tolist()
+        if self.enc_miss is not None:
+            for i in np.flatnonzero(self.enc_miss[s, u]).tolist():
+                xs[i], ys[i] = self.scheme.encode_fn(secret[i], rand[i])
+        return tuple(xs), tuple(ys)
+
+    def decode(self, pair: np.ndarray) -> tuple[int, ...]:
+        """Secret symbols of a (2, n) share pair with no -inf cell."""
+        xs, ys = pair
+        out = self.dec[xs, ys].tolist()
+        if self.dec_miss is not None:
+            miss = np.flatnonzero(self.dec_miss[xs, ys]).tolist()
+            got = []
+            for i in miss:
+                got.append(self.scheme.decode_fn(int(xs[i]), int(ys[i])))
+                if got[-1] is None:
+                    raise RuntimeError("decoder undefined on an accepted "
+                                       "share pair")
+            for i, s in zip(miss, got):
+                out[i] = int(s)
+        return tuple(out)
+
+
+def splitter_tables(codec: SymbolwiseCodec) -> SplitterTables:
+    """Tabulate a codec's splitter over S x U and its decoder over the
+    finite-score cells: at most k |U| + M^2 calls."""
+    scheme, score = codec.scheme, codec.score_table
+    enc = np.zeros((scheme.secret_size, scheme.rand_size, 2), dtype=np.int64)
+    enc_miss = np.zeros(enc.shape[:2], dtype=bool)
+    for s, u in np.ndindex(enc_miss.shape):
+        try:
+            x, y = scheme.encode_fn(s, u)
+            enc[s, u] = operator.index(x), operator.index(y)
+        except Exception:
+            enc_miss[s, u] = True
+    finite = np.isfinite(score)
+    dec = np.zeros(score.shape, dtype=np.int64)
+    dec_miss = np.zeros(score.shape, dtype=bool)
+    for x, y in np.argwhere(finite).tolist():
+        try:
+            dec[x, y] = int(scheme.decode_fn(x, y))  # a hole fails int()
+        except Exception:
+            dec_miss[x, y] = True
+    vidx = np.where(finite, np.searchsorted(codec.lattice.values, score), -1)
+    return SplitterTables(scheme, enc, enc_miss if enc_miss.any() else None,
+                          dec, dec_miss if dec_miss.any() else None, vidx)
 
 
 # ---------------------------------------------------------------------------

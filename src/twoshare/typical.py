@@ -8,6 +8,7 @@ and ranks come from the type classes; none enumerates k**n sequences.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -64,22 +65,31 @@ def _surprisal_table(source: PMF) -> np.ndarray:
     return np.where(p > 0.0, -np.log2(np.where(p > 0.0, p, 1.0)), np.inf)
 
 
+def _in_window(counts, surprisals, h: float, gamma: float) -> bool:
+    """Window test on a composition: counts[j] positions of surprisal
+    surprisals[j], in ascending symbol order.  Each surprisal is added
+    counts[j] times in that order, the float sequence of a sum over the
+    sorted block, so every member of a type class gets one verdict."""
+    total = 0.0
+    for w, c in zip(surprisals, counts):
+        total = functools.reduce(operator.add, itertools.repeat(w, c), total)
+    return bool(abs(total / sum(counts) - h) <= gamma)
+
+
 def is_typical(seq, source: PMF, gamma: float) -> bool:
     """Window test on one sequence; zero-probability symbols fail, and
-    symbols outside the alphabet raise ValueError.  Surprisals are summed
-    over the sorted sequence, so the verdict depends on the composition
-    alone and matches `type_classes` bit for bit."""
-    symbols = sorted(int(s) for s in seq)
+    symbols outside the alphabet raise ValueError.  Decided on the
+    sequence's composition, so it matches `type_classes` bit for bit."""
+    symbols = tuple(map(int, seq))
     if not symbols:
         raise ValueError("empty sequence")
-    if symbols[0] < 0 or symbols[-1] >= source.support_size:
-        bad = symbols[0] if symbols[0] < 0 else symbols[-1]
+    lo, hi = min(symbols), max(symbols)
+    if lo < 0 or hi >= source.support_size:
+        bad = lo if lo < 0 else hi
         raise ValueError(f"symbol {bad} outside [0, {source.support_size})")
-    w = _surprisal_table(source)
-    total = 0.0
-    for s in symbols:
-        total += w[s]
-    return bool(abs(total / len(symbols) - entropy(source)) <= gamma)
+    counts = np.bincount(symbols, minlength=source.support_size).tolist()
+    return _in_window(counts, _surprisal_table(source).tolist(),
+                      entropy(source), gamma)
 
 
 class TypeClass(NamedTuple):
@@ -119,23 +129,21 @@ def multinomial(counts) -> int:
 def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
     """Every composition of a length-n block over the source's support.
 
-    Membership is decided once per class, by `is_typical` on the class's
-    smallest member.  Compositions that use a zero-probability symbol
-    carry no mass and are never typical, so they are left out.  Cost is
-    O(C(n+k-1, k-1)) classes, not k**n sequences.
+    Membership is decided once per class from its counts, by the window
+    test `is_typical` applies.  Compositions that use a zero-probability
+    symbol carry no mass and are never typical, so they are left out.
+    Cost is O(C(n+k-1, k-1)) classes, not k**n sequences.
     """
     if n < 1:
         raise ValueError("blocklength must be positive")
     support = [a for a, p in enumerate(source.probs) if p > 0.0]
     logs = [math.log2(float(source.probs[a])) for a in support]
-    out = []
-    for counts in compositions(n, len(support)):
-        member = [a for a, c in zip(support, counts) for _ in range(c)]
-        out.append(TypeClass(
-            counts, multinomial(counts),
-            math.fsum(c * lg for c, lg in zip(counts, logs)),
-            is_typical(member, source, gamma)))
-    return out
+    surprisals = _surprisal_table(source)[support].tolist()
+    h = entropy(source)
+    return [TypeClass(counts, multinomial(counts),
+                      math.fsum(c * lg for c, lg in zip(counts, logs)),
+                      _in_window(counts, surprisals, h, gamma))
+            for counts in compositions(n, len(support))]
 
 
 class TypicalIndex:

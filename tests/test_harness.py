@@ -299,6 +299,17 @@ class TestEmission:
         assert math.isnan(row["p_e"]) and math.isnan(row["rate_x"])
         assert row["v_rate"] == NOT_APPLICABLE
 
+    def test_csv_writes_negative_zero_as_zero(self):
+        # an attack that always succeeds has exponent -log2(1)/n = -0.0;
+        # JSONL keeps it as it is
+        report = self.make_report(n_values=[4])
+        rec = dataclasses.replace(report.records[0], exp_x=-0.0, exp_y=-0.0)
+        report = dataclasses.replace(report, records=[rec])
+        row = emit_csv(report).splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("exp_x")] == "0"
+        assert row[CSV_COLUMNS.index("exp_y")] == "0"
+        assert '"exp_x": -0.0' in emit_jsonl(report)
+
     def test_jsonl_round_trip(self):
         report = self.make_report(scheme={"kind": "symbolwise", "m": 3})
         back = read_report_jsonl(emit_jsonl(report))

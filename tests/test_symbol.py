@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twoshare import harness, symbol
 from twoshare.prob import (JointPMF, PMF, RandomStream, entropy,
                            mutual_information)
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
@@ -337,6 +338,195 @@ class TestLatticeDecisions:
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
         tied = dataclasses.replace(codec, gamma=0.0)
         assert tied.lattice == score_lattice(tied) != codec.lattice
+
+
+K3 = PMF.from_probs([0.5, 0.3, 0.2])
+
+
+def hole_scheme():
+    return BaseScheme(name="hole", secret_size=2, share_size=2, rand_size=2,
+                      encode_fn=lambda s, u: fstar(2, s, u),
+                      decode_fn=lambda x, y: None)
+
+
+def leak_y_scheme():
+    return BaseScheme(name="leak-y", secret_size=2, share_size=4,
+                      rand_size=4, encode_fn=lambda s, u: (u, s),
+                      decode_fn=lambda x, y: y if y < 2 else None)
+
+
+def lopsided_scheme():
+    return BaseScheme(name="lopsided", secret_size=3, share_size=4,
+                      rand_size=4, encode_fn=lambda s, u: ((s + u) % 4, u // 2),
+                      decode_fn=lambda x, y: None)
+
+
+TABLE_CASES = [
+    (modular_scheme(2, 2), U2), (modular_scheme(3, 2), SKEW),
+    (modular_scheme(4, 2), SKEW), (modular_scheme(4, 3), K3),
+    (modular_scheme(5, 3), K3), (identity_leak_scheme(4, 2), SKEW),
+    (nondecodable_scheme(4, 2), SKEW), (undersized_scheme(2, 3), K3),
+    (hole_scheme(), U2), (leak_y_scheme(), U2), (lopsided_scheme(), K3),
+]
+
+
+def expected_decode(codec, xs, ys):
+    """decode_n position by position: None for a rejection, RuntimeError
+    for a hole on an accepted pair, else the decoder's symbols."""
+    scores = [codec.score_table[x, y] for x, y in zip(xs, ys)]
+    lat = codec.lattice
+    if -math.inf in scores or not lat.accepts(
+            [scores.count(v) for v in lat.values]):
+        return None
+    out = [codec.scheme.decode_fn(x, y) for x, y in zip(xs, ys)]
+    return RuntimeError if None in out else tuple(out)
+
+
+class TestSplitterTables:
+    @pytest.mark.parametrize("scheme,source", TABLE_CASES,
+                             ids=[s.name for s, _ in TABLE_CASES])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_codec_matches_the_splitter_position_by_position(
+            self, scheme, source, n):
+        codec = make_codec(scheme, source, n=n, gamma=0.3,
+                           require_valid=False)
+        k, r, m = scheme.secret_size, scheme.rand_size, scheme.share_size
+        for secret in itertools.product(range(k), repeat=n):
+            for rand in itertools.product(range(r), repeat=n):
+                pairs = [scheme.encode_fn(s, u) for s, u in zip(secret, rand)]
+                assert encode_n(codec, secret, rand) == tuple(zip(*pairs))
+        for xs in itertools.product(range(m), repeat=n):
+            for ys in itertools.product(range(m), repeat=n):
+                expect = expected_decode(codec, xs, ys)
+                if expect is RuntimeError:
+                    with pytest.raises(RuntimeError, match="^decoder "
+                                       "undefined on an accepted share pair$"):
+                        decode_n(codec, xs, ys)
+                    continue
+                out = decode_n(codec, xs, ys)
+                assert out.secret == expect
+                assert all(type(s) is int for s in out.secret or ())
+
+    def test_shares_are_python_ints(self):
+        codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
+        xs, ys = encode_n(codec, np.array([2, 0, 1, 0]), [4, 4, 0, 1])
+        assert (xs, ys) == ((3, 1, 1, 4), (4, 4, 0, 1))
+        assert all(type(v) is int for v in xs + ys)
+
+    @pytest.mark.parametrize("shift", [-1, 1 << 70])
+    def test_decoder_values_are_never_read_as_holes(self, shift):
+        # -1 is what a hole marker stored in the table would be, and 2**70
+        # does not fit an int64 cell; both are returned as decoded
+        scheme = BaseScheme(
+            name="shifted", secret_size=2, share_size=4, rand_size=4,
+            encode_fn=lambda s, u: fstar(4, s, u),
+            decode_fn=lambda x, y: None if (x + y) % 4 >= 2 else
+            ((x + y) % 4 - 1 if shift < 0 else (x + y) % 4 + shift))
+        codec = make_codec(scheme, U2, n=3, gamma=0.5, require_valid=False)
+        xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
+        secret = (-1, 0, -1) if shift < 0 else (shift, shift + 1, shift)
+        assert decode_n(codec, xs, ys).secret == secret
+
+    def test_raising_encoder_cell_raises_only_when_hit(self):
+        # symbol 2 has zero probability, so building the codec never
+        # encodes it
+        def encode_fn(s, u):
+            if s == 2:
+                raise KeyError("no share for 2")
+            return fstar(3, s, u)
+        scheme = BaseScheme(name="partial", secret_size=3, share_size=3,
+                            rand_size=3, encode_fn=encode_fn,
+                            decode_fn=lambda x, y: gstar(3, 3, x, y))
+        source = PMF.from_probs([0.5, 0.5, 0.0])
+        codec = make_codec(scheme, source, n=2, gamma=0.5,
+                           require_valid=False)
+        assert encode_n(codec, (1, 0), (2, 2)) == ((2, 1), (2, 2))
+        with pytest.raises(KeyError, match="no share for 2"):
+            encode_n(codec, (0, 2), (0, 0))
+        # positions are taken in order: the raising cell comes first
+        with pytest.raises(KeyError, match="no share for 2"):
+            encode_n(codec, (2, 7), (0, 0))
+        with pytest.raises(ValueError,
+                           match="^secret symbol 7 outside the alphabet$"):
+            encode_n(codec, (7, 2), (0, 0))
+
+    def test_raising_decoder_cell_raises_only_when_hit(self):
+        def decode_fn(x, y):
+            if (x, y) == (0, 0):
+                raise LookupError("cell (0, 0)")
+            return gstar(4, 2, x, y)
+        scheme = BaseScheme(name="partial", secret_size=2, share_size=4,
+                            rand_size=4,
+                            encode_fn=lambda s, u: fstar(4, s, u),
+                            decode_fn=decode_fn)
+        codec = make_codec(scheme, U2, n=2, gamma=0.5, require_valid=False)
+        assert decode_n(codec, (1, 2), (0, 3)).secret == (1, 1)
+        with pytest.raises(LookupError, match=r"cell \(0, 0\)"):
+            decode_n(codec, (1, 0), (0, 0))
+        # a rejected pair is never decoded
+        assert decode_n(codec, (0, 0), (0, 2)).rejected
+
+    @pytest.mark.parametrize("secret,rand,message", [
+        ((1, 0), (2,), "secret and randomness must have length 2"),
+        ((1, 0, 1), (2, 1, 0), "secret and randomness must have length 2"),
+        ((1, 2), (2, 1), "secret symbol 2 outside the alphabet"),
+        ((-1, 0), (2, 1), "secret symbol -1 outside the alphabet"),
+        ((1 << 70, 0), (2, 1), f"secret symbol {1 << 70} outside the alphabet"),
+        ((1, 0), (2, 3), "randomness symbol 3 outside the alphabet"),
+        ((0, 5), (-2, 0), "randomness symbol -2 outside the alphabet"),
+        ((5, 0), (-2, 0), "secret symbol 5 outside the alphabet"),
+    ])
+    def test_encode_errors_keep_their_messages(self, secret, rand, message):
+        codec = make_codec(modular_scheme(3, 2), SKEW, n=2, gamma=0.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            encode_n(codec, secret, rand)
+
+    @pytest.mark.parametrize("xs,ys", [((0, 1), (0, 1)), ((0, 1, 2), (1,)),
+                                       ((0, 1, 2, 3), (0, 1, 2, 3))])
+    def test_share_length_errors_keep_their_message(self, xs, ys):
+        codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
+        for check in (decode_n, accepts_n, llr_score):
+            with pytest.raises(ValueError, match="^shares must have length 3$"):
+                check(codec, xs, ys)
+
+    def test_tables_are_built_on_first_codec_call_only(self, monkeypatch):
+        calls = {"encode": 0, "decode": 0}
+        modular = modular_scheme
+
+        def counting(m, k):
+            base = modular(m, k)
+
+            def encode_fn(s, u):
+                calls["encode"] += 1
+                return base.encode_fn(s, u)
+
+            def decode_fn(x, y):
+                calls["decode"] += 1
+                return base.decode_fn(x, y)
+            return dataclasses.replace(base, encode_fn=encode_fn,
+                                       decode_fn=decode_fn)
+
+        monkeypatch.setattr(symbol, "modular_scheme", counting)
+        # validation and the joint: three passes of S x U through the
+        # splitter, one through the decoder; the tables add none
+        built = {"encode": 3 * 3 * 5, "decode": 3 * 5}
+        for mode in ("exact", "mc"):
+            cfg = harness.ExperimentConfig.from_dict(
+                {"source": [0.5, 0.3, 0.2],
+                 "scheme": {"kind": "symbolwise", "m": 5},
+                 "n_values": [6], "mode": mode, "trials": 1000})
+            harness.run_experiment(cfg)
+            assert calls == built
+            calls.update(encode=0, decode=0)
+        codec = make_codec(symbol.modular_scheme(5, 3), K3, n=6, gamma=0.5)
+        assert calls == built and "tables" not in vars(codec)
+        xs, ys = encode_n(codec, (0, 1, 2, 0, 1, 2), (4, 3, 2, 1, 0, 0))
+        # first call: S x U once, and the decoder on the 15 finite cells
+        assert calls == {"encode": 60, "decode": 30}
+        assert decode_n(codec, xs, ys).secret == (0, 1, 2, 0, 1, 2)
+        assert calls == {"encode": 60, "decode": 30}
+        tied = dataclasses.replace(codec, gamma=0.25)
+        assert "tables" not in vars(tied)
 
 
 def brute_error_prob(codec):

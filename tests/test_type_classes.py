@@ -6,11 +6,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import blockwise_oracle as dense
 from twoshare import attack, block, harness, typical
-from twoshare.prob import PMF
+from twoshare.prob import PMF, entropy
 from twoshare.typical import (TypicalIndex, atypical_mass, build_index,
                               type_classes)
 
@@ -121,6 +122,24 @@ def blockwise_record(source, n, ell, gamma, mode):
          "schedule": {"kind": "constant", "gamma": gamma},
          "n_values": [n], "mode": mode, "trials": 2000, "seed": 0})
     return harness.run_experiment(cfg).records[0]
+
+
+@pytest.mark.parametrize("probs", [[0.7, 0.3], [0.6, 0.25, 0.15],
+                                   [0.4, 0.3, 0.2, 0.1]])
+def test_class_verdicts_match_the_sorted_member_sum(probs):
+    # classes are decided from their counts; the rule they replaced summed
+    # the surprisals over the class's sorted member, left to right
+    source = PMF.from_probs(probs)
+    w = (-np.log2(source.probs)).tolist()
+    h = entropy(source)
+    for n in range(1, 15):
+        for gamma in (n ** -0.33, n ** -0.45, 0.22626433576408078):
+            for cls in type_classes(source, n, gamma):
+                total = 0.0
+                for a in sorted(a for a, c in enumerate(cls.counts)
+                                for _ in range(c)):
+                    total += w[a]
+                assert cls.typical == (abs(total / n - h) <= gamma)
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
