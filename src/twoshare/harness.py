@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 from . import attack as atk
 from . import block, symbol
 from ._version import __version__
-from .prob import PMF, CapExceededError, RandomStream, entropy
+from .prob import PMF, CapExceededError, RandomStream
 from .typical import EmptyTypicalSetError, GammaSchedule, build_index
 
 HOLDS = "holds"
@@ -252,9 +252,10 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
 
 
 def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
-    n, gamma, source = codec.n, codec.gamma, codec.source
+    n, gamma = codec.n, codec.gamma
     q = symbol.exact_symbolwise_quantities(codec)
-    ell = symbol.modular_correlation_level(codec.scheme.share_size, source)
+    # log2(M) - H(S) of the modular splitter, from the codec's H(S)
+    ell = math.log2(codec.scheme.share_size) - codec.h_s
     return _Exact(
         # alpha is the legitimate rejection mass p_e: computed once
         fields=dict(rate_x=q.rate, rate_y=q.rate, rate_u=q.rate, p_e=q.p_e,
@@ -264,7 +265,7 @@ def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
         # success at most 2**(-n (ell - gamma)); past 1 it bounds nothing
         direct_cap=2.0 ** min(-n * (ell - gamma), 0.0),
         i_xy=n * q.i_xy_per_symbol, h_s_given_xy=n * q.h_s_given_xy,
-        rate_ok=abs(q.rate - (entropy(source) + ell)) <= BOUND_TOL,
+        rate_ok=abs(q.rate - (codec.h_s + ell)) <= BOUND_TOL,
         sandwich_ok=abs(q.i_xy_per_symbol - ell) <= BOUND_TOL)
 
 

@@ -28,7 +28,7 @@ from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, JointPMF, PMF, RandomStream, _estimate,
                    conditional_entropy, entropy, induce_joint,
                    mutual_information)
-from .typical import compositions, prefix_lookup
+from .typical import prefix_lookup
 
 
 @dataclass(frozen=True)
@@ -142,15 +142,19 @@ def scheme_joint(scheme: BaseScheme, source: PMF) -> JointPMF:
                         (scheme.share_size, scheme.share_size))
 
 
-def validate_base(scheme: BaseScheme, source: PMF,
-                  tol: float = SECRECY_TOL) -> ValidationReport:
-    """Exact check of per-symbol secrecy, decodability, and sizes."""
-    joint = scheme_joint(scheme, source)
-    h_s = entropy(source)
-    h_s_x = conditional_entropy(joint.marginal(0, 2), 0)
-    h_s_y = conditional_entropy(joint.marginal(0, 3), 0)
-    h_s_xy = conditional_entropy(joint.marginal(0, 2, 3), 0)
-    ell = mutual_information(joint.marginal(2, 3))
+def _information(source: PMF, joint: JointPMF) -> tuple[float, ...]:
+    """H(S), H(S|X), H(S|Y), H(S|XY) and I(X;Y) of a splitter's joint."""
+    return (entropy(source),
+            conditional_entropy(joint.marginal(0, 2), 0),
+            conditional_entropy(joint.marginal(0, 3), 0),
+            conditional_entropy(joint.marginal(0, 2, 3), 0),
+            mutual_information(joint.marginal(2, 3)))
+
+
+def _report(scheme: BaseScheme, information: tuple[float, ...],
+            tol: float) -> ValidationReport:
+    """`validate_base` on the `_information` of the splitter's joint."""
+    h_s, h_s_x, h_s_y, h_s_xy, ell = information
     sizes_ok = min(scheme.share_size, scheme.share_size,
                    scheme.rand_size) >= scheme.secret_size
     decoder_ok = all(
@@ -173,6 +177,13 @@ def validate_base(scheme: BaseScheme, source: PMF,
         failures=tuple(failures))
 
 
+def validate_base(scheme: BaseScheme, source: PMF,
+                  tol: float = SECRECY_TOL) -> ValidationReport:
+    """Exact check of per-symbol secrecy, decodability, and sizes."""
+    return _report(scheme, _information(source, scheme_joint(scheme, source)),
+                   tol)
+
+
 class SchemeValidationError(Exception):
     pass
 
@@ -181,10 +192,11 @@ class SchemeValidationError(Exception):
 class SymbolwiseCodec:
     """A validated per-symbol splitter repeated over n-blocks.
 
-    Carries the exact per-symbol joints and the log-likelihood-ratio score
-    table used by the acceptance test.  `threshold` is the per-symbol
-    acceptance cutoff I(X;Y) - gamma; a pair is accepted when its mean
-    score strictly exceeds it, decided exactly on `lattice`.
+    Carries the exact per-symbol joints, their entropies and I(X;Y) (each
+    computed once, from the joint the validation used), and the
+    log-likelihood-ratio score table of the acceptance test.  `threshold`
+    is the per-symbol acceptance cutoff I(X;Y) - gamma; a pair is accepted
+    when its mean score strictly exceeds it, decided exactly on `lattice`.
     """
 
     scheme: BaseScheme
@@ -197,6 +209,10 @@ class SymbolwiseCodec:
     p_y: PMF = field(repr=False)
     score_table: np.ndarray = field(repr=False)
     i_xy: float
+    h_s: float = field(repr=False)
+    h_s_given_x: float = field(repr=False)
+    h_s_given_y: float = field(repr=False)
+    h_s_given_xy: float = field(repr=False)
     lattice: "ScoreLattice" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -220,11 +236,15 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
         raise ValueError("blocklength must be positive")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    # one joint and one set of entropies serve the validation, the codec
+    # and its exact quantities
+    joint = scheme_joint(scheme, source)
+    information = _information(source, joint)
     if require_valid:
-        report = validate_base(scheme, source)
+        report = _report(scheme, information, SECRECY_TOL)
         if not report.passed:
             raise SchemeValidationError("; ".join(report.failures))
-    joint = scheme_joint(scheme, source)
+    h_s, h_s_x, h_s_y, h_s_xy, i_xy = information
     p_xy = joint.marginal(2, 3)
     p_x = p_xy.marginal(0)
     p_y = p_xy.marginal(1)
@@ -233,10 +253,11 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
     with np.errstate(divide="ignore"):
         score = np.where(table > 0.0, np.log2(np.where(table > 0.0, table, 1.0) /
                                               denom), -np.inf)
-    i_xy = mutual_information(p_xy)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
                            joint=joint, p_xy=p_xy, p_x=p_x, p_y=p_y,
-                           score_table=score, i_xy=i_xy)
+                           score_table=score, i_xy=i_xy, h_s=h_s,
+                           h_s_given_x=h_s_x, h_s_given_y=h_s_y,
+                           h_s_given_xy=h_s_xy)
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -275,12 +296,13 @@ def _share_pair(codec: SymbolwiseCodec, xs, ys) -> np.ndarray:
     xs, ys = tuple(xs), tuple(ys)
     if len(xs) != codec.n or len(ys) != codec.n:
         raise ValueError(f"shares must have length {codec.n}")
-    pair = np.array((xs, ys), dtype=np.int64)
     m = codec.scheme.share_size
-    if pair.min() < 0 or pair.max() >= m:
-        bad = pair[(pair < 0) | (pair >= m)][0]
+    # builtin reductions before the int64 array: a symbol past int64 is
+    # out of range, not an OverflowError
+    if min(min(xs), min(ys)) < 0 or max(max(xs), max(ys)) >= m:
+        bad = next(v for v in xs + ys if not 0 <= v < m)
         raise ValueError(f"share symbol {bad} outside [0, {m})")
-    return pair
+    return np.array((xs, ys), dtype=np.int64)
 
 
 def _value_counts(codec: SymbolwiseCodec, pair: np.ndarray) -> list[int] | None:
@@ -419,14 +441,81 @@ def walk_size(m: int, values: int) -> int:
     return math.comb(m + values - 2, values - 2) if values >= 2 else 1
 
 
+# floats in one block of binomial rows that `ScoreLattice.mass` builds at
+# once; a row longer than this still makes a block of its own
+MASS_BLOCK = 1 << 14
+
+
 @functools.lru_cache(maxsize=16)
 def _log2_factorials(m: int) -> np.ndarray:
-    """log2(t!) for t = 0..m, each rounded once from the exact integer."""
+    """log2(t!) for t = 0..m, each rounded once from the exact integer,
+    then m+1 entries of +inf, so t = -1..-(m+1) reads +inf: a binomial
+    term C(r, a) with a > r gets log2 weight -inf."""
     out, f = [0.0], 1
     for t in range(1, m + 1):
         f *= t
         out.append(math.log2(f))
-    return np.array(out)
+    table = np.array(out + [math.inf] * (m + 1))
+    table.flags.writeable = False
+    return table
+
+
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to split `total` into `parts` ordered counts, one per
+    row; the first count ascends and the last takes the rest."""
+    cols, rest = [], np.array([total])
+    for _ in range(parts - 1):
+        size = rest + 1
+        col = np.arange(size.sum()) - np.repeat(size.cumsum() - size, size)
+        cols = [np.repeat(c, size) for c in cols] + [col]
+        rest = np.repeat(rest, size) - col
+    return np.array(cols + [rest]).T
+
+
+def _row_tails(lf: np.ndarray, lq_i: float, lq_j: float, r: np.ndarray,
+               cut: np.ndarray, accepted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per prefix, the top term of its log2 binomial row r, a (lq_i - lq_j)
+    + r lq_j - log2 a! - log2 (r-a)!, and the sum of the row's terms
+    scaled by that top over a < cut (accepted) or a >= cut (rejected).
+
+    `r` ascends; the rows for r0..r1 are built as one block of at most
+    MASS_BLOCK floats, r1 - r0 + 1 rows by r1 + 2 columns.  Column t holds
+    a = t - 1 when accepted and a = t when rejected, and the terms with a
+    outside [0, r] read 0, so the running sum from the side asked for
+    holds each prefix's tail at column cut, an empty one included.  Each
+    term is rounded in the order a row built on its own had, so the sums
+    match it bit for bit.
+    """
+    tops, tails, lo, last = [], [], 0, int(r[-1])
+    while lo < r.size:
+        r0 = int(r[lo])
+        # the widest block: (w - r0) (w + 1) <= MASS_BLOCK for w = r1 + 1
+        w = (r0 - 1 + math.isqrt((r0 + 1) ** 2 + 4 * MASS_BLOCK)) // 2
+        r1 = max(r0, min(w - 1, last))
+        hi = r.size if r1 == last else lo + int(r[lo:].searchsorted(r1, "right"))
+        a = np.arange(-1, r1 + 1) if accepted else np.arange(r1 + 2)
+        # a block of one row stays 1-D: a scalar r broadcasts as a column
+        rr = r0 if r0 == r1 else np.arange(r0, r1 + 1)[:, None]
+        rows = a * (lq_i - lq_j) + rr * lq_j
+        rows -= lf[a]
+        rows -= lf[rr - a]
+        top = rows.max(axis=-1, keepdims=True)
+        rows -= top
+        side = np.exp2(rows, out=rows)
+        # the running sum, in place, from the side asked for
+        run = side if accepted else side[..., ::-1]
+        np.add.accumulate(run, axis=-1, out=run)
+        if r0 == r1:
+            tops.append(top.repeat(hi - lo))
+            tails.append(side[cut[lo:hi]])
+        else:
+            pick = r[lo:hi] - r0
+            tops.append(top[pick, 0])
+            tails.append(side[pick, cut[lo:hi]])
+        lo = hi
+    if len(tops) == 1:
+        return tops[0], tails[0]
+    return np.concatenate(tops), np.concatenate(tails)
 
 
 @dataclass(frozen=True)
@@ -460,21 +549,40 @@ class ScoreLattice:
 
     def cuts(self, m: int, idx, offset: int = 0):
         """Every prefix of an m-position count vector over the values at
-        `idx` (ascending, at least two): yields (head, r, cut), where head
-        counts the values idx[:-2] and r positions are left to the last two
-        values i < j.  With a of them at i the score is x - a (w_j - w_i),
-        x = offset + head.w + r w_j - bar, so the strict test accepts
-        head + (a, r - a) exactly when a < cut = ceil(x / (w_j - w_i)),
-        clamped to [0, r+1]; a tie is rejected.  Grouped by r, ascending.
+        `idx` (ascending, at least two), as int64 arrays (heads, r, cut),
+        one entry per prefix, r ascending: heads[p] counts the values
+        idx[:-2] and r[p] positions are left to the last two values i < j.
+        With a of them at i the score is x - a (w_j - w_i), x = offset +
+        head.w + r w_j - bar, so the strict test accepts head + (a, r - a)
+        exactly when a < cut = ceil(x / (w_j - w_i)), clamped to [0, r+1];
+        a tie is rejected.  The weights reach 2**60 at n=96, so x, with
+        r w_j = (m - sum(head)) w_j, is summed in int64 only when a bound
+        keeps it below 2**63, and in Python ints otherwise: exact either way.
         """
         *head_idx, i, j = idx
-        hw = [self.weights[h] for h in head_idx]
-        wj, span = self.weights[j], self.weights[j] - self.weights[i]
-        for r in range(m + 1) if head_idx else (m,):
-            for head in (compositions(m - r, len(head_idx)) if head_idx
-                         else ((),)):
-                x = offset + sum(map(operator.mul, head, hw)) + r * wj - self.bar
-                yield head, r, min(max(-(-x // span), 0), r + 1)
+        w = self.weights
+        prefixes = _compositions(m, len(head_idx) + 1)
+        heads, r = prefixes[:, 1:], prefixes[:, 0]
+        span = w[j] - w[i]
+        # x + span - 1 = base + heads.steps; its floor over span is the ceil
+        base = offset + m * w[j] - self.bar + span - 1
+        steps = [w[h] - w[j] for h in head_idx]
+        bound = max(abs(base) + m * sum(map(abs, steps)), span)
+        dtype = np.int64 if bound < 1 << 63 else object
+        x = base
+        for step, col in zip(steps, heads.T):
+            x = x + col.astype(dtype) * step
+        cut = np.minimum(np.asarray(x // span, dtype=dtype), r + 1)
+        return heads, r, np.maximum(cut, 0).astype(np.int64, copy=False)
+
+    @functools.cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`cuts` of n positions over every value, with no offset: the
+        Monte Carlo table reads them, and so does every `mass` over n
+        positions whose masses are all positive.  Raises LatticeCapError
+        past LATTICE_CAP prefixes."""
+        check_lattice_points(self.n, walk_size(self.n, len(self.values)))
+        return self.cuts(self.n, range(len(self.values)))
 
     def mass(self, masses, m: int, accepted: bool = True,
              offset: int = 0) -> float:
@@ -482,12 +590,14 @@ class ScoreLattice:
         scores with per-value `masses`, on top of an integer score `offset`
         already collected; mass off the lattice is in neither side.
 
-        Walks the `cuts` over the values of positive mass: each prefix adds
-        one interval of a binomial row, multinomial(m; head, r) times the
-        terms C(r, a) q_i^a q_j^(r-a) with a below the cut (or from it on).
-        A row is built once per r in log2, scaled by its largest term, and
-        summed from the side asked for, so a tiny tail is never 1 minus the
-        rest.  Raises LatticeCapError past LATTICE_CAP prefixes.
+        Sums over the `cuts` of the values of positive mass: each prefix
+        adds one interval of a binomial row, multinomial(m; head, r) times
+        the terms C(r, a) q_i^a q_j^(r-a) with a below the cut (or from it
+        on).  The rows are built in log2, in blocks (`_row_tails`), each
+        scaled by its largest term and summed from the side asked for, so
+        a tiny tail is never 1 minus the rest.  Sums over n positions and
+        every value share the lattice's cut table (`_walk`).  Raises
+        LatticeCapError past LATTICE_CAP prefixes.
         """
         idx = [j for j, q in enumerate(masses) if q > 0.0]
         if not idx:
@@ -496,42 +606,35 @@ class ScoreLattice:
             j = idx[0]
             hit = (offset + m * self.weights[j] > self.bar) == accepted
             return masses[j] ** m if hit else 0.0
-        check_lattice_points(m, walk_size(m, len(idx)))
+        if (m, offset, len(idx)) == (self.n, 0, len(self.values)):
+            heads, r, cut = self._walk
+        else:
+            check_lattice_points(m, walk_size(m, len(idx)))
+            heads, r, cut = self.cuts(m, idx, offset)
         lf = _log2_factorials(m)
         *head_logs, lq_i, lq_j = (math.log2(masses[j]) for j in idx)
-        ramp = np.arange(m + 1) * (lq_i - lq_j)
-        parts, row_r = [], -1
-        for head, r, cut in self.cuts(m, idx, offset):
-            if cut == (0 if accepted else r + 1):
-                continue   # the prefix has no vector on this side
-            if r != row_r:
-                row = ramp[:r + 1] + r * lq_j - lf[:r + 1] - lf[r::-1]
-                top = row.max()
-                e = np.exp2(row - top)
-                side = (np.cumsum(e) if accepted
-                        else np.cumsum(e[::-1])[::-1]).tolist()
-                row_r = r
-            # accepted: terms a < cut end at side[cut-1]; rejected: from cut
-            tail = side[cut - 1] if accepted else side[cut]
-            logw = lf[m] + top + math.fsum(
-                c * lg - lf[c] for c, lg in zip(head, head_logs))
-            parts.append(2.0 ** logw * tail)
-        return min(math.fsum(parts), 1.0)
+        tops, tails = _row_tails(lf, lq_i, lq_j, r, cut, accepted)
+        logw = lf[m] + tops
+        if head_logs:
+            # added left to right: for up to two head terms (four values)
+            # that is the correctly rounded sum fsum gave one prefix at a time
+            terms = [c * lg - lf[c] for c, lg in zip(heads.T, head_logs)]
+            logw = logw + functools.reduce(operator.add, terms)
+        # libm's pow, as one prefix at a time had it: numpy's exp2 can
+        # differ from it in the last bit
+        weights = map((2.0).__pow__, logw.tolist())
+        return min(math.fsum(map(operator.mul, weights, tails.tolist())), 1.0)
 
     @functools.cached_property
     def accepted(self) -> Callable[[np.ndarray], np.ndarray]:
         """`accepts` over rows of count vectors over `values`: a row is
         accepted when its count of the second-last value is below its
-        prefix's cut.  The cuts are read off `cuts` once, on first use;
-        that walk of C(n+c-2, c-2) prefixes is what the cap counts, as in
-        `mass`."""
+        prefix's cut, read off `_walk`."""
         parts = len(self.values)
         if parts == 1:
             hit = self.n * self.weights[0] > self.bar
             return lambda counts: np.full(len(counts), hit)
-        check_lattice_points(self.n, walk_size(self.n, parts))
-        heads, cuts = zip(*((head, cut) for head, _, cut
-                            in self.cuts(self.n, range(parts))))
+        heads, _, cuts = self._walk
         cut_of = prefix_lookup(heads, cuts, self.n, parts)
         return lambda counts: counts[:, -2] < cut_of(counts)
 
@@ -582,17 +685,17 @@ class SymbolQuantities:
 
 
 def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
-    """Error probability on the score lattice, the rest from the
-    per-symbol joint."""
+    """Error probability on the score lattice, the informations between
+    the secret and each share from the per-symbol joint, and the
+    entropies the codec already holds."""
     joint = codec.joint
     return SymbolQuantities(
         n=codec.n, gamma=codec.gamma, p_e=rejection_probability(codec),
         i_xy_per_symbol=codec.i_xy,
         i_sx_per_symbol=mutual_information(joint.marginal(0, 2)),
         i_sy_per_symbol=mutual_information(joint.marginal(0, 3)),
-        h_s_given_x=conditional_entropy(joint.marginal(0, 2), 0),
-        h_s_given_y=conditional_entropy(joint.marginal(0, 3), 0),
-        h_s_given_xy=conditional_entropy(joint.marginal(0, 2, 3), 0),
+        h_s_given_x=codec.h_s_given_x, h_s_given_y=codec.h_s_given_y,
+        h_s_given_xy=codec.h_s_given_xy,
         rate=math.log2(codec.scheme.share_size))
 
 

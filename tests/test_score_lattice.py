@@ -186,6 +186,12 @@ def test_offsets_shift_the_bar():
             assert_mass_parity(lat, masses, m, offset)
 
 
+def walked_cuts(lat, m, idx, offset=0):
+    """`ScoreLattice.cuts` as (head, r, cut) triples of Python ints."""
+    heads, rs, cuts = lat.cuts(m, idx, offset)
+    return zip(map(tuple, heads.tolist()), rs.tolist(), cuts.tolist())
+
+
 def tied_codec(m, source, n, counts):
     """The codec whose threshold equals the mean score of `counts` exactly."""
     codec = modular(m, source, n)
@@ -210,7 +216,7 @@ def test_window_edge_tie_is_rejected(m, source, counts):
     assert sum(map(int.__mul__, counts, lat.weights)) == lat.bar
     assert not lat.accepts(counts)
     *head, a, rest = counts
-    (cut,) = [cut for h, r, cut in lat.cuts(n, range(len(counts)))
+    (cut,) = [cut for h, r, cut in walked_cuts(lat, n, range(len(counts)))
               if h == tuple(head)]
     assert cut == a   # a * (w_j - w_i) == x: the tied count is the cut
     assert not lat.accepted(np.array([counts]))[0]
@@ -227,7 +233,7 @@ def test_cuts_agree_with_scalar_accepts(m, source, n):
     vectors = list(compositions(n, parts))
     if parts >= 2:
         walked = {h + (a, r - a): a < cut
-                  for h, r, cut in lat.cuts(n, range(parts))
+                  for h, r, cut in walked_cuts(lat, n, range(parts))
                   for a in range(r + 1)}
         assert sorted(walked) == sorted(vectors)
         for c in vectors:
@@ -246,3 +252,60 @@ def test_k3_record_at_n2000_is_exact_and_finite():
     for v in (rec.p_e, rec.alpha, rec.beta, rec.p_x, rec.p_y):
         assert math.isfinite(v) and 0.0 <= v <= 1.0
     assert 0.0 < rec.p_e < 1e-9
+
+
+def test_mass_is_the_same_over_many_blocks(monkeypatch):
+    # at 40 floats a block holds rows r..r1 with (r1 - r + 1)(r1 + 2) <= 40:
+    # five rows at r = 0, one row from r = 18 on, and a row past 40 floats
+    # (the single row of a two-value sum at n=48) makes a block of its own
+    shapes = [(modular(5, K3, 32), 32), (modular(6, K4, 16), 16),
+              (modular(4, SKEW, 48), 48), (leaky(5, K4, 8), 8)]
+    calls = [(lat, masses, m, accepted, offset)
+             for codec, m in shapes for lat in [codec.lattice]
+             for masses in laws(codec) for accepted in (True, False)
+             for offset in (0, lat.bar // 3, -lat.weights[-1])]
+    one = [lat.mass(*args) for lat, *args in calls]
+    monkeypatch.setattr(symbol, "MASS_BLOCK", 40)
+    assert [dataclasses.replace(lat).mass(*args)
+            for lat, *args in calls] == one
+
+
+def test_four_values_match_count_vectors_at_n40():
+    codec = modular(6, K4, 40)
+    lat = codec.lattice
+    for masses in laws(codec):
+        for offset in (0, -2 * lat.weights[-1], lat.bar // 4, lat.bar // 2,
+                       lat.weights[0] - lat.weights[-1]):
+            assert_mass_parity(lat, masses, 40, offset)
+
+
+def assert_cuts_exact(lat, m, idx, offset):
+    """Each prefix's cut is where the strict test flips, in Python ints."""
+    w = lat.weights
+    *head_idx, i, j = idx
+    walked = 0
+    for head, r, cut in walked_cuts(lat, m, idx, offset):
+        x = offset + sum(map(int.__mul__, head, (w[h] for h in head_idx)))
+        assert 0 <= cut <= r + 1
+        if cut > 0:
+            assert x + (cut - 1) * w[i] + (r - cut + 1) * w[j] > lat.bar
+        if cut <= r:
+            assert x + cut * w[i] + (r - cut) * w[j] <= lat.bar
+        walked += 1
+    assert walked == symbol.walk_size(m, len(idx))
+
+
+@pytest.mark.parametrize("m,source,n", [(4, SKEW, 20), (5, K3, 20),
+                                        (5, K3, 600), (6, K4, 40),
+                                        (5, GAP, 24)])
+def test_cuts_are_exact_past_int64(m, source, n):
+    # x = offset + head.w + r w_j - bar passes 2**63 at n=600 (weights near
+    # 2**54) and for the large offsets; the cuts stay exact
+    lat = modular(m, source, n).lattice
+    idx = range(len(lat.values))
+    for offset in (0, lat.bar // 3, -lat.weights[-1], 1 << 70, -(1 << 70),
+                   (1 << 64) - lat.bar):
+        assert_cuts_exact(lat, n, idx, offset)
+        # fewer positions over the upper values: not the cached walk
+        assert_cuts_exact(lat, n // 2, idx[1:] if len(idx) > 2 else idx,
+                          offset)

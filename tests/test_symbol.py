@@ -158,6 +158,28 @@ class TestCodecConstruction:
                            require_valid=False)
         assert isinstance(codec, SymbolwiseCodec)
 
+    @pytest.mark.parametrize("splitter,require_valid", [
+        (modular_scheme, True), (identity_leak_scheme, False),
+        (nondecodable_scheme, False)])
+    def test_codec_holds_the_validation_entropies(self, splitter,
+                                                  require_valid):
+        # one joint and one set of entropies: the codec, the report and the
+        # exact quantities read the same floats
+        scheme = splitter(5, 3)
+        source = PMF.from_probs([0.5, 0.3, 0.2])
+        report = validate_base(scheme, source)
+        codec = make_codec(scheme, source, n=4, gamma=0.5,
+                           require_valid=require_valid)
+        assert (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
+                codec.h_s_given_xy, codec.i_xy) == (
+            report.h_s, report.h_s_given_x, report.h_s_given_y,
+            report.h_s_given_xy, report.ell)
+        assert codec.h_s == entropy(source)
+        assert codec.i_xy == mutual_information(codec.p_xy)
+        q = exact_symbolwise_quantities(codec)
+        assert (q.h_s_given_x, q.h_s_given_y, q.h_s_given_xy) == (
+            report.h_s_given_x, report.h_s_given_y, report.h_s_given_xy)
+
     def test_rejects_bad_block_and_gamma(self):
         with pytest.raises(ValueError):
             make_codec(modular_scheme(4, 2), U2, n=0, gamma=0.5)
@@ -328,6 +350,18 @@ class TestLatticeDecisions:
                                            ((0, 0, 0), (0, 7, 0), 7)])
     def test_share_symbol_outside_the_alphabet_raises(self, xs, ys, bad):
         # (-1, ...) used to decode to (0, 0, 0); 4 raised a bare IndexError
+        codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
+        for check in (decode_n, accepts_n, llr_score):
+            with pytest.raises(ValueError,
+                               match=rf"^share symbol {bad} outside \[0, 4\)$"):
+                check(codec, xs, ys)
+
+    @pytest.mark.parametrize("xs,ys,bad", [
+        ((1 << 70, 0, 0), (0, 0, 0), 1 << 70),
+        ((0, 0, 0), (0, -(1 << 64), 1 << 80), -(1 << 64)),
+        ((0, 1 << 63, 0), (5, 0, 0), 1 << 63)])
+    def test_share_symbol_past_int64_is_outside_the_alphabet(self, xs, ys, bad):
+        # checked before the int64 array is built: no OverflowError
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
         for check in (decode_n, accepts_n, llr_score):
             with pytest.raises(ValueError,
@@ -507,9 +541,9 @@ class TestSplitterTables:
                                        decode_fn=decode_fn)
 
         monkeypatch.setattr(symbol, "modular_scheme", counting)
-        # validation and the joint: three passes of S x U through the
+        # the joint and the decoder check: two passes of S x U through the
         # splitter, one through the decoder; the tables add none
-        built = {"encode": 3 * 3 * 5, "decode": 3 * 5}
+        built = {"encode": 2 * 3 * 5, "decode": 3 * 5}
         for mode in ("exact", "mc"):
             cfg = harness.ExperimentConfig.from_dict(
                 {"source": [0.5, 0.3, 0.2],
@@ -522,9 +556,9 @@ class TestSplitterTables:
         assert calls == built and "tables" not in vars(codec)
         xs, ys = encode_n(codec, (0, 1, 2, 0, 1, 2), (4, 3, 2, 1, 0, 0))
         # first call: S x U once, and the decoder on the 15 finite cells
-        assert calls == {"encode": 60, "decode": 30}
+        assert calls == {"encode": 45, "decode": 30}
         assert decode_n(codec, xs, ys).secret == (0, 1, 2, 0, 1, 2)
-        assert calls == {"encode": 60, "decode": 30}
+        assert calls == {"encode": 45, "decode": 30}
         tied = dataclasses.replace(codec, gamma=0.25)
         assert "tables" not in vars(tied)
 
