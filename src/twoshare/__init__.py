@@ -9,14 +9,12 @@ from ._version import __version__
 from .outcome import DecodeOutcome, REJECT, accepted
 from .prob import (
     PMF,
-    JointPMF,
     RandomStream,
     CapExceededError,
     entropy,
     binary_entropy,
     mutual_information,
     conditional_entropy,
-    induce_joint,
 )
 from .typical import (
     GammaSchedule,

@@ -124,8 +124,8 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
 def _forged_rows(codec: SymbolwiseCodec,
                  side: str) -> tuple[np.ndarray, np.ndarray]:
     """Score rows indexed by the forged symbol, and the honest marginal."""
-    return ((codec.score_table, codec.p_y.probs) if side == "x"
-            else (codec.score_table.T, codec.p_x.probs))
+    return ((codec.score_table, codec.p_y) if side == "x"
+            else (codec.score_table.T, codec.p_x))
 
 
 def _convolve_scores(a: dict, b: dict) -> dict:
@@ -289,7 +289,7 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
 def symbolwise_beta(codec: SymbolwiseCodec) -> float:
     """Exact beta: the lattice mass of accepted independent pairs."""
     lat = codec.lattice
-    indep = np.outer(codec.p_x.probs, codec.p_y.probs)
+    indep = np.outer(codec.p_x, codec.p_y)
     return lat.mass(lat.masses(codec.score_table, indep), codec.n)
 
 

@@ -4,7 +4,8 @@ Subcommands: encode, decode, attack, validate-scheme, experiment.  Every
 subcommand accepts --seed, --mode, --out and --format; flags that a
 subcommand has no use for are accepted and ignored so scripts can pass a
 uniform set.  Exit codes: 0 success, 1 configuration error, 2 a checked
-bound came back violated.
+bound came back violated.  `experiment` names each skipped record and its
+reason on stderr, then how many were skipped; skips alone leave exit 0.
 """
 from __future__ import annotations
 
@@ -155,6 +156,12 @@ def _cmd_experiment(args) -> int:
     cfg = harness.ExperimentConfig.from_dict(raw)
     report = harness.run_experiment(cfg)
     _emit(args, harness.emit_report(report, args.format))
+    skipped = [r for r in report.records if r.skipped is not None]
+    for r in skipped:
+        print(f"skipped n={r.n}: {r.skipped}", file=sys.stderr)
+    if skipped:
+        print(f"{len(skipped)} of {len(report.records)} records skipped",
+              file=sys.stderr)
     return 2 if report.any_violated else 0
 
 

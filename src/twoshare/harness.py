@@ -27,11 +27,12 @@ docs/config-schema.md for the config file format.
 """
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import attack as atk
 from . import block, symbol
@@ -214,6 +215,32 @@ def make_scheme(kind: str, source: PMF, n: int, gamma: float,
     return symbol.make_codec(scheme, source, n, gamma)
 
 
+# what turns a record into a skip: the reason is the exception's text
+_SKIPS = (CapExceededError, EmptyTypicalSetError, symbol.SchemeValidationError)
+
+
+def _builder(cfg: ExperimentConfig, source: PMF, sched: GammaSchedule):
+    """`make_scheme` of a sweep, as build(n, gamma).  The blockwise index
+    depends on n and gamma, so it is built per record.  The symbolwise
+    codec's laws do not: it is built once, at the first blocklength, and
+    each record derives its own with `dataclasses.replace`; a build that
+    fails skips every record with its reason."""
+    if cfg.scheme_kind == "blockwise":
+        return lambda n, gamma: make_scheme("blockwise", source, n, gamma,
+                                            cfg.ell, None)
+    first = cfg.n_values[0]
+    try:
+        codec = make_scheme("symbolwise", source, first, sched.gamma_at(first),
+                            None, cfg.share_size)
+    except _SKIPS as exc:
+        failure = exc
+
+        def build(n, gamma):
+            raise failure
+        return build
+    return lambda n, gamma: dataclasses.replace(codec, n=n, gamma=gamma)
+
+
 @dataclass(frozen=True)
 class _Exact:
     """One scheme's exact evaluation: record fields in record units (alpha
@@ -274,15 +301,14 @@ _STEPS = {"blockwise": (_blockwise_exact, block),
           "symbolwise": (_symbolwise_exact, symbol)}
 
 
-def _record(cfg: ExperimentConfig, n: int, gamma: float, source: PMF,
-            rng: RandomStream, rec_idx: int) -> RunRecord:
+def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
+            source: PMF, rng: RandomStream, rec_idx: int) -> RunRecord:
     """One blocklength: exact fields, both optimal attacks, in "mc" mode
     the estimates of p_e, p_x and p_y in their place, then the verdicts.
     A typed skip anywhere leaves only n, gamma_n and the reason."""
     exact, engine = _STEPS[cfg.scheme_kind]
     try:
-        scheme = make_scheme(cfg.scheme_kind, source, n, gamma, cfg.ell,
-                             cfg.share_size)
+        scheme = build(n, gamma)
         ev = exact(scheme)
         rec = RunRecord(n=n, gamma_n=gamma, **ev.fields)
         ax = atk.optimal_attack(scheme, "x")
@@ -298,8 +324,7 @@ def _record(cfg: ExperimentConfig, n: int, gamma: float, source: PMF,
                                         cfg.trials, base.substream(2))
             rec.p_x, rec.p_x_ci = mx.success_prob, mx.ci_halfwidth
             rec.p_y, rec.p_y_ci = my.success_prob, my.ci_halfwidth
-    except (CapExceededError, EmptyTypicalSetError,
-            symbol.SchemeValidationError) as exc:
+    except _SKIPS as exc:
         return RunRecord(n=n, gamma_n=gamma, skipped=str(exc),
                          verdicts={k: NOT_APPLICABLE for k in VERDICT_KEYS})
     rec.exp_x = _exponent(rec.p_x) / n
@@ -349,7 +374,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     source = PMF.from_probs(cfg.source)
     sched = cfg.schedule()
     rng = RandomStream(cfg.seed)
-    records = [_record(cfg, n, sched.gamma_at(n), source, rng, i)
+    build = _builder(cfg, source, sched)
+    records = [_record(cfg, n, sched.gamma_at(n), build, source, rng, i)
                for i, n in enumerate(cfg.n_values)]
     report = ExperimentReport(config=cfg, records=records)
     report.wall_time_s = time.monotonic() - start
@@ -384,10 +410,9 @@ def emit_jsonl(report: ExperimentReport) -> str:
                          "version": report.version,
                          "wall_time_s": report.wall_time_s},
                         sort_keys=True)]
-    for r in report.records:
-        d = asdict(r)
-        d["type"] = "record"
-        lines.append(json.dumps(d, sort_keys=True))
+    # the record's own dict, not a deep copy: json.dumps only reads it
+    lines += [json.dumps(dict(vars(r), type="record"), sort_keys=True)
+              for r in report.records]
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,9 @@
 """Finite probability mass functions and exact information quantities.
 
 All entropies and mutual informations are in bits (logs base 2) and use the
-0 * log 0 = 0 convention.  Probabilities are 64-bit floats.  Dense
-materialization is refused beyond `DENSE_CAP` states.
+0 * log 0 = 0 convention.  Probabilities are 64-bit floats; the
+information functions take plain probability arrays, validated by their
+caller.
 """
 from __future__ import annotations
 
@@ -12,14 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Largest number of states any dense table may hold.
-DENSE_CAP = 1 << 24
 # Probability vectors must sum to 1 within this tolerance.
 SUM_TOL = 1e-12
 
 
 class CapExceededError(Exception):
-    """A dense or exact-rational computation would exceed its state cap."""
+    """An exact computation would exceed its state cap."""
 
 
 def _validate_probs(arr: np.ndarray):
@@ -85,60 +84,13 @@ class PMF:
         return self.support_size
 
 
-@dataclass(frozen=True)
-class JointPMF:
-    """A joint PMF over a product of finite alphabets, stored densely."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim < 2:
-            raise ValueError("a joint needs at least two axes")
-        if arr.size > DENSE_CAP:
-            raise CapExceededError(f"{arr.size} states exceed the dense cap {DENSE_CAP}")
-        _validate_probs(arr)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    @classmethod
-    def outer(cls, *pmfs: PMF) -> "JointPMF":
-        """Product joint of independent PMFs."""
-        size = math.prod(p.support_size for p in pmfs)
-        if size > DENSE_CAP:
-            raise CapExceededError(f"{size} states exceed the dense cap {DENSE_CAP}")
-        arr = pmfs[0].probs
-        for p in pmfs[1:]:
-            arr = np.multiply.outer(arr, p.probs)
-        return cls(arr)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.probs.shape)
-
-    def marginal(self, *axes: int) -> "PMF | JointPMF":
-        """Marginal over the named axes (all others summed out)."""
-        keep = tuple(axes)
-        if len(set(keep)) != len(keep):
-            raise ValueError("marginal axes must be distinct")
-        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
-        arr = self.probs.sum(axis=drop) if drop else self.probs
-        # after the sum the axes sit in sorted order; restore the requested one
-        perm = np.argsort(np.argsort(keep))
-        arr = np.transpose(arr, perm)
-        if arr.ndim == 1:
-            return PMF(arr)
-        return JointPMF(arr)
-
-
 def _entropy_bits(arr: np.ndarray) -> float:
     flat = np.asarray(arr, dtype=np.float64).ravel()
     pos = flat[flat > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
 
-def entropy(p: PMF | JointPMF) -> float:
+def entropy(p: PMF) -> float:
     """Shannon entropy in bits."""
     return _entropy_bits(p.probs)
 
@@ -155,16 +107,15 @@ def binary_entropy(q: float) -> float:
 MI_TOL = 1e-9
 
 
-def mutual_information(joint: JointPMF, axis_a: int = 0, axis_b: int = 1) -> float:
-    """I(A;B) in bits between two axes of a joint (others summed out).
+def mutual_information(table: np.ndarray) -> float:
+    """I(A;B) in bits of a two-axis probability table P(A,B).
 
     Float rounding can push the sum a hair below zero; values within
     1e-9 of zero are clamped, anything lower is treated as a bug.
     """
-    j = joint.marginal(axis_a, axis_b)
-    if isinstance(j, PMF):
-        raise ValueError("mutual information needs two distinct axes")
-    table = j.probs
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError("mutual information needs a two-axis table")
     pa = table.sum(axis=1)
     pb = table.sum(axis=0)
     mask = table > 0.0
@@ -176,45 +127,10 @@ def mutual_information(joint: JointPMF, axis_a: int = 0, axis_b: int = 1) -> flo
     return max(value, 0.0)
 
 
-def conditional_entropy(joint: JointPMF, target_axis: int = 0) -> float:
-    """H(target | all other axes) = H(joint) - H(others)."""
-    others = tuple(i for i in range(joint.probs.ndim) if i != target_axis)
-    rest = joint.marginal(*others)
-    return _entropy_bits(joint.probs) - _entropy_bits(rest.probs)
-
-
-def induce_joint(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -> JointPMF:
-    """Joint of (inputs, outputs) under a deterministic map of the inputs.
-
-    Parameters
-    ----------
-    src : PMF or JointPMF over the input axes.
-    fn : function taking one index per input axis and returning an index
-        tuple (or bare int when there is a single output axis) into
-        `out_dims`.  Must be defined on every support point.
-    out_dims : alphabet sizes of the output axes.
-
-    The result has one axis per input followed by one per output.
-    Marginalizing the inputs away gives the exact output distribution.
-    """
-    in_arr = src.probs
-    in_dims = tuple(in_arr.shape)
-    total = math.prod(in_dims) * math.prod(out_dims)
-    if total > DENSE_CAP:
-        raise CapExceededError(f"{total} states exceed the dense cap {DENSE_CAP}")
-    out = np.zeros(in_dims + tuple(out_dims))
-    for idx in np.ndindex(*in_dims):
-        mass = in_arr[idx]
-        if mass == 0.0:
-            continue
-        try:
-            mapped = fn(*idx)
-        except Exception as exc:
-            raise ValueError(f"map undefined on support point {idx}") from exc
-        if not isinstance(mapped, tuple):
-            mapped = (mapped,)
-        out[idx + tuple(int(v) for v in mapped)] += mass
-    return JointPMF(out)
+def conditional_entropy(table: np.ndarray, target_axis: int = 0) -> float:
+    """H(target | all other axes) = H(table) - H(table summed over target)."""
+    table = np.asarray(table, dtype=np.float64)
+    return _entropy_bits(table) - _entropy_bits(table.sum(axis=target_axis))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .outcome import DecodeOutcome, REJECT
-from .prob import (CapExceededError, JointPMF, PMF, RandomStream, _estimate,
-                   conditional_entropy, entropy, induce_joint,
+from .prob import (CapExceededError, PMF, RandomStream, _estimate,
+                   _validate_probs, conditional_entropy, entropy,
                    mutual_information)
 from .typical import prefix_lookup
 
@@ -133,33 +133,55 @@ class ValidationReport:
         return not self.failures
 
 
-def scheme_joint(scheme: BaseScheme, source: PMF) -> JointPMF:
-    """Exact joint of (S, U, X, Y) under the splitter."""
+def _tabulate(scheme: BaseScheme, source: PMF) -> np.ndarray:
+    """The splitter on every support point (s, u), p(s) > 0, as int64 rows
+    (s, x, y): one call of `encode_fn` per point."""
     if source.support_size != scheme.secret_size:
         raise ValueError("source alphabet does not match the scheme")
-    src = JointPMF.outer(source, PMF.uniform(scheme.rand_size))
-    return induce_joint(src, scheme.encode_fn,
-                        (scheme.share_size, scheme.share_size))
+    cells = []
+    for s in np.flatnonzero(source.probs > 0.0).tolist():
+        for u in range(scheme.rand_size):
+            try:
+                cells.append((s, *scheme.encode_fn(s, u)))
+            except Exception as exc:
+                raise ValueError(
+                    f"map undefined on support point {(s, u)}") from exc
+    cells = np.array(cells, dtype=np.int64)
+    if cells[:, 1:].min() < 0 or cells[:, 1:].max() >= scheme.share_size:
+        raise ValueError("splitter maps a support point outside the share "
+                         "alphabet")
+    return cells
 
 
-def _information(source: PMF, joint: JointPMF) -> tuple[float, ...]:
-    """H(S), H(S|X), H(S|Y), H(S|XY) and I(X;Y) of a splitter's joint."""
+def _law(scheme: BaseScheme, source: PMF, cells: np.ndarray) -> np.ndarray:
+    """P(S,X,Y): each tabulated point adds its mass p(s) (1/|U|), validated
+    once."""
+    k, m = scheme.secret_size, scheme.share_size
+    p_sxy = np.zeros((k, m, m))
+    s, x, y = cells.T
+    np.add.at(p_sxy, (s, x, y), source.probs[s] * (1.0 / scheme.rand_size))
+    _validate_probs(p_sxy)
+    return p_sxy
+
+
+def _information(source: PMF, p_sxy: np.ndarray) -> tuple[float, ...]:
+    """H(S), H(S|X), H(S|Y), H(S|XY), I(X;Y), I(S;X) and I(S;Y) of a
+    splitter's P(S,X,Y); the pairwise laws are its axis sums."""
+    p_sx, p_sy, p_xy = p_sxy.sum(axis=2), p_sxy.sum(axis=1), p_sxy.sum(axis=0)
     return (entropy(source),
-            conditional_entropy(joint.marginal(0, 2), 0),
-            conditional_entropy(joint.marginal(0, 3), 0),
-            conditional_entropy(joint.marginal(0, 2, 3), 0),
-            mutual_information(joint.marginal(2, 3)))
+            conditional_entropy(p_sx, 0), conditional_entropy(p_sy, 0),
+            conditional_entropy(p_sxy, 0), mutual_information(p_xy),
+            mutual_information(p_sx), mutual_information(p_sy))
 
 
 def _report(scheme: BaseScheme, information: tuple[float, ...],
-            tol: float) -> ValidationReport:
-    """`validate_base` on the `_information` of the splitter's joint."""
-    h_s, h_s_x, h_s_y, h_s_xy, ell = information
+            cells: np.ndarray, tol: float) -> ValidationReport:
+    """`validate_base` on the `_information` of the splitter's law and its
+    tabulated points."""
+    h_s, h_s_x, h_s_y, h_s_xy, ell = information[:5]
     sizes_ok = min(scheme.share_size, scheme.share_size,
                    scheme.rand_size) >= scheme.secret_size
-    decoder_ok = all(
-        scheme.decode_fn(*scheme.encode_fn(s, u)) == s
-        for s in range(scheme.secret_size) for u in range(scheme.rand_size))
+    decoder_ok = all(scheme.decode_fn(x, y) == s for s, x, y in cells.tolist())
     failures = []
     if h_s - h_s_x > tol:
         failures.append(FAIL_SECRECY_X)
@@ -179,9 +201,12 @@ def _report(scheme: BaseScheme, information: tuple[float, ...],
 
 def validate_base(scheme: BaseScheme, source: PMF,
                   tol: float = SECRECY_TOL) -> ValidationReport:
-    """Exact check of per-symbol secrecy, decodability, and sizes."""
-    return _report(scheme, _information(source, scheme_joint(scheme, source)),
-                   tol)
+    """Exact check of per-symbol secrecy, decodability, and sizes.  The
+    decoder is checked where the splitter can send the secret: on the
+    support points."""
+    cells = _tabulate(scheme, source)
+    return _report(scheme, _information(source, _law(scheme, source, cells)),
+                   cells, tol)
 
 
 class SchemeValidationError(Exception):
@@ -192,30 +217,41 @@ class SchemeValidationError(Exception):
 class SymbolwiseCodec:
     """A validated per-symbol splitter repeated over n-blocks.
 
-    Carries the exact per-symbol joints, their entropies and I(X;Y) (each
-    computed once, from the joint the validation used), and the
-    log-likelihood-ratio score table of the acceptance test.  `threshold`
-    is the per-symbol acceptance cutoff I(X;Y) - gamma; a pair is accepted
-    when its mean score strictly exceeds it, decided exactly on `lattice`.
+    Carries the exact per-symbol share laws P(X,Y), P(X) and P(Y) as
+    read-only arrays, the entropies and informations of the splitter
+    (each computed once, from the law the validation used), and the
+    log-likelihood-ratio score table of the acceptance test.  None of these
+    depends on n or gamma, so `dataclasses.replace(codec, n=..., gamma=...)`
+    gives the codec of another blocklength without calling the splitter.
+    `threshold` is the per-symbol acceptance cutoff I(X;Y) - gamma; a pair
+    is accepted when its mean score strictly exceeds it, decided exactly on
+    `lattice`.
     """
 
     scheme: BaseScheme
     source: PMF
     n: int
     gamma: float
-    joint: JointPMF = field(repr=False)
-    p_xy: JointPMF = field(repr=False)
-    p_x: PMF = field(repr=False)
-    p_y: PMF = field(repr=False)
+    p_xy: np.ndarray = field(repr=False)
+    p_x: np.ndarray = field(repr=False)
+    p_y: np.ndarray = field(repr=False)
     score_table: np.ndarray = field(repr=False)
     i_xy: float
     h_s: float = field(repr=False)
     h_s_given_x: float = field(repr=False)
     h_s_given_y: float = field(repr=False)
     h_s_given_xy: float = field(repr=False)
+    i_sx: float = field(repr=False)
+    i_sy: float = field(repr=False)
     lattice: "ScoreLattice" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("blocklength must be positive")
+        # gamma = 0 puts the threshold on I(X;Y) itself, the tie edge the
+        # lattice decides exactly; `make_codec` asks for a positive slack
+        if not self.gamma >= 0.0:
+            raise ValueError("gamma must be non-negative")
         # derived, so dataclasses.replace (of gamma, say) rebuilds it
         object.__setattr__(self, "lattice", score_lattice(self))
 
@@ -226,38 +262,36 @@ class SymbolwiseCodec:
     @functools.cached_property
     def tables(self) -> "SplitterTables":
         """The lookup tables of `encode_n` and `decode_n`, built on first
-        use, so a codec that only evaluates never calls its splitter."""
+        use: a codec that only evaluates never needs them."""
         return splitter_tables(self)
 
 
 def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                require_valid: bool = True) -> SymbolwiseCodec:
-    if n < 1:
-        raise ValueError("blocklength must be positive")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    # one joint and one set of entropies serve the validation, the codec
-    # and its exact quantities
-    joint = scheme_joint(scheme, source)
-    information = _information(source, joint)
+    # one pass of the splitter over the support points, one law and one set
+    # of entropies serve the validation, the codec and its exact quantities
+    cells = _tabulate(scheme, source)
+    p_sxy = _law(scheme, source, cells)
+    information = _information(source, p_sxy)
     if require_valid:
-        report = _report(scheme, information, SECRECY_TOL)
+        report = _report(scheme, information, cells, SECRECY_TOL)
         if not report.passed:
             raise SchemeValidationError("; ".join(report.failures))
-    h_s, h_s_x, h_s_y, h_s_xy, i_xy = information
-    p_xy = joint.marginal(2, 3)
-    p_x = p_xy.marginal(0)
-    p_y = p_xy.marginal(1)
-    table = p_xy.probs
-    denom = np.outer(p_x.probs, p_y.probs)
+    h_s, h_s_x, h_s_y, h_s_xy, i_xy, i_sx, i_sy = information
+    p_xy = p_sxy.sum(axis=0)
+    p_x, p_y = p_xy.sum(axis=1), p_xy.sum(axis=0)
+    for law in (p_xy, p_x, p_y):
+        law.setflags(write=False)
     with np.errstate(divide="ignore"):
-        score = np.where(table > 0.0, np.log2(np.where(table > 0.0, table, 1.0) /
-                                              denom), -np.inf)
+        score = np.where(p_xy > 0.0, np.log2(np.where(p_xy > 0.0, p_xy, 1.0) /
+                                             np.outer(p_x, p_y)), -np.inf)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
-                           joint=joint, p_xy=p_xy, p_x=p_x, p_y=p_y,
-                           score_table=score, i_xy=i_xy, h_s=h_s,
-                           h_s_given_x=h_s_x, h_s_given_y=h_s_y,
-                           h_s_given_xy=h_s_xy)
+                           p_xy=p_xy, p_x=p_x, p_y=p_y, score_table=score,
+                           i_xy=i_xy, h_s=h_s, h_s_given_x=h_s_x,
+                           h_s_given_y=h_s_y, h_s_given_xy=h_s_xy,
+                           i_sx=i_sx, i_sy=i_sy)
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -663,7 +697,7 @@ def rejection_probability(codec: SymbolwiseCodec) -> float:
     count vectors the test rejects, summed on that side.
     """
     lat = codec.lattice
-    return lat.mass(lat.masses(codec.score_table, codec.p_xy.probs), codec.n,
+    return lat.mass(lat.masses(codec.score_table, codec.p_xy), codec.n,
                     accepted=False)
 
 
@@ -685,15 +719,12 @@ class SymbolQuantities:
 
 
 def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
-    """Error probability on the score lattice, the informations between
-    the secret and each share from the per-symbol joint, and the
+    """Error probability on the score lattice, and the informations and
     entropies the codec already holds."""
-    joint = codec.joint
     return SymbolQuantities(
         n=codec.n, gamma=codec.gamma, p_e=rejection_probability(codec),
-        i_xy_per_symbol=codec.i_xy,
-        i_sx_per_symbol=mutual_information(joint.marginal(0, 2)),
-        i_sy_per_symbol=mutual_information(joint.marginal(0, 3)),
+        i_xy_per_symbol=codec.i_xy, i_sx_per_symbol=codec.i_sx,
+        i_sy_per_symbol=codec.i_sy,
         h_s_given_x=codec.h_s_given_x, h_s_given_y=codec.h_s_given_y,
         h_s_given_xy=codec.h_s_given_xy,
         rate=math.log2(codec.scheme.share_size))
@@ -708,7 +739,7 @@ def monte_carlo_error(codec: SymbolwiseCodec, trials: int, rng: RandomStream,
     every trial draws the same vector, so none is drawn.
     """
     lat = codec.lattice
-    law = lat.buckets(codec.score_table, codec.p_xy.probs)
+    law = lat.buckets(codec.score_table, codec.p_xy)
     accepts = lat.count_test(codec.n)
     if np.count_nonzero(law) == 1:
         miss = not accepts(np.where(law > 0.0, codec.n, 0)[None])[0]

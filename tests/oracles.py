@@ -1,8 +1,9 @@
-"""Test oracles that live outside the package: dense i.i.d. extensions,
-pushforwards and inverse-CDF sampling, brute-force attacks and the dense
-alpha/beta, exact rationals, and alpha/beta composed from the library's
-lattice sums.  The dense ones are for small instances only; the library
-calls none of them.
+"""Test oracles that live outside the package: dense joints, induced
+joints and pushforwards, the dense (S, U, X, Y) joint of a per-symbol
+splitter with its validation profile, dense i.i.d. extensions and
+inverse-CDF sampling, brute-force attacks and the dense alpha/beta, exact
+rationals, and alpha/beta composed from the library's lattice sums.  The
+dense ones are for small instances only; the library calls none of them.
 """
 from __future__ import annotations
 
@@ -15,15 +16,156 @@ import mpmath
 import numpy as np
 
 from twoshare.attack import TestQuantities, symbolwise_beta
-from twoshare.prob import DENSE_CAP, CapExceededError, JointPMF, PMF
-from twoshare.symbol import SymbolwiseCodec, rejection_probability
+from twoshare.prob import (CapExceededError, PMF, _validate_probs,
+                           conditional_entropy, entropy, mutual_information)
+from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
+                             FAIL_SECRECY_Y, FAIL_SIZE, SECRECY_TOL,
+                             BaseScheme, SymbolwiseCodec,
+                             rejection_probability)
 
+# Largest number of states any dense table may hold.
+DENSE_CAP = 1 << 24
 # Largest number of states the exact-rational mode accepts.
 RATIONAL_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Dense enumeration
+
+
+@dataclass(frozen=True)
+class JointPMF:
+    """A joint PMF over a product of finite alphabets, stored densely.
+    Reads as its probability array wherever numpy takes one."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.probs, dtype=np.float64)
+        if arr.ndim < 2:
+            raise ValueError("a joint needs at least two axes")
+        if arr.size > DENSE_CAP:
+            raise CapExceededError(f"{arr.size} states exceed the dense cap {DENSE_CAP}")
+        _validate_probs(arr)
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "probs", arr)
+
+    def __array__(self, dtype=None, copy=None):
+        arr = self.probs if dtype is None else self.probs.astype(dtype)
+        return arr.copy() if copy else arr
+
+    @classmethod
+    def outer(cls, *pmfs: PMF) -> "JointPMF":
+        """Product joint of independent PMFs."""
+        size = math.prod(p.support_size for p in pmfs)
+        if size > DENSE_CAP:
+            raise CapExceededError(f"{size} states exceed the dense cap {DENSE_CAP}")
+        arr = pmfs[0].probs
+        for p in pmfs[1:]:
+            arr = np.multiply.outer(arr, p.probs)
+        return cls(arr)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(self.probs.shape)
+
+    def marginal(self, *axes: int) -> "PMF | JointPMF":
+        """Marginal over the named axes (all others summed out)."""
+        keep = tuple(axes)
+        if len(set(keep)) != len(keep):
+            raise ValueError("marginal axes must be distinct")
+        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
+        arr = self.probs.sum(axis=drop) if drop else self.probs
+        # after the sum the axes sit in sorted order; restore the requested one
+        perm = np.argsort(np.argsort(keep))
+        arr = np.transpose(arr, perm)
+        if arr.ndim == 1:
+            return PMF(arr)
+        return JointPMF(arr)
+
+
+def induce_joint(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -> JointPMF:
+    """Joint of (inputs, outputs) under a deterministic map of the inputs.
+
+    `fn` takes one index per input axis and returns an index tuple (or a
+    bare int when there is a single output axis) into `out_dims`; it must
+    be defined on every support point.  The result has one axis per input
+    followed by one per output.
+    """
+    in_arr = src.probs
+    in_dims = tuple(in_arr.shape)
+    total = math.prod(in_dims) * math.prod(out_dims)
+    if total > DENSE_CAP:
+        raise CapExceededError(f"{total} states exceed the dense cap {DENSE_CAP}")
+    out = np.zeros(in_dims + tuple(out_dims))
+    for idx in np.ndindex(*in_dims):
+        mass = in_arr[idx]
+        if mass == 0.0:
+            continue
+        try:
+            mapped = fn(*idx)
+        except Exception as exc:
+            raise ValueError(f"map undefined on support point {idx}") from exc
+        if not isinstance(mapped, tuple):
+            mapped = (mapped,)
+        out[idx + tuple(int(v) for v in mapped)] += mass
+    return JointPMF(out)
+
+
+def scheme_joint(scheme: BaseScheme, source: PMF) -> JointPMF:
+    """Exact dense joint of (S, U, X, Y) under a per-symbol splitter."""
+    if source.support_size != scheme.secret_size:
+        raise ValueError("source alphabet does not match the scheme")
+    src = JointPMF.outer(source, PMF.uniform(scheme.rand_size))
+    return induce_joint(src, scheme.encode_fn,
+                        (scheme.share_size, scheme.share_size))
+
+
+@dataclass(frozen=True)
+class SplitterProfile:
+    """A splitter's entropies, informations and validation failures, read
+    off its dense (S, U, X, Y) joint by marginal chains."""
+
+    h_s: float
+    h_s_given_x: float
+    h_s_given_y: float
+    h_s_given_xy: float
+    i_xy: float
+    i_sx: float
+    i_sy: float
+    failures: tuple[str, ...]
+
+
+def splitter_profile(scheme: BaseScheme, source: PMF,
+                     tol: float = SECRECY_TOL) -> SplitterProfile:
+    """The dense route of `symbol.validate_base` and `symbol.make_codec`:
+    every quantity from a marginal of the full joint, and the decoder
+    checked on every (s, u), support or not."""
+    joint = scheme_joint(scheme, source)
+    h_s = entropy(source)
+    h_s_x = conditional_entropy(joint.marginal(0, 2), 0)
+    h_s_y = conditional_entropy(joint.marginal(0, 3), 0)
+    h_s_xy = conditional_entropy(joint.marginal(0, 2, 3), 0)
+    failures = []
+    if h_s - h_s_x > tol:
+        failures.append(FAIL_SECRECY_X)
+    if h_s - h_s_y > tol:
+        failures.append(FAIL_SECRECY_Y)
+    if h_s_xy > tol:
+        failures.append(FAIL_DECODE)
+    if min(scheme.share_size, scheme.rand_size) < scheme.secret_size:
+        failures.append(FAIL_SIZE)
+    if not all(scheme.decode_fn(*scheme.encode_fn(s, u)) == s
+               for s in range(scheme.secret_size)
+               for u in range(scheme.rand_size)):
+        failures.append(FAIL_DECODER)
+    return SplitterProfile(
+        h_s=h_s, h_s_given_x=h_s_x, h_s_given_y=h_s_y, h_s_given_xy=h_s_xy,
+        i_xy=mutual_information(joint.marginal(2, 3)),
+        i_sx=mutual_information(joint.marginal(0, 2)),
+        i_sy=mutual_information(joint.marginal(0, 3)),
+        failures=tuple(failures))
 
 
 def pushforward(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -> JointPMF | PMF:

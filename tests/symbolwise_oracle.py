@@ -23,6 +23,7 @@ import operator
 
 import numpy as np
 
+from oracles import scheme_joint
 from twoshare.attack import AttackResult, TestQuantities, _check_side
 from twoshare.attack import _forged_rows
 from twoshare.prob import CapExceededError, conditional_entropy, mutual_information
@@ -101,18 +102,18 @@ def mean_tail_strict(dist: dict[float, float], n: int, per_symbol_threshold: flo
 
 def legit_score_distribution(codec: SymbolwiseCodec) -> dict[float, float]:
     """Per-symbol score distribution under legitimate share pairs."""
-    table = codec.p_xy.probs
+    table = codec.p_xy
     mask = table > 0.0
     return merge_values(codec.score_table[mask], table[mask])
 
 
 def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
     """Error probability by score-sum convolution, the rest from the
-    per-symbol joint."""
+    dense (S, U, X, Y) joint."""
     dist = power_convolve(legit_score_distribution(codec), codec.n)
     acc = mean_tail_strict(dist, codec.n, codec.threshold)
     p_e = min(max(1.0 - acc, 0.0), 1.0)
-    joint = codec.joint
+    joint = scheme_joint(codec.scheme, codec.source)
     return SymbolQuantities(
         n=codec.n, gamma=codec.gamma, p_e=p_e,
         i_xy_per_symbol=codec.i_xy,
@@ -127,10 +128,10 @@ def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
 def _forged_symbol_dists(codec: SymbolwiseCodec, side: str) -> list[dict[float, float]]:
     """Score distribution per forged symbol value against the honest marginal."""
     if side == "x":
-        marginal = codec.p_y.probs
+        marginal = codec.p_y
         rows = [codec.score_table[a, :] for a in range(codec.scheme.share_size)]
     else:
-        marginal = codec.p_x.probs
+        marginal = codec.p_x
         rows = [codec.score_table[:, a] for a in range(codec.scheme.share_size)]
     return [merge_values(row, marginal) for row in rows]
 
@@ -205,7 +206,7 @@ def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
     legit = power_convolve(legit_score_distribution(codec), codec.n)
     alpha = 1.0 - mean_tail_strict(legit, codec.n, codec.threshold)
     indep = merge_values(codec.score_table.ravel(),
-                         np.outer(codec.p_x.probs, codec.p_y.probs).ravel())
+                         np.outer(codec.p_x, codec.p_y).ravel())
     beta = mean_tail_strict(power_convolve(indep, codec.n), codec.n,
                             codec.threshold)
     return TestQuantities(alpha=min(max(alpha, 0.0), 1.0), beta=beta)

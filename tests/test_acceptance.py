@@ -16,12 +16,11 @@ import pytest
 
 import oracles
 from blockwise_oracle import xi_plus_all
-from oracles import iid_extension
+from oracles import JointPMF, iid_extension
 
 from twoshare import attack as atk
 from twoshare import block, harness, symbol
-from twoshare.prob import (JointPMF, PMF, RandomStream, entropy,
-                           mutual_information)
+from twoshare.prob import PMF, RandomStream, entropy, mutual_information
 from twoshare.typical import GammaSchedule, atypical_mass, build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -54,7 +53,7 @@ def test_01_blockwise_shares_carry_no_secret_information():
 
 def symbolwise_joints(m, source):
     scheme = symbol.modular_scheme(m, source.support_size)
-    return symbol.scheme_joint(scheme, source)
+    return oracles.scheme_joint(scheme, source)
 
 
 def test_02_symbolwise_shares_carry_no_secret_information():

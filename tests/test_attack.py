@@ -18,7 +18,8 @@ from twoshare.attack import (blockwise_attack, blockwise_test_quantities,
                              monte_carlo_attack, symbolwise_attack)
 from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
-from twoshare.prob import CapExceededError, JointPMF, PMF, RandomStream
+from oracles import JointPMF
+from twoshare.prob import CapExceededError, PMF, RandomStream
 from twoshare.symbol import (BaseScheme, identity_leak_scheme, make_codec,
                              modular_scheme)
 from twoshare.typical import build_index
@@ -150,7 +151,7 @@ class TestSymbolwiseAttack:
                            require_valid=False)
         m, n = 3, 3
         seqs = list(itertools.product(range(m), repeat=n))
-        p_y = codec.p_y.probs
+        p_y = codec.p_y
         honest_y = np.array([math.prod(p_y[b] for b in s) for s in seqs])
 
         def fn_x(f, h):
@@ -162,7 +163,7 @@ class TestSymbolwiseAttack:
         res = symbolwise_attack(codec, "x")
         assert res.success_prob == pytest.approx(best, abs=1e-12)
 
-        p_x = codec.p_x.probs
+        p_x = codec.p_x
         honest_x = np.array([math.prod(p_x[b] for b in s) for s in seqs])
 
         def fn_y(f, h):
@@ -365,7 +366,7 @@ class TestDenseQuantities:
 
     def test_symbolwise_quantities_match_dense(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=3, gamma=0.5)
-        t = codec.p_xy.probs
+        t = codec.p_xy
         full = np.kron(np.kron(t, t), t)
         seqs = list(itertools.product(range(3), repeat=3))
 

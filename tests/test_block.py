@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import iid_extension, pushforward
+from oracles import JointPMF, iid_extension, pushforward
 from twoshare.block import (
     BlockShare, BlockRandomness, BlockwiseParams, floor_pow2,
     encode, accepts, decode, exact_quantities, monte_carlo_error,
 )
 from twoshare.prob import (
-    PMF, JointPMF, RandomStream, entropy, mutual_information,
+    PMF, RandomStream, entropy, mutual_information,
     conditional_entropy,
 )
 from twoshare.typical import build_index
@@ -149,9 +149,9 @@ def oracle_quantities(params, source):
                     p_e += p_sn[si] / (L * mp1)
     return {
         "p_e": p_e,
-        "i_sx": mutual_information(j, 0, 1),
-        "i_sy": mutual_information(j, 0, 2),
-        "i_xy": mutual_information(j, 1, 2),
+        "i_sx": mutual_information(j.marginal(0, 1)),
+        "i_sy": mutual_information(j.marginal(0, 2)),
+        "i_xy": mutual_information(j.marginal(1, 2)),
         "h_s_given_xy": conditional_entropy(j, 0),
         "p_y": j.marginal(2).probs,
         "p_x": j.marginal(1).probs,

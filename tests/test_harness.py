@@ -8,13 +8,16 @@ from pathlib import Path
 import pytest
 
 import twoshare
-from twoshare import attack, cli, harness
+from twoshare import attack, cli, harness, symbol
 from twoshare.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                               ExperimentReport, HOLDS, NOT_APPLICABLE,
                               RunRecord, VERDICT_KEYS, VIOLATED, emit_csv,
                               emit_jsonl, emit_report, read_report_csv,
                               read_report_jsonl, run_experiment)
 from twoshare.symbol import FAIL_SECRECY_X
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_dict(**over):
@@ -227,14 +230,86 @@ class TestRunExperiment:
         assert all(v == HOLDS for v in rec.verdicts.values())
         assert 0.0 <= rec.p_e < 1e-9
 
+    @staticmethod
+    def count_splitter_calls(monkeypatch, build=symbol.modular_scheme):
+        """Route the harness's splitter through `build`, counting calls of
+        its encoder and decoder."""
+        calls = {"encode": 0, "decode": 0}
+
+        def counting(m, k):
+            base = build(m, k)
+
+            def encode_fn(s, u):
+                calls["encode"] += 1
+                return base.encode_fn(s, u)
+
+            def decode_fn(x, y):
+                calls["decode"] += 1
+                return base.decode_fn(x, y)
+            return dataclasses.replace(base, encode_fn=encode_fn,
+                                       decode_fn=decode_fn)
+
+        monkeypatch.setattr(symbol, "modular_scheme", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_symbolwise_sweep_calls_the_splitter_once(self, mode,
+                                                      monkeypatch):
+        calls = self.count_splitter_calls(monkeypatch)
+        for n_values in ([6], [6, 8, 10, 12]):
+            run_experiment(ExperimentConfig.from_dict(base_dict(
+                source=[0.5, 0.3, 0.2], scheme={"kind": "symbolwise", "m": 5},
+                n_values=n_values, mode=mode, trials=1000)))
+            # one pass over the 3 x 5 support points, whatever the sweep
+            assert calls == {"encode": 15, "decode": 15}, n_values
+            calls.update(encode=0, decode=0)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_sweep_records_match_one_codec_per_blocklength(self, mode):
+        # the codec derived by dataclasses.replace gives the records a codec
+        # built at that blocklength gives
+        raw = base_dict(source=[0.5, 0.3, 0.2],
+                        scheme={"kind": "symbolwise", "m": 5},
+                        n_values=[6, 9, 12], mode=mode, trials=2000)
+        sweep = run_experiment(ExperimentConfig.from_dict(raw)).records
+        for i, n in enumerate(raw["n_values"]):
+            # a one-blocklength sweep draws from the stream of record 0,
+            # so compare Monte Carlo records at the first blocklength only
+            if mode == "mc" and i:
+                continue
+            (alone,) = run_experiment(ExperimentConfig.from_dict(
+                dict(raw, n_values=[n]))).records
+            assert vars(alone) == vars(sweep[i]), n
+
+    def test_failed_codec_build_skips_every_record(self, monkeypatch):
+        calls = self.count_splitter_calls(monkeypatch,
+                                          symbol.identity_leak_scheme)
+        report = run_experiment(ExperimentConfig.from_dict(base_dict(
+            scheme={"kind": "symbolwise", "m": 3}, n_values=[4, 6, 8])))
+        assert [r.skipped for r in report.records] == [FAIL_SECRECY_X] * 3
+        assert all(r.verdicts == {k: NOT_APPLICABLE for k in VERDICT_KEYS}
+                   for r in report.records)
+        assert calls["encode"] == 2 * 3
+
+    def test_wide_share_alphabet_config_evaluates(self):
+        # k=2, M=1024: a share alphabet past the old dense (S,U,X,Y) joint
+        raw = json.loads((CONFIG_DIR / "symbolwise_wide_m.json").read_text())
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        h_s = twoshare.entropy(twoshare.PMF.from_probs(raw["source"]))
+        assert [r.n for r in report.records] == [16, 64]
+        for rec in report.records:
+            assert rec.skipped is None
+            assert rec.i_xy_per_symbol == pytest.approx(
+                math.log2(1024) - h_s, rel=0.0, abs=1e-9)
+            assert all(v == HOLDS for v in rec.verdicts.values())
+
     def test_wall_time_recorded(self):
         report = run_experiment(ExperimentConfig.from_dict(
             base_dict(n_values=[4])))
         assert report.wall_time_s >= 0.0
 
 
-UNIFORM_MC = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                         / "blockwise_uniform_mc.json").read_text())
+UNIFORM_MC = json.loads((CONFIG_DIR / "blockwise_uniform_mc.json").read_text())
 
 
 class TestMonteCarloVerdicts:
@@ -329,6 +404,23 @@ class TestEmission:
         rec = read_report_jsonl(emit_jsonl(report)).records[0]
         assert rec.skipped == report.records[0].skipped
         assert math.isnan(rec.p_e)
+
+    def test_jsonl_records_match_their_asdict_form(self):
+        # records are serialised from their own dict; the output is the
+        # deep copy's, byte for byte
+        reports = [
+            self.make_report(scheme={"kind": "symbolwise", "m": 3}),
+            self.make_report(scheme={"kind": "symbolwise", "m": 3},
+                             mode="mc", trials=2000),
+            self.make_report(schedule={"kind": "constant", "gamma": 0.05},
+                             n_values=[4])]
+        assert reports[1].records[0].p_e_ci is not None
+        assert reports[2].records[0].skipped
+        for report in reports:
+            lines = emit_jsonl(report).splitlines()[1:]
+            assert lines == [json.dumps(dict(dataclasses.asdict(r),
+                                             type="record"), sort_keys=True)
+                             for r in report.records]
 
     def test_jsonl_requires_metadata(self):
         with pytest.raises(ConfigError):
@@ -440,6 +532,29 @@ class TestCli:
         monkeypatch.setattr(harness, "run_experiment", fake)
         code, _, _ = self.run(["experiment", "--config", config_path], capsys)
         assert code == 2
+
+    def test_experiment_names_skips_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "masks.json"
+        path.write_text(json.dumps(base_dict(
+            source="uniform:2", scheme={"kind": "blockwise", "ell": 2.0},
+            schedule={"kind": "constant", "gamma": 0.3}, n_values=[30, 40])))
+        code, out, err = self.run(["experiment", "--config", str(path)],
+                                  capsys)
+        assert code == 0
+        rows = read_report_csv(out)
+        assert [r["n"] for r in rows] == [30, 40]
+        assert all(math.isnan(r["p_e"]) for r in rows)
+        assert err.splitlines() == [
+            "skipped n=30: exponent 60.0 exceeds the 40.0-bit limit; "
+            "lower n or ell",
+            "skipped n=40: exponent 80.0 exceeds the 40.0-bit limit; "
+            "lower n or ell",
+            "2 of 2 records skipped"]
+
+    def test_experiment_without_skips_is_quiet(self, config_path, capsys):
+        code, _, err = self.run(["experiment", "--config", config_path],
+                                capsys)
+        assert code == 0 and err == ""
 
     def test_experiment_seed_override_changes_mc_output(self, tmp_path,
                                                         capsys):

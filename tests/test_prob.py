@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (RationalJoint, entropy_mp, iid_extension, pushforward,
-                     sample)
+from oracles import (JointPMF, RationalJoint, entropy_mp, induce_joint,
+                     iid_extension, pushforward, sample)
 from twoshare.prob import (
-    PMF, JointPMF, RandomStream, CapExceededError, entropy, binary_entropy,
-    mutual_information, conditional_entropy, induce_joint,
+    PMF, RandomStream, CapExceededError, entropy, binary_entropy,
+    mutual_information, conditional_entropy,
 )
 
 # 20-digit reference, computed once with mpmath at 50 digits
@@ -136,6 +136,14 @@ class TestMutualInformation:
         j = r.to_float()
         assert mutual_information(j) == pytest.approx(
             float(r.mutual_information()), abs=1e-12)
+
+    def test_takes_plain_two_axis_arrays(self):
+        arr = np.array([[0.4, 0.1], [0.2, 0.3]])
+        assert mutual_information(arr) == mutual_information(JointPMF(arr))
+        assert conditional_entropy(arr, 1) == conditional_entropy(
+            JointPMF(arr), 1)
+        with pytest.raises(ValueError, match="two-axis"):
+            mutual_information(np.full((2, 2, 2), 0.125))
 
     def test_conditional_entropy_chain_rule(self):
         rng = np.random.default_rng(11)

@@ -52,9 +52,9 @@ CASES = (
 def legit_and_indep(codec):
     """Per-position score laws of legitimate and of independent pairs."""
     lat = codec.lattice
-    return (lat.masses(codec.score_table, codec.p_xy.probs),
+    return (lat.masses(codec.score_table, codec.p_xy),
             lat.masses(codec.score_table,
-                       codec.p_x.probs[:, None] * codec.p_y.probs))
+                       codec.p_x[:, None] * codec.p_y))
 
 
 def assert_parity(codec, float_keyed=True):
@@ -96,7 +96,7 @@ def test_identity_leak_matches_convolution_oracle(m, source, n):
     codec = leaky(m, source, n)
     # the forged symbol outside the secret alphabet forms its own class
     lat = symbol.score_lattice(codec)
-    rows = {lat.masses(codec.score_table[a, :], codec.p_y.probs)
+    rows = {lat.masses(codec.score_table[a, :], codec.p_y)
             for a in range(m)}
     assert len(rows) > 1
     assert_parity(codec)

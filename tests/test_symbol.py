@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoshare import harness, symbol
-from twoshare.prob import (JointPMF, PMF, RandomStream, entropy,
-                           mutual_information)
+from oracles import JointPMF, scheme_joint, splitter_profile
+from twoshare.prob import PMF, RandomStream, entropy, mutual_information
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
                              SchemeValidationError, SymbolwiseCodec,
@@ -21,7 +21,7 @@ from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              identity_leak_scheme, llr_score, make_codec,
                              modular_correlation_level, modular_scheme,
                              monte_carlo_error, nondecodable_scheme,
-                             scheme_joint, score_lattice, undersized_scheme,
+                             score_lattice, undersized_scheme,
                              validate_base)
 
 H_73 = 0.88129089923069261822  # frozen H(0.7, 0.3), cross-checked in test_prob
@@ -186,6 +186,47 @@ class TestCodecConstruction:
         with pytest.raises(ValueError):
             make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.0)
 
+    @pytest.mark.parametrize("change", [
+        {"n": 0, "gamma": -1.0}, {"n": 0}, {"gamma": -1.0},
+        {"gamma": math.nan}])
+    def test_replace_checks_blocklength_and_gamma(self, change):
+        # a derived codec is checked as a new one is, not only by make_codec
+        codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(codec, **change)
+
+    def test_share_laws_are_read_only(self):
+        codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=0.5)
+        for law in (codec.p_xy, codec.p_x, codec.p_y):
+            assert isinstance(law, np.ndarray) and not law.flags.writeable
+            with pytest.raises(ValueError):
+                law[0] = 0.0
+
+    def test_splitter_runs_on_support_points_only(self):
+        # a zero-probability secret symbol is never split, so a splitter
+        # undefined there still builds; one undefined on the support raises
+        def encode(bad):
+            def fn(s, u):
+                if s == bad:
+                    raise KeyError(s)
+                return fstar(4, s, u)
+            return fn
+        source = PMF.from_probs([0.6, 0.0, 0.4])
+        for bad, ok in ((1, True), (2, False)):
+            scheme = dataclasses.replace(modular_scheme(4, 3),
+                                         encode_fn=encode(bad))
+            if ok:
+                assert make_codec(scheme, source, n=4, gamma=0.5).i_xy > 0.0
+            else:
+                with pytest.raises(ValueError, match="support point"):
+                    make_codec(scheme, source, n=4, gamma=0.5)
+
+    def test_shares_outside_the_alphabet_raise(self):
+        scheme = dataclasses.replace(modular_scheme(4, 2),
+                                     encode_fn=lambda s, u: (s - u, u))
+        with pytest.raises(ValueError, match="outside the share alphabet"):
+            validate_base(scheme, U2)
+
     def test_threshold_is_correlation_minus_gamma(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.25)
         assert codec.i_xy == pytest.approx(1.0, abs=1e-9)
@@ -194,10 +235,43 @@ class TestCodecConstruction:
     def test_share_marginals_uniform(self):
         for m, source in ((3, SKEW), (4, U2), (5, SKEW)):
             codec = make_codec(modular_scheme(m, 2), source, n=2, gamma=0.5)
-            np.testing.assert_allclose(codec.p_x.probs, np.full(m, 1.0 / m),
+            np.testing.assert_allclose(codec.p_x, np.full(m, 1.0 / m),
                                        atol=1e-12)
-            np.testing.assert_allclose(codec.p_y.probs, np.full(m, 1.0 / m),
+            np.testing.assert_allclose(codec.p_y, np.full(m, 1.0 / m),
                                        atol=1e-12)
+
+
+SHIPPED_SPLITTERS = [modular_scheme(5, 3), identity_leak_scheme(5, 3),
+                     nondecodable_scheme(5, 3), undersized_scheme(2, 3)]
+
+
+class TestDenseParity:
+    """The per-symbol laws against the dense (S, U, X, Y) joint."""
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.6, 0.0, 0.4],
+                                       [1 / 3, 1 / 3, 1 / 3]])
+    @pytest.mark.parametrize("scheme", SHIPPED_SPLITTERS,
+                             ids=lambda scheme: scheme.name)
+    def test_laws_match_the_dense_joint(self, scheme, probs):
+        source = PMF.from_probs(probs)
+        dense = splitter_profile(scheme, source)
+        report = validate_base(scheme, source)
+        assert report.failures == dense.failures
+        codec = make_codec(scheme, source, n=4, gamma=0.5,
+                           require_valid=False)
+        got = (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
+               codec.h_s_given_xy, codec.i_xy, codec.i_sx, codec.i_sy)
+        want = (dense.h_s, dense.h_s_given_x, dense.h_s_given_y,
+                dense.h_s_given_xy, dense.i_xy, dense.i_sx, dense.i_sy)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+        joint = scheme_joint(scheme, source)
+        for law, axes in ((codec.p_xy, (2, 3)), (codec.p_x, (2,)),
+                          (codec.p_y, (3,))):
+            np.testing.assert_allclose(law, joint.marginal(*axes).probs,
+                                       rtol=0.0, atol=1e-15)
+        if dense.failures:
+            with pytest.raises(SchemeValidationError):
+                make_codec(scheme, source, n=4, gamma=0.5)
 
 
 class TestBlockEncode:
@@ -249,7 +323,7 @@ class TestScoring:
         codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
         lat = score_lattice(codec)
         dist = dict(zip(lat.values,
-                        lat.masses(codec.score_table, codec.p_xy.probs)))
+                        lat.masses(codec.score_table, codec.p_xy)))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         expect = {math.log2(3 * 0.7): 0.7, math.log2(3 * 0.3): 0.3}
         assert len(dist) == 2
@@ -541,9 +615,9 @@ class TestSplitterTables:
                                        decode_fn=decode_fn)
 
         monkeypatch.setattr(symbol, "modular_scheme", counting)
-        # the joint and the decoder check: two passes of S x U through the
-        # splitter, one through the decoder; the tables add none
-        built = {"encode": 2 * 3 * 5, "decode": 3 * 5}
+        # one pass of S x U through the splitter, and the decoder check on
+        # the shares it tabulated; the tables add none
+        built = {"encode": 3 * 5, "decode": 3 * 5}
         for mode in ("exact", "mc"):
             cfg = harness.ExperimentConfig.from_dict(
                 {"source": [0.5, 0.3, 0.2],
@@ -556,9 +630,9 @@ class TestSplitterTables:
         assert calls == built and "tables" not in vars(codec)
         xs, ys = encode_n(codec, (0, 1, 2, 0, 1, 2), (4, 3, 2, 1, 0, 0))
         # first call: S x U once, and the decoder on the 15 finite cells
-        assert calls == {"encode": 45, "decode": 30}
+        assert calls == {"encode": 30, "decode": 30}
         assert decode_n(codec, xs, ys).secret == (0, 1, 2, 0, 1, 2)
-        assert calls == {"encode": 45, "decode": 30}
+        assert calls == {"encode": 30, "decode": 30}
         tied = dataclasses.replace(codec, gamma=0.25)
         assert "tables" not in vars(tied)
 
@@ -628,7 +702,7 @@ class TestExactQuantities:
     def test_block_information_is_additive(self):
         # product structure over positions: I(X^n;Y^n) = n * I(X;Y)
         codec = make_codec(modular_scheme(3, 2), SKEW, n=3, gamma=0.5)
-        table = codec.p_xy.probs
+        table = codec.p_xy
         full = table
         for _ in range(codec.n - 1):
             full = np.kron(full, table)
