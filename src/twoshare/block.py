@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .outcome import DecodeOutcome, REJECT
 from .prob import CapExceededError, RandomStream, _estimate, entropy
 from .typical import TypicalIndex, atypical_draw
@@ -36,14 +34,25 @@ class MaskDrawError(CapExceededError):
 
 
 def floor_pow2(bits: float) -> int:
-    """floor(2**bits) evaluated at 96-bit precision before flooring."""
+    """floor(2**bits), exactly: 2**(c/2**e), for bits = i + c/2**e, is e
+    square roots y <- sqrt(y 2**bit), per bit of c from the lowest, bounded
+    at p bits from below and above; p doubles until both floor alike."""
     if bits < 0.0:
         raise ValueError("exponent must be non-negative")
     if bits > MAX_MASK_BITS + 1e-9:
         raise MaskBitsError(f"exponent {bits} exceeds the {MAX_MASK_BITS}-bit "
                             "limit; lower n or ell")
-    with mpmath.workprec(96):
-        return int(mpmath.floor(mpmath.power(2, mpmath.mpf(bits))))
+    num, den = float(bits).as_integer_ratio()
+    e, p = den.bit_length() - 1, 64
+    while True:
+        lo = hi = 1 << p
+        for t in range(e):  # the low e bits of num are those of c
+            lo = math.isqrt(lo << (p + (num >> t & 1)))
+            hi = math.isqrt((hi << (p + (num >> t & 1))) - 1) + 1
+        lo, hi = (lo << (num >> e)) >> p, (hi << (num >> e)) >> p
+        if lo == hi:
+            return lo
+        p *= 2
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,15 @@ class CapExceededError(Exception):
     """An exact computation would exceed its state cap."""
 
 
+def as_symbol(value, name: str = "symbol") -> int:
+    """A symbol as an int; ValueError naming one that is not an integer
+    (2.0, True and numpy integers are)."""
+    symbol = int(value)
+    if symbol != value:
+        raise ValueError(f"{name} {value} is not an integer")
+    return symbol
+
+
 def _validate_probs(arr: np.ndarray):
     if arr.ndim < 1 or arr.size == 0:
         raise ValueError("probability table must be non-empty")

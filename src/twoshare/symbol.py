@@ -17,16 +17,17 @@ be dropped in; `validate_base` checks the profile exactly before use.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, PMF, RandomStream, _estimate,
-                   _validate_probs, conditional_entropy, entropy,
+                   _validate_probs, as_symbol, conditional_entropy, entropy,
                    mutual_information)
 from .typical import prefix_lookup
 
@@ -262,8 +263,23 @@ class SymbolwiseCodec:
     @functools.cached_property
     def tables(self) -> "SplitterTables":
         """The lookup tables of `encode_n` and `decode_n`, built on first
-        use: a codec that only evaluates never needs them."""
-        return splitter_tables(self)
+        use (a codec that only evaluates never needs them): at most 2 k |U|
+        calls."""
+        scheme, lat, score = self.scheme, self.lattice, self.score_table
+        shares, cells, weight = {}, {}, dict(zip(lat.values, lat.weights))
+        for s, u in itertools.product(range(scheme.secret_size),
+                                      range(scheme.rand_size)):
+            try:
+                x, y = scheme.encode_fn(s, u)
+                shares[s, u] = operator.index(x), operator.index(y)
+            except Exception:
+                pass
+        for x, y in np.argwhere(np.isfinite(score)).tolist():
+            try:
+                cells[x, y] = weight[score[x, y]], int(scheme.decode_fn(x, y))
+            except Exception:  # a hole fails int()
+                pass
+        return SplitterTables(shares, cells)
 
 
 def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
@@ -295,28 +311,30 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Apply the splitter position by position, by lookups in
-    `codec.tables`.  Raises ValueError on a wrong length, or naming the
-    first symbol outside its alphabet."""
-    secret, rand = tuple(map(int, secret)), tuple(map(int, rand))
-    n = codec.n
+    """Apply the splitter by lookups in `codec.tables`.  A call they miss
+    goes position by position: ValueError on a wrong length or naming the
+    first symbol outside its alphabet or not an integer, secret first, and
+    a cell the table lacks calls the splitter again, so it raises there."""
+    shares, n = codec.tables.shares, codec.n
+    try:
+        if len(secret) == len(rand) == n:
+            return tuple(zip(*map(shares.__getitem__, zip(secret, rand))))
+    except (KeyError, TypeError):
+        pass
+    secret, rand = tuple(secret), tuple(rand)
     if len(secret) != n or len(rand) != n:
         raise ValueError(f"secret and randomness must have length {n}")
-    k, r = codec.scheme.secret_size, codec.scheme.rand_size
-    # builtin reductions: a symbol past int64 is out of range, not an
-    # OverflowError
-    end = n
-    if min(secret) < 0 or max(secret) >= k or min(rand) < 0 or max(rand) >= r:
-        end = next(i for i, (s, u) in enumerate(zip(secret, rand))
-                   if not (0 <= s < k and 0 <= u < r))
-    # the positions before a bad one are encoded first, so a splitter
-    # cell that raises there still raises first
-    shares = codec.tables.encode(secret[:end], rand[:end])
-    if end < n:
-        if not 0 <= secret[end] < k:
-            raise ValueError(f"secret symbol {secret[end]} outside the alphabet")
-        raise ValueError(f"randomness symbol {rand[end]} outside the alphabet")
-    return shares
+    out = []
+    for s, u in zip(secret, rand):
+        s = as_symbol(s, "secret symbol")
+        if not 0 <= s < codec.scheme.secret_size:
+            raise ValueError(f"secret symbol {s} outside the alphabet")
+        u = as_symbol(u, "randomness symbol")
+        if not 0 <= u < codec.scheme.rand_size:
+            raise ValueError(f"randomness symbol {u} outside the alphabet")
+        x, y = shares.get((s, u)) or codec.scheme.encode_fn(s, u)
+        out.append((x, y))
+    return tuple(zip(*out))
 
 
 def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, ...]:
@@ -324,132 +342,84 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
                                                   size=codec.n))
 
 
-def _share_pair(codec: SymbolwiseCodec, xs, ys) -> np.ndarray:
-    """A share pair as one (2, n) array.  Raises ValueError on shares of
-    the wrong length or symbols outside [0, M)."""
+def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
+    """(weights, symbols) of a share pair: per position the lattice weight
+    of its score and its secret symbol, by lookups in `codec.tables`; None
+    when a position scores -inf.  A pair they miss goes position by
+    position: ValueError on a wrong length or naming the first symbol, of
+    xs then ys, outside [0, M) or not an integer; a missed finite cell
+    reads as its own symbol, or with `decode`, on an accepted pair, calls
+    the decoder again, so a hole raises RuntimeError."""
+    n, m, cells = codec.n, codec.scheme.share_size, codec.tables.cells
+    try:
+        if len(xs) == len(ys) == n:
+            return tuple(zip(*map(cells.__getitem__, zip(xs, ys))))
+    except (KeyError, TypeError):
+        pass
     xs, ys = tuple(xs), tuple(ys)
-    if len(xs) != codec.n or len(ys) != codec.n:
-        raise ValueError(f"shares must have length {codec.n}")
-    m = codec.scheme.share_size
-    # builtin reductions before the int64 array: a symbol past int64 is
-    # out of range, not an OverflowError
-    if min(min(xs), min(ys)) < 0 or max(max(xs), max(ys)) >= m:
-        bad = next(v for v in xs + ys if not 0 <= v < m)
-        raise ValueError(f"share symbol {bad} outside [0, {m})")
-    return np.array((xs, ys), dtype=np.int64)
-
-
-def _value_counts(codec: SymbolwiseCodec, pair: np.ndarray) -> list[int] | None:
-    """How many positions of a share pair score each lattice value, in
-    the order of `codec.lattice.values`; None when a position scores -inf."""
-    idx = codec.tables.vidx[pair[0], pair[1]]
-    if idx.min() < 0:
-        return None
-    return np.bincount(idx, minlength=len(codec.lattice.values)).tolist()
-
-
-def _accepts(codec: SymbolwiseCodec, pair: np.ndarray) -> bool:
-    counts = _value_counts(codec, pair)
-    return counts is not None and codec.lattice.accepts(counts)
+    if len(xs) != n or len(ys) != n:
+        raise ValueError(f"shares must have length {n}")
+    found = list(map(cells.get, zip(xs, ys)))
+    # a symbol at fault is in no key, so it sits at a miss
+    miss = [i for i, hit in enumerate(found) if hit is None]
+    for v in [xs[i] for i in miss] + [ys[i] for i in miss]:
+        v = as_symbol(v, "share symbol")
+        if not 0 <= v < m:
+            raise ValueError(f"share symbol {v} outside [0, {m})")
+    lat = codec.lattice
+    for i in miss:
+        cell = int(xs[i]), int(ys[i])
+        score = codec.score_table[cell]
+        if score == -math.inf:
+            return None
+        found[i] = lat.weights[lat.values.index(score)], cell
+    weights, symbols = zip(*found)
+    if decode and sum(weights) > lat.bar:
+        symbols = list(symbols)
+        for i in miss:
+            symbols[i] = codec.scheme.decode_fn(*symbols[i])
+            if symbols[i] is None:
+                raise RuntimeError("decoder undefined on an accepted share pair")
+            symbols[i] = int(symbols[i])
+    return weights, tuple(symbols)
 
 
 def llr_score(codec: SymbolwiseCodec, xs, ys) -> float:
     """Mean per-symbol log-likelihood ratio; -inf on zero-probability pairs.
     Summed from the value counts, so it does not depend on position order;
-    `accepts_n` decides on the counts exactly, not on this float."""
-    counts = _value_counts(codec, _share_pair(codec, xs, ys))
-    if counts is None:
+    `accepts_n` decides on the weights exactly, not on this float."""
+    found = _cells(codec, xs, ys)
+    if found is None:
         return float("-inf")
+    counts = map(found[0].count, codec.lattice.weights)
     return math.fsum(map(operator.mul, counts, codec.lattice.values)) / codec.n
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
-    """Strict threshold test on the score lattice; ties are rejected."""
-    return _accepts(codec, _share_pair(codec, xs, ys))
+    """Strict threshold test on the score lattice; ties are rejected.  The
+    positions' weights sum to the integer score `ScoreLattice.accepts`
+    compares with `bar`."""
+    found = _cells(codec, xs, ys)
+    return found is not None and sum(found[0]) > codec.lattice.bar
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
     """The secret of an accepted share pair, by lookups in `codec.tables`;
     RuntimeError when an accepted pair hits a hole of the decoder."""
-    pair = _share_pair(codec, xs, ys)
-    if not _accepts(codec, pair):
+    found = _cells(codec, xs, ys, decode=True)
+    if found is None or sum(found[0]) <= codec.lattice.bar:
         return REJECT
-    return DecodeOutcome(codec.tables.decode(pair))
+    return DecodeOutcome(found[1])
 
 
-@dataclass(frozen=True)
-class SplitterTables:
-    """A codec's splitter, decoder and score as lookup tables.
+class SplitterTables(NamedTuple):
+    """`shares[s, u]` is (x, y) wherever the splitter returned integers;
+    `cells[x, y]` is (lattice weight of its score, s) on each finite-score
+    cell, the splitter's image, where the decoder returned an int.  Neither
+    exceeds k |U| entries.  The splitter must be deterministic."""
 
-    `enc[s, u]` holds (x, y), `dec[x, y]` holds s, and `vidx[x, y]` the
-    index of the cell's score in `lattice.values`, or -1 for -inf; `dec`
-    covers the finite-score cells, the only ones an accepted pair holds.
-    A cell is a miss when its function raised there, returned something
-    other than integers within int64, or, for the decoder, returned None
-    (a hole).  Misses sit in their own masks, None when there are none, so
-    no value a function returns reads as a miss; a call that hits one
-    calls the function there again, and so raises as a position-by-position
-    call would.  The splitter must be deterministic.
-    """
-
-    scheme: BaseScheme
-    enc: np.ndarray = field(repr=False)
-    enc_miss: np.ndarray | None = field(repr=False)
-    dec: np.ndarray = field(repr=False)
-    dec_miss: np.ndarray | None = field(repr=False)
-    vidx: np.ndarray = field(repr=False)
-
-    def encode(self, secret: tuple[int, ...],
-               rand: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Shares of in-range symbols, position by position."""
-        s = np.array(secret, dtype=np.int64)
-        u = np.array(rand, dtype=np.int64)
-        xs, ys = self.enc[s, u].T.tolist()
-        if self.enc_miss is not None:
-            for i in np.flatnonzero(self.enc_miss[s, u]).tolist():
-                xs[i], ys[i] = self.scheme.encode_fn(secret[i], rand[i])
-        return tuple(xs), tuple(ys)
-
-    def decode(self, pair: np.ndarray) -> tuple[int, ...]:
-        """Secret symbols of a (2, n) share pair with no -inf cell."""
-        xs, ys = pair
-        out = self.dec[xs, ys].tolist()
-        if self.dec_miss is not None:
-            miss = np.flatnonzero(self.dec_miss[xs, ys]).tolist()
-            got = []
-            for i in miss:
-                got.append(self.scheme.decode_fn(int(xs[i]), int(ys[i])))
-                if got[-1] is None:
-                    raise RuntimeError("decoder undefined on an accepted "
-                                       "share pair")
-            for i, s in zip(miss, got):
-                out[i] = int(s)
-        return tuple(out)
-
-
-def splitter_tables(codec: SymbolwiseCodec) -> SplitterTables:
-    """Tabulate a codec's splitter over S x U and its decoder over the
-    finite-score cells: at most k |U| + M^2 calls."""
-    scheme, score = codec.scheme, codec.score_table
-    enc = np.zeros((scheme.secret_size, scheme.rand_size, 2), dtype=np.int64)
-    enc_miss = np.zeros(enc.shape[:2], dtype=bool)
-    for s, u in np.ndindex(enc_miss.shape):
-        try:
-            x, y = scheme.encode_fn(s, u)
-            enc[s, u] = operator.index(x), operator.index(y)
-        except Exception:
-            enc_miss[s, u] = True
-    finite = np.isfinite(score)
-    dec = np.zeros(score.shape, dtype=np.int64)
-    dec_miss = np.zeros(score.shape, dtype=bool)
-    for x, y in np.argwhere(finite).tolist():
-        try:
-            dec[x, y] = int(scheme.decode_fn(x, y))  # a hole fails int()
-        except Exception:
-            dec_miss[x, y] = True
-    vidx = np.where(finite, np.searchsorted(codec.lattice.values, score), -1)
-    return SplitterTables(scheme, enc, enc_miss if enc_miss.any() else None,
-                          dec, dec_miss if dec_miss.any() else None, vidx)
+    shares: dict
+    cells: dict
 
 
 # ---------------------------------------------------------------------------

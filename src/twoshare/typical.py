@@ -7,6 +7,7 @@ and ranks come from the type classes; none enumerates k**n sequences.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -16,7 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .prob import PMF, CapExceededError, RandomStream, _estimate, entropy
+from .prob import (PMF, CapExceededError, RandomStream, _estimate, as_symbol,
+                   entropy)
 
 
 class EmptyTypicalSetError(Exception):
@@ -78,18 +80,16 @@ def _in_window(counts, surprisals, h: float, gamma: float) -> bool:
 
 def is_typical(seq, source: PMF, gamma: float) -> bool:
     """Window test on one sequence; zero-probability symbols fail, and
-    symbols outside the alphabet raise ValueError.  Decided on the
-    sequence's composition, so it matches `type_classes` bit for bit."""
-    symbols = tuple(map(int, seq))
+    symbols outside the alphabet or not integers raise ValueError.  Decided
+    on the composition, so it matches `type_classes` bit for bit."""
+    symbols, k = tuple(map(as_symbol, seq)), source.support_size
     if not symbols:
         raise ValueError("empty sequence")
-    lo, hi = min(symbols), max(symbols)
-    if lo < 0 or hi >= source.support_size:
-        bad = lo if lo < 0 else hi
-        raise ValueError(f"symbol {bad} outside [0, {source.support_size})")
-    counts = np.bincount(symbols, minlength=source.support_size).tolist()
-    return _in_window(counts, _surprisal_table(source).tolist(),
-                      entropy(source), gamma)
+    bad = min(symbols) if min(symbols) < 0 else max(symbols)
+    if not 0 <= bad < k:
+        raise ValueError(f"symbol {bad} outside [0, {k})")
+    return _in_window([symbols.count(a) for a in range(k)],
+                      _surprisal_table(source).tolist(), entropy(source), gamma)
 
 
 class TypeClass(NamedTuple):
@@ -162,12 +162,11 @@ class TypicalIndex:
         self.m_count = sum(c.count for c in self.classes if c.typical)
         self.delta = math.fsum(c.mass for c in self.classes if not c.typical)
         self._continuations = functools.cache(self._count_continuations)
-        # per symbol: None off the support, else the weight of its count in
-        # a prefix code and the weights of the smaller support symbols
-        support = [a for a, p in enumerate(source.probs) if p > 0.0]
-        self._walk = [None] * self.k
-        for j, a in enumerate(support):
-            self._walk[a] = ((n + 1) ** j, [(n + 1) ** i for i in range(j)])
+        # the support symbols and the weights of their counts in a prefix
+        # code; the rank walk's transitions and rows, filled as they are hit
+        self._support = [a for a, p in enumerate(source.probs) if p > 0.0]
+        self._weights = [(n + 1) ** j for j in range(len(self._support))]
+        self._steps, self._rows = {}, {}
 
     def _count_continuations(self, code: int) -> int:
         """Typical sequences that continue a prefix, whose composition is
@@ -180,20 +179,32 @@ class TypicalIndex:
         return sum(multinomial(rest) for rest in rests if min(rest) >= 0)
 
     def xi_plus(self, seq) -> int:
-        """Rank of a typical sequence, m_count for any other."""
-        symbols = [int(s) for s in seq]
+        """Rank of a typical sequence, m_count for any other: a lookup per
+        position in (prefix code, symbol) -> (typical continuations of the
+        prefix with each smaller support symbol, next code).  A block they
+        miss is walked symbol by symbol, filling them."""
+        steps, cont, code, z = self._steps, self._continuations, 0, 0
+        try:
+            if len(seq) == self.n:
+                for s in seq:
+                    add, code = steps[code, s]
+                    z += add
+                return z if cont(code) else self.m_count
+        except (KeyError, TypeError):
+            pass
+        symbols = [as_symbol(s) for s in seq]
         if len(symbols) != self.n or min(symbols) < 0 or max(symbols) >= self.k:
             raise ValueError(f"a block is n={self.n} symbols in [0, {self.k}), "
                              f"not {tuple(symbols)}")
-        walk, cont = self._walk, self._continuations
-        code = z = 0
+        if not set(symbols) <= set(self._support):
+            return self.m_count
+        w, code, z = self._weights, 0, 0
         for s in symbols:
-            if walk[s] is None:
-                return self.m_count
-            w, smaller = walk[s]
-            for v in smaller:
-                z += cont(code + v)
-            code += w
+            if (code, s) not in steps:
+                j = self._support.index(s)
+                steps[code, s] = sum(cont(code + v) for v in w[:j]), code + w[j]
+            add, code = steps[code, s]
+            z += add
         return z if cont(code) else self.m_count
 
     def contains(self, seq) -> bool:
@@ -206,19 +217,20 @@ class TypicalIndex:
         return z
 
     def unrank(self, m: int) -> tuple[int, ...]:
+        """The typical sequence of rank m: at each position, the symbol at
+        which the running sums of the prefix's continuations pass m."""
         m = operator.index(m)
         if not 0 <= m < self.m_count:
             raise IndexError(f"rank {m} outside [0, {self.m_count})")
-        steps = [(a, e[0]) for a, e in enumerate(self._walk) if e]
-        cont, code, out = self._continuations, 0, []
+        rows, w, code, out = self._rows, self._weights, 0, []
         for _ in range(self.n):
-            for a, w in steps:
-                here = cont(code + w)
-                if m < here:
-                    break
-                m -= here
-            code += w
-            out.append(a)
+            row = rows.get(code) or rows.setdefault(code, [0])
+            while row[-1] <= m:
+                row.append(row[-1] + self._continuations(code + w[len(row) - 1]))
+            j = bisect.bisect_right(row, m) - 1
+            m -= row[j]
+            out.append(self._support[j])
+            code += w[j]
         return tuple(out)
 
 

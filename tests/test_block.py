@@ -1,8 +1,15 @@
 """Blockwise scheme: worked share values, round trips, and exact
 quantities cross-checked against a fully mechanical dense-joint oracle."""
 import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,6 +50,29 @@ class TestFloorPow2:
         with pytest.raises(ValueError):
             floor_pow2(41.0)
 
+    def test_matches_a_96_bit_mpmath_floor(self):
+        rng = random.Random(20)
+        exponents = [rng.uniform(0.0, 40.0) for _ in range(4000)]
+        exponents += [5e-324, 2.0 ** -60, 1e-9, 40.0 - 2.0 ** -47, 40.0]
+        # every n * ell of the shipped blockwise configs
+        for path in Path(__file__).resolve().parents[1].glob("configs/*.json"):
+            cfg = json.loads(path.read_text())
+            if cfg["scheme"]["kind"] == "blockwise":
+                exponents += [n * cfg["scheme"]["ell"] for n in cfg["n_values"]
+                              if n * cfg["scheme"]["ell"] <= 40.0]
+        for bits in exponents:
+            with mpmath.workprec(96):
+                want = int(mpmath.floor(mpmath.power(2, mpmath.mpf(bits))))
+            assert floor_pow2(bits) == want, bits
+
+    def test_package_does_not_import_mpmath(self):
+        # mpmath is a test dependency only
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = ("import sys, twoshare, twoshare.cli; "
+                "sys.exit('mpmath' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+
 
 class TestEncode:
     def test_worked_example_rank_one(self):
@@ -70,6 +100,23 @@ class TestEncode:
         p = make_params(SKEW, 4, 0.5)
         with pytest.raises(ValueError, match="n=4"):
             encode(p, (0,) * (length - 1) + (1,), BlockRandomness(0, 0))
+
+    @pytest.mark.parametrize("secret,bad", [((1.5, 0, 0.9, 1), "1.5"),
+                                            ((0, 0, 0.5, 0), "0.5"),
+                                            ((0, np.float64(1.7), 0, 0), "1.7")])
+    def test_non_integral_secret_symbol_raises(self, secret, bad):
+        # used to be truncated: (1.5, 0, 0.9, 1) was encoded as (1, 0, 0, 1)
+        p = make_params(SKEW, 4, 0.5)
+        with pytest.raises(ValueError, match=f"^symbol {bad} is not an integer$"):
+            encode(p, secret, BlockRandomness(0, 0))
+
+    def test_secret_symbols_equal_to_integers_encode_alike(self):
+        p = make_params(SKEW, 4, 0.5)
+        r = BlockRandomness(0, 2)
+        want = encode(p, (0, 1, 0, 0), r)
+        for secret in [(0.0, 1.0, 0.0, 0.0), (False, True, False, False),
+                       np.array([0, 1, 0, 0]), iter((0, 1, 0, 0))]:
+            assert encode(p, secret, r) == want
 
     def test_randomness_range_checked(self):
         p = make_params(U2, 2, 0.0, gamma=0.5)

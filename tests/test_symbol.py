@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from twoshare import harness, symbol
 from oracles import JointPMF, scheme_joint, splitter_profile
 from twoshare.prob import PMF, RandomStream, entropy, mutual_information
+from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
                              SchemeValidationError, SymbolwiseCodec,
@@ -635,6 +636,117 @@ class TestSplitterTables:
         assert calls == {"encode": 30, "decode": 30}
         tied = dataclasses.replace(codec, gamma=0.25)
         assert "tables" not in vars(tied)
+
+
+WRAPS = {"tuple": tuple, "list": list, "ndarray": np.array,
+         "generator": iter, "floats": lambda v: [float(s) for s in v],
+         "numpy floats": lambda v: np.array(v, dtype=float)}
+
+
+class TestDictCodec:
+    @pytest.mark.parametrize("secret,rand,message", [
+        ((1.5, 0, 2.9, 1), (0, 1, 2, 3), "secret symbol 1.5 is not an integer"),
+        ((1, 0, 2, 1), (0, 0.5, 2, 3), "randomness symbol 0.5 is not an integer"),
+        ((1, 2.5, 7, 1), (0, 1, 2, 3), "secret symbol 2.5 is not an integer"),
+        ((1, 0, 7, 1.5), (0, 1, 2, 3), "secret symbol 7 outside the alphabet"),
+        ((1, 0, 2, 1), (0, 1, np.float64(2.25), 9),
+         "randomness symbol 2.25 is not an integer"),
+    ])
+    def test_non_integral_symbol_raises_in_position_order(self, secret, rand,
+                                                          message):
+        # (1.5, 0, 2.9, 1) used to be encoded as (1, 0, 2, 1)
+        codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            encode_n(codec, secret, rand)
+
+    @pytest.mark.parametrize("check", [decode_n, accepts_n, llr_score])
+    def test_non_integral_share_symbol_raises(self, check):
+        codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
+        xs, ys = encode_n(codec, (1, 0, 2, 1), (0, 1, 2, 3))
+        assert accepts_n(codec, xs, ys)
+        # 1.7 used to be truncated to 1 and the pair decoded
+        bad = (xs[0] + 0.7,) + xs[1:]
+        with pytest.raises(ValueError,
+                           match="^share symbol 1.7 is not an integer$"):
+            check(codec, bad, ys)
+        # xs are checked before ys, whatever the positions, and before a
+        # -inf cell rejects the pair
+        with pytest.raises(ValueError,
+                           match="^share symbol 0.5 is not an integer$"):
+            check(codec, xs[:3] + (0.5,), (7,) + ys[1:])
+        with pytest.raises(ValueError, match=r"^share symbol 7 outside \[0, 5\)$"):
+            check(codec, (4,) + xs[1:], ys[:3] + (7,))
+
+    @pytest.mark.parametrize("wrap", WRAPS.values(), ids=WRAPS.keys())
+    def test_any_sequence_of_integers_round_trips(self, wrap):
+        codec = make_codec(modular_scheme(5, 3), K3, n=6, gamma=0.5)
+        secret, rand = (0, 1, 2, 0, 1, 0), (4, 3, 2, 1, 0, 0)
+        xs, ys = encode_n(codec, secret, rand)
+        assert encode_n(codec, wrap(secret), wrap(rand)) == (xs, ys)
+        assert all(type(v) is int for v in xs + ys)
+        out = decode_n(codec, wrap(xs), wrap(ys))
+        assert out.secret == secret
+        assert all(type(v) is int for v in out.secret)
+        assert accepts_n(codec, wrap(xs), wrap(ys))
+        assert llr_score(codec, wrap(xs), wrap(ys)) == llr_score(codec, xs, ys)
+        forged = ys[:2] + ((4 - xs[2]) % 5,) + ys[3:]   # a -inf cell
+        assert decode_n(codec, wrap(xs), wrap(forged)).rejected
+        assert llr_score(codec, wrap(xs), wrap(forged)) == -math.inf
+
+    def test_tie_is_rejected_by_every_call(self):
+        # every legit pair of a uniform source scores exactly I(X;Y): at
+        # gamma = 0 its weights sum to the lattice's bar, a tie
+        codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
+        tied = dataclasses.replace(codec, gamma=0.0)
+        xs, ys = encode_n(codec, (0, 1, 1), (2, 0, 3))
+        assert not accepts_n(tied, xs, ys)
+        assert decode_n(tied, xs, ys).rejected
+        assert decode_n(tied, iter(xs), iter(ys)).rejected   # by position
+        assert decode_n(codec, xs, ys).secret == (0, 1, 1)
+        # a tied pair is never decoded, so a decoder hole does not raise
+        holes = make_codec(hole_scheme(), U2, n=3, gamma=0.5,
+                           require_valid=False)
+        xs, ys = encode_n(holes, (0, 1, 1), (1, 0, 1))
+        with pytest.raises(RuntimeError):
+            decode_n(holes, xs, ys)
+        assert decode_n(dataclasses.replace(holes, gamma=0.0), xs, ys).rejected
+
+    def test_bools_are_symbols(self):
+        codec = make_codec(modular_scheme(2, 2), U2, n=3, gamma=0.25)
+        secret, rand = (True, False, True), (False, True, True)
+        xs, ys = encode_n(codec, secret, rand)
+        assert (xs, ys) == encode_n(codec, (1, 0, 1), (0, 1, 1))
+        assert decode_n(codec, [bool(v) for v in xs],
+                        [bool(v) for v in ys]).secret == (1, 0, 1)
+
+    def test_wide_share_alphabet_tables_hold_k_u_entries_at_most(self):
+        # the scheme of configs/symbolwise_wide_m.json: k=2, M=1024
+        n = 64
+        codec = make_codec(modular_scheme(1024, 2), SKEW, n=n,
+                           gamma=GammaSchedule.power_law().gamma_at(n))
+        rng = np.random.default_rng(5)
+        secret = (0,) * 45 + (1,) * 19
+        rand = rng.integers(1024, size=n)
+        xs, ys = encode_n(codec, secret, rand)
+        assert decode_n(codec, xs, ys).secret == secret
+        forged = ys[:5] + ((2 - xs[5]) % 1024,) + ys[6:]
+        assert decode_n(codec, xs, forged).rejected
+        assert len(codec.tables.shares) == 2 * 1024
+        assert len(codec.tables.cells) == 2 * 1024
+
+    def test_codec_calls_run_without_numpy(self, monkeypatch):
+        # honest and forged pairs alike: lookups only, no array round trip
+        codec = make_codec(modular_scheme(5, 3), K3, n=6, gamma=0.5)
+        assert codec.tables
+        monkeypatch.setattr(symbol, "np", None)
+        secret = (0, 1, 2, 0, 1, 0)
+        xs, ys = encode_n(codec, secret, (4, 3, 2, 1, 0, 0))
+        assert decode_n(codec, xs, ys).secret == secret
+        forged = list(ys)
+        forged[1] = (3 - xs[1]) % 5
+        assert decode_n(codec, xs, forged).rejected
+        assert not accepts_n(codec, xs, forged)
+        assert llr_score(codec, xs, forged) == -math.inf
 
 
 def brute_error_prob(codec):

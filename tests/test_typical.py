@@ -1,4 +1,5 @@
 """Typical-set index: membership, ranking, and mass against brute force."""
+import functools
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockwise_oracle import member_probs, xi_plus_all
+from blockwise_oracle import member_codes, member_probs, xi_plus_all
 
 from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import (
@@ -173,6 +174,116 @@ class TestRanking:
         idx = build_index(PMF.from_probs(SKEW), 8, 8 ** (-1.0 / 3.0))
         assert float(member_probs(idx).sum()) == pytest.approx(
             1.0 - 0.01129221, abs=1e-12)
+
+
+def position_walk_codes(idx, seqs, ranks):
+    """Prefix codes whose continuations the position-by-position rank walk
+    counts for `xi_plus` of seqs and then `unrank` of ranks, on a fresh
+    cache: per position a loop over the support symbols, as the walk ran
+    before its transitions and rows were tabulated."""
+    support = [a for a, p in enumerate(idx.source.probs) if p > 0.0]
+    w = {a: (idx.n + 1) ** j for j, a in enumerate(support)}
+    called = []
+
+    @functools.cache
+    def cont(code):
+        called.append(code)
+        return idx._count_continuations(code)
+    for seq in seqs:
+        code = 0
+        for s in seq:
+            if s not in w:
+                break
+            for a in support[:support.index(s)]:
+                cont(code + w[a])
+            code += w[s]
+        else:
+            cont(code)
+    for m in ranks:
+        code = 0
+        for _ in range(idx.n):
+            for a in support:
+                here = cont(code + w[a])
+                if m < here:
+                    break
+                m -= here
+            code += w[a]
+    return called
+
+
+K3_RANK_CASES = [([0.5, 0.3, 0.2], 6, 0.4), ([0.6, 0.0, 0.4], 6, 0.5),
+                 ([0.45, 0.35, 0.2], 5, 0.3)]
+
+
+class TestRankWalk:
+    @pytest.mark.parametrize("probs,n,gamma", K3_RANK_CASES)
+    @pytest.mark.parametrize("unrank_first", [False, True])
+    def test_rank_and_unrank_match_the_dense_oracle(self, probs, n, gamma,
+                                                    unrank_first):
+        # a fresh index fills its transitions and rows in either order
+        idx = build_index(PMF.from_probs(probs), n, gamma)
+        table = xi_plus_all(idx)
+        codes = member_codes(idx.source, n, gamma).tolist()
+        assert idx.m_count == len(codes)
+        seqs = list(itertools.product(range(3), repeat=n))
+        for _ in range(2):  # the second pass reads the filled tables
+            if unrank_first:
+                for m, code in enumerate(codes):
+                    assert idx.unrank(m) == seqs[code]
+            assert [idx.xi_plus(s) for s in seqs] == table.tolist()
+            for m, code in enumerate(codes):
+                assert idx.unrank(m) == seqs[code]
+
+    @pytest.mark.parametrize("probs,n,gamma",
+                             K3_RANK_CASES + [(SKEW, 10, 0.4)])
+    def test_continuations_counted_no_more_than_the_position_walk(
+            self, probs, n, gamma):
+        src = PMF.from_probs(probs)
+        idx = build_index(src, n, gamma)
+        calls, count = [], idx._count_continuations
+        idx._continuations = functools.cache(
+            lambda code: calls.append(code) or count(code))
+        seqs = list(itertools.product(range(len(probs)), repeat=n))[::5]
+        ranks = range(0, idx.m_count, 3)
+        for seq in seqs:
+            idx.xi_plus(seq)
+        for m in ranks:
+            idx.unrank(m)
+        before = position_walk_codes(build_index(src, n, gamma), seqs, ranks)
+        assert len(calls) == len(set(calls)) <= len(before)
+        assert set(calls) <= set(before)
+
+    @pytest.mark.parametrize("seq,bad", [((0.9, 0, 1.5, 0), "0.9"),
+                                         ((0, 1, 1.5, 0), "1.5"),
+                                         ((0, np.float64(0.25), 1, 0), "0.25")])
+    def test_non_integral_symbol_raises(self, seq, bad):
+        # 0.9 and 1.5 used to be truncated, ranking (0, 0, 1, 0)
+        idx = build_index(PMF.from_probs(SKEW), 4, 1.0)
+        for check in (idx.xi_plus, idx.contains):
+            with pytest.raises(ValueError,
+                               match=f"^symbol {bad} is not an integer$"):
+                check(seq)
+        with pytest.raises(ValueError, match=f"^symbol {bad} is not an integer$"):
+            is_typical(seq, PMF.from_probs(SKEW), 0.5)
+
+    @pytest.mark.parametrize("wrap", [tuple, list, np.array, iter,
+                                      lambda s: [float(v) for v in s],
+                                      lambda s: [bool(v) for v in s]],
+                             ids=["tuple", "list", "ndarray", "generator",
+                                  "floats", "bools"])
+    def test_symbols_equal_to_integers_rank_alike(self, wrap):
+        idx = build_index(PMF.from_probs(SKEW), 6, 0.5)
+        for m in range(idx.m_count):
+            seq = idx.unrank(m)
+            assert idx.xi_plus(wrap(seq)) == m
+            assert is_typical(wrap(seq), idx.source, idx.gamma)
+
+    def test_is_typical_of_non_integral_symbols_raises(self):
+        # (0.5, 1.2, 0) used to read as the typical (0, 1, 0)
+        with pytest.raises(ValueError, match="^symbol 0.5 is not an integer$"):
+            is_typical((0.5, 1.2, 0), PMF.from_probs(SKEW), 0.5)
+        with pytest.raises(ValueError, match="^symbol 1.2 is not an integer$"):
+            is_typical((0, 1.2, 0), PMF.from_probs(SKEW), 0.5)
 
 
 class TestMass:
