@@ -161,7 +161,7 @@ def _clear_gate(groups) -> tuple[float, list]:
 
 
 def monte_carlo_attack(scheme, side: str, forgery, trials: int,
-                       rng: RandomStream, chunk: int = 1 << 16) -> AttackResult:
+                       rng: RandomStream) -> AttackResult:
     """Estimate a forgery's acceptance probability by sampling honest shares.
 
     `forgery` is a concrete share (blockwise: (l, m) pair; symbolwise: a
@@ -214,7 +214,7 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
             return int(np.count_nonzero(lat.accepted(counts)))
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-    est, half = _estimate(trials, rng, chunk, draw)
+    est, half = _estimate(trials, rng, draw)
     forged = tuple(forgery) if not isinstance(forgery, PMF) else ("sampled",)
     return AttackResult(success_prob=est, optimal_forgery=forged, side=side,
                         mode="mc", trials=trials, ci_halfwidth=half)

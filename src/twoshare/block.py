@@ -226,12 +226,11 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
 
 
 def monte_carlo_error(params: BlockwiseParams, trials: int,
-                      rng: RandomStream, chunk: int = 1 << 16) -> tuple[float, float]:
+                      rng: RandomStream) -> tuple[float, float]:
     """MC estimate of the decoding error probability with a 95% half-width.
 
     A legitimate pair is rejected exactly when z = M, so a trial draws the
     secret's composition and reads its type class; the rank map is unused.
     """
     idx = params.index
-    return _estimate(trials, rng, chunk,
-                     atypical_draw(idx.source, idx.n, idx.classes))
+    return _estimate(trials, rng, atypical_draw(idx.source, idx.n, idx.classes))

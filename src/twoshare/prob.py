@@ -23,11 +23,14 @@ class CapExceededError(Exception):
 
 def as_symbol(value, name: str = "symbol") -> int:
     """A symbol as an int; ValueError naming one that is not an integer
-    (2.0, True and numpy integers are)."""
-    symbol = int(value)
-    if symbol != value:
-        raise ValueError(f"{name} {value} is not an integer")
-    return symbol
+    (2.0, True and numpy integers are; strings are quoted)."""
+    try:
+        if (symbol := int(value)) == value:
+            return symbol
+    except (TypeError, ValueError, OverflowError):
+        pass
+    shown = repr(value) if isinstance(value, (str, bytes)) else value
+    raise ValueError(f"{name} {shown} is not an integer")
 
 
 def _validate_probs(arr: np.ndarray):
@@ -174,20 +177,20 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
 
-def _estimate(trials: int, rng: RandomStream, chunk: int,
+def _estimate(trials: int, rng: RandomStream,
               draw_chunk: Callable[[np.random.Generator, int], int]
               ) -> tuple[float, float]:
     """Monte Carlo rate of an event, with a 95% half-width.
 
     `draw_chunk(gen, take)` runs `take` fresh trials on `gen` and returns
-    how many hit.  Chunk c of at most `chunk` trials draws from substream
+    how many hit.  Chunk c of at most 2**16 trials draws from substream
     c, so the estimate does not depend on execution order.  Zero hits fall
     back to the rule of three: the half-width is then the one-sided 95%
     upper bound 3/trials; otherwise it is the Wald half-width.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    hits = 0
+    hits, chunk = 0, 1 << 16
     for c, start in enumerate(range(0, trials, chunk)):
         hits += draw_chunk(rng.substream(c).gen, min(chunk, trials - start))
     if hits == 0:

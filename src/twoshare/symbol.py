@@ -700,8 +700,8 @@ def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
         rate=math.log2(codec.scheme.share_size))
 
 
-def monte_carlo_error(codec: SymbolwiseCodec, trials: int, rng: RandomStream,
-                      chunk: int = 1 << 16) -> tuple[float, float]:
+def monte_carlo_error(codec: SymbolwiseCodec, trials: int,
+                      rng: RandomStream) -> tuple[float, float]:
     """MC estimate of the rejection probability for legitimate pairs.
 
     Each trial draws one block's count vector over the score buckets and
@@ -713,6 +713,6 @@ def monte_carlo_error(codec: SymbolwiseCodec, trials: int, rng: RandomStream,
     accepts = lat.count_test(codec.n)
     if np.count_nonzero(law) == 1:
         miss = not accepts(np.where(law > 0.0, codec.n, 0)[None])[0]
-        return _estimate(trials, rng, chunk, lambda gen, take: take * miss)
-    return _estimate(trials, rng, chunk, lambda gen, take: take - int(
+        return _estimate(trials, rng, lambda gen, take: take * miss)
+    return _estimate(trials, rng, lambda gen, take: take - int(
         np.count_nonzero(accepts(gen.multinomial(codec.n, law, size=take)))))

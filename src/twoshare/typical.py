@@ -161,51 +161,60 @@ class TypicalIndex:
         self.classes = tuple(classes)
         self.m_count = sum(c.count for c in self.classes if c.typical)
         self.delta = math.fsum(c.mass for c in self.classes if not c.typical)
-        self._continuations = functools.cache(self._count_continuations)
-        # the support symbols and the weights of their counts in a prefix
-        # code; the rank walk's transitions and rows, filled as they are hit
+        # the support symbols, their slots and the weights of their counts
+        # in a prefix code; the rows of the rank walk, built as it visits
         self._support = [a for a, p in enumerate(source.probs) if p > 0.0]
+        self._slot = {a: j for j, a in enumerate(self._support)}
         self._weights = [(n + 1) ** j for j in range(len(self._support))]
-        self._steps, self._rows = {}, {}
+        self._typical = [c.counts for c in self.classes if c.typical]
+        self._rows = {}
 
-    def _count_continuations(self, code: int) -> int:
-        """Typical sequences that continue a prefix, whose composition is
-        coded in base n+1: a multinomial sum over the typical classes."""
-        base = self.n + 1
-        prefix = [code // base ** j % base
-                  for j in range(len(self.classes[0].counts))]
-        rests = ([c - p for c, p in zip(cls.counts, prefix)]
-                 for cls in self.classes if cls.typical)
-        return sum(multinomial(rest) for rest in rests if min(rest) >= 0)
+    def _row(self, code: int) -> tuple[int, ...]:
+        """Running sums of the typical continuations of a prefix, coded in
+        base n+1 by its composition, with each support symbol, from one
+        pass over the typical classes: a class that holds the prefix gives
+        child j multinomial(rest) * rest[j], which is multinomial(rest -
+        e_j) times the n - depth symbols left."""
+        prefix = [code // w % (self.n + 1) for w in self._weights]
+        sums = [0] * len(prefix)
+        for counts in self._typical:
+            rest = [c - p for c, p in zip(counts, prefix)]
+            if min(rest) >= 0:
+                m = multinomial(rest)
+                for j, r in enumerate(rest):
+                    sums[j] += m * r
+        left = self.n - sum(prefix)
+        row = self._rows[code] = tuple(
+            itertools.accumulate((s // left for s in sums), initial=0))
+        return row
+
+    def _walk(self, seq) -> int:
+        rows, slot, w, code, z = self._rows, self._slot, self._weights, 0, 0
+        for s in seq:
+            j = slot[s]
+            row = rows.get(code) or self._row(code)
+            z += row[j]
+            code += w[j]
+        return z if row[j + 1] > row[j] else self.m_count
 
     def xi_plus(self, seq) -> int:
-        """Rank of a typical sequence, m_count for any other: a lookup per
-        position in (prefix code, symbol) -> (typical continuations of the
-        prefix with each smaller support symbol, next code).  A block they
-        miss is walked symbol by symbol, filling them."""
-        steps, cont, code, z = self._steps, self._continuations, 0, 0
+        """Rank of a typical sequence, m_count for any other: per position
+        the prefix's row gives the typical continuations with the smaller
+        support symbols, and the last row says whether the block's class
+        is typical.  A block the walk misses is checked symbol by symbol
+        and, when valid, walked again."""
         try:
             if len(seq) == self.n:
-                for s in seq:
-                    add, code = steps[code, s]
-                    z += add
-                return z if cont(code) else self.m_count
+                return self._walk(seq)
         except (KeyError, TypeError):
             pass
         symbols = [as_symbol(s) for s in seq]
         if len(symbols) != self.n or min(symbols) < 0 or max(symbols) >= self.k:
             raise ValueError(f"a block is n={self.n} symbols in [0, {self.k}), "
                              f"not {tuple(symbols)}")
-        if not set(symbols) <= set(self._support):
+        if not set(symbols) <= self._slot.keys():
             return self.m_count
-        w, code, z = self._weights, 0, 0
-        for s in symbols:
-            if (code, s) not in steps:
-                j = self._support.index(s)
-                steps[code, s] = sum(cont(code + v) for v in w[:j]), code + w[j]
-            add, code = steps[code, s]
-            z += add
-        return z if cont(code) else self.m_count
+        return self._walk(symbols)
 
     def contains(self, seq) -> bool:
         return self.xi_plus(seq) != self.m_count
@@ -218,15 +227,13 @@ class TypicalIndex:
 
     def unrank(self, m: int) -> tuple[int, ...]:
         """The typical sequence of rank m: at each position, the symbol at
-        which the running sums of the prefix's continuations pass m."""
+        which the running sums of the prefix's row pass m."""
         m = operator.index(m)
         if not 0 <= m < self.m_count:
             raise IndexError(f"rank {m} outside [0, {self.m_count})")
         rows, w, code, out = self._rows, self._weights, 0, []
         for _ in range(self.n):
-            row = rows.get(code) or rows.setdefault(code, [0])
-            while row[-1] <= m:
-                row.append(row[-1] + self._continuations(code + w[len(row) - 1]))
+            row = rows.get(code) or self._row(code)
             j = bisect.bisect_right(row, m) - 1
             m -= row[j]
             out.append(self._support[j])
@@ -256,16 +263,6 @@ def _coder(n: int, digits: int, parts: int) -> Callable[[np.ndarray], np.ndarray
     return lambda rows: rows[:, :digits] @ powers
 
 
-def composition_lookup(members, n: int,
-                       parts: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Membership in a set of compositions of n, for each row of an int
-    array.  A vector is coded over all but its last count, which the
-    others fix."""
-    code = _coder(n, parts - 1, parts)
-    table = code(np.array(members, dtype=np.int64).reshape(-1, parts))
-    return lambda counts: np.isin(code(counts), table)
-
-
 def prefix_lookup(prefixes, values, n: int,
                   parts: int) -> Callable[[np.ndarray], np.ndarray]:
     """The value of each row's prefix, for rows of count vectors over
@@ -289,8 +286,8 @@ def atypical_draw(source: PMF, n: int,
         hit = not sides.pop()
         return lambda gen, take: take * hit
     support = source.probs[source.probs > 0.0]
-    hit = composition_lookup([c.counts for c in classes if not c.typical],
-                             n, support.size)
+    hit = prefix_lookup([c.counts[:-1] for c in classes],
+                        [not c.typical for c in classes], n, support.size)
     return lambda gen, take: int(np.count_nonzero(
         hit(gen.multinomial(n, support, size=take))))
 
@@ -301,11 +298,11 @@ def atypical_mass(source: PMF, n: int, gamma: float) -> float:
 
 
 def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
-                     rng: RandomStream, chunk: int = 1 << 16) -> tuple[float, float]:
+                     rng: RandomStream) -> tuple[float, float]:
     """Monte Carlo estimate of the atypical mass with a 95% half-width.
 
     Zero observed hits fall back to the rule of three: the half-width is
     then the one-sided 95% upper bound 3/trials.
     """
-    return _estimate(trials, rng, chunk,
+    return _estimate(trials, rng,
                      atypical_draw(source, n, type_classes(source, n, gamma)))

@@ -103,7 +103,10 @@ class TestEncode:
 
     @pytest.mark.parametrize("secret,bad", [((1.5, 0, 0.9, 1), "1.5"),
                                             ((0, 0, 0.5, 0), "0.5"),
-                                            ((0, np.float64(1.7), 0, 0), "1.7")])
+                                            ((0, np.float64(1.7), 0, 0), "1.7"),
+                                            ("0100", "'0'"),
+                                            ((0, 1, "a", 0), "'a'"),
+                                            ((0, None, 0, 0), "None")])
     def test_non_integral_secret_symbol_raises(self, secret, bad):
         # used to be truncated: (1.5, 0, 0.9, 1) was encoded as (1, 0, 0, 1)
         p = make_params(SKEW, 4, 0.5)

@@ -262,7 +262,7 @@ class TestLatticeTables:
 
     def test_code_overflow_is_a_cap(self):
         with pytest.raises(CapExceededError, match="n=4"):
-            typical.composition_lookup([], 4, 32)
+            typical.prefix_lookup([(0,) * 31], [True], 4, 32)
 
 
 class CountingGenerator:

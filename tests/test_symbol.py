@@ -651,6 +651,14 @@ class TestDictCodec:
         ((1, 0, 7, 1.5), (0, 1, 2, 3), "secret symbol 7 outside the alphabet"),
         ((1, 0, 2, 1), (0, 1, np.float64(2.25), 9),
          "randomness symbol 2.25 is not an integer"),
+        # '0' used to read "secret symbol 0"; 'a' and None raised int()'s
+        # own errors, which do not name the field
+        ("0120", (0, 1, 2, 3), "secret symbol '0' is not an integer"),
+        ((1, "a", 2, 1), (0, 1, 2, 3), "secret symbol 'a' is not an integer"),
+        ((1, 0, b"2", 1), (0, 1, 2, 3), "secret symbol b'2' is not an integer"),
+        ((1, 0, 2, 1), (0, None, 2, 3), "randomness symbol None is not an integer"),
+        ((1, 0, float("inf"), 1), (0, 1, 2, 3),
+         "secret symbol inf is not an integer"),
     ])
     def test_non_integral_symbol_raises_in_position_order(self, secret, rand,
                                                           message):

@@ -1,5 +1,4 @@
 """Typical-set index: membership, ranking, and mass against brute force."""
-import functools
 import itertools
 import math
 
@@ -176,41 +175,6 @@ class TestRanking:
             1.0 - 0.01129221, abs=1e-12)
 
 
-def position_walk_codes(idx, seqs, ranks):
-    """Prefix codes whose continuations the position-by-position rank walk
-    counts for `xi_plus` of seqs and then `unrank` of ranks, on a fresh
-    cache: per position a loop over the support symbols, as the walk ran
-    before its transitions and rows were tabulated."""
-    support = [a for a, p in enumerate(idx.source.probs) if p > 0.0]
-    w = {a: (idx.n + 1) ** j for j, a in enumerate(support)}
-    called = []
-
-    @functools.cache
-    def cont(code):
-        called.append(code)
-        return idx._count_continuations(code)
-    for seq in seqs:
-        code = 0
-        for s in seq:
-            if s not in w:
-                break
-            for a in support[:support.index(s)]:
-                cont(code + w[a])
-            code += w[s]
-        else:
-            cont(code)
-    for m in ranks:
-        code = 0
-        for _ in range(idx.n):
-            for a in support:
-                here = cont(code + w[a])
-                if m < here:
-                    break
-                m -= here
-            code += w[a]
-    return called
-
-
 K3_RANK_CASES = [([0.5, 0.3, 0.2], 6, 0.4), ([0.6, 0.0, 0.4], 6, 0.5),
                  ([0.45, 0.35, 0.2], 5, 0.3)]
 
@@ -235,27 +199,52 @@ class TestRankWalk:
                 assert idx.unrank(m) == seqs[code]
 
     @pytest.mark.parametrize("probs,n,gamma",
-                             K3_RANK_CASES + [(SKEW, 10, 0.4)])
-    def test_continuations_counted_no_more_than_the_position_walk(
-            self, probs, n, gamma):
-        src = PMF.from_probs(probs)
-        idx = build_index(src, n, gamma)
-        calls, count = [], idx._count_continuations
-        idx._continuations = functools.cache(
-            lambda code: calls.append(code) or count(code))
-        seqs = list(itertools.product(range(len(probs)), repeat=n))[::5]
-        ranks = range(0, idx.m_count, 3)
-        for seq in seqs:
+                             K3_RANK_CASES + [(SKEW, 10, 0.4),
+                                              ([0.5, 0.3, 0.2], 40, 0.2)])
+    def test_rows_built_once_for_the_visited_prefixes(self, probs, n, gamma):
+        # each call builds at most n rows, each row once, and only for the
+        # prefixes its walk visits: those before the first symbol off the
+        # support; a rank's unrank leaves its round trip nothing to build
+        idx = build_index(PMF.from_probs(probs), n, gamma)
+        built, row = [], idx._row
+        idx._row = lambda code: built.append(code) or row(code)
+        support = [a for a, p in enumerate(probs) if p > 0.0]
+        w = {a: (n + 1) ** j for j, a in enumerate(support)}
+
+        def prefixes(seq):
+            code = 0
+            for s in seq:
+                if s not in w:
+                    return
+                yield code
+                code += w[s]
+        rng = np.random.default_rng(n)
+        visited = set()
+
+        def check(before, seq):
+            # the rows one call built: at most n, all on its own walk
+            assert len(built) - before <= n
+            assert set(built[before:]) <= set(prefixes(seq))
+            visited.update(prefixes(seq))
+        for m in rng.integers(idx.m_count, size=20).tolist():
+            before = len(built)
+            seq = idx.unrank(m)
+            check(before, seq)
+            before = len(built)
+            assert idx.xi_plus(seq) == m and len(built) == before
+        for seq in rng.integers(len(probs), size=(20, n)).tolist():
+            before = len(built)
             idx.xi_plus(seq)
-        for m in ranks:
-            idx.unrank(m)
-        before = position_walk_codes(build_index(src, n, gamma), seqs, ranks)
-        assert len(calls) == len(set(calls)) <= len(before)
-        assert set(calls) <= set(before)
+            check(before, seq)
+        assert len(built) == len(set(built))
+        assert set(built) == visited
 
     @pytest.mark.parametrize("seq,bad", [((0.9, 0, 1.5, 0), "0.9"),
                                          ((0, 1, 1.5, 0), "1.5"),
-                                         ((0, np.float64(0.25), 1, 0), "0.25")])
+                                         ((0, np.float64(0.25), 1, 0), "0.25"),
+                                         ("0100", "'0'"),
+                                         ((0, [1], 0, 0), r"\[1\]"),
+                                         ((0, 1, None, 0), "None")])
     def test_non_integral_symbol_raises(self, seq, bad):
         # 0.9 and 1.5 used to be truncated, ranking (0, 0, 1, 0)
         idx = build_index(PMF.from_probs(SKEW), 4, 1.0)
