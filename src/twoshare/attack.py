@@ -84,10 +84,9 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     _check_side(side)
     n = codec.n
     lat = codec.lattice
-    table, honest = _forged_rows(codec, side)
     classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
-    for a, row in enumerate(table):
-        classes.setdefault(lat.masses(row, honest), a)
+    for a, row in enumerate(codec.laws.forged[side]):
+        classes.setdefault(row, a)
     masses, class_min = list(classes), list(classes.values())
     kc = len(masses)
     sizes = [sum(q > 0.0 for q in ms) for ms in masses]
@@ -119,13 +118,6 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
             best_seq = seq
     return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
                         side=side, mode="exact")
-
-
-def _forged_rows(codec: SymbolwiseCodec,
-                 side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Score rows indexed by the forged symbol, and the honest marginal."""
-    return ((codec.score_table, codec.p_y) if side == "x"
-            else (codec.score_table.T, codec.p_x))
 
 
 def _convolve_scores(a: dict, b: dict) -> dict:
@@ -193,9 +185,11 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
             return int(np.count_nonzero(ok))
     elif isinstance(scheme, SymbolwiseCodec):
         n = scheme.n
-        lat = scheme.lattice
-        table, honest = _forged_rows(scheme, side)
-        rows = np.array([lat.buckets(row, honest) for row in table])
+        scores, honest = ((scheme.score_table, scheme.p_y) if side == "x"
+                          else (scheme.score_table.T, scheme.p_x))
+        # per forged symbol the honest mass on -inf, then on each value
+        minus_inf = [math.fsum(honest[row]) for row in np.isneginf(scores)]
+        rows = np.column_stack((minus_inf, scheme.laws.forged[side]))
         if isinstance(forgery, PMF):
             groups = [(forgery.probs @ rows, n)]
         else:
@@ -211,7 +205,7 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
             if not live:
                 return 0
             counts = sum(gen.multinomial(c, law, size=live) for law, c in laws)
-            return int(np.count_nonzero(lat.accepted(counts)))
+            return int(np.count_nonzero(scheme.lattice.accepted(counts)))
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
     est, half = _estimate(trials, rng, draw)
@@ -288,9 +282,7 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
 
 def symbolwise_beta(codec: SymbolwiseCodec) -> float:
     """Exact beta: the lattice mass of accepted independent pairs."""
-    lat = codec.lattice
-    indep = np.outer(codec.p_x, codec.p_y)
-    return lat.mass(lat.masses(codec.score_table, indep), codec.n)
+    return codec.lattice.mass(codec.laws.indep, codec.n)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,8 @@ def _cmd_validate(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):   # the overrides below write into it
+        raise harness.ConfigError("bad config: the top level is not an object")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.mode is not None:
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (harness.ConfigError, SchemeValidationError, EmptyTypicalSetError,
-            CapExceededError, ValueError, OSError, KeyError) as exc:
+            CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

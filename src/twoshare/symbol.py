@@ -220,10 +220,10 @@ class SymbolwiseCodec:
 
     Carries the exact per-symbol share laws P(X,Y), P(X) and P(Y) as
     read-only arrays, the entropies and informations of the splitter
-    (each computed once, from the law the validation used), and the
-    log-likelihood-ratio score table of the acceptance test.  None of these
-    depends on n or gamma, so `dataclasses.replace(codec, n=..., gamma=...)`
-    gives the codec of another blocklength without calling the splitter.
+    (each computed once, from the law the validation used), the score
+    table of the acceptance test and its `laws`.  None of these depends
+    on n or gamma, so `dataclasses.replace(codec, n=..., gamma=...)` gives
+    the codec of another blocklength without calling the splitter.
     `threshold` is the per-symbol acceptance cutoff I(X;Y) - gamma; a pair
     is accepted when its mean score strictly exceeds it, decided exactly on
     `lattice`.
@@ -237,6 +237,7 @@ class SymbolwiseCodec:
     p_x: np.ndarray = field(repr=False)
     p_y: np.ndarray = field(repr=False)
     score_table: np.ndarray = field(repr=False)
+    laws: "LatticeLaws" = field(repr=False)
     i_xy: float
     h_s: float = field(repr=False)
     h_s_given_x: float = field(repr=False)
@@ -305,6 +306,7 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                                              np.outer(p_x, p_y)), -np.inf)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
                            p_xy=p_xy, p_x=p_x, p_y=p_y, score_table=score,
+                           laws=lattice_laws(score, p_xy, p_x, p_y),
                            i_xy=i_xy, h_s=h_s, h_s_given_x=h_s_x,
                            h_s_given_y=h_s_y, h_s_given_xy=h_s_xy,
                            i_sx=i_sx, i_sy=i_sy)
@@ -422,6 +424,38 @@ class SplitterTables(NamedTuple):
     cells: dict
 
 
+class LatticeLaws(NamedTuple):
+    """Mass on each of `values`, the distinct finite scores ascending, of a
+    legitimate pair (`legit`), an independent one (`indep`) and, per side,
+    the honest share against each forged symbol (`forged["x"][a]`: Y
+    against x = a); each is the fsum of its cells, -inf cells in none."""
+
+    values: tuple[float, ...]
+    legit: tuple[float, ...]
+    indep: tuple[float, ...]
+    forged: dict[str, tuple[tuple[float, ...], ...]]
+
+
+def lattice_laws(score: np.ndarray, p_xy: np.ndarray, p_x: np.ndarray,
+                 p_y: np.ndarray) -> LatticeLaws:
+    """The `LatticeLaws` of a score table, from one pass over its finite
+    cells, the support of P(X,Y): at most k |U| of them."""
+    xs, ys = np.nonzero(np.isfinite(score))
+    values = tuple(sorted(set(score[xs, ys].tolist())))
+    col = np.searchsorted(values, score[xs, ys]).tolist()
+
+    def table(rows, probs):   # per share symbol, the fsum at each value
+        cells = [[[] for _ in values] for _ in p_x]
+        for r, c, p in zip(rows.tolist(), col, probs.tolist()):
+            cells[r][c].append(p)
+        return tuple(tuple(map(math.fsum, row)) for row in cells)
+
+    zero = np.zeros_like(xs)
+    return LatticeLaws(values, table(zero, p_xy[xs, ys])[0],
+                       table(zero, p_x[xs] * p_y[ys])[0],
+                       {"x": table(xs, p_y[ys]), "y": table(ys, p_x[xs])})
+
+
 # ---------------------------------------------------------------------------
 # Score lattice: exact sums over count vectors, by intervals
 
@@ -498,27 +532,20 @@ def _row_tails(lf: np.ndarray, lq_i: float, lq_j: float, r: np.ndarray,
         r1 = max(r0, min(w - 1, last))
         hi = r.size if r1 == last else lo + int(r[lo:].searchsorted(r1, "right"))
         a = np.arange(-1, r1 + 1) if accepted else np.arange(r1 + 2)
-        # a block of one row stays 1-D: a scalar r broadcasts as a column
-        rr = r0 if r0 == r1 else np.arange(r0, r1 + 1)[:, None]
+        rr = np.arange(r0, r1 + 1)[:, None]
         rows = a * (lq_i - lq_j) + rr * lq_j
         rows -= lf[a]
         rows -= lf[rr - a]
-        top = rows.max(axis=-1, keepdims=True)
+        top = rows.max(axis=1, keepdims=True)
         rows -= top
         side = np.exp2(rows, out=rows)
         # the running sum, in place, from the side asked for
-        run = side if accepted else side[..., ::-1]
-        np.add.accumulate(run, axis=-1, out=run)
-        if r0 == r1:
-            tops.append(top.repeat(hi - lo))
-            tails.append(side[cut[lo:hi]])
-        else:
-            pick = r[lo:hi] - r0
-            tops.append(top[pick, 0])
-            tails.append(side[pick, cut[lo:hi]])
+        run = side if accepted else side[:, ::-1]
+        np.add.accumulate(run, axis=1, out=run)
+        pick = r[lo:hi] - r0
+        tops.append(top[pick, 0])
+        tails.append(side[pick, cut[lo:hi]])
         lo = hi
-    if len(tops) == 1:
-        return tops[0], tails[0]
     return np.concatenate(tops), np.concatenate(tails)
 
 
@@ -541,15 +568,6 @@ class ScoreLattice:
 
     def accepts(self, counts) -> bool:
         return sum(map(operator.mul, counts, self.weights)) > self.bar
-
-    def masses(self, scores: np.ndarray, probs: np.ndarray) -> tuple[float, ...]:
-        """Mass that probs puts on each value; mass on -inf is dropped."""
-        return tuple(math.fsum(probs[scores == v]) for v in self.values)
-
-    def buckets(self, scores: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """Mass on -inf, then on each value: one position's score law."""
-        return np.array((math.fsum(probs[scores == -np.inf]),)
-                        + self.masses(scores, probs))
 
     def cuts(self, m: int, idx, offset: int = 0):
         """Every prefix of an m-position count vector over the values at
@@ -642,18 +660,9 @@ class ScoreLattice:
         cut_of = prefix_lookup(heads, cuts, self.n, parts)
         return lambda counts: counts[:, -2] < cut_of(counts)
 
-    def count_test(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """`accepted` over rows of n-block bucket counts, -inf count first:
-        a row with any -inf count is rejected."""
-        if n != self.n:
-            raise ValueError(f"the lattice decides blocks of n={self.n}, "
-                             f"not n={n}")
-        return lambda counts: (counts[:, 0] == 0) & self.accepted(counts[:, 1:])
-
 
 def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
-    table = codec.score_table
-    values = tuple(sorted(set(table[np.isfinite(table)].tolist())))
+    values = codec.laws.values
     ratios = [v.as_integer_ratio() for v in values + (float(codec.threshold),)]
     den = max(d for _, d in ratios)
     *weights, bar = (num * (den // d) for num, d in ratios)
@@ -661,14 +670,9 @@ def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
 
 
 def rejection_probability(codec: SymbolwiseCodec) -> float:
-    """Exact probability that a legitimate share pair is rejected.
-
-    Legitimate pairs never score -inf, so this is the lattice mass of the
-    count vectors the test rejects, summed on that side.
-    """
-    lat = codec.lattice
-    return lat.mass(lat.masses(codec.score_table, codec.p_xy), codec.n,
-                    accepted=False)
+    """Exact probability that a legitimate share pair (never -inf) is
+    rejected: the lattice mass the test rejects, summed on that side."""
+    return codec.lattice.mass(codec.laws.legit, codec.n, accepted=False)
 
 
 @dataclass(frozen=True)
@@ -704,15 +708,14 @@ def monte_carlo_error(codec: SymbolwiseCodec, trials: int,
                       rng: RandomStream) -> tuple[float, float]:
     """MC estimate of the rejection probability for legitimate pairs.
 
-    Each trial draws one block's count vector over the score buckets and
-    is decided on the score lattice.  When one bucket holds all the mass,
-    every trial draws the same vector, so none is drawn.
+    Each trial draws one block's count vector over the lattice values (no
+    legitimate pair scores -inf) and is decided on the lattice.  When one
+    value holds all the mass, every trial draws the same vector, so none
+    is drawn.
     """
-    lat = codec.lattice
-    law = lat.buckets(codec.score_table, codec.p_xy)
-    accepts = lat.count_test(codec.n)
+    accepted, law = codec.lattice.accepted, np.array(codec.laws.legit)
     if np.count_nonzero(law) == 1:
-        miss = not accepts(np.where(law > 0.0, codec.n, 0)[None])[0]
+        miss = not accepted(np.where(law > 0.0, codec.n, 0)[None])[0]
         return _estimate(trials, rng, lambda gen, take: take * miss)
     return _estimate(trials, rng, lambda gen, take: take - int(
-        np.count_nonzero(accepts(gen.multinomial(codec.n, law, size=take)))))
+        np.count_nonzero(accepted(gen.multinomial(codec.n, law, size=take)))))

@@ -13,7 +13,9 @@ The count-vector routines at the end are the library's former exact
 symbolwise engine, also unchanged: `count_distribution` lists the law of
 every count vector, and the accepted and rejected masses are summed over
 the whole list, vector by vector, with the scalar `ScoreLattice.accepts`.
-They certify the interval sums of `ScoreLattice.mass`.
+They certify the interval sums of `ScoreLattice.mass`.  Their per-value
+masses come from `value_masses`, the library's former per-record sums,
+which `reference_laws` also uses to certify the codec's `LatticeLaws`.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ import numpy as np
 
 from oracles import scheme_joint
 from twoshare.attack import AttackResult, TestQuantities, _check_side
-from twoshare.attack import _forged_rows
 from twoshare.prob import CapExceededError, conditional_entropy, mutual_information
-from twoshare.symbol import ScoreLattice, SymbolQuantities, SymbolwiseCodec
+from twoshare.symbol import (LatticeLaws, ScoreLattice, SymbolQuantities,
+                             SymbolwiseCodec)
 from twoshare.typical import compositions
 
 TYPE_CAP = 1 << 20
@@ -300,16 +302,41 @@ def _convolve_counts(a: dict, b: dict) -> dict:
     return out
 
 
+def forged_rows(codec: SymbolwiseCodec, side: str):
+    """Score rows indexed by the forged symbol, and the honest marginal."""
+    return ((codec.score_table, codec.p_y) if side == "x"
+            else (codec.score_table.T, codec.p_x))
+
+
+def value_masses(values, scores: np.ndarray, probs: np.ndarray) -> tuple[float, ...]:
+    """Mass that probs puts on each value, one fsum over a mask per value;
+    mass on -inf is dropped."""
+    return tuple(math.fsum(probs[scores == v]) for v in values)
+
+
+def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
+    """The codec's `LatticeLaws`, rebuilt cell by cell from its score table
+    and marginals: every forged row is masked against its honest marginal
+    on its own, and the independent law is the dense outer product."""
+    table = codec.score_table
+    values = tuple(sorted(set(table[np.isfinite(table)].tolist())))
+    forged = {side: tuple(value_masses(values, row, honest) for row in rows)
+              for side in "xy" for rows, honest in [forged_rows(codec, side)]}
+    return LatticeLaws(
+        values, value_masses(values, table, codec.p_xy),
+        value_masses(values, table, np.outer(codec.p_x, codec.p_y)), forged)
+
+
 def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
     """Exact optimal forgery: per forged-class composition, the classes'
     count-vector laws convolved on integer keys, then tested per vector."""
     _check_side(side)
     n = codec.n
     lat = codec.lattice
-    table, honest = _forged_rows(codec, side)
+    table, honest = forged_rows(codec, side)
     classes: dict[tuple[float, ...], int] = {}
     for a, row in enumerate(table):
-        classes.setdefault(lat.masses(row, honest), a)
+        classes.setdefault(value_masses(lat.values, row, honest), a)
     masses, class_min = list(classes), list(classes.values())
     best_prob = -1.0
     best_seq = None

@@ -581,10 +581,40 @@ class TestCli:
          "--gamma", "const:0.05", "--secret", "0,0,0,0"],
         ["validate-scheme", "--source", "uniform:2", "--variant",
          "undersized"],
+        # "@text" stands for a config file holding text: a top level that
+        # is not an object, with an override flag and without one
+        ["experiment", "--config", "@[1, 2]", "--seed", "3"],
+        ["experiment", "--config", '@"symbolwise"', "--mode", "mc"],
+        ["experiment", "--config", "@[1, 2]"],
     ])
-    def test_failures_exit_one(self, argv, capsys):
+    def test_failures_exit_one(self, argv, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        for i, arg in enumerate(argv):
+            if arg.startswith("@"):
+                path.write_text(arg[1:])
+                argv = argv[:i] + [str(path)] + argv[i + 1:]
         code, _, err = self.run(argv, capsys)
         assert code == 1
+        assert "error:" in err
+
+    def test_non_object_config_names_the_top_level(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        code, _, err = self.run(
+            ["experiment", "--config", str(path), "--seed", "3"], capsys)
+        assert code == 1
+        assert err == "error: bad config: the top level is not an object\n"
+
+    def test_key_error_in_a_command_propagates(self, config_path,
+                                               monkeypatch, capsys):
+        # no input raises a bare KeyError; one from a bug is not an input
+        # error and must not read as one
+        def broken(cfg):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(harness, "run_experiment", broken)
+        with pytest.raises(KeyError, match="bug"):
+            cli.main(["experiment", "--config", config_path])
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -231,20 +231,17 @@ class TestNoDenseIndex:
 
 
 class TestLatticeTables:
-    def test_count_test_matches_scalar_accepts(self):
+    def test_accepted_matches_scalar_accepts(self):
         codec = modular(5, K3, 8)
-        lat = symbol.score_lattice(codec)
+        lat = codec.lattice
         vectors = list(typical.compositions(8, len(lat.values)))
-        rows = np.array([(0,) + c for c in vectors])
-        got = lat.count_test(8)(rows)
+        got = lat.accepted(np.array(vectors))
         assert got.tolist() == [lat.accepts(c) for c in vectors]
         assert 0 < got.sum() < len(vectors)
-        # any -inf count rejects, whatever the finite counts
-        rows[:, 0] = 1
-        assert not lat.count_test(8)(rows).any()
-        # the lattice's threshold is for n=8 blocks only
-        with pytest.raises(ValueError, match="n=8, not n=9"):
-            lat.count_test(9)
+        # the error estimate draws over the lattice values alone: no
+        # legitimate pair scores -inf
+        assert math.fsum(codec.p_xy[np.isneginf(codec.score_table)]) == 0.0
+        assert len(codec.laws.legit) == len(lat.values)
 
     def test_count_table_built_once_per_symbolwise_record(self, monkeypatch):
         # the error estimate and both attack estimates share one table

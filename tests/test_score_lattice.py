@@ -50,11 +50,10 @@ CASES = (
 
 
 def legit_and_indep(codec):
-    """Per-position score laws of legitimate and of independent pairs."""
-    lat = codec.lattice
-    return (lat.masses(codec.score_table, codec.p_xy),
-            lat.masses(codec.score_table,
-                       codec.p_x[:, None] * codec.p_y))
+    """Per-position score laws of legitimate and of independent pairs, summed
+    cell by cell by the oracle, not read off the codec."""
+    ref = conv.reference_laws(codec)
+    return ref.legit, ref.indep
 
 
 def assert_parity(codec, float_keyed=True):
@@ -95,10 +94,7 @@ def test_modular_matches_convolution_oracle(m, source, n):
 def test_identity_leak_matches_convolution_oracle(m, source, n):
     codec = leaky(m, source, n)
     # the forged symbol outside the secret alphabet forms its own class
-    lat = symbol.score_lattice(codec)
-    rows = {lat.masses(codec.score_table[a, :], codec.p_y)
-            for a in range(m)}
-    assert len(rows) > 1
+    assert len(set(codec.laws.forged["x"])) > 1
     assert_parity(codec)
 
 
@@ -149,12 +145,57 @@ SHAPES = [pytest.param(4, PMF.uniform(2), id="c1-uniform2-m4"),
 def laws(codec):
     """Every distinct per-position score law the engines sum: legitimate
     pairs, independent pairs, and each forged symbol's honest row."""
-    lat = codec.lattice
-    out = list(legit_and_indep(codec))
-    for side in "xy":
-        table, honest = attack._forged_rows(codec, side)
-        out += [lat.masses(row, honest) for row in table]
-    return list(dict.fromkeys(out))
+    table = codec.laws
+    return list(dict.fromkeys([table.legit, table.indep,
+                               *table.forged["x"], *table.forged["y"]]))
+
+
+def lopsided():
+    # share Y takes only 0 and 1: a forged y = 2 or 3 scores -inf everywhere
+    scheme = symbol.BaseScheme(
+        "lopsided", secret_size=3, share_size=4, rand_size=4,
+        encode_fn=lambda s, u: ((s + u) % 4, u // 2),
+        decode_fn=lambda x, y: None)
+    return symbol.make_codec(scheme, K3, 8, 0.3, require_valid=False)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: modular(1024, SKEW, 16), id="k2-m1024"),
+    pytest.param(lambda: modular(5, K3, 8), id="k3-m5"),
+    pytest.param(lopsided, id="lopsided"),
+    # share X is the secret: a forged x = 2 or 3 scores -inf everywhere
+    pytest.param(lambda: leaky(4, SKEW, 8), id="identity-leak")])
+def test_laws_are_the_per_cell_sums(make):
+    codec = make()
+    assert codec.laws == conv.reference_laws(codec)
+    assert codec.lattice.values == codec.laws.values
+    m = codec.scheme.share_size
+    assert [len(codec.laws.forged[side]) for side in "xy"] == [m, m]
+
+
+def test_minus_inf_only_rows_hold_no_mass():
+    # the last two cases above do have forged symbols that score -inf
+    # against every honest share; their rows keep the lattice's length
+    # and hold zeros
+    for codec, side in [(leaky(4, SKEW, 8), "x"), (lopsided(), "y")]:
+        scores, _ = conv.forged_rows(codec, side)
+        dead = np.isneginf(scores).all(axis=1)
+        assert 0 < dead.sum() < len(dead)
+        for row, is_dead in zip(codec.laws.forged[side], dead):
+            assert len(row) == len(codec.laws.values)
+            assert (not any(row)) == is_dead
+
+
+def test_laws_are_built_once_per_sweep(monkeypatch):
+    calls, real = [], symbol.lattice_laws
+    monkeypatch.setattr(symbol, "lattice_laws",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = harness.ExperimentConfig.from_dict({
+        "source": [0.5, 0.3, 0.2], "scheme": {"kind": "symbolwise", "m": 5},
+        "n_values": [8, 16, 24], "mode": "exact"})
+    records = harness.run_experiment(cfg).records
+    assert [r.skipped for r in records] == [None] * 3
+    assert len(calls) == 1
 
 
 def assert_mass_parity(lat, masses, m, offset=0):

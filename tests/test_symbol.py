@@ -322,9 +322,7 @@ class TestScoring:
 
     def test_legit_distribution_masses(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
-        lat = score_lattice(codec)
-        dist = dict(zip(lat.values,
-                        lat.masses(codec.score_table, codec.p_xy)))
+        dist = dict(zip(codec.laws.values, codec.laws.legit))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         expect = {math.log2(3 * 0.7): 0.7, math.log2(3 * 0.3): 0.3}
         assert len(dist) == 2
