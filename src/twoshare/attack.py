@@ -187,17 +187,21 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
         n = scheme.n
         scores, honest = ((scheme.score_table, scheme.p_y) if side == "x"
                           else (scheme.score_table.T, scheme.p_x))
-        # per forged symbol the honest mass on -inf, then on each value
-        minus_inf = [math.fsum(honest[row]) for row in np.isneginf(scores)]
-        rows = np.column_stack((minus_inf, scheme.laws.forged[side]))
+        forged = scheme.laws.forged[side]
+
+        def row(a):   # the honest mass on -inf, then on each value
+            return (math.fsum(honest[np.isneginf(scores[a])]), *forged[a])
         if isinstance(forgery, PMF):
+            rows = np.array([row(a) for a in range(len(forged))])
             groups = [(forgery.probs @ rows, n)]
         else:
             seq = np.asarray(forgery, dtype=np.int64)
             if seq.shape != (n,):
                 raise ValueError(f"forged sequence must have length {n}")
+            # only the rows of the symbols the sequence uses
             symbols, positions = np.unique(seq, return_counts=True)
-            groups = [(rows[a], int(c)) for a, c in zip(symbols, positions)]
+            groups = [(np.array(row(a)), int(c))
+                      for a, c in zip(symbols.tolist(), positions)]
         clear, laws = _clear_gate(groups)
 
         def draw(gen, take):

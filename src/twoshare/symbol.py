@@ -606,6 +606,12 @@ class ScoreLattice:
         check_lattice_points(self.n, walk_size(self.n, len(self.values)))
         return self.cuts(self.n, range(len(self.values)))
 
+    @functools.cached_property
+    def _sums(self) -> dict:
+        """`mass` results by (masses, m, accepted, offset); it lives and
+        dies with the lattice, one per codec of a blocklength."""
+        return {}
+
     def mass(self, masses, m: int, accepted: bool = True,
              offset: int = 0) -> float:
         """Accepted (or rejected) mass of the count vectors of m i.i.d.
@@ -618,9 +624,19 @@ class ScoreLattice:
         on).  The rows are built in log2, in blocks (`_row_tails`), each
         scaled by its largest term and summed from the side asked for, so
         a tiny tail is never 1 minus the rest.  Sums over n positions and
-        every value share the lattice's cut table (`_walk`).  Raises
-        LatticeCapError past LATTICE_CAP prefixes.
+        every value share the lattice's cut table (`_walk`), and each
+        distinct sum is taken once per lattice: against the modular
+        splitter both attacks, and often beta, ask for the same one.
+        Raises LatticeCapError past LATTICE_CAP prefixes.
         """
+        key = (tuple(masses), m, accepted, offset)
+        sums = self._sums
+        if key not in sums:
+            sums[key] = self._mass(*key)
+        return sums[key]
+
+    def _mass(self, masses: tuple[float, ...], m: int, accepted: bool,
+              offset: int) -> float:
         idx = [j for j, q in enumerate(masses) if q > 0.0]
         if not idx:
             return float(m == 0 and (offset > self.bar) == accepted)
@@ -657,7 +673,7 @@ class ScoreLattice:
             hit = self.n * self.weights[0] > self.bar
             return lambda counts: np.full(len(counts), hit)
         heads, _, cuts = self._walk
-        cut_of = prefix_lookup(heads, cuts, self.n, parts)
+        cut_of = prefix_lookup(heads, cuts, self.n)
         return lambda counts: counts[:, -2] < cut_of(counts)
 
 

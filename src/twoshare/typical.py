@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .prob import (PMF, CapExceededError, RandomStream, _estimate, as_symbol,
-                   entropy)
+from .prob import PMF, RandomStream, _estimate, as_symbol, entropy
 
 
 class EmptyTypicalSetError(Exception):
@@ -252,28 +251,49 @@ def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
     return index
 
 
-def _coder(n: int, digits: int, parts: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Codes of the leading `digits` counts of each row of count vectors
-    over `parts` values, in base n+1; raises CapExceededError past int64."""
-    if (n + 1) ** digits > np.iinfo(np.int64).max:
-        raise CapExceededError(f"n={n}: count vectors over {parts} values "
-                               "overflow a 64-bit code; lower n")
-    powers = np.array([(n + 1) ** j for j in range(digits - 1, -1, -1)],
-                      dtype=np.int64)
-    return lambda rows: rows[:, :digits] @ powers
+def _prefix_rank(n: int, digits: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Rank of each row's prefix, its leading d = `digits` counts summing
+    to at most n, onto [0, C(n+d, d)).  The running sums S_1 <= ... <= S_d
+    <= n, shifted to S_i + i - 1, are a d-subset of [0, n+d), and its rank
+    in the combinatorial number system is the sum of C(S_i + i - 1, i),
+    read off one (n+1) x (d+1) table.  The first term, C(S_1, 1), is the
+    first count itself, so a one-count prefix is its own rank."""
+    table = np.array([[math.comb(t + i - 1, i) if t else 0
+                       for i in range(digits + 1)] for t in range(n + 1)],
+                     dtype=np.int64)
+
+    def rank(rows: np.ndarray) -> np.ndarray:
+        if not digits:
+            return np.zeros(len(rows), dtype=np.int64)
+        out = total = rows[:, 0]
+        for i in range(1, digits):
+            total = total + rows[:, i]
+            out = out + table[total, i + 1]
+        return out
+    return rank
 
 
-def prefix_lookup(prefixes, values, n: int,
-                  parts: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The value of each row's prefix, for rows of count vectors over
-    `parts` values: a prefix is a row's leading counts, and `prefixes`
-    holds every prefix a row can have, with its value alongside."""
+def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The value of each row's prefix, for rows of count vectors that sum
+    to n: a prefix is a row's leading counts, and `prefixes` holds every
+    prefix a row can have, each once, with its value alongside; ValueError
+    when they do not.  The values sit in an array by `_prefix_rank`, so a
+    lookup is one gather per prefix count."""
     table = np.array(prefixes, dtype=np.int64)
-    code = _coder(n, table.shape[1], parts)
-    keys = code(table)
-    order = np.argsort(keys)
-    keys, values = keys[order], np.asarray(values)[order]
-    return lambda counts: values[np.searchsorted(keys, code(counts))]
+    digits = table.shape[1]
+    size = math.comb(n + digits, digits)
+    rank = _prefix_rank(n, digits)
+    # in range, each prefix has a rank below size: the ranks are then a
+    # permutation exactly when none repeats
+    if (len(table) != size or table.min(initial=0) < 0
+            or table.sum(axis=1).max(initial=0) > n
+            or np.bincount(ranks := rank(table), minlength=size).max() != 1):
+        raise ValueError(f"prefixes must list each of the {size} prefixes of "
+                         f"{digits} counts summing to at most {n} once")
+    values = np.asarray(values)
+    by_rank = np.empty(size, dtype=values.dtype)
+    by_rank[ranks] = values
+    return lambda counts: by_rank[rank(counts)]
 
 
 def atypical_draw(source: PMF, n: int,
@@ -287,7 +307,7 @@ def atypical_draw(source: PMF, n: int,
         return lambda gen, take: take * hit
     support = source.probs[source.probs > 0.0]
     hit = prefix_lookup([c.counts[:-1] for c in classes],
-                        [not c.typical for c in classes], n, support.size)
+                        [not c.typical for c in classes], n)
     return lambda gen, take: int(np.count_nonzero(
         hit(gen.multinomial(n, support, size=take))))
 

@@ -15,7 +15,7 @@ import pytest
 import oracles
 import symbolwise_oracle as conv
 from twoshare import attack, block, harness, symbol, typical
-from twoshare.prob import CapExceededError, PMF, RandomStream
+from twoshare.prob import PMF, RandomStream
 from twoshare.typical import build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -247,8 +247,8 @@ class TestLatticeTables:
         # the error estimate and both attack estimates share one table
         calls, real = [], symbol.prefix_lookup
         monkeypatch.setattr(symbol, "prefix_lookup",
-                            lambda prefixes, values, n, parts:
-                            calls.append(n) or real(prefixes, values, n, parts))
+                            lambda prefixes, values, n:
+                            calls.append(n) or real(prefixes, values, n))
         cfg = harness.ExperimentConfig.from_dict(
             {"source": [0.7, 0.3], "scheme": {"kind": "symbolwise", "m": 4},
              "n_values": [4, 8, 12], "mode": "mc", "trials": 2000,
@@ -257,9 +257,30 @@ class TestLatticeTables:
         assert all(r.skipped is None for r in report.records)
         assert calls == [4, 8, 12]
 
-    def test_code_overflow_is_a_cap(self):
-        with pytest.raises(CapExceededError, match="n=4"):
-            typical.prefix_lookup([(0,) * 31], [True], 4, 32)
+    def test_prefix_rank_is_a_bijection(self):
+        for n in range(10):
+            for digits in range(4):
+                rows = np.array(list(typical.compositions(n, digits + 1)))
+                ranks = typical._prefix_rank(n, digits)(rows)
+                assert sorted(ranks.tolist()) == list(
+                    range(math.comb(n + digits, digits)))
+
+    def test_32_part_lookup_answers_past_int64_codes(self):
+        # 31 leading counts at n=4: base-5 codes of them would pass 2**63
+        rows = np.array(list(typical.compositions(4, 32)))
+        lookup = typical.prefix_lookup(rows[:, :31], np.arange(len(rows)), 4)
+        order = np.random.default_rng(0).permutation(len(rows))
+        assert lookup(rows[order]).tolist() == order.tolist()
+
+    def test_lookup_needs_every_prefix_once(self):
+        prefixes = [c[:2] for c in typical.compositions(3, 3)]
+        lookup = typical.prefix_lookup(prefixes, range(len(prefixes)), 3)
+        assert lookup(np.array([(0, 3, 0), (1, 1, 1)])).tolist() == [
+            prefixes.index((0, 3)), prefixes.index((1, 1))]
+        for bad in (prefixes[1:], prefixes[:-1] + [prefixes[0]],
+                    prefixes[:-1] + [(4, 0)], prefixes[:-1] + [(-1, 2)]):
+            with pytest.raises(ValueError, match="each of the 10 prefixes"):
+                typical.prefix_lookup(bad, range(len(bad)), 3)
 
 
 class CountingGenerator:

@@ -3,8 +3,10 @@ sums with the float-keyed convolution oracle and with the former
 count-vector engine, its cuts against the scalar test, the strict-tie rule,
 and long-block behaviour."""
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ K3 = PMF.from_probs([0.5, 0.3, 0.2])
 K4 = PMF.from_probs([0.4, 0.3, 0.2, 0.1])
 GAP = PMF.from_probs([0.6, 0.0, 0.4])   # a zero-probability symbol
 TOL = 1e-12
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def power_gamma(n):
@@ -196,6 +199,43 @@ def test_laws_are_built_once_per_sweep(monkeypatch):
     records = harness.run_experiment(cfg).records
     assert [r.skipped for r in records] == [None] * 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,sums", [("symbolwise_skew", 6),
+                                       ("symbolwise_k3_frontier", 6),
+                                       ("symbolwise_k4_frontier", 4),
+                                       ("symbolwise_wide_m", 4)])
+def test_each_distinct_sum_is_taken_once_per_record(monkeypatch, name, sums):
+    # against the modular splitter p_y is p_x's sum, and beta is too at
+    # M = 4, 6 and 1024: two distinct sums a record there, three at M = 5
+    calls, real = [], symbol._row_tails
+    monkeypatch.setattr(symbol, "_row_tails",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = harness.ExperimentConfig.from_dict(
+        json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    for _ in range(2):   # a second sweep builds new lattices and sums again
+        calls.clear()
+        records = harness.run_experiment(cfg).records
+        assert [r.skipped for r in records] == [None] * len(records)
+        assert len(calls) == sums
+
+
+def test_memoised_mass_matches_a_fresh_lattice():
+    codec = modular(5, K3, 24)
+    lat = codec.lattice
+    calls = [(masses, m, accepted, offset)
+             for masses in laws(codec) + [(0.6, 0.0, 0.4), (0.0, 0.0, 1.0)]
+             for m in (0, 1, 24) for accepted in (True, False)
+             for offset in (0, lat.bar // 3, -lat.weights[-1])]
+    want = [dataclasses.replace(lat).mass(*args) for args in calls]
+    for order in (range(len(calls)), range(len(calls))[::-1]):
+        memo = dataclasses.replace(lat)
+        for _ in range(2):   # the second pass reads the memo
+            got = {i: memo.mass(*calls[i]) for i in order}
+            assert [got[i] for i in range(len(calls))] == want
+        # a list names the same sum as its tuple
+        masses, m, accepted, offset = calls[0]
+        assert memo.mass(list(masses), m, accepted, offset) == want[0]
 
 
 def assert_mass_parity(lat, masses, m, offset=0):
