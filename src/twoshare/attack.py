@@ -185,12 +185,11 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
             return int(np.count_nonzero(ok))
     elif isinstance(scheme, SymbolwiseCodec):
         n = scheme.n
-        scores, honest = ((scheme.score_table, scheme.p_y) if side == "x"
-                          else (scheme.score_table.T, scheme.p_x))
-        forged = scheme.laws.forged[side]
+        forged, minus_inf = (scheme.laws.forged[side],
+                             scheme.laws.minus_inf[side])
 
         def row(a):   # the honest mass on -inf, then on each value
-            return (math.fsum(honest[np.isneginf(scores[a])]), *forged[a])
+            return (minus_inf[a], *forged[a])
         if isinstance(forgery, PMF):
             rows = np.array([row(a) for a in range(len(forged))])
             groups = [(forgery.probs @ rows, n)]

@@ -7,6 +7,7 @@ caller.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -157,15 +158,19 @@ class RandomStream:
     so a fixed seed yields the same draws everywhere (numpy >= 1.24).
     Substreams use distinct keys and are statistically independent, which
     makes Monte Carlo work partition-invariant: chunk c always draws from
-    substream c no matter which thread runs it.
+    substream c no matter which thread runs it.  The generator is built on
+    first use, so a stream that only hands out substreams builds none.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
+
+    @functools.cached_property
+    def gen(self) -> np.random.Generator:
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, i: int) -> "RandomStream":
         """Independent child stream i; nesting is collision-free below 2**20."""

@@ -16,19 +16,20 @@ be dropped in; `validate_base` checks the profile exactly before use.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .outcome import DecodeOutcome, REJECT
-from .prob import (CapExceededError, PMF, RandomStream, _estimate,
-                   _validate_probs, as_symbol, conditional_entropy, entropy,
-                   mutual_information)
+from .prob import (CapExceededError, PMF, RandomStream, _estimate, as_symbol,
+                   entropy)
 from .typical import prefix_lookup
 
 
@@ -134,55 +135,103 @@ class ValidationReport:
         return not self.failures
 
 
-def _tabulate(scheme: BaseScheme, source: PMF) -> np.ndarray:
-    """The splitter on every support point (s, u), p(s) > 0, as int64 rows
-    (s, x, y): one call of `encode_fn` per point."""
+class ImageLaw(NamedTuple):
+    """P(S,X,Y) of a splitter on its image and its marginals, exactly:
+    each mass is an int over one denominator, `total`.  Every p(s) is a
+    binary fraction, so weight_s = p(s) 2^e is an int for one e, and
+    p(s) / sum(p) = weight_s / sum(weights).  A support point (s, u)
+    carries weight_s, and total = |U| sum(weights).  Each table lists only
+    cells of positive mass: at most k |U| of them."""
+
+    total: int
+    s: dict     # s -> its mass |U| weight_s
+    sxy: dict   # (s, x, y) -> mass
+    xy: dict    # (x, y) -> mass
+    sx: dict
+    sy: dict
+    x: dict
+    y: dict
+
+
+def _image_law(scheme: BaseScheme, source: PMF) -> ImageLaw:
+    """The splitter on every support point (s, u), p(s) > 0, one call of
+    `encode_fn` each, and the exact law of the cells (s, x, y) it gives."""
     if source.support_size != scheme.secret_size:
         raise ValueError("source alphabet does not match the scheme")
-    cells = []
-    for s in np.flatnonzero(source.probs > 0.0).tolist():
-        for u in range(scheme.rand_size):
+    ratios = [p.as_integer_ratio() for p in source.probs.tolist()]
+    den = max(d for _, d in ratios)
+    weight = [num * (den // d) for num, d in ratios]
+    m, r = scheme.share_size, scheme.rand_size
+    sxy = collections.defaultdict(int)
+    for s, w in enumerate(weight):
+        for u in range(r) if w else ():
             try:
-                cells.append((s, *scheme.encode_fn(s, u)))
+                x, y = map(operator.index, scheme.encode_fn(s, u))
             except Exception as exc:
                 raise ValueError(
                     f"map undefined on support point {(s, u)}") from exc
-    cells = np.array(cells, dtype=np.int64)
-    if cells[:, 1:].min() < 0 or cells[:, 1:].max() >= scheme.share_size:
-        raise ValueError("splitter maps a support point outside the share "
-                         "alphabet")
-    return cells
+            if not (0 <= x < m and 0 <= y < m):
+                raise ValueError("splitter maps a support point outside the "
+                                 "share alphabet")
+            sxy[s, x, y] += w
+    xy, sx, sy, xs, ys = (collections.defaultdict(int) for _ in range(5))
+    for (s, x, y), c in sxy.items():
+        xy[x, y] += c
+        sx[s, x] += c
+        sy[s, y] += c
+        xs[x] += c
+        ys[y] += c
+    return ImageLaw(sum(weight) * r, {s: w * r for s, w in enumerate(weight)},
+                    sxy, xy, sx, sy, xs, ys)
 
 
-def _law(scheme: BaseScheme, source: PMF, cells: np.ndarray) -> np.ndarray:
-    """P(S,X,Y): each tabulated point adds its mass p(s) (1/|U|), validated
-    once."""
-    k, m = scheme.secret_size, scheme.share_size
-    p_sxy = np.zeros((k, m, m))
-    s, x, y = cells.T
-    np.add.at(p_sxy, (s, x, y), source.probs[s] * (1.0 / scheme.rand_size))
-    _validate_probs(p_sxy)
-    return p_sxy
+class _Logs(dict):
+    """log2(num / den) by (num, den), each from the correctly rounded
+    quotient and taken once: equal ratios give equal floats."""
+
+    def __missing__(self, key):
+        v = self[key] = math.log2(key[0] / key[1])
+        return v
 
 
-def _information(source: PMF, p_sxy: np.ndarray) -> tuple[float, ...]:
+def _bits(law: ImageLaw, logs: _Logs, cells) -> float:
+    """Sum of mass * log2(num / den) / total over (mass, num, den) cells:
+    the masses are summed exactly per distinct log, then each group is
+    rounded once."""
+    groups = collections.defaultdict(int)
+    for c, num, den in cells:
+        groups[logs[num, den]] += c
+    z = law.total
+    return math.fsum(c / z * v for v, c in groups.items())
+
+
+def _information(source: PMF, law: ImageLaw,
+                 logs: _Logs) -> tuple[float, ...]:
     """H(S), H(S|X), H(S|Y), H(S|XY), I(X;Y), I(S;X) and I(S;Y) of a
-    splitter's P(S,X,Y); the pairwise laws are its axis sums."""
-    p_sx, p_sy, p_xy = p_sxy.sum(axis=2), p_sxy.sum(axis=1), p_sxy.sum(axis=0)
-    return (entropy(source),
-            conditional_entropy(p_sx, 0), conditional_entropy(p_sy, 0),
-            conditional_entropy(p_sxy, 0), mutual_information(p_xy),
-            mutual_information(p_sx), mutual_information(p_sy))
+    splitter's law, each from its cells grouped by their exact ratio."""
+    z, p_s, p_x, p_y, p_xy = law.total, law.s, law.x, law.y, law.xy
+    return (
+        entropy(source),
+        _bits(law, logs, ((c, p_x[a], c) for (_, a), c in law.sx.items())),
+        _bits(law, logs, ((c, p_y[b], c) for (_, b), c in law.sy.items())),
+        _bits(law, logs, ((c, p_xy[a, b], c)
+                          for (_, a, b), c in law.sxy.items())),
+        max(_bits(law, logs, ((c, c * z, p_x[a] * p_y[b])
+                              for (a, b), c in p_xy.items())), 0.0),
+        max(_bits(law, logs, ((c, c * z, p_s[t] * p_x[a])
+                              for (t, a), c in law.sx.items())), 0.0),
+        max(_bits(law, logs, ((c, c * z, p_s[t] * p_y[b])
+                              for (t, b), c in law.sy.items())), 0.0))
 
 
 def _report(scheme: BaseScheme, information: tuple[float, ...],
-            cells: np.ndarray, tol: float) -> ValidationReport:
-    """`validate_base` on the `_information` of the splitter's law and its
-    tabulated points."""
+            law: ImageLaw, tol: float) -> ValidationReport:
+    """`validate_base` on the `_information` of the splitter's law; the
+    decoder is checked on each cell (s, x, y) of its image."""
     h_s, h_s_x, h_s_y, h_s_xy, ell = information[:5]
     sizes_ok = min(scheme.share_size, scheme.share_size,
                    scheme.rand_size) >= scheme.secret_size
-    decoder_ok = all(scheme.decode_fn(x, y) == s for s, x, y in cells.tolist())
+    decoder_ok = all(scheme.decode_fn(x, y) == s for s, x, y in law.sxy)
     failures = []
     if h_s - h_s_x > tol:
         failures.append(FAIL_SECRECY_X)
@@ -205,9 +254,8 @@ def validate_base(scheme: BaseScheme, source: PMF,
     """Exact check of per-symbol secrecy, decodability, and sizes.  The
     decoder is checked where the splitter can send the secret: on the
     support points."""
-    cells = _tabulate(scheme, source)
-    return _report(scheme, _information(source, _law(scheme, source, cells)),
-                   cells, tol)
+    law = _image_law(scheme, source)
+    return _report(scheme, _information(source, law, _Logs()), law, tol)
 
 
 class SchemeValidationError(Exception):
@@ -218,25 +266,22 @@ class SchemeValidationError(Exception):
 class SymbolwiseCodec:
     """A validated per-symbol splitter repeated over n-blocks.
 
-    Carries the exact per-symbol share laws P(X,Y), P(X) and P(Y) as
-    read-only arrays, the entropies and informations of the splitter
-    (each computed once, from the law the validation used), the score
-    table of the acceptance test and its `laws`.  None of these depends
-    on n or gamma, so `dataclasses.replace(codec, n=..., gamma=...)` gives
-    the codec of another blocklength without calling the splitter.
-    `threshold` is the per-symbol acceptance cutoff I(X;Y) - gamma; a pair
-    is accepted when its mean score strictly exceeds it, decided exactly on
-    `lattice`.
+    Carries the finite score of each cell (x, y) of the splitter's image
+    (`scores`; every other cell scores -inf), the entropies and
+    informations of the splitter (each computed once, from the exact law
+    the validation used) and the `laws` of the acceptance test, none of
+    size M^2.  None of these depends on n or gamma, so
+    `dataclasses.replace(codec, n=..., gamma=...)` gives the codec of
+    another blocklength without calling the splitter.  `threshold` is the
+    per-symbol acceptance cutoff I(X;Y) - gamma; a pair is accepted when
+    its mean score strictly exceeds it, decided exactly on `lattice`.
     """
 
     scheme: BaseScheme
     source: PMF
     n: int
     gamma: float
-    p_xy: np.ndarray = field(repr=False)
-    p_x: np.ndarray = field(repr=False)
-    p_y: np.ndarray = field(repr=False)
-    score_table: np.ndarray = field(repr=False)
+    scores: Mapping[tuple[int, int], float] = field(repr=False)
     laws: "LatticeLaws" = field(repr=False)
     i_xy: float
     h_s: float = field(repr=False)
@@ -266,7 +311,7 @@ class SymbolwiseCodec:
         """The lookup tables of `encode_n` and `decode_n`, built on first
         use (a codec that only evaluates never needs them): at most 2 k |U|
         calls."""
-        scheme, lat, score = self.scheme, self.lattice, self.score_table
+        scheme, lat = self.scheme, self.lattice
         shares, cells, weight = {}, {}, dict(zip(lat.values, lat.weights))
         for s, u in itertools.product(range(scheme.secret_size),
                                       range(scheme.rand_size)):
@@ -275,9 +320,9 @@ class SymbolwiseCodec:
                 shares[s, u] = operator.index(x), operator.index(y)
             except Exception:
                 pass
-        for x, y in np.argwhere(np.isfinite(score)).tolist():
+        for (x, y), score in self.scores.items():
             try:
-                cells[x, y] = weight[score[x, y]], int(scheme.decode_fn(x, y))
+                cells[x, y] = weight[score], int(scheme.decode_fn(x, y))
             except Exception:  # a hole fails int()
                 pass
         return SplitterTables(shares, cells)
@@ -287,26 +332,19 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                require_valid: bool = True) -> SymbolwiseCodec:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    # one pass of the splitter over the support points, one law and one set
-    # of entropies serve the validation, the codec and its exact quantities
-    cells = _tabulate(scheme, source)
-    p_sxy = _law(scheme, source, cells)
-    information = _information(source, p_sxy)
+    # one pass of the splitter over the support points and one exact law
+    # serve the validation, the codec and its exact quantities
+    law = _image_law(scheme, source)
+    logs = _Logs()
+    information = _information(source, law, logs)
     if require_valid:
-        report = _report(scheme, information, cells, SECRECY_TOL)
+        report = _report(scheme, information, law, SECRECY_TOL)
         if not report.passed:
             raise SchemeValidationError("; ".join(report.failures))
     h_s, h_s_x, h_s_y, h_s_xy, i_xy, i_sx, i_sy = information
-    p_xy = p_sxy.sum(axis=0)
-    p_x, p_y = p_xy.sum(axis=1), p_xy.sum(axis=0)
-    for law in (p_xy, p_x, p_y):
-        law.setflags(write=False)
-    with np.errstate(divide="ignore"):
-        score = np.where(p_xy > 0.0, np.log2(np.where(p_xy > 0.0, p_xy, 1.0) /
-                                             np.outer(p_x, p_y)), -np.inf)
+    laws, scores = lattice_laws(law, scheme.share_size, logs)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
-                           p_xy=p_xy, p_x=p_x, p_y=p_y, score_table=score,
-                           laws=lattice_laws(score, p_xy, p_x, p_y),
+                           scores=types.MappingProxyType(scores), laws=laws,
                            i_xy=i_xy, h_s=h_s, h_s_given_x=h_s_x,
                            h_s_given_y=h_s_y, h_s_given_xy=h_s_xy,
                            i_sx=i_sx, i_sy=i_sy)
@@ -371,8 +409,8 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
     lat = codec.lattice
     for i in miss:
         cell = int(xs[i]), int(ys[i])
-        score = codec.score_table[cell]
-        if score == -math.inf:
+        score = codec.scores.get(cell)
+        if score is None:
             return None
         found[i] = lat.weights[lat.values.index(score)], cell
     weights, symbols = zip(*found)
@@ -428,32 +466,50 @@ class LatticeLaws(NamedTuple):
     """Mass on each of `values`, the distinct finite scores ascending, of a
     legitimate pair (`legit`), an independent one (`indep`) and, per side,
     the honest share against each forged symbol (`forged["x"][a]`: Y
-    against x = a); each is the fsum of its cells, -inf cells in none."""
+    against x = a), with the honest mass on -inf against each forged
+    symbol in `minus_inf`.  Each is summed exactly and rounded once."""
 
     values: tuple[float, ...]
     legit: tuple[float, ...]
     indep: tuple[float, ...]
     forged: dict[str, tuple[tuple[float, ...], ...]]
+    minus_inf: dict[str, tuple[float, ...]]
 
 
-def lattice_laws(score: np.ndarray, p_xy: np.ndarray, p_x: np.ndarray,
-                 p_y: np.ndarray) -> LatticeLaws:
-    """The `LatticeLaws` of a score table, from one pass over its finite
-    cells, the support of P(X,Y): at most k |U| of them."""
-    xs, ys = np.nonzero(np.isfinite(score))
-    values = tuple(sorted(set(score[xs, ys].tolist())))
-    col = np.searchsorted(values, score[xs, ys]).tolist()
+def lattice_laws(law: ImageLaw, share_size: int,
+                 logs: _Logs) -> tuple[LatticeLaws, dict]:
+    """The `LatticeLaws` of a splitter's exact law and the score of each
+    image cell, log2 p(x,y) / (p(x) p(y)), from one pass over the image:
+    at most k |U| cells."""
+    z, p_x, p_y = law.total, law.x, law.y
+    scores = {(a, b): logs[c * z, p_x[a] * p_y[b]]
+              for (a, b), c in law.xy.items()}
+    values = tuple(sorted(set(scores.values())))
+    col = {v: j for j, v in enumerate(values)}
+    legit, indep = [0] * len(values), [0] * len(values)
+    # per forged symbol of each side, the honest mass on each value
+    rows_x, rows_y = (collections.defaultdict(lambda: [0] * len(values))
+                      for _ in range(2))
+    for (a, b), c in law.xy.items():
+        j = col[scores[a, b]]
+        legit[j] += c
+        indep[j] += p_x[a] * p_y[b]
+        rows_x[a][j] += p_y[b]
+        rows_y[b][j] += p_x[a]
+    rounded = {}   # each distinct row once: a modular splitter has one
 
-    def table(rows, probs):   # per share symbol, the fsum at each value
-        cells = [[[] for _ in values] for _ in p_x]
-        for r, c, p in zip(rows.tolist(), col, probs.tolist()):
-            cells[r][c].append(p)
-        return tuple(tuple(map(math.fsum, row)) for row in cells)
-
-    zero = np.zeros_like(xs)
-    return LatticeLaws(values, table(zero, p_xy[xs, ys])[0],
-                       table(zero, p_x[xs] * p_y[ys])[0],
-                       {"x": table(xs, p_y[ys]), "y": table(ys, p_x[xs])})
+    def round_row(row):   # per-value masses and the mass on -inf
+        if row not in rounded:
+            rounded[row] = tuple(c / z for c in row), (z - sum(row)) / z
+        return rounded[row]
+    forged, minus_inf = {}, {}
+    for side, rows in (("x", rows_x), ("y", rows_y)):
+        forged[side], minus_inf[side] = zip(*(
+            round_row(tuple(rows.get(a, [0] * len(values))))
+            for a in range(share_size)))
+    return LatticeLaws(values, tuple(c / z for c in legit),
+                       tuple(c / (z * z) for c in indep), forged,
+                       minus_inf), scores
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +610,7 @@ class ScoreLattice:
     """The acceptance test of an n-block, decided on count vectors.
 
     The per-symbol score takes only the values in `values`, the distinct
-    finite entries of the score table (a -inf entry is never accepted), so
+    finite scores of the image cells (a -inf cell is never accepted), so
     a block's mean score is fixed by how many positions take each value.
     Scores and the threshold are binary fractions; `weights` and `bar`
     are them scaled to one common denominator, so the strict test (ties

@@ -1,16 +1,17 @@
 """Test oracles that live outside the package: dense joints, induced
 joints and pushforwards, the dense (S, U, X, Y) joint of a per-symbol
-splitter with its validation profile, dense i.i.d. extensions and
-inverse-CDF sampling, brute-force attacks and the dense alpha/beta, exact
-rationals, and alpha/beta composed from the library's lattice sums.  The
-dense ones are for small instances only; the library calls none of them.
+splitter with its validation profile, its dense per-symbol share laws and
+score table, dense i.i.d. extensions and inverse-CDF sampling, brute-force
+attacks and the dense alpha/beta, exact rationals, and alpha/beta composed
+from the library's lattice sums.  The dense ones are for small instances
+only; the library calls none of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -166,6 +167,44 @@ def splitter_profile(scheme: BaseScheme, source: PMF,
         i_sx=mutual_information(joint.marginal(0, 2)),
         i_sy=mutual_information(joint.marginal(0, 3)),
         failures=tuple(failures))
+
+
+class ShareLaws(NamedTuple):
+    """A splitter's per-symbol share laws, dense: the exact rationals
+    P(X,Y) (by cell, positive cells only), P(X) and P(Y), and as floats
+    `p_xy`, `p_x` and `p_y`, each entry rounded once, with the score table
+    log2 P(X,Y) / (P(X) P(Y)), -inf off the support of P(X,Y)."""
+
+    exact_xy: dict
+    exact_x: list
+    exact_y: list
+    p_xy: np.ndarray
+    p_x: np.ndarray
+    p_y: np.ndarray
+    score_table: np.ndarray
+
+
+def share_laws(codec: SymbolwiseCodec) -> ShareLaws:
+    """The dense per-symbol laws of a codec's splitter, rebuilt from the
+    splitter and the source in exact rationals: every support point (s, u)
+    carries p(s) / (sum of p) / |U|.  M x M floats: small M only."""
+    scheme, probs = codec.scheme, codec.source.probs.tolist()
+    m, total = scheme.share_size, sum(map(Fraction, probs))
+    xy: dict[tuple[int, int], Fraction] = {}
+    for s, p in enumerate(probs):
+        for u in range(scheme.rand_size) if p > 0.0 else ():
+            cell = tuple(int(v) for v in scheme.encode_fn(s, u))
+            xy[cell] = xy.get(cell, 0) + Fraction(p) / total / scheme.rand_size
+    px, py = [Fraction(0)] * m, [Fraction(0)] * m
+    for (x, y), q in xy.items():
+        px[x] += q
+        py[y] += q
+    p_xy, score = np.zeros((m, m)), np.full((m, m), -np.inf)
+    for (x, y), q in xy.items():
+        p_xy[x, y] = float(q)
+        score[x, y] = math.log2(q / (px[x] * py[y]))
+    return ShareLaws(xy, px, py, p_xy, np.array([float(q) for q in px]),
+                     np.array([float(q) for q in py]), score)
 
 
 def pushforward(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -> JointPMF | PMF:

@@ -14,8 +14,9 @@ symbolwise engine, also unchanged: `count_distribution` lists the law of
 every count vector, and the accepted and rejected masses are summed over
 the whole list, vector by vector, with the scalar `ScoreLattice.accepts`.
 They certify the interval sums of `ScoreLattice.mass`.  Their per-value
-masses come from `value_masses`, the library's former per-record sums,
-which `reference_laws` also uses to certify the codec's `LatticeLaws`.
+masses come from `reference_laws`, which sums the dense share laws of
+`oracles.share_laws` cell by cell in exact rationals, and also certifies
+the codec's `LatticeLaws`.
 """
 from __future__ import annotations
 
@@ -23,9 +24,11 @@ import itertools
 import math
 import operator
 
+from fractions import Fraction
+
 import numpy as np
 
-from oracles import scheme_joint
+from oracles import scheme_joint, share_laws
 from twoshare.attack import AttackResult, TestQuantities, _check_side
 from twoshare.prob import CapExceededError, conditional_entropy, mutual_information
 from twoshare.symbol import (LatticeLaws, ScoreLattice, SymbolQuantities,
@@ -104,9 +107,9 @@ def mean_tail_strict(dist: dict[float, float], n: int, per_symbol_threshold: flo
 
 def legit_score_distribution(codec: SymbolwiseCodec) -> dict[float, float]:
     """Per-symbol score distribution under legitimate share pairs."""
-    table = codec.p_xy
-    mask = table > 0.0
-    return merge_values(codec.score_table[mask], table[mask])
+    dense = share_laws(codec)
+    mask = dense.p_xy > 0.0
+    return merge_values(dense.score_table[mask], dense.p_xy[mask])
 
 
 def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
@@ -129,12 +132,7 @@ def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
 
 def _forged_symbol_dists(codec: SymbolwiseCodec, side: str) -> list[dict[float, float]]:
     """Score distribution per forged symbol value against the honest marginal."""
-    if side == "x":
-        marginal = codec.p_y
-        rows = [codec.score_table[a, :] for a in range(codec.scheme.share_size)]
-    else:
-        marginal = codec.p_x
-        rows = [codec.score_table[:, a] for a in range(codec.scheme.share_size)]
+    rows, marginal = forged_rows(codec, side)
     return [merge_values(row, marginal) for row in rows]
 
 
@@ -207,8 +205,9 @@ def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
     """Exact alpha and beta by score-sum convolution."""
     legit = power_convolve(legit_score_distribution(codec), codec.n)
     alpha = 1.0 - mean_tail_strict(legit, codec.n, codec.threshold)
-    indep = merge_values(codec.score_table.ravel(),
-                         np.outer(codec.p_x, codec.p_y).ravel())
+    dense = share_laws(codec)
+    indep = merge_values(dense.score_table.ravel(),
+                         np.outer(dense.p_x, dense.p_y).ravel())
     beta = mean_tail_strict(power_convolve(indep, codec.n), codec.n,
                             codec.threshold)
     return TestQuantities(alpha=min(max(alpha, 0.0), 1.0), beta=beta)
@@ -303,28 +302,43 @@ def _convolve_counts(a: dict, b: dict) -> dict:
 
 
 def forged_rows(codec: SymbolwiseCodec, side: str):
-    """Score rows indexed by the forged symbol, and the honest marginal."""
-    return ((codec.score_table, codec.p_y) if side == "x"
-            else (codec.score_table.T, codec.p_x))
-
-
-def value_masses(values, scores: np.ndarray, probs: np.ndarray) -> tuple[float, ...]:
-    """Mass that probs puts on each value, one fsum over a mask per value;
-    mass on -inf is dropped."""
-    return tuple(math.fsum(probs[scores == v]) for v in values)
+    """Score rows indexed by the forged symbol, and the honest marginal,
+    from the dense share laws."""
+    dense = share_laws(codec)
+    return ((dense.score_table, dense.p_y) if side == "x"
+            else (dense.score_table.T, dense.p_x))
 
 
 def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
-    """The codec's `LatticeLaws`, rebuilt cell by cell from its score table
-    and marginals: every forged row is masked against its honest marginal
-    on its own, and the independent law is the dense outer product."""
-    table = codec.score_table
-    values = tuple(sorted(set(table[np.isfinite(table)].tolist())))
-    forged = {side: tuple(value_masses(values, row, honest) for row in rows)
-              for side in "xy" for rows, honest in [forged_rows(codec, side)]}
+    """The codec's `LatticeLaws`, rebuilt cell by cell from the dense share
+    laws: per value, the exact rational mass of its cells, rounded once.
+    Every forged row is masked against its honest marginal on its own,
+    and the independent law sums the dense outer product."""
+    dense = share_laws(codec)
+    table, m = dense.score_table.tolist(), codec.scheme.share_size
+    finite = [(a, b) for a in range(m) for b in range(m)
+              if table[a][b] != -math.inf]
+    values = tuple(sorted({table[a][b] for a, b in finite}))
+
+    def masses(cells):   # (score, exact mass) -> per-value floats
+        out = dict.fromkeys(values, Fraction(0))
+        for v, q in cells:
+            out[v] += q
+        return tuple(map(float, out.values()))
+
+    rows = {"x": [[] for _ in range(m)], "y": [[] for _ in range(m)]}
+    for a, b in finite:
+        rows["x"][a].append((table[a][b], dense.exact_y[b]))
+        rows["y"][b].append((table[a][b], dense.exact_x[a]))
     return LatticeLaws(
-        values, value_masses(values, table, codec.p_xy),
-        value_masses(values, table, np.outer(codec.p_x, codec.p_y)), forged)
+        values,
+        masses((table[a][b], q) for (a, b), q in dense.exact_xy.items()),
+        masses((table[a][b], dense.exact_x[a] * dense.exact_y[b])
+               for a, b in finite),
+        {side: tuple(map(masses, row)) for side, row in rows.items()},
+        # the honest marginal sums to exactly 1
+        {side: tuple(float(1 - sum(q for _, q in cells)) for cells in row)
+         for side, row in rows.items()})
 
 
 def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
@@ -333,10 +347,9 @@ def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult
     _check_side(side)
     n = codec.n
     lat = codec.lattice
-    table, honest = forged_rows(codec, side)
     classes: dict[tuple[float, ...], int] = {}
-    for a, row in enumerate(table):
-        classes.setdefault(value_masses(lat.values, row, honest), a)
+    for a, row in enumerate(reference_laws(codec).forged[side]):
+        classes.setdefault(row, a)
     masses, class_min = list(classes), list(classes.values())
     best_prob = -1.0
     best_seq = None

@@ -175,7 +175,7 @@ def test_06_symbolwise_forgery_bounded_by_margin_exponent():
         if n <= 6:
             # full enumeration of forged blocks against the honest marginal
             seqs = np.array(list(itertools.product(range(4), repeat=n)))
-            w = codec.score_table
+            w = oracles.share_laws(codec).score_table
             best = -1.0
             for f in seqs:
                 scores = w[np.tile(f, (len(seqs), 1)), seqs].sum(axis=1) / n

@@ -9,7 +9,7 @@ import pytest
 
 from twoshare.attack import TestQuantities as TQ
 from symbolwise_oracle import modular_attack_success
-from oracles import (attack_bruteforce, iid_extension,
+from oracles import (attack_bruteforce, iid_extension, share_laws,
                      symbolwise_test_quantities)
 from oracles import test_quantities as dense_test_quantities
 from twoshare.attack import (blockwise_attack, blockwise_test_quantities,
@@ -135,9 +135,10 @@ class TestSymbolwiseAttack:
         seqs = list(itertools.product(range(m), repeat=n))
         honest = np.full(len(seqs), 1.0 / len(seqs))  # share marginal uniform
 
+        table = share_laws(codec).score_table
+
         def fn(f, h):
-            score = sum(codec.score_table[a, b]
-                        for a, b in zip(seqs[f], seqs[h])) / n
+            score = sum(table[a, b] for a, b in zip(seqs[f], seqs[h])) / n
             return score > codec.threshold
 
         best, _ = attack_bruteforce(fn, len(seqs), honest)
@@ -151,24 +152,23 @@ class TestSymbolwiseAttack:
                            require_valid=False)
         m, n = 3, 3
         seqs = list(itertools.product(range(m), repeat=n))
-        p_y = codec.p_y
+        dense = share_laws(codec)
+        table, p_y = dense.score_table, dense.p_y
         honest_y = np.array([math.prod(p_y[b] for b in s) for s in seqs])
 
         def fn_x(f, h):
-            score = sum(codec.score_table[a, b]
-                        for a, b in zip(seqs[f], seqs[h])) / n
+            score = sum(table[a, b] for a, b in zip(seqs[f], seqs[h])) / n
             return score > codec.threshold
 
         best, _ = attack_bruteforce(fn_x, len(seqs), honest_y)
         res = symbolwise_attack(codec, "x")
         assert res.success_prob == pytest.approx(best, abs=1e-12)
 
-        p_x = codec.p_x
+        p_x = dense.p_x
         honest_x = np.array([math.prod(p_x[b] for b in s) for s in seqs])
 
         def fn_y(f, h):
-            score = sum(codec.score_table[b, a]
-                        for a, b in zip(seqs[f], seqs[h])) / n
+            score = sum(table[b, a] for a, b in zip(seqs[f], seqs[h])) / n
             return score > codec.threshold
 
         best_y, _ = attack_bruteforce(fn_y, len(seqs), honest_x)
@@ -199,9 +199,10 @@ class TestSymbolwiseAttack:
         seqs = list(itertools.product(range(m), repeat=n))
         honest = np.full(len(seqs), 1.0 / len(seqs))
 
+        table = share_laws(codec).score_table
+
         def fn(f, h):
-            score = sum(codec.score_table[a, b]
-                        for a, b in zip(seqs[f], seqs[h])) / n
+            score = sum(table[a, b] for a, b in zip(seqs[f], seqs[h])) / n
             return score > codec.threshold
 
         vals = per_forgery_success(fn, len(seqs), honest)
@@ -366,13 +367,13 @@ class TestDenseQuantities:
 
     def test_symbolwise_quantities_match_dense(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=3, gamma=0.5)
-        t = codec.p_xy
+        dense = share_laws(codec)
+        t, table = dense.p_xy, dense.score_table
         full = np.kron(np.kron(t, t), t)
         seqs = list(itertools.product(range(3), repeat=3))
 
         def fn(xf, yf):
-            score = sum(codec.score_table[a, b]
-                        for a, b in zip(seqs[xf], seqs[yf])) / 3
+            score = sum(table[a, b] for a, b in zip(seqs[xf], seqs[yf])) / 3
             return score > codec.threshold
 
         dense = dense_test_quantities(JointPMF(full), fn)

@@ -240,7 +240,8 @@ class TestLatticeTables:
         assert 0 < got.sum() < len(vectors)
         # the error estimate draws over the lattice values alone: no
         # legitimate pair scores -inf
-        assert math.fsum(codec.p_xy[np.isneginf(codec.score_table)]) == 0.0
+        dense = oracles.share_laws(codec)
+        assert math.fsum(dense.p_xy[np.isneginf(dense.score_table)]) == 0.0
         assert len(codec.laws.legit) == len(lat.values)
 
     def test_count_table_built_once_per_symbolwise_record(self, monkeypatch):

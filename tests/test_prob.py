@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (JointPMF, RationalJoint, entropy_mp, induce_joint,
                      iid_extension, pushforward, sample)
+from twoshare import harness
 from twoshare.prob import (
     PMF, RandomStream, CapExceededError, entropy, binary_entropy,
     mutual_information, conditional_entropy,
@@ -291,6 +292,24 @@ class TestRandomStream:
     def test_substream_bounds(self):
         with pytest.raises(ValueError):
             RandomStream(0).substream(1 << 20)
+
+    def test_exact_run_builds_no_generator(self, monkeypatch):
+        # a stream builds its Philox only when something draws from it, and
+        # an exact sweep draws nothing
+        built, philox = [], np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *args, **kw: built.append(1) or philox(*args, **kw))
+        for scheme in ({"kind": "blockwise", "ell": 2.0},
+                       {"kind": "symbolwise", "m": 5}):
+            cfg = harness.ExperimentConfig.from_dict(
+                {"source": [0.5, 0.3, 0.2], "scheme": scheme,
+                 "n_values": [4, 8], "mode": "exact"})
+            records = harness.run_experiment(cfg).records
+            assert [r.skipped for r in records] == [None, None]
+        assert built == []
+        stream = RandomStream(42).substream(3)
+        assert built == []
+        assert stream.gen is stream.gen and built == [1]
 
     def test_sample_follows_cdf(self):
         p = PMF.from_probs([0.7, 0.3])

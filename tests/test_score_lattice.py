@@ -46,6 +46,10 @@ CASES = (
      for m in (3, 4) for n in (1, 2, 8, 16, 32)]
     + [pytest.param(5, K3, n, id=f"k3-m5-n{n}") for n in (1, 8, 32, 64)]
     + [pytest.param(6, K4, n, id=f"k4-m6-n{n}") for n in (1, 8, 16)]
+    # once skipped: float sums split a true score into several values
+    + [pytest.param(4, K4, n, id=f"k4-m4-n{n}") for n in (1, 8, 16)]
+    + [pytest.param(5, PMF.from_probs([0.6, 0.25, 0.15]), n,
+                    id=f"k3b-m5-n{n}") for n in (8, 32)]
     + [pytest.param(4, PMF.uniform(2), n, id=f"uniform2-m4-n{n}")
        for n in (1, 8, 16)]
     + [pytest.param(5, GAP, n, id=f"gap-m5-n{n}") for n in (1, 5, 24)]
@@ -99,6 +103,22 @@ def test_identity_leak_matches_convolution_oracle(m, source, n):
     # the forged symbol outside the secret alphabet forms its own class
     assert len(set(codec.laws.forged["x"])) > 1
     assert_parity(codec)
+
+
+def test_valid_splitter_can_have_several_forged_classes():
+    # a splitter that passes validation can still leave share symbols out
+    # of its image: a forged x = 2 or 3 scores -inf everywhere and forms a
+    # class of its own, so the multi-class attack is not only for splitters
+    # built with require_valid=False
+    scheme = symbol.BaseScheme(
+        "half-alphabet", secret_size=2, share_size=4, rand_size=2,
+        encode_fn=lambda s, u: ((s + u) % 2, u),
+        decode_fn=lambda x, y: (x - y) % 2 if max(x, y) < 2 else None)
+    for n in (3, 4, 6):
+        codec = symbol.make_codec(scheme, SKEW, n, power_gamma(n))
+        for side in "xy":
+            assert len(set(codec.laws.forged[side])) == 2
+        assert_parity(codec)
 
 
 def test_uniform_source_has_one_lattice_value():
@@ -202,12 +222,12 @@ def test_laws_are_built_once_per_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize("name,sums", [("symbolwise_skew", 6),
-                                       ("symbolwise_k3_frontier", 6),
+                                       ("symbolwise_k3_frontier", 4),
                                        ("symbolwise_k4_frontier", 4),
                                        ("symbolwise_wide_m", 4)])
 def test_each_distinct_sum_is_taken_once_per_record(monkeypatch, name, sums):
-    # against the modular splitter p_y is p_x's sum, and beta is too at
-    # M = 4, 6 and 1024: two distinct sums a record there, three at M = 5
+    # against the modular splitter p_y is p_x's sum, and beta is too: two
+    # distinct sums a record, alpha's and the accepted side's
     calls, real = [], symbol._row_tails
     monkeypatch.setattr(symbol, "_row_tails",
                         lambda *args: calls.append(1) or real(*args))
@@ -218,6 +238,24 @@ def test_each_distinct_sum_is_taken_once_per_record(monkeypatch, name, sums):
         records = harness.run_experiment(cfg).records
         assert [r.skipped for r in records] == [None] * len(records)
         assert len(calls) == sums
+
+
+GRID_SOURCES = [SKEW, K3, K4, GAP, PMF.from_probs([0.6, 0.25, 0.15]),
+                PMF.from_probs([0.35, 0.25, 0.2, 0.15, 0.05])]
+
+
+@pytest.mark.parametrize("source,m", [
+    pytest.param(source, m, id=f"{'-'.join(map(str, source.probs.tolist()))}-m{m}")
+    for source in GRID_SOURCES for m in range(source.support_size, 17)])
+def test_modular_laws_are_exact(source, m):
+    # equal true masses come out as equal floats: one lattice value per
+    # distinct positive p(s), every forged symbol in one class per side,
+    # and an independent pair scores as a forged one
+    laws = modular(m, source, 16).laws
+    assert len(laws.values) == len({p for p in source.probs.tolist() if p > 0})
+    for side in "xy":
+        assert len(set(laws.forged[side])) == 1
+        assert laws.indep == laws.forged[side][0]
 
 
 def test_memoised_mass_matches_a_fresh_lattice():
@@ -287,8 +325,8 @@ def tied_codec(m, source, n, counts):
 
 
 @pytest.mark.parametrize("m,source,counts", [
-    (6, K4, (5, 0, 1, 2)),   # the tie is inside the interval: a = 1
-    (5, K3, (6, 0, 2)),      # the tie sits on the clamp: a = 0
+    (6, K4, (1, 2, 1, 2)),   # the tie is inside the interval: a = 1
+    (5, K3, (3, 0, 3)),      # the tie sits on the clamp: a = 0
 ])
 def test_window_edge_tie_is_rejected(m, source, counts):
     n = sum(counts)

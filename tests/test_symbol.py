@@ -3,6 +3,7 @@ n-block codec, and its exact error computation."""
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoshare import harness, symbol
-from oracles import JointPMF, scheme_joint, splitter_profile
+from oracles import JointPMF, scheme_joint, share_laws, splitter_profile
 from twoshare.prob import PMF, RandomStream, entropy, mutual_information
 from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
@@ -176,7 +177,10 @@ class TestCodecConstruction:
             report.h_s, report.h_s_given_x, report.h_s_given_y,
             report.h_s_given_xy, report.ell)
         assert codec.h_s == entropy(source)
-        assert codec.i_xy == mutual_information(codec.p_xy)
+        # I(X;Y) is the mean score of a legitimate pair, over the same
+        # grouped cells
+        assert codec.i_xy == math.fsum(
+            map(operator.mul, codec.laws.legit, codec.laws.values))
         q = exact_symbolwise_quantities(codec)
         assert (q.h_s_given_x, q.h_s_given_y, q.h_s_given_xy) == (
             report.h_s_given_x, report.h_s_given_y, report.h_s_given_xy)
@@ -197,11 +201,20 @@ class TestCodecConstruction:
             dataclasses.replace(codec, **change)
 
     def test_share_laws_are_read_only(self):
+        # the codec holds its laws as tuples and the cell scores behind a
+        # read-only view, and no array: nothing of size M^2
         codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=0.5)
-        for law in (codec.p_xy, codec.p_x, codec.p_y):
-            assert isinstance(law, np.ndarray) and not law.flags.writeable
-            with pytest.raises(ValueError):
-                law[0] = 0.0
+        assert not any(isinstance(getattr(codec, f.name), np.ndarray)
+                       for f in dataclasses.fields(codec))
+        with pytest.raises(TypeError):
+            codec.scores[0, 0] = 0.0
+        laws = codec.laws
+        for law in (laws.values, laws.legit, laws.indep, *laws.forged.values(),
+                    *laws.minus_inf.values()):
+            assert isinstance(law, tuple)
+        assert len(codec.scores) == 8 and dict(codec.scores) == {
+            c: v for c, v in np.ndenumerate(share_laws(codec).score_table)
+            if v != -math.inf}
 
     def test_splitter_runs_on_support_points_only(self):
         # a zero-probability secret symbol is never split, so a splitter
@@ -236,9 +249,10 @@ class TestCodecConstruction:
     def test_share_marginals_uniform(self):
         for m, source in ((3, SKEW), (4, U2), (5, SKEW)):
             codec = make_codec(modular_scheme(m, 2), source, n=2, gamma=0.5)
-            np.testing.assert_allclose(codec.p_x, np.full(m, 1.0 / m),
+            dense = share_laws(codec)
+            np.testing.assert_allclose(dense.p_x, np.full(m, 1.0 / m),
                                        atol=1e-12)
-            np.testing.assert_allclose(codec.p_y, np.full(m, 1.0 / m),
+            np.testing.assert_allclose(dense.p_y, np.full(m, 1.0 / m),
                                        atol=1e-12)
 
 
@@ -265,9 +279,9 @@ class TestDenseParity:
         want = (dense.h_s, dense.h_s_given_x, dense.h_s_given_y,
                 dense.h_s_given_xy, dense.i_xy, dense.i_sx, dense.i_sy)
         assert got == pytest.approx(want, rel=0.0, abs=1e-12)
-        joint = scheme_joint(scheme, source)
-        for law, axes in ((codec.p_xy, (2, 3)), (codec.p_x, (2,)),
-                          (codec.p_y, (3,))):
+        joint, laws = scheme_joint(scheme, source), share_laws(codec)
+        for law, axes in ((laws.p_xy, (2, 3)), (laws.p_x, (2,)),
+                          (laws.p_y, (3,))):
             np.testing.assert_allclose(law, joint.marginal(*axes).probs,
                                        rtol=0.0, atol=1e-15)
         if dense.failures:
@@ -398,7 +412,7 @@ class TestLatticeDecisions:
     def test_window_edge_verdict_is_order_free(self, secret):
         codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=EDGE_GAMMA)
         xs, ys = encode_n(codec, secret, (0, 1, 2, 3))
-        total = sum(Fraction(codec.score_table[x, y]) for x, y in zip(xs, ys))
+        total = sum(Fraction(codec.scores[x, y]) for x, y in zip(xs, ys))
         assert total > 4 * Fraction(codec.threshold)   # exact: accepted
         assert accepts_n(codec, xs, ys)
         assert decode_n(codec, xs, ys).secret == secret
@@ -407,7 +421,7 @@ class TestLatticeDecisions:
     def test_decode_matches_the_lattice_on_every_share_pair(self, n):
         codec = make_codec(modular_scheme(4, 2), SKEW, n=n, gamma=EDGE_GAMMA)
         lat = codec.lattice
-        table = codec.score_table.tolist()
+        table = share_laws(codec).score_table.tolist()
         accepted = 0
         for xs in itertools.product(range(4), repeat=n):
             for ys in itertools.product(range(4), repeat=n):
@@ -477,10 +491,11 @@ TABLE_CASES = [
 ]
 
 
-def expected_decode(codec, xs, ys):
-    """decode_n position by position: None for a rejection, RuntimeError
-    for a hole on an accepted pair, else the decoder's symbols."""
-    scores = [codec.score_table[x, y] for x, y in zip(xs, ys)]
+def expected_decode(codec, table, xs, ys):
+    """decode_n position by position, on the dense score `table`: None for
+    a rejection, RuntimeError for a hole on an accepted pair, else the
+    decoder's symbols."""
+    scores = [table[x][y] for x, y in zip(xs, ys)]
     lat = codec.lattice
     if -math.inf in scores or not lat.accepts(
             [scores.count(v) for v in lat.values]):
@@ -498,13 +513,14 @@ class TestSplitterTables:
         codec = make_codec(scheme, source, n=n, gamma=0.3,
                            require_valid=False)
         k, r, m = scheme.secret_size, scheme.rand_size, scheme.share_size
+        table = share_laws(codec).score_table.tolist()
         for secret in itertools.product(range(k), repeat=n):
             for rand in itertools.product(range(r), repeat=n):
                 pairs = [scheme.encode_fn(s, u) for s, u in zip(secret, rand)]
                 assert encode_n(codec, secret, rand) == tuple(zip(*pairs))
         for xs in itertools.product(range(m), repeat=n):
             for ys in itertools.product(range(m), repeat=n):
-                expect = expected_decode(codec, xs, ys)
+                expect = expected_decode(codec, table, xs, ys)
                 if expect is RuntimeError:
                     with pytest.raises(RuntimeError, match="^decoder "
                                        "undefined on an accepted share pair$"):
@@ -820,7 +836,7 @@ class TestExactQuantities:
     def test_block_information_is_additive(self):
         # product structure over positions: I(X^n;Y^n) = n * I(X;Y)
         codec = make_codec(modular_scheme(3, 2), SKEW, n=3, gamma=0.5)
-        table = codec.p_xy
+        table = share_laws(codec).p_xy
         full = table
         for _ in range(codec.n - 1):
             full = np.kron(full, table)
