@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .block import BlockwiseParams
+from .block import BlockShare, BlockwiseParams
 from .prob import PMF, RandomStream, _estimate, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
                      walk_size)
@@ -152,65 +152,99 @@ def _clear_gate(groups) -> tuple[float, list]:
     return clear, [(row[1:] / math.fsum(row[1:]), c) for row, c in groups]
 
 
+def _check_pmf_size(forgery: PMF, size: int):
+    if forgery.support_size != size:
+        raise ValueError(f"forgery PMF has {forgery.support_size} values; "
+                         f"the share alphabet has {size}")
+
+
+def _blockwise_gate(params: BlockwiseParams, forgery):
+    """The u_l match of a blockwise forgery: it holds with probability 1/L
+    whatever the forged share, since the honest u_l is uniform and
+    independent of it.  A matched trial then draws its forged masked
+    component and the honest u_m, and hits unless their sum is the
+    sentinel."""
+    m, mp1 = params.m_count, params.mask_range()
+    if isinstance(forgery, PMF):
+        _check_pmf_size(forgery, params.share_size)
+        # once u_l matches, only the masked component's law matters
+        law = forgery.probs.reshape(params.l_count, mp1).sum(axis=0)
+    else:
+        f_l, f_m = (int(v) for v in forgery)
+        params.check_shares(BlockShare(f_l, f_m))
+
+    def draw_live(gen, live):
+        if isinstance(forgery, PMF):
+            f_ms = np.repeat(np.arange(mp1), gen.multinomial(live, law))
+        else:
+            f_ms = f_m
+        h_m = gen.integers(mp1, size=live)
+        # the one rejected honest value; f_m + h_m could overflow int64
+        return int(np.count_nonzero(h_m != (m - f_ms) % mp1))
+    return 1.0 / params.l_count, draw_live
+
+
+def _symbolwise_gate(codec: SymbolwiseCodec, side: str, forgery):
+    """The -inf gate of a symbolwise forgery (`_clear_gate`), and a draw of
+    the cleared trials' hits: one score-bucket count vector each, from the
+    rows conditioned on no -inf score."""
+    n = codec.n
+    forged, minus_inf = codec.laws.forged[side], codec.laws.minus_inf[side]
+    size = len(forged)
+
+    def row(a):   # the honest mass on -inf, then on each value
+        return (minus_inf[a], *forged[a])
+    if isinstance(forgery, PMF):
+        _check_pmf_size(forgery, size)
+        rows = np.array([row(a) for a in range(size)])
+        groups = [(forgery.probs @ rows, n)]
+    else:
+        seq = np.asarray(forgery, dtype=np.int64)
+        if seq.shape != (n,):
+            raise ValueError(f"forged sequence must have length {n}")
+        bad = seq[(seq < 0) | (seq >= size)]
+        if bad.size:
+            raise ValueError(f"share symbol {bad[0]} outside [0, {size})")
+        # only the rows of the symbols the sequence uses
+        symbols, positions = np.unique(seq, return_counts=True)
+        groups = [(np.array(row(a)), int(c))
+                  for a, c in zip(symbols.tolist(), positions)]
+    clear, laws = _clear_gate(groups)
+
+    def draw_live(gen, live):
+        counts = sum(gen.multinomial(c, law, size=live) for law, c in laws)
+        return int(np.count_nonzero(codec.lattice.accepted(counts)))
+    return clear, draw_live
+
+
 def monte_carlo_attack(scheme, side: str, forgery, trials: int,
                        rng: RandomStream) -> AttackResult:
     """Estimate a forgery's acceptance probability by sampling honest shares.
 
     `forgery` is a concrete share (blockwise: (l, m) pair; symbolwise: a
     symbol sequence) or a PMF sampled per trial (blockwise: over the flat
-    share alphabet; symbolwise: per position over symbols).  Blockwise,
-    either honest share is uniform in both components, whatever z is.
-    Symbolwise, a trial draws one score-bucket count vector: one multinomial
-    per distinct forged symbol against its row, or one from the
-    forgery-weighted mixture of the rows.  A trial with any -inf score
-    fails, so each chunk first draws how many trials have none, one
-    binomial, and only those draw their finite counts from the rows
-    conditioned on no -inf score; the hit count keeps its exact law.
+    share alphabet of L (M+1) values; symbolwise: per position over the M
+    symbols); ValueError when it falls outside the share alphabet.
+    A trial can hit only past a gate that ignores the rest of the trial:
+    blockwise, the honest u_l must match the forged one (probability 1/L);
+    symbolwise, no position may score -inf.  So each chunk first draws how
+    many trials pass the gate, one binomial, and only those draw the rest:
+    blockwise the forged masked component and the honest u_m, symbolwise
+    one score-bucket count vector (one multinomial per distinct forged
+    symbol against its row, or one from the forgery-weighted mixture of
+    the rows).  The hit count keeps its exact binomial law.
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
-        l_count, m, mp1 = scheme.l_count, scheme.m_count, scheme.mask_range()
-
-        def draw(gen, take):
-            if isinstance(forgery, PMF):
-                flat = np.repeat(np.arange(forgery.support_size),
-                                 gen.multinomial(take, forgery.probs))
-                f_l, f_m = np.divmod(flat, mp1)
-            else:
-                f_l, f_m = int(forgery[0]), int(forgery[1])
-            h_l = gen.integers(l_count, size=take)
-            h_m = gen.integers(mp1, size=take)
-            # the one rejected honest value; f_m + h_m could overflow int64
-            ok = (f_l == h_l) & (h_m != (m - f_m) % mp1)
-            return int(np.count_nonzero(ok))
+        clear, draw_live = _blockwise_gate(scheme, forgery)
     elif isinstance(scheme, SymbolwiseCodec):
-        n = scheme.n
-        forged, minus_inf = (scheme.laws.forged[side],
-                             scheme.laws.minus_inf[side])
-
-        def row(a):   # the honest mass on -inf, then on each value
-            return (minus_inf[a], *forged[a])
-        if isinstance(forgery, PMF):
-            rows = np.array([row(a) for a in range(len(forged))])
-            groups = [(forgery.probs @ rows, n)]
-        else:
-            seq = np.asarray(forgery, dtype=np.int64)
-            if seq.shape != (n,):
-                raise ValueError(f"forged sequence must have length {n}")
-            # only the rows of the symbols the sequence uses
-            symbols, positions = np.unique(seq, return_counts=True)
-            groups = [(np.array(row(a)), int(c))
-                      for a, c in zip(symbols.tolist(), positions)]
-        clear, laws = _clear_gate(groups)
-
-        def draw(gen, take):
-            live = gen.binomial(take, clear)
-            if not live:
-                return 0
-            counts = sum(gen.multinomial(c, law, size=live) for law, c in laws)
-            return int(np.count_nonzero(scheme.lattice.accepted(counts)))
+        clear, draw_live = _symbolwise_gate(scheme, side, forgery)
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
+
+    def draw(gen, take):
+        live = gen.binomial(take, clear)
+        return draw_live(gen, live) if live else 0
     est, half = _estimate(trials, rng, draw)
     forged = tuple(forgery) if not isinstance(forgery, PMF) else ("sampled",)
     return AttackResult(success_prob=est, optimal_forgery=forged, side=side,

@@ -105,6 +105,13 @@ class BlockwiseParams:
         l, m = divmod(int(flat), self.m_count + 1)
         return BlockShare(l, m)
 
+    def check_shares(self, *shares: BlockShare):
+        """ValueError naming the first share outside the share alphabet."""
+        l_count, m = self.l_count, self.m_count
+        for share in shares:
+            if not (0 <= share.l < l_count and 0 <= share.m <= m):
+                raise ValueError(f"share {share} outside the share alphabet")
+
     def mask_range(self) -> int:
         """M + 1, the range of u_m: numpy draws it while M fits an int64."""
         if self.m_count >= 1 << 63:
@@ -133,13 +140,10 @@ def encode(params: BlockwiseParams, secret, r: BlockRandomness) -> tuple[BlockSh
 
 def accepts(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> bool:
     """Share-pair acceptance test: matching mask, non-sentinel modular sum."""
-    mp1 = params.m_count + 1
-    for share in (x, y):
-        if not (0 <= share.l < params.l_count and 0 <= share.m < mp1):
-            raise ValueError(f"share {share} outside the share alphabet")
+    params.check_shares(x, y)
     if x.l != y.l:
         return False
-    return (x.m + y.m) % mp1 != params.m_count
+    return (x.m + y.m) % (params.m_count + 1) != params.m_count
 
 
 def decode(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> DecodeOutcome:

@@ -353,6 +353,19 @@ def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
                           beta=symbolwise_beta(codec))
 
 
+def gamma_for_threshold(i_xy: float, target: float) -> float:
+    """The gamma whose float threshold i_xy - gamma is exactly `target`:
+    gamma steps one unit in the last place at a time from i_xy - target
+    toward the tie; AssertionError if the threshold steps over it."""
+    gamma = i_xy - target
+    above = i_xy - gamma > target
+    while i_xy - gamma != target:
+        gamma = math.nextafter(gamma, math.inf if above else -math.inf)
+        if i_xy - gamma != target and (i_xy - gamma > target) != above:
+            raise AssertionError(f"no gamma puts the threshold on {target!r}")
+    return gamma
+
+
 # ---------------------------------------------------------------------------
 # Exact-rational oracle mode
 

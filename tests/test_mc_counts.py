@@ -8,6 +8,7 @@ fails with odds of about 3e-7 per check.
 """
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,14 +286,20 @@ class TestLatticeTables:
 
 
 class CountingGenerator:
-    """A generator that tallies the count-vector rows it hands out."""
+    """A generator that tallies the count-vector rows and the integers it
+    hands out."""
 
-    def __init__(self, gen, rows):
-        self._gen, self._rows = gen, rows
+    def __init__(self, gen, rows, values):
+        self._gen, self._rows, self._values = gen, rows, values
 
     def multinomial(self, n, pvals, size=None):
         out = self._gen.multinomial(n, pvals, size=size)
         self._rows.append(1 if size is None else out.shape[0])
+        return out
+
+    def integers(self, *args, size=None, **kwargs):
+        out = self._gen.integers(*args, size=size, **kwargs)
+        self._values.append(np.size(out))
         return out
 
     def __getattr__(self, name):
@@ -300,13 +307,14 @@ class CountingGenerator:
 
 
 class CountingStream(RandomStream):
-    def __init__(self, seed, rows):
+    def __init__(self, seed, rows, values=None):
         super().__init__(seed)
         self.rows = rows
+        self.values = [] if values is None else values
 
     def substream(self, i):
         child = super().substream(i)
-        child.gen = CountingGenerator(child.gen, self.rows)
+        child.gen = CountingGenerator(child.gen, self.rows, self.values)
         return child
 
 
@@ -353,3 +361,100 @@ class TestClearGate:
         assert res.trials == 10 ** 6
         assert covers(res.success_prob, 10 ** 6,
                       attack.symbolwise_attack(codec, "x").success_prob)
+
+
+class TestBlockwiseGate:
+    """A blockwise forgery can hit only when the honest u_l matches its
+    own, with probability 1/L, so each chunk draws how many trials match
+    and only those draw the forged masked component and the honest u_m."""
+
+    def test_draws_far_fewer_honest_values_than_trials(self):
+        # L = 2**15: about 31 of 10**6 trials match; drawing both honest
+        # components per trial would draw 2 * 10**6 values
+        params = blockwise(U2, 10, ell=1.5)
+        assert params.l_count == 1 << 15
+        rows, values = [], []
+        res = attack.monte_carlo_attack(params, "x", (0, 0), 10 ** 6,
+                                        CountingStream(1, rows, values))
+        assert sum(values) < 200
+        assert res.trials == 10 ** 6
+        m, l_count = params.m_count, params.l_count
+        assert covers(res.success_prob, 10 ** 6, m / ((m + 1) * l_count))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_forgery_off_the_origin(self, side):
+        # the match is 1/L whichever u_l the forgery names
+        params = blockwise(SKEW, 8)
+        exact = attack.blockwise_attack(params, side).success_prob
+        forgery = (params.l_count - 3, params.m_count - 7)
+        res = attack.monte_carlo_attack(params, side, forgery, TRIALS,
+                                        RandomStream(10))
+        assert res.optimal_forgery == forgery
+        assert covers(res.success_prob, TRIALS, exact)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_pmf_forgery_on_a_few_shares(self, side):
+        params = blockwise(SKEW, 8)
+        exact = attack.blockwise_attack(params, side).success_prob
+        probs = np.zeros(params.share_size)
+        shares = [(0, 0), (1, params.m_count), (params.l_count - 1, 5)]
+        for share, p in zip(shares, (0.5, 0.3, 0.2)):
+            probs[params.share_to_flat(block.BlockShare(*share))] = p
+        res = attack.monte_carlo_attack(params, side, PMF(probs), TRIALS,
+                                        RandomStream(11))
+        assert covers(res.success_prob, TRIALS, exact)
+
+
+class TestForgeryOutsideTheAlphabet:
+    """Forgeries the acceptance tests reject raise ValueError, not a
+    silent estimate or a bare IndexError."""
+
+    def test_blockwise_share(self):
+        # L = 16, M = 219: (0, M+5) estimated 0.063, (-1, 0) and (L, 0)
+        # estimated 0
+        params = blockwise(SKEW, 8)
+        assert (params.l_count, params.m_count) == (16, 219)
+        for forgery in ((0, params.m_count + 5), (-1, 0),
+                        (params.l_count, 0), (0, -1)):
+            share = block.BlockShare(*forgery)
+            with pytest.raises(ValueError, match="outside the share alphabet"):
+                block.accepts(params, share, block.BlockShare(0, 0))
+            with pytest.raises(ValueError,
+                               match=rf"^share {re.escape(str(share))} "
+                                     "outside the share alphabet$"):
+                attack.monte_carlo_attack(params, "x", forgery, 100,
+                                          RandomStream(1))
+
+    def test_blockwise_pmf_size(self):
+        # a PMF over twice the alphabet halved the estimate
+        params = blockwise(SKEW, 8)
+        size = params.share_size
+        for wrong in (2 * size, size - 1):
+            with pytest.raises(ValueError,
+                               match=rf"^forgery PMF has {wrong} values; the "
+                                     rf"share alphabet has {size}$"):
+                attack.monte_carlo_attack(params, "y", PMF.uniform(wrong),
+                                          100, RandomStream(1))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_symbolwise_symbol(self, bad):
+        # -1 read symbol 2's row (estimate 0.1317), 3 raised IndexError
+        codec = modular(3, SKEW, 4)
+        forgery = (0, 1, bad, 0)
+        with pytest.raises(ValueError,
+                           match=rf"^share symbol {bad} outside \[0, 3\)$"):
+            symbol.accepts_n(codec, forgery, (0, 0, 0, 0))
+        for side in ("x", "y"):
+            with pytest.raises(ValueError,
+                               match=rf"^share symbol {bad} outside \[0, 3\)$"):
+                attack.monte_carlo_attack(codec, side, forgery, 100,
+                                          RandomStream(1))
+
+    def test_symbolwise_pmf_size(self):
+        # a numpy matmul error before
+        codec = modular(3, SKEW, 4)
+        with pytest.raises(ValueError,
+                           match=r"^forgery PMF has 4 values; the share "
+                                 r"alphabet has 3$"):
+            attack.monte_carlo_attack(codec, "x", PMF.uniform(4), 100,
+                                      RandomStream(1))

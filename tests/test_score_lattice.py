@@ -316,12 +316,10 @@ def tied_codec(m, source, n, counts):
     codec = modular(m, source, n)
     mean = sum(Fraction(v) * c for v, c in zip(codec.lattice.values, counts)) / n
     assert float(mean) == mean
-    for gamma in (codec.i_xy - float(mean),
-                  math.nextafter(codec.i_xy - float(mean), 0.0),
-                  math.nextafter(codec.i_xy - float(mean), 1.0)):
-        if codec.i_xy - gamma == mean:
-            return modular(m, source, n, gamma)
-    raise AssertionError("no gamma puts the threshold on the vector")
+    tied = modular(m, source, n,
+                   oracles.gamma_for_threshold(codec.i_xy, float(mean)))
+    assert tied.threshold == mean
+    return tied
 
 
 @pytest.mark.parametrize("m,source,counts", [

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoshare import harness, symbol
-from oracles import JointPMF, scheme_joint, share_laws, splitter_profile
+from oracles import (JointPMF, gamma_for_threshold, scheme_joint, share_laws,
+                     splitter_profile)
 from twoshare.prob import PMF, RandomStream, entropy, mutual_information
 from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
@@ -399,10 +400,22 @@ class TestAcceptance:
             decode_n(codec, xs, ys)
 
 
-# puts composition (2, 2) of [0.7, 0.3], M=4, exactly one unit in the
-# last place of the mean above the threshold: a left-to-right float mean
-# lands on either side of it depending on position order
-EDGE_GAMMA = 0.24447848426728958
+def edge_gamma() -> float:
+    """The gamma that puts the threshold of [0.7, 0.3], M=4, n=4 on the
+    largest float below the exact mean score of secret composition (2, 2),
+    one unit in the last place under it: a left-to-right float mean lands
+    on either side of it depending on position order."""
+    codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=0.5)
+    xs, ys = encode_n(codec, (0, 0, 1, 1), (0, 1, 2, 3))
+    mean = sum(Fraction(codec.scores[x, y]) for x, y in zip(xs, ys)) / 4
+    below = float(mean)
+    if below >= mean:
+        below = math.nextafter(below, -math.inf)
+    assert Fraction(below) < mean <= Fraction(math.nextafter(below, math.inf))
+    return gamma_for_threshold(codec.i_xy, below)
+
+
+EDGE_GAMMA = edge_gamma()
 
 
 class TestLatticeDecisions:
