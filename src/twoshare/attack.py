@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .block import BlockShare, BlockwiseParams
-from .prob import PMF, RandomStream, _estimate, binary_entropy
+from .prob import PMF, RandomStream, _estimate, as_symbol, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
                      walk_size)
 from .typical import compositions
@@ -170,7 +170,7 @@ def _blockwise_gate(params: BlockwiseParams, forgery):
         # once u_l matches, only the masked component's law matters
         law = forgery.probs.reshape(params.l_count, mp1).sum(axis=0)
     else:
-        f_l, f_m = (int(v) for v in forgery)
+        f_l, f_m = (as_symbol(v, "share symbol") for v in forgery)
         params.check_shares(BlockShare(f_l, f_m))
 
     def draw_live(gen, live):
@@ -199,11 +199,11 @@ def _symbolwise_gate(codec: SymbolwiseCodec, side: str, forgery):
         rows = np.array([row(a) for a in range(size)])
         groups = [(forgery.probs @ rows, n)]
     else:
-        seq = np.asarray(forgery, dtype=np.int64)
-        if seq.shape != (n,):
+        if np.ndim(forgery) != 1 or len(forgery) != n:
             raise ValueError(f"forged sequence must have length {n}")
-        bad = seq[(seq < 0) | (seq >= size)]
-        if bad.size:
+        seq = [as_symbol(v, "share symbol") for v in forgery]
+        bad = [v for v in seq if not 0 <= v < size]
+        if bad:
             raise ValueError(f"share symbol {bad[0]} outside [0, {size})")
         # only the rows of the symbols the sequence uses
         symbols, positions = np.unique(seq, return_counts=True)

@@ -14,7 +14,7 @@ share carries zero information about the secret.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .outcome import DecodeOutcome, REJECT
 from .prob import CapExceededError, RandomStream, _estimate, entropy
@@ -70,24 +70,26 @@ class BlockRandomness:
 
 @dataclass(frozen=True)
 class BlockwiseParams:
-    """Scheme parameters tied to a concrete typical-set index."""
+    """Scheme parameters tied to a concrete typical-set index.
+
+    L = l_count and M + 1 = mp1 are read on every codec call, so they are
+    stored at construction."""
 
     ell: float
     index: TypicalIndex
+    l_count: int = field(init=False, repr=False, compare=False)
+    mp1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ell < 0.0:
             raise ValueError("correlation level must be non-negative")
         # validates the n*ell <= 40 restriction as a side effect
-        object.__setattr__(self, "_l_count", floor_pow2(self.index.n * self.ell))
+        object.__setattr__(self, "l_count", floor_pow2(self.index.n * self.ell))
+        object.__setattr__(self, "mp1", self.index.m_count + 1)
 
     @property
     def n(self) -> int:
         return self.index.n
-
-    @property
-    def l_count(self) -> int:
-        return self._l_count
 
     @property
     def m_count(self) -> int:
@@ -96,28 +98,28 @@ class BlockwiseParams:
     @property
     def share_size(self) -> int:
         """Number of distinct share values L * (M + 1)."""
-        return self.l_count * (self.m_count + 1)
+        return self.l_count * self.mp1
 
     def share_to_flat(self, share: BlockShare) -> int:
-        return share.l * (self.m_count + 1) + share.m
+        return share.l * self.mp1 + share.m
 
     def flat_to_share(self, flat: int) -> BlockShare:
-        l, m = divmod(int(flat), self.m_count + 1)
+        l, m = divmod(int(flat), self.mp1)
         return BlockShare(l, m)
 
     def check_shares(self, *shares: BlockShare):
         """ValueError naming the first share outside the share alphabet."""
-        l_count, m = self.l_count, self.m_count
+        l_count, mp1 = self.l_count, self.mp1
         for share in shares:
-            if not (0 <= share.l < l_count and 0 <= share.m <= m):
+            if not (0 <= share.l < l_count and 0 <= share.m < mp1):
                 raise ValueError(f"share {share} outside the share alphabet")
 
     def mask_range(self) -> int:
         """M + 1, the range of u_m: numpy draws it while M fits an int64."""
-        if self.m_count >= 1 << 63:
-            raise MaskDrawError(f"n={self.n}: {self.m_count + 1} mask values "
+        if self.mp1 > 1 << 63:
+            raise MaskDrawError(f"n={self.n}: {self.mp1} mask values "
                                 "exceed a 64-bit integer draw; lower n")
-        return self.m_count + 1
+        return self.mp1
 
     def draw_randomness(self, rng: RandomStream) -> BlockRandomness:
         u_l = int(rng.gen.integers(self.l_count))
@@ -127,7 +129,7 @@ class BlockwiseParams:
 
 def encode(params: BlockwiseParams, secret, r: BlockRandomness) -> tuple[BlockShare, BlockShare]:
     """Split one secret block into two shares using randomness r."""
-    mp1 = params.m_count + 1
+    mp1 = params.mp1
     if not 0 <= r.u_l < params.l_count:
         raise ValueError(f"u_l={r.u_l} outside [0, {params.l_count})")
     if not 0 <= r.u_m < mp1:
@@ -143,13 +145,13 @@ def accepts(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> bool:
     params.check_shares(x, y)
     if x.l != y.l:
         return False
-    return (x.m + y.m) % (params.m_count + 1) != params.m_count
+    return (x.m + y.m) % params.mp1 != params.mp1 - 1
 
 
 def decode(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> DecodeOutcome:
     if not accepts(params, x, y):
         return REJECT
-    z = (x.m + y.m) % (params.m_count + 1)
+    z = (x.m + y.m) % params.mp1
     return DecodeOutcome(params.index.unrank(z))
 
 

@@ -149,10 +149,11 @@ class TypicalIndex:
     """The typical set of a source at blocklength n, with a rank bijection.
 
     Rank m is the (m+1)-th typical sequence in lexicographic order, found
-    by enumerative coding: each smaller support symbol at a position adds
-    the typical continuations of the prefix with it, a count fixed by the
-    prefix's composition.  `xi_plus` sends every atypical sequence to
-    m_count.  `delta` is the atypical mass."""
+    by enumerative coding, b positions at a time: each lexicographically
+    smaller chunk of b symbols adds the typical continuations of the
+    prefix with it, a count fixed by the prefix's composition and the
+    chunk's.  `xi_plus` sends every atypical sequence to m_count.
+    `delta` is the atypical mass."""
 
     def __init__(self, source: PMF, n: int, gamma: float, classes):
         self.source, self.n, self.gamma, self.k = (source, n, gamma,
@@ -160,58 +161,104 @@ class TypicalIndex:
         self.classes = tuple(classes)
         self.m_count = sum(c.count for c in self.classes if c.typical)
         self.delta = math.fsum(c.mass for c in self.classes if not c.typical)
-        # the support symbols, their slots and the weights of their counts
-        # in a prefix code; the rows of the rank walk, built as it visits
+        # the support symbols and the weights of their counts in a prefix
+        # code; the chunk tables and the rows of the rank walk are built as
+        # it first runs
         self._support = [a for a, p in enumerate(source.probs) if p > 0.0]
-        self._slot = {a: j for j, a in enumerate(self._support)}
         self._weights = [(n + 1) ** j for j in range(len(self._support))]
-        self._typical = [c.counts for c in self.classes if c.typical]
         self._rows = {}
 
+    @functools.cached_property
+    def _chunks(self):
+        """The chunk length b, the largest with k'**b <= 256 values over the
+        k' support symbols (at most n), and the chunks the walk reads: b
+        positions per row, the last n mod b when that is not 0: one dict
+        from a chunk value's symbols to (its position, its code step), and
+        per chunk of the walk, the compositions of its length and its
+        values in lexicographic order as (symbols, code step, composition
+        position)."""
+        support, n = self._support, self.n
+        parts, b = len(support), 1
+        while b < n and parts ** (b + 1) <= 256:
+            b += 1
+        find, tables = {}, {}
+        for t in {b, n % b or b}:
+            comps = list(compositions(t, parts))
+            where = {c: i for i, c in enumerate(comps)}
+            values = []
+            for slots in itertools.product(range(parts), repeat=t):
+                counts = tuple(map(slots.count, range(parts)))
+                step = sum(map(operator.mul, counts, self._weights))
+                symbols = tuple(support[j] for j in slots)
+                find[symbols] = (len(values), step)
+                values.append((symbols, step, where[counts]))
+            tables[t] = comps, values
+        return b, find, [tables[min(b, n - d)] for d in range(0, n, b)]
+
+    @functools.cached_property
+    def _typical(self) -> np.ndarray:
+        """The typical classes' counts over the support, one row each."""
+        return np.array([c.counts for c in self.classes if c.typical],
+                        dtype=np.int64).reshape(-1, len(self._support))
+
     def _row(self, code: int) -> tuple[int, ...]:
-        """Running sums of the typical continuations of a prefix, coded in
-        base n+1 by its composition, with each support symbol, from one
-        pass over the typical classes: a class that holds the prefix gives
-        child j multinomial(rest) * rest[j], which is multinomial(rest -
-        e_j) times the n - depth symbols left."""
+        """Running sums, over the chunk values in lexicographic order, of
+        the typical continuations of a prefix coded in base n+1 by its
+        composition, from one pass over the typical classes: a class that
+        holds the prefix, with rest_j of symbol j left, gives a chunk of
+        composition c multinomial(rest) * prod_j rest_j^(c_j falling),
+        which is multinomial(rest - c) times left^(t falling) for the left
+        = n - depth symbols and a chunk of t.  The classes are summed as
+        columns of exact Python ints."""
         prefix = [code // w % (self.n + 1) for w in self._weights]
-        sums = [0] * len(prefix)
-        for counts in self._typical:
-            rest = [c - p for c, p in zip(counts, prefix)]
-            if min(rest) >= 0:
-                m = multinomial(rest)
-                for j, r in enumerate(rest):
-                    sums[j] += m * r
-        left = self.n - sum(prefix)
+        depth = sum(prefix)
+        b, _, chunks = self._chunks
+        comps, values = chunks[depth // b]
+        left = self.n - depth
+        t = min(b, left)
+        rest = self._typical - prefix
+        rest = rest[(rest >= 0).all(axis=1)].astype(object)
+        scale = np.array([multinomial(r) for r in rest.tolist()], dtype=object)
+        # each rest_j's falling factorials of orders 0..t, the first
+        # symbol's times the multinomial
+        falls = [list(itertools.accumulate(
+            (rest[:, j] - i for i in range(t)), operator.mul,
+            initial=scale if j == 0 else 1)) for j in range(rest.shape[1])]
+        div = math.perm(left, t)
+        per = [int(functools.reduce(operator.mul, map(operator.getitem, falls,
+                                                      comp)).sum()) // div
+               for comp in comps]
         row = self._rows[code] = tuple(
-            itertools.accumulate((s // left for s in sums), initial=0))
+            itertools.accumulate((per[c] for _, _, c in values), initial=0))
         return row
 
     def _walk(self, seq) -> int:
-        rows, slot, w, code, z = self._rows, self._slot, self._weights, 0, 0
-        for s in seq:
-            j = slot[s]
+        b, find, _ = self._chunks
+        rows, code, z = self._rows, 0, 0
+        for i in range(0, self.n, b):
+            v, step = find[tuple(seq[i:i + b])]
             row = rows.get(code) or self._row(code)
-            z += row[j]
-            code += w[j]
-        return z if row[j + 1] > row[j] else self.m_count
+            z += row[v]
+            code += step
+        return z if row[v + 1] > row[v] else self.m_count
 
     def xi_plus(self, seq) -> int:
-        """Rank of a typical sequence, m_count for any other: per position
-        the prefix's row gives the typical continuations with the smaller
-        support symbols, and the last row says whether the block's class
-        is typical.  A block the walk misses is checked symbol by symbol
-        and, when valid, walked again."""
+        """Rank of a typical sequence, m_count for any other: per chunk the
+        prefix's row gives the typical continuations with the smaller
+        chunks, and the last row says whether the block's class is
+        typical.  A block the walk misses (a chunk that is not a value of
+        support symbols) is checked symbol by symbol and, when valid,
+        walked again."""
         try:
             if len(seq) == self.n:
                 return self._walk(seq)
         except (KeyError, TypeError):
             pass
-        symbols = [as_symbol(s) for s in seq]
+        symbols = tuple(map(as_symbol, seq))
         if len(symbols) != self.n or min(symbols) < 0 or max(symbols) >= self.k:
             raise ValueError(f"a block is n={self.n} symbols in [0, {self.k}), "
-                             f"not {tuple(symbols)}")
-        if not set(symbols) <= self._slot.keys():
+                             f"not {symbols}")
+        if not set(symbols) <= set(self._support):
             return self.m_count
         return self._walk(symbols)
 
@@ -225,18 +272,19 @@ class TypicalIndex:
         return z
 
     def unrank(self, m: int) -> tuple[int, ...]:
-        """The typical sequence of rank m: at each position, the symbol at
-        which the running sums of the prefix's row pass m."""
+        """The typical sequence of rank m: per chunk, the value at which
+        the running sums of the prefix's row pass m."""
         m = operator.index(m)
         if not 0 <= m < self.m_count:
             raise IndexError(f"rank {m} outside [0, {self.m_count})")
-        rows, w, code, out = self._rows, self._weights, 0, []
-        for _ in range(self.n):
+        rows, code, out = self._rows, 0, []
+        for _, values in self._chunks[2]:
             row = rows.get(code) or self._row(code)
-            j = bisect.bisect_right(row, m) - 1
-            m -= row[j]
-            out.append(self._support[j])
-            code += w[j]
+            v = bisect.bisect_right(row, m) - 1
+            m -= row[v]
+            symbols, step, _ = values[v]
+            out += symbols
+            code += step
         return tuple(out)
 
 

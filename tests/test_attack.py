@@ -267,6 +267,28 @@ class TestMonteCarloAttack:
         b = monte_carlo_attack(params, "y", (0, 3), 20000, RandomStream(29))
         assert a == b
 
+    def test_non_integral_forgery_raises(self):
+        # (0.5, 0) used to be estimated as (0, 0), and (0.7, 0, 0, 0) as
+        # (0, 0, 0, 0)
+        params = small_params(n=8, ell=0.5, gamma=0.5)
+        with pytest.raises(ValueError,
+                           match="^share symbol 0.5 is not an integer$"):
+            monte_carlo_attack(params, "x", (0.5, 0), 1000, RandomStream(1))
+        codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
+        with pytest.raises(ValueError,
+                           match="^share symbol 0.7 is not an integer$"):
+            monte_carlo_attack(codec, "x", (0.7, 0, 0, 0), 1000,
+                               RandomStream(1))
+        # a symbol past int64 is out of range, not an OverflowError
+        with pytest.raises(ValueError, match=r"^share symbol \d+ outside"):
+            monte_carlo_attack(codec, "x", (2 ** 70, 0, 0, 0), 1000,
+                               RandomStream(1))
+        # values equal to integers are still taken
+        a = monte_carlo_attack(codec, "x", (0.0, 1, True, 0), 1000,
+                               RandomStream(2))
+        b = monte_carlo_attack(codec, "x", (0, 1, 1, 0), 1000, RandomStream(2))
+        assert a.success_prob == b.success_prob
+
     def test_rejects_bad_arguments(self):
         params = small_params()
         with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from blockwise_oracle import member_codes, member_probs, xi_plus_all
 
+from twoshare.block import BlockwiseParams, exact_quantities
 from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import (
-    GammaSchedule, EmptyTypicalSetError, build_index,
+    GammaSchedule, EmptyTypicalSetError, build_index, multinomial,
     is_typical, atypical_mass, atypical_mass_mc,
 )
 
@@ -28,6 +29,44 @@ def brute_members(probs, n, gamma):
         if abs(total / n - h) <= gamma:
             out.append(seq)
     return out
+
+
+def _continuations(idx, prefix) -> int:
+    """Typical blocks that extend a prefix of the given composition."""
+    return sum(multinomial([c - p for c, p in zip(counts, prefix)])
+               for counts in (c.counts for c in idx.classes if c.typical)
+               if all(c >= p for c, p in zip(counts, prefix)))
+
+
+def position_rank(idx, seq) -> int:
+    """Rank by the walk of one position per step: each smaller support
+    symbol at a position adds the typical continuations of the prefix
+    with it; m_count for a block off the typical set."""
+    support = [a for a, p in enumerate(idx.source.probs) if p > 0.0]
+    prefix, z = [0] * len(support), 0
+    for s in seq:
+        if s not in support:
+            return idx.m_count
+        for j in range(support.index(s)):
+            z += _continuations(idx, prefix[:j] + [prefix[j] + 1]
+                                + prefix[j + 1:])
+        prefix[support.index(s)] += 1
+    return z if _continuations(idx, prefix) else idx.m_count
+
+
+def position_unrank(idx, m) -> tuple[int, ...]:
+    support = [a for a, p in enumerate(idx.source.probs) if p > 0.0]
+    prefix, out = [0] * len(support), []
+    for _ in range(idx.n):
+        for j, a in enumerate(support):
+            prefix[j] += 1
+            count = _continuations(idx, prefix)
+            if m < count:
+                out.append(a)
+                break
+            m -= count
+            prefix[j] -= 1
+    return tuple(out)
 
 
 class TestGammaSchedule:
@@ -202,28 +241,30 @@ class TestRankWalk:
                              K3_RANK_CASES + [(SKEW, 10, 0.4),
                                               ([0.5, 0.3, 0.2], 40, 0.2)])
     def test_rows_built_once_for_the_visited_prefixes(self, probs, n, gamma):
-        # each call builds at most n rows, each row once, and only for the
-        # prefixes its walk visits: those before the first symbol off the
-        # support; a rank's unrank leaves its round trip nothing to build
+        # each call builds at most ceil(n/b) rows, each row once, and only
+        # for the chunk-boundary prefixes its walk visits: those before the
+        # first chunk with a symbol off the support; a rank's unrank leaves
+        # its round trip nothing to build
         idx = build_index(PMF.from_probs(probs), n, gamma)
         built, row = [], idx._row
         idx._row = lambda code: built.append(code) or row(code)
         support = [a for a, p in enumerate(probs) if p > 0.0]
         w = {a: (n + 1) ** j for j, a in enumerate(support)}
+        b = min(n, max(t for t in range(1, 9) if len(support) ** t <= 256))
 
         def prefixes(seq):
             code = 0
-            for s in seq:
-                if s not in w:
+            for i in range(0, n, b):
+                if not set(seq[i:i + b]) <= w.keys():
                     return
                 yield code
-                code += w[s]
+                code += sum(w[s] for s in seq[i:i + b])
         rng = np.random.default_rng(n)
         visited = set()
 
         def check(before, seq):
-            # the rows one call built: at most n, all on its own walk
-            assert len(built) - before <= n
+            # the rows one call built: at most ceil(n/b), all on its walk
+            assert len(built) - before <= -(-n // b)
             assert set(built[before:]) <= set(prefixes(seq))
             visited.update(prefixes(seq))
         for m in rng.integers(idx.m_count, size=20).tolist():
@@ -236,8 +277,71 @@ class TestRankWalk:
             before = len(built)
             idx.xi_plus(seq)
             check(before, seq)
+        assert idx._chunks[0] == b
         assert len(built) == len(set(built))
         assert set(built) == visited
+
+    @pytest.mark.parametrize("probs,n,b", [
+        ([1.0], 50, 50), ([0.0, 1.0, 0.0], 7, 7), (SKEW, 20, 8), (SKEW, 5, 5),
+        ([0.5, 0.5, 0.0], 20, 8), ([0.5, 0.3, 0.2], 36, 5),
+        ([0.4, 0.3, 0.2, 0.1], 9, 4), ([0.3, 0.25, 0.2, 0.15, 0.1], 7, 3),
+        ([1 / 16] * 16, 3, 2), ([1 / 17] * 17, 3, 1)])
+    def test_chunk_length_follows_the_support(self, probs, n, b):
+        # the largest b with k'**b <= 256 over the k' support symbols,
+        # at most n
+        idx = build_index(PMF.from_probs(probs), n, 1.5)
+        assert idx._chunks[0] == b
+        for m in {0, idx.m_count // 2, idx.m_count - 1}:
+            assert idx.xi_plus(idx.unrank(m)) == m
+
+    def test_exact_quantities_build_no_chunk_table(self):
+        # build_index runs on every exact record: the chunk tables and the
+        # rows wait for the first rank or unrank
+        idx = build_index(PMF.from_probs(SKEW), 20, 20 ** (-1.0 / 3.0))
+        exact_quantities(BlockwiseParams(1.0, idx))
+        assert not idx._rows
+        assert "_chunks" not in vars(idx) and "_typical" not in vars(idx)
+        idx.unrank(0)
+        assert "_chunks" in vars(idx) and len(idx._rows) == 3
+
+    @pytest.mark.parametrize("probs,n,gamma", [
+        (SKEW, 11, 0.4),                       # b = 8, a last chunk of 3
+        (SKEW, 5, 0.5),                        # n < b: one chunk
+        ([0.5, 0.5, 0.0], 9, 0.5),             # b = 8 over the support
+        ([0.0, 1.0, 0.0], 6, 0.1),             # one symbol: b = n
+        ([1.0], 4, 0.1),
+        ([0.5, 0.3, 0.2], 7, 0.4),             # k = 3: b = 5, then 2
+        ([0.4, 0.3, 0.2, 0.1], 6, 0.4),        # k = 4: b = 4, then 2
+        ([0.3, 0.25, 0.2, 0.15, 0.1], 5, 0.3),  # k = 5: b = 3, then 2
+    ])
+    def test_chunked_walk_matches_the_dense_oracle(self, probs, n, gamma):
+        # every sequence, as a tuple, a list and an array, and every rank
+        idx = build_index(PMF.from_probs(probs), n, gamma)
+        table = xi_plus_all(idx).tolist()
+        codes = member_codes(idx.source, n, gamma).tolist()
+        assert idx.m_count == len(codes)
+        seqs = list(itertools.product(range(len(probs)), repeat=n))
+        for wrap in (tuple, list, np.array):
+            assert [idx.xi_plus(wrap(s)) for s in seqs] == table
+        assert [idx.unrank(m) for m in range(idx.m_count)] == \
+            [seqs[code] for code in codes]
+
+    @pytest.mark.parametrize("probs,n,gamma", [
+        (SKEW, 43, 0.2), ([0.5, 0.5, 0.0], 13, 0.5),
+        ([0.5, 0.3, 0.2], 23, 0.3), ([0.4, 0.3, 0.2, 0.1], 14, 0.3),
+        ([0.3, 0.25, 0.2, 0.15, 0.1], 11, 0.3)])
+    def test_chunked_walk_matches_the_position_walk(self, probs, n, gamma):
+        # past the dense oracle's reach: random ranks and random blocks,
+        # each with a short last chunk, against one position per step
+        idx = build_index(PMF.from_probs(probs), n, gamma)
+        rng = np.random.default_rng(n)
+        for m in rng.integers(idx.m_count, size=8).tolist():
+            seq = idx.unrank(m)
+            assert seq == position_unrank(idx, m)
+            assert position_rank(idx, seq) == m
+        draws = rng.choice(len(probs), size=(8, n), p=probs)
+        for seq in map(tuple, draws.tolist()):
+            assert idx.xi_plus(seq) == position_rank(idx, seq)
 
     @pytest.mark.parametrize("seq,bad", [((0.9, 0, 1.5, 0), "0.9"),
                                          ((0, 1, 1.5, 0), "1.5"),
