@@ -22,7 +22,6 @@ from .typical import (
     EmptyTypicalSetError,
     build_index,
     is_typical,
-    atypical_mass,
     atypical_mass_mc,
 )
 from .block import (

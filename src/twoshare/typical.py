@@ -344,25 +344,88 @@ def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray
     return lambda counts: by_rank[rank(counts)]
 
 
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(C = c) for c = 0..n of C ~ Binomial(n, p), 0 < p < 1: the ratios
+    P(c+1)/P(c) = (n-c)/(c+1) * p/(1-p) multiplied outward from the mode,
+    where the terms are largest, so none overflows; the result is
+    normalised by its sum."""
+    q, mode = 1.0 - p, min(int((n + 1) * p), n)
+    c = np.arange(n, dtype=np.float64)
+    down = (c[:mode] + 1.0) / (n - c[:mode]) * (q / p)
+    up = (n - c[mode:]) / (c[mode:] + 1.0) * (p / q)
+    pmf = np.concatenate((np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
+    return pmf / pmf.sum()
+
+
+def _first_counts(n: int, p: float) -> Callable[[np.random.Generator, int],
+                                                np.ndarray]:
+    """Draws of C ~ Binomial(n, p) by inversion, one uniform u each: C is
+    the number of CDF values P(C <= c), c < n, at or below u.  A guide
+    table of 2**e >= 8(n+1) equal cells of [0, 1) holds the count of each
+    cell with no CDF value inside, which every u in it shares; a u in any
+    other cell is searched for in the CDF (the guide table of H. C. Chen
+    and Y. Asau, 1974; L. Devroye 1986, ch. III.2).  The
+    uniforms and the CDF are scaled by 2**e in place, which is exact, and
+    the counts are int32, so a chunk holds few temporaries."""
+    cells = 1 << ((n + 1).bit_length() + 3)
+    cdf = np.cumsum(_binomial_pmf(n, p))[:-1] * cells
+    edges = np.searchsorted(cdf, np.arange(cells + 1), side="right")
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1).astype(np.int32)
+
+    def draw(gen: np.random.Generator, take: int) -> np.ndarray:
+        u = gen.random(take)
+        u *= cells
+        c = guide[u.astype(np.int32)]
+        near = np.flatnonzero(c < 0)
+        c[near] = np.searchsorted(cdf, u[near], side="right")
+        return c
+    return draw
+
+
+MISS, HIT, OPEN = 0, 1, 2
+
+
+def _first_count_fates(classes, n: int) -> np.ndarray:
+    """Per first support count c0 = 0..n, the fate of a trial that draws
+    it: MISS when every class with that count is typical, HIT when every
+    one is atypical, OPEN when they are mixed."""
+    seen = np.zeros((n + 1, 2), dtype=bool)
+    for c in classes:
+        seen[c.counts[0], int(c.typical)] = True
+    fates = np.where(seen[:, 0], HIT, MISS).astype(np.int8)
+    fates[seen.all(axis=1)] = OPEN
+    return fates
+
+
 def atypical_draw(source: PMF, n: int,
                   classes) -> Callable[[np.random.Generator, int], int]:
-    """Trials of the atypical mass: each draws one block's composition
-    and hits when its type class is atypical.  When every class is on one
-    side, each trial's outcome is fixed, so none is drawn."""
+    """Trials of the atypical mass: each hits when its block's type class
+    is atypical.  A trial draws the first support symbol's count by
+    inversion; where that count leaves the class undecided, the other
+    counts follow from one multinomial on the rest of the block, and the
+    class is read off its counts.  When every class is on one side, each
+    trial's outcome is fixed, so none is drawn."""
     sides = {c.typical for c in classes}
     if len(sides) == 1:
         hit = not sides.pop()
         return lambda gen, take: take * hit
     support = source.probs[source.probs > 0.0]
+    first = _first_counts(n, float(support[0]))
+    fates = _first_count_fates(classes, n)
+    rest = support[1:] / support[1:].sum()
     hit = prefix_lookup([c.counts[:-1] for c in classes],
                         [not c.typical for c in classes], n)
-    return lambda gen, take: int(np.count_nonzero(
-        hit(gen.multinomial(n, support, size=take))))
 
-
-def atypical_mass(source: PMF, n: int, gamma: float) -> float:
-    """Exact probability of the complement of the typical set."""
-    return TypicalIndex(source, n, gamma, type_classes(source, n, gamma)).delta
+    def draw(gen: np.random.Generator, take: int) -> int:
+        c0 = first(gen, take)
+        fate = fates[c0]
+        hits = int(np.count_nonzero(fate == HIT))
+        c0 = c0[fate == OPEN]
+        if c0.size:
+            counts = np.column_stack((c0, gen.multinomial(n - c0, rest)))
+            hits += int(np.count_nonzero(hit(counts)))
+        return hits
+    return draw
 
 
 def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,

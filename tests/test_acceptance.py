@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import oracles
-from blockwise_oracle import xi_plus_all
+from blockwise_oracle import atypical_mass, xi_plus_all
 from oracles import JointPMF, iid_extension
 
 from twoshare import attack as atk
 from twoshare import block, harness, symbol
 from twoshare.prob import PMF, RandomStream, entropy, mutual_information
-from twoshare.typical import GammaSchedule, atypical_mass, build_index
+from twoshare.typical import GammaSchedule, build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
 U2 = PMF.uniform(2)
@@ -224,14 +224,15 @@ def test_07_attack_exponents_converge_to_correlation_level():
 
 
 def test_08_rejection_probability_vanishes_with_blocklength():
-    # the exact rejection mass must equal the out-of-index source mass,
-    # computed by a separate enumeration in the indexing module
+    # the exact rejection mass must equal the out-of-index source mass:
+    # bit for bit the index's own sum over its type classes, and within
+    # 1e-12 a dense enumeration of every block
     exact = {}
     for n in (4, 8, 12):
         gamma = POWER.gamma_at(n)
         q = block.exact_quantities(blockwise_params(SKEW, n, 0.5, gamma))
-        mass = atypical_mass(SKEW, n, gamma)
-        assert q.p_e == mass
+        assert q.p_e == build_index(SKEW, n, gamma).delta
+        assert q.p_e == pytest.approx(atypical_mass(SKEW, n, gamma), abs=1e-12)
         exact[n] = q.p_e
     assert exact[8] > exact[12]
 

@@ -244,11 +244,10 @@ class TestExactQuantities:
         assert q.p_e == 0.0 and q.delta == 0.0
 
     def test_error_equals_atypical_mass_bitwise(self):
-        from twoshare.typical import atypical_mass
         for n in (4, 8, 12):
             gamma = n ** (-1.0 / 3.0)
             q = exact_quantities(make_params(SKEW, n, 0.5))
-            assert q.p_e == q.delta == atypical_mass(SKEW, n, gamma)
+            assert q.p_e == q.delta == build_index(SKEW, n, gamma).delta
 
     def test_sandwich_brackets_correlation(self):
         for n in (4, 8, 12):

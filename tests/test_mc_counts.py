@@ -9,11 +9,13 @@ fails with odds of about 3e-7 per check.
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
+from blockwise_oracle import atypical_mass
 import symbolwise_oracle as conv
 from twoshare import attack, block, harness, symbol, typical
 from twoshare.prob import PMF, RandomStream
@@ -129,7 +131,9 @@ class TestBlockwiseCoverage:
         gamma = power_gamma(32)
         est, _ = typical.atypical_mass_mc(K3, 32, gamma, TRIALS,
                                           RandomStream(5))
-        assert covers(est, TRIALS, typical.atypical_mass(K3, 32, gamma))
+        exact = typical.TypicalIndex(
+            K3, 32, gamma, typical.type_classes(K3, 32, gamma)).delta
+        assert covers(est, TRIALS, exact)
 
 
 class TestSymbolwiseCoverage:
@@ -209,7 +213,7 @@ class TestExactEndpoints:
         assert block.monte_carlo_error(blockwise(U2, 6), 5000, rng) \
             == (0.0, 3.0 / 5000)
         # at n=1 both compositions of the skewed source miss a tight window
-        assert typical.atypical_mass(SKEW, 1, 0.01) == 1.0
+        assert atypical_mass(SKEW, 1, 0.01) == 1.0
         assert typical.atypical_mass_mc(SKEW, 1, 0.01, 5000, rng) == (1.0, 0.0)
 
 
@@ -293,8 +297,9 @@ class CountingGenerator:
         self._gen, self._rows, self._values = gen, rows, values
 
     def multinomial(self, n, pvals, size=None):
+        # one row per entry of an array-valued n, or per size
         out = self._gen.multinomial(n, pvals, size=size)
-        self._rows.append(1 if size is None else out.shape[0])
+        self._rows.append(out.shape[0] if out.ndim > 1 else 1)
         return out
 
     def integers(self, *args, size=None, **kwargs):
@@ -361,6 +366,90 @@ class TestClearGate:
         assert res.trials == 10 ** 6
         assert covers(res.success_prob, 10 ** 6,
                       attack.symbolwise_attack(codec, "x").success_prob)
+
+
+def exact_binomial_pmf(n, p):
+    """Binomial(n, p) pmf from exact integers: the float p is a dyadic
+    fraction a/d, so P(C = c) = C(n, c) a^c (d-a)^(n-c) / d^n, stepped
+    from c to c+1 by exact integer division and rounded once."""
+    a, d = Fraction(p).as_integer_ratio()
+    r, total = d - a, d ** n
+    term, out = r ** n, []
+    for c in range(n + 1):
+        out.append(term / total)
+        term = term * (n - c) * a // ((c + 1) * r)
+    return np.array(out)
+
+
+class TestFirstCountDraw:
+    """The atypical draw inverts the first support count's binomial CDF on
+    one uniform per trial; only a count that leaves the type class
+    undecided draws the other counts."""
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 2000])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.7, 0.99])
+    def test_pmf_matches_exact_rationals(self, n, p):
+        got = typical._binomial_pmf(n, p)
+        assert got.shape == (n + 1,)
+        assert np.abs(got - exact_binomial_pmf(n, p)).max() <= 1e-12
+
+    def test_first_count_frequencies(self):
+        n, p, trials = 64, 0.7, 10 ** 6
+        drawn = typical._first_counts(n, p)(RandomStream(12).gen, trials)
+        freq = np.bincount(drawn, minlength=n + 1) / trials
+        assert freq.shape == (n + 1,)
+        for c, exact in enumerate(exact_binomial_pmf(n, p)):
+            assert covers(freq[c], trials, exact), c
+
+    @pytest.mark.parametrize("n,p", [(1, 0.01), (1, 0.99), (8, 0.5),
+                                     (64, 0.7), (2000, 0.01), (2000, 0.99)])
+    def test_guide_table_agrees_with_a_full_search(self, n, p):
+        # the guide table answers a uniform without a search only in a
+        # cell that no CDF value splits
+        got = typical._first_counts(n, p)(RandomStream(13).gen, 1 << 16)
+        u = RandomStream(13).gen.random(1 << 16)
+        cdf = np.cumsum(typical._binomial_pmf(n, p))[:-1]
+        assert got.tolist() == np.searchsorted(cdf, u, side="right").tolist()
+
+    @pytest.mark.parametrize("source,n", BLOCK_CASES + [
+        pytest.param(K3, 32, id="k3-n32"),
+        pytest.param(PMF.from_probs([0.4, 0.3, 0.2, 0.1]), 12, id="k4-n12")])
+    def test_fates_match_a_scan_of_the_classes(self, source, n):
+        classes = typical.type_classes(source, n, power_gamma(n))
+        fates = typical._first_count_fates(classes, n)
+        for c0 in range(n + 1):
+            flags = {c.typical for c in classes if c.counts[0] == c0}
+            want = (typical.OPEN if len(flags) == 2
+                    else typical.MISS if flags == {True} else typical.HIT)
+            assert fates[c0] == want, c0
+
+    def test_two_symbols_draw_no_multinomial(self):
+        # at k=2 the first count fixes the class, so no trial is undecided
+        rows = []
+        gamma = power_gamma(64)
+        est, _ = typical.atypical_mass_mc(SKEW, 64, gamma, 200_000,
+                                          CountingStream(14, rows))
+        assert rows == []
+        exact = build_index(SKEW, 64, gamma).delta
+        assert 0.0 < exact and covers(est, 200_000, exact)
+        block.monte_carlo_error(blockwise(SKEW, 8), TRIALS,
+                                CountingStream(15, rows))
+        assert rows == []
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_three_symbols_draw_fewer_rows_than_trials(self, n):
+        rows = []
+        gamma = power_gamma(n)
+        est, _ = typical.atypical_mass_mc(K3, n, gamma, TRIALS,
+                                          CountingStream(16, rows))
+        assert 0 < sum(rows) < TRIALS
+        # a row for each trial whose first count is undecided, and no other
+        classes = typical.type_classes(K3, n, gamma)
+        fates = typical._first_count_fates(classes, n)
+        undecided = exact_binomial_pmf(n, 0.5)[fates == typical.OPEN].sum()
+        assert covers(sum(rows) / TRIALS, TRIALS, undecided)
+        assert covers(est, TRIALS,
+                      typical.TypicalIndex(K3, n, gamma, classes).delta)
 
 
 class TestBlockwiseGate:

@@ -12,8 +12,7 @@ import pytest
 import blockwise_oracle as dense
 from twoshare import attack, block, harness, typical
 from twoshare.prob import PMF, entropy
-from twoshare.typical import (TypicalIndex, atypical_mass, build_index,
-                              type_classes)
+from twoshare.typical import TypicalIndex, build_index, type_classes
 
 SKEW = PMF.from_probs([0.7, 0.3])
 K3 = PMF.from_probs([0.5, 0.3, 0.2])
@@ -55,9 +54,9 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
                                                  abs=1e-12)
         assert res.optimal_forgery == res_ref.optimal_forgery
 
-    assert atypical_mass(source, n, gamma) == pytest.approx(
+    assert params.index.delta == pytest.approx(
         dense.atypical_mass(source, n, gamma), abs=1e-12)
-    assert got.p_e == got.delta == tq.alpha == atypical_mass(source, n, gamma)
+    assert got.p_e == got.delta == tq.alpha == params.index.delta
 
 
 INDEX_CASES = (

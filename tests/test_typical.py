@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockwise_oracle import member_codes, member_probs, xi_plus_all
+from blockwise_oracle import (atypical_mass, member_codes, member_probs,
+                              xi_plus_all)
 
 from twoshare.block import BlockwiseParams, exact_quantities
 from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import (
-    GammaSchedule, EmptyTypicalSetError, build_index, multinomial,
-    is_typical, atypical_mass, atypical_mass_mc,
+    GammaSchedule, EmptyTypicalSetError, TypicalIndex, build_index,
+    multinomial, is_typical, atypical_mass_mc, type_classes,
 )
 
 SKEW = [0.7, 0.3]
@@ -29,6 +30,12 @@ def brute_members(probs, n, gamma):
         if abs(total / n - h) <= gamma:
             out.append(seq)
     return out
+
+
+def class_mass(source, n, gamma) -> float:
+    """The index's atypical mass, its sum over the atypical type classes;
+    defined for an empty typical set too, where build_index raises."""
+    return TypicalIndex(source, n, gamma, type_classes(source, n, gamma)).delta
 
 
 def _continuations(idx, prefix) -> int:
@@ -387,25 +394,27 @@ class TestMass:
     ])
     def test_atypical_mass_frozen_values(self, n, expect):
         # reference masses computed independently from binomial weights
-        got = atypical_mass(PMF.from_probs(SKEW), n, n ** (-1.0 / 3.0))
-        assert got == pytest.approx(expect, abs=1e-12)
+        for mass in (class_mass, atypical_mass):
+            got = mass(PMF.from_probs(SKEW), n, n ** (-1.0 / 3.0))
+            assert got == pytest.approx(expect, abs=1e-12)
 
     def test_atypical_mass_equals_brute_complement(self):
         for n, gamma in [(6, 6 ** (-1.0 / 3.0)), (8, 0.2)]:
             members = brute_members(SKEW, n, gamma)
             typ = sum(math.prod(SKEW[s] for s in seq) for seq in members)
-            got = atypical_mass(PMF.from_probs(SKEW), n, gamma)
+            got = class_mass(PMF.from_probs(SKEW), n, gamma)
             assert got == pytest.approx(1.0 - typ, abs=1e-12)
 
     def test_uniform_and_point_mass_sources_have_zero_mass(self):
-        assert atypical_mass(PMF.uniform(3), 5, 0.01) == 0.0
-        assert atypical_mass(PMF.point_mass(2, 0), 5, 0.1) == 0.0
+        for mass in (class_mass, atypical_mass):
+            assert mass(PMF.uniform(3), 5, 0.01) == 0.0
+            assert mass(PMF.point_mass(2, 0), 5, 0.1) == 0.0
 
     def test_aep_decrease_on_schedule(self):
         # the default schedule must push the mass down over 8 -> 16 -> 24
         src = PMF.from_probs(SKEW)
         sched = GammaSchedule.power_law(1.0 / 3.0)
-        masses = {n: atypical_mass(src, n, sched.gamma_at(n))
+        masses = {n: class_mass(src, n, sched.gamma_at(n))
                   for n in (4, 8, 16, 24)}
         assert masses[8] > masses[16] > masses[24]
 
@@ -435,7 +444,7 @@ def test_mass_identity_members_plus_atypical(n, gamma):
     try:
         idx = build_index(src, n, gamma)
     except EmptyTypicalSetError:
-        assert atypical_mass(src, n, gamma) == pytest.approx(1.0, abs=1e-12)
+        assert class_mass(src, n, gamma) == pytest.approx(1.0, abs=1e-12)
         return
-    assert float(member_probs(idx).sum()) + atypical_mass(src, n, gamma) \
+    assert float(member_probs(idx).sum()) + idx.delta \
         == pytest.approx(1.0, abs=1e-9)
