@@ -37,7 +37,7 @@ def floor_pow2(bits: float) -> int:
     """floor(2**bits), exactly: 2**(c/2**e), for bits = i + c/2**e, is e
     square roots y <- sqrt(y 2**bit), per bit of c from the lowest, bounded
     at p bits from below and above; p doubles until both floor alike."""
-    if bits < 0.0:
+    if not bits >= 0.0:
         raise ValueError("exponent must be non-negative")
     if bits > MAX_MASK_BITS + 1e-9:
         raise MaskBitsError(f"exponent {bits} exceeds the {MAX_MASK_BITS}-bit "
@@ -81,7 +81,7 @@ class BlockwiseParams:
     mp1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ell < 0.0:
+        if not self.ell >= 0.0:
             raise ValueError("correlation level must be non-negative")
         # validates the n*ell <= 40 restriction as a side effect
         object.__setattr__(self, "l_count", floor_pow2(self.index.n * self.ell))

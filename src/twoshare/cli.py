@@ -3,9 +3,12 @@
 Subcommands: encode, decode, attack, validate-scheme, experiment.  Every
 subcommand accepts --seed, --mode, --out and --format; flags that a
 subcommand has no use for are accepted and ignored so scripts can pass a
-uniform set.  Exit codes: 0 success, 1 configuration error, 2 a checked
-bound came back violated.  `experiment` names each skipped record and its
-reason on stderr, then how many were skipped; skips alone leave exit 0.
+uniform set.  The scheme flags --source, --n, --ell, --m and --gamma are
+read as a config file's values and checked by `ExperimentConfig.from_dict`,
+so a bad flag prints the error that the same value in a config would.
+Exit codes: 0 success, 1 configuration error, 2 a checked bound came back
+violated.  `experiment` names each skipped record and its reason on
+stderr, then how many were skipped; skips alone leave exit 0.
 """
 from __future__ import annotations
 
@@ -17,16 +20,27 @@ from . import attack as atk
 from . import block, harness, symbol
 from .prob import PMF, CapExceededError, RandomStream
 from .symbol import SchemeValidationError
-from .typical import EmptyTypicalSetError, GammaSchedule
+from .typical import EmptyTypicalSetError
 
 
-def _schedule_from(text: str) -> GammaSchedule:
-    kind, _, arg = text.partition(":")
-    if kind == "power":
-        return GammaSchedule.power_law(float(arg) if arg else 1.0 / 3.0)
-    if kind == "const":
-        return GammaSchedule.constant(float(arg))
-    raise ValueError(f"schedule must be power[:a] or const:gamma, not {text!r}")
+# --gamma form -> schedule kind and the key of its parameter
+_GAMMA_FORMS = {"power": ("power_law", "a"), "const": ("constant", "gamma")}
+# validate-scheme --variant -> splitter builder
+_VARIANTS = {"modular": symbol.modular_scheme,
+             "identity-leak": symbol.identity_leak_scheme,
+             "non-decodable": symbol.nondecodable_scheme,
+             "undersized": symbol.undersized_scheme}
+
+
+def _value(text: str):
+    """Flag text as the value a config file would hold: an int, else a
+    float, else the text itself; `ExperimentConfig.from_dict` judges it."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -48,22 +62,27 @@ def _scheme_flags(p: argparse.ArgumentParser):
                    required=True)
     p.add_argument("--source", required=True,
                    help="PMF: '0.7,0.3', '[0.5,0.5]', or 'uniform:k'")
-    p.add_argument("--n", type=int, required=True, help="blocklength")
+    p.add_argument("--n", type=_value, required=True, help="blocklength")
     p.add_argument("--gamma", default="power",
                    help="slack schedule, power[:a] or const:gamma")
-    p.add_argument("--ell", type=float, default=0.0,
+    p.add_argument("--ell", type=_value, default=0.0,
                    help="blockwise correlation level")
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_value, default=None,
                    help="symbolwise share alphabet size")
 
 
 def _build_scheme(args):
-    source = PMF.from_text(args.source)
-    gamma = _schedule_from(args.gamma).gamma_at(args.n)
-    if args.scheme == "symbolwise" and args.m is None:
-        raise ValueError("symbolwise runs need --m")
-    return harness.make_scheme(args.scheme, source, args.n, gamma, args.ell,
-                               args.m)
+    """The scheme flags as a config dict, which `ExperimentConfig.from_dict`
+    parses and checks as it does a config file."""
+    param = "ell" if args.scheme == "blockwise" else "m"
+    form, _, arg = args.gamma.partition(":")
+    kind, key = _GAMMA_FORMS.get(form, (form, None))
+    cfg = harness.ExperimentConfig.from_dict(
+        {"source": args.source, "n_values": [args.n],
+         "scheme": {"kind": args.scheme, param: getattr(args, param)},
+         "schedule": {"kind": kind, key: _value(arg)} if key and arg
+         else {"kind": kind}})
+    return harness.make_scheme(cfg, cfg.n_values[0])
 
 
 def _emit(args, text: str):
@@ -79,13 +98,12 @@ def _cmd_encode(args) -> int:
     secret = _int_list(args.secret)
     rng = RandomStream(args.seed)
     if isinstance(obj, block.BlockwiseParams):
-        r = obj.draw_randomness(rng)
-        x, y = block.encode(obj, secret, r)
+        x, y = block.encode(obj, secret, obj.draw_randomness(rng))
         out = {"x": {"l": x.l, "m": x.m}, "y": {"l": y.l, "m": y.m},
                "l_count": obj.l_count, "m_count": obj.m_count}
     else:
-        rand = symbol.draw_randomness_n(obj, rng)
-        xs, ys = symbol.encode_n(obj, secret, rand)
+        xs, ys = symbol.encode_n(obj, secret,
+                                 symbol.draw_randomness_n(obj, rng))
         out = {"x": list(xs), "y": list(ys)}
     _emit(args, json.dumps(out, sort_keys=True))
     return 0
@@ -100,10 +118,8 @@ def _cmd_decode(args) -> int:
                                block.BlockShare(yl, ym))
     else:
         outcome = symbol.decode_n(obj, _int_list(args.x), _int_list(args.y))
-    if outcome.rejected:
-        _emit(args, json.dumps({"rejected": True}))
-    else:
-        _emit(args, json.dumps({"secret": list(outcome.secret)}))
+    _emit(args, json.dumps({"rejected": True} if outcome.rejected
+                           else {"secret": list(outcome.secret)}))
     return 0
 
 
@@ -117,8 +133,7 @@ def _cmd_attack(args) -> int:
            "success_prob": res.success_prob,
            "optimal_forgery": list(res.optimal_forgery)}
     if res.ci_halfwidth is not None:
-        out["ci_halfwidth"] = res.ci_halfwidth
-        out["trials"] = res.trials
+        out.update(ci_halfwidth=res.ci_halfwidth, trials=res.trials)
     _emit(args, json.dumps(out, sort_keys=True))
     return 0
 
@@ -126,13 +141,7 @@ def _cmd_attack(args) -> int:
 def _cmd_validate(args) -> int:
     source = PMF.from_text(args.source)
     m = args.m if args.m is not None else source.support_size
-    builders = {
-        "modular": symbol.modular_scheme,
-        "identity-leak": symbol.identity_leak_scheme,
-        "non-decodable": symbol.nondecodable_scheme,
-        "undersized": symbol.undersized_scheme,
-    }
-    scheme = builders[args.variant](m, source.support_size)
+    scheme = _VARIANTS[args.variant](m, source.support_size)
     report = symbol.validate_base(scheme, source)
     out = {"scheme": scheme.name, "passed": report.passed,
            "h_s": report.h_s, "h_s_given_x": report.h_s_given_x,
@@ -146,16 +155,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):   # the overrides below write into it
-        raise harness.ConfigError("bad config: the top level is not an object")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.mode is not None:
-        raw["mode"] = args.mode
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    cfg = harness.ExperimentConfig.from_dict(raw)
+        cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+    # the override flags default to absent: the ones given replace the
+    # file's values, and the result is parsed as a config file is
+    cfg = harness.ExperimentConfig.from_dict(dict(cfg.to_dict(), **{
+        k: v for k, v in vars(args).items() if k in ("seed", "mode", "trials")}))
     report = harness.run_experiment(cfg)
     _emit(args, harness.emit_report(report, args.format))
     skipped = [r for r in report.records if r.skipped is not None]
@@ -197,19 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--m", type=int, default=None,
                    help="share alphabet size (default |S|)")
-    p.add_argument("--variant", default="modular",
-                   choices=("modular", "identity-leak", "non-decodable",
-                            "undersized"))
+    p.add_argument("--variant", default="modular", choices=tuple(_VARIANTS))
     _common_flags(p)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("experiment", help="run a config file, emit a report")
     p.add_argument("--config", required=True, help="JSON config path")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_value, default=argparse.SUPPRESS,
                    help="override the config seed")
-    p.add_argument("--mode", choices=("exact", "mc"), default=None,
-                   help="override the config mode")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--mode", choices=("exact", "mc"),
+                   default=argparse.SUPPRESS, help="override the config mode")
+    p.add_argument("--trials", type=_value, default=argparse.SUPPRESS,
                    help="override the config trial count")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")

@@ -28,7 +28,7 @@ docs/config-schema.md for the config file format.
 from __future__ import annotations
 
 import dataclasses
-import io
+import functools
 import json
 import math
 import time
@@ -61,8 +61,54 @@ class ConfigError(Exception):
     """The experiment configuration is malformed or inconsistent."""
 
 
+# kind -> (its one parameter's key, whole number?, default; None: required)
+_SCHEMES = {"blockwise": ("ell", False, None), "symbolwise": ("m", True, None)}
+_SCHEDULES = {"power_law": ("a", False, 1.0 / 3.0),
+              "constant": ("gamma", False, None)}
+_KEYS = ("source", "scheme", "schedule", "n_values", "mode", "trials", "seed")
+_shown = functools.partial(json.dumps, default=repr)   # null, true, NaN
+
+
+def _number(value, name: str, whole: bool = False):
+    """A finite JSON number: an int where `whole`, else a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or whole and value != int(value)):
+        raise ConfigError(f"bad config: {name} {_shown(value)} is not a "
+                          f"{'whole' if whole else 'finite'} number")
+    return int(value) if whole else float(value)
+
+
+def _numbers(value, name: str, whole: bool = False) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"bad config: {name} {_shown(value)} is not an array")
+    return tuple(_number(v, f"{name} entry", whole) for v in value)
+
+
+def _known_keys(obj: dict, keys, where: str):
+    if unknown := [k for k in obj if k not in keys]:
+        raise ConfigError(f"bad config: unknown key {unknown[0]!r} in {where}")
+
+
+def _kind(value, table: dict, where: str) -> tuple:
+    """(kind, parameter) of a scheme or schedule {"kind": k, key: v}: the
+    table names, for kind k, the one key it may hold besides "kind"."""
+    # in a list, an unhashable kind (an array, say) compares, not raises
+    if not (isinstance(value, dict) and value.get("kind") in list(table)):
+        raise ConfigError(f"bad config: {where} {_shown(value)} is not an "
+                          f"object of kind {' or '.join(map(repr, table))}")
+    kind = value["kind"]
+    key, whole, default = table[kind]
+    _known_keys(value, ("kind", key), f"the {kind} {where}")
+    if value.get(key) is None and default is None:   # absent or null
+        raise ConfigError(f"{kind} {where} needs '{key}'")
+    return kind, _number(value.get(key, default), f"{kind} '{key}'", whole)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run spec, checked when it is built (by the constructor,
+    `from_dict` or `dataclasses.replace`), so a config that exists is valid."""
+
     source: tuple[float, ...]
     scheme_kind: str                 # "blockwise" | "symbolwise"
     n_values: tuple[int, ...]
@@ -74,83 +120,70 @@ class ExperimentConfig:
     schedule_kind: str = "power_law"
     schedule_param: float = 1.0 / 3.0
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def __post_init__(self):
         try:
-            raw_source = raw["source"]
-            if isinstance(raw_source, str):
-                source = tuple(float(p) for p in
-                               PMF.from_text(raw_source).probs)
-            else:
-                source = tuple(float(p) for p in raw_source)
-            scheme = raw["scheme"]
-            kind = scheme["kind"]
-            sched = raw.get("schedule", {"kind": "power_law", "a": 1.0 / 3.0})
-            n_values = tuple(int(n) for n in raw["n_values"])
-            seed = int(raw.get("seed", 0))
-            mode = raw.get("mode", "exact")
-            trials = int(raw.get("trials", 100_000))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc!r}") from exc
-        if kind == "blockwise":
-            if "ell" not in scheme:
-                raise ConfigError("blockwise scheme needs 'ell'")
-            ell, share_size = float(scheme["ell"]), None
-        elif kind == "symbolwise":
-            if "m" not in scheme:
-                raise ConfigError("symbolwise scheme needs 'm'")
-            ell, share_size = None, int(scheme["m"])
-        else:
-            raise ConfigError(f"unknown scheme kind {kind!r}")
-        if sched.get("kind") == "power_law":
-            sk, sp = "power_law", float(sched.get("a", 1.0 / 3.0))
-        elif sched.get("kind") == "constant":
-            if "gamma" not in sched:
-                raise ConfigError("constant schedule needs 'gamma'")
-            sk, sp = "constant", float(sched["gamma"])
-        else:
-            raise ConfigError(f"unknown schedule kind {sched.get('kind')!r}")
-        cfg = cls(source=source, scheme_kind=kind, n_values=n_values,
-                  seed=seed, mode=mode, trials=trials, ell=ell,
-                  share_size=share_size, schedule_kind=sk, schedule_param=sp)
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        try:
-            PMF.from_probs(self.source)
+            self.pmf, self.schedule()
         except ValueError as exc:
-            raise ConfigError(f"bad source: {exc}") from exc
+            raise ConfigError(f"bad config: {exc}") from exc
         if self.mode not in ("exact", "mc"):
             raise ConfigError(f"mode must be 'exact' or 'mc', not {self.mode!r}")
         if self.mode == "mc" and self.trials < 1:
             raise ConfigError("mc mode needs a positive trial count")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n_values must be positive integers")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ConfigError("n_values must be increasing")
-        if self.scheme_kind == "blockwise" and (self.ell is None or self.ell < 0):
+        n = self.n_values
+        if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
+            raise ConfigError("n_values must be increasing positive integers")
+        if self.scheme_kind not in _SCHEMES:
+            raise ConfigError(f"unknown scheme kind {self.scheme_kind!r}")
+        if self.scheme_kind == "blockwise" and (
+                self.ell is None or not self.ell >= 0.0):
             raise ConfigError("blockwise 'ell' must be non-negative")
         if self.scheme_kind == "symbolwise" and (
                 self.share_size is None or self.share_size < len(self.source)):
             raise ConfigError("symbolwise 'm' must cover the secret alphabet")
+
+    @classmethod
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Parse a config's JSON value: numbers finite, whole where they
+        count, and no unknown key (the other scheme's parameter is one)."""
         try:
-            GammaSchedule(self.schedule_kind, self.schedule_param)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            if not isinstance(raw, dict):
+                raise ConfigError("bad config: the top level is not an object")
+            _known_keys(raw, _KEYS, "the top level")
+            kind, param = _kind(raw["scheme"], _SCHEMES, "scheme")
+            sk, sp = _kind(raw.get("schedule", {"kind": "power_law"}),
+                           _SCHEDULES, "schedule")
+            source = raw["source"]
+            return cls(
+                source=(tuple(PMF.from_text(source).probs.tolist())
+                        if isinstance(source, str)
+                        else _numbers(source, "'source'")),
+                scheme_kind=kind,
+                n_values=_numbers(raw["n_values"], "'n_values'", whole=True),
+                seed=_number(raw.get("seed", 0), "'seed'", whole=True),
+                mode=raw.get("mode", "exact"),
+                trials=_number(raw.get("trials", 100_000), "'trials'",
+                               whole=True),
+                **{"ell" if kind == "blockwise" else "share_size": param},
+                schedule_kind=sk, schedule_param=sp)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad config: {exc!r}") from exc
+
+    @functools.cached_property
+    def pmf(self) -> PMF:
+        return PMF.from_probs(self.source)
 
     def schedule(self) -> GammaSchedule:
         return GammaSchedule(self.schedule_kind, self.schedule_param)
 
     def to_dict(self) -> dict:
-        scheme = ({"kind": "blockwise", "ell": self.ell}
-                  if self.scheme_kind == "blockwise"
-                  else {"kind": "symbolwise", "m": self.share_size})
-        sched = ({"kind": "power_law", "a": self.schedule_param}
-                 if self.schedule_kind == "power_law"
-                 else {"kind": "constant", "gamma": self.schedule_param})
-        return {"source": list(self.source), "scheme": scheme,
-                "schedule": sched, "n_values": list(self.n_values),
+        param = self.ell if self.scheme_kind == "blockwise" else self.share_size
+        return {"source": list(self.source),
+                "scheme": {"kind": self.scheme_kind,
+                           _SCHEMES[self.scheme_kind][0]: param},
+                "schedule": {"kind": self.schedule_kind,
+                             _SCHEDULES[self.schedule_kind][0]:
+                             self.schedule_param},
+                "n_values": list(self.n_values),
                 "mode": self.mode, "trials": self.trials, "seed": self.seed}
 
 
@@ -195,23 +228,21 @@ class ExperimentReport:
 
 
 def _verdict(ok: bool | None) -> str:
-    if ok is None:
-        return NOT_APPLICABLE
-    return HOLDS if ok else VIOLATED
+    return NOT_APPLICABLE if ok is None else HOLDS if ok else VIOLATED
 
 
 def _exponent(p: float) -> float:
     return math.inf if p <= 0.0 else -math.log2(p)
 
 
-def make_scheme(kind: str, source: PMF, n: int, gamma: float,
-                ell: float | None, share_size: int | None):
-    """The scheme object one blocklength runs on: blockwise parameters
+def make_scheme(cfg: ExperimentConfig, n: int):
+    """The scheme object blocklength n of cfg runs on: blockwise parameters
     over the typical-set index, or the modular symbolwise codec with its
     score lattice."""
-    if kind == "blockwise":
-        return block.BlockwiseParams(ell, build_index(source, n, gamma))
-    scheme = symbol.modular_scheme(share_size, source.support_size)
+    source, gamma = cfg.pmf, cfg.schedule().gamma_at(n)
+    if cfg.scheme_kind == "blockwise":
+        return block.BlockwiseParams(cfg.ell, build_index(source, n, gamma))
+    scheme = symbol.modular_scheme(cfg.share_size, source.support_size)
     return symbol.make_codec(scheme, source, n, gamma)
 
 
@@ -219,26 +250,22 @@ def make_scheme(kind: str, source: PMF, n: int, gamma: float,
 _SKIPS = (CapExceededError, EmptyTypicalSetError, symbol.SchemeValidationError)
 
 
-def _builder(cfg: ExperimentConfig, source: PMF, sched: GammaSchedule):
-    """`make_scheme` of a sweep, as build(n, gamma).  The blockwise index
-    depends on n and gamma, so it is built per record.  The symbolwise
-    codec's laws do not: it is built once, at the first blocklength, and
-    each record derives its own with `dataclasses.replace`; a build that
-    fails skips every record with its reason."""
+def _builder(cfg: ExperimentConfig):
+    """`make_scheme` of a sweep, as build(n).  The blockwise index depends
+    on n and gamma, so it is built per record.  The symbolwise codec's
+    laws do not: it is built once, at the first blocklength, and each
+    record derives its own with `dataclasses.replace`; a build that fails
+    skips every record with its reason."""
     if cfg.scheme_kind == "blockwise":
-        return lambda n, gamma: make_scheme("blockwise", source, n, gamma,
-                                            cfg.ell, None)
-    first = cfg.n_values[0]
+        return functools.partial(make_scheme, cfg)
     try:
-        codec = make_scheme("symbolwise", source, first, sched.gamma_at(first),
-                            None, cfg.share_size)
+        codec = make_scheme(cfg, cfg.n_values[0])
     except _SKIPS as exc:
-        failure = exc
-
-        def build(n, gamma):
+        def build(n, failure=exc):
             raise failure
         return build
-    return lambda n, gamma: dataclasses.replace(codec, n=n, gamma=gamma)
+    sched = cfg.schedule()
+    return lambda n: dataclasses.replace(codec, n=n, gamma=sched.gamma_at(n))
 
 
 @dataclass(frozen=True)
@@ -302,13 +329,13 @@ _STEPS = {"blockwise": (_blockwise_exact, block),
 
 
 def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
-            source: PMF, rng: RandomStream, rec_idx: int) -> RunRecord:
+            rng: RandomStream, rec_idx: int) -> RunRecord:
     """One blocklength: exact fields, both optimal attacks, in "mc" mode
     the estimates of p_e, p_x and p_y in their place, then the verdicts.
     A typed skip anywhere leaves only n, gamma_n and the reason."""
     exact, engine = _STEPS[cfg.scheme_kind]
     try:
-        scheme = build(n, gamma)
+        scheme = build(n)
         ev = exact(scheme)
         rec = RunRecord(n=n, gamma_n=gamma, **ev.fields)
         ax = atk.optimal_attack(scheme, "x")
@@ -331,7 +358,7 @@ def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
     rec.exp_y = _exponent(rec.p_y) / n
     ls = atk.logsum_bound_check(ev.i_xy, atk.TestQuantities(rec.alpha,
                                                             rec.beta))
-    fano = atk.fano_check(rec.alpha, ev.h_s_given_xy, n, source.support_size)
+    fano = atk.fano_check(rec.alpha, ev.h_s_given_xy, n, len(cfg.source))
     rec.verdicts = {
         "rate": _verdict(ev.rate_ok),
         "exp": _verdict(_exp_ok(rec, ev.direct_cap, ev.i_xy, cfg.trials)),
@@ -369,17 +396,12 @@ def _exp_ok(rec: RunRecord, direct_cap: float, i_xy_bits: float,
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate every blocklength; records are assembled in n order."""
-    cfg.validate()
     start = time.monotonic()
-    source = PMF.from_probs(cfg.source)
-    sched = cfg.schedule()
-    rng = RandomStream(cfg.seed)
-    build = _builder(cfg, source, sched)
-    records = [_record(cfg, n, sched.gamma_at(n), build, source, rng, i)
+    sched, rng, build = cfg.schedule(), RandomStream(cfg.seed), _builder(cfg)
+    records = [_record(cfg, n, sched.gamma_at(n), build, rng, i)
                for i, n in enumerate(cfg.n_values)]
-    report = ExperimentReport(config=cfg, records=records)
-    report.wall_time_s = time.monotonic() - start
-    return report
+    return ExperimentReport(config=cfg, records=records,
+                            wall_time_s=time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +415,12 @@ def _fmt(v: float | None) -> str:
 
 
 def emit_csv(report: ExperimentReport) -> str:
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for r in report.records:
-        row = [str(r.n), _fmt(r.gamma_n), _fmt(r.rate_x), _fmt(r.rate_y),
-               _fmt(r.rate_u), _fmt(r.p_e), _fmt(r.p_x), _fmt(r.p_y),
-               _fmt(r.i_sx), _fmt(r.i_sy), _fmt(r.i_xy_per_symbol),
-               _fmt(r.exp_x), _fmt(r.exp_y)]
-        row += [r.verdicts.get(k, NOT_APPLICABLE) for k in VERDICT_KEYS]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    # n, then the float columns, then one verdict per VERDICT_KEYS entry
+    rows = [CSV_COLUMNS] + [
+        [str(r.n)] + [_fmt(getattr(r, c)) for c in CSV_COLUMNS[1:13]]
+        + [r.verdicts.get(k, NOT_APPLICABLE) for k in VERDICT_KEYS]
+        for r in report.records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def emit_jsonl(report: ExperimentReport) -> str:
@@ -417,52 +435,31 @@ def emit_jsonl(report: ExperimentReport) -> str:
 
 
 def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
-    if fmt == "csv":
-        return emit_csv(report)
-    if fmt == "jsonl":
-        return emit_jsonl(report)
-    raise ConfigError(f"unknown report format {fmt!r}")
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown report format {fmt!r}")
+    return emit_csv(report) if fmt == "csv" else emit_jsonl(report)
 
 
 def read_report_jsonl(text: str) -> ExperimentReport:
     """Rebuild a report from its JSON-lines emission."""
-    config = None
-    version = "?"
-    wall = 0.0
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        kind = d.pop("type")
-        if kind == "metadata":
-            config = ExperimentConfig.from_dict(d["config"])
-            version = d["version"]
-            wall = d["wall_time_s"]
+    meta, records = None, []
+    for d in map(json.loads, filter(str.strip, text.splitlines())):
+        if d.pop("type") == "metadata":
+            meta = d
         else:
             records.append(RunRecord(**d))
-    if config is None:
+    if meta is None:
         raise ConfigError("jsonl report lacks a metadata line")
-    return ExperimentReport(config=config, records=records, version=version,
-                            wall_time_s=wall)
+    return ExperimentReport(config=ExperimentConfig.from_dict(meta["config"]),
+                            records=records, version=meta["version"],
+                            wall_time_s=meta["wall_time_s"])
 
 
 def read_report_csv(text: str) -> list[dict]:
-    """Parse the CSV emission into one dict per record."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    """Parse the CSV emission into one dict per record: n an int, the
+    verdicts text, every other column a float."""
+    header, *rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
     if tuple(header) != CSV_COLUMNS:
         raise ConfigError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        row: dict = {}
-        for key, val in zip(header, parts):
-            if key == "n":
-                row[key] = int(val)
-            elif key.startswith("v_"):
-                row[key] = val
-            else:
-                row[key] = float(val)
-        rows.append(row)
-    return rows
+    return [{k: int(v) if k == "n" else v if k.startswith("v_") else float(v)
+             for k, v in zip(header, row)} for row in rows]

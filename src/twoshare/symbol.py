@@ -297,8 +297,8 @@ class SymbolwiseCodec:
             raise ValueError("blocklength must be positive")
         # gamma = 0 puts the threshold on I(X;Y) itself, the tie edge the
         # lattice decides exactly; `make_codec` asks for a positive slack
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
         # derived, so dataclasses.replace (of gamma, say) rebuilds it
         object.__setattr__(self, "lattice", score_lattice(self))
 
@@ -330,8 +330,8 @@ class SymbolwiseCodec:
 
 def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                require_valid: bool = True) -> SymbolwiseCodec:
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     # one pass of the splitter over the support points and one exact law
     # serve the validation, the codec and its exact quantities
     law = _image_law(scheme, source)

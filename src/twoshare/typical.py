@@ -40,8 +40,8 @@ class GammaSchedule:
             if not 0.0 < self.param < 0.5:
                 raise ValueError("power-law exponent must lie strictly in (0, 0.5)")
         elif self.kind == "constant":
-            if self.param <= 0.0:
-                raise ValueError("constant slack must be positive")
+            if not 0.0 < self.param < math.inf:
+                raise ValueError("constant slack must be positive and finite")
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
@@ -290,8 +290,8 @@ class TypicalIndex:
 
 def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
     """Index the typical set; raises EmptyTypicalSetError when empty."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     index = TypicalIndex(source, n, gamma, type_classes(source, n, gamma))
     if index.m_count == 0:
         raise EmptyTypicalSetError(

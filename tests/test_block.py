@@ -49,6 +49,14 @@ class TestFloorPow2:
             floor_pow2(-1.0)
         with pytest.raises(ValueError):
             floor_pow2(41.0)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            floor_pow2(math.nan)
+
+    @pytest.mark.parametrize("ell", [-1.0, math.nan])
+    def test_params_reject_a_negative_or_nan_level(self, ell):
+        index = build_index(U2, 2, 0.5)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            BlockwiseParams(ell, index)
 
     def test_matches_a_96_bit_mpmath_floor(self):
         rng = random.Random(20)

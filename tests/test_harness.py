@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twoshare
 from twoshare import attack, cli, harness, symbol
@@ -27,6 +28,62 @@ def base_dict(**over):
          "n_values": [4, 6], "mode": "exact", "seed": 7}
     d.update(over)
     return d
+
+
+# values the parser must refuse: null, a fraction where a count belongs, a
+# boolean, a non-finite float, an unknown key, the other scheme's parameter
+MALFORMED = [
+    base_dict(scheme={"kind": "blockwise", "ell": None}),
+    base_dict(scheme={"kind": "symbolwise", "m": None}),
+    base_dict(schedule={"kind": "power_law", "a": None}),
+    base_dict(schedule="x"),
+    base_dict(n_values=[4.7, 8.2]),
+    base_dict(n_values=[True, 8]),
+    base_dict(scheme={"kind": "symbolwise", "m": 4.5}),
+    base_dict(mode="mc", trials=2.9),
+    base_dict(schedule={"kind": "constant", "gamma": math.nan}),
+    base_dict(schedule={"kind": "constant", "gamma": math.inf}),
+    base_dict(scheme={"kind": "blockwise", "ell": math.nan}),
+    dict(base_dict(), schedul={"kind": "constant", "gamma": 0.5}),
+    base_dict(scheme={"kind": "symbolwise", "m": 4, "ell": 1.0}),
+]
+
+# any JSON value; no string holds "uniform:", whose k would be allocated
+_TEXT = st.text(max_size=12).filter(lambda s: "uniform:" not in s)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+def _field(valid):
+    """A value of one config field: valid three times in four, else any
+    JSON value."""
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: valid if ok else JSON)
+
+
+# a config of valid-looking parts, each one possibly broken or dropped
+CONFIG_LIKE = st.fixed_dictionaries(
+    {"source": _field(st.sampled_from(
+        [[0.7, 0.3], [0.5, 0.3, 0.2], "uniform:2", "0.5,0.5", [1, 0]])),
+     "scheme": _field(st.one_of(
+         st.fixed_dictionaries({"kind": st.just("blockwise"),
+                                "ell": _field(st.floats(0, 4))}),
+         st.fixed_dictionaries({"kind": st.just("symbolwise"),
+                                "m": _field(st.integers(1, 6))}))),
+     "n_values": _field(st.lists(st.integers(1, 40), min_size=1, max_size=3,
+                                 unique=True).map(sorted))},
+    optional={
+        "schedule": _field(st.one_of(
+            st.fixed_dictionaries({"kind": st.just("power_law")},
+                                  optional={"a": _field(st.floats(0, 0.6))}),
+            st.fixed_dictionaries({"kind": st.just("constant"),
+                                   "gamma": _field(st.floats(-0.5, 2))}))),
+        "mode": _field(st.sampled_from(["exact", "mc"])),
+        "trials": _field(st.integers(0, 10) | st.floats(0, 10)),
+        "seed": _field(st.integers() | st.floats())})
 
 
 class TestConfig:
@@ -72,16 +129,56 @@ class TestConfig:
         base_dict(mode="mc", trials=0),
         base_dict(source=[0.5, 0.6]),
         {"scheme": {"kind": "blockwise", "ell": 1.0}, "n_values": [4]},
-    ])
+    ] + MALFORMED)
     def test_rejects_malformed(self, broken):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(broken)
 
-    def test_run_revalidates(self):
-        cfg = ExperimentConfig(source=(0.7, 0.3), scheme_kind="blockwise",
-                               n_values=(), seed=0, ell=1.0)
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+    def test_invalid_config_fails_when_built(self):
+        # checked once, by whatever builds it; run_experiment checks nothing
+        with pytest.raises(ConfigError, match="n_values"):
+            ExperimentConfig(source=(0.7, 0.3), scheme_kind="blockwise",
+                             n_values=(), seed=0, ell=1.0)
+        cfg = ExperimentConfig.from_dict(base_dict())
+        with pytest.raises(ConfigError, match="trial count"):
+            dataclasses.replace(cfg, mode="mc", trials=0)
+        with pytest.raises(ConfigError, match="non-negative"):
+            dataclasses.replace(cfg, ell=math.nan)
+
+    @pytest.mark.parametrize("raw,message", [
+        (base_dict(n_values=[4.7, 8.2]),
+         "bad config: 'n_values' entry 4.7 is not a whole number"),
+        (base_dict(n_values=[True, 8]),
+         "bad config: 'n_values' entry true is not a whole number"),
+        (base_dict(scheme={"kind": "blockwise", "ell": None}),
+         "blockwise scheme needs 'ell'"),
+        (base_dict(schedule={"kind": "power_law", "a": None}),
+         "bad config: power_law 'a' null is not a finite number"),
+        (base_dict(schedule={"kind": "constant", "gamma": math.nan}),
+         "bad config: constant 'gamma' NaN is not a finite number"),
+        (base_dict(schedule="x"), "bad config: schedule \"x\" is not an "
+         "object of kind 'power_law' or 'constant'"),
+        (dict(base_dict(), schedul={}),
+         "bad config: unknown key 'schedul' in the top level"),
+        (base_dict(scheme={"kind": "symbolwise", "m": 4, "ell": 1.0}),
+         "bad config: unknown key 'ell' in the symbolwise scheme"),
+        (base_dict(source=[0.5, 0.6]),
+         "bad config: probabilities sum to 1.1, not 1 within 1e-12"),
+    ], ids=["fractional-n", "boolean-n", "null-ell", "null-a", "nan-gamma",
+            "schedule-text", "typo-key", "other-scheme-key", "source-sum"])
+    def test_malformed_input_is_named(self, raw, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(JSON, CONFIG_LIKE))
+    def test_from_dict_raises_config_error_or_round_trips(self, raw):
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestRunExperiment:
@@ -586,6 +683,11 @@ class TestCli:
         ["experiment", "--config", "@[1, 2]", "--seed", "3"],
         ["experiment", "--config", '@"symbolwise"', "--mode", "mc"],
         ["experiment", "--config", "@[1, 2]"],
+    ] + [
+        ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
+         *flags, "--secret", "0,0,0,0"]
+        for flags in (["--gamma", "const:nan"], ["--gamma", "const:inf"],
+                      ["--ell", "nan"], ["--gamma", "bogus"], ["--n", "0"])
     ])
     def test_failures_exit_one(self, argv, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -596,6 +698,70 @@ class TestCli:
         code, _, err = self.run(argv, capsys)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("raw", MALFORMED)
+    def test_malformed_config_prints_one_error_line(self, raw, tmp_path,
+                                                    capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))   # NaN and Infinity as json writes them
+        code, out, err = self.run(["experiment", "--config", str(path)],
+                                  capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flags,scheme,change", [
+        (["--ell", "-1"], {"kind": "blockwise", "ell": -1}, {}),
+        (["--ell", "nan"], {"kind": "blockwise", "ell": math.nan}, {}),
+        (["--m", "4.5"], {"kind": "symbolwise", "m": 4.5}, {}),
+        (["--m", "1"], {"kind": "symbolwise", "m": 1}, {}),
+        (["--n", "4.7"], {"kind": "blockwise", "ell": 0.0},
+         {"n_values": [4.7]}),
+        (["--n", "0"], {"kind": "blockwise", "ell": 0.0}, {"n_values": [0]}),
+        (["--gamma", "const:inf"], {"kind": "blockwise", "ell": 0.0},
+         {"schedule": {"kind": "constant", "gamma": math.inf}}),
+        (["--gamma", "const"], {"kind": "blockwise", "ell": 0.0},
+         {"schedule": {"kind": "constant"}}),
+        (["--gamma", "const:x"], {"kind": "blockwise", "ell": 0.0},
+         {"schedule": {"kind": "constant", "gamma": "x"}}),
+        (["--gamma", "power:0.9"], {"kind": "blockwise", "ell": 0.0},
+         {"schedule": {"kind": "power_law", "a": 0.9}}),
+    ])
+    def test_flags_and_config_print_the_same_error(self, flags, scheme, change,
+                                                   tmp_path, capsys):
+        # the scheme flags parse through the config's own parser
+        argv = ["encode", "--scheme", scheme["kind"], "--source", "0.7,0.3",
+                "--n", "4", "--secret", "0,0,0,0"] + flags
+        code, _, flag_err = self.run(argv, capsys)
+        assert code == 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(
+            {"source": [0.7, 0.3], "scheme": scheme, "n_values": [4]},
+            **change)))
+        code, _, config_err = self.run(["experiment", "--config", str(path)],
+                                       capsys)
+        assert code == 1
+        assert flag_err == config_err
+        assert flag_err.startswith("error: ") and flag_err.count("\n") == 1
+
+    def test_override_flags_parse_as_config_values(self, config_path,
+                                                   tmp_path, capsys):
+        code, out, _ = self.run(
+            ["experiment", "--config", config_path, "--format", "jsonl",
+             "--mode", "mc", "--trials", "500", "--seed", "4"], capsys)
+        assert code == 0
+        cfg = read_report_jsonl(out).config
+        assert (cfg.mode, cfg.trials, cfg.seed) == ("mc", 500, 4)
+        code, _, flag_err = self.run(
+            ["experiment", "--config", config_path, "--mode", "mc",
+             "--trials", "2.9"], capsys)
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(dict(
+            json.loads(Path(config_path).read_text()), mode="mc", trials=2.9)))
+        code_b, _, config_err = self.run(
+            ["experiment", "--config", str(path)], capsys)
+        assert code == code_b == 1
+        assert flag_err == config_err == (
+            "error: bad config: 'trials' 2.9 is not a whole number\n")
 
     def test_non_object_config_names_the_top_level(self, tmp_path, capsys):
         path = tmp_path / "config.json"

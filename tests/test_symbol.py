@@ -191,10 +191,13 @@ class TestCodecConstruction:
             make_codec(modular_scheme(4, 2), U2, n=0, gamma=0.5)
         with pytest.raises(ValueError):
             make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.0)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_codec(modular_scheme(4, 2), U2, n=4, gamma=gamma)
 
     @pytest.mark.parametrize("change", [
         {"n": 0, "gamma": -1.0}, {"n": 0}, {"gamma": -1.0},
-        {"gamma": math.nan}])
+        {"gamma": math.nan}, {"gamma": math.inf}])
     def test_replace_checks_blocklength_and_gamma(self, change):
         # a derived codec is checked as a new one is, not only by make_codec
         codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.5)

@@ -87,6 +87,8 @@ class TestGammaSchedule:
             GammaSchedule.power_law(0.5)
         with pytest.raises(ValueError):
             GammaSchedule.power_law(0.0)
+        with pytest.raises(ValueError):
+            GammaSchedule.power_law(math.nan)
 
     def test_power_law_limit_behaviour_on_prefix(self):
         # the slack must shrink while sqrt(n) * slack grows
@@ -100,6 +102,9 @@ class TestGammaSchedule:
         assert GammaSchedule.constant(0.3).gamma_at(100) == 0.3
         with pytest.raises(ValueError):
             GammaSchedule.constant(0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GammaSchedule.constant(bad)
 
 
 class TestMembership:
@@ -121,6 +126,13 @@ class TestMembership:
         assert brute_members(SKEW, 4, 0.05) == []
         with pytest.raises(EmptyTypicalSetError):
             build_index(PMF.from_probs(SKEW), 4, 0.05)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        # NaN read as an empty typical set, and inf overflowed the lattice
+        with pytest.raises(ValueError, match="^gamma must be positive and "
+                                             "finite$"):
+            build_index(PMF.from_probs(SKEW), 4, gamma)
 
     def test_uniform_source_everything_typical(self):
         idx = build_index(PMF.uniform(2), 10, 0.1)
