@@ -25,11 +25,6 @@ from .typical import EmptyTypicalSetError
 
 # --gamma form -> schedule kind and the key of its parameter
 _GAMMA_FORMS = {"power": ("power_law", "a"), "const": ("constant", "gamma")}
-# validate-scheme --variant -> splitter builder
-_VARIANTS = {"modular": symbol.modular_scheme,
-             "identity-leak": symbol.identity_leak_scheme,
-             "non-decodable": symbol.nondecodable_scheme,
-             "undersized": symbol.undersized_scheme}
 
 
 def _value(text: str):
@@ -76,12 +71,14 @@ def _build_scheme(args):
     parses and checks as it does a config file."""
     param = "ell" if args.scheme == "blockwise" else "m"
     form, _, arg = args.gamma.partition(":")
-    kind, key = _GAMMA_FORMS.get(form, (form, None))
+    kind, key = _GAMMA_FORMS.get(form, (None, None))
+    # an unknown form stays text, which the parser refuses as a schedule
+    schedule = (args.gamma if kind is None else
+                {"kind": kind, key: _value(arg)} if arg else {"kind": kind})
     cfg = harness.ExperimentConfig.from_dict(
         {"source": args.source, "n_values": [args.n],
          "scheme": {"kind": args.scheme, param: getattr(args, param)},
-         "schedule": {"kind": kind, key: _value(arg)} if key and arg
-         else {"kind": kind}})
+         "schedule": schedule})
     return harness.make_scheme(cfg, cfg.n_values[0])
 
 
@@ -98,12 +95,13 @@ def _cmd_encode(args) -> int:
     secret = _int_list(args.secret)
     rng = RandomStream(args.seed)
     if isinstance(obj, block.BlockwiseParams):
-        x, y = block.encode(obj, secret, obj.draw_randomness(rng))
+        r = obj.draw_randomness(rng)
+        x, y = block.encode(obj, secret, r)
         out = {"x": {"l": x.l, "m": x.m}, "y": {"l": y.l, "m": y.m},
                "l_count": obj.l_count, "m_count": obj.m_count}
     else:
-        xs, ys = symbol.encode_n(obj, secret,
-                                 symbol.draw_randomness_n(obj, rng))
+        rand = symbol.draw_randomness_n(obj, rng)
+        xs, ys = symbol.encode_n(obj, secret, rand)
         out = {"x": list(xs), "y": list(ys)}
     _emit(args, json.dumps(out, sort_keys=True))
     return 0
@@ -118,8 +116,10 @@ def _cmd_decode(args) -> int:
                                block.BlockShare(yl, ym))
     else:
         outcome = symbol.decode_n(obj, _int_list(args.x), _int_list(args.y))
-    _emit(args, json.dumps({"rejected": True} if outcome.rejected
-                           else {"secret": list(outcome.secret)}))
+    if outcome.rejected:
+        _emit(args, json.dumps({"rejected": True}))
+    else:
+        _emit(args, json.dumps({"secret": list(outcome.secret)}))
     return 0
 
 
@@ -133,7 +133,8 @@ def _cmd_attack(args) -> int:
            "success_prob": res.success_prob,
            "optimal_forgery": list(res.optimal_forgery)}
     if res.ci_halfwidth is not None:
-        out.update(ci_halfwidth=res.ci_halfwidth, trials=res.trials)
+        out["ci_halfwidth"] = res.ci_halfwidth
+        out["trials"] = res.trials
     _emit(args, json.dumps(out, sort_keys=True))
     return 0
 
@@ -141,7 +142,13 @@ def _cmd_attack(args) -> int:
 def _cmd_validate(args) -> int:
     source = PMF.from_text(args.source)
     m = args.m if args.m is not None else source.support_size
-    scheme = _VARIANTS[args.variant](m, source.support_size)
+    builders = {
+        "modular": symbol.modular_scheme,
+        "identity-leak": symbol.identity_leak_scheme,
+        "non-decodable": symbol.nondecodable_scheme,
+        "undersized": symbol.undersized_scheme,
+    }
+    scheme = builders[args.variant](m, source.support_size)
     report = symbol.validate_base(scheme, source)
     out = {"scheme": scheme.name, "passed": report.passed,
            "h_s": report.h_s, "h_s_given_x": report.h_s_given_x,
@@ -155,11 +162,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+        raw = json.load(fh)
     # the override flags default to absent: the ones given replace the
-    # file's values, and the result is parsed as a config file is
-    cfg = harness.ExperimentConfig.from_dict(dict(cfg.to_dict(), **{
-        k: v for k, v in vars(args).items() if k in ("seed", "mode", "trials")}))
+    # file's values before the one parse
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in ("seed", "mode", "trials")}
+    cfg = harness.ExperimentConfig.from_dict(
+        dict(raw, **overrides) if isinstance(raw, dict) else raw)
     report = harness.run_experiment(cfg)
     _emit(args, harness.emit_report(report, args.format))
     skipped = [r for r in report.records if r.skipped is not None]
@@ -201,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--m", type=int, default=None,
                    help="share alphabet size (default |S|)")
-    p.add_argument("--variant", default="modular", choices=tuple(_VARIANTS))
+    p.add_argument("--variant", default="modular",
+                   choices=("modular", "identity-leak", "non-decodable",
+                            "undersized"))
     _common_flags(p)
     p.set_defaults(fn=_cmd_validate)
 

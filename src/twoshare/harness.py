@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import math
 import time
@@ -70,12 +71,17 @@ _shown = functools.partial(json.dumps, default=repr)   # null, true, NaN
 
 
 def _number(value, name: str, whole: bool = False):
-    """A finite JSON number: an int where `whole`, else a float."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or whole and value != int(value)):
+    """A finite JSON number: an int where `whole`, else a float.  An int
+    is finite, but one past the float range cannot be a float."""
+    try:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (isinstance(value, int) or math.isfinite(value))
+                or whole and value != int(value)):
+            raise ValueError
+        return int(value) if whole else float(value)
+    except (ValueError, OverflowError):
         raise ConfigError(f"bad config: {name} {_shown(value)} is not a "
-                          f"{'whole' if whole else 'finite'} number")
-    return int(value) if whole else float(value)
+                          f"{'whole' if whole else 'finite'} number") from None
 
 
 def _numbers(value, name: str, whole: bool = False) -> tuple:
@@ -228,7 +234,9 @@ class ExperimentReport:
 
 
 def _verdict(ok: bool | None) -> str:
-    return NOT_APPLICABLE if ok is None else HOLDS if ok else VIOLATED
+    if ok is None:
+        return NOT_APPLICABLE
+    return HOLDS if ok else VIOLATED
 
 
 def _exponent(p: float) -> float:
@@ -397,11 +405,14 @@ def _exp_ok(rec: RunRecord, direct_cap: float, i_xy_bits: float,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate every blocklength; records are assembled in n order."""
     start = time.monotonic()
-    sched, rng, build = cfg.schedule(), RandomStream(cfg.seed), _builder(cfg)
+    sched = cfg.schedule()
+    rng = RandomStream(cfg.seed)
+    build = _builder(cfg)
     records = [_record(cfg, n, sched.gamma_at(n), build, rng, i)
                for i, n in enumerate(cfg.n_values)]
-    return ExperimentReport(config=cfg, records=records,
-                            wall_time_s=time.monotonic() - start)
+    report = ExperimentReport(config=cfg, records=records)
+    report.wall_time_s = time.monotonic() - start
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +426,16 @@ def _fmt(v: float | None) -> str:
 
 
 def emit_csv(report: ExperimentReport) -> str:
-    # n, then the float columns, then one verdict per VERDICT_KEYS entry
-    rows = [CSV_COLUMNS] + [
-        [str(r.n)] + [_fmt(getattr(r, c)) for c in CSV_COLUMNS[1:13]]
-        + [r.verdicts.get(k, NOT_APPLICABLE) for k in VERDICT_KEYS]
-        for r in report.records]
-    return "".join(",".join(row) + "\n" for row in rows)
+    out = io.StringIO()
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    for r in report.records:
+        row = [str(r.n), _fmt(r.gamma_n), _fmt(r.rate_x), _fmt(r.rate_y),
+               _fmt(r.rate_u), _fmt(r.p_e), _fmt(r.p_x), _fmt(r.p_y),
+               _fmt(r.i_sx), _fmt(r.i_sy), _fmt(r.i_xy_per_symbol),
+               _fmt(r.exp_x), _fmt(r.exp_y)]
+        row += [r.verdicts.get(k, NOT_APPLICABLE) for k in VERDICT_KEYS]
+        out.write(",".join(row) + "\n")
+    return out.getvalue()
 
 
 def emit_jsonl(report: ExperimentReport) -> str:
@@ -435,31 +450,52 @@ def emit_jsonl(report: ExperimentReport) -> str:
 
 
 def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"unknown report format {fmt!r}")
-    return emit_csv(report) if fmt == "csv" else emit_jsonl(report)
+    if fmt == "csv":
+        return emit_csv(report)
+    if fmt == "jsonl":
+        return emit_jsonl(report)
+    raise ConfigError(f"unknown report format {fmt!r}")
 
 
 def read_report_jsonl(text: str) -> ExperimentReport:
     """Rebuild a report from its JSON-lines emission."""
-    meta, records = None, []
-    for d in map(json.loads, filter(str.strip, text.splitlines())):
-        if d.pop("type") == "metadata":
-            meta = d
+    config = None
+    version = "?"
+    wall = 0.0
+    records = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d = json.loads(line)
+        kind = d.pop("type")
+        if kind == "metadata":
+            config = ExperimentConfig.from_dict(d["config"])
+            version = d["version"]
+            wall = d["wall_time_s"]
         else:
             records.append(RunRecord(**d))
-    if meta is None:
+    if config is None:
         raise ConfigError("jsonl report lacks a metadata line")
-    return ExperimentReport(config=ExperimentConfig.from_dict(meta["config"]),
-                            records=records, version=meta["version"],
-                            wall_time_s=meta["wall_time_s"])
+    return ExperimentReport(config=config, records=records, version=version,
+                            wall_time_s=wall)
 
 
 def read_report_csv(text: str) -> list[dict]:
-    """Parse the CSV emission into one dict per record: n an int, the
-    verdicts text, every other column a float."""
-    header, *rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    """Parse the CSV emission into one dict per record."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = lines[0].split(",")
     if tuple(header) != CSV_COLUMNS:
         raise ConfigError("unexpected CSV header")
-    return [{k: int(v) if k == "n" else v if k.startswith("v_") else float(v)
-             for k, v in zip(header, row)} for row in rows]
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        row: dict = {}
+        for key, val in zip(header, parts):
+            if key == "n":
+                row[key] = int(val)
+            elif key.startswith("v_"):
+                row[key] = val
+            else:
+                row[key] = float(val)
+        rows.append(row)
+    return rows

@@ -46,6 +46,7 @@ MALFORMED = [
     base_dict(scheme={"kind": "blockwise", "ell": math.nan}),
     dict(base_dict(), schedul={"kind": "constant", "gamma": 0.5}),
     base_dict(scheme={"kind": "symbolwise", "m": 4, "ell": 1.0}),
+    base_dict(scheme={"kind": "blockwise", "ell": 10 ** 400}),
 ]
 
 # any JSON value; no string holds "uniform:", whose k would be allocated
@@ -164,8 +165,11 @@ class TestConfig:
          "bad config: unknown key 'ell' in the symbolwise scheme"),
         (base_dict(source=[0.5, 0.6]),
          "bad config: probabilities sum to 1.1, not 1 within 1e-12"),
+        (base_dict(scheme={"kind": "blockwise", "ell": 10 ** 400}),
+         f"bad config: blockwise 'ell' {10 ** 400} is not a finite number"),
     ], ids=["fractional-n", "boolean-n", "null-ell", "null-a", "nan-gamma",
-            "schedule-text", "typo-key", "other-scheme-key", "source-sum"])
+            "schedule-text", "typo-key", "other-scheme-key", "source-sum",
+            "int-past-float-range"])
     def test_malformed_input_is_named(self, raw, message):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(raw)
@@ -687,7 +691,9 @@ class TestCli:
         ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
          *flags, "--secret", "0,0,0,0"]
         for flags in (["--gamma", "const:nan"], ["--gamma", "const:inf"],
-                      ["--ell", "nan"], ["--gamma", "bogus"], ["--n", "0"])
+                      ["--ell", "nan"], ["--gamma", "bogus"], ["--n", "0"],
+                      ["--gamma", "power_law:0.25"],
+                      ["--gamma", "constant:0.5"], ["--gamma", "power_law"])
     ])
     def test_failures_exit_one(self, argv, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -725,6 +731,9 @@ class TestCli:
          {"schedule": {"kind": "constant", "gamma": "x"}}),
         (["--gamma", "power:0.9"], {"kind": "blockwise", "ell": 0.0},
          {"schedule": {"kind": "power_law", "a": 0.9}}),
+        # a form the flag does not know is text, not a schedule object
+        (["--gamma", "power_law:0.25"], {"kind": "blockwise", "ell": 0.0},
+         {"schedule": "power_law:0.25"}),
     ])
     def test_flags_and_config_print_the_same_error(self, flags, scheme, change,
                                                    tmp_path, capsys):
@@ -762,6 +771,23 @@ class TestCli:
         assert code == code_b == 1
         assert flag_err == config_err == (
             "error: bad config: 'trials' 2.9 is not a whole number\n")
+
+    def test_override_flags_replace_file_values_before_the_parse(
+            self, tmp_path, capsys):
+        # a file invalid on its own runs once an override mends it
+        path = tmp_path / "no_trials.json"
+        path.write_text(json.dumps(base_dict(n_values=[4], mode="mc",
+                                             trials=0)))
+        for flags, mode, trials in ((["--trials", "300"], "mc", 300),
+                                    (["--mode", "exact"], "exact", 0)):
+            code, out, _ = self.run(["experiment", "--config", str(path),
+                                     "--format", "jsonl"] + flags, capsys)
+            assert code == 0
+            cfg = read_report_jsonl(out).config
+            assert (cfg.mode, cfg.trials) == (mode, trials)
+        code, _, err = self.run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        assert err == "error: mc mode needs a positive trial count\n"
 
     def test_non_object_config_names_the_top_level(self, tmp_path, capsys):
         path = tmp_path / "config.json"
