@@ -227,12 +227,12 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
     symbols); ValueError when it falls outside the share alphabet.
     A trial can hit only past a gate that ignores the rest of the trial:
     blockwise, the honest u_l must match the forged one (probability 1/L);
-    symbolwise, no position may score -inf.  So each chunk first draws how
-    many trials pass the gate, one binomial, and only those draw the rest:
-    blockwise the forged masked component and the honest u_m, symbolwise
-    one score-bucket count vector (one multinomial per distinct forged
-    symbol against its row, or one from the forgery-weighted mixture of
-    the rows).  The hit count keeps its exact binomial law.
+    symbolwise, no position may score -inf.  The gate is `_estimate`'s
+    live mass: a chunk draws how many trials pass it, one binomial (none
+    when it is certain), and only those draw the rest: blockwise the forged
+    masked component and the honest u_m, symbolwise one score-bucket count
+    vector (one multinomial per distinct forged symbol against its row, or
+    one from the forgery-weighted mixture of the rows).
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
@@ -241,11 +241,7 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
         clear, draw_live = _symbolwise_gate(scheme, side, forgery)
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-
-    def draw(gen, take):
-        live = gen.binomial(take, clear)
-        return draw_live(gen, live) if live else 0
-    est, half = _estimate(trials, rng, draw)
+    est, half = _estimate(trials, rng, 0.0, clear, draw_live)
     forged = tuple(forgery) if not isinstance(forgery, PMF) else ("sampled",)
     return AttackResult(success_prob=est, optimal_forgery=forged, side=side,
                         mode="mc", trials=trials, ci_halfwidth=half)

@@ -239,4 +239,4 @@ def monte_carlo_error(params: BlockwiseParams, trials: int,
     secret's composition and reads its type class; the rank map is unused.
     """
     idx = params.index
-    return _estimate(trials, rng, atypical_draw(idx.source, idx.n, idx.classes))
+    return _estimate(trials, rng, *atypical_draw(idx.source, idx.n, idx.classes))

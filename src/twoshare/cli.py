@@ -3,9 +3,9 @@
 Subcommands: encode, decode, attack, validate-scheme, experiment.  Every
 subcommand accepts --seed, --mode, --out and --format; flags that a
 subcommand has no use for are accepted and ignored so scripts can pass a
-uniform set.  The scheme flags --source, --n, --ell, --m and --gamma are
-read as a config file's values and checked by `ExperimentConfig.from_dict`,
-so a bad flag prints the error that the same value in a config would.
+uniform set.  The scheme flags, --seed and --trials are read as a config
+file's values and checked as `ExperimentConfig.from_dict` checks them, so
+a bad flag prints the error that the same value in a config would.
 Exit codes: 0 success, 1 configuration error, 2 a checked bound came back
 violated.  `experiment` names each skipped record and its reason on
 stderr, then how many were skipped; skips alone leave exit 0.
@@ -18,6 +18,7 @@ import sys
 
 from . import attack as atk
 from . import block, harness, symbol
+from .harness import _number
 from .prob import PMF, CapExceededError, RandomStream
 from .symbol import SchemeValidationError
 from .typical import EmptyTypicalSetError
@@ -43,12 +44,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="random stream seed")
+    p.add_argument("--seed", type=_value, default=0, help="random stream seed")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                    help="experiment report format")
-    p.add_argument("--trials", type=int, default=100000,
+    p.add_argument("--trials", type=_value, default=100000,
                    help="Monte Carlo trial count")
 
 
@@ -67,8 +68,9 @@ def _scheme_flags(p: argparse.ArgumentParser):
 
 
 def _build_scheme(args):
-    """The scheme flags as a config dict, which `ExperimentConfig.from_dict`
-    parses and checks as it does a config file."""
+    """The run config and its scheme: the scheme flags, --seed, --mode and
+    --trials as a config dict, which `ExperimentConfig.from_dict` parses
+    and checks as it does a config file."""
     param = "ell" if args.scheme == "blockwise" else "m"
     form, _, arg = args.gamma.partition(":")
     kind, key = _GAMMA_FORMS.get(form, (None, None))
@@ -78,8 +80,9 @@ def _build_scheme(args):
     cfg = harness.ExperimentConfig.from_dict(
         {"source": args.source, "n_values": [args.n],
          "scheme": {"kind": args.scheme, param: getattr(args, param)},
-         "schedule": schedule})
-    return harness.make_scheme(cfg, cfg.n_values[0])
+         "schedule": schedule, "seed": args.seed, "mode": args.mode,
+         "trials": args.trials})
+    return cfg, harness.make_scheme(cfg, cfg.n_values[0])
 
 
 def _emit(args, text: str):
@@ -91,9 +94,9 @@ def _emit(args, text: str):
 
 
 def _cmd_encode(args) -> int:
-    obj = _build_scheme(args)
+    cfg, obj = _build_scheme(args)
     secret = _int_list(args.secret)
-    rng = RandomStream(args.seed)
+    rng = RandomStream(cfg.seed)
     if isinstance(obj, block.BlockwiseParams):
         r = obj.draw_randomness(rng)
         x, y = block.encode(obj, secret, r)
@@ -108,7 +111,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    obj = _build_scheme(args)
+    _, obj = _build_scheme(args)
     if isinstance(obj, block.BlockwiseParams):
         xl, xm = _int_list(args.x)
         yl, ym = _int_list(args.y)
@@ -124,11 +127,11 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    obj = _build_scheme(args)
+    cfg, obj = _build_scheme(args)
     res = atk.optimal_attack(obj, args.side)
-    if args.mode == "mc":
+    if cfg.mode == "mc":
         res = atk.monte_carlo_attack(obj, args.side, res.optimal_forgery,
-                                     args.trials, RandomStream(args.seed))
+                                     cfg.trials, RandomStream(cfg.seed))
     out = {"side": res.side, "mode": res.mode,
            "success_prob": res.success_prob,
            "optimal_forgery": list(res.optimal_forgery)}
@@ -141,7 +144,10 @@ def _cmd_attack(args) -> int:
 
 def _cmd_validate(args) -> int:
     source = PMF.from_text(args.source)
-    m = args.m if args.m is not None else source.support_size
+    # judged as a config's whole numbers are; --seed and --trials go unused
+    m, _, _ = [_number(v, f"'{name}'", whole=True) for name, v in (
+        ("m", source.support_size if args.m is None else args.m),
+        ("seed", args.seed), ("trials", args.trials))]
     builders = {
         "modular": symbol.modular_scheme,
         "identity-leak": symbol.identity_leak_scheme,
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-scheme",
                        help="check a per-symbol splitter's profile")
     p.add_argument("--source", required=True)
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_value, default=None,
                    help="share alphabet size (default |S|)")
     p.add_argument("--variant", default="modular",
                    choices=("modular", "identity-leak", "non-decodable",

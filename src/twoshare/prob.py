@@ -159,7 +159,8 @@ class RandomStream:
     Substreams use distinct keys and are statistically independent, which
     makes Monte Carlo work partition-invariant: chunk c always draws from
     substream c no matter which thread runs it.  The generator is built on
-    first use, so a stream that only hands out substreams builds none.
+    first use, so a stream that only hands out substreams builds none, and
+    nor does the substream of a chunk whose outcome is fixed (`_estimate`).
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -182,22 +183,38 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
 
-def _estimate(trials: int, rng: RandomStream,
-              draw_chunk: Callable[[np.random.Generator, int], int]
+def _estimate(trials: int, rng: RandomStream, hit: float, live: float = 0.0,
+              draw_live: Callable[[np.random.Generator, int], int] | None = None
               ) -> tuple[float, float]:
     """Monte Carlo rate of an event, with a 95% half-width.
 
-    `draw_chunk(gen, take)` runs `take` fresh trials on `gen` and returns
-    how many hit.  Chunk c of at most 2**16 trials draws from substream
-    c, so the estimate does not depend on execution order.  Zero hits fall
-    back to the rule of three: the half-width is then the one-sided 95%
-    upper bound 3/trials; otherwise it is the Wald half-width.
+    A trial hits outright with probability `hit`, goes on with probability
+    `live`, and misses otherwise; `draw_live(gen, count)` runs `count`
+    trials that went on and returns how many hit.  Chunk c of at most
+    2**16 trials draws from substream c, so the estimate does not depend
+    on execution order.  A chunk splits its trials by one multinomial over
+    (hit, live, the rest); when `hit` is 0, by one binomial, and not at all
+    when `live` is 1.  With `live` 0 and `hit` 0 or 1 no chunk draws, and
+    no generator is built.  The hit count keeps its exact binomial law.
+    Zero hits fall back to the rule of three: the half-width is then the
+    one-sided 95% upper bound 3/trials; otherwise it is the Wald half-width.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    fixed = not live and hit in (0.0, 1.0)
+    pvals = (hit, live, max(1.0 - hit - live, 0.0))
     hits, chunk = 0, 1 << 16
     for c, start in enumerate(range(0, trials, chunk)):
-        hits += draw_chunk(rng.substream(c).gen, min(chunk, trials - start))
+        take = min(chunk, trials - start)
+        if fixed:
+            hits += take * int(hit)
+            continue
+        gen = rng.substream(c).gen
+        if hit:
+            now, go, _ = gen.multinomial(take, pvals).tolist()
+        else:
+            now, go = 0, take if live == 1.0 else gen.binomial(take, live)
+        hits += now + (draw_live(gen, go) if go else 0)
     if hits == 0:
         return 0.0, 3.0 / trials
     est = hits / trials

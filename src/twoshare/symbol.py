@@ -788,6 +788,6 @@ def monte_carlo_error(codec: SymbolwiseCodec, trials: int,
     accepted, law = codec.lattice.accepted, np.array(codec.laws.legit)
     if np.count_nonzero(law) == 1:
         miss = not accepted(np.where(law > 0.0, codec.n, 0)[None])[0]
-        return _estimate(trials, rng, lambda gen, take: take * miss)
-    return _estimate(trials, rng, lambda gen, take: take - int(
+        return _estimate(trials, rng, float(miss))
+    return _estimate(trials, rng, 0.0, 1.0, lambda gen, take: take - int(
         np.count_nonzero(accepted(gen.multinomial(codec.n, law, size=take)))))

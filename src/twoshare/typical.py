@@ -357,75 +357,56 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _first_counts(n: int, p: float) -> Callable[[np.random.Generator, int],
-                                                np.ndarray]:
-    """Draws of C ~ Binomial(n, p) by inversion, one uniform u each: C is
-    the number of CDF values P(C <= c), c < n, at or below u.  A guide
-    table of 2**e >= 8(n+1) equal cells of [0, 1) holds the count of each
-    cell with no CDF value inside, which every u in it shares; a u in any
-    other cell is searched for in the CDF (the guide table of H. C. Chen
-    and Y. Asau, 1974; L. Devroye 1986, ch. III.2).  The
-    uniforms and the CDF are scaled by 2**e in place, which is exact, and
-    the counts are int32, so a chunk holds few temporaries."""
-    cells = 1 << ((n + 1).bit_length() + 3)
-    cdf = np.cumsum(_binomial_pmf(n, p))[:-1] * cells
-    edges = np.searchsorted(cdf, np.arange(cells + 1), side="right")
-    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1).astype(np.int32)
-
-    def draw(gen: np.random.Generator, take: int) -> np.ndarray:
-        u = gen.random(take)
-        u *= cells
-        c = guide[u.astype(np.int32)]
-        near = np.flatnonzero(c < 0)
-        c[near] = np.searchsorted(cdf, u[near], side="right")
-        return c
-    return draw
-
-
 MISS, HIT, OPEN = 0, 1, 2
 
 
-def _first_count_fates(classes, n: int) -> np.ndarray:
-    """Per first support count c0 = 0..n, the fate of a trial that draws
-    it: MISS when every class with that count is typical, HIT when every
-    one is atypical, OPEN when they are mixed."""
+def _first_count_fates(classes, n: int, g: int) -> np.ndarray:
+    """Per count c = 0..n of support symbol g, the fate of a trial that
+    draws it: MISS when every class with that count is typical, HIT when
+    every one is atypical, OPEN when they are mixed."""
     seen = np.zeros((n + 1, 2), dtype=bool)
     for c in classes:
-        seen[c.counts[0], int(c.typical)] = True
+        seen[c.counts[g], int(c.typical)] = True
     fates = np.where(seen[:, 0], HIT, MISS).astype(np.int8)
     fates[seen.all(axis=1)] = OPEN
     return fates
 
 
-def atypical_draw(source: PMF, n: int,
-                  classes) -> Callable[[np.random.Generator, int], int]:
-    """Trials of the atypical mass: each hits when its block's type class
-    is atypical.  A trial draws the first support symbol's count by
-    inversion; where that count leaves the class undecided, the other
-    counts follow from one multinomial on the rest of the block, and the
-    class is read off its counts.  When every class is on one side, each
-    trial's outcome is fixed, so none is drawn."""
+def atypical_draw(source: PMF, n: int, classes) -> tuple[
+        float, float, Callable[[np.random.Generator, int], int] | None]:
+    """The atypical mass as `_estimate`'s (hit, open, draw_open): a trial
+    hits when its block's type class is atypical.  One support symbol's
+    count often settles that alone, so the gate is the symbol whose count
+    leaves the least mass undecided: `hit` and `open` are the masses of
+    its Binomial(n, p) counts that decide a hit and that leave the class
+    open.  `draw_open` draws an open trial's count from its pmf restricted
+    to the open counts, by inversion, then the other counts with one
+    multinomial on the rest of the block, and reads the class off its
+    counts.  When every class is on one side, each trial's outcome is
+    fixed, so `open` is 0 and `hit` is 0 or 1."""
     sides = {c.typical for c in classes}
     if len(sides) == 1:
-        hit = not sides.pop()
-        return lambda gen, take: take * hit
+        return float(not sides.pop()), 0.0, None
     support = source.probs[source.probs > 0.0]
-    first = _first_counts(n, float(support[0]))
-    fates = _first_count_fates(classes, n)
-    rest = support[1:] / support[1:].sum()
-    hit = prefix_lookup([c.counts[:-1] for c in classes],
-                        [not c.typical for c in classes], n)
+    pmfs = [_binomial_pmf(n, float(p)) for p in support]
+    fates = [_first_count_fates(classes, n, g) for g in range(len(support))]
+    opens = [math.fsum(pmf[fate == OPEN]) for pmf, fate in zip(pmfs, fates)]
+    g = int(np.argmin(opens))
+    hit = math.fsum(pmfs[g][fates[g] == HIT])
+    if not opens[g]:
+        return hit, 0.0, None
+    counts = np.flatnonzero(fates[g] == OPEN)
+    cdf = np.cumsum(pmfs[g][counts])[:-1] / opens[g]
+    rest = np.delete(support, g)
+    rest /= rest.sum()
+    atypical = prefix_lookup([c.counts[:-1] for c in classes],
+                             [not c.typical for c in classes], n)
 
-    def draw(gen: np.random.Generator, take: int) -> int:
-        c0 = first(gen, take)
-        fate = fates[c0]
-        hits = int(np.count_nonzero(fate == HIT))
-        c0 = c0[fate == OPEN]
-        if c0.size:
-            counts = np.column_stack((c0, gen.multinomial(n - c0, rest)))
-            hits += int(np.count_nonzero(hit(counts)))
-        return hits
-    return draw
+    def draw_open(gen: np.random.Generator, take: int) -> int:
+        c = counts[np.searchsorted(cdf, gen.random(take), side="right")]
+        drawn = np.insert(gen.multinomial(n - c, rest), g, c, axis=1)
+        return int(np.count_nonzero(atypical(drawn)))
+    return hit, opens[g], draw_open
 
 
 def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
@@ -436,4 +417,4 @@ def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
     then the one-sided 95% upper bound 3/trials.
     """
     return _estimate(trials, rng,
-                     atypical_draw(source, n, type_classes(source, n, gamma)))
+                     *atypical_draw(source, n, type_classes(source, n, gamma)))

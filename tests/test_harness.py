@@ -687,6 +687,10 @@ class TestCli:
         ["experiment", "--config", "@[1, 2]", "--seed", "3"],
         ["experiment", "--config", '@"symbolwise"', "--mode", "mc"],
         ["experiment", "--config", "@[1, 2]"],
+        # flags argparse once typed itself
+        ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
+         "--secret", "0,0,0,0", "--seed", "x"],
+        ["validate-scheme", "--source", "uniform:2", "--m", "4.5"],
     ] + [
         ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
          *flags, "--secret", "0,0,0,0"]
@@ -704,6 +708,21 @@ class TestCli:
         code, _, err = self.run(argv, capsys)
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
+         "--secret", "0,0,0,0", "--seed", "x"],
+        ["attack", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
+         "--mode", "mc", "--trials", "2.5"],
+        ["validate-scheme", "--source", "uniform:2", "--m", "4.5"],
+        ["validate-scheme", "--source", "uniform:2", "--seed", "x"],
+    ])
+    def test_number_flags_print_one_error_line(self, argv, capsys):
+        # --seed, --trials and validate-scheme's --m are judged as a
+        # config's whole numbers, not by argparse's usage block
+        code, out, err = self.run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad config: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", MALFORMED)
     def test_malformed_config_prints_one_error_line(self, raw, tmp_path,

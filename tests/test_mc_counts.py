@@ -7,9 +7,11 @@ interval of hits/trials at z = 5, wide enough that a correct estimator
 fails with odds of about 3e-7 per check.
 """
 import dataclasses
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,10 +383,35 @@ def exact_binomial_pmf(n, p):
     return np.array(out)
 
 
+class FirstCountGenerator(CountingGenerator):
+    """A counting generator that also keeps the block lengths left to the
+    count-vector draws, n minus each open trial's gated count."""
+
+    def __init__(self, gen, rows, lengths):
+        super().__init__(gen, rows, [])
+        self._lengths = lengths
+
+    def multinomial(self, n, pvals, size=None):
+        if np.ndim(n):
+            self._lengths.append(np.array(n))
+        return super().multinomial(n, pvals, size=size)
+
+
+def gated_symbol(source, n, classes) -> int:
+    """The support symbol whose count leaves the least exact mass open."""
+    support = source.probs[source.probs > 0.0]
+    return int(np.argmin([
+        exact_binomial_pmf(n, float(p))[
+            typical._first_count_fates(classes, n, g) == typical.OPEN].sum()
+        for g, p in enumerate(support)]))
+
+
 class TestFirstCountDraw:
-    """The atypical draw inverts the first support count's binomial CDF on
-    one uniform per trial; only a count that leaves the type class
-    undecided draws the other counts."""
+    """The atypical estimate gates on the support symbol whose count
+    leaves the least mass undecided: each chunk splits its trials into
+    hits, open trials and misses, and only an open trial draws its gated
+    count, by inversion of the pmf restricted to the open counts, and then
+    the other counts."""
 
     @pytest.mark.parametrize("n", [1, 2, 64, 2000])
     @pytest.mark.parametrize("p", [0.01, 0.3, 0.7, 0.99])
@@ -394,62 +421,127 @@ class TestFirstCountDraw:
         assert np.abs(got - exact_binomial_pmf(n, p)).max() <= 1e-12
 
     def test_first_count_frequencies(self):
-        n, p, trials = 64, 0.7, 10 ** 6
-        drawn = typical._first_counts(n, p)(RandomStream(12).gen, trials)
-        freq = np.bincount(drawn, minlength=n + 1) / trials
-        assert freq.shape == (n + 1,)
-        for c, exact in enumerate(exact_binomial_pmf(n, p)):
-            assert covers(freq[c], trials, exact), c
-
-    @pytest.mark.parametrize("n,p", [(1, 0.01), (1, 0.99), (8, 0.5),
-                                     (64, 0.7), (2000, 0.01), (2000, 0.99)])
-    def test_guide_table_agrees_with_a_full_search(self, n, p):
-        # the guide table answers a uniform without a search only in a
-        # cell that no CDF value splits
-        got = typical._first_counts(n, p)(RandomStream(13).gen, 1 << 16)
-        u = RandomStream(13).gen.random(1 << 16)
-        cdf = np.cumsum(typical._binomial_pmf(n, p))[:-1]
-        assert got.tolist() == np.searchsorted(cdf, u, side="right").tolist()
+        # an open trial's gated count follows the exact pmf of that count
+        # given that it is open, and never takes a decided value
+        n, trials = 32, 200_000
+        for probs in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
+            source = PMF.from_probs(probs)
+            classes = typical.type_classes(source, n, power_gamma(n))
+            g = gated_symbol(source, n, classes)
+            pmf = exact_binomial_pmf(n, probs[g])
+            pmf[typical._first_count_fates(classes, n, g)
+                != typical.OPEN] = 0.0
+            pmf /= pmf.sum()
+            _, _, draw_open = typical.atypical_draw(source, n, classes)
+            lengths = []
+            draw_open(FirstCountGenerator(RandomStream(12).gen, [], lengths),
+                      trials)
+            freq = np.bincount(n - lengths[0], minlength=n + 1) / trials
+            assert freq.shape == (n + 1,)
+            for c, exact in enumerate(pmf):
+                assert covers(freq[c], trials, exact), (probs, c)
 
     @pytest.mark.parametrize("source,n", BLOCK_CASES + [
         pytest.param(K3, 32, id="k3-n32"),
         pytest.param(PMF.from_probs([0.4, 0.3, 0.2, 0.1]), 12, id="k4-n12")])
     def test_fates_match_a_scan_of_the_classes(self, source, n):
         classes = typical.type_classes(source, n, power_gamma(n))
-        fates = typical._first_count_fates(classes, n)
-        for c0 in range(n + 1):
-            flags = {c.typical for c in classes if c.counts[0] == c0}
-            want = (typical.OPEN if len(flags) == 2
-                    else typical.MISS if flags == {True} else typical.HIT)
-            assert fates[c0] == want, c0
+        for g in range(len(classes[0].counts)):
+            fates = typical._first_count_fates(classes, n, g)
+            for c0 in range(n + 1):
+                flags = {c.typical for c in classes if c.counts[g] == c0}
+                want = (typical.OPEN if len(flags) == 2
+                        else typical.MISS if flags == {True}
+                        else typical.HIT)
+                assert fates[c0] == want, (g, c0)
 
     def test_two_symbols_draw_no_multinomial(self):
-        # at k=2 the first count fixes the class, so no trial is undecided
+        # at k=2 the first count fixes the class, so no trial is undecided:
+        # each chunk draws one split of its trials and no count vector
         rows = []
         gamma = power_gamma(64)
         est, _ = typical.atypical_mass_mc(SKEW, 64, gamma, 200_000,
                                           CountingStream(14, rows))
-        assert rows == []
+        assert rows == [1] * 4
         exact = build_index(SKEW, 64, gamma).delta
         assert 0.0 < exact and covers(est, 200_000, exact)
+        rows.clear()
         block.monte_carlo_error(blockwise(SKEW, 8), TRIALS,
                                 CountingStream(15, rows))
-        assert rows == []
+        assert rows == [1]
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_three_symbols_draw_fewer_rows_than_trials(self, n):
-        rows = []
         gamma = power_gamma(n)
-        est, _ = typical.atypical_mass_mc(K3, n, gamma, TRIALS,
-                                          CountingStream(16, rows))
-        assert 0 < sum(rows) < TRIALS
-        # a row for each trial whose first count is undecided, and no other
-        classes = typical.type_classes(K3, n, gamma)
-        fates = typical._first_count_fates(classes, n)
-        undecided = exact_binomial_pmf(n, 0.5)[fates == typical.OPEN].sum()
-        assert covers(sum(rows) / TRIALS, TRIALS, undecided)
-        assert covers(est, TRIALS,
-                      typical.TypicalIndex(K3, n, gamma, classes).delta)
+        for probs in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
+            rows, source = [], PMF.from_probs(probs)
+            est, _ = typical.atypical_mass_mc(source, n, gamma, TRIALS,
+                                              CountingStream(16, rows))
+            # one split of the chunk, then a row for each trial whose gated
+            # count is undecided, and no other
+            split, drawn = rows
+            assert split == 1 and 0 < drawn < TRIALS
+            classes = typical.type_classes(source, n, gamma)
+            g = gated_symbol(source, n, classes)
+            undecided = exact_binomial_pmf(n, probs[g])[
+                typical._first_count_fates(classes, n, g)
+                == typical.OPEN].sum()
+            assert covers(drawn / TRIALS, TRIALS, undecided)
+            assert covers(est, TRIALS,
+                          typical.TypicalIndex(source, n, gamma, classes).delta)
+
+    def test_either_symbol_order_gates_on_the_same_mass(self):
+        # the undecided mass of the first symbol's count is 0.10 in one
+        # order and 0.9999997 in the other; the least one is the same
+        n = 30
+        draws = [typical.atypical_draw(PMF.from_probs(p), n,
+                                       typical.type_classes(
+                                           PMF.from_probs(p), n,
+                                           power_gamma(n)))
+                 for p in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])]
+        (hit_a, open_a, _), (hit_b, open_b, _) = draws
+        assert 0.0 < hit_a and 0.0 < open_a < 0.11
+        assert hit_a == pytest.approx(hit_b, abs=1e-15)
+        assert open_a == pytest.approx(open_b, abs=1e-15)
+
+    @pytest.mark.parametrize("probs", [
+        pytest.param([0.5, 0.3, 0.2], id="k3"),
+        pytest.param([0.2, 0.3, 0.5], id="k3-reversed")])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_gated_estimate_covers_delta(self, probs, n):
+        # both a hit and an open trial have positive mass, so a chunk
+        # splits three ways
+        source, gamma, trials = PMF.from_probs(probs), power_gamma(n), 200_000
+        classes = typical.type_classes(source, n, gamma)
+        hit, live, _ = typical.atypical_draw(source, n, classes)
+        assert hit > 0.0 and live > 0.0
+        est, _ = typical.atypical_mass_mc(source, n, gamma, trials,
+                                          RandomStream(17))
+        assert covers(est, trials,
+                      typical.TypicalIndex(source, n, gamma, classes).delta)
+
+
+class TestShippedMonteCarloStreams:
+    """The gated estimator leaves these streams where they were: every
+    attack estimate, and a p_e whose outcome is fixed (one score bucket;
+    every type class on one side).  Values from the reports before it."""
+
+    PINNED = {
+        "symbolwise_mc": {8: (0.0, 0.003847, 0.003944),
+                          16: (0.0, 2.4e-05, 1.2e-05),
+                          32: (0.0, 0.0, 0.0)},
+        "blockwise_uniform_mc": {6: (0.0, 0.002005, 0.00183),
+                                 8: (0.0, 0.00025, 0.000265),
+                                 10: (0.0, 4e-05, 1.5e-05)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_estimates_are_pinned(self, name):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        cfg = harness.ExperimentConfig.from_dict(json.loads(path.read_text()))
+        got = {r.n: (r.p_e, r.p_x, r.p_y)
+               for r in harness.run_experiment(cfg).records}
+        assert got == self.PINNED[name]
 
 
 class TestBlockwiseGate:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (JointPMF, RationalJoint, entropy_mp, induce_joint,
                      iid_extension, pushforward, sample)
-from twoshare import harness
+from twoshare import block, harness, symbol, typical
 from twoshare.prob import (
     PMF, RandomStream, CapExceededError, entropy, binary_entropy,
     mutual_information, conditional_entropy,
@@ -310,6 +310,28 @@ class TestRandomStream:
         stream = RandomStream(42).substream(3)
         assert built == []
         assert stream.gen is stream.gen and built == [1]
+
+    def test_fixed_outcomes_build_no_generator(self, monkeypatch):
+        # an estimate whose table fixes every trial's outcome draws nothing,
+        # so it builds no Philox; a k=2 atypical estimate builds one per
+        # chunk of 2**16 trials, to split the chunk's trials
+        built, philox = [], np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *args, **kw: built.append(1) or philox(*args, **kw))
+        rng, u2 = RandomStream(4), PMF.uniform(2)
+        # symbolwise_mc at n=8: one score bucket holds every legitimate pair
+        codec = symbol.make_codec(symbol.modular_scheme(4, 2), u2, 8, 0.25)
+        assert symbol.monte_carlo_error(codec, 10 ** 6, rng) == (0.0, 3e-06)
+        # blockwise_uniform_mc at n=6: every type class is typical
+        params = block.BlockwiseParams(1.5, typical.build_index(u2, 6, 0.4))
+        assert block.monte_carlo_error(params, 200_000, rng)[0] == 0.0
+        # at n=1 every type class of the skewed source is atypical
+        skew = PMF.from_probs([0.7, 0.3])
+        assert typical.atypical_mass_mc(skew, 1, 0.01, 200_000, rng) \
+            == (1.0, 0.0)
+        assert built == []
+        typical.atypical_mass_mc(skew, 64, 64 ** (-1 / 3), 200_000, rng)
+        assert built == [1] * 4
 
     def test_sample_follows_cdf(self):
         p = PMF.from_probs([0.7, 0.3])
