@@ -13,8 +13,6 @@ from .prob import (
     CapExceededError,
     entropy,
     binary_entropy,
-    mutual_information,
-    conditional_entropy,
 )
 from .typical import (
     GammaSchedule,
@@ -45,7 +43,6 @@ from .symbol import (
     fstar,
     gstar,
     modular_scheme,
-    modular_correlation_level,
     identity_leak_scheme,
     nondecodable_scheme,
     undersized_scheme,
@@ -64,8 +61,6 @@ from .attack import (
     blockwise_attack,
     symbolwise_attack,
     monte_carlo_attack,
-    exponent_points,
-    exponent_fit,
     blockwise_test_quantities,
     logsum_bound_check,
     fano_check,

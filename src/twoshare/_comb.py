@@ -1,0 +1,109 @@
+"""Compositions and their multinomial weights, for both exact engines.
+
+A composition of t into p parts is a vector of p non-negative counts that
+sum to t.  The blockwise engine sums over the type classes of an n-block,
+the compositions of n over the source's support; the symbolwise engine
+sums over the count vectors of the score lattice.  Both weigh a vector by
+its multinomial, and both find a vector's prefix by its rank, Cover's
+enumerative coding (IEEE T-IT 1973).  This module answers once how many
+and which compositions there are, and in what order.
+"""
+from __future__ import annotations
+
+import functools
+import math
+from typing import Callable
+
+import numpy as np
+
+
+def composition_count(total: int, parts: int) -> int:
+    """How many compositions of `total` into `parts` there are:
+    C(total+parts-1, parts-1)."""
+    return math.comb(total + parts - 1, parts - 1)
+
+
+def compositions(total: int, parts: int) -> np.ndarray:
+    """Every composition of `total` into `parts`, one per row, in
+    lexicographic order: the first count ascends, each later count ascends
+    within its prefix, and the last takes the rest.  Take rows with
+    `.tolist()` for exact integer arithmetic."""
+    if parts == 1:
+        return np.array([[total]])
+    col = np.arange(total + 1)
+    cols, rest = [col], total - col
+    for _ in range(parts - 2):
+        size = rest + 1
+        col = np.arange(size.sum()) - np.repeat(size.cumsum() - size, size)
+        cols = [np.repeat(c, size) for c in cols] + [col]
+        rest = np.repeat(rest, size) - col
+    return np.array(cols + [rest]).T
+
+
+def multinomial(counts) -> int:
+    """Number of sequences with the given symbol counts, exactly."""
+    out, rem = 1, sum(counts)
+    for c in counts:
+        out *= math.comb(rem, c)
+        rem -= c
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def log2_factorials(m: int) -> np.ndarray:
+    """log2(t!) for t = 0..m, each rounded once from the exact integer,
+    then m+1 entries of +inf, so t = -1..-(m+1) reads +inf: a binomial
+    term C(r, a) with a > r gets log2 weight -inf."""
+    out, f = [0.0], 1
+    for t in range(1, m + 1):
+        f *= t
+        out.append(math.log2(f))
+    table = np.array(out + [math.inf] * (m + 1))
+    table.flags.writeable = False
+    return table
+
+
+def _prefix_rank(n: int, digits: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Rank of each row's prefix, its leading d = `digits` counts summing
+    to at most n, onto [0, C(n+d, d)).  The running sums S_1 <= ... <= S_d
+    <= n, shifted to S_i + i - 1, are a d-subset of [0, n+d), and its rank
+    in the combinatorial number system is the sum of C(S_i + i - 1, i),
+    read off one (n+1) x (d+1) table.  The first term, C(S_1, 1), is the
+    first count itself, so a one-count prefix is its own rank."""
+    table = np.array([[math.comb(t + i - 1, i) if t else 0
+                       for i in range(digits + 1)] for t in range(n + 1)],
+                     dtype=np.int64)
+
+    def rank(rows: np.ndarray) -> np.ndarray:
+        if not digits:
+            return np.zeros(len(rows), dtype=np.int64)
+        out = total = rows[:, 0]
+        for i in range(1, digits):
+            total = total + rows[:, i]
+            out = out + table[total, i + 1]
+        return out
+    return rank
+
+
+def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The value of each row's prefix, for rows of count vectors that sum
+    to n: a prefix is a row's leading counts, and `prefixes` holds every
+    prefix a row can have, each once, with its value alongside; ValueError
+    when they do not.  The values sit in an array by `_prefix_rank`, so a
+    lookup is one gather per prefix count."""
+    table = np.array(prefixes, dtype=np.int64)
+    digits = table.shape[1]
+    # a prefix and the count it leaves form a composition of n
+    size = composition_count(n, digits + 1)
+    rank = _prefix_rank(n, digits)
+    # in range, each prefix has a rank below size: the ranks are then a
+    # permutation exactly when none repeats
+    if (len(table) != size or table.min(initial=0) < 0
+            or table.sum(axis=1).max(initial=0) > n
+            or np.bincount(ranks := rank(table), minlength=size).max() != 1):
+        raise ValueError(f"prefixes must list each of the {size} prefixes of "
+                         f"{digits} counts summing to at most {n} once")
+    values = np.asarray(values)
+    by_rank = np.empty(size, dtype=values.dtype)
+    by_rank[ranks] = values
+    return lambda counts: by_rank[rank(counts)]

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from ._comb import composition_count, compositions
 from .block import BlockShare, BlockwiseParams
 from .prob import PMF, RandomStream, _estimate, as_symbol, binary_entropy
 from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
                      walk_size)
-from .typical import compositions
 
 
 @dataclass(frozen=True)
@@ -94,16 +93,17 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     def points(counts) -> int:
         *rest, last = zip(counts, sizes)
         return walk_size(*last) * math.prod(
-            math.comb(c + d - 1, d - 1) if d else 1 for c, d in rest)
+            composition_count(c, d) if d else 1 for c, d in rest)
 
     # each composition walks at least one point: bound the scan first
-    check_lattice_points(n, math.comb(n + kc - 1, kc - 1), type_cap)
-    check_lattice_points(n, sum(map(points, compositions(n, kc))), type_cap)
+    check_lattice_points(n, composition_count(n, kc), type_cap)
+    scan = compositions(n, kc).tolist()
+    check_lattice_points(n, sum(map(points, scan)), type_cap)
     steps = [{w: q for w, q in zip(lat.weights, ms) if q > 0.0}
              for ms in masses]
     best_prob = -1.0
     best_seq: tuple[int, ...] | None = None
-    for counts in compositions(n, kc):
+    for counts in scan:
         law = {0: 1.0}   # integer score of the other classes' positions
         for step, cnt in zip(steps, counts[:-1]):
             for _ in range(cnt):
@@ -245,51 +245,6 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
     forged = tuple(forgery) if not isinstance(forgery, PMF) else ("sampled",)
     return AttackResult(success_prob=est, optimal_forgery=forged, side=side,
                         mode="mc", trials=trials, ci_halfwidth=half)
-
-
-# ---------------------------------------------------------------------------
-# Exponents
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares fits of -log2(P) against n.
-
-    `slope` is the through-origin fit; the affine fit is reported alongside
-    because a through-origin fit picks up an n-independent bias at small n.
-    Points with zero probability are excluded and listed in `excluded`.
-    """
-
-    slope: float
-    affine_slope: float
-    affine_intercept: float
-    points: tuple[tuple[int, float], ...]
-    excluded: tuple[int, ...]
-
-
-def exponent_points(pairs: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:
-    """Per-point exponents -(1/n) log2 P; zero probabilities map to inf."""
-    out = []
-    for n, p in pairs:
-        if p < 0.0 or p > 1.0:
-            raise ValueError(f"probability {p!r} outside [0, 1]")
-        out.append((n, math.inf if p == 0.0 else -math.log2(p) / n))
-    return out
-
-
-def exponent_fit(pairs: Sequence[tuple[int, float]]) -> ExponentFit:
-    used = [(n, p) for n, p in pairs if p > 0.0]
-    excluded = tuple(n for n, p in pairs if p == 0.0)
-    if len(used) < 2:
-        raise ValueError("need at least two positive-probability points")
-    ns = np.array([n for n, _ in used], dtype=np.float64)
-    ys = np.array([-math.log2(p) for _, p in used])
-    slope = float(np.dot(ns, ys) / np.dot(ns, ns))
-    affine_slope, affine_intercept = (float(v) for v in np.polyfit(ns, ys, 1))
-    points = tuple((int(n), float(y / n)) for n, y in zip(ns, ys))
-    return ExponentFit(slope=slope, affine_slope=affine_slope,
-                       affine_intercept=affine_intercept, points=points,
-                       excluded=excluded)
 
 
 # ---------------------------------------------------------------------------

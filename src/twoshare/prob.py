@@ -1,9 +1,8 @@
-"""Finite probability mass functions and exact information quantities.
+"""Finite probability mass functions, their entropies, and reproducible
+randomness for Monte Carlo estimates.
 
-All entropies and mutual informations are in bits (logs base 2) and use the
-0 * log 0 = 0 convention.  Probabilities are 64-bit floats; the
-information functions take plain probability arrays, validated by their
-caller.
+Entropies are in bits (logs base 2) and use the 0 * log 0 = 0 convention.
+Probabilities are 64-bit floats.
 """
 from __future__ import annotations
 
@@ -68,12 +67,6 @@ class PMF:
         return cls(np.full(k, 1.0 / k))
 
     @classmethod
-    def point_mass(cls, k: int, at: int) -> "PMF":
-        arr = np.zeros(k)
-        arr[at] = 1.0
-        return cls(arr)
-
-    @classmethod
     def from_text(cls, text: str) -> "PMF":
         """Parse a PMF from external text.
 
@@ -115,35 +108,6 @@ def binary_entropy(q: float) -> float:
     if q == 0.0 or q == 1.0:
         return 0.0
     return float(-q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q))
-
-
-MI_TOL = 1e-9
-
-
-def mutual_information(table: np.ndarray) -> float:
-    """I(A;B) in bits of a two-axis probability table P(A,B).
-
-    Float rounding can push the sum a hair below zero; values within
-    1e-9 of zero are clamped, anything lower is treated as a bug.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError("mutual information needs a two-axis table")
-    pa = table.sum(axis=1)
-    pb = table.sum(axis=0)
-    mask = table > 0.0
-    num = table[mask]
-    den = np.outer(pa, pb)[mask]
-    value = float((num * np.log2(num / den)).sum())
-    if value < -MI_TOL:
-        raise ArithmeticError(f"mutual information {value} below -{MI_TOL}")
-    return max(value, 0.0)
-
-
-def conditional_entropy(table: np.ndarray, target_axis: int = 0) -> float:
-    """H(target | all other axes) = H(table) - H(table summed over target)."""
-    table = np.asarray(table, dtype=np.float64)
-    return _entropy_bits(table) - _entropy_bits(table.sum(axis=target_axis))
 
 
 # ---------------------------------------------------------------------------

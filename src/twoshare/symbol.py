@@ -27,10 +27,11 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from ._comb import (composition_count, compositions, log2_factorials,
+                    prefix_lookup)
 from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, PMF, RandomStream, _estimate, as_symbol,
                    entropy)
-from .typical import prefix_lookup
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,6 @@ def modular_scheme(share_size: int, secret_size: int) -> BaseScheme:
         secret_size=secret_size, share_size=share_size, rand_size=share_size,
         encode_fn=lambda s, u: fstar(share_size, s, u),
         decode_fn=lambda x, y: gstar(share_size, secret_size, x, y))
-
-
-def modular_correlation_level(share_size: int, source: PMF) -> float:
-    """Correlation level log2(M) - H(S) of the modular splitter."""
-    if share_size < source.support_size:
-        raise ValueError("share alphabet must cover the secret alphabet")
-    return math.log2(share_size) - entropy(source)
 
 
 # deliberately broken splitters, used to exercise the validator
@@ -532,38 +526,12 @@ def check_lattice_points(n: int, points: int, cap: int = LATTICE_CAP):
 def walk_size(m: int, values: int) -> int:
     """Prefixes `ScoreLattice.mass` walks for m positions over `values`
     values of positive mass: C(m+c-2, c-2), and one below two values."""
-    return math.comb(m + values - 2, values - 2) if values >= 2 else 1
+    return composition_count(m, values - 1) if values >= 2 else 1
 
 
 # floats in one block of binomial rows that `ScoreLattice.mass` builds at
 # once; a row longer than this still makes a block of its own
 MASS_BLOCK = 1 << 14
-
-
-@functools.lru_cache(maxsize=16)
-def _log2_factorials(m: int) -> np.ndarray:
-    """log2(t!) for t = 0..m, each rounded once from the exact integer,
-    then m+1 entries of +inf, so t = -1..-(m+1) reads +inf: a binomial
-    term C(r, a) with a > r gets log2 weight -inf."""
-    out, f = [0.0], 1
-    for t in range(1, m + 1):
-        f *= t
-        out.append(math.log2(f))
-    table = np.array(out + [math.inf] * (m + 1))
-    table.flags.writeable = False
-    return table
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every way to split `total` into `parts` ordered counts, one per
-    row; the first count ascends and the last takes the rest."""
-    cols, rest = [], np.array([total])
-    for _ in range(parts - 1):
-        size = rest + 1
-        col = np.arange(size.sum()) - np.repeat(size.cumsum() - size, size)
-        cols = [np.repeat(c, size) for c in cols] + [col]
-        rest = np.repeat(rest, size) - col
-    return np.array(cols + [rest]).T
 
 
 def _row_tails(lf: np.ndarray, lq_i: float, lq_j: float, r: np.ndarray,
@@ -639,7 +607,7 @@ class ScoreLattice:
         """
         *head_idx, i, j = idx
         w = self.weights
-        prefixes = _compositions(m, len(head_idx) + 1)
+        prefixes = compositions(m, len(head_idx) + 1)
         heads, r = prefixes[:, 1:], prefixes[:, 0]
         span = w[j] - w[i]
         # x + span - 1 = base + heads.steps; its floor over span is the ceil
@@ -705,7 +673,7 @@ class ScoreLattice:
         else:
             check_lattice_points(m, walk_size(m, len(idx)))
             heads, r, cut = self.cuts(m, idx, offset)
-        lf = _log2_factorials(m)
+        lf = log2_factorials(m)
         *head_logs, lq_i, lq_j = (math.log2(masses[j]) for j in idx)
         tops, tails = _row_tails(lf, lq_i, lq_j, r, cut, accepted)
         logw = lf[m] + tops

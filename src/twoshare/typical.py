@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._comb import compositions, multinomial, prefix_lookup
 from .prob import PMF, RandomStream, _estimate, as_symbol, entropy
 
 
@@ -106,27 +107,9 @@ class TypeClass(NamedTuple):
         return 2.0 ** (math.log2(self.count) + self.logp)
 
 
-def compositions(total: int, parts: int):
-    """Every way to split `total` into `parts` ordered non-negative counts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def multinomial(counts) -> int:
-    """Number of sequences with the given symbol counts, exactly."""
-    out, rem = 1, sum(counts)
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
-
-
 def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
-    """Every composition of a length-n block over the source's support.
+    """Every composition of a length-n block over the source's support, in
+    lexicographic order.
 
     Membership is decided once per class from its counts, by the window
     test `is_typical` applies.  Compositions that use a zero-probability
@@ -142,7 +125,7 @@ def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
     return [TypeClass(counts, multinomial(counts),
                       math.fsum(c * lg for c, lg in zip(counts, logs)),
                       _in_window(counts, surprisals, h, gamma))
-            for counts in compositions(n, len(support))]
+            for counts in map(tuple, compositions(n, len(support)).tolist())]
 
 
 class TypicalIndex:
@@ -183,7 +166,7 @@ class TypicalIndex:
             b += 1
         find, tables = {}, {}
         for t in {b, n % b or b}:
-            comps = list(compositions(t, parts))
+            comps = list(map(tuple, compositions(t, parts).tolist()))
             where = {c: i for i, c in enumerate(comps)}
             values = []
             for slots in itertools.product(range(parts), repeat=t):
@@ -297,51 +280,6 @@ def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
         raise EmptyTypicalSetError(
             f"no sequence is typical at n={n}, gamma={gamma}")
     return index
-
-
-def _prefix_rank(n: int, digits: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Rank of each row's prefix, its leading d = `digits` counts summing
-    to at most n, onto [0, C(n+d, d)).  The running sums S_1 <= ... <= S_d
-    <= n, shifted to S_i + i - 1, are a d-subset of [0, n+d), and its rank
-    in the combinatorial number system is the sum of C(S_i + i - 1, i),
-    read off one (n+1) x (d+1) table.  The first term, C(S_1, 1), is the
-    first count itself, so a one-count prefix is its own rank."""
-    table = np.array([[math.comb(t + i - 1, i) if t else 0
-                       for i in range(digits + 1)] for t in range(n + 1)],
-                     dtype=np.int64)
-
-    def rank(rows: np.ndarray) -> np.ndarray:
-        if not digits:
-            return np.zeros(len(rows), dtype=np.int64)
-        out = total = rows[:, 0]
-        for i in range(1, digits):
-            total = total + rows[:, i]
-            out = out + table[total, i + 1]
-        return out
-    return rank
-
-
-def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The value of each row's prefix, for rows of count vectors that sum
-    to n: a prefix is a row's leading counts, and `prefixes` holds every
-    prefix a row can have, each once, with its value alongside; ValueError
-    when they do not.  The values sit in an array by `_prefix_rank`, so a
-    lookup is one gather per prefix count."""
-    table = np.array(prefixes, dtype=np.int64)
-    digits = table.shape[1]
-    size = math.comb(n + digits, digits)
-    rank = _prefix_rank(n, digits)
-    # in range, each prefix has a rank below size: the ranks are then a
-    # permutation exactly when none repeats
-    if (len(table) != size or table.min(initial=0) < 0
-            or table.sum(axis=1).max(initial=0) > n
-            or np.bincount(ranks := rank(table), minlength=size).max() != 1):
-        raise ValueError(f"prefixes must list each of the {size} prefixes of "
-                         f"{digits} counts summing to at most {n} once")
-    values = np.asarray(values)
-    by_rank = np.empty(size, dtype=values.dtype)
-    by_rank[ranks] = values
-    return lambda counts: by_rank[rank(counts)]
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:

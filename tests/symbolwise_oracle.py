@@ -28,12 +28,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import scheme_joint, share_laws
+from oracles import (conditional_entropy, mutual_information, scheme_joint,
+                     share_laws)
+from twoshare._comb import compositions
 from twoshare.attack import AttackResult, TestQuantities, _check_side
-from twoshare.prob import CapExceededError, conditional_entropy, mutual_information
+from twoshare.prob import CapExceededError
 from twoshare.symbol import (LatticeLaws, ScoreLattice, SymbolQuantities,
                              SymbolwiseCodec)
-from twoshare.typical import compositions
 
 TYPE_CAP = 1 << 20
 
@@ -353,7 +354,7 @@ def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult
     masses, class_min = list(classes), list(classes.values())
     best_prob = -1.0
     best_seq = None
-    for counts in compositions(n, len(masses)):
+    for counts in compositions(n, len(masses)).tolist():
         dist = None
         for ci, cnt in enumerate(counts):
             if cnt:

@@ -16,11 +16,11 @@ import pytest
 
 import oracles
 from blockwise_oracle import atypical_mass, xi_plus_all
-from oracles import JointPMF, iid_extension
+from oracles import JointPMF, iid_extension, mutual_information
 
 from twoshare import attack as atk
 from twoshare import block, harness, symbol
-from twoshare.prob import PMF, RandomStream, entropy, mutual_information
+from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import GammaSchedule, build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])

@@ -1,6 +1,6 @@
 """Attack-search tests: brute-force oracles over every forged share, the
-closed-form uniform-success facts, Monte Carlo paths, exponent fitting, and
-the converse bound checkers."""
+closed-form uniform-success facts, Monte Carlo paths, exponents, and the
+converse bound checkers."""
 import itertools
 import math
 
@@ -13,9 +13,9 @@ from oracles import (attack_bruteforce, iid_extension, share_laws,
                      symbolwise_test_quantities)
 from oracles import test_quantities as dense_test_quantities
 from twoshare.attack import (blockwise_attack, blockwise_test_quantities,
-                             converse_exponent_check, exponent_fit,
-                             exponent_points, fano_check, logsum_bound_check,
-                             monte_carlo_attack, symbolwise_attack)
+                             converse_exponent_check, fano_check,
+                             logsum_bound_check, monte_carlo_attack,
+                             symbolwise_attack)
 from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
 from oracles import JointPMF
@@ -300,43 +300,6 @@ class TestMonteCarloAttack:
 
 
 class TestExponents:
-    def test_points(self):
-        pts = exponent_points([(2, 0.25), (4, 1.0 / 16.0), (3, 0.0)])
-        assert pts[0] == (2, pytest.approx(1.0, abs=1e-12))
-        assert pts[1] == (4, pytest.approx(1.0, abs=1e-12))
-        assert pts[2] == (3, math.inf)
-
-    def test_points_reject_bad_probability(self):
-        with pytest.raises(ValueError):
-            exponent_points([(2, 1.5)])
-        with pytest.raises(ValueError):
-            exponent_points([(2, -0.1)])
-
-    def test_fit_recovers_pure_exponential(self):
-        pairs = [(n, 2.0 ** (-0.7 * n)) for n in (4, 8, 12)]
-        fit = exponent_fit(pairs)
-        assert fit.slope == pytest.approx(0.7, abs=1e-9)
-        assert fit.affine_slope == pytest.approx(0.7, abs=1e-9)
-        assert fit.affine_intercept == pytest.approx(0.0, abs=1e-9)
-        assert fit.excluded == ()
-
-    def test_fit_separates_bias_from_rate(self):
-        pairs = [(n, 2.0 ** (-(0.5 * n + 2.0))) for n in (4, 8, 16)]
-        fit = exponent_fit(pairs)
-        assert fit.affine_slope == pytest.approx(0.5, abs=1e-9)
-        assert fit.affine_intercept == pytest.approx(2.0, abs=1e-9)
-        # through-origin fit absorbs the bias into a larger slope
-        assert fit.slope > 0.5
-
-    def test_fit_excludes_zero_probability_points(self):
-        fit = exponent_fit([(4, 0.5), (8, 0.0), (12, 2.0 ** -6)])
-        assert fit.excluded == (8,)
-        assert len(fit.points) == 2
-
-    def test_fit_needs_two_points(self):
-        with pytest.raises(ValueError):
-            exponent_fit([(4, 0.5), (8, 0.0)])
-
     def test_blockwise_exponents_approach_level_from_above(self):
         es = []
         for n in (4, 8):

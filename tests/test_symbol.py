@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoshare import harness, symbol
-from oracles import (JointPMF, gamma_for_threshold, scheme_joint, share_laws,
-                     splitter_profile)
-from twoshare.prob import PMF, RandomStream, entropy, mutual_information
+from oracles import (JointPMF, gamma_for_threshold, mutual_information,
+                     scheme_joint, share_laws, splitter_profile)
+from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
@@ -22,7 +22,7 @@ from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              accepts_n, decode_n, draw_randomness_n, encode_n,
                              exact_symbolwise_quantities, fstar, gstar,
                              identity_leak_scheme, llr_score, make_codec,
-                             modular_correlation_level, modular_scheme,
+                             modular_scheme,
                              monte_carlo_error, nondecodable_scheme,
                              score_lattice, undersized_scheme,
                              validate_base)
@@ -74,24 +74,23 @@ class TestSplitterAlgebra:
 
 
 class TestCorrelationLevel:
+    """The modular splitter's correlation level is ell = log2(M) - H(S)."""
+
     def test_matches_share_mutual_information(self):
-        # the closed form log2(M) - H(S) must equal I(X;Y) of the induced joint
+        # the closed form must equal I(X;Y) of the induced joint
         for m, source in ((2, U2), (3, SKEW), (4, SKEW), (4, U2)):
-            lvl = modular_correlation_level(m, source)
+            lvl = math.log2(m) - entropy(source)
             joint = scheme_joint(modular_scheme(m, source.support_size), source)
             assert mutual_information(joint.marginal(2, 3)) == pytest.approx(
                 lvl, abs=1e-9)
 
     def test_skewed_value(self):
-        assert modular_correlation_level(3, SKEW) == pytest.approx(
+        assert validate_base(modular_scheme(3, 2), SKEW).ell == pytest.approx(
             math.log2(3) - H_73, abs=1e-12)
 
     def test_uniform_matched_alphabet_is_zero(self):
-        assert modular_correlation_level(2, U2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_undersized_alphabet(self):
-        with pytest.raises(ValueError):
-            modular_correlation_level(2, U3)
+        assert validate_base(modular_scheme(2, 2), U2).ell == pytest.approx(
+            0.0, abs=1e-12)
 
 
 class TestValidateBase:

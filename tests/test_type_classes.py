@@ -28,7 +28,7 @@ CASES = (
     + [pytest.param(PMF.uniform(2), n, 1.5, 0.4, id=f"uniform2-n{n}")
        for n in (6, 8, 10)]
     + [pytest.param(K3, n, 1.0, power_gamma(n), id=f"k3-n{n}") for n in (6, 8)]
-    + [pytest.param(PMF.point_mass(2, 0), 6, 0.5, power_gamma(6),
+    + [pytest.param(PMF.from_probs([1.0, 0.0]), 6, 0.5, power_gamma(6),
                     id="point-mass")]
 )
 
@@ -66,7 +66,7 @@ INDEX_CASES = (
     + [pytest.param(PMF.from_probs([0.6, 0.0, 0.4]), 8, power_gamma(8),
                     id="zero-probability-symbol"),
        pytest.param(PMF.uniform(2), 10, 0.4, id="uniform2-n10"),
-       pytest.param(PMF.point_mass(2, 0), 6, power_gamma(6),
+       pytest.param(PMF.from_probs([1.0, 0.0]), 6, power_gamma(6),
                     id="point-mass")]
 )
 
