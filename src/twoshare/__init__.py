@@ -6,7 +6,7 @@ to the secret, and a forged substitute for either share is caught with
 probability approaching one as the block grows.
 """
 from ._version import __version__
-from .outcome import DecodeOutcome, REJECT, accepted
+from .outcome import DecodeOutcome, REJECT
 from .prob import (
     PMF,
     RandomStream,

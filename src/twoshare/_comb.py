@@ -6,7 +6,8 @@ the compositions of n over the source's support; the symbolwise engine
 sums over the count vectors of the score lattice.  Both weigh a vector by
 its multinomial, and both find a vector's prefix by its rank, Cover's
 enumerative coding (IEEE T-IT 1973).  This module answers once how many
-and which compositions there are, and in what order.
+and which compositions there are, in what order, and how a float
+threshold on their weighted sums becomes an exact int comparison.
 """
 from __future__ import annotations
 
@@ -38,6 +39,15 @@ def compositions(total: int, parts: int) -> np.ndarray:
         cols = [np.repeat(c, size) for c in cols] + [col]
         rest = np.repeat(rest, size) - col
     return np.array(cols + [rest]).T
+
+
+def over_one_denominator(values) -> list[int]:
+    """Binary fractions (floats) as the ints that put them over their
+    common denominator, a power of two: the ints keep the values' exact
+    ratios, so sums and comparisons of the values are exact int ones."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios]
 
 
 def multinomial(counts) -> int:

@@ -211,7 +211,8 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
     idx = params.index
     source = idx.source
     m, delta = idx.m_count, idx.delta
-    h_z = math.fsum(-c.mass * c.logp for c in idx.classes if c.typical)
+    cls = idx.classes
+    h_z = math.fsum((-cls.mass * cls.logp)[cls.typical])
     if delta > 0.0:
         h_z -= delta * math.log2(delta)
     i_l = math.log2(params.l_count)

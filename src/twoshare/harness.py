@@ -463,7 +463,7 @@ def read_report_jsonl(text: str) -> ExperimentReport:
     version = "?"
     wall = 0.0
     records = []
-    for line in text.splitlines():
+    for i, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         d = json.loads(line)
@@ -473,7 +473,10 @@ def read_report_jsonl(text: str) -> ExperimentReport:
             version = d["version"]
             wall = d["wall_time_s"]
         else:
-            records.append(RunRecord(**d))
+            try:
+                records.append(RunRecord(**d))
+            except TypeError as exc:   # a key it lacks, or n missing
+                raise ConfigError(f"jsonl report line {i}: {exc}") from None
     if config is None:
         raise ConfigError("jsonl report lacks a metadata line")
     return ExperimentReport(config=config, records=records, version=version,
@@ -482,13 +485,15 @@ def read_report_jsonl(text: str) -> ExperimentReport:
 
 def read_report_csv(text: str) -> list[dict]:
     """Parse the CSV emission into one dict per record."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    (i, header), *body = [(i, ln.split(",")) for i, ln in enumerate(
+        text.splitlines(), 1) if ln.strip()] or [(1, [])]
     if tuple(header) != CSV_COLUMNS:
-        raise ConfigError("unexpected CSV header")
+        raise ConfigError(f"CSV report line {i}: not the CSV header")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
+    for i, parts in body:
+        if len(parts) != len(header):
+            raise ConfigError(f"CSV report line {i}: {len(parts)} fields, "
+                              f"the header has {len(header)}")
         row: dict = {}
         for key, val in zip(header, parts):
             if key == "n":

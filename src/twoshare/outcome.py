@@ -25,7 +25,3 @@ class DecodeOutcome:
 
 
 REJECT = DecodeOutcome()
-
-
-def accepted(seq) -> DecodeOutcome:
-    return DecodeOutcome(tuple(int(v) for v in seq))

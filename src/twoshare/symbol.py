@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from ._comb import (composition_count, compositions, log2_factorials,
-                    prefix_lookup)
+                    over_one_denominator, prefix_lookup)
 from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, PMF, RandomStream, _estimate, as_symbol,
                    entropy)
@@ -152,9 +152,7 @@ def _image_law(scheme: BaseScheme, source: PMF) -> ImageLaw:
     `encode_fn` each, and the exact law of the cells (s, x, y) it gives."""
     if source.support_size != scheme.secret_size:
         raise ValueError("source alphabet does not match the scheme")
-    ratios = [p.as_integer_ratio() for p in source.probs.tolist()]
-    den = max(d for _, d in ratios)
-    weight = [num * (den // d) for num, d in ratios]
+    weight = over_one_denominator(source.probs.tolist())
     m, r = scheme.share_size, scheme.rand_size
     sxy = collections.defaultdict(int)
     for s, w in enumerate(weight):
@@ -223,8 +221,7 @@ def _report(scheme: BaseScheme, information: tuple[float, ...],
     """`validate_base` on the `_information` of the splitter's law; the
     decoder is checked on each cell (s, x, y) of its image."""
     h_s, h_s_x, h_s_y, h_s_xy, ell = information[:5]
-    sizes_ok = min(scheme.share_size, scheme.share_size,
-                   scheme.rand_size) >= scheme.secret_size
+    sizes_ok = min(scheme.share_size, scheme.rand_size) >= scheme.secret_size
     decoder_ok = all(scheme.decode_fn(x, y) == s for s, x, y in law.sxy)
     failures = []
     if h_s - h_s_x > tol:
@@ -703,9 +700,7 @@ class ScoreLattice:
 
 def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
     values = codec.laws.values
-    ratios = [v.as_integer_ratio() for v in values + (float(codec.threshold),)]
-    den = max(d for _, d in ratios)
-    *weights, bar = (num * (den // d) for num, d in ratios)
+    *weights, bar = over_one_denominator(values + (float(codec.threshold),))
     return ScoreLattice(values, tuple(weights), codec.n * bar, codec.n)
 
 

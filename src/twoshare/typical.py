@@ -1,9 +1,10 @@
 """Typical sets over i.i.d. sources, ranked by their type classes.
 
-Membership uses the window |mean surprisal - H(S)| <= gamma, decided by
-composition, so the scalar test, the type classes, the rank index and the
-Monte Carlo draw put each type class on one side of it.  Counts, masses
-and ranks come from the type classes; none enumerates k**n sequences.
+Membership uses the window |mean surprisal - H(S)| <= gamma, decided
+exactly on a block's composition by one integer test (`_window`), which
+the scalar test, the type classes, the rank index and the Monte Carlo
+draw all read.  Counts, masses and ranks come from the type classes;
+none enumerates k**n sequences.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._comb import compositions, multinomial, prefix_lookup
+from ._comb import (compositions, multinomial, over_one_denominator,
+                    prefix_lookup)
 from .prob import PMF, RandomStream, _estimate, as_symbol, entropy
 
 
@@ -62,70 +64,70 @@ class GammaSchedule:
         return self.param
 
 
-def _surprisal_table(source: PMF) -> np.ndarray:
+def _window(source: PMF, n: int, gamma: float):
+    """The window test of an n-block from its counts over the support
+    symbols, exactly.  The support's surprisals, H(S) and gamma are floats,
+    so binary fractions: over one denominator they are ints w_j, h and g,
+    and |sum_j c_j w_j / n - h| <= g reads n (h - g) <= sum_j c_j w_j <=
+    n (h + g), whatever order a float sum would take."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     p = source.probs
-    return np.where(p > 0.0, -np.log2(np.where(p > 0.0, p, 1.0)), np.inf)
-
-
-def _in_window(counts, surprisals, h: float, gamma: float) -> bool:
-    """Window test on a composition: counts[j] positions of surprisal
-    surprisals[j], in ascending symbol order.  Each surprisal is added
-    counts[j] times in that order, the float sequence of a sum over the
-    sorted block, so every member of a type class gets one verdict."""
-    total = 0.0
-    for w, c in zip(surprisals, counts):
-        total = functools.reduce(operator.add, itertools.repeat(w, c), total)
-    return bool(abs(total / sum(counts) - h) <= gamma)
+    *weights, h, g = over_one_denominator(
+        (-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist()
+        + [entropy(source), gamma])
+    lo, hi = n * (h - g), n * (h + g)
+    return lambda counts: lo <= sum(map(operator.mul, counts, weights)) <= hi
 
 
 def is_typical(seq, source: PMF, gamma: float) -> bool:
-    """Window test on one sequence; zero-probability symbols fail, and
-    symbols outside the alphabet or not integers raise ValueError.  Decided
-    on the composition, so it matches `type_classes` bit for bit."""
+    """Window test on one sequence, decided on its composition by the
+    test the type classes use; zero-probability symbols fail, and symbols
+    outside the alphabet or not integers raise ValueError."""
     symbols, k = tuple(map(as_symbol, seq)), source.support_size
     if not symbols:
         raise ValueError("empty sequence")
     bad = min(symbols) if min(symbols) < 0 else max(symbols)
     if not 0 <= bad < k:
         raise ValueError(f"symbol {bad} outside [0, {k})")
-    return _in_window([symbols.count(a) for a in range(k)],
-                      _surprisal_table(source).tolist(), entropy(source), gamma)
+    inside = _window(source, len(symbols), gamma)
+    counts, on = np.bincount(symbols, minlength=k), source.probs > 0.0
+    return not counts[~on].any() and inside(counts[on].tolist())
 
 
-class TypeClass(NamedTuple):
-    """All length-n sequences sharing one composition (symbol counts)."""
+class TypeClasses(NamedTuple):
+    """The type classes of a length-n block, one entry per class in each
+    array: a class holds all sequences of one composition."""
 
-    counts: tuple[int, ...]  # per support symbol, in alphabet order
-    count: int       # members: the exact multinomial coefficient
-    logp: float      # log2 probability of each member
-    typical: bool
-
-    @property
-    def mass(self) -> float:
-        # summed in the exponent, so a huge count times a tiny per-member
-        # probability cannot overflow
-        return 2.0 ** (math.log2(self.count) + self.logp)
+    counts: np.ndarray   # int64 rows, per support symbol in alphabet order
+    sizes: np.ndarray    # members: exact multinomials, as Python ints
+    logp: np.ndarray     # log2 probability of each member
+    mass: np.ndarray     # sizes * 2**logp, summed in the exponent
+    typical: np.ndarray  # bool
 
 
-def type_classes(source: PMF, n: int, gamma: float) -> list[TypeClass]:
+def type_classes(source: PMF, n: int, gamma: float) -> TypeClasses:
     """Every composition of a length-n block over the source's support, in
     lexicographic order.
 
     Membership is decided once per class from its counts, by the window
     test `is_typical` applies.  Compositions that use a zero-probability
     symbol carry no mass and are never typical, so they are left out.
-    Cost is O(C(n+k-1, k-1)) classes, not k**n sequences.
+    A class's mass is summed in the exponent, so a huge count times a tiny
+    per-member probability cannot overflow.  Cost is O(C(n+k-1, k-1))
+    classes, not k**n sequences.
     """
+    inside = _window(source, n, gamma)
     if n < 1:
         raise ValueError("blocklength must be positive")
-    support = [a for a, p in enumerate(source.probs) if p > 0.0]
-    logs = [math.log2(float(source.probs[a])) for a in support]
-    surprisals = _surprisal_table(source)[support].tolist()
-    h = entropy(source)
-    return [TypeClass(counts, multinomial(counts),
-                      math.fsum(c * lg for c, lg in zip(counts, logs)),
-                      _in_window(counts, surprisals, h, gamma))
-            for counts in map(tuple, compositions(n, len(support)).tolist())]
+    logs = [math.log2(p) for p in source.probs.tolist() if p > 0.0]
+    counts = compositions(n, len(logs))
+    rows = counts.tolist()
+    sizes = [multinomial(c) for c in rows]
+    logp = [math.fsum(map(operator.mul, c, logs)) for c in rows]
+    mass = [2.0 ** (math.log2(m) + lp) for m, lp in zip(sizes, logp)]
+    return TypeClasses(counts, np.array(sizes, dtype=object), np.array(logp),
+                       np.array(mass), np.array(list(map(inside, rows))))
 
 
 class TypicalIndex:
@@ -141,9 +143,9 @@ class TypicalIndex:
     def __init__(self, source: PMF, n: int, gamma: float, classes):
         self.source, self.n, self.gamma, self.k = (source, n, gamma,
                                                    source.support_size)
-        self.classes = tuple(classes)
-        self.m_count = sum(c.count for c in self.classes if c.typical)
-        self.delta = math.fsum(c.mass for c in self.classes if not c.typical)
+        self.classes = classes
+        self.m_count = int(classes.sizes[classes.typical].sum())
+        self.delta = math.fsum(classes.mass[~classes.typical])
         # the support symbols and the weights of their counts in a prefix
         # code; the chunk tables and the rows of the rank walk are built as
         # it first runs
@@ -178,12 +180,6 @@ class TypicalIndex:
             tables[t] = comps, values
         return b, find, [tables[min(b, n - d)] for d in range(0, n, b)]
 
-    @functools.cached_property
-    def _typical(self) -> np.ndarray:
-        """The typical classes' counts over the support, one row each."""
-        return np.array([c.counts for c in self.classes if c.typical],
-                        dtype=np.int64).reshape(-1, len(self._support))
-
     def _row(self, code: int) -> tuple[int, ...]:
         """Running sums, over the chunk values in lexicographic order, of
         the typical continuations of a prefix coded in base n+1 by its
@@ -199,7 +195,7 @@ class TypicalIndex:
         comps, values = chunks[depth // b]
         left = self.n - depth
         t = min(b, left)
-        rest = self._typical - prefix
+        rest = self.classes.counts[self.classes.typical] - prefix
         rest = rest[(rest >= 0).all(axis=1)].astype(object)
         scale = np.array([multinomial(r) for r in rest.tolist()], dtype=object)
         # each rest_j's falling factorials of orders 0..t, the first
@@ -273,8 +269,6 @@ class TypicalIndex:
 
 def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
     """Index the typical set; raises EmptyTypicalSetError when empty."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
     index = TypicalIndex(source, n, gamma, type_classes(source, n, gamma))
     if index.m_count == 0:
         raise EmptyTypicalSetError(
@@ -298,19 +292,18 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
 MISS, HIT, OPEN = 0, 1, 2
 
 
-def _first_count_fates(classes, n: int, g: int) -> np.ndarray:
+def _first_count_fates(classes: TypeClasses, n: int, g: int) -> np.ndarray:
     """Per count c = 0..n of support symbol g, the fate of a trial that
     draws it: MISS when every class with that count is typical, HIT when
     every one is atypical, OPEN when they are mixed."""
     seen = np.zeros((n + 1, 2), dtype=bool)
-    for c in classes:
-        seen[c.counts[g], int(c.typical)] = True
+    seen[classes.counts[:, g], classes.typical.astype(np.intp)] = True
     fates = np.where(seen[:, 0], HIT, MISS).astype(np.int8)
     fates[seen.all(axis=1)] = OPEN
     return fates
 
 
-def atypical_draw(source: PMF, n: int, classes) -> tuple[
+def atypical_draw(source: PMF, n: int, classes: TypeClasses) -> tuple[
         float, float, Callable[[np.random.Generator, int], int] | None]:
     """The atypical mass as `_estimate`'s (hit, open, draw_open): a trial
     hits when its block's type class is atypical.  One support symbol's
@@ -322,9 +315,9 @@ def atypical_draw(source: PMF, n: int, classes) -> tuple[
     multinomial on the rest of the block, and reads the class off its
     counts.  When every class is on one side, each trial's outcome is
     fixed, so `open` is 0 and `hit` is 0 or 1."""
-    sides = {c.typical for c in classes}
-    if len(sides) == 1:
-        return float(not sides.pop()), 0.0, None
+    typical = classes.typical
+    if typical.all() or not typical.any():
+        return float(not typical[0]), 0.0, None
     support = source.probs[source.probs > 0.0]
     pmfs = [_binomial_pmf(n, float(p)) for p in support]
     fates = [_first_count_fates(classes, n, g) for g in range(len(support))]
@@ -337,8 +330,7 @@ def atypical_draw(source: PMF, n: int, classes) -> tuple[
     cdf = np.cumsum(pmfs[g][counts])[:-1] / opens[g]
     rest = np.delete(support, g)
     rest /= rest.sum()
-    atypical = prefix_lookup([c.counts[:-1] for c in classes],
-                             [not c.typical for c in classes], n)
+    atypical = prefix_lookup(classes.counts[:, :-1], ~typical, n)
 
     def draw_open(gen: np.random.Generator, take: int) -> int:
         c = counts[np.searchsorted(cdf, gen.random(take), side="right")]

@@ -8,7 +8,10 @@ are the former dense typical-set index: every sequence's left-to-right
 surprisal sum, screened by the window, lists the members' lexicographic
 codes.  The rank map `xi_plus_all`, the member masses `member_probs`, M
 (`dense_m_count`) and every routine here read those codes, never the
-library's index; the index supplies only source, n and gamma.
+library's index; the index supplies only source, n and gamma.  The float
+screen agrees with the library's exact window except where a total lies
+within rounding of a window end; the cases the tests run keep clear of
+that.
 """
 import math
 
@@ -18,7 +21,13 @@ from twoshare.attack import AttackResult, TestQuantities
 from twoshare.block import BlockQuantities, BlockwiseParams
 from oracles import iid_extension
 from twoshare.prob import PMF, _entropy_bits, entropy
-from twoshare.typical import TypicalIndex, _surprisal_table
+from twoshare.typical import TypicalIndex
+
+
+def _surprisal_table(source: PMF) -> np.ndarray:
+    """-log2 p per symbol, +inf where p = 0."""
+    p = source.probs
+    return np.where(p > 0.0, -np.log2(np.where(p > 0.0, p, 1.0)), np.inf)
 
 
 def surprisal_totals(source: PMF, n: int) -> np.ndarray:

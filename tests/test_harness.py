@@ -468,6 +468,20 @@ class TestEmission:
         with pytest.raises(ConfigError):
             read_report_csv("a,b,c\n1,2,3\n")
 
+    def test_csv_rejects_an_empty_report(self):
+        # the header is on line 1; an empty text used to raise IndexError
+        with pytest.raises(ConfigError,
+                           match="^CSV report line 1: not the CSV header$"):
+            read_report_csv("")
+
+    def test_csv_rejects_a_short_row(self):
+        # zip cut the row to its first two columns and kept it
+        header = ",".join(CSV_COLUMNS)
+        with pytest.raises(ConfigError, match=(
+                rf"^CSV report line 2: 2 fields, the header has "
+                rf"{len(CSV_COLUMNS)}$")):
+            read_report_csv(header + "\n4,0.5\n")
+
     def test_csv_skipped_record_emits_nan(self):
         report = self.make_report(
             schedule={"kind": "constant", "gamma": 0.05}, n_values=[4])
@@ -526,6 +540,16 @@ class TestEmission:
     def test_jsonl_requires_metadata(self):
         with pytest.raises(ConfigError):
             read_report_jsonl('{"type": "record", "n": 4, "gamma_n": 0.5}\n')
+
+    def test_jsonl_rejects_an_unknown_record_key(self):
+        # RunRecord(**d) used to raise TypeError
+        report = self.make_report(n_values=[4])
+        meta, rec = emit_jsonl(report).splitlines()
+        rec = json.dumps(dict(json.loads(rec), colour="red"))
+        with pytest.raises(ConfigError, match=(
+                "^jsonl report line 2: .*unexpected keyword argument "
+                "'colour'$")):
+            read_report_jsonl(meta + "\n" + rec + "\n")
 
     def test_unknown_format_rejected(self):
         report = self.make_report(n_values=[4])

@@ -422,10 +422,11 @@ class TestFirstCountDraw:
         pytest.param(PMF.from_probs([0.4, 0.3, 0.2, 0.1]), 12, id="k4-n12")])
     def test_fates_match_a_scan_of_the_classes(self, source, n):
         classes = typical.type_classes(source, n, power_gamma(n))
-        for g in range(len(classes[0].counts)):
+        for g in range(classes.counts.shape[1]):
             fates = typical._first_count_fates(classes, n, g)
             for c0 in range(n + 1):
-                flags = {c.typical for c in classes if c.counts[g] == c0}
+                flags = set(classes.typical[classes.counts[:, g] == c0]
+                            .tolist())
                 want = (typical.OPEN if len(flags) == 2
                         else typical.MISS if flags == {True}
                         else typical.HIT)

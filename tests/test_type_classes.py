@@ -5,12 +5,14 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import blockwise_oracle as dense
 from twoshare import attack, block, harness, typical
+from twoshare._comb import prefix_lookup
 from twoshare.prob import PMF, entropy
 from twoshare.typical import TypicalIndex, build_index, type_classes
 
@@ -123,32 +125,74 @@ def blockwise_record(source, n, ell, gamma, mode):
     return harness.run_experiment(cfg).records[0]
 
 
+KNIFE_EDGE = 0.22626433576408078
+
+
 @pytest.mark.parametrize("probs", [[0.7, 0.3], [0.6, 0.25, 0.15],
                                    [0.4, 0.3, 0.2, 0.1]])
-def test_class_verdicts_match_the_sorted_member_sum(probs):
-    # classes are decided from their counts; the rule they replaced summed
-    # the surprisals over the class's sorted member, left to right
+def test_class_verdicts_match_the_exact_window(probs):
+    # classes are decided from their counts by the window on the floats'
+    # exact values: the surprisals, H(S) and gamma as rationals
     source = PMF.from_probs(probs)
-    w = (-np.log2(source.probs)).tolist()
-    h = entropy(source)
+    w = [Fraction(v) for v in (-np.log2(source.probs)).tolist()]
+    h = Fraction(entropy(source))
     for n in range(1, 15):
-        for gamma in (n ** -0.33, n ** -0.45, 0.22626433576408078):
-            for cls in type_classes(source, n, gamma):
-                total = 0.0
-                for a in sorted(a for a, c in enumerate(cls.counts)
-                                for _ in range(c)):
-                    total += w[a]
-                assert cls.typical == (abs(total / n - h) <= gamma)
+        for gamma in (n ** -0.33, n ** -0.45, KNIFE_EDGE):
+            classes = type_classes(source, n, gamma)
+            for counts, verdict in zip(classes.counts.tolist(),
+                                       classes.typical.tolist()):
+                total = sum(c * v for c, v in zip(counts, w))
+                assert verdict == (abs(total / n - h) <= Fraction(gamma))
+
+
+def test_knife_edge_classes_lie_outside_the_window():
+    # the classes with twice as many 1s as 0s and no 2 sit a hair past
+    # the window's upper end, where a left-to-right float sum puts some of
+    # their members inside
+    source = PMF.from_probs([0.6, 0.25, 0.15])
+    for n in (3, 6, 12):
+        classes = type_classes(source, n, KNIFE_EDGE)
+        edge = (n // 3, 2 * n // 3, 0)
+        row = classes.counts.tolist().index(list(edge))
+        assert not classes.typical[row]
+        assert not typical.is_typical((0,) * edge[0] + (1,) * edge[1],
+                                      source, KNIFE_EDGE)
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_record_at_a_window_edge_evaluates(mode):
-    # summed left to right, (1,1,0) falls outside the window while the
-    # rest of its type class lies inside; the class decides: M = 9
-    rec = blockwise_record([0.6, 0.25, 0.15], 3, 0.5, 0.22626433576408078,
-                           mode)
+    # the type class (1,2,0) lies a hair outside the exact window, so
+    # M = 6
+    rec = blockwise_record([0.6, 0.25, 0.15], 3, 0.5, KNIFE_EDGE, mode)
     assert rec.skipped is None
-    assert rec.rate_x == pytest.approx(math.log2(2 * 10) / 3)
+    assert rec.rate_x == pytest.approx(math.log2(2 * 7) / 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_zero_probability_symbol_agrees_on_every_block(n):
+    # k=4 with a zero-probability symbol: the scalar test, the rank index
+    # and the class lookup `atypical_draw` builds (`prefix_lookup` on all
+    # counts but the last) decide every block alike
+    source = PMF.from_probs([0.5, 0.0, 0.3, 0.2])
+    gamma = 0.35
+    classes = type_classes(source, n, gamma)
+    assert classes.counts.shape[1] == 3
+    assert classes.typical.any() and not classes.typical.all()
+    idx = TypicalIndex(source, n, gamma, classes)
+    lookup = prefix_lookup(classes.counts[:, :-1], ~classes.typical, n)
+    for seq in itertools.product(range(4), repeat=n):
+        counts = np.bincount(seq, minlength=4)
+        verdict = typical.is_typical(seq, source, gamma)
+        assert verdict == idx.contains(seq)
+        if counts[1]:
+            assert not verdict
+        else:
+            row = np.array([counts[[0, 2, 3]]])
+            assert bool(lookup(row)[0]) == (not verdict)
+    for counts, cls_typical in zip(classes.counts, classes.typical):
+        seq = np.repeat([0, 2, 3], counts).tolist()
+        assert typical.is_typical(seq, source, gamma) == cls_typical
+        assert idx.contains(seq) == cls_typical
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -164,9 +208,8 @@ def test_long_block_masses_stay_finite():
     # at n=1100 the largest class holds more than 2**1024 members, so a
     # float count would overflow
     classes = type_classes(SKEW, 1100, power_gamma(1100))
-    assert max(c.count for c in classes) > 2 ** 1024
-    masses = [c.mass for c in classes]
-    assert all(math.isfinite(m) for m in masses)
-    assert math.fsum(masses) == pytest.approx(1.0, abs=1e-9)
+    assert max(classes.sizes) > 2 ** 1024
+    assert np.isfinite(classes.mass).all()
+    assert math.fsum(classes.mass) == pytest.approx(1.0, abs=1e-9)
     idx = TypicalIndex(SKEW, 1100, power_gamma(1100), classes)
     assert idx.m_count > 0 and 0.0 < idx.delta < 1.0

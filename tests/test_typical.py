@@ -42,7 +42,7 @@ def class_mass(source, n, gamma) -> float:
 def _continuations(idx, prefix) -> int:
     """Typical blocks that extend a prefix of the given composition."""
     return sum(multinomial([c - p for c, p in zip(counts, prefix)])
-               for counts in (c.counts for c in idx.classes if c.typical)
+               for counts in idx.classes.counts[idx.classes.typical].tolist()
                if all(c >= p for c, p in zip(counts, prefix)))
 
 
@@ -147,16 +147,25 @@ class TestMembership:
             assert is_typical(seq, src, gamma) == idx.contains(seq)
 
     def test_is_typical_agrees_with_index_at_a_window_edge(self):
-        # (1,1,0) sums its surprisals to a total on the other side of the
-        # window from (0,1,1); deciding by composition puts the whole type
-        # class on one side
+        # a left-to-right float sum puts (1,1,0) on the other side of the
+        # window from (0,1,1); the exact window puts their whole type class
+        # (one 0, two 1s) just outside, so M = 6
         src = PMF.from_probs([0.6, 0.25, 0.15])
         gamma = 0.22626433576408078
         idx = build_index(src, 3, gamma)
-        assert idx.m_count == 9
-        assert is_typical((1, 1, 0), src, gamma)
+        assert idx.m_count == 6
+        assert not is_typical((1, 1, 0), src, gamma)
         for seq in itertools.product(range(3), repeat=3):
             assert is_typical(seq, src, gamma) == idx.contains(seq)
+
+    def test_window_is_closed(self):
+        # dyadic probabilities: the mean surprisals 1.25 and 1.75 lie
+        # exactly gamma = 0.25 from H(S) = 1.5, and are inside
+        src = PMF.from_probs([0.5, 0.25, 0.25])
+        idx = build_index(src, 4, 0.25)
+        for seq, inside in [((0, 0, 0, 1), True), ((0, 1, 2, 2), True),
+                            ((0, 0, 0, 0), False), ((1, 1, 2, 2), False)]:
+            assert is_typical(seq, src, 0.25) == idx.contains(seq) == inside
 
     def test_membership_depends_only_on_composition(self):
         # surprisal is a sum over symbols, so any permutation stays inside
