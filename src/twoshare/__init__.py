@@ -39,7 +39,6 @@ from .symbol import (
     ValidationReport,
     SchemeValidationError,
     SymbolwiseCodec,
-    SymbolQuantities,
     fstar,
     gstar,
     modular_scheme,
@@ -52,16 +51,13 @@ from .symbol import (
     decode_n,
     accepts_n,
     llr_score,
-    exact_symbolwise_quantities,
 )
 from .attack import (
     AttackResult,
-    TestQuantities,
     BoundCheck,
     blockwise_attack,
     symbolwise_attack,
     monte_carlo_attack,
-    blockwise_test_quantities,
     logsum_bound_check,
     fano_check,
     converse_exponent_check,

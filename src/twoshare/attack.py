@@ -6,7 +6,7 @@ in the forgery distribution, so an optimal attack sits on a point mass and
 exact search only needs to scan forged share values; ties resolve to the
 lexicographically smallest forgery.
 
-Bound checkers operate on exact or estimated test quantities:
+Bound checkers take exact or estimated test quantities as floats:
   alpha = P{legitimate pair rejected},  beta = P{independent pair accepted}.
 """
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from ._comb import composition_count, compositions
 from .block import BlockShare, BlockwiseParams
-from .prob import PMF, RandomStream, _estimate, as_symbol, binary_entropy
-from .symbol import (LATTICE_CAP, SymbolwiseCodec, check_lattice_points,
-                     walk_size)
+from .prob import RandomStream, _estimate, as_symbol, binary_entropy
+from .symbol import SymbolwiseCodec, check_lattice_points, walk_size
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,9 @@ def _check_side(side: str):
 # Blockwise attacks
 
 
-def _blockwise_forgery_success(params: BlockwiseParams) -> float:
+def blockwise_forgery_success(params: BlockwiseParams) -> float:
+    """M / ((M+1) L), the success of every forged share, and also beta:
+    an independent X is uniform like any forged share."""
     # a forged share matches the uniform honest u_l with mass 1/L, and its
     # masked component is rejected by exactly one of the M+1 honest masked
     # values, each of which has mass 1/(M+1) whichever share is honest
@@ -58,7 +59,7 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     the lexicographically least forgery (0, 0).
     """
     _check_side(side)
-    return AttackResult(success_prob=_blockwise_forgery_success(params),
+    return AttackResult(success_prob=blockwise_forgery_success(params),
                         optimal_forgery=(0, 0), side=side, mode="exact")
 
 
@@ -66,8 +67,7 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
 # Symbolwise attacks
 
 
-def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
-                      type_cap: int = LATTICE_CAP) -> AttackResult:
+def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
     """Exact optimal forged sequence on the score lattice.
 
     A forged symbol fixes the mass the honest share puts on each lattice
@@ -77,8 +77,8 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
     their exact integer score, and the last class is summed by intervals
     against the bar shifted by each key.  Against the modular splitter
     every forged symbol falls in one class, so this is one interval sum.
-    `type_cap` bounds the points walked: per composition, the count
-    vectors of the other classes times the prefixes of the last.
+    `symbol.LATTICE_CAP` bounds the points walked: per composition, the
+    count vectors of the other classes times the prefixes of the last.
     """
     _check_side(side)
     n = codec.n
@@ -96,9 +96,9 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
             composition_count(c, d) if d else 1 for c, d in rest)
 
     # each composition walks at least one point: bound the scan first
-    check_lattice_points(n, composition_count(n, kc), type_cap)
+    check_lattice_points(n, composition_count(n, kc))
     scan = compositions(n, kc).tolist()
-    check_lattice_points(n, sum(map(points, scan)), type_cap)
+    check_lattice_points(n, sum(map(points, scan)))
     steps = [{w: q for w, q in zip(lat.weights, ms) if q > 0.0}
              for ms in masses]
     best_prob = -1.0
@@ -152,35 +152,22 @@ def _clear_gate(groups) -> tuple[float, list]:
     return clear, [(row[1:] / math.fsum(row[1:]), c) for row, c in groups]
 
 
-def _check_pmf_size(forgery: PMF, size: int):
-    if forgery.support_size != size:
-        raise ValueError(f"forgery PMF has {forgery.support_size} values; "
-                         f"the share alphabet has {size}")
-
-
 def _blockwise_gate(params: BlockwiseParams, forgery):
     """The u_l match of a blockwise forgery: it holds with probability 1/L
     whatever the forged share, since the honest u_l is uniform and
-    independent of it.  A matched trial then draws its forged masked
-    component and the honest u_m, and hits unless their sum is the
+    independent of it.  A matched trial then draws the honest u_m, and
+    hits unless its sum with the forged masked component is the
     sentinel."""
     m, mp1 = params.m_count, params.mask_range()
-    if isinstance(forgery, PMF):
-        _check_pmf_size(forgery, params.share_size)
-        # once u_l matches, only the masked component's law matters
-        law = forgery.probs.reshape(params.l_count, mp1).sum(axis=0)
-    else:
-        f_l, f_m = (as_symbol(v, "share symbol") for v in forgery)
-        params.check_shares(BlockShare(f_l, f_m))
+    if np.ndim(forgery) != 1 or len(forgery) != 2:
+        raise ValueError("forged share must be an (l, m) pair")
+    f_l, f_m = (as_symbol(v, "share symbol") for v in forgery)
+    params.check_shares(BlockShare(f_l, f_m))
 
     def draw_live(gen, live):
-        if isinstance(forgery, PMF):
-            f_ms = np.repeat(np.arange(mp1), gen.multinomial(live, law))
-        else:
-            f_ms = f_m
         h_m = gen.integers(mp1, size=live)
         # the one rejected honest value; f_m + h_m could overflow int64
-        return int(np.count_nonzero(h_m != (m - f_ms) % mp1))
+        return int(np.count_nonzero(h_m != (m - f_m) % mp1))
     return 1.0 / params.l_count, draw_live
 
 
@@ -191,24 +178,17 @@ def _symbolwise_gate(codec: SymbolwiseCodec, side: str, forgery):
     n = codec.n
     forged, minus_inf = codec.laws.forged[side], codec.laws.minus_inf[side]
     size = len(forged)
-
-    def row(a):   # the honest mass on -inf, then on each value
-        return (minus_inf[a], *forged[a])
-    if isinstance(forgery, PMF):
-        _check_pmf_size(forgery, size)
-        rows = np.array([row(a) for a in range(size)])
-        groups = [(forgery.probs @ rows, n)]
-    else:
-        if np.ndim(forgery) != 1 or len(forgery) != n:
-            raise ValueError(f"forged sequence must have length {n}")
-        seq = [as_symbol(v, "share symbol") for v in forgery]
-        bad = [v for v in seq if not 0 <= v < size]
-        if bad:
-            raise ValueError(f"share symbol {bad[0]} outside [0, {size})")
-        # only the rows of the symbols the sequence uses
-        symbols, positions = np.unique(seq, return_counts=True)
-        groups = [(np.array(row(a)), int(c))
-                  for a, c in zip(symbols.tolist(), positions)]
+    if np.ndim(forgery) != 1 or len(forgery) != n:
+        raise ValueError(f"forged sequence must have length {n}")
+    seq = [as_symbol(v, "share symbol") for v in forgery]
+    bad = [v for v in seq if not 0 <= v < size]
+    if bad:
+        raise ValueError(f"share symbol {bad[0]} outside [0, {size})")
+    # only the rows of the symbols the sequence uses: the honest mass on
+    # -inf, then on each value
+    symbols, positions = np.unique(seq, return_counts=True)
+    groups = [(np.array((minus_inf[a], *forged[a])), int(c))
+              for a, c in zip(symbols.tolist(), positions)]
     clear, laws = _clear_gate(groups)
 
     def draw_live(gen, live):
@@ -221,18 +201,17 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
                        rng: RandomStream) -> AttackResult:
     """Estimate a forgery's acceptance probability by sampling honest shares.
 
-    `forgery` is a concrete share (blockwise: (l, m) pair; symbolwise: a
-    symbol sequence) or a PMF sampled per trial (blockwise: over the flat
-    share alphabet of L (M+1) values; symbolwise: per position over the M
-    symbols); ValueError when it falls outside the share alphabet.
-    A trial can hit only past a gate that ignores the rest of the trial:
-    blockwise, the honest u_l must match the forged one (probability 1/L);
-    symbolwise, no position may score -inf.  The gate is `_estimate`'s
-    live mass: a chunk draws how many trials pass it, one binomial (none
-    when it is certain), and only those draw the rest: blockwise the forged
-    masked component and the honest u_m, symbolwise one score-bucket count
-    vector (one multinomial per distinct forged symbol against its row, or
-    one from the forgery-weighted mixture of the rows).
+    `forgery` is one concrete share: blockwise an (l, m) pair, symbolwise
+    a sequence of n symbols.  Success is linear in the forger's law, so a
+    fixed share is also what the exact attacks optimise over.  ValueError
+    when it is anything else (a PMF, say) or falls outside the share
+    alphabet.  A trial can hit only past a gate that ignores the rest of
+    the trial: blockwise, the honest u_l must match the forged one
+    (probability 1/L); symbolwise, no position may score -inf.  The gate
+    is `_estimate`'s live mass: a chunk draws how many trials pass it, one
+    binomial (none when it is certain), and only those draw the rest:
+    blockwise the honest u_m, symbolwise one score-bucket count vector
+    (one multinomial per distinct forged symbol against its row).
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
@@ -242,30 +221,12 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
     est, half = _estimate(trials, rng, 0.0, clear, draw_live)
-    forged = tuple(forgery) if not isinstance(forgery, PMF) else ("sampled",)
-    return AttackResult(success_prob=est, optimal_forgery=forged, side=side,
-                        mode="mc", trials=trials, ci_halfwidth=half)
+    return AttackResult(success_prob=est, optimal_forgery=tuple(forgery),
+                        side=side, mode="mc", trials=trials, ci_halfwidth=half)
 
 
 # ---------------------------------------------------------------------------
 # Test quantities and converse checkers
-
-
-@dataclass(frozen=True)
-class TestQuantities:
-    alpha: float   # P{legitimate pair rejected}
-    beta: float    # P{independent pair accepted}
-
-
-def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
-    """Exact alpha and beta from the type classes.
-
-    A legitimate pair is rejected exactly when the secret is atypical, so
-    alpha is the atypical mass.  An independent X is uniform like any
-    forged share, so beta equals the forgery success M / ((M+1) L).
-    """
-    return TestQuantities(alpha=params.index.delta,
-                          beta=_blockwise_forgery_success(params))
 
 
 def symbolwise_beta(codec: SymbolwiseCodec) -> float:
@@ -284,31 +245,31 @@ class BoundCheck:
 LOGSUM_TOL = 1e-9
 
 
-def logsum_bound_check(i_xy_bits: float, tq: TestQuantities,
-                       tol: float = LOGSUM_TOL) -> BoundCheck:
+def logsum_bound_check(i_xy_bits: float, alpha: float,
+                       beta: float) -> BoundCheck:
     """Correlation lower bound I(X;Y) >= -h(alpha) - (1-alpha) log2 beta.
 
     beta = 0 makes the right side infinite in principle but the acceptance
     region then has no independent mass at all and the bound is vacuous.
     """
-    if tq.beta <= 0.0:
+    if beta <= 0.0:
         return BoundCheck(lhs=i_xy_bits, rhs=math.inf, holds=True, vacuous=True)
-    rhs = -binary_entropy(min(max(tq.alpha, 0.0), 1.0)) \
-        - (1.0 - tq.alpha) * math.log2(tq.beta)
-    return BoundCheck(lhs=i_xy_bits, rhs=rhs, holds=i_xy_bits >= rhs - tol)
+    rhs = -binary_entropy(min(max(alpha, 0.0), 1.0)) \
+        - (1.0 - alpha) * math.log2(beta)
+    return BoundCheck(lhs=i_xy_bits, rhs=rhs,
+                      holds=i_xy_bits >= rhs - LOGSUM_TOL)
 
 
 def fano_check(p_e: float, h_s_given_xy_bits: float, n: int,
-               secret_size: int, tol: float = LOGSUM_TOL) -> BoundCheck:
+               secret_size: int) -> BoundCheck:
     """(1/n) H(S^n | X Y) <= (1/n) h(P_e) + P_e log2 |S|."""
     lhs = h_s_given_xy_bits / n
     rhs = binary_entropy(min(max(p_e, 0.0), 1.0)) / n + p_e * math.log2(secret_size)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LOGSUM_TOL)
 
 
 def converse_exponent_check(i_xy_bits: float, alpha: float, p_x: float,
-                            p_y: float, n: int,
-                            tol: float = LOGSUM_TOL) -> BoundCheck:
+                            p_y: float, n: int) -> BoundCheck:
     """Attack exponents cannot outrun the correlation rate.
 
     Rearranges the correlation lower bound into
@@ -322,4 +283,4 @@ def converse_exponent_check(i_xy_bits: float, alpha: float, p_x: float,
     lhs = max(-math.log2(p_x) / n, -math.log2(p_y) / n)
     rhs = (i_xy_bits / n + binary_entropy(min(max(alpha, 0.0), 1.0)) / n) \
         / (1.0 - alpha)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LOGSUM_TOL)

@@ -4,7 +4,8 @@ A run takes a config (source, scheme, slack schedule, blocklengths, mode,
 seed), evaluates one record per blocklength, and attaches a tri-state
 verdict (holds / violated / not_applicable) to each of five bound checks:
 
-  rate      share rates inside the claimed window around H(S) + ell
+  rate      share rates inside the claimed window around H(S) + ell, or
+            equal to H(S) + I(X;Y) for the symbolwise scheme
   exp       attack exponents above the direct guarantee and below the
             converse ceiling
   logsum    I(X;Y) >= -h(alpha) - (1-alpha) log2 beta
@@ -293,7 +294,6 @@ class _Exact:
 def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
     n, gamma, ell = params.n, params.index.gamma, params.ell
     q = block.exact_quantities(params)
-    tq = atk.blockwise_test_quantities(params)
     h_s = q.h_s
     # rate window around H(S) + ell, with the floor/sentinel slack 1/n;
     # the typical-set cardinality floor M >= (1 - delta) 2**(n (H(S) -
@@ -306,7 +306,8 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
     return _Exact(
         fields=dict(rate_x=q.rate_x, rate_y=q.rate_y, rate_u=q.rate_u,
                     p_e=q.p_e, i_sx=q.i_sx, i_sy=q.i_sy,
-                    i_xy_per_symbol=q.i_xy / n, alpha=tq.alpha, beta=tq.beta),
+                    i_xy_per_symbol=q.i_xy / n, alpha=params.index.delta,
+                    beta=atk.blockwise_forgery_success(params)),
         direct_cap=1.0 / params.l_count, i_xy=q.i_xy,
         h_s_given_xy=q.h_s_given_xy, rate_ok=rate_ok,
         sandwich_ok=(q.sandwich_lo - BOUND_TOL <= q.i_xy / n
@@ -315,20 +316,23 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
 
 def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
     n, gamma = codec.n, codec.gamma
-    q = symbol.exact_symbolwise_quantities(codec)
+    p_e = symbol.rejection_probability(codec)
+    # bits per symbol of each share and of the modular splitter's randomness
+    rate = math.log2(codec.scheme.share_size)
     # log2(M) - H(S) of the modular splitter, from the codec's H(S)
-    ell = math.log2(codec.scheme.share_size) - codec.h_s
+    ell = rate - codec.h_s
     return _Exact(
         # alpha is the legitimate rejection mass p_e: computed once
-        fields=dict(rate_x=q.rate, rate_y=q.rate, rate_u=q.rate, p_e=q.p_e,
-                    i_sx=n * q.i_sx_per_symbol, i_sy=n * q.i_sy_per_symbol,
-                    i_xy_per_symbol=q.i_xy_per_symbol, alpha=q.p_e,
+        fields=dict(rate_x=rate, rate_y=rate, rate_u=rate, p_e=p_e,
+                    i_sx=n * codec.i_sx, i_sy=n * codec.i_sy,
+                    i_xy_per_symbol=codec.i_xy, alpha=p_e,
                     beta=atk.symbolwise_beta(codec)),
         # success at most 2**(-n (ell - gamma)); past 1 it bounds nothing
         direct_cap=2.0 ** min(-n * (ell - gamma), 0.0),
-        i_xy=n * q.i_xy_per_symbol, h_s_given_xy=n * q.h_s_given_xy,
-        rate_ok=abs(q.rate - (codec.h_s + ell)) <= BOUND_TOL,
-        sandwich_ok=abs(q.i_xy_per_symbol - ell) <= BOUND_TOL)
+        i_xy=n * codec.i_xy, h_s_given_xy=n * codec.h_s_given_xy,
+        # the rate against the correlation level the codec measures
+        rate_ok=abs(rate - (codec.h_s + codec.i_xy)) <= BOUND_TOL,
+        sandwich_ok=abs(codec.i_xy - ell) <= BOUND_TOL)
 
 
 # per scheme: its exact evaluation and the module of its error estimate
@@ -364,8 +368,7 @@ def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
                          verdicts={k: NOT_APPLICABLE for k in VERDICT_KEYS})
     rec.exp_x = _exponent(rec.p_x) / n
     rec.exp_y = _exponent(rec.p_y) / n
-    ls = atk.logsum_bound_check(ev.i_xy, atk.TestQuantities(rec.alpha,
-                                                            rec.beta))
+    ls = atk.logsum_bound_check(ev.i_xy, rec.alpha, rec.beta)
     fano = atk.fano_check(rec.alpha, ev.h_s_given_xy, n, len(cfg.source))
     rec.verdicts = {
         "rate": _verdict(ev.rate_ok),

@@ -217,18 +217,18 @@ def _information(source: PMF, law: ImageLaw,
 
 
 def _report(scheme: BaseScheme, information: tuple[float, ...],
-            law: ImageLaw, tol: float) -> ValidationReport:
+            law: ImageLaw) -> ValidationReport:
     """`validate_base` on the `_information` of the splitter's law; the
     decoder is checked on each cell (s, x, y) of its image."""
     h_s, h_s_x, h_s_y, h_s_xy, ell = information[:5]
     sizes_ok = min(scheme.share_size, scheme.rand_size) >= scheme.secret_size
     decoder_ok = all(scheme.decode_fn(x, y) == s for s, x, y in law.sxy)
     failures = []
-    if h_s - h_s_x > tol:
+    if h_s - h_s_x > SECRECY_TOL:
         failures.append(FAIL_SECRECY_X)
-    if h_s - h_s_y > tol:
+    if h_s - h_s_y > SECRECY_TOL:
         failures.append(FAIL_SECRECY_Y)
-    if h_s_xy > tol:
+    if h_s_xy > SECRECY_TOL:
         failures.append(FAIL_DECODE)
     if not sizes_ok:
         failures.append(FAIL_SIZE)
@@ -240,13 +240,12 @@ def _report(scheme: BaseScheme, information: tuple[float, ...],
         failures=tuple(failures))
 
 
-def validate_base(scheme: BaseScheme, source: PMF,
-                  tol: float = SECRECY_TOL) -> ValidationReport:
+def validate_base(scheme: BaseScheme, source: PMF) -> ValidationReport:
     """Exact check of per-symbol secrecy, decodability, and sizes.  The
     decoder is checked where the splitter can send the secret: on the
     support points."""
     law = _image_law(scheme, source)
-    return _report(scheme, _information(source, law, _Logs()), law, tol)
+    return _report(scheme, _information(source, law, _Logs()), law)
 
 
 class SchemeValidationError(Exception):
@@ -329,7 +328,7 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
     logs = _Logs()
     information = _information(source, law, logs)
     if require_valid:
-        report = _report(scheme, information, law, SECRECY_TOL)
+        report = _report(scheme, information, law)
         if not report.passed:
             raise SchemeValidationError("; ".join(report.failures))
     h_s, h_s_x, h_s_y, h_s_xy, i_xy, i_sx, i_sy = information
@@ -514,10 +513,10 @@ class LatticeCapError(CapExceededError):
     """An exact score-lattice sum would visit more points than its cap."""
 
 
-def check_lattice_points(n: int, points: int, cap: int = LATTICE_CAP):
-    if points > cap:
+def check_lattice_points(n: int, points: int):
+    if points > LATTICE_CAP:
         raise LatticeCapError(f"n={n}: {points} score-lattice points exceed "
-                              f"the cap {cap}; lower n")
+                              f"the cap {LATTICE_CAP}; lower n")
 
 
 def walk_size(m: int, values: int) -> int:
@@ -708,35 +707,6 @@ def rejection_probability(codec: SymbolwiseCodec) -> float:
     """Exact probability that a legitimate share pair (never -inf) is
     rejected: the lattice mass the test rejects, summed on that side."""
     return codec.lattice.mass(codec.laws.legit, codec.n, accepted=False)
-
-
-@dataclass(frozen=True)
-class SymbolQuantities:
-    """Exact per-configuration quantities; i.i.d. structure makes n-fold
-    information totals n times the per-symbol values."""
-
-    n: int
-    gamma: float
-    p_e: float
-    i_xy_per_symbol: float
-    i_sx_per_symbol: float
-    i_sy_per_symbol: float
-    h_s_given_x: float
-    h_s_given_y: float
-    h_s_given_xy: float
-    rate: float
-
-
-def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
-    """Error probability on the score lattice, and the informations and
-    entropies the codec already holds."""
-    return SymbolQuantities(
-        n=codec.n, gamma=codec.gamma, p_e=rejection_probability(codec),
-        i_xy_per_symbol=codec.i_xy, i_sx_per_symbol=codec.i_sx,
-        i_sy_per_symbol=codec.i_sy,
-        h_s_given_x=codec.h_s_given_x, h_s_given_y=codec.h_s_given_y,
-        h_s_given_xy=codec.h_s_given_xy,
-        rate=math.log2(codec.scheme.share_size))
 
 
 def monte_carlo_error(codec: SymbolwiseCodec, trials: int,

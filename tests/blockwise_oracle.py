@@ -3,23 +3,24 @@
 These are the library's former exact routines: they walk every one of the
 k**n secret blocks, and the error pass walks every (secret, u_m) pair.
 Their cost grows as k**n * (M+1), so they serve only to certify the
-type-class engine on small blocks.  `surprisal_totals` and `member_codes`
-are the former dense typical-set index: every sequence's left-to-right
-surprisal sum, screened by the window, lists the members' lexicographic
-codes.  The rank map `xi_plus_all`, the member masses `member_probs`, M
+type-class engine on small blocks.  `typical_mask` and `member_codes`
+are the former dense typical-set index: every sequence's surprisals,
+summed and screened by the window, list the members' lexicographic codes.
+The rank map `xi_plus_all`, the member masses `member_probs`, M
 (`dense_m_count`) and every routine here read those codes, never the
-library's index; the index supplies only source, n and gamma.  The float
-screen agrees with the library's exact window except where a total lies
-within rounding of a window end; the cases the tests run keep clear of
-that.
+library's index; the index supplies only source, n and gamma.  The
+surprisals, H(S) and gamma are floats, and the screen sums and compares
+them as exact Fractions, so a total within rounding of a window end is
+decided as the library's exact window decides it.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from twoshare.attack import AttackResult, TestQuantities
+from twoshare.attack import AttackResult
 from twoshare.block import BlockQuantities, BlockwiseParams
-from oracles import iid_extension
+from oracles import AlphaBeta, iid_extension
 from twoshare.prob import PMF, _entropy_bits, entropy
 from twoshare.typical import TypicalIndex
 
@@ -30,20 +31,32 @@ def _surprisal_table(source: PMF) -> np.ndarray:
     return np.where(p > 0.0, -np.log2(np.where(p > 0.0, p, 1.0)), np.inf)
 
 
-def surprisal_totals(source: PMF, n: int) -> np.ndarray:
-    """Total surprisal of every length-n sequence, lexicographic order."""
+def typical_mask(source: PMF, n: int, gamma: float) -> np.ndarray:
+    """Window verdict of every length-n sequence, lexicographic order:
+    |sum of its surprisals / n - H(S)| <= gamma, each float taken as its
+    exact Fraction.  Sequences with equal symbol counts have equal exact
+    sums, so each count vector is summed once."""
     w = _surprisal_table(source)
-    totals = w.copy()
-    for _ in range(n - 1):
-        totals = (totals[:, None] + w[None, :]).ravel()
-    return totals
+    k = w.size
+    counts = np.zeros((1, k), dtype=np.int64)
+    for _ in range(n):
+        counts = (counts[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
+    vectors, inverse = np.unique(counts, axis=0, return_inverse=True)
+    exact = [Fraction(v) if math.isfinite(v) else None for v in w.tolist()]
+    h, g = Fraction(entropy(source)), Fraction(gamma)
+
+    def inside(row) -> bool:
+        if any(c and f is None for c, f in zip(row, exact)):
+            return False   # a zero-probability symbol
+        total = sum(c * f for c, f in zip(row, exact) if c)
+        return abs(total / n - h) <= g
+    verdicts = np.array([inside(row) for row in vectors.tolist()])
+    return verdicts[inverse.reshape(-1)]
 
 
 def member_codes(source: PMF, n: int, gamma: float) -> np.ndarray:
     """Lexicographic codes of the typical sequences, in increasing order."""
-    totals = surprisal_totals(source, n)
-    mask = np.abs(totals / n - entropy(source)) <= gamma
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(typical_mask(source, n, gamma))[0].astype(np.int64)
 
 
 def xi_plus_all(idx: TypicalIndex) -> np.ndarray:
@@ -73,9 +86,7 @@ def _check_side(side: str):
 
 def atypical_mass(source: PMF, n: int, gamma: float) -> float:
     """Exact probability of the complement of the typical set."""
-    totals = surprisal_totals(source, n)
-    h = entropy(source)
-    mask = np.abs(totals / n - h) <= gamma
+    mask = typical_mask(source, n, gamma)
     probs = iid_extension(source, n).all_probs()
     return float(np.dot(probs, (~mask).astype(np.float64)))
 
@@ -221,7 +232,7 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
                         side=side, mode="exact")
 
 
-def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
+def blockwise_test_quantities(params: BlockwiseParams) -> AlphaBeta:
     """Exact alpha and beta via the componentwise factorization."""
     m = dense_m_count(params.index)
     mp1 = m + 1
@@ -238,4 +249,4 @@ def blockwise_test_quantities(params: BlockwiseParams) -> TestQuantities:
     bad = (m - c) % mp1
     beta_m = float(np.dot(p_xm, 1.0 - p_ym[bad]))
     beta = (1.0 / params.l_count) * beta_m
-    return TestQuantities(alpha=alpha, beta=beta)
+    return AlphaBeta(alpha=alpha, beta=beta)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import mpmath
 import numpy as np
 
-from twoshare.attack import TestQuantities, symbolwise_beta
+from twoshare.attack import symbolwise_beta
 from twoshare.prob import (CapExceededError, PMF, _entropy_bits,
                            _validate_probs, entropy)
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
@@ -341,6 +341,11 @@ def sample(p: PMF, rng: "RandomStream", size=None) -> int | np.ndarray:
 # Attacks and test quantities
 
 
+class AlphaBeta(NamedTuple):
+    alpha: float   # P{legitimate pair rejected}
+    beta: float    # P{independent pair accepted}
+
+
 def attack_bruteforce(accept_fn: Callable[[int, int], bool], forged_size: int,
                       honest_probs: np.ndarray) -> tuple[float, int]:
     """Scan every forged value against every honest value.
@@ -363,7 +368,7 @@ def attack_bruteforce(accept_fn: Callable[[int, int], bool], forged_size: int,
     return best, best_at
 
 
-def test_quantities(joint_xy: JointPMF, accept_fn: Callable[[int, int], bool]) -> TestQuantities:
+def test_quantities(joint_xy: JointPMF, accept_fn: Callable[[int, int], bool]) -> AlphaBeta:
     """Dense evaluation of alpha and beta for an arbitrary acceptance set."""
     table = joint_xy.probs
     if table.ndim != 2:
@@ -378,13 +383,13 @@ def test_quantities(joint_xy: JointPMF, accept_fn: Callable[[int, int], bool]) -
                 beta += px[x] * py[y]
             else:
                 alpha += table[x, y]
-    return TestQuantities(alpha=alpha, beta=beta)
+    return AlphaBeta(alpha=alpha, beta=beta)
 
 
-def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
+def symbolwise_test_quantities(codec: SymbolwiseCodec) -> AlphaBeta:
     """Exact alpha and beta on the score lattice."""
-    return TestQuantities(alpha=rejection_probability(codec),
-                          beta=symbolwise_beta(codec))
+    return AlphaBeta(alpha=rejection_probability(codec),
+                     beta=symbolwise_beta(codec))
 
 
 def gamma_for_threshold(i_xy: float, target: float) -> float:

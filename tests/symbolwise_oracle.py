@@ -28,13 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import (conditional_entropy, mutual_information, scheme_joint,
-                     share_laws)
+from oracles import AlphaBeta, share_laws
 from twoshare._comb import compositions
-from twoshare.attack import AttackResult, TestQuantities, _check_side
+from twoshare.attack import AttackResult, _check_side
 from twoshare.prob import CapExceededError
-from twoshare.symbol import (LatticeLaws, ScoreLattice, SymbolQuantities,
-                             SymbolwiseCodec)
+from twoshare.symbol import LatticeLaws, ScoreLattice, SymbolwiseCodec
 
 TYPE_CAP = 1 << 20
 
@@ -113,22 +111,11 @@ def legit_score_distribution(codec: SymbolwiseCodec) -> dict[float, float]:
     return merge_values(dense.score_table[mask], dense.p_xy[mask])
 
 
-def exact_symbolwise_quantities(codec: SymbolwiseCodec) -> SymbolQuantities:
-    """Error probability by score-sum convolution, the rest from the
-    dense (S, U, X, Y) joint."""
+def rejection_probability(codec: SymbolwiseCodec) -> float:
+    """Error probability by score-sum convolution."""
     dist = power_convolve(legit_score_distribution(codec), codec.n)
     acc = mean_tail_strict(dist, codec.n, codec.threshold)
-    p_e = min(max(1.0 - acc, 0.0), 1.0)
-    joint = scheme_joint(codec.scheme, codec.source)
-    return SymbolQuantities(
-        n=codec.n, gamma=codec.gamma, p_e=p_e,
-        i_xy_per_symbol=codec.i_xy,
-        i_sx_per_symbol=mutual_information(joint.marginal(0, 2)),
-        i_sy_per_symbol=mutual_information(joint.marginal(0, 3)),
-        h_s_given_x=conditional_entropy(joint.marginal(0, 2), 0),
-        h_s_given_y=conditional_entropy(joint.marginal(0, 3), 0),
-        h_s_given_xy=conditional_entropy(joint.marginal(0, 2, 3), 0),
-        rate=math.log2(codec.scheme.share_size))
+    return min(max(1.0 - acc, 0.0), 1.0)
 
 
 def _forged_symbol_dists(codec: SymbolwiseCodec, side: str) -> list[dict[float, float]]:
@@ -202,7 +189,7 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
                         side=side, mode="exact")
 
 
-def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
+def symbolwise_test_quantities(codec: SymbolwiseCodec) -> AlphaBeta:
     """Exact alpha and beta by score-sum convolution."""
     legit = power_convolve(legit_score_distribution(codec), codec.n)
     alpha = 1.0 - mean_tail_strict(legit, codec.n, codec.threshold)
@@ -211,7 +198,7 @@ def symbolwise_test_quantities(codec: SymbolwiseCodec) -> TestQuantities:
                          np.outer(dense.p_x, dense.p_y).ravel())
     beta = mean_tail_strict(power_convolve(indep, codec.n), codec.n,
                             codec.threshold)
-    return TestQuantities(alpha=min(max(alpha, 0.0), 1.0), beta=beta)
+    return AlphaBeta(alpha=min(max(alpha, 0.0), 1.0), beta=beta)
 
 
 def modular_attack_success(codec: SymbolwiseCodec, side: str = "x") -> float:

@@ -193,7 +193,6 @@ def test_07_attack_exponents_converge_to_correlation_level():
     for n in (4, 8, 12):
         params = blockwise_params(SKEW, n, 0.5)
         q = block.exact_quantities(params)
-        tq = atk.blockwise_test_quantities(params)
         px = atk.blockwise_attack(params, "x").success_prob
         py = atk.blockwise_attack(params, "y").success_prob
         e = -math.log2(px) / n
@@ -201,8 +200,8 @@ def test_07_attack_exponents_converge_to_correlation_level():
         assert 0.5 - gamma <= e + 1e-9
         assert e >= 0.5 - 1e-12
         gaps.append(abs(e - 0.5))
-        chk = atk.converse_exponent_check(q.i_xy, tq.alpha, px, py, n,
-                                          tol=1e-9)
+        chk = atk.converse_exponent_check(q.i_xy, params.index.delta, px,
+                                          py, n)
         assert chk.holds
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -211,15 +210,14 @@ def test_07_attack_exponents_converge_to_correlation_level():
     for n in (4, 6, 8):
         gamma = POWER.gamma_at(n)
         codec = symbol.make_codec(scheme, U2, n, gamma)
-        q = symbol.exact_symbolwise_quantities(codec)
         tq = oracles.symbolwise_test_quantities(codec)
         px = atk.symbolwise_attack(codec, "x").success_prob
         py = atk.symbolwise_attack(codec, "y").success_prob
         e = -math.log2(px) / n
         assert e == pytest.approx(1.0, abs=1e-12)
         assert 1.0 - gamma <= e + 1e-9
-        chk = atk.converse_exponent_check(n * q.i_xy_per_symbol, tq.alpha,
-                                          px, py, n, tol=1e-9)
+        chk = atk.converse_exponent_check(n * codec.i_xy, tq.alpha, px, py,
+                                          n)
         assert chk.holds
 
 

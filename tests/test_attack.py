@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from twoshare.attack import TestQuantities as TQ
 from symbolwise_oracle import modular_attack_success
 from oracles import (attack_bruteforce, iid_extension, share_laws,
                      symbolwise_test_quantities)
 from oracles import test_quantities as dense_test_quantities
-from twoshare.attack import (blockwise_attack, blockwise_test_quantities,
+from twoshare import symbol
+from twoshare.attack import (blockwise_attack, blockwise_forgery_success,
                              converse_exponent_check, fano_check,
                              logsum_bound_check, monte_carlo_attack,
                              symbolwise_attack)
@@ -210,11 +210,12 @@ class TestSymbolwiseAttack:
         assert vals[0] == pytest.approx(modular_attack_success(codec, "x"),
                                         abs=1e-12)
 
-    def test_type_cap_enforced(self):
+    def test_type_cap_enforced(self, monkeypatch):
         codec = make_codec(identity_leak_scheme(3, 2), SKEW, n=6, gamma=0.2,
                            require_valid=False)
+        monkeypatch.setattr(symbol, "LATTICE_CAP", 5)
         with pytest.raises(CapExceededError) as err:
-            symbolwise_attack(codec, "x", type_cap=5)
+            symbolwise_attack(codec, "x")
         # two forged classes give 7 compositions on a one-value lattice;
         # Monte Carlo mode calls the exact attack too, so it is no way out
         msg = str(err.value)
@@ -245,21 +246,6 @@ class TestMonteCarloAttack:
                                  RandomStream(17))
         assert abs(res.success_prob - best.success_prob) \
             <= res.ci_halfwidth + 1e-12
-
-    def test_mixture_never_beats_best_point_forgery(self):
-        codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
-        best = symbolwise_attack(codec, "x").success_prob
-        res = monte_carlo_attack(codec, "x", PMF.uniform(3), 40000,
-                                 RandomStream(19))
-        assert res.success_prob <= best + res.ci_halfwidth + 1e-12
-        assert res.optimal_forgery == ("sampled",)
-
-    def test_blockwise_mixture_forgery(self):
-        params = small_params()
-        exact = blockwise_attack(params, "x").success_prob
-        mix = PMF.uniform(params.share_size)
-        res = monte_carlo_attack(params, "x", mix, 40000, RandomStream(23))
-        assert abs(res.success_prob - exact) <= res.ci_halfwidth + 1e-12
 
     def test_deterministic_for_fixed_seed(self):
         params = small_params()
@@ -340,15 +326,14 @@ class TestDenseQuantities:
             JointPMF(table),
             lambda f, h: accepts(params, params.flat_to_share(f),
                                  params.flat_to_share(h)))
-        tq = blockwise_test_quantities(params)
-        assert tq.alpha == pytest.approx(dense.alpha, abs=1e-12)
-        assert tq.beta == pytest.approx(dense.beta, abs=1e-12)
+        assert params.index.delta == pytest.approx(dense.alpha, abs=1e-12)
+        assert blockwise_forgery_success(params) == pytest.approx(
+            dense.beta, abs=1e-12)
 
     def test_blockwise_alpha_is_the_error_probability(self):
         params = small_params(n=6, ell=0.5)
-        tq = blockwise_test_quantities(params)
         q = exact_quantities(params)
-        assert tq.alpha == pytest.approx(q.p_e, abs=1e-15)
+        assert params.index.delta == pytest.approx(q.p_e, abs=1e-15)
 
     def test_symbolwise_quantities_match_dense(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=3, gamma=0.5)
@@ -377,21 +362,21 @@ class TestDenseQuantities:
 
 class TestBoundCheckers:
     def test_logsum_tight_case_holds(self):
-        chk = logsum_bound_check(1.0, TQ(alpha=0.0, beta=0.5))
+        chk = logsum_bound_check(1.0, alpha=0.0, beta=0.5)
         assert chk.rhs == pytest.approx(1.0, abs=1e-12)
         assert chk.holds and not chk.vacuous
 
     def test_logsum_detects_violation(self):
-        chk = logsum_bound_check(0.5, TQ(alpha=0.0, beta=0.5))
+        chk = logsum_bound_check(0.5, alpha=0.0, beta=0.5)
         assert not chk.holds
 
     def test_logsum_vacuous_at_zero_beta(self):
-        chk = logsum_bound_check(0.0, TQ(alpha=0.3, beta=0.0))
+        chk = logsum_bound_check(0.0, alpha=0.3, beta=0.0)
         assert chk.holds and chk.vacuous
         assert chk.rhs == math.inf
 
     def test_logsum_alpha_one_degenerates(self):
-        chk = logsum_bound_check(0.0, TQ(alpha=1.0, beta=0.25))
+        chk = logsum_bound_check(0.0, alpha=1.0, beta=0.25)
         assert chk.rhs == pytest.approx(0.0, abs=1e-12)
         assert chk.holds
 
@@ -427,11 +412,11 @@ class TestBoundCheckers:
     def test_checkers_hold_on_real_scheme(self):
         params = small_params(n=8, ell=1.0)
         q = exact_quantities(params)
-        tq = blockwise_test_quantities(params)
+        alpha, beta = params.index.delta, blockwise_forgery_success(params)
         px = blockwise_attack(params, "x").success_prob
         py = blockwise_attack(params, "y").success_prob
-        assert tq.beta <= min(px, py) + 1e-12
-        assert logsum_bound_check(q.i_xy, tq).holds
+        assert beta <= min(px, py) + 1e-12
+        assert logsum_bound_check(q.i_xy, alpha, beta).holds
         assert fano_check(q.p_e, q.h_s_given_xy, params.n, 2).holds
-        assert converse_exponent_check(q.i_xy, tq.alpha, px, py,
+        assert converse_exponent_check(q.i_xy, alpha, px, py,
                                        params.n).holds

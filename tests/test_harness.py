@@ -206,6 +206,20 @@ class TestRunExperiment:
             assert rec.rate_x == pytest.approx(math.log2(3), abs=1e-12)
             assert all(v == HOLDS for v in rec.verdicts.values())
 
+    def test_symbolwise_rate_checked_against_measured_correlation(
+            self, monkeypatch):
+        # the rate log2(M) must equal H(S) + I(X;Y) as the codec measures
+        # it; against H(S) + (log2(M) - H(S)) it held for every codec
+        real = harness.make_scheme
+        monkeypatch.setattr(harness, "make_scheme", lambda cfg, n: (
+            lambda codec: dataclasses.replace(codec, i_xy=codec.i_xy + 0.01)
+        )(real(cfg, n)))
+        report = run_experiment(ExperimentConfig.from_dict(base_dict(
+            scheme={"kind": "symbolwise", "m": 3})))
+        for rec in report.records:
+            assert rec.skipped is None
+            assert rec.verdicts["rate"] == VIOLATED
+
     def test_mc_mode_reports_intervals(self):
         cfg = ExperimentConfig.from_dict(base_dict(
             scheme={"kind": "symbolwise", "m": 3}, mode="mc", trials=2000))
@@ -267,8 +281,7 @@ class TestRunExperiment:
             raise ValueError("unexpected")
 
         monkeypatch.setattr(harness.block, "exact_quantities", broken)
-        monkeypatch.setattr(harness.symbol, "exact_symbolwise_quantities",
-                            broken)
+        monkeypatch.setattr(harness.symbol, "rejection_probability", broken)
         scheme = ({"kind": "blockwise", "ell": 1.0} if kind == "blockwise"
                   else {"kind": "symbolwise", "m": 3})
         cfg = ExperimentConfig.from_dict(base_dict(scheme=scheme))

@@ -69,13 +69,11 @@ def assert_parity(codec, float_keyed=True):
     float sums to the threshold, so a tie can land on either side."""
     lat = codec.lattice
     legit, indep = legit_and_indep(codec)
-    got_q = symbol.exact_symbolwise_quantities(codec)
     got_t = oracles.symbolwise_test_quantities(codec)
-    assert got_t.alpha == got_q.p_e
     want_alpha = [conv.count_vector_mass(lat, legit, codec.n, accepted=False)]
     want_beta = [conv.count_vector_mass(lat, indep, codec.n)]
     if float_keyed:
-        want_alpha.append(conv.exact_symbolwise_quantities(codec).p_e)
+        want_alpha.append(conv.rejection_probability(codec))
         want_beta.append(conv.symbolwise_test_quantities(codec).beta)
     for want in want_alpha:
         assert got_t.alpha == pytest.approx(want, abs=TOL)
@@ -130,7 +128,7 @@ def test_tie_rejects_every_legitimate_pair():
     # uniform source: every legitimate pair scores exactly I(X;Y), so a
     # zero margin rejects all of them
     tied = dataclasses.replace(modular(4, PMF.uniform(2), 6), gamma=0.0)
-    assert symbol.exact_symbolwise_quantities(tied).p_e == 1.0
+    assert symbol.rejection_probability(tied) == 1.0
     tq = oracles.symbolwise_test_quantities(tied)
     assert tq.alpha == 1.0
     assert tq.beta == 0.0
@@ -140,7 +138,7 @@ def test_tie_rejects_every_legitimate_pair():
 def test_long_block_stays_finite():
     codec = modular(5, K3, 400)
     tq = oracles.symbolwise_test_quantities(codec)
-    vals = [symbol.exact_symbolwise_quantities(codec).p_e, tq.alpha, tq.beta,
+    vals = [symbol.rejection_probability(codec), tq.alpha, tq.beta,
             attack.symbolwise_attack(codec, "x").success_prob,
             attack.symbolwise_attack(codec, "y").success_prob]
     for v in vals:
@@ -154,7 +152,7 @@ def test_lattice_cap_names_n_and_the_way_out():
     codec = modular(6, K4, 1500)
     with pytest.raises(symbol.LatticeCapError,
                        match=r"^n=1500: 1127251 score-lattice points .*; lower n$"):
-        symbol.exact_symbolwise_quantities(codec)
+        symbol.rejection_probability(codec)
 
 
 # one shape per lattice size c = 1, 2, 3, 4, and one with an empty symbol

@@ -20,12 +20,11 @@ from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
                              SchemeValidationError, SymbolwiseCodec,
                              accepts_n, decode_n, draw_randomness_n, encode_n,
-                             exact_symbolwise_quantities, fstar, gstar,
-                             identity_leak_scheme, llr_score, make_codec,
-                             modular_scheme,
+                             fstar, gstar, identity_leak_scheme, llr_score,
+                             make_codec, modular_scheme,
                              monte_carlo_error, nondecodable_scheme,
-                             score_lattice, undersized_scheme,
-                             validate_base)
+                             rejection_probability, score_lattice,
+                             undersized_scheme, validate_base)
 
 H_73 = 0.88129089923069261822  # frozen H(0.7, 0.3), cross-checked in test_prob
 
@@ -181,9 +180,6 @@ class TestCodecConstruction:
         # grouped cells
         assert codec.i_xy == math.fsum(
             map(operator.mul, codec.laws.legit, codec.laws.values))
-        q = exact_symbolwise_quantities(codec)
-        assert (q.h_s_given_x, q.h_s_given_y, q.h_s_given_xy) == (
-            report.h_s_given_x, report.h_s_given_y, report.h_s_given_xy)
 
     def test_rejects_bad_block_and_gamma(self):
         with pytest.raises(ValueError):
@@ -807,44 +803,38 @@ class TestExactQuantities:
     def test_error_prob_matches_enumeration(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=8,
                            gamma=8.0 ** (-1.0 / 3.0))
-        q = exact_symbolwise_quantities(codec)
-        assert q.p_e == pytest.approx(brute_error_prob(codec), abs=1e-12)
-        assert 0.0 < q.p_e < 0.05
+        p_e = rejection_probability(codec)
+        assert p_e == pytest.approx(brute_error_prob(codec), abs=1e-12)
+        assert 0.0 < p_e < 0.05
 
     def test_error_prob_matches_enumeration_uniform_mismatch(self):
         codec = make_codec(modular_scheme(4, 3), U3, n=5, gamma=0.3)
-        q = exact_symbolwise_quantities(codec)
-        assert q.p_e == pytest.approx(brute_error_prob(codec), abs=1e-12)
+        assert rejection_probability(codec) == pytest.approx(
+            brute_error_prob(codec), abs=1e-12)
 
     def test_uniform_matched_source_never_errs(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=6, gamma=0.2)
-        q = exact_symbolwise_quantities(codec)
-        assert q.p_e == 0.0
+        assert rejection_probability(codec) == 0.0
 
     def test_secrecy_and_correlation_fields(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.5)
-        q = exact_symbolwise_quantities(codec)
-        assert q.i_xy_per_symbol == pytest.approx(1.0, abs=1e-9)
-        assert q.i_sx_per_symbol == pytest.approx(0.0, abs=1e-9)
-        assert q.i_sy_per_symbol == pytest.approx(0.0, abs=1e-9)
-        assert q.h_s_given_x == pytest.approx(1.0, abs=1e-12)
-        assert q.h_s_given_y == pytest.approx(1.0, abs=1e-12)
-        assert q.h_s_given_xy == pytest.approx(0.0, abs=1e-12)
-        assert q.rate == pytest.approx(2.0, abs=1e-12)
+        assert codec.i_xy == pytest.approx(1.0, abs=1e-9)
+        assert codec.i_sx == pytest.approx(0.0, abs=1e-9)
+        assert codec.i_sy == pytest.approx(0.0, abs=1e-9)
+        assert codec.h_s_given_x == pytest.approx(1.0, abs=1e-12)
+        assert codec.h_s_given_y == pytest.approx(1.0, abs=1e-12)
+        assert codec.h_s_given_xy == pytest.approx(0.0, abs=1e-12)
 
     def test_skewed_fields(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=6, gamma=0.5)
-        q = exact_symbolwise_quantities(codec)
-        assert q.i_xy_per_symbol == pytest.approx(math.log2(3) - H_73,
-                                                  abs=1e-9)
-        assert q.h_s_given_x == pytest.approx(H_73, abs=1e-9)
-        assert q.rate == pytest.approx(math.log2(3), abs=1e-12)
+        assert codec.i_xy == pytest.approx(math.log2(3) - H_73, abs=1e-9)
+        assert codec.h_s_given_x == pytest.approx(H_73, abs=1e-9)
 
     def test_error_prob_shrinks_as_margin_grows(self):
         vals = []
         for gamma in (0.25, 0.5, 1.0):
             codec = make_codec(modular_scheme(3, 2), SKEW, n=8, gamma=gamma)
-            vals.append(exact_symbolwise_quantities(codec).p_e)
+            vals.append(rejection_probability(codec))
         assert vals[0] >= vals[1] >= vals[2]
         assert vals[0] > vals[2]
 
@@ -894,7 +884,7 @@ class TestMonteCarlo:
     def test_within_confidence_of_exact(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=8,
                            gamma=8.0 ** (-1.0 / 3.0))
-        exact = exact_symbolwise_quantities(codec).p_e
+        exact = rejection_probability(codec)
         est, half = monte_carlo_error(codec, 100000, RandomStream(11))
         assert abs(est - exact) <= half + 1e-12
         assert half > 0.0

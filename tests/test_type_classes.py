@@ -24,6 +24,11 @@ def power_gamma(n):
     return n ** (-1.0 / 3.0)
 
 
+# at [0.6, 0.25, 0.15] the classes with twice as many 1s as 0s and no 2
+# lie a hair past the window's upper end
+KNIFE = PMF.from_probs([0.6, 0.25, 0.15])
+KNIFE_EDGE = 0.22626433576408078
+
 CASES = (
     [pytest.param(SKEW, n, ell, power_gamma(n), id=f"skew-n{n}-ell{ell}")
      for n in (4, 8, 12, 13) for ell in (0.0, 0.5, 2.0)]
@@ -32,6 +37,8 @@ CASES = (
     + [pytest.param(K3, n, 1.0, power_gamma(n), id=f"k3-n{n}") for n in (6, 8)]
     + [pytest.param(PMF.from_probs([1.0, 0.0]), 6, 0.5, power_gamma(6),
                     id="point-mass")]
+    + [pytest.param(KNIFE, n, 0.5, KNIFE_EDGE, id=f"knife-edge-n{n}")
+       for n in (3, 6)]
 )
 
 
@@ -45,10 +52,10 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
         assert getattr(got, f.name) == pytest.approx(
             getattr(ref, f.name), abs=1e-12), f.name
 
-    tq, tq_ref = (attack.blockwise_test_quantities(params),
-                  dense.blockwise_test_quantities(params))
-    assert tq.alpha == pytest.approx(tq_ref.alpha, abs=1e-12)
-    assert tq.beta == pytest.approx(tq_ref.beta, abs=1e-12)
+    tq_ref = dense.blockwise_test_quantities(params)
+    assert params.index.delta == pytest.approx(tq_ref.alpha, abs=1e-12)
+    assert attack.blockwise_forgery_success(params) == pytest.approx(
+        tq_ref.beta, abs=1e-12)
     for side in ("x", "y"):
         res, res_ref = (attack.blockwise_attack(params, side),
                         dense.blockwise_attack(params, side))
@@ -58,7 +65,7 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
 
     assert params.index.delta == pytest.approx(
         dense.atypical_mass(source, n, gamma), abs=1e-12)
-    assert got.p_e == got.delta == tq.alpha == params.index.delta
+    assert got.p_e == got.delta == params.index.delta
 
 
 INDEX_CASES = (
@@ -70,6 +77,8 @@ INDEX_CASES = (
        pytest.param(PMF.uniform(2), 10, 0.4, id="uniform2-n10"),
        pytest.param(PMF.from_probs([1.0, 0.0]), 6, power_gamma(6),
                     id="point-mass")]
+    + [pytest.param(KNIFE, n, KNIFE_EDGE, id=f"knife-edge-n{n}")
+       for n in (3, 6)]
 )
 
 
@@ -123,9 +132,6 @@ def blockwise_record(source, n, ell, gamma, mode):
          "schedule": {"kind": "constant", "gamma": gamma},
          "n_values": [n], "mode": mode, "trials": 2000, "seed": 0})
     return harness.run_experiment(cfg).records[0]
-
-
-KNIFE_EDGE = 0.22626433576408078
 
 
 @pytest.mark.parametrize("probs", [[0.7, 0.3], [0.6, 0.25, 0.15],
