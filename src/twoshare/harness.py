@@ -136,6 +136,9 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'exact' or 'mc', not {self.mode!r}")
         if self.mode == "mc" and self.trials < 1:
             raise ConfigError("mc mode needs a positive trial count")
+        if not 0 <= self.seed < 1 << 64:   # one 64-bit Philox key word
+            raise ConfigError(f"bad config: 'seed' {self.seed} is not in "
+                              f"[0, 2**64)")
         n = self.n_values
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("n_values must be increasing positive integers")

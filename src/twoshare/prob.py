@@ -117,31 +117,41 @@ def binary_entropy(q: float) -> float:
 class RandomStream:
     """Counter-based random stream with cheap independent substreams.
 
-    Wraps numpy's Philox 4x64 bit generator keyed by (seed, stream).  Philox
-    output is specified independent of platform and numpy pins the algorithm,
-    so a fixed seed yields the same draws everywhere (numpy >= 1.24).
-    Substreams use distinct keys and are statistically independent, which
-    makes Monte Carlo work partition-invariant: chunk c always draws from
-    substream c no matter which thread runs it.  The generator is built on
-    first use, so a stream that only hands out substreams builds none, and
-    nor does the substream of a chunk whose outcome is fixed (`_estimate`).
+    Wraps numpy's Philox 4x64 bit generator keyed by (seed, stream), each
+    a 64-bit word: a seed or stream outside [0, 2**64) is a ValueError,
+    never wrapped onto another key.  Philox output is specified independent
+    of platform and numpy pins the algorithm, so a fixed seed yields the
+    same draws everywhere (numpy >= 1.24).  Substreams use distinct keys
+    and are statistically independent, which makes Monte Carlo work
+    partition-invariant: chunk c always draws from substream c no matter
+    which thread runs it.  Child stream ids are distinct at every depth;
+    from stream 0, three levels of any index fit in 64 bits, and
+    `substream` raises where a deeper child would not.  The generator is
+    built on first use, so a stream that only hands out substreams builds
+    none; `_estimate` builds one per estimate and re-keys it per chunk.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
+        if not (0 <= self.seed < 1 << 64 and 0 <= self.stream < 1 << 64):
+            raise ValueError(f"{self!r}: seed and stream must lie in "
+                             f"[0, 2**64)")
 
     @functools.cached_property
     def gen(self) -> np.random.Generator:
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, i: int) -> "RandomStream":
-        """Independent child stream i; nesting is collision-free below 2**20."""
+        """Independent child stream i of 2**20; ValueError when the child's
+        stream id would not fit in 64 bits."""
         if not 0 <= i < (1 << 20):
             raise ValueError("substream index must lie in [0, 2**20)")
-        return RandomStream(self.seed, self.stream * (1 << 20) + i + 1)
+        if (child := self.stream * (1 << 20) + i + 1) >= 1 << 64:
+            raise ValueError(f"substream {i} of {self!r} passes the 2**64 "
+                             f"stream ids")
+        return RandomStream(self.seed, child)
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
@@ -156,10 +166,14 @@ def _estimate(trials: int, rng: RandomStream, hit: float, live: float = 0.0,
     `live`, and misses otherwise; `draw_live(gen, count)` runs `count`
     trials that went on and returns how many hit.  Chunk c of at most
     2**16 trials draws from substream c, so the estimate does not depend
-    on execution order.  A chunk splits its trials by one multinomial over
-    (hit, live, the rest); when `hit` is 0, by one binomial, and not at all
-    when `live` is 1.  With `live` 0 and `hit` 0 or 1 no chunk draws, and
-    no generator is built.  The hit count keeps its exact binomial law.
+    on execution order.  The first chunk that draws builds its substream's
+    generator; each later chunk re-keys that one Philox to its own
+    substream (counter 0, empty buffer), so it draws exactly what a fresh
+    `rng.substream(c).gen` would.  A chunk splits its trials by one
+    multinomial over (hit, live, the rest); when `hit` is 0, by one
+    binomial, and not at all when `live` is 1.  With `live` 0 and `hit` 0
+    or 1 no chunk draws, and no generator is built.  The hit count keeps
+    its exact binomial law.
     Zero hits fall back to the rule of three: the half-width is then the
     one-sided 95% upper bound 3/trials; otherwise it is the Wald half-width.
     """
@@ -167,13 +181,19 @@ def _estimate(trials: int, rng: RandomStream, hit: float, live: float = 0.0,
         raise ValueError("trials must be positive")
     fixed = not live and hit in (0.0, 1.0)
     pvals = (hit, live, max(1.0 - hit - live, 0.0))
-    hits, chunk = 0, 1 << 16
+    hits, chunk, gen = 0, 1 << 16, None
     for c, start in enumerate(range(0, trials, chunk)):
         take = min(chunk, trials - start)
         if fixed:
             hits += take * int(hit)
             continue
-        gen = rng.substream(c).gen
+        if gen is None:
+            gen = rng.substream(c).gen
+            fresh = gen.bit_generator.state   # as keyed: nothing drawn yet
+        else:
+            # substreams share the seed word, so the stream word is the key
+            fresh["state"]["key"][1] = rng.substream(c).stream
+            gen.bit_generator.state = fresh
         if hit:
             now, go, _ = gen.multinomial(take, pvals).tolist()
         else:

@@ -1,11 +1,16 @@
-"""Rewrite the golden reports in tests/golden/ from the current tree.
+"""Rewrite the golden reports in tests/golden/ and tests/golden_mc/ from
+the current tree.
 
 Each shipped config in configs/ runs in its configured mode through
 `twoshare.cli.main(["experiment", "--config", ..., "--format", "jsonl"])`,
 in-process, and its JSON lines go to tests/golden/<config>.jsonl with the
-run's `wall_time_s` dropped.  `tests/test_golden.py` compares fresh runs
-with these files.  A change meant to move a shipped output reruns this
-from the repository root,
+run's `wall_time_s` dropped.  The configs in MC_RUNS also run in Monte
+Carlo mode at MC_TRIALS trials, into tests/golden_mc/<name>.jsonl: they
+pin the draws the shipped Monte Carlo configs never make (a blockwise p_e
+that draws, split into hits and misses at k=2 and into hits, open trials
+and misses at k=3, and the symbolwise p_e multinomial).
+`tests/test_golden.py` compares fresh runs with these files.  A change
+meant to move a shipped output reruns this from the repository root,
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -23,14 +28,21 @@ from twoshare import cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+GOLDEN_MC = ROOT / "tests" / "golden_mc"
+# two full chunks of 2**16 trials and a last chunk of one trial
+MC_TRIALS = 2 * (1 << 16) + 1
+MC_RUNS = {"blockwise_skew": ROOT / "configs" / "blockwise_skew.json",
+           "symbolwise_skew": ROOT / "configs" / "symbolwise_skew.json",
+           "blockwise_k3": GOLDEN_MC / "blockwise_k3.json"}
 
 
-def run_config(path: Path) -> list[dict]:
+def run_config(path: Path, *flags: str) -> list[dict]:
     """One config's JSONL report, parsed line by line, without the run's
-    `wall_time_s`; RuntimeError when the run does not exit 0."""
+    `wall_time_s`; `flags` go to the experiment command after the config.
+    RuntimeError when the run does not exit 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = cli.main(["experiment", "--config", str(path),
+        status = cli.main(["experiment", "--config", str(path), *flags,
                            "--format", "jsonl"])
     if status != 0:
         raise RuntimeError(f"{path.name} exited with status {status}")
@@ -40,14 +52,24 @@ def run_config(path: Path) -> list[dict]:
     return lines
 
 
+def run_mc(name: str) -> list[dict]:
+    """The Monte Carlo report of MC_RUNS[name] at MC_TRIALS trials."""
+    return run_config(MC_RUNS[name], "--mode", "mc",
+                      "--trials", str(MC_TRIALS))
+
+
+def _write(target: Path, lines: list[dict]):
+    target.write_text("".join(json.dumps(line, sort_keys=True) + "\n"
+                              for line in lines))
+    print(f"{target.relative_to(ROOT)}: {len(lines)} lines")
+
+
 def main():
     GOLDEN.mkdir(exist_ok=True)
     for path in CONFIGS:
-        lines = run_config(path)
-        target = GOLDEN / f"{path.stem}.jsonl"
-        target.write_text("".join(json.dumps(line, sort_keys=True) + "\n"
-                                  for line in lines))
-        print(f"{target.relative_to(ROOT)}: {len(lines)} lines")
+        _write(GOLDEN / f"{path.stem}.jsonl", run_config(path))
+    for name in MC_RUNS:
+        _write(GOLDEN_MC / f"{name}.jsonl", run_mc(name))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 conditional entropy of a dense table, dense joints, induced joints and
 pushforwards, the dense (S, U, X, Y) joint of a per-symbol
 splitter with its validation profile, its dense per-symbol share laws and
-score table, dense i.i.d. extensions and inverse-CDF sampling, brute-force
+score table, dense i.i.d. extensions and inverse-CDF sampling, the
+chunked Monte Carlo loop with a fresh generator per chunk, brute-force
 attacks and the dense alpha/beta, exact rationals, and alpha/beta composed
 from the library's lattice sums.  The dense ones are for small instances
 only; the library calls none of them.
@@ -18,8 +19,8 @@ import mpmath
 import numpy as np
 
 from twoshare.attack import symbolwise_beta
-from twoshare.prob import (CapExceededError, PMF, _entropy_bits,
-                           _validate_probs, entropy)
+from twoshare.prob import (CapExceededError, PMF, RandomStream,
+                           _entropy_bits, _validate_probs, entropy)
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, SECRECY_TOL,
                              BaseScheme, SymbolwiseCodec,
@@ -326,7 +327,7 @@ def iid_extension(source: PMF, n: int) -> IIDExtension:
     return IIDExtension(source, n)
 
 
-def sample(p: PMF, rng: "RandomStream", size=None) -> int | np.ndarray:
+def sample(p: PMF, rng: RandomStream, size=None) -> int | np.ndarray:
     """Inverse-CDF sampling; deterministic given the stream state."""
     cdf = np.cumsum(p.probs)
     u = rng.gen.random(size)
@@ -335,6 +336,33 @@ def sample(p: PMF, rng: "RandomStream", size=None) -> int | np.ndarray:
     if size is None:
         return int(idx)
     return idx.astype(np.int64)
+
+
+def chunked_hits(trials: int, seed: int, stream: int, hit: float,
+                 live: float, draw_live: Callable) -> int:
+    """The hit count of `prob._estimate`'s loop with a fresh generator for
+    every chunk: chunk c of 2**16 trials draws from
+    `RandomStream(seed, stream).substream(c).gen`, built anew."""
+    hits, chunk = 0, 1 << 16
+    pvals = (hit, live, max(1.0 - hit - live, 0.0))
+    for c, start in enumerate(range(0, trials, chunk)):
+        take = min(chunk, trials - start)
+        gen = RandomStream(seed, stream).substream(c).gen
+        if hit:
+            now, go, _ = gen.multinomial(take, pvals).tolist()
+        else:
+            now, go = 0, take if live == 1.0 else gen.binomial(take, live)
+        hits += now + (draw_live(gen, go) if go else 0)
+    return hits
+
+
+def half_word_draws(gen: np.random.Generator, go: int) -> int:
+    """A `draw_live` for `chunked_hits` and `prob._estimate`: how many of
+    `go` trials hit, from 2*go + 1 uint32 draws.  The odd count leaves half
+    a 64-bit Philox word cached, so a chunk hands the next one a generator
+    whose buffer is part used."""
+    draws = gen.integers(0, 1 << 31, size=2 * go + 1, dtype=np.uint32)
+    return int(np.count_nonzero(draws[:go] < draws[go:2 * go]))
 
 
 # ---------------------------------------------------------------------------

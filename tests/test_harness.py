@@ -47,6 +47,8 @@ MALFORMED = [
     dict(base_dict(), schedul={"kind": "constant", "gamma": 0.5}),
     base_dict(scheme={"kind": "symbolwise", "m": 4, "ell": 1.0}),
     base_dict(scheme={"kind": "blockwise", "ell": 10 ** 400}),
+    base_dict(seed=-1),
+    base_dict(seed=1 << 64),
 ]
 
 # any JSON value; no string holds "uniform:", whose k would be allocated
@@ -167,13 +169,25 @@ class TestConfig:
          "bad config: probabilities sum to 1.1, not 1 within 1e-12"),
         (base_dict(scheme={"kind": "blockwise", "ell": 10 ** 400}),
          f"bad config: blockwise 'ell' {10 ** 400} is not a finite number"),
+        (base_dict(seed=-1), "bad config: 'seed' -1 is not in [0, 2**64)"),
+        (base_dict(seed=1 << 64),
+         f"bad config: 'seed' {1 << 64} is not in [0, 2**64)"),
     ], ids=["fractional-n", "boolean-n", "null-ell", "null-a", "nan-gamma",
             "schedule-text", "typo-key", "other-scheme-key", "source-sum",
-            "int-past-float-range"])
+            "int-past-float-range", "negative-seed", "seed-past-64-bits"])
     def test_malformed_input_is_named(self, raw, message):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(raw)
         assert str(err.value) == message
+
+    def test_seed_is_one_64_bit_key_word(self):
+        # -1 used to run as seed 2**64 - 1; the top word itself is a seed
+        top = (1 << 64) - 1
+        cfg = ExperimentConfig.from_dict(base_dict(seed=top))
+        assert cfg.seed == top
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        with pytest.raises(ConfigError, match="'seed' -1"):
+            dataclasses.replace(cfg, seed=-1)
 
     @settings(max_examples=300, deadline=None)
     @given(raw=st.one_of(JSON, CONFIG_LIKE))
@@ -753,6 +767,10 @@ class TestCli:
          "--mode", "mc", "--trials", "2.5"],
         ["validate-scheme", "--source", "uniform:2", "--m", "4.5"],
         ["validate-scheme", "--source", "uniform:2", "--seed", "x"],
+        ["attack", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
+         "--mode", "mc", "--seed", "-1"],
+        ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
+         "--secret", "0,0,0,0", "--seed", str(1 << 64)],
     ])
     def test_number_flags_print_one_error_line(self, argv, capsys):
         # --seed, --trials and validate-scheme's --m are judged as a

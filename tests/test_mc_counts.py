@@ -21,7 +21,7 @@ from blockwise_oracle import atypical_mass
 import symbolwise_oracle as conv
 from twoshare import attack, block, harness, symbol, typical
 from twoshare._comb import compositions
-from twoshare.prob import PMF, RandomStream
+from twoshare.prob import PMF, RandomStream, _estimate
 from twoshare.typical import build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -292,6 +292,21 @@ class CountingStream(RandomStream):
         child = super().substream(i)
         child.gen = CountingGenerator(child.gen, self.rows, self.values)
         return child
+
+
+class TestRekeyedChunks:
+    """An estimate builds one generator and re-keys it per chunk, so a
+    counting wrapper around the first chunk's generator sees every chunk."""
+
+    def test_wrapped_generator_counts_every_chunk(self):
+        rows, values, trials = [], [], 2 * (1 << 16) + 1
+        est, _ = _estimate(trials, CountingStream(9, rows, values), 0.3, 0.4,
+                           oracles.half_word_draws)
+        hits = oracles.chunked_hits(trials, 9, 0, 0.3, 0.4,
+                                    oracles.half_word_draws)
+        assert hits > 0 and est == hits / trials
+        # one split and one batch of live draws in each of the 3 chunks
+        assert rows == [1] * 3 and len(values) == 3
 
 
 class TestClearGate:

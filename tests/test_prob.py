@@ -1,19 +1,22 @@
 """Probability core: exact quantities against high-precision and
 exact-rational oracles, plus distributional invariants."""
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (JointPMF, RationalJoint, conditional_entropy,
-                     entropy_mp, induce_joint, iid_extension,
-                     mutual_information, pushforward, sample)
+from oracles import (JointPMF, RationalJoint, chunked_hits,
+                     conditional_entropy, entropy_mp, half_word_draws,
+                     induce_joint, iid_extension, mutual_information,
+                     pushforward, sample)
 from twoshare import block, harness, symbol, typical
 from twoshare.prob import (
-    PMF, RandomStream, CapExceededError, entropy, binary_entropy,
+    PMF, RandomStream, CapExceededError, _estimate, entropy, binary_entropy,
 )
 
 # 20-digit reference, computed once with mpmath at 50 digits
@@ -293,6 +296,37 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0).substream(1 << 20)
 
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (1 << 64, 0),
+                                             (0, -1), (0, 1 << 64)])
+    def test_key_words_outside_64_bits_raise(self, seed, stream):
+        # -1 used to draw as 2**64 - 1, and 2**64 as 0
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            RandomStream(seed, stream)
+
+    def test_top_key_words_draw_as_before(self):
+        # pinned Philox output at the largest seed and a stream past 2**63
+        top = (1 << 64) - 1
+        assert RandomStream(top, 1 << 63).gen.random(2).tolist() == [
+            0.21062414884101022, 0.5083194060081541]
+
+    def test_substream_past_64_bits_raises(self):
+        # child 2**44 * 2**20 + 6 used to wrap onto stream 6, the key of
+        # RandomStream(0).substream(5), and draw the same numbers
+        with pytest.raises(ValueError, match="passes the 2\\*\\*64"):
+            RandomStream(0, 1 << 44).substream(5)
+        root, last = RandomStream(0), (1 << 20) - 1
+        # three levels of any index fit in 64 bits ...
+        assert root.substream(last).substream(last).substream(last).stream \
+            == (1 << 60) + (1 << 40) + (1 << 20)
+        # ... a fourth fits only for small indices, and a fifth never
+        third = root.substream(15).substream(15).substream(15)
+        with pytest.raises(ValueError):
+            third.substream(0)
+        fourth = root.substream(0).substream(0).substream(0).substream(0)
+        assert fourth.stream == (1 << 60) + (1 << 40) + (1 << 20) + 1
+        with pytest.raises(ValueError):
+            fourth.substream(0)
+
     def test_exact_run_builds_no_generator(self, monkeypatch):
         # a stream builds its Philox only when something draws from it, and
         # an exact sweep draws nothing
@@ -313,8 +347,8 @@ class TestRandomStream:
 
     def test_fixed_outcomes_build_no_generator(self, monkeypatch):
         # an estimate whose table fixes every trial's outcome draws nothing,
-        # so it builds no Philox; a k=2 atypical estimate builds one per
-        # chunk of 2**16 trials, to split the chunk's trials
+        # so it builds no Philox; a k=2 atypical estimate builds one for
+        # its four chunks of at most 2**16 trials, re-keyed per chunk
         built, philox = [], np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
                             lambda *args, **kw: built.append(1) or philox(*args, **kw))
@@ -331,7 +365,40 @@ class TestRandomStream:
             == (1.0, 0.0)
         assert built == []
         typical.atypical_mass_mc(skew, 64, 64 ** (-1 / 3), 200_000, rng)
-        assert built == [1] * 4
+        assert built == [1]
+
+    def test_one_generator_per_estimate_that_draws(self, monkeypatch):
+        # the Monte Carlo benchmark's estimates: each that draws builds one
+        # Philox (124 when every chunk built its own)
+        built, philox = [], np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *args, **kw: built.append(1) or philox(*args, **kw))
+        for name in ("symbolwise_mc", "blockwise_uniform_mc"):
+            path = Path(__file__).parent.parent / "configs" / f"{name}.json"
+            harness.run_experiment(
+                harness.ExperimentConfig.from_dict(json.loads(path.read_text())))
+        # p_x and p_y at each of 3 blocklengths in each config; every p_e
+        # is fixed by its table (one score bucket, all classes typical)
+        assert len(built) == 2 * 6
+        typical.atypical_mass_mc(PMF.from_probs([0.7, 0.3]), 64,
+                                 64 ** (-1 / 3), 200_000, RandomStream(1))
+        assert len(built) == 13
+
+    def test_draws_leave_half_a_word(self):
+        gen = RandomStream(9).gen
+        half_word_draws(gen, 3)
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+    # three-way split, binomial split, every trial live
+    @pytest.mark.parametrize("hit,live", [(0.3, 0.4), (0.0, 0.5), (0.0, 1.0)])
+    def test_rekeyed_chunks_draw_as_fresh_generators(self, hit, live):
+        # three chunks, the last of one trial; each chunk leaves the
+        # generator's buffer part used, which the re-key must reset
+        trials = 2 * (1 << 16) + 1
+        hits = chunked_hits(trials, 9, 4, hit, live, half_word_draws)
+        est, _ = _estimate(trials, RandomStream(9, 4), hit, live,
+                           half_word_draws)
+        assert hits > 0 and est == hits / trials
 
     def test_sample_follows_cdf(self):
         p = PMF.from_probs([0.7, 0.3])
