@@ -2,8 +2,10 @@
 
 The package splits a secret block into shares X and Y so that either
 share alone carries no information about the secret, the pair recombines
-to the secret, and a forged substitute for either share is caught with
-probability approaching one as the block grows.
+to the secret, and a share forged by someone who has seen neither
+legitimate share (an impersonation) is caught with probability
+approaching one as the block grows.  A share holder who substitutes the
+other share is not covered.
 """
 from ._version import __version__
 from .outcome import DecodeOutcome, REJECT

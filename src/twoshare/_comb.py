@@ -1,13 +1,17 @@
-"""Compositions and their multinomial weights, for both exact engines.
+"""Compositions, their multinomial weights, and the interval cuts that
+both exact engines sum over.
 
 A composition of t into p parts is a vector of p non-negative counts that
 sum to t.  The blockwise engine sums over the type classes of an n-block,
 the compositions of n over the source's support; the symbolwise engine
-sums over the count vectors of the score lattice.  Both weigh a vector by
+sums over the count vectors of the score lattice.  Both score a vector by
+an integer form sum_j c_j w_j, and both decide a bar on it by intervals
+(`cuts`): fix every count but the last two, and the counts of the first
+of those two that pass the bar are one interval.  Both weigh a vector by
 its multinomial, and both find a vector's prefix by its rank, Cover's
 enumerative coding (IEEE T-IT 1973).  This module answers once how many
-and which compositions there are, in what order, and how a float
-threshold on their weighted sums becomes an exact int comparison.
+and which compositions there are, in what order, where each interval
+lies, and how a float threshold becomes an exact int comparison.
 """
 from __future__ import annotations
 
@@ -39,6 +43,46 @@ def compositions(total: int, parts: int) -> np.ndarray:
         cols = [np.repeat(c, size) for c in cols] + [col]
         rest = np.repeat(rest, size) - col
     return np.array(cols + [rest]).T
+
+
+def cuts(weights, bars, m: int, idx, offset: int = 0):
+    """Every prefix of an m-position count vector over the `weights` at
+    `idx` (at least two), as int64 arrays (heads, r), r ascending, and per
+    bar in `bars` an int64 array of cuts.  heads[p] counts idx[:-2], and
+    r[p] positions are left to the last two, i and j.  With a at i the
+    score is s + a (w_i - w_j), s = offset + head.w + r w_j, and it passes
+    a bar when above it (a tie does not): for the a below the cut when
+    w_i <= w_j, from the cut on when w_i > w_j, the cut clamped to
+    [0, r+1].  So the window lo <= score <= hi, passing lo - 1 but not hi,
+    is [min, max) of its two cuts.  The weights reach 2**60 at n=96, so
+    s - bar is summed in int64 only when a bound keeps it below 2**63, and
+    in Python ints otherwise: exact either way.
+    """
+    *head_idx, i, j = idx
+    w = weights
+    prefixes = compositions(m, len(head_idx) + 1)
+    heads, r = prefixes[:, 1:], prefixes[:, 0]
+    gap = w[i] - w[j]
+    base = offset + m * w[j]
+    steps = [w[h] - w[j] for h in head_idx]
+    bound = (max(abs(base - bar) for bar in bars)
+             + m * sum(map(abs, steps)) + abs(gap) + 1)
+    dtype = np.int64 if bound < 1 << 63 else object
+    x = 0
+    for step, col in zip(steps, heads.T):
+        x = x + col.astype(dtype) * step
+    out, top = [], r + 1
+    for bar in bars:
+        y = base - bar   # the score less the bar is x + y + a gap
+        if gap < 0:      # ceil((x + y) / -gap): the a below it pass
+            cut = (x + (y - gap - 1)) // -gap
+        elif gap > 0:    # the least a that passes
+            cut = ((gap - y) - x) // gap
+        else:
+            cut = np.where(x + y > 0, top, 0)
+        cut = np.maximum(np.minimum(np.asarray(cut, dtype=dtype), top), 0)
+        out.append(cut.astype(np.int64, copy=False))
+    return heads, r, out
 
 
 def over_one_denominator(values) -> list[int]:
@@ -98,9 +142,9 @@ def _prefix_rank(n: int, digits: int) -> Callable[[np.ndarray], np.ndarray]:
 def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """The value of each row's prefix, for rows of count vectors that sum
     to n: a prefix is a row's leading counts, and `prefixes` holds every
-    prefix a row can have, each once, with its value alongside; ValueError
-    when they do not.  The values sit in an array by `_prefix_rank`, so a
-    lookup is one gather per prefix count."""
+    prefix a row can have, each once, with its value (a row of `values`)
+    alongside; ValueError when they do not.  The values sit in an array by
+    `_prefix_rank`, so a lookup is one gather per prefix count."""
     table = np.array(prefixes, dtype=np.int64)
     digits = table.shape[1]
     # a prefix and the count it leaves form a composition of n
@@ -114,6 +158,6 @@ def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray
         raise ValueError(f"prefixes must list each of the {size} prefixes of "
                          f"{digits} counts summing to at most {n} once")
     values = np.asarray(values)
-    by_rank = np.empty(size, dtype=values.dtype)
+    by_rank = np.empty((size,) + values.shape[1:], dtype=values.dtype)
     by_rank[ranks] = values
     return lambda counts: by_rank[rank(counts)]

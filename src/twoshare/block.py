@@ -100,13 +100,6 @@ class BlockwiseParams:
         """Number of distinct share values L * (M + 1)."""
         return self.l_count * self.mp1
 
-    def share_to_flat(self, share: BlockShare) -> int:
-        return share.l * self.mp1 + share.m
-
-    def flat_to_share(self, flat: int) -> BlockShare:
-        l, m = divmod(int(flat), self.mp1)
-        return BlockShare(l, m)
-
     def check_shares(self, *shares: BlockShare):
         """ValueError naming the first share outside the share alphabet."""
         l_count, mp1 = self.l_count, self.mp1
@@ -164,19 +157,10 @@ class BlockQuantities:
     per-symbol correlation (1/n) I(X;Y).
     """
 
-    n: int
-    gamma: float
-    l_count: int
-    m_count: int
     h_s: float
     delta: float
-    p_e: float
-    i_sx: float
-    i_sy: float
     i_xy: float
     rate_x: float
-    rate_y: float
-    rate_u: float
     h_s_given_xy: float
     sandwich_lo: float
     sandwich_hi: float
@@ -191,11 +175,11 @@ def _clamp_mi(value: float) -> float:
 
 
 def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
-    """Exact error, secrecy, and correlation from the type classes.
+    """Exact error, secrecy, and correlation from the typical-set index.
 
     Every quantity depends on the secret block only through its rank z,
-    and z's law follows from the type classes: each typical member has
-    its own rank, and the atypical mass delta sits on the sentinel M.
+    and z's law follows from the index: each typical member has its own
+    rank, and the atypical mass delta sits on the sentinel M.
       - A legitimate pair is rejected exactly when z = M, so
         p_e = delta.
       - Either masked component alone is uniform over M+1 values given
@@ -207,29 +191,18 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
       - The pair determines (u_l, u_m, z) and s^n -> (s^n, z) is a
         bijection, so H(S^n | X Y) = n H(S) - H(Z).
     """
-    n = params.n
-    idx = params.index
-    source = idx.source
-    m, delta = idx.m_count, idx.delta
-    cls = idx.classes
-    h_z = math.fsum((-cls.mass * cls.logp)[cls.typical])
-    if delta > 0.0:
-        h_z -= delta * math.log2(delta)
+    n, idx = params.n, params.index
+    delta, h_z = idx.delta, idx.h_z
     i_l = math.log2(params.l_count)
-    i_xy = i_l + _clamp_mi(math.log2(m + 1) - h_z)
-    h_s = entropy(source)
-    h_s_given_xy = max(n * h_s - h_z, 0.0)
-
-    rate = math.log2(params.share_size) / n
+    i_xy = i_l + _clamp_mi(math.log2(idx.m_count + 1) - h_z)
+    h_s = entropy(idx.source)
     lo = i_l / n
     penalty = (delta * math.log2(delta) if delta > 0.0 else 0.0) + 1.0
     hi = lo + delta * h_s + (2.0 - delta) * idx.gamma + penalty / n
     return BlockQuantities(
-        n=n, gamma=idx.gamma, l_count=params.l_count,
-        m_count=m, h_s=h_s, delta=delta, p_e=delta,
-        i_sx=0.0, i_sy=0.0, i_xy=i_xy,
-        rate_x=rate, rate_y=rate, rate_u=rate,
-        h_s_given_xy=h_s_given_xy, sandwich_lo=lo, sandwich_hi=hi)
+        h_s=h_s, delta=delta, i_xy=i_xy,
+        rate_x=math.log2(params.share_size) / n,
+        h_s_given_xy=max(n * h_s - h_z, 0.0), sandwich_lo=lo, sandwich_hi=hi)
 
 
 def monte_carlo_error(params: BlockwiseParams, trials: int,
@@ -239,5 +212,4 @@ def monte_carlo_error(params: BlockwiseParams, trials: int,
     A legitimate pair is rejected exactly when z = M, so a trial draws the
     secret's composition and reads its type class; the rank map is unused.
     """
-    idx = params.index
-    return _estimate(trials, rng, *atypical_draw(idx.source, idx.n, idx.classes))
+    return _estimate(trials, rng, *atypical_draw(params.index))

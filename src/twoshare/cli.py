@@ -18,7 +18,7 @@ import sys
 
 from . import attack as atk
 from . import block, harness, symbol
-from .harness import _number
+from .harness import _check_seed, _number
 from .prob import PMF, CapExceededError, RandomStream
 from .symbol import SchemeValidationError
 from .typical import EmptyTypicalSetError
@@ -144,10 +144,12 @@ def _cmd_attack(args) -> int:
 
 def _cmd_validate(args) -> int:
     source = PMF.from_text(args.source)
-    # judged as a config's whole numbers are; --seed and --trials go unused
-    m, _, _ = [_number(v, f"'{name}'", whole=True) for name, v in (
+    # judged as a config's whole numbers are, the seed by its range too;
+    # --seed and --trials go unused
+    m, seed, _ = [_number(v, f"'{name}'", whole=True) for name, v in (
         ("m", source.support_size if args.m is None else args.m),
         ("seed", args.seed), ("trials", args.trials))]
+    _check_seed(seed)
     builders = {
         "modular": symbol.modular_scheme,
         "identity-leak": symbol.identity_leak_scheme,

@@ -85,6 +85,11 @@ def _number(value, name: str, whole: bool = False):
                           f"{'whole' if whole else 'finite'} number") from None
 
 
+def _check_seed(seed: int):
+    if not 0 <= seed < 1 << 64:   # one 64-bit Philox key word
+        raise ConfigError(f"bad config: 'seed' {seed} is not in [0, 2**64)")
+
+
 def _numbers(value, name: str, whole: bool = False) -> tuple:
     if not isinstance(value, list):
         raise ConfigError(f"bad config: {name} {_shown(value)} is not an array")
@@ -136,9 +141,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'exact' or 'mc', not {self.mode!r}")
         if self.mode == "mc" and self.trials < 1:
             raise ConfigError("mc mode needs a positive trial count")
-        if not 0 <= self.seed < 1 << 64:   # one 64-bit Philox key word
-            raise ConfigError(f"bad config: 'seed' {self.seed} is not in "
-                              f"[0, 2**64)")
+        _check_seed(self.seed)
         n = self.n_values
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("n_values must be increasing positive integers")
@@ -305,11 +308,13 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
                  + math.log2(1.0 - 1e-9) if q.delta < 1.0 else -math.inf)
     rate_ok = (h_s + ell - gamma - 1.0 / n - BOUND_TOL <= q.rate_x
                <= h_s + ell + gamma + 1.0 / n + BOUND_TOL
-               and math.log2(q.m_count) >= log_floor)
+               and math.log2(params.m_count) >= log_floor)
     return _Exact(
-        fields=dict(rate_x=q.rate_x, rate_y=q.rate_y, rate_u=q.rate_u,
-                    p_e=q.p_e, i_sx=q.i_sx, i_sy=q.i_sy,
-                    i_xy_per_symbol=q.i_xy / n, alpha=params.index.delta,
+        # both shares and the randomness take L (M+1) values; a rejection
+        # is an atypical secret, and a single share is independent of it
+        fields=dict(rate_x=q.rate_x, rate_y=q.rate_x, rate_u=q.rate_x,
+                    p_e=q.delta, i_sx=0.0, i_sy=0.0,
+                    i_xy_per_symbol=q.i_xy / n, alpha=q.delta,
                     beta=atk.blockwise_forgery_success(params)),
         direct_cap=1.0 / params.l_count, i_xy=q.i_xy,
         h_s_given_xy=q.h_s_given_xy, rate_ok=rate_ok,

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ._comb import (composition_count, compositions, log2_factorials,
+from ._comb import (composition_count, cuts, log2_factorials,
                     over_one_denominator, prefix_lookup)
 from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, PMF, RandomStream, _estimate, as_symbol,
@@ -589,42 +589,17 @@ class ScoreLattice:
     def accepts(self, counts) -> bool:
         return sum(map(operator.mul, counts, self.weights)) > self.bar
 
-    def cuts(self, m: int, idx, offset: int = 0):
-        """Every prefix of an m-position count vector over the values at
-        `idx` (ascending, at least two), as int64 arrays (heads, r, cut),
-        one entry per prefix, r ascending: heads[p] counts the values
-        idx[:-2] and r[p] positions are left to the last two values i < j.
-        With a of them at i the score is x - a (w_j - w_i), x = offset +
-        head.w + r w_j - bar, so the strict test accepts head + (a, r - a)
-        exactly when a < cut = ceil(x / (w_j - w_i)), clamped to [0, r+1];
-        a tie is rejected.  The weights reach 2**60 at n=96, so x, with
-        r w_j = (m - sum(head)) w_j, is summed in int64 only when a bound
-        keeps it below 2**63, and in Python ints otherwise: exact either way.
-        """
-        *head_idx, i, j = idx
-        w = self.weights
-        prefixes = compositions(m, len(head_idx) + 1)
-        heads, r = prefixes[:, 1:], prefixes[:, 0]
-        span = w[j] - w[i]
-        # x + span - 1 = base + heads.steps; its floor over span is the ceil
-        base = offset + m * w[j] - self.bar + span - 1
-        steps = [w[h] - w[j] for h in head_idx]
-        bound = max(abs(base) + m * sum(map(abs, steps)), span)
-        dtype = np.int64 if bound < 1 << 63 else object
-        x = base
-        for step, col in zip(steps, heads.T):
-            x = x + col.astype(dtype) * step
-        cut = np.minimum(np.asarray(x // span, dtype=dtype), r + 1)
-        return heads, r, np.maximum(cut, 0).astype(np.int64, copy=False)
-
     @functools.cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`cuts` of n positions over every value, with no offset: the
+        """`cuts` of n positions over every value, with no offset; the
+        values ascend, so a prefix accepts the a below its cut.  The
         Monte Carlo table reads them, and so does every `mass` over n
         positions whose masses are all positive.  Raises LatticeCapError
         past LATTICE_CAP prefixes."""
         check_lattice_points(self.n, walk_size(self.n, len(self.values)))
-        return self.cuts(self.n, range(len(self.values)))
+        heads, r, (cut,) = cuts(self.weights, (self.bar,), self.n,
+                                range(len(self.values)))
+        return heads, r, cut
 
     @functools.cached_property
     def _sums(self) -> dict:
@@ -668,7 +643,8 @@ class ScoreLattice:
             heads, r, cut = self._walk
         else:
             check_lattice_points(m, walk_size(m, len(idx)))
-            heads, r, cut = self.cuts(m, idx, offset)
+            heads, r, (cut,) = cuts(self.weights, (self.bar,), m, idx,
+                                    offset)
         lf = log2_factorials(m)
         *head_logs, lq_i, lq_j = (math.log2(masses[j]) for j in idx)
         tops, tails = _row_tails(lf, lq_i, lq_j, r, cut, accepted)
@@ -692,8 +668,8 @@ class ScoreLattice:
         if parts == 1:
             hit = self.n * self.weights[0] > self.bar
             return lambda counts: np.full(len(counts), hit)
-        heads, _, cuts = self._walk
-        cut_of = prefix_lookup(heads, cuts, self.n)
+        heads, _, cut = self._walk
+        cut_of = prefix_lookup(heads, cut, self.n)
         return lambda counts: counts[:, -2] < cut_of(counts)
 
 

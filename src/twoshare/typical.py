@@ -1,10 +1,13 @@
-"""Typical sets over i.i.d. sources, ranked by their type classes.
+"""Typical sets over i.i.d. sources, indexed by interval sums.
 
 Membership uses the window |mean surprisal - H(S)| <= gamma, decided
-exactly on a block's composition by one integer test (`_window`), which
-the scalar test, the type classes, the rank index and the Monte Carlo
-draw all read.  Counts, masses and ranks come from the type classes;
-none enumerates k**n sequences.
+exactly on a block's composition as an interval of one integer score
+(`_window`), which the scalar test, the rank index and the Monte Carlo
+draw all read.  No type class list is built: fix every count but the last
+two and the typical counts of the second-last form one interval
+(`_comb.cuts`), so counts and ranks sum exact binomial rows over those
+intervals, and the masses add one term per class.  None enumerates k**n
+sequences.
 """
 from __future__ import annotations
 
@@ -14,12 +17,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from ._comb import (compositions, multinomial, over_one_denominator,
-                    prefix_lookup)
+from ._comb import cuts, multinomial, over_one_denominator, prefix_lookup
 from .prob import PMF, RandomStream, _estimate, as_symbol, entropy
 
 
@@ -64,25 +66,25 @@ class GammaSchedule:
         return self.param
 
 
-def _window(source: PMF, n: int, gamma: float):
-    """The window test of an n-block from its counts over the support
-    symbols, exactly.  The support's surprisals, H(S) and gamma are floats,
-    so binary fractions: over one denominator they are ints w_j, h and g,
-    and |sum_j c_j w_j / n - h| <= g reads n (h - g) <= sum_j c_j w_j <=
-    n (h + g), whatever order a float sum would take."""
+def _window(source: PMF, n: int, gamma: float) -> tuple[list[int], int, int]:
+    """The window test of an n-block on its counts over the support
+    symbols, exactly, as ints (surprisals, lo, hi).  The support's
+    surprisals, H(S) and gamma are floats, so binary fractions: over one
+    denominator they are ints w_j, h and g, and |sum_j c_j w_j / n - h| <= g
+    reads lo = n (h - g) <= sum_j c_j w_j <= n (h + g) = hi, whatever order
+    a float sum would take."""
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     p = source.probs
     *weights, h, g = over_one_denominator(
         (-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist()
         + [entropy(source), gamma])
-    lo, hi = n * (h - g), n * (h + g)
-    return lambda counts: lo <= sum(map(operator.mul, counts, weights)) <= hi
+    return weights, n * (h - g), n * (h + g)
 
 
 def is_typical(seq, source: PMF, gamma: float) -> bool:
     """Window test on one sequence, decided on its composition by the
-    test the type classes use; zero-probability symbols fail, and symbols
+    test the index uses; zero-probability symbols fail, and symbols
     outside the alphabet or not integers raise ValueError."""
     symbols, k = tuple(map(as_symbol, seq)), source.support_size
     if not symbols:
@@ -90,68 +92,122 @@ def is_typical(seq, source: PMF, gamma: float) -> bool:
     bad = min(symbols) if min(symbols) < 0 else max(symbols)
     if not 0 <= bad < k:
         raise ValueError(f"symbol {bad} outside [0, {k})")
-    inside = _window(source, len(symbols), gamma)
+    weights, lo, hi = _window(source, len(symbols), gamma)
     counts, on = np.bincount(symbols, minlength=k), source.probs > 0.0
-    return not counts[~on].any() and inside(counts[on].tolist())
-
-
-class TypeClasses(NamedTuple):
-    """The type classes of a length-n block, one entry per class in each
-    array: a class holds all sequences of one composition."""
-
-    counts: np.ndarray   # int64 rows, per support symbol in alphabet order
-    sizes: np.ndarray    # members: exact multinomials, as Python ints
-    logp: np.ndarray     # log2 probability of each member
-    mass: np.ndarray     # sizes * 2**logp, summed in the exponent
-    typical: np.ndarray  # bool
-
-
-def type_classes(source: PMF, n: int, gamma: float) -> TypeClasses:
-    """Every composition of a length-n block over the source's support, in
-    lexicographic order.
-
-    Membership is decided once per class from its counts, by the window
-    test `is_typical` applies.  Compositions that use a zero-probability
-    symbol carry no mass and are never typical, so they are left out.
-    A class's mass is summed in the exponent, so a huge count times a tiny
-    per-member probability cannot overflow.  Cost is O(C(n+k-1, k-1))
-    classes, not k**n sequences.
-    """
-    inside = _window(source, n, gamma)
-    if n < 1:
-        raise ValueError("blocklength must be positive")
-    logs = [math.log2(p) for p in source.probs.tolist() if p > 0.0]
-    counts = compositions(n, len(logs))
-    rows = counts.tolist()
-    sizes = [multinomial(c) for c in rows]
-    logp = [math.fsum(map(operator.mul, c, logs)) for c in rows]
-    mass = [2.0 ** (math.log2(m) + lp) for m, lp in zip(sizes, logp)]
-    return TypeClasses(counts, np.array(sizes, dtype=object), np.array(logp),
-                       np.array(mass), np.array(list(map(inside, rows))))
+    return not counts[~on].any() and lo <= sum(
+        map(operator.mul, counts[on].tolist(), weights)) <= hi
 
 
 class TypicalIndex:
     """The typical set of a source at blocklength n, with a rank bijection.
 
+    Fix the counts of every support symbol but the last two (a prefix),
+    and the typical counts of the second-last form one interval [lo, hi)
+    between the `cuts` of the window's bars.  `m_count` and each rank-map
+    row add, per prefix, its multinomial times an interval of an exact
+    binomial row; `delta` and `h_z` add one term per class.
+
     Rank m is the (m+1)-th typical sequence in lexicographic order, found
     by enumerative coding, b positions at a time: each lexicographically
     smaller chunk of b symbols adds the typical continuations of the
-    prefix with it, a count fixed by the prefix's composition and the
-    chunk's.  `xi_plus` sends every atypical sequence to m_count.
-    `delta` is the atypical mass."""
+    prefix with it.  `xi_plus` sends every atypical sequence to m_count."""
 
-    def __init__(self, source: PMF, n: int, gamma: float, classes):
+    def __init__(self, source: PMF, n: int, gamma: float):
+        self._surprisals, lo, hi = _window(source, n, gamma)
+        if n < 1:
+            raise ValueError("blocklength must be positive")
         self.source, self.n, self.gamma, self.k = (source, n, gamma,
                                                    source.support_size)
-        self.classes = classes
-        self.m_count = int(classes.sizes[classes.typical].sum())
-        self.delta = math.fsum(classes.mass[~classes.typical])
+        self._bars = (lo - 1, hi)
         # the support symbols and the weights of their counts in a prefix
-        # code; the chunk tables and the rows of the rank walk are built as
-        # it first runs
+        # code; the chunk tables and the rank walk's rows, binomial rows
+        # and prefix multinomials are built as first asked for
         self._support = [a for a, p in enumerate(source.probs) if p > 0.0]
         self._weights = [(n + 1) ** j for j in range(len(self._support))]
-        self._rows = {}
+        self._rows, self._binomials, self._sizes = {}, {}, {}
+
+    def _cuts(self, m: int, offset: int = 0, idx=None):
+        """`cuts` of the window for m positions on top of a score offset,
+        over the support symbols in `idx` order (their own by default): per
+        prefix (heads, r), the typical counts of idx[-2] are [lo, hi)."""
+        idx = range(len(self._support)) if idx is None else idx
+        heads, r, (a, b) = cuts(self._surprisals, self._bars, m, idx, offset)
+        return heads, r, np.minimum(a, b), np.maximum(a, b)
+
+    def _binomial_sums(self, r: int) -> list[int]:
+        """0 and the running sums of the exact binomial row C(r, 0..r)."""
+        if r not in self._binomials:
+            row, c = [0], 1
+            for a in range(r + 1):
+                row.append(row[-1] + c)
+                c = c * (r - a) // (a + 1)
+            self._binomials[r] = row
+        return self._binomials[r]
+
+    def _prefixes(self, m: int, offset: int = 0) -> list:
+        """Per prefix of `_cuts` in the support's order, as Python ints:
+        its multinomial(m; r, head), head, r, lo and hi.  A lone support
+        symbol has one class, its count r = m, typical: w = H(S) = 0."""
+        if len(self._support) == 1:
+            return [(1, [], m, m, m + 1)]
+        heads, r, lo, hi = self._cuts(m, offset)
+        heads, r = heads.tolist(), r.tolist()
+        if m not in self._sizes:
+            self._sizes[m] = [multinomial(h + [c]) for h, c in zip(heads, r)]
+        return list(zip(self._sizes[m], heads, r, lo.tolist(), hi.tolist()))
+
+    def _count(self, prefixes: list) -> int:
+        """Typical blocks over `_prefixes`: per prefix, its multinomial
+        times an interval of its exact binomial row."""
+        total = 0
+        for size, _, r, lo, hi in prefixes:
+            if lo < hi:
+                sums = self._binomial_sums(r)
+                total += size * (sums[hi] - sums[lo])
+        return total
+
+    @functools.cached_property
+    def _block(self) -> list:
+        """`_prefixes` of the whole block, read by `m_count` and `_masses`."""
+        return self._prefixes(self.n)
+
+    @functools.cached_property
+    def m_count(self) -> int:
+        return self._count(self._block)
+
+    @functools.cached_property
+    def _masses(self) -> tuple[float, float]:
+        """(delta, H(Z)): the atypical mass, and the entropy of the rank z,
+        each typical member's mass on its own value and delta on the
+        sentinel.  A class's mass is log2 of its exact multinomial plus
+        fsum of its c_j log2 p_j, raised in the exponent, so a huge count
+        times a tiny probability cannot overflow."""
+        logs = [math.log2(p) for p in self.source.probs.tolist() if p > 0.0]
+        if len(logs) == 1:   # one block, of mass 1 and log2 p = 0
+            return 0.0, 0.0
+        *head_logs, log_i, log_j = logs
+        atypical, typical = [], []
+        for size, head, r, lo, hi in self._block:
+            sums = self._binomial_sums(r)
+            terms = list(map(operator.mul, head, head_logs))
+            for a in range(r + 1):
+                logp = math.fsum(terms + [a * log_i, (r - a) * log_j])
+                mass = 2.0 ** (math.log2(size * (sums[a + 1] - sums[a]))
+                               + logp)
+                if lo <= a < hi:
+                    typical.append(-mass * logp)
+                else:
+                    atypical.append(mass)
+        delta, h_z = math.fsum(atypical), math.fsum(typical)
+        return delta, h_z - delta * math.log2(delta) if delta > 0.0 else h_z
+
+    @property
+    def delta(self) -> float:
+        return self._masses[0]
+
+    @property
+    def h_z(self) -> float:
+        return self._masses[1]
 
     @functools.cached_property
     def _chunks(self):
@@ -159,56 +215,37 @@ class TypicalIndex:
         k' support symbols (at most n), and the chunks the walk reads: b
         positions per row, the last n mod b when that is not 0: one dict
         from a chunk value's symbols to (its position, its code step), and
-        per chunk of the walk, the compositions of its length and its
-        values in lexicographic order as (symbols, code step, composition
-        position)."""
+        per chunk of the walk, its values in lexicographic order as
+        (symbols, code step)."""
         support, n = self._support, self.n
         parts, b = len(support), 1
         while b < n and parts ** (b + 1) <= 256:
             b += 1
         find, tables = {}, {}
         for t in {b, n % b or b}:
-            comps = list(map(tuple, compositions(t, parts).tolist()))
-            where = {c: i for i, c in enumerate(comps)}
-            values = []
+            values = tables[t] = []
             for slots in itertools.product(range(parts), repeat=t):
-                counts = tuple(map(slots.count, range(parts)))
-                step = sum(map(operator.mul, counts, self._weights))
+                step = sum(self._weights[j] for j in slots)
                 symbols = tuple(support[j] for j in slots)
                 find[symbols] = (len(values), step)
-                values.append((symbols, step, where[counts]))
-            tables[t] = comps, values
+                values.append((symbols, step))
         return b, find, [tables[min(b, n - d)] for d in range(0, n, b)]
 
     def _row(self, code: int) -> tuple[int, ...]:
         """Running sums, over the chunk values in lexicographic order, of
         the typical continuations of a prefix coded in base n+1 by its
-        composition, from one pass over the typical classes: a class that
-        holds the prefix, with rest_j of symbol j left, gives a chunk of
-        composition c multinomial(rest) * prod_j rest_j^(c_j falling),
-        which is multinomial(rest - c) times left^(t falling) for the left
-        = n - depth symbols and a chunk of t.  The classes are summed as
-        columns of exact Python ints."""
-        prefix = [code // w % (self.n + 1) for w in self._weights]
-        depth = sum(prefix)
-        b, _, chunks = self._chunks
-        comps, values = chunks[depth // b]
-        left = self.n - depth
-        t = min(b, left)
-        rest = self.classes.counts[self.classes.typical] - prefix
-        rest = rest[(rest >= 0).all(axis=1)].astype(object)
-        scale = np.array([multinomial(r) for r in rest.tolist()], dtype=object)
-        # each rest_j's falling factorials of orders 0..t, the first
-        # symbol's times the multinomial
-        falls = [list(itertools.accumulate(
-            (rest[:, j] - i for i in range(t)), operator.mul,
-            initial=scale if j == 0 else 1)) for j in range(rest.shape[1])]
-        div = math.perm(left, t)
-        per = [int(functools.reduce(operator.mul, map(operator.getitem, falls,
-                                                      comp)).sum()) // div
-               for comp in comps]
+        composition: a chunk value adds the typical blocks that extend the
+        prefix with it, one count per chunk composition (its code step)."""
+        (b, _, chunks), n = self._chunks, self.n
+        values = chunks[sum(code // w % (n + 1) for w in self._weights) // b]
+        per = {}
+        for s in {s for _, s in values}:
+            prefix = [(code + s) // w % (n + 1) for w in self._weights]
+            per[s] = self._count(self._prefixes(
+                n - sum(prefix), sum(map(operator.mul, prefix,
+                                         self._surprisals))))
         row = self._rows[code] = tuple(
-            itertools.accumulate((per[c] for _, _, c in values), initial=0))
+            itertools.accumulate((per[s] for _, s in values), initial=0))
         return row
 
     def _walk(self, seq) -> int:
@@ -257,11 +294,11 @@ class TypicalIndex:
         if not 0 <= m < self.m_count:
             raise IndexError(f"rank {m} outside [0, {self.m_count})")
         rows, code, out = self._rows, 0, []
-        for _, values in self._chunks[2]:
+        for values in self._chunks[2]:
             row = rows.get(code) or self._row(code)
             v = bisect.bisect_right(row, m) - 1
             m -= row[v]
-            symbols, step, _ = values[v]
+            symbols, step = values[v]
             out += symbols
             code += step
         return tuple(out)
@@ -269,7 +306,7 @@ class TypicalIndex:
 
 def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
     """Index the typical set; raises EmptyTypicalSetError when empty."""
-    index = TypicalIndex(source, n, gamma, type_classes(source, n, gamma))
+    index = TypicalIndex(source, n, gamma)
     if index.m_count == 0:
         raise EmptyTypicalSetError(
             f"no sequence is typical at n={n}, gamma={gamma}")
@@ -292,18 +329,23 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
 MISS, HIT, OPEN = 0, 1, 2
 
 
-def _first_count_fates(classes: TypeClasses, n: int, g: int) -> np.ndarray:
+def _fates(index: TypicalIndex, g: int) -> np.ndarray:
     """Per count c = 0..n of support symbol g, the fate of a trial that
     draws it: MISS when every class with that count is typical, HIT when
-    every one is atypical, OPEN when they are mixed."""
-    seen = np.zeros((n + 1, 2), dtype=bool)
-    seen[classes.counts[:, g], classes.typical.astype(np.intp)] = True
-    fates = np.where(seen[:, 0], HIT, MISS).astype(np.int8)
-    fates[seen.all(axis=1)] = OPEN
+    every one is atypical, OPEN when they are mixed.  With g second-last, a
+    prefix of r has one class per c <= r, typical in [lo, hi)."""
+    idx = [j for j in range(len(index._support)) if j != g]
+    idx.insert(-1, g)
+    _, r, lo, hi = index._cuts(index.n, idx=idx)
+    ends = functools.partial(np.bincount, minlength=index.n + 2)
+    typical = np.cumsum(ends(lo) - ends(hi))[:-1]
+    classes = len(r) - np.cumsum(ends(r + 1))[:-1]
+    fates = np.where(classes > typical, HIT, MISS).astype(np.int8)
+    fates[(typical > 0) & (classes > typical)] = OPEN
     return fates
 
 
-def atypical_draw(source: PMF, n: int, classes: TypeClasses) -> tuple[
+def atypical_draw(index: TypicalIndex) -> tuple[
         float, float, Callable[[np.random.Generator, int], int] | None]:
     """The atypical mass as `_estimate`'s (hit, open, draw_open): a trial
     hits when its block's type class is atypical.  One support symbol's
@@ -312,15 +354,14 @@ def atypical_draw(source: PMF, n: int, classes: TypeClasses) -> tuple[
     its Binomial(n, p) counts that decide a hit and that leave the class
     open.  `draw_open` draws an open trial's count from its pmf restricted
     to the open counts, by inversion, then the other counts with one
-    multinomial on the rest of the block, and reads the class off its
-    counts.  When every class is on one side, each trial's outcome is
-    fixed, so `open` is 0 and `hit` is 0 or 1."""
-    typical = classes.typical
-    if typical.all() or not typical.any():
-        return float(not typical[0]), 0.0, None
-    support = source.probs[source.probs > 0.0]
+    multinomial on the rest of the block, and reads the class off the
+    window of its prefix.  When every class is on one side, each trial's
+    outcome is fixed, so `open` is 0 and `hit` is 0 or 1."""
+    n, support = index.n, index.source.probs[index.source.probs > 0.0]
+    if index.m_count in (0, len(support) ** n):
+        return float(not index.m_count), 0.0, None
+    fates = [_fates(index, g) for g in range(len(support))]
     pmfs = [_binomial_pmf(n, float(p)) for p in support]
-    fates = [_first_count_fates(classes, n, g) for g in range(len(support))]
     opens = [math.fsum(pmf[fate == OPEN]) for pmf, fate in zip(pmfs, fates)]
     g = int(np.argmin(opens))
     hit = math.fsum(pmfs[g][fates[g] == HIT])
@@ -330,12 +371,14 @@ def atypical_draw(source: PMF, n: int, classes: TypeClasses) -> tuple[
     cdf = np.cumsum(pmfs[g][counts])[:-1] / opens[g]
     rest = np.delete(support, g)
     rest /= rest.sum()
-    atypical = prefix_lookup(classes.counts[:, :-1], ~typical, n)
+    heads, _, lo, hi = index._cuts(n)
+    window = prefix_lookup(heads, np.column_stack((lo, hi)), n)
 
     def draw_open(gen: np.random.Generator, take: int) -> int:
         c = counts[np.searchsorted(cdf, gen.random(take), side="right")]
         drawn = np.insert(gen.multinomial(n - c, rest), g, c, axis=1)
-        return int(np.count_nonzero(atypical(drawn)))
+        (lo, hi), a = window(drawn).T, drawn[:, -2]
+        return int(np.count_nonzero((a < lo) | (a >= hi)))
     return hit, opens[g], draw_open
 
 
@@ -347,4 +390,4 @@ def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
     then the one-sided 95% upper bound 3/trials.
     """
     return _estimate(trials, rng,
-                     *atypical_draw(source, n, type_classes(source, n, gamma)))
+                     *atypical_draw(TypicalIndex(source, n, gamma)))

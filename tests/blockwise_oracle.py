@@ -14,15 +14,25 @@ them as exact Fractions, so a total within rounding of a window end is
 decided as the library's exact window decides it.
 """
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from twoshare.attack import AttackResult
-from twoshare.block import BlockQuantities, BlockwiseParams
+from twoshare.block import BlockShare, BlockwiseParams
 from oracles import AlphaBeta, iid_extension
 from twoshare.prob import PMF, _entropy_bits, entropy
 from twoshare.typical import TypicalIndex
+
+
+def share_to_flat(params: BlockwiseParams, share: BlockShare) -> int:
+    """A share's position among the L (M+1) share values."""
+    return share.l * params.mp1 + share.m
+
+
+def flat_to_share(params: BlockwiseParams, flat: int) -> BlockShare:
+    return BlockShare(*divmod(int(flat), params.mp1))
 
 
 def _surprisal_table(source: PMF) -> np.ndarray:
@@ -107,7 +117,31 @@ def _clamp_mi(value: float) -> float:
     return max(value, 0.0)
 
 
-def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
+@dataclass(frozen=True)
+class DenseQuantities:
+    """Every quantity the dense grid yields: those of
+    `block.BlockQuantities` and the ones a record spells as constants or
+    copies (p_e = delta, I(S;X) = I(S;Y) = 0, every rate alike)."""
+
+    n: int
+    gamma: float
+    l_count: int
+    m_count: int
+    h_s: float
+    delta: float
+    p_e: float
+    i_sx: float
+    i_sy: float
+    i_xy: float
+    rate_x: float
+    rate_y: float
+    rate_u: float
+    h_s_given_xy: float
+    sandwich_lo: float
+    sandwich_hi: float
+
+
+def exact_quantities(params: BlockwiseParams) -> DenseQuantities:
     """Exhaustive evaluation of error, secrecy, and correlation.
 
     The error probability runs the acceptance test over every
@@ -188,7 +222,7 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
     lo = i_l / n
     penalty = (delta * math.log2(delta) if delta > 0.0 else 0.0) + 1.0
     hi = lo + delta * h_s + (2.0 - delta) * params.index.gamma + penalty / n
-    return BlockQuantities(
+    return DenseQuantities(
         n=n, gamma=params.index.gamma, l_count=params.l_count,
         m_count=m, h_s=h_s, delta=delta, p_e=p_e,
         i_sx=i_sx, i_sy=i_sy, i_xy=i_xy,

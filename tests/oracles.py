@@ -4,13 +4,16 @@ pushforwards, the dense (S, U, X, Y) joint of a per-symbol
 splitter with its validation profile, its dense per-symbol share laws and
 score table, dense i.i.d. extensions and inverse-CDF sampling, the
 chunked Monte Carlo loop with a fresh generator per chunk, brute-force
-attacks and the dense alpha/beta, exact rationals, and alpha/beta composed
-from the library's lattice sums.  The dense ones are for small instances
-only; the library calls none of them.
+attacks and the dense alpha/beta, exact rationals, alpha/beta composed
+from the library's lattice sums, and the blockwise type classes listed one
+by one with the exact M, delta and H(Z) they sum to.  The dense ones are
+for small instances only; the library calls none of them.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -18,6 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 import mpmath
 import numpy as np
 
+from twoshare import typical
+from twoshare._comb import compositions, multinomial
 from twoshare.attack import symbolwise_beta
 from twoshare.prob import (CapExceededError, PMF, RandomStream,
                            _entropy_bits, _validate_probs, entropy)
@@ -547,3 +552,145 @@ def entropy_mp(probs, prec: int = 120) -> mpmath.mpf:
                 x = mpmath.mpf(p)
             total -= x * mpmath.log(x, 2)
         return +total
+
+
+# ---------------------------------------------------------------------------
+# Blockwise type classes, one by one, and the exact sums over them
+
+
+class TypeClasses(NamedTuple):
+    """The type classes of a length-n block, one entry per class in each
+    array: a class holds all sequences of one composition."""
+
+    counts: np.ndarray   # int64 rows, per support symbol in alphabet order
+    sizes: np.ndarray    # members: exact multinomials, as Python ints
+    logp: np.ndarray     # log2 probability of each member
+    mass: np.ndarray     # sizes * 2**logp, summed in the exponent
+    typical: np.ndarray  # bool
+
+
+def type_classes(source: PMF, n: int, gamma: float) -> TypeClasses:
+    """Every composition of a length-n block over the source's support, in
+    lexicographic order: the class list the typical-set index once kept,
+    C(n+k-1, k-1) entries.  Each class is decided by the library's integer
+    window (`typical._window`); its mass is log2 of its exact multinomial
+    plus fsum of its c_j log2 p_j, raised in the exponent."""
+    weights, lo, hi = typical._window(source, n, gamma)
+    logs = [math.log2(p) for p in source.probs.tolist() if p > 0.0]
+    counts = compositions(n, len(logs))
+    rows = counts.tolist()
+    sizes = [multinomial(c) for c in rows]
+    logp = [math.fsum(map(operator.mul, c, logs)) for c in rows]
+    mass = [2.0 ** (math.log2(m) + lp) for m, lp in zip(sizes, logp)]
+    inside = [lo <= sum(map(operator.mul, c, weights)) <= hi for c in rows]
+    return TypeClasses(counts, np.array(sizes, dtype=object), np.array(logp),
+                       np.array(mass), np.array(inside))
+
+
+def class_quantities(classes: TypeClasses) -> tuple[int, float, float]:
+    """(M, delta, H(Z)) summed over the class list, each class one term."""
+    typ = classes.typical
+    delta = math.fsum(classes.mass[~typ])
+    h_z = math.fsum((-classes.mass * classes.logp)[typ])
+    if delta > 0.0:
+        h_z -= delta * math.log2(delta)
+    return int(classes.sizes[typ].sum()), delta, h_z
+
+
+def class_fates(classes: TypeClasses, n: int, g: int) -> np.ndarray:
+    """Per count c = 0..n of support symbol g, from a scan of the classes:
+    MISS when every class with that count is typical, HIT when every one
+    is atypical, OPEN when they are mixed (MISS when there is none)."""
+    fates = np.full(n + 1, typical.MISS, dtype=np.int8)
+    for c in range(n + 1):
+        flags = set(classes.typical[classes.counts[:, g] == c].tolist())
+        if flags == {False}:
+            fates[c] = typical.HIT
+        elif len(flags) == 2:
+            fates[c] = typical.OPEN
+    return fates
+
+
+def class_row(classes: TypeClasses, support, prefix, t: int) -> tuple:
+    """A rank-map row from the class list: running sums, over the chunks
+    of t support symbols in lexicographic order, of the typical blocks
+    that extend a prefix of the given composition with the chunk."""
+    typ = classes.counts[classes.typical].tolist()
+    out = [0]
+    for chunk in itertools.product(range(len(support)), repeat=t):
+        head = [p + chunk.count(j) for j, p in enumerate(prefix)]
+        out.append(out[-1] + sum(
+            multinomial([c - h for c, h in zip(counts, head)])
+            for counts in typ if all(map(operator.ge, counts, head))))
+    return tuple(out)
+
+
+class ExactBlockwise(NamedTuple):
+    m_count: int
+    delta: Fraction
+    h_z: mpmath.mpf
+
+
+def exact_blockwise(source: PMF, n: int, gamma: float,
+                    prec: int = 256) -> ExactBlockwise:
+    """M, delta and H(Z) of the typical set, from exact class masses.
+
+    Every float is a binary fraction, so the probabilities, the float
+    surprisals, H(S) and gamma are exact Fractions: the window
+    |sum_j c_j w_j / n - H(S)| <= gamma is decided in Fractions, a class's
+    mass multinomial(c) prod_j p_j^c_j is exact, and so is delta, their sum
+    over the atypical classes.  H(Z), the typical classes' sum of
+    -mass log2 prod_j p_j^c_j minus delta log2 delta, is summed in mpmath
+    at `prec` bits from those exact masses and log2 p_j.
+
+    Over one denominator D the probabilities are ints A_j, and every
+    class's mass is an int over D**n.  The classes are walked per prefix of
+    all counts but the last two, i and j; along a prefix of r the terms
+    T(a) = C(r, a) A_i^a A_j^(r-a) follow one another by small exact
+    products and divisions, so n=2000 takes a fraction of a second."""
+    probs = [Fraction(p) for p in source.probs.tolist() if p > 0.0]
+    k = len(probs)
+    den = max(p.denominator for p in probs)
+    ints = [int(p * den) for p in probs]
+    w = [Fraction(v) for v in (-np.log2([float(p) for p in probs])).tolist()]
+    h, g = Fraction(entropy(source)), Fraction(gamma)
+    with mpmath.workprec(prec):
+        lp = [mpmath.log(mpmath.mpf(p.numerator) / p.denominator, 2)
+              for p in probs]
+        if k == 1:
+            inside = abs(n * w[0] / n - h) <= g
+            return ExactBlockwise(int(inside), Fraction(int(not inside)),
+                                  mpmath.mpf(0))
+        m_count, atypical, h_sum = 0, 0, mpmath.mpf(0)
+        for prefix in compositions(n, k - 1).tolist():
+            r, head = prefix[0], prefix[1:]
+            size = multinomial(prefix) * math.prod(
+                map(pow, ints[:k - 2], head))
+            score = sum(map(operator.mul, head, w[:k - 2])) + r * w[k - 1]
+            info = -(sum(map(operator.mul, head, lp[:k - 2])) + r * lp[k - 1])
+            binom, term = 1, ints[k - 1] ** r
+            inside_count, inside_terms, inside_first = 0, 0, 0
+            outside = 0
+            for a in range(r + 1):
+                if abs(score / n - h) <= g:
+                    inside_count += binom
+                    inside_terms += term
+                    inside_first += a * term
+                else:
+                    outside += term
+                if a < r:
+                    binom = binom * (r - a) // (a + 1)
+                    term = term * (r - a) * ints[k - 2] // (
+                        (a + 1) * ints[k - 1])
+                    score += w[k - 2] - w[k - 1]
+            m_count += multinomial(prefix) * inside_count
+            atypical += size * outside
+            # sum over the typical a of T(a) (info - a (lp_i - lp_j))
+            h_sum += size * (inside_terms * info
+                             - inside_first * (lp[k - 2] - lp[k - 1]))
+        delta = Fraction(atypical, den ** n)
+        h_z = h_sum / mpmath.mpf(den) ** n
+        if delta:
+            d = mpmath.mpf(delta.numerator) / delta.denominator
+            h_z -= d * mpmath.log(d, 2)
+        return ExactBlockwise(m_count, delta, +h_z)

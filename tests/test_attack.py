@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import blockwise_oracle
+from blockwise_oracle import flat_to_share, share_to_flat
 from symbolwise_oracle import modular_attack_success
 from oracles import (attack_bruteforce, iid_extension, share_laws,
                      symbolwise_test_quantities)
@@ -59,7 +61,7 @@ def honest_share_probs(params, side):
         for u_l in range(params.l_count):
             for u_m in range(mp1):
                 x, _ = encode(params, seq, BlockRandomness(u_l, u_m))
-                probs[params.share_to_flat(x)] += p_sn[i] / (params.l_count * mp1)
+                probs[share_to_flat(params, x)] += p_sn[i] / (params.l_count * mp1)
     return probs
 
 
@@ -68,12 +70,12 @@ class TestBlockwiseAttack:
         params = small_params()
 
         def fn_x(f, h):
-            return accepts(params, params.flat_to_share(f),
-                           params.flat_to_share(h))
+            return accepts(params, flat_to_share(params, f),
+                           flat_to_share(params, h))
 
         def fn_y(f, h):
-            return accepts(params, params.flat_to_share(h),
-                           params.flat_to_share(f))
+            return accepts(params, flat_to_share(params, h),
+                           flat_to_share(params, f))
 
         for side, fn in (("x", fn_x), ("y", fn_y)):
             probs = honest_share_probs(params, side)
@@ -90,14 +92,14 @@ class TestBlockwiseAttack:
         expect = m / (l * (m + 1.0))
 
         def fn(f, h):
-            return accepts(params, params.flat_to_share(f),
-                           params.flat_to_share(h))
+            return accepts(params, flat_to_share(params, f),
+                           flat_to_share(params, h))
 
         for side in ("x", "y"):
             probs = honest_share_probs(params, side)
             fn_side = fn if side == "x" else (
-                lambda f, h: accepts(params, params.flat_to_share(h),
-                                     params.flat_to_share(f)))
+                lambda f, h: accepts(params, flat_to_share(params, h),
+                                     flat_to_share(params, f)))
             vals = per_forgery_success(fn_side, params.share_size, probs)
             assert max(vals) - min(vals) <= 1e-15
             assert vals[0] == pytest.approx(expect, abs=1e-15)
@@ -320,20 +322,21 @@ class TestDenseQuantities:
             for u_l in range(params.l_count):
                 for u_m in range(mp1):
                     x, y = encode(params, seq, BlockRandomness(u_l, u_m))
-                    table[params.share_to_flat(x), params.share_to_flat(y)] \
+                    table[share_to_flat(params, x), share_to_flat(params, y)] \
                         += p_sn[i] / (params.l_count * mp1)
         dense = dense_test_quantities(
             JointPMF(table),
-            lambda f, h: accepts(params, params.flat_to_share(f),
-                                 params.flat_to_share(h)))
+            lambda f, h: accepts(params, flat_to_share(params, f),
+                                 flat_to_share(params, h)))
         assert params.index.delta == pytest.approx(dense.alpha, abs=1e-12)
         assert blockwise_forgery_success(params) == pytest.approx(
             dense.beta, abs=1e-12)
 
     def test_blockwise_alpha_is_the_error_probability(self):
+        # the record reads delta for both; the dense grid's error agrees
         params = small_params(n=6, ell=0.5)
-        q = exact_quantities(params)
-        assert params.index.delta == pytest.approx(q.p_e, abs=1e-15)
+        dense = blockwise_oracle.exact_quantities(params)
+        assert params.index.delta == pytest.approx(dense.p_e, abs=1e-15)
 
     def test_symbolwise_quantities_match_dense(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=3, gamma=0.5)
@@ -417,6 +420,6 @@ class TestBoundCheckers:
         py = blockwise_attack(params, "y").success_prob
         assert beta <= min(px, py) + 1e-12
         assert logsum_bound_check(q.i_xy, alpha, beta).holds
-        assert fano_check(q.p_e, q.h_s_given_xy, params.n, 2).holds
+        assert fano_check(q.delta, q.h_s_given_xy, params.n, 2).holds
         assert converse_exponent_check(q.i_xy, alpha, px, py,
                                        params.n).holds

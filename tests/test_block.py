@@ -13,8 +13,11 @@ import mpmath
 import numpy as np
 import pytest
 
+import blockwise_oracle
+from blockwise_oracle import share_to_flat
 from oracles import (JointPMF, conditional_entropy, iid_extension,
                      mutual_information, pushforward)
+from twoshare import harness
 from twoshare.block import (
     BlockShare, BlockRandomness, BlockwiseParams, floor_pow2,
     encode, accepts, decode, exact_quantities, monte_carlo_error,
@@ -168,11 +171,6 @@ class TestAcceptDecode:
         p = make_params(U2, 2, 1.0, gamma=0.5)
         assert decode(p, BlockShare(0, 1), BlockShare(1, 1)).rejected
 
-    def test_flat_share_round_trip(self):
-        p = make_params(SKEW, 4, 0.5)
-        for flat in range(p.share_size):
-            assert p.share_to_flat(p.flat_to_share(flat)) == flat
-
 
 def oracle_quantities(params, source):
     """Dense mechanical evaluation of every exact quantity.
@@ -191,7 +189,7 @@ def oracle_quantities(params, source):
 
     def to_shares(si, ul, um):
         x, y = encode(params, secrets[si], BlockRandomness(ul, um))
-        return si, params.share_to_flat(x), params.share_to_flat(y)
+        return si, share_to_flat(params, x), share_to_flat(params, y)
 
     j = pushforward(grid, to_shares, (ext.size, params.share_size,
                                       params.share_size))
@@ -225,9 +223,10 @@ class TestExactQuantities:
         params = make_params(source, n, ell)
         q = exact_quantities(params)
         ref = oracle_quantities(params, source)
-        assert q.p_e == pytest.approx(ref["p_e"], abs=1e-12)
-        assert q.i_sx == pytest.approx(ref["i_sx"], abs=1e-9)
-        assert q.i_sy == pytest.approx(ref["i_sy"], abs=1e-9)
+        # a record's p_e is delta, and its I(S;X) and I(S;Y) are 0
+        assert q.delta == pytest.approx(ref["p_e"], abs=1e-12)
+        assert ref["i_sx"] == pytest.approx(0.0, abs=1e-9)
+        assert ref["i_sy"] == pytest.approx(0.0, abs=1e-9)
         assert q.i_xy == pytest.approx(ref["i_xy"], abs=1e-9)
         assert q.h_s_given_xy == pytest.approx(ref["h_s_given_xy"], abs=1e-9)
 
@@ -239,21 +238,23 @@ class TestExactQuantities:
         assert np.allclose(ref["p_x"], 1.0 / params.share_size, atol=1e-12)
 
     def test_secrecy_within_tolerance(self):
+        # on the dense (secret, mask) grid, which a record's 0s stand for
         for ell in (0.0, 0.5):
             for n in (4, 6, 8):
-                q = exact_quantities(make_params(SKEW, n, ell))
+                q = blockwise_oracle.exact_quantities(
+                    make_params(SKEW, n, ell))
                 assert abs(q.i_sx) <= 1e-9
                 assert abs(q.i_sy) <= 1e-9
 
     def test_uniform_source_zero_error(self):
         q = exact_quantities(make_params(U2, 6, 0.5))
-        assert q.p_e == 0.0 and q.delta == 0.0
+        assert q.delta == 0.0
 
     def test_error_equals_atypical_mass_bitwise(self):
         for n in (4, 8, 12):
             gamma = n ** (-1.0 / 3.0)
             q = exact_quantities(make_params(SKEW, n, 0.5))
-            assert q.p_e == q.delta == build_index(SKEW, n, gamma).delta
+            assert q.delta == build_index(SKEW, n, gamma).delta
 
     def test_sandwich_brackets_correlation(self):
         for n in (4, 8, 12):
@@ -275,16 +276,21 @@ class TestExactQuantities:
     def test_rate_identity(self):
         q = exact_quantities(make_params(SKEW, 8, 0.5))
         expect = math.log2(16 * 220) / 8
-        assert q.rate_x == q.rate_y == q.rate_u == pytest.approx(expect, abs=1e-12)
+        assert q.rate_x == pytest.approx(expect, abs=1e-12)
+        cfg = harness.ExperimentConfig.from_dict(
+            {"source": [0.7, 0.3], "scheme": {"kind": "blockwise", "ell": 0.5},
+             "n_values": [8], "mode": "exact"})
+        (rec,) = harness.run_experiment(cfg).records
+        assert rec.rate_x == rec.rate_y == rec.rate_u == q.rate_x
 
     def test_point_mass_source_supported(self):
         pm = PMF.from_probs([1.0, 0.0])
         params = make_params(pm, 4, 0.5)
         assert params.m_count == 1
         q = exact_quantities(params)
-        assert q.p_e == 0.0
+        assert q.delta == 0.0
         assert q.h_s == 0.0
-        assert abs(q.i_sx) <= 1e-9
+        assert abs(blockwise_oracle.exact_quantities(params).i_sx) <= 1e-9
 
 
 class TestMonteCarloError:

@@ -1,6 +1,6 @@
 """The combinatorics kernel both exact engines share: compositions, their
-count, multinomials, the log2-factorial row and prefix ranks, each against
-brute force or an exact integer formula."""
+count, multinomials, the log2-factorial row, prefix ranks and interval
+cuts, each against brute force or an exact integer formula."""
 import itertools
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twoshare._comb import (_prefix_rank, composition_count, compositions,
-                            log2_factorials, multinomial, prefix_lookup)
+                            cuts, log2_factorials, multinomial, prefix_lookup)
 
 
 @pytest.mark.parametrize("parts", (1, 2, 3, 4))
@@ -72,3 +72,35 @@ def test_lookup_needs_every_prefix_once():
                 prefixes[:-1] + [(4, 0)], prefixes[:-1] + [(-1, 2)]):
         with pytest.raises(ValueError, match="each of the 10 prefixes"):
             prefix_lookup(bad, range(len(bad)), 3)
+
+
+@pytest.mark.parametrize("weights", [(1, 2, 5), (5, 2, 1), (3, 3, 3),
+                                     (2, 7, 7), (4, -1, 6, -1), (-2, 9),
+                                     (1 << 61, 3 << 60, 1 << 62)])
+def test_cuts_match_brute_force(weights):
+    # any sign of the free pair's gap, 0 included, and any offset: per bar,
+    # the a whose score is above it are those below the cut (gap <= 0) or
+    # from it on (gap > 0); a tie does not pass
+    top = max(map(abs, weights))
+    for idx in itertools.permutations(range(len(weights))):
+        *head_idx, i, j = idx
+        gap = weights[i] - weights[j]
+        for m in (0, 1, 4):
+            for offset in (0, -top, 2 * top + 1):
+                scores = {s + offset for c in compositions(m, len(idx))
+                          .tolist() for s in [sum(map(
+                              int.__mul__, c, (weights[t] for t in idx)))]}
+                bars = sorted(scores | {b - 1 for b in scores})
+                heads, r, got = cuts(weights, bars, m, idx, offset)
+                for p, (head, left) in enumerate(zip(heads.tolist(),
+                                                     r.tolist())):
+                    base = offset + sum(map(int.__mul__, head, (
+                        weights[t] for t in head_idx)))
+                    for bar, cut in zip(bars, got):
+                        passing = [a for a in range(left + 1) if base
+                                   + a * weights[i] + (left - a) * weights[j]
+                                   > bar]
+                        c = int(cut[p])
+                        assert 0 <= c <= left + 1
+                        assert passing == (list(range(c)) if gap <= 0 else
+                                           list(range(c, left + 1)))

@@ -779,6 +779,16 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: bad config: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_validate_scheme_judges_the_seed_range(self, seed, capsys):
+        # as a config and every other subcommand judge it, though the seed
+        # goes unused there
+        code, out, err = self.run(
+            ["validate-scheme", "--source", "uniform:2", "--seed", seed],
+            capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad config: 'seed' {seed} is not in [0, 2**64)\n"
+
     @pytest.mark.parametrize("raw", MALFORMED)
     def test_malformed_config_prints_one_error_line(self, raw, tmp_path,
                                                     capsys):

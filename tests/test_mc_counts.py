@@ -94,7 +94,7 @@ class TestBlockwiseCoverage:
     @pytest.mark.parametrize("source,n", BLOCK_CASES)
     def test_error_and_atypical_mass(self, source, n):
         params = blockwise(source, n)
-        exact = block.exact_quantities(params).p_e
+        exact = block.exact_quantities(params).delta
         est, _ = block.monte_carlo_error(params, TRIALS, RandomStream(1))
         assert covers(est, TRIALS, exact)
         est, _ = typical.atypical_mass_mc(source, n, params.index.gamma,
@@ -127,8 +127,7 @@ class TestBlockwiseCoverage:
         gamma = power_gamma(32)
         est, _ = typical.atypical_mass_mc(K3, 32, gamma, TRIALS,
                                           RandomStream(5))
-        exact = typical.TypicalIndex(
-            K3, 32, gamma, typical.type_classes(K3, 32, gamma)).delta
+        exact = typical.TypicalIndex(K3, 32, gamma).delta
         assert covers(est, TRIALS, exact)
 
 
@@ -187,7 +186,7 @@ class TestExactEndpoints:
 
     def test_zero_error_configs_estimate_exactly_zero(self):
         params = blockwise(U2, 6)
-        assert block.exact_quantities(params).p_e == 0.0
+        assert block.exact_quantities(params).delta == 0.0
         assert block.monte_carlo_error(params, 5000, RandomStream(2))[0] == 0.0
         codec = modular(4, U2, 4, gamma=0.5)
         assert symbol.rejection_probability(codec) == 0.0
@@ -382,7 +381,7 @@ def gated_symbol(source, n, classes) -> int:
     support = source.probs[source.probs > 0.0]
     return int(np.argmin([
         exact_binomial_pmf(n, float(p))[
-            typical._first_count_fates(classes, n, g) == typical.OPEN].sum()
+            oracles.class_fates(classes, n, g) == typical.OPEN].sum()
         for g, p in enumerate(support)]))
 
 
@@ -406,13 +405,13 @@ class TestFirstCountDraw:
         n, trials = 32, 200_000
         for probs in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
             source = PMF.from_probs(probs)
-            classes = typical.type_classes(source, n, power_gamma(n))
+            classes = oracles.type_classes(source, n, power_gamma(n))
             g = gated_symbol(source, n, classes)
             pmf = exact_binomial_pmf(n, probs[g])
-            pmf[typical._first_count_fates(classes, n, g)
-                != typical.OPEN] = 0.0
+            pmf[oracles.class_fates(classes, n, g) != typical.OPEN] = 0.0
             pmf /= pmf.sum()
-            _, _, draw_open = typical.atypical_draw(source, n, classes)
+            _, _, draw_open = typical.atypical_draw(
+                typical.TypicalIndex(source, n, power_gamma(n)))
             lengths = []
             draw_open(FirstCountGenerator(RandomStream(12).gen, [], lengths),
                       trials)
@@ -425,9 +424,10 @@ class TestFirstCountDraw:
         pytest.param(K3, 32, id="k3-n32"),
         pytest.param(PMF.from_probs([0.4, 0.3, 0.2, 0.1]), 12, id="k4-n12")])
     def test_fates_match_a_scan_of_the_classes(self, source, n):
-        classes = typical.type_classes(source, n, power_gamma(n))
+        classes = oracles.type_classes(source, n, power_gamma(n))
+        index = typical.TypicalIndex(source, n, power_gamma(n))
         for g in range(classes.counts.shape[1]):
-            fates = typical._first_count_fates(classes, n, g)
+            fates = typical._fates(index, g)
             for c0 in range(n + 1):
                 flags = set(classes.typical[classes.counts[:, g] == c0]
                             .tolist())
@@ -462,23 +462,20 @@ class TestFirstCountDraw:
             # count is undecided, and no other
             split, drawn = rows
             assert split == 1 and 0 < drawn < TRIALS
-            classes = typical.type_classes(source, n, gamma)
+            classes = oracles.type_classes(source, n, gamma)
             g = gated_symbol(source, n, classes)
             undecided = exact_binomial_pmf(n, probs[g])[
-                typical._first_count_fates(classes, n, g)
-                == typical.OPEN].sum()
+                oracles.class_fates(classes, n, g) == typical.OPEN].sum()
             assert covers(drawn / TRIALS, TRIALS, undecided)
             assert covers(est, TRIALS,
-                          typical.TypicalIndex(source, n, gamma, classes).delta)
+                          typical.TypicalIndex(source, n, gamma).delta)
 
     def test_either_symbol_order_gates_on_the_same_mass(self):
         # the undecided mass of the first symbol's count is 0.10 in one
         # order and 0.9999997 in the other; the least one is the same
         n = 30
-        draws = [typical.atypical_draw(PMF.from_probs(p), n,
-                                       typical.type_classes(
-                                           PMF.from_probs(p), n,
-                                           power_gamma(n)))
+        draws = [typical.atypical_draw(typical.TypicalIndex(
+                     PMF.from_probs(p), n, power_gamma(n)))
                  for p in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])]
         (hit_a, open_a, _), (hit_b, open_b, _) = draws
         assert 0.0 < hit_a and 0.0 < open_a < 0.11
@@ -493,13 +490,13 @@ class TestFirstCountDraw:
         # both a hit and an open trial have positive mass, so a chunk
         # splits three ways
         source, gamma, trials = PMF.from_probs(probs), power_gamma(n), 200_000
-        classes = typical.type_classes(source, n, gamma)
-        hit, live, _ = typical.atypical_draw(source, n, classes)
+        index = typical.TypicalIndex(source, n, gamma)
+        hit, live, _ = typical.atypical_draw(index)
         assert hit > 0.0 and live > 0.0
         est, _ = typical.atypical_mass_mc(source, n, gamma, trials,
                                           RandomStream(17))
         assert covers(est, trials,
-                      typical.TypicalIndex(source, n, gamma, classes).delta)
+                      index.delta)
 
 
 class TestShippedMonteCarloStreams:

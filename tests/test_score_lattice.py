@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 import symbolwise_oracle as conv
-from twoshare import attack, harness, symbol
+from twoshare import _comb, attack, harness, symbol
 from twoshare._comb import compositions
 from twoshare.prob import PMF
 
@@ -304,8 +304,8 @@ def test_offsets_shift_the_bar():
 
 
 def walked_cuts(lat, m, idx, offset=0):
-    """`ScoreLattice.cuts` as (head, r, cut) triples of Python ints."""
-    heads, rs, cuts = lat.cuts(m, idx, offset)
+    """The lattice's `_comb.cuts` as (head, r, cut) triples of Python ints."""
+    heads, rs, (cuts,) = _comb.cuts(lat.weights, (lat.bar,), m, idx, offset)
     return zip(map(tuple, heads.tolist()), rs.tolist(), cuts.tolist())
 
 

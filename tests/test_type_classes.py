@@ -1,6 +1,6 @@
 """Type-class engine of the blockwise scheme: parity of the quantities and
-of the rank index with the dense oracle, one type-class list per record,
-and long-block behaviour."""
+of the rank index with the dense oracle, one index per record, and
+long-block behaviour."""
 import dataclasses
 import itertools
 import math
@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import blockwise_oracle as dense
+from oracles import class_quantities, type_classes
 from twoshare import attack, block, harness, typical
-from twoshare._comb import prefix_lookup
 from twoshare.prob import PMF, entropy
-from twoshare.typical import TypicalIndex, build_index, type_classes
+from twoshare.typical import TypicalIndex, build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
 K3 = PMF.from_probs([0.5, 0.3, 0.2])
@@ -47,7 +47,7 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
     params = block.BlockwiseParams(ell, build_index(source, n, gamma))
     got = block.exact_quantities(params)
     ref = dense.exact_quantities(params)
-    assert got.m_count == ref.m_count == params.m_count
+    assert ref.m_count == params.m_count
     for f in dataclasses.fields(block.BlockQuantities):
         assert getattr(got, f.name) == pytest.approx(
             getattr(ref, f.name), abs=1e-12), f.name
@@ -65,7 +65,12 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
 
     assert params.index.delta == pytest.approx(
         dense.atypical_mass(source, n, gamma), abs=1e-12)
-    assert got.p_e == got.delta == params.index.delta
+    assert got.delta == params.index.delta
+    # the record's constants: p_e is delta, and a single share tells
+    # nothing of the secret
+    assert ref.p_e == pytest.approx(got.delta, abs=1e-12)
+    assert ref.i_sx == pytest.approx(0.0, abs=1e-9)
+    assert ref.i_sy == pytest.approx(0.0, abs=1e-9)
 
 
 INDEX_CASES = (
@@ -114,10 +119,11 @@ def test_rank_round_trip_past_64_bits():
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_type_classes_run_once_per_blockwise_record(mode, monkeypatch):
-    calls, real = [], typical.type_classes
-    monkeypatch.setattr(typical, "type_classes", lambda source, n, gamma:
-                        calls.append(n) or real(source, n, gamma))
+def test_index_built_once_per_blockwise_record(mode, monkeypatch):
+    calls, real = [], typical.TypicalIndex.__init__
+    monkeypatch.setattr(typical.TypicalIndex, "__init__",
+                        lambda self, source, n, gamma:
+                        calls.append(n) or real(self, source, n, gamma))
     cfg = harness.ExperimentConfig.from_dict(
         {"source": [0.7, 0.3], "scheme": {"kind": "blockwise", "ell": 0.5},
          "n_values": [4, 8, 12], "mode": mode, "trials": 2000, "seed": 0})
@@ -134,21 +140,36 @@ def blockwise_record(source, n, ell, gamma, mode):
     return harness.run_experiment(cfg).records[0]
 
 
+def window_verdicts(index, rows):
+    """The window of the index's prefixes: a row of support counts is
+    typical when its second-last count lies in its prefix's [lo, hi)."""
+    heads, _, lo, hi = index._cuts(index.n)
+    bounds = dict(zip(map(tuple, heads.tolist()), zip(lo.tolist(),
+                                                      hi.tolist())))
+    return [bounds[tuple(row[:-2])][0] <= row[-2] < bounds[tuple(row[:-2])][1]
+            for row in rows]
+
+
 @pytest.mark.parametrize("probs", [[0.7, 0.3], [0.6, 0.25, 0.15],
                                    [0.4, 0.3, 0.2, 0.1]])
 def test_class_verdicts_match_the_exact_window(probs):
     # classes are decided from their counts by the window on the floats'
-    # exact values: the surprisals, H(S) and gamma as rationals
+    # exact values: the surprisals, H(S) and gamma as rationals, both in
+    # the class list and on the index's interval cuts
     source = PMF.from_probs(probs)
     w = [Fraction(v) for v in (-np.log2(source.probs)).tolist()]
     h = Fraction(entropy(source))
     for n in range(1, 15):
         for gamma in (n ** -0.33, n ** -0.45, KNIFE_EDGE):
             classes = type_classes(source, n, gamma)
-            for counts, verdict in zip(classes.counts.tolist(),
-                                       classes.typical.tolist()):
+            engine = window_verdicts(TypicalIndex(source, n, gamma),
+                                     classes.counts.tolist())
+            for counts, verdict, got in zip(classes.counts.tolist(),
+                                            classes.typical.tolist(),
+                                            engine):
                 total = sum(c * v for c, v in zip(counts, w))
-                assert verdict == (abs(total / n - h) <= Fraction(gamma))
+                assert verdict == got == (abs(total / n - h)
+                                          <= Fraction(gamma))
 
 
 def test_knife_edge_classes_lie_outside_the_window():
@@ -177,15 +198,14 @@ def test_record_at_a_window_edge_evaluates(mode):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_zero_probability_symbol_agrees_on_every_block(n):
     # k=4 with a zero-probability symbol: the scalar test, the rank index
-    # and the class lookup `atypical_draw` builds (`prefix_lookup` on all
-    # counts but the last) decide every block alike
+    # and the prefix intervals `atypical_draw` reads decide every block
+    # alike
     source = PMF.from_probs([0.5, 0.0, 0.3, 0.2])
     gamma = 0.35
     classes = type_classes(source, n, gamma)
     assert classes.counts.shape[1] == 3
     assert classes.typical.any() and not classes.typical.all()
-    idx = TypicalIndex(source, n, gamma, classes)
-    lookup = prefix_lookup(classes.counts[:, :-1], ~classes.typical, n)
+    idx = TypicalIndex(source, n, gamma)
     for seq in itertools.product(range(4), repeat=n):
         counts = np.bincount(seq, minlength=4)
         verdict = typical.is_typical(seq, source, gamma)
@@ -193,8 +213,8 @@ def test_zero_probability_symbol_agrees_on_every_block(n):
         if counts[1]:
             assert not verdict
         else:
-            row = np.array([counts[[0, 2, 3]]])
-            assert bool(lookup(row)[0]) == (not verdict)
+            row = counts[[0, 2, 3]].tolist()
+            assert window_verdicts(idx, [row]) == [verdict]
     for counts, cls_typical in zip(classes.counts, classes.typical):
         seq = np.repeat([0, 2, 3], counts).tolist()
         assert typical.is_typical(seq, source, gamma) == cls_typical
@@ -217,5 +237,6 @@ def test_long_block_masses_stay_finite():
     assert max(classes.sizes) > 2 ** 1024
     assert np.isfinite(classes.mass).all()
     assert math.fsum(classes.mass) == pytest.approx(1.0, abs=1e-9)
-    idx = TypicalIndex(SKEW, 1100, power_gamma(1100), classes)
-    assert idx.m_count > 0 and 0.0 < idx.delta < 1.0
+    idx = TypicalIndex(SKEW, 1100, power_gamma(1100))
+    assert 0 < idx.m_count and 0.0 < idx.delta < 1.0 and 0.0 < idx.h_z
+    assert (idx.m_count, idx.delta, idx.h_z) == class_quantities(classes)

@@ -1,4 +1,5 @@
 """Typical-set index: membership, ranking, and mass against brute force."""
+import functools
 import itertools
 import math
 
@@ -8,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from blockwise_oracle import (atypical_mass, member_codes, member_probs,
                               xi_plus_all)
+from oracles import type_classes
 
 from twoshare._comb import multinomial
 from twoshare.block import BlockwiseParams, exact_quantities
 from twoshare.prob import PMF, RandomStream, entropy
 from twoshare.typical import (
     GammaSchedule, EmptyTypicalSetError, TypicalIndex, build_index,
-    is_typical, atypical_mass_mc, type_classes,
+    is_typical, atypical_mass_mc,
 )
 
 SKEW = [0.7, 0.3]
@@ -36,13 +38,19 @@ def brute_members(probs, n, gamma):
 def class_mass(source, n, gamma) -> float:
     """The index's atypical mass, its sum over the atypical type classes;
     defined for an empty typical set too, where build_index raises."""
-    return TypicalIndex(source, n, gamma, type_classes(source, n, gamma)).delta
+    return TypicalIndex(source, n, gamma).delta
+
+
+@functools.cache
+def _typical_counts(idx) -> list:
+    classes = type_classes(idx.source, idx.n, idx.gamma)
+    return classes.counts[classes.typical].tolist()
 
 
 def _continuations(idx, prefix) -> int:
     """Typical blocks that extend a prefix of the given composition."""
     return sum(multinomial([c - p for c, p in zip(counts, prefix)])
-               for counts in idx.classes.counts[idx.classes.typical].tolist()
+               for counts in _typical_counts(idx)
                if all(c >= p for c, p in zip(counts, prefix)))
 
 
