@@ -44,15 +44,11 @@ from .symbol import (
     fstar,
     gstar,
     modular_scheme,
-    identity_leak_scheme,
-    nondecodable_scheme,
-    undersized_scheme,
     validate_base,
     make_codec,
     encode_n,
     decode_n,
     accepts_n,
-    llr_score,
 )
 from .attack import (
     AttackResult,
@@ -74,5 +70,4 @@ from .harness import (
     emit_jsonl,
     emit_report,
     read_report_jsonl,
-    read_report_csv,
 )

@@ -20,9 +20,9 @@ from .outcome import DecodeOutcome, REJECT
 from .prob import CapExceededError, RandomStream, _estimate, entropy
 from .typical import TypicalIndex, atypical_draw
 
-# floor(2**bits) stays exactly representable as float64 up to 2**52; the
-# exact evaluators cap far lower, at 40 bits of masking randomness.
-MAX_MASK_BITS = 40.0
+# L = floor(2**bits) is an exact int at any size, but the attack success,
+# beta and the direct cap divide by it as a float, which holds L < 2**1024.
+MAX_MASK_BITS = 1023.0
 
 
 class MaskBitsError(CapExceededError, ValueError):
@@ -30,7 +30,7 @@ class MaskBitsError(CapExceededError, ValueError):
 
 
 class MaskDrawError(CapExceededError):
-    """M + 1 mask values are more than one 64-bit integer draw covers."""
+    """L or M + 1 mask values are more than one 64-bit integer draw covers."""
 
 
 def floor_pow2(bits: float) -> int:
@@ -83,7 +83,7 @@ class BlockwiseParams:
     def __post_init__(self):
         if not self.ell >= 0.0:
             raise ValueError("correlation level must be non-negative")
-        # validates the n*ell <= 40 restriction as a side effect
+        # validates the n*ell <= MAX_MASK_BITS restriction as a side effect
         object.__setattr__(self, "l_count", floor_pow2(self.index.n * self.ell))
         object.__setattr__(self, "mp1", self.index.m_count + 1)
 
@@ -115,6 +115,9 @@ class BlockwiseParams:
         return self.mp1
 
     def draw_randomness(self, rng: RandomStream) -> BlockRandomness:
+        if self.l_count > 1 << 63:
+            raise MaskDrawError(f"n={self.n}: {self.l_count} values of u_l "
+                                "exceed a 64-bit integer draw; lower n or ell")
         u_l = int(rng.gen.integers(self.l_count))
         u_m = int(rng.gen.integers(self.mask_range()))
         return BlockRandomness(u_l, u_m)

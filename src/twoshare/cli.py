@@ -150,13 +150,7 @@ def _cmd_validate(args) -> int:
         ("m", source.support_size if args.m is None else args.m),
         ("seed", args.seed), ("trials", args.trials))]
     _check_seed(seed)
-    builders = {
-        "modular": symbol.modular_scheme,
-        "identity-leak": symbol.identity_leak_scheme,
-        "non-decodable": symbol.nondecodable_scheme,
-        "undersized": symbol.undersized_scheme,
-    }
-    scheme = builders[args.variant](m, source.support_size)
+    scheme = symbol.modular_scheme(m, source.support_size)
     report = symbol.validate_base(scheme, source)
     out = {"scheme": scheme.name, "passed": report.passed,
            "h_s": report.h_s, "h_s_given_x": report.h_s_given_x,
@@ -214,13 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_attack)
 
     p = sub.add_parser("validate-scheme",
-                       help="check a per-symbol splitter's profile")
+                       help="check the modular splitter's profile")
     p.add_argument("--source", required=True)
     p.add_argument("--m", type=_value, default=None,
                    help="share alphabet size (default |S|)")
-    p.add_argument("--variant", default="modular",
-                   choices=("modular", "identity-leak", "non-decodable",
-                            "undersized"))
     _common_flags(p)
     p.set_defaults(fn=_cmd_validate)
 

@@ -329,6 +329,9 @@ def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
     rate = math.log2(codec.scheme.share_size)
     # log2(M) - H(S) of the modular splitter, from the codec's H(S)
     ell = rate - codec.h_s
+    # rate = H(S) + I(X;Y) and I(X;Y) = ell are one equation: the rate
+    # against the correlation level the codec measures
+    measured = abs(rate - (codec.h_s + codec.i_xy)) <= BOUND_TOL
     return _Exact(
         # alpha is the legitimate rejection mass p_e: computed once
         fields=dict(rate_x=rate, rate_y=rate, rate_u=rate, p_e=p_e,
@@ -338,9 +341,7 @@ def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
         # success at most 2**(-n (ell - gamma)); past 1 it bounds nothing
         direct_cap=2.0 ** min(-n * (ell - gamma), 0.0),
         i_xy=n * codec.i_xy, h_s_given_xy=n * codec.h_s_given_xy,
-        # the rate against the correlation level the codec measures
-        rate_ok=abs(rate - (codec.h_s + codec.i_xy)) <= BOUND_TOL,
-        sandwich_ok=abs(codec.i_xy - ell) <= BOUND_TOL)
+        rate_ok=measured, sandwich_ok=measured)
 
 
 # per scheme: its exact evaluation and the module of its error estimate
@@ -493,25 +494,3 @@ def read_report_jsonl(text: str) -> ExperimentReport:
     return ExperimentReport(config=config, records=records, version=version,
                             wall_time_s=wall)
 
-
-def read_report_csv(text: str) -> list[dict]:
-    """Parse the CSV emission into one dict per record."""
-    (i, header), *body = [(i, ln.split(",")) for i, ln in enumerate(
-        text.splitlines(), 1) if ln.strip()] or [(1, [])]
-    if tuple(header) != CSV_COLUMNS:
-        raise ConfigError(f"CSV report line {i}: not the CSV header")
-    rows = []
-    for i, parts in body:
-        if len(parts) != len(header):
-            raise ConfigError(f"CSV report line {i}: {len(parts)} fields, "
-                              f"the header has {len(header)}")
-        row: dict = {}
-        for key, val in zip(header, parts):
-            if key == "n":
-                row[key] = int(val)
-            elif key.startswith("v_"):
-                row[key] = val
-            else:
-                row[key] = float(val)
-        rows.append(row)
-    return rows

@@ -73,37 +73,6 @@ def modular_scheme(share_size: int, secret_size: int) -> BaseScheme:
         decode_fn=lambda x, y: gstar(share_size, secret_size, x, y))
 
 
-# deliberately broken splitters, used to exercise the validator
-
-def identity_leak_scheme(share_size: int, secret_size: int) -> BaseScheme:
-    """Puts the secret in the clear in share X."""
-    return BaseScheme(
-        name="identity-leak", secret_size=secret_size,
-        share_size=share_size, rand_size=share_size,
-        encode_fn=lambda s, u: (s, u),
-        decode_fn=lambda x, y: x if x < secret_size else None)
-
-
-def nondecodable_scheme(share_size: int, secret_size: int) -> BaseScheme:
-    """Shares carry the randomness only; the pair never determines s."""
-    return BaseScheme(
-        name="non-decodable", secret_size=secret_size,
-        share_size=share_size, rand_size=share_size,
-        encode_fn=lambda s, u: (u, u),
-        decode_fn=lambda x, y: gstar(share_size, secret_size, x, y))
-
-
-def undersized_scheme(share_size: int, secret_size: int) -> BaseScheme:
-    """Share alphabet smaller than the secret alphabet."""
-    if share_size >= secret_size:
-        raise ValueError("this scheme is broken only when M < |S|")
-    return BaseScheme(
-        name="undersized", secret_size=secret_size,
-        share_size=share_size, rand_size=share_size,
-        encode_fn=lambda s, u: ((s - u) % share_size, u),
-        decode_fn=lambda x, y: gstar(share_size, secret_size, x, y))
-
-
 SECRECY_TOL = 1e-9
 
 FAIL_SECRECY_X = "share X leaks: H(S|X) < H(S)"
@@ -412,17 +381,6 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
                 raise RuntimeError("decoder undefined on an accepted share pair")
             symbols[i] = int(symbols[i])
     return weights, tuple(symbols)
-
-
-def llr_score(codec: SymbolwiseCodec, xs, ys) -> float:
-    """Mean per-symbol log-likelihood ratio; -inf on zero-probability pairs.
-    Summed from the value counts, so it does not depend on position order;
-    `accepts_n` decides on the weights exactly, not on this float."""
-    found = _cells(codec, xs, ys)
-    if found is None:
-        return float("-inf")
-    counts = map(found[0].count, codec.lattice.weights)
-    return math.fsum(map(operator.mul, counts, codec.lattice.values)) / codec.n
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:

@@ -278,15 +278,6 @@ class TypicalIndex:
             return self.m_count
         return self._walk(symbols)
 
-    def contains(self, seq) -> bool:
-        return self.xi_plus(seq) != self.m_count
-
-    def rank(self, seq) -> int:
-        z = self.xi_plus(seq)
-        if z == self.m_count:
-            raise KeyError(f"sequence {tuple(seq)} is not typical")
-        return z
-
     def unrank(self, m: int) -> tuple[int, ...]:
         """The typical sequence of rank m: per chunk, the value at which
         the running sums of the prefix's row pass m."""

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import broken_splitters
 import oracles
 import blockwise_oracle
 from blockwise_oracle import atypical_mass, flat_to_share, xi_plus_all
@@ -304,15 +305,15 @@ def test_11_validator_accepts_good_and_names_broken_schemes():
         report = symbol.validate_base(symbol.modular_scheme(m, k), source)
         assert report.passed, (i, k, m)
 
-    leak = symbol.validate_base(symbol.identity_leak_scheme(4, 2), U2)
+    leak = symbol.validate_base(broken_splitters.identity_leak_scheme(4, 2), U2)
     assert not leak.passed
     assert symbol.FAIL_SECRECY_X in leak.failures
 
-    opaque = symbol.validate_base(symbol.nondecodable_scheme(4, 2), U2)
+    opaque = symbol.validate_base(broken_splitters.nondecodable_scheme(4, 2), U2)
     assert not opaque.passed
     assert symbol.FAIL_DECODE in opaque.failures
 
-    cramped = symbol.validate_base(symbol.undersized_scheme(2, 3),
+    cramped = symbol.validate_base(broken_splitters.undersized_scheme(2, 3),
                                    PMF.uniform(3))
     assert not cramped.passed
     assert symbol.FAIL_SIZE in cramped.failures

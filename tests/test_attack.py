@@ -22,8 +22,8 @@ from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
 from oracles import JointPMF
 from twoshare.prob import CapExceededError, PMF, RandomStream
-from twoshare.symbol import (BaseScheme, identity_leak_scheme, make_codec,
-                             modular_scheme)
+from twoshare.symbol import BaseScheme, make_codec, modular_scheme
+from broken_splitters import identity_leak_scheme
 from twoshare.typical import build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])

@@ -19,7 +19,7 @@ from oracles import (JointPMF, conditional_entropy, iid_extension,
                      mutual_information, pushforward)
 from twoshare import harness
 from twoshare.block import (
-    BlockShare, BlockRandomness, BlockwiseParams, floor_pow2,
+    BlockShare, BlockRandomness, BlockwiseParams, MaskBitsError, floor_pow2,
     encode, accepts, decode, exact_quantities, monte_carlo_error,
 )
 from twoshare.prob import PMF, RandomStream, entropy
@@ -49,7 +49,7 @@ class TestFloorPow2:
         with pytest.raises(ValueError):
             floor_pow2(-1.0)
         with pytest.raises(ValueError):
-            floor_pow2(41.0)
+            floor_pow2(1024.0)
         with pytest.raises(ValueError, match="must be non-negative"):
             floor_pow2(math.nan)
 
@@ -73,6 +73,21 @@ class TestFloorPow2:
             with mpmath.workprec(96):
                 want = int(mpmath.floor(mpmath.power(2, mpmath.mpf(bits))))
             assert floor_pow2(bits) == want, bits
+
+    def test_matches_mpmath_up_to_the_cap(self):
+        # L = floor(2**bits) divides as a float up to the cap of 1023 bits,
+        # and past it the level is refused before any float is formed
+        rng = random.Random(21)
+        exponents = [rng.uniform(40.0, 1023.0) for _ in range(40)]
+        exponents += [400.0, 1022.0, 1022.5, 1023.0, 1023.0 + 1e-9]
+        for bits in exponents:
+            with mpmath.workprec(1100):
+                want = int(mpmath.floor(mpmath.power(2, mpmath.mpf(bits))))
+            assert floor_pow2(bits) == want, bits
+            assert 0.0 < 1.0 / want and float(want) < math.inf
+        for bits in (1023.0 + 1e-8, 1023.5, 1024.0, 5000.0):
+            with pytest.raises(MaskBitsError, match="lower n or ell$"):
+                floor_pow2(bits)
 
     def test_package_does_not_import_mpmath(self):
         # mpmath is a test dependency only

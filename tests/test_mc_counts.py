@@ -221,7 +221,7 @@ class TestNoDenseIndex:
 
         monkeypatch.setattr(typical.TypicalIndex, "xi_plus_all", dense,
                             raising=False)
-        for name in ("xi_plus", "rank", "unrank", "contains"):
+        for name in ("xi_plus", "unrank"):
             monkeypatch.setattr(typical.TypicalIndex, name, dense)
         monkeypatch.setattr(oracles.IIDExtension, "all_probs", dense)
         block.monte_carlo_error(params, 2000, RandomStream(1))

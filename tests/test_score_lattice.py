@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import broken_splitters
 import oracles
 import symbolwise_oracle as conv
 from twoshare import _comb, attack, harness, symbol
@@ -36,7 +37,7 @@ def modular(m, source, n, gamma=None):
 
 
 def leaky(m, source, n):
-    scheme = symbol.identity_leak_scheme(m, source.support_size)
+    scheme = broken_splitters.identity_leak_scheme(m, source.support_size)
     return symbol.make_codec(scheme, source, n, power_gamma(n),
                              require_valid=False)
 

@@ -20,11 +20,11 @@ from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
                              SchemeValidationError, SymbolwiseCodec,
                              accepts_n, decode_n, draw_randomness_n, encode_n,
-                             fstar, gstar, identity_leak_scheme, llr_score,
-                             make_codec, modular_scheme,
-                             monte_carlo_error, nondecodable_scheme,
-                             rejection_probability, score_lattice,
-                             undersized_scheme, validate_base)
+                             fstar, gstar, make_codec, modular_scheme,
+                             monte_carlo_error, rejection_probability,
+                             score_lattice, validate_base)
+from broken_splitters import (identity_leak_scheme, nondecodable_scheme,
+                              undersized_scheme)
 
 H_73 = 0.88129089923069261822  # frozen H(0.7, 0.3), cross-checked in test_prob
 
@@ -312,16 +312,20 @@ class TestBlockEncode:
 
 
 class TestScoring:
+    """The per-cell scores `codec.scores`: a cell outside the splitter's
+    image is absent, so it scores -inf."""
+
     def test_valid_pair_scores_the_correlation_level(self):
         # dyadic probabilities make this exact, not just approximate
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
         xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
-        assert llr_score(codec, xs, ys) == 1.0
+        assert [codec.scores[cell] for cell in zip(xs, ys)] == [1.0] * 3
 
     def test_impossible_pair_scores_minus_infinity(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=2, gamma=0.5)
         # (1, 1) recombines to 2, outside the secret alphabet
-        assert llr_score(codec, (1, 0), (1, 0)) == float("-inf")
+        assert (1, 1) not in codec.scores
+        assert not accepts_n(codec, (1, 0), (1, 0))
 
     def test_score_depends_only_on_recombined_secret(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=1, gamma=0.5)
@@ -329,7 +333,7 @@ class TestScoring:
         for x in range(3):
             for y in range(3):
                 s = (x + y) % 3
-                val = llr_score(codec, (x,), (y,))
+                val = codec.scores.get((x, y), -math.inf)
                 scores.setdefault(s, val)
                 assert val == scores[s]
 
@@ -359,7 +363,7 @@ class TestAcceptance:
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
         tied = dataclasses.replace(codec, gamma=0.0)
         xs, ys = encode_n(codec, (0, 1, 1), (2, 0, 3))
-        assert llr_score(tied, xs, ys) == tied.threshold
+        assert {tied.scores[cell] for cell in zip(xs, ys)} == {tied.threshold}
         assert not accepts_n(tied, xs, ys)
         assert accepts_n(codec, xs, ys)
 
@@ -367,7 +371,7 @@ class TestAcceptance:
         # M == |S| gives threshold -gamma < 0 == every legit score
         codec = make_codec(modular_scheme(2, 2), U2, n=5, gamma=0.25)
         xs, ys = encode_n(codec, (0, 1, 1, 0, 1), (1, 1, 0, 0, 1))
-        assert llr_score(codec, xs, ys) == 0.0
+        assert {codec.scores[cell] for cell in zip(xs, ys)} == {0.0}
         assert accepts_n(codec, xs, ys)
 
     def test_decode_roundtrip(self):
@@ -449,7 +453,7 @@ class TestLatticeDecisions:
     def test_share_symbol_outside_the_alphabet_raises(self, xs, ys, bad):
         # (-1, ...) used to decode to (0, 0, 0); 4 raised a bare IndexError
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
-        for check in (decode_n, accepts_n, llr_score):
+        for check in (decode_n, accepts_n):
             with pytest.raises(ValueError,
                                match=rf"^share symbol {bad} outside \[0, 4\)$"):
                 check(codec, xs, ys)
@@ -461,7 +465,7 @@ class TestLatticeDecisions:
     def test_share_symbol_past_int64_is_outside_the_alphabet(self, xs, ys, bad):
         # checked before the int64 array is built: no OverflowError
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
-        for check in (decode_n, accepts_n, llr_score):
+        for check in (decode_n, accepts_n):
             with pytest.raises(ValueError,
                                match=rf"^share symbol {bad} outside \[0, 4\)$"):
                 check(codec, xs, ys)
@@ -619,7 +623,7 @@ class TestSplitterTables:
                                        ((0, 1, 2, 3), (0, 1, 2, 3))])
     def test_share_length_errors_keep_their_message(self, xs, ys):
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
-        for check in (decode_n, accepts_n, llr_score):
+        for check in (decode_n, accepts_n):
             with pytest.raises(ValueError, match="^shares must have length 3$"):
                 check(codec, xs, ys)
 
@@ -692,7 +696,7 @@ class TestDictCodec:
         with pytest.raises(ValueError, match=f"^{message}$"):
             encode_n(codec, secret, rand)
 
-    @pytest.mark.parametrize("check", [decode_n, accepts_n, llr_score])
+    @pytest.mark.parametrize("check", [decode_n, accepts_n])
     def test_non_integral_share_symbol_raises(self, check):
         codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
         xs, ys = encode_n(codec, (1, 0, 2, 1), (0, 1, 2, 3))
@@ -721,10 +725,9 @@ class TestDictCodec:
         assert out.secret == secret
         assert all(type(v) is int for v in out.secret)
         assert accepts_n(codec, wrap(xs), wrap(ys))
-        assert llr_score(codec, wrap(xs), wrap(ys)) == llr_score(codec, xs, ys)
         forged = ys[:2] + ((4 - xs[2]) % 5,) + ys[3:]   # a -inf cell
         assert decode_n(codec, wrap(xs), wrap(forged)).rejected
-        assert llr_score(codec, wrap(xs), wrap(forged)) == -math.inf
+        assert not accepts_n(codec, wrap(xs), wrap(forged))
 
     def test_tie_is_rejected_by_every_call(self):
         # every legit pair of a uniform source scores exactly I(X;Y): at
@@ -779,7 +782,6 @@ class TestDictCodec:
         forged[1] = (3 - xs[1]) % 5
         assert decode_n(codec, xs, forged).rejected
         assert not accepts_n(codec, xs, forged)
-        assert llr_score(codec, xs, forged) == -math.inf
 
 
 def brute_error_prob(codec):

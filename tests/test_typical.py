@@ -129,7 +129,7 @@ class TestMembership:
         idx = build_index(PMF.from_probs(SKEW), n, gamma)
         assert idx.m_count == expect
         for seq in ref:
-            assert idx.contains(seq)
+            assert idx.xi_plus(seq) != idx.m_count
 
     def test_empty_set_raises(self):
         assert brute_members(SKEW, 4, 0.05) == []
@@ -152,7 +152,8 @@ class TestMembership:
         gamma = 6 ** (-1.0 / 3.0)
         idx = build_index(src, 6, gamma)
         for seq in itertools.product(range(2), repeat=6):
-            assert is_typical(seq, src, gamma) == idx.contains(seq)
+            assert is_typical(seq, src, gamma) == (
+                idx.xi_plus(seq) != idx.m_count)
 
     def test_is_typical_agrees_with_index_at_a_window_edge(self):
         # a left-to-right float sum puts (1,1,0) on the other side of the
@@ -164,7 +165,8 @@ class TestMembership:
         assert idx.m_count == 6
         assert not is_typical((1, 1, 0), src, gamma)
         for seq in itertools.product(range(3), repeat=3):
-            assert is_typical(seq, src, gamma) == idx.contains(seq)
+            assert is_typical(seq, src, gamma) == (
+                idx.xi_plus(seq) != idx.m_count)
 
     def test_window_is_closed(self):
         # dyadic probabilities: the mean surprisals 1.25 and 1.75 lie
@@ -173,7 +175,8 @@ class TestMembership:
         idx = build_index(src, 4, 0.25)
         for seq, inside in [((0, 0, 0, 1), True), ((0, 1, 2, 2), True),
                             ((0, 0, 0, 0), False), ((1, 1, 2, 2), False)]:
-            assert is_typical(seq, src, 0.25) == idx.contains(seq) == inside
+            assert is_typical(seq, src, 0.25) == (
+                idx.xi_plus(seq) != idx.m_count) == inside
 
     def test_membership_depends_only_on_composition(self):
         # surprisal is a sum over symbols, so any permutation stays inside
@@ -217,7 +220,7 @@ class TestRanking:
     def test_rank_unrank_bijection(self):
         idx = build_index(PMF.from_probs(SKEW), 8, 0.5)
         for m in range(0, idx.m_count, 7):
-            assert idx.rank(idx.unrank(m)) == m
+            assert idx.xi_plus(idx.unrank(m)) == m
 
     def test_ranks_are_lexicographic(self):
         idx = build_index(PMF.from_probs(SKEW), 4, 1.0)
@@ -225,9 +228,11 @@ class TestRanking:
         assert seqs == sorted(seqs)
 
     def test_rank_of_atypical_rejected(self):
+        # an atypical block goes to the sentinel M, which is no rank
         idx = build_index(PMF.from_probs(SKEW), 4, 4 ** (-1.0 / 3.0))
-        with pytest.raises(KeyError):
-            idx.rank((1, 1, 1, 1))
+        assert idx.xi_plus((1, 1, 1, 1)) == idx.m_count
+        with pytest.raises(IndexError):
+            idx.unrank(idx.m_count)
 
     def test_xi_plus_sentinel(self):
         idx = build_index(PMF.from_probs(SKEW), 4, 4 ** (-1.0 / 3.0))
@@ -389,10 +394,8 @@ class TestRankWalk:
     def test_non_integral_symbol_raises(self, seq, bad):
         # 0.9 and 1.5 used to be truncated, ranking (0, 0, 1, 0)
         idx = build_index(PMF.from_probs(SKEW), 4, 1.0)
-        for check in (idx.xi_plus, idx.contains):
-            with pytest.raises(ValueError,
-                               match=f"^symbol {bad} is not an integer$"):
-                check(seq)
+        with pytest.raises(ValueError, match=f"^symbol {bad} is not an integer$"):
+            idx.xi_plus(seq)
         with pytest.raises(ValueError, match=f"^symbol {bad} is not an integer$"):
             is_typical(seq, PMF.from_probs(SKEW), 0.5)
 

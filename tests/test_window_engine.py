@@ -45,7 +45,7 @@ def walk(index, seed):
     rng = random.Random(seed)
     for m in {0, index.m_count - 1} | {rng.randrange(index.m_count)
                                        for _ in range(6)}:
-        assert index.rank(index.unrank(m)) == m
+        assert index.xi_plus(index.unrank(m)) == m
     for _ in range(6):
         index.xi_plus([rng.choice(index._support) for _ in range(index.n)])
 
