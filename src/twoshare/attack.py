@@ -152,25 +152,6 @@ def _clear_gate(groups) -> tuple[float, list]:
     return clear, [(row[1:] / math.fsum(row[1:]), c) for row, c in groups]
 
 
-def _blockwise_gate(params: BlockwiseParams, forgery):
-    """The u_l match of a blockwise forgery: it holds with probability 1/L
-    whatever the forged share, since the honest u_l is uniform and
-    independent of it.  A matched trial then draws the honest u_m, and
-    hits unless its sum with the forged masked component is the
-    sentinel."""
-    m, mp1 = params.m_count, params.mask_range()
-    if np.ndim(forgery) != 1 or len(forgery) != 2:
-        raise ValueError("forged share must be an (l, m) pair")
-    f_l, f_m = (as_symbol(v, "share symbol") for v in forgery)
-    params.check_shares(BlockShare(f_l, f_m))
-
-    def draw_live(gen, live):
-        h_m = gen.integers(mp1, size=live)
-        # the one rejected honest value; f_m + h_m could overflow int64
-        return int(np.count_nonzero(h_m != (m - f_m) % mp1))
-    return 1.0 / params.l_count, draw_live
-
-
 def _symbolwise_gate(codec: SymbolwiseCodec, side: str, forgery):
     """The -inf gate of a symbolwise forgery (`_clear_gate`), and a draw of
     the cleared trials' hits: one score-bucket count vector each, from the
@@ -205,22 +186,27 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
     a sequence of n symbols.  Success is linear in the forger's law, so a
     fixed share is also what the exact attacks optimise over.  ValueError
     when it is anything else (a PMF, say) or falls outside the share
-    alphabet.  A trial can hit only past a gate that ignores the rest of
-    the trial: blockwise, the honest u_l must match the forged one
-    (probability 1/L); symbolwise, no position may score -inf.  The gate
-    is `_estimate`'s live mass: a chunk draws how many trials pass it, one
-    binomial (none when it is certain), and only those draw the rest:
-    blockwise the honest u_m, symbolwise one score-bucket count vector
-    (one multinomial per distinct forged symbol against its row).
+    alphabet.  Blockwise, every share hits with the same mass M / ((M+1) L)
+    (`blockwise_forgery_success`), so a trial is one Bernoulli of it:
+    `_estimate`'s `hit`, split off by one multinomial per chunk, and no
+    mask is drawn.  Symbolwise, a trial can hit only when no position
+    scores -inf: that gate is `_estimate`'s live mass, a chunk draws how
+    many trials pass it, one binomial (none when it is certain), and only
+    those draw one score-bucket count vector (one multinomial per distinct
+    forged symbol against its row).
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
-        clear, draw_live = _blockwise_gate(scheme, forgery)
+        if np.ndim(forgery) != 1 or len(forgery) != 2:
+            raise ValueError("forged share must be an (l, m) pair")
+        scheme.check_shares(BlockShare(*(as_symbol(v, "share symbol")
+                                         for v in forgery)))
+        est, half = _estimate(trials, rng, blockwise_forgery_success(scheme))
     elif isinstance(scheme, SymbolwiseCodec):
         clear, draw_live = _symbolwise_gate(scheme, side, forgery)
+        est, half = _estimate(trials, rng, 0.0, clear, draw_live)
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-    est, half = _estimate(trials, rng, 0.0, clear, draw_live)
     return AttackResult(success_prob=est, optimal_forgery=tuple(forgery),
                         side=side, mode="mc", trials=trials, ci_halfwidth=half)
 

@@ -30,7 +30,9 @@ class MaskBitsError(CapExceededError, ValueError):
 
 
 class MaskDrawError(CapExceededError):
-    """L or M + 1 mask values are more than one 64-bit integer draw covers."""
+    """`draw_randomness` (so `twoshare encode`) cannot draw u_l or u_m: L or
+    M + 1 values are more than one 64-bit integer draw covers.  No record
+    draws a mask, so no record is skipped for it."""
 
 
 def floor_pow2(bits: float) -> int:
@@ -107,20 +109,16 @@ class BlockwiseParams:
             if not (0 <= share.l < l_count and 0 <= share.m < mp1):
                 raise ValueError(f"share {share} outside the share alphabet")
 
-    def mask_range(self) -> int:
-        """M + 1, the range of u_m: numpy draws it while M fits an int64."""
-        if self.mp1 > 1 << 63:
-            raise MaskDrawError(f"n={self.n}: {self.mp1} mask values "
-                                "exceed a 64-bit integer draw; lower n")
-        return self.mp1
-
     def draw_randomness(self, rng: RandomStream) -> BlockRandomness:
-        if self.l_count > 1 << 63:
-            raise MaskDrawError(f"n={self.n}: {self.l_count} values of u_l "
-                                "exceed a 64-bit integer draw; lower n or ell")
-        u_l = int(rng.gen.integers(self.l_count))
-        u_m = int(rng.gen.integers(self.mask_range()))
-        return BlockRandomness(u_l, u_m)
+        """Uniform u_l and u_m, each one numpy integer draw; the only code
+        that draws a mask."""
+        for name, count, lower in (("u_l", self.l_count, "n or ell"),
+                                   ("u_m", self.mp1, "n")):
+            if count > 1 << 63:
+                raise MaskDrawError(f"n={self.n}: {count} values of {name} "
+                                    f"exceed a 64-bit integer draw; lower {lower}")
+        return BlockRandomness(int(rng.gen.integers(self.l_count)),
+                               int(rng.gen.integers(self.mp1)))
 
 
 def encode(params: BlockwiseParams, secret, r: BlockRandomness) -> tuple[BlockShare, BlockShare]:

@@ -19,7 +19,8 @@ from oracles import (JointPMF, conditional_entropy, iid_extension,
                      mutual_information, pushforward)
 from twoshare import harness
 from twoshare.block import (
-    BlockShare, BlockRandomness, BlockwiseParams, MaskBitsError, floor_pow2,
+    BlockShare, BlockRandomness, BlockwiseParams, MaskBitsError, MaskDrawError,
+    floor_pow2,
     encode, accepts, decode, exact_quantities, monte_carlo_error,
 )
 from twoshare.prob import PMF, RandomStream, entropy
@@ -151,6 +152,35 @@ class TestEncode:
             encode(p, (0, 0), BlockRandomness(1, 0))
         with pytest.raises(ValueError):
             encode(p, (0, 0), BlockRandomness(0, 5))
+
+
+class TestDrawRandomness:
+    """The only mask draw: u_l and u_m, one numpy integer draw each."""
+
+    def test_u_l_of_2_to_the_63_values_draws(self):
+        # n * ell = 63 bits: the most one 64-bit integer draw covers
+        p = make_params(SKEW, 21, 3.0)
+        assert p.l_count == 1 << 63
+        r = p.draw_randomness(RandomStream(1))
+        assert 0 <= r.u_l < p.l_count and 0 <= r.u_m < p.mp1
+
+    def test_u_l_past_int64_raises(self):
+        # n * ell = 70 bits, while M + 1 stays a 64-bit draw
+        p = make_params(SKEW, 35, 2.0)
+        assert p.l_count == 1 << 70 and p.mp1 <= 1 << 63
+        with pytest.raises(MaskDrawError, match=(
+                rf"^n=35: {1 << 70} values of u_l exceed a 64-bit integer "
+                "draw; lower n or ell$")):
+            p.draw_randomness(RandomStream(1))
+
+    def test_u_m_past_int64_raises(self):
+        # every uniform block is typical: M + 1 = 2**70 + 1, L = 2**35
+        p = make_params(U2, 70, 0.5)
+        assert p.l_count == 1 << 35 and p.mp1 == (1 << 70) + 1
+        with pytest.raises(MaskDrawError, match=(
+                rf"^n=70: {(1 << 70) + 1} values of u_m exceed a 64-bit "
+                "integer draw; lower n$")):
+            p.draw_randomness(RandomStream(1))
 
 
 class TestAcceptDecode:

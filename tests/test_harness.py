@@ -272,22 +272,22 @@ class TestRunExperiment:
         assert not report.any_violated
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_mask_draw_past_int64_skips_mc_record(self, mode):
-        # M + 1 = 2**70 + 1 mask values: exact mode needs no draw, Monte
-        # Carlo mode cannot draw u_m and skips; the run keeps going
+    def test_mask_values_past_int64_evaluate(self, mode):
+        # M + 1 = 2**70 + 1 mask values, past one 64-bit integer draw: no
+        # record draws a mask, so Monte Carlo mode evaluates too
         cfg = ExperimentConfig.from_dict(base_dict(
             source="uniform:2", scheme={"kind": "blockwise", "ell": 0.5},
             n_values=[4, 70], mode=mode, trials=1000))
         report = run_experiment(cfg)
         assert report.records[0].skipped is None
         rec = report.records[1]
+        assert rec.skipped is None
+        assert all(v == HOLDS for v in rec.verdicts.values())
         if mode == "exact":
-            assert rec.skipped is None
             assert rec.p_x == pytest.approx(2.0 ** -35)
-            return
-        assert rec.skipped.startswith("n=70:")
-        assert rec.skipped.endswith("lower n")
-        assert all(v == NOT_APPLICABLE for v in rec.verdicts.values())
+        else:
+            # 1000 trials of a 2**-35 success: no hit
+            assert (rec.p_x, rec.p_x_ci) == (0.0, 3.0 / 1000)
 
     def test_mask_bits_past_the_limit_skip_record(self):
         # n * ell = 1024 masking bits exceed MAX_MASK_BITS = 1023
@@ -298,15 +298,22 @@ class TestRunExperiment:
         assert "1023" in report.records[1].skipped
         assert not report.any_violated
 
-    @pytest.mark.parametrize("n", [200, 511])
-    def test_mask_bits_up_to_the_limit_evaluate(self, n):
+    @pytest.mark.parametrize("n,mode", [
+        pytest.param(n, mode, id=str(n) if mode == "exact" else f"{n}-mc")
+        for mode in ("exact", "mc") for n in (200, 511)])
+    def test_mask_bits_up_to_the_limit_evaluate(self, n, mode):
         # 400 and 1022 masking bits: L = 2**(2n) divides as a float, so the
-        # attacks succeed with M / ((M+1) L) and read exponent ell = 2
+        # attacks succeed with M / ((M+1) L) and read exponent ell = 2; a
+        # Monte Carlo trial is one Bernoulli of that mass
         cfg = ExperimentConfig.from_dict(base_dict(
-            scheme={"kind": "blockwise", "ell": 2.0}, n_values=[n]))
+            scheme={"kind": "blockwise", "ell": 2.0}, n_values=[n],
+            mode=mode, trials=1000))
         (rec,) = run_experiment(cfg).records
         assert rec.skipped is None
-        assert rec.exp_x == rec.exp_y == 2.0
+        if mode == "exact":
+            assert rec.exp_x == rec.exp_y == 2.0
+        else:
+            assert rec.p_x == rec.p_y == 0.0   # no hit in 1000 trials
         assert all(v == HOLDS for v in rec.verdicts.values())
 
     @pytest.mark.parametrize("kind", ["blockwise", "symbolwise"])
@@ -330,10 +337,6 @@ class TestRunExperiment:
         # 1024 masking bits
         pytest.param("uniform:2", {"kind": "blockwise", "ell": 2.0}, 512,
                      mode, id=f"mask-bits-{mode}") for mode in ("exact", "mc")
-    ] + [
-        # 2**70 + 1 mask values
-        pytest.param("uniform:2", {"kind": "blockwise", "ell": 0.5}, 70,
-                     "mc", id="mask-draw-mc"),
     ] + [
         pytest.param([0.4, 0.3, 0.2, 0.1], {"kind": "symbolwise", "m": 6},
                      1500, mode, id=f"lattice-cap-{mode}")
@@ -621,6 +624,34 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == (f"error: n=35: {1 << 70} values of u_l exceed a 64-bit "
                        "integer draw; lower n or ell\n")
+
+    def test_encode_past_a_64_bit_u_m_draw_exits_one(self, capsys):
+        # n * ell = 35 bits of u_l, but M + 1 = 2**70 + 1 values of u_m
+        secret = ",".join(["0", "1"] * 35)
+        code, out, err = self.run(
+            ["encode", "--scheme", "blockwise", "--source", "uniform:2",
+             "--n", "70", "--ell", "0.5", "--secret", secret], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: n=70: {(1 << 70) + 1} values of u_m exceed a "
+                       "64-bit integer draw; lower n\n")
+
+    def test_attack_mc_past_a_64_bit_mask(self, capsys):
+        # 2**400 values of u_l and more than 2**63 of u_m: the estimate
+        # draws neither, and covers the exact M / ((M+1) L)
+        argv = ["attack", "--scheme", "blockwise", "--source", "0.7,0.3",
+                "--n", "200", "--ell", "2"]
+        code, out, _ = self.run(argv + ["--mode", "exact"], capsys)
+        assert code == 0
+        exact = json.loads(out)["success_prob"]
+        assert exact == pytest.approx(2.0 ** -400)
+        code, out, err = self.run(argv + ["--mode", "mc", "--trials", "1000"],
+                                  capsys)
+        assert code == 0 and err == ""
+        sampled = json.loads(out)
+        assert harness.VERDICT_Z == 5.0
+        lo, hi = harness._verdict_range(sampled["success_prob"],
+                                        sampled["ci_halfwidth"], 1000)
+        assert lo <= exact <= hi
 
     def test_encode_decode_round_trip_symbolwise(self, capsys):
         code, out, _ = self.run(
