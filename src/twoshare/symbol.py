@@ -286,6 +286,36 @@ class SymbolwiseCodec:
                 pass
         return SplitterTables(shares, cells)
 
+    @functools.cached_property
+    def _bytes(self) -> "ByteTables | None":
+        """`tables` as `ByteTables`, built on first use from them, the
+        scores and the lattice (no splitter call), or None when a cell or
+        a symbol does not fit in a byte."""
+        (shares, cells), lat = self.tables, self.lattice
+        k, r, m = (self.scheme.secret_size, self.scheme.rand_size,
+                   self.scheme.share_size)
+        # the dicts return a share as the splitter gave it: a bool is no byte
+        if (k * r > 256 or m * m > 256 or len(lat.values) >= _MISS
+                or not all(type(v) is int and 0 <= v < 256
+                           for pair in shares.values() for v in pair)
+                or not all(0 <= s < 256 for _, s in cells.values())):
+            return None
+        x, y = bytearray(256), bytearray(256)
+        for (s, u), (a, b) in shares.items():
+            x[s * r + u], y[s * r + u] = a, b
+        raised = bytes(s * r + u for s in range(k) for u in range(r)
+                       if (s, u) not in shares)
+        value, secret = bytearray([_MINUS_INF]) * 256, bytearray(256)
+        col = {v: j for j, v in enumerate(lat.values)}
+        # every score cell is an image cell, in [0, M)^2: no two share a code
+        for (a, b), score in self.scores.items():
+            cell = cells.get((a, b))
+            value[a * m + b] = _MISS if cell is None else col[score]
+            secret[a * m + b] = 0 if cell is None else cell[1]
+        return ByteTables(self.n, bytes(range(k)), bytes(range(r)),
+                          bytes(range(m)), bytes(x), bytes(y), raised,
+                          bytes(value), bytes(secret), lat.weights, lat.bar)
+
 
 def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
                require_valid: bool = True) -> SymbolwiseCodec:
@@ -310,11 +340,17 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Apply the splitter by lookups in `codec.tables`.  A call they miss
-    goes position by position: ValueError on a wrong length or naming the
-    first symbol outside its alphabet or not an integer, secret first, and
-    a cell the table lacks calls the splitter again, so it raises there."""
-    shares, n = codec.tables.shares, codec.n
+    """Apply the splitter by the byte kernel (`ByteTables`) on a tuple or
+    list of each when it fits the codec, or by lookups in `codec.tables`.
+    A call both miss goes position by position: ValueError on a wrong
+    length or naming the first symbol outside its alphabet or not an
+    integer, secret first, and a cell the table lacks calls the splitter
+    again, so it raises there."""
+    kernel, shares, n = codec._bytes, codec.tables.shares, codec.n
+    if kernel and type(secret) in _SEQUENCES and type(rand) in _SEQUENCES:
+        out = kernel.encode(secret, rand)
+        if out:
+            return out
     try:
         if len(secret) == len(rand) == n:
             return tuple(zip(*map(shares.__getitem__, zip(secret, rand))))
@@ -342,17 +378,27 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
 
 
 def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
-    """(weights, symbols) of a share pair: per position the lattice weight
-    of its score and its secret symbol, by lookups in `codec.tables`; None
-    when a position scores -inf.  A pair they miss goes position by
-    position: ValueError on a wrong length or naming the first symbol, of
-    xs then ys, outside [0, M) or not an integer; a missed finite cell
-    reads as its own symbol, or with `decode`, on an accepted pair, calls
-    the decoder again, so a hole raises RuntimeError."""
+    """(score, symbols) of a share pair: the integer score `ScoreLattice.
+    accepts` compares with `bar`, the sum of its positions' lattice
+    weights, and their secret symbols; None when a position scores -inf.
+    A tuple or list of each is read by the byte kernel (`ByteTables`) when
+    it fits the codec, which gives the symbols only with `decode`, of an
+    accepted pair; a pair it misses or does not read, by lookups in
+    `codec.tables`.  A pair both miss goes position by position:
+    ValueError on a wrong length or naming the first symbol, of xs then
+    ys, outside [0, M) or not an integer; a missed finite cell reads as
+    its own symbol, or with `decode`, on an accepted pair, calls the
+    decoder again, so a hole raises RuntimeError."""
     n, m, cells = codec.n, codec.scheme.share_size, codec.tables.cells
+    kernel = codec._bytes
+    if kernel and type(xs) in _SEQUENCES and type(ys) in _SEQUENCES:
+        found = kernel.cells(xs, ys, decode)
+        if found is not False:
+            return found
     try:
         if len(xs) == len(ys) == n:
-            return tuple(zip(*map(cells.__getitem__, zip(xs, ys))))
+            weights, symbols = zip(*map(cells.__getitem__, zip(xs, ys)))
+            return sum(weights), symbols
     except (KeyError, TypeError):
         pass
     xs, ys = tuple(xs), tuple(ys)
@@ -373,29 +419,32 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
             return None
         found[i] = lat.weights[lat.values.index(score)], cell
     weights, symbols = zip(*found)
-    if decode and sum(weights) > lat.bar:
+    score = sum(weights)
+    if decode and score > lat.bar:
         symbols = list(symbols)
         for i in miss:
             symbols[i] = codec.scheme.decode_fn(*symbols[i])
             if symbols[i] is None:
                 raise RuntimeError("decoder undefined on an accepted share pair")
             symbols[i] = int(symbols[i])
-    return weights, tuple(symbols)
+    return score, tuple(symbols)
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
     """Strict threshold test on the score lattice; ties are rejected.  The
     positions' weights sum to the integer score `ScoreLattice.accepts`
-    compares with `bar`."""
+    compares with `bar`: by the byte kernel, the count of each value times
+    its weight."""
     found = _cells(codec, xs, ys)
-    return found is not None and sum(found[0]) > codec.lattice.bar
+    return found is not None and found[0] > codec.lattice.bar
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
-    """The secret of an accepted share pair, by lookups in `codec.tables`;
-    RuntimeError when an accepted pair hits a hole of the decoder."""
+    """The secret of an accepted share pair, by the byte kernel or by
+    lookups in `codec.tables`; RuntimeError when an accepted pair hits a
+    hole of the decoder."""
     found = _cells(codec, xs, ys, decode=True)
-    if found is None or sum(found[0]) <= codec.lattice.bar:
+    if found is None or found[0] <= codec.lattice.bar:
         return REJECT
     return DecodeOutcome(found[1])
 
@@ -408,6 +457,82 @@ class SplitterTables(NamedTuple):
 
     shares: dict
     cells: dict
+
+
+# a decode cell's byte in `ByteTables.value` past every value index: a
+# finite score with no decoded symbol, and a -inf score
+_MISS, _MINUS_INF = 254, 255
+# the inputs the byte kernel reads: bytes() of an ndarray or an array.array
+# would read its raw buffer, not its elements
+_SEQUENCES = (tuple, list)
+
+
+class ByteTables(NamedTuple):
+    """`SplitterTables` as `bytes.translate` tables, for a splitter whose
+    cells and symbols fit in a byte: k |U| <= 256, M^2 <= 256, every share
+    and decoded symbol in range(256), and under 254 lattice values.
+
+    A block's two symbol tuples become one key of n cells by one big-int
+    multiply-add, s |U| + u to encode and x M + y to decode; each symbol
+    is checked against its alphabet first, so no cell carries into the
+    next.  `x` and `y` read an encode cell's shares; `value` reads a
+    decode cell's lattice value index, and `secret` its decoded symbol.
+    A symbol that is not an int or lies outside its alphabet, a cell the
+    splitter raised on (`raised`) and a finite cell with no decoded symbol
+    are misses, which the caller reads by the dict lookups instead."""
+
+    n: int
+    secrets: bytes   # each alphabet's symbols: range(k), range(|U|), range(M)
+    rands: bytes
+    shares: bytes
+    x: bytes
+    y: bytes
+    raised: bytes
+    value: bytes
+    secret: bytes
+    weights: tuple[int, ...]
+    bar: int
+
+    def _key(self, a, b, a_set: bytes, b_set: bytes):
+        """The key of cells a |b_set| + b, or None unless a and b are n
+        integers each, in `a_set` and in `b_set`: [0, k) and [0, |U|) to
+        encode, [0, M) to decode."""
+        try:
+            a, b = bytes(a), bytes(b)
+        except (TypeError, ValueError):   # not integers in range(256)
+            return None
+        # translate deletes the symbols of each alphabet: none may be left
+        n = self.n
+        if (len(a) != n or len(b) != n or a.translate(None, a_set)
+                or b.translate(None, b_set)):
+            return None
+        return (int.from_bytes(a, "big") * len(b_set)
+                + int.from_bytes(b, "big")).to_bytes(n, "big")
+
+    def encode(self, secret, rand):
+        """(xs, ys), or None on a miss."""
+        key = self._key(secret, rand, self.secrets, self.rands)
+        if key is None or (self.raised and len(
+                key.translate(None, self.raised)) < self.n):
+            return None
+        return tuple(key.translate(self.x)), tuple(key.translate(self.y))
+
+    def cells(self, xs, ys, decode: bool):
+        """As `_cells`: (integer score, symbols of an accepted pair with
+        `decode`) or None at a -inf cell; False on a miss."""
+        key = self._key(xs, ys, self.shares, self.shares)
+        if key is None:
+            return False
+        v = key.translate(self.value)
+        if _MINUS_INF in v:
+            return None
+        if _MISS in v:
+            return False
+        score = sum(map(operator.mul, map(v.count, range(len(self.weights))),
+                        self.weights))
+        if decode and score > self.bar:
+            return score, tuple(key.translate(self.secret))
+        return score, None
 
 
 class LatticeLaws(NamedTuple):

@@ -144,36 +144,46 @@ class TypicalIndex:
             self._binomials[r] = row
         return self._binomials[r]
 
-    def _prefixes(self, m: int, offset: int = 0) -> list:
-        """Per prefix of `_cuts` in the support's order, as Python ints:
-        its multinomial(m; r, head), head, r, lo and hi.  A lone support
-        symbol has one class, its count r = m, typical: w = H(S) = 0."""
+    def _prefixes(self, m: int, offsets=(0,)) -> tuple[list, ...]:
+        """The prefixes of `_cuts` in the support's order, as Python ints:
+        per prefix its multinomial(m; r, head), head and r, then per offset
+        in `offsets` each prefix's lo and hi.  A lone support symbol has
+        one class, its count r = m, typical: w = H(S) = 0."""
         if len(self._support) == 1:
-            return [(1, [], m, m, m + 1)]
-        heads, r, lo, hi = self._cuts(m, offset)
+            return ([1], [[]], [m], [[m]] * len(offsets),
+                    [[m + 1]] * len(offsets))
+        # `cuts` reads an offset only through offset - bar, so one call
+        # with each offset's two bars shifted by it serves every offset
+        heads, r, ends = cuts(self._surprisals, [
+            bar - offset for offset in offsets for bar in self._bars], m,
+            range(len(self._support)))
+        a, b = np.array(ends[0::2]), np.array(ends[1::2])
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         heads, r = heads.tolist(), r.tolist()
         if m not in self._sizes:
             self._sizes[m] = [multinomial(h + [c]) for h, c in zip(heads, r)]
-        return list(zip(self._sizes[m], heads, r, lo.tolist(), hi.tolist()))
+        return self._sizes[m], heads, r, lo.tolist(), hi.tolist()
 
-    def _count(self, prefixes: list) -> int:
-        """Typical blocks over `_prefixes`: per prefix, its multinomial
-        times an interval of its exact binomial row."""
-        total = 0
-        for size, _, r, lo, hi in prefixes:
-            if lo < hi:
-                sums = self._binomial_sums(r)
-                total += size * (sums[hi] - sums[lo])
+    def _count(self, sizes: list, r: list, lo: list, hi: list) -> int:
+        """Typical blocks over prefixes of `_prefixes` at one offset: per
+        prefix, its multinomial times an interval of its exact binomial
+        row."""
+        total, rows = 0, self._binomials
+        for size, t, a, b in zip(sizes, r, lo, hi):
+            if a < b:
+                sums = rows.get(t) or self._binomial_sums(t)
+                total += size * (sums[b] - sums[a])
         return total
 
     @functools.cached_property
-    def _block(self) -> list:
+    def _block(self) -> tuple[list, ...]:
         """`_prefixes` of the whole block, read by `m_count` and `_masses`."""
         return self._prefixes(self.n)
 
     @functools.cached_property
     def m_count(self) -> int:
-        return self._count(self._block)
+        sizes, _, r, (lo,), (hi,) = self._block
+        return self._count(sizes, r, lo, hi)
 
     @functools.cached_property
     def _masses(self) -> tuple[float, float]:
@@ -187,7 +197,8 @@ class TypicalIndex:
             return 0.0, 0.0
         *head_logs, log_i, log_j = logs
         atypical, typical = [], []
-        for size, head, r, lo, hi in self._block:
+        sizes, heads, rs, (los,), (his,) = self._block
+        for size, head, r, lo, hi in zip(sizes, heads, rs, los, his):
             sums = self._binomial_sums(r)
             terms = list(map(operator.mul, head, head_logs))
             for a in range(r + 1):
@@ -238,12 +249,16 @@ class TypicalIndex:
         prefix with it, one count per chunk composition (its code step)."""
         (b, _, chunks), n = self._chunks, self.n
         values = chunks[sum(code // w % (n + 1) for w in self._weights) // b]
-        per = {}
-        for s in {s for _, s in values}:
-            prefix = [(code + s) // w % (n + 1) for w in self._weights]
-            per[s] = self._count(self._prefixes(
-                n - sum(prefix), sum(map(operator.mul, prefix,
-                                         self._surprisals))))
+        steps = list({s for _, s in values})
+        prefixes = [[(code + s) // w % (n + 1) for w in self._weights]
+                    for s in steps]
+        # every chunk composition leaves the same m positions: one set of
+        # prefixes, at one score offset per composition
+        sizes, _, r, lo, hi = self._prefixes(n - sum(prefixes[0]), [
+            sum(map(operator.mul, prefix, self._surprisals))
+            for prefix in prefixes])
+        per = {s: self._count(sizes, r, a, b)
+               for s, a, b in zip(steps, lo, hi)}
         row = self._rows[code] = tuple(
             itertools.accumulate((per[s] for _, s in values), initial=0))
         return row

@@ -1,10 +1,13 @@
 """Tests for the symbolwise scheme: splitter algebra, validation, the
 n-block codec, and its exact error computation."""
+import array
 import dataclasses
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,19 +554,22 @@ class TestSplitterTables:
         assert (xs, ys) == ((3, 1, 1, 4), (4, 4, 0, 1))
         assert all(type(v) is int for v in xs + ys)
 
-    @pytest.mark.parametrize("shift", [-1, 1 << 70])
+    @pytest.mark.parametrize("shift", [-1, 1 << 70, 254, 255])
     def test_decoder_values_are_never_read_as_holes(self, shift):
         # -1 is what a hole marker stored in the table would be, and 2**70
-        # does not fit an int64 cell; both are returned as decoded
+        # does not fit an int64 cell; both are returned as decoded.  The
+        # decoder returns shift and shift + 1: the byte kernel packs them
+        # only when both fit a byte, and -1, 256 and 2**70 take the dicts
         scheme = BaseScheme(
             name="shifted", secret_size=2, share_size=4, rand_size=4,
             encode_fn=lambda s, u: fstar(4, s, u),
             decode_fn=lambda x, y: None if (x + y) % 4 >= 2 else
-            ((x + y) % 4 - 1 if shift < 0 else (x + y) % 4 + shift))
+            (x + y) % 4 + shift)
         codec = make_codec(scheme, U2, n=3, gamma=0.5, require_valid=False)
+        assert bool(codec._bytes) is (0 <= shift < 255)
         xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
-        secret = (-1, 0, -1) if shift < 0 else (shift, shift + 1, shift)
-        assert decode_n(codec, xs, ys).secret == secret
+        assert decode_n(codec, xs, ys).secret == (shift, shift + 1, shift)
+        assert decode_n(codec, xs, (1,) + ys[1:]).rejected   # a -inf cell
 
     def test_raising_encoder_cell_raises_only_when_hit(self):
         # symbol 2 has zero probability, so building the codec never
@@ -782,6 +788,140 @@ class TestDictCodec:
         forged[1] = (3 - xs[1]) % 5
         assert decode_n(codec, xs, forged).rejected
         assert not accepts_n(codec, xs, forged)
+
+
+SHIPPED_SYMBOLWISE = sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("symbolwise_*.json"))
+# every shipped symbolwise scheme but M=1024 fits the byte kernel
+PACKED = [p for p in SHIPPED_SYMBOLWISE if p.stem != "symbolwise_wide_m"]
+
+
+def shipped_codec(path):
+    """The codec of a shipped config at its first blocklength."""
+    cfg = harness.ExperimentConfig.from_dict(json.loads(path.read_text()))
+    return harness.make_scheme(cfg, cfg.n_values[0])
+
+
+def calls_match_the_oracle(codec, table, secret, rand, i):
+    """encode_n, then decode_n and accepts_n on the honest pair, on one with
+    a -inf cell at position i (another cell where the row has none) and
+    on pairs with a share symbol outside [0, M) at i, each on every input
+    type in WRAPS, against the splitter and `expected_decode`; encode_n on
+    a secret symbol outside the alphabet at i."""
+    scheme, m = codec.scheme, codec.scheme.share_size
+    pairs = [scheme.encode_fn(s, u) for s, u in zip(secret, rand)]
+    xs, ys = tuple(zip(*pairs))
+    forged = list(ys)
+    forged[i] = next((b for b in range(m) if table[xs[i]][b] == -math.inf),
+                     (ys[i] + 1) % m)
+    for wrap in WRAPS.values():
+        assert encode_n(codec, wrap(secret), wrap(rand)) == (xs, ys)
+        for shares in ((xs, ys), (xs, tuple(forged))):
+            expect = expected_decode(codec, table, *shares)
+            assert decode_n(codec, *map(wrap, shares)).secret == expect
+            assert accepts_n(codec, *map(wrap, shares)) is (expect is not None)
+        for bad in (m, -1, 256):
+            for side in (0, 1):
+                shares = [list(xs), list(forged)]
+                shares[side][i] = bad
+                for check in (decode_n, accepts_n):
+                    with pytest.raises(ValueError, match=rf"^share symbol "
+                                       rf"{bad} outside \[0, {m}\)$"):
+                        check(codec, *map(wrap, shares))
+        wrong = list(secret)
+        wrong[i] = scheme.secret_size
+        with pytest.raises(ValueError, match=f"^secret symbol "
+                           f"{scheme.secret_size} outside the alphabet$"):
+            encode_n(codec, wrap(wrong), wrap(rand))
+
+
+class TestByteKernel:
+    def test_the_kernel_runs_on_every_shipped_codec_but_the_widest(self):
+        packed = [p for p in SHIPPED_SYMBOLWISE if shipped_codec(p)._bytes]
+        assert packed == PACKED and len(PACKED) == len(SHIPPED_SYMBOLWISE) - 1
+
+    @pytest.mark.parametrize("path", PACKED, ids=[p.stem for p in PACKED])
+    def test_kernel_matches_the_position_oracle(self, path):
+        codec = shipped_codec(path)
+        assert codec._bytes
+        k, r, n = codec.scheme.secret_size, codec.scheme.rand_size, codec.n
+        table = share_laws(codec).score_table.tolist()
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            secret = tuple(rng.choice(k, size=n, p=codec.source.probs).tolist())
+            rand = tuple(rng.integers(r, size=n).tolist())
+            calls_match_the_oracle(codec, table, secret, rand,
+                                   int(rng.integers(n)))
+
+    def test_raw_buffers_are_never_packed(self):
+        # bytes() of an array reads its buffer: 6 bytes of float16 are 3
+        # elements, and an array('H') holds 2 bytes per element
+        codec = make_codec(modular_scheme(5, 3), K3, n=6, gamma=0.5)
+        assert codec._bytes
+        half = np.zeros(3, dtype=np.float16)
+        assert half.nbytes == codec.n
+        with pytest.raises(ValueError, match="^secret and randomness must "
+                           "have length 6$"):
+            encode_n(codec, half, half)
+        for check in (decode_n, accepts_n):
+            with pytest.raises(ValueError, match="^shares must have length 6$"):
+                check(codec, half, half)
+        wide = lambda v: array.array("H", v)   # noqa: E731
+        secret, rand = (0, 1, 2, 0, 1, 0), (4, 3, 2, 1, 0, 0)
+        xs, ys = encode_n(codec, secret, rand)
+        assert encode_n(codec, wide(secret), wide(rand)) == (xs, ys)
+        assert decode_n(codec, wide(xs), wide(ys)).secret == secret
+        assert accepts_n(codec, wide(xs), wide(ys))
+        forged = ys[:2] + ((4 - xs[2]) % 5,) + ys[3:]   # a -inf cell
+        assert decode_n(codec, wide(xs), wide(forged)).rejected
+        with pytest.raises(ValueError, match=r"^share symbol 7 outside \[0, 5\)$"):
+            decode_n(codec, wide(xs[:5] + (7,)), wide(ys))
+
+    @pytest.mark.parametrize("k,packed", [(256, True), (257, False)])
+    def test_encode_cells_fit_a_byte_up_to_k_u_256(self, k, packed):
+        # |U| = 1: the secret's two hex digits are the shares, M = 16; at
+        # k = 257 symbol 256 shares the cell of symbol 0
+        scheme = BaseScheme(name=f"digits-{k}", secret_size=k, share_size=16,
+                            rand_size=1,
+                            encode_fn=lambda s, u: (s % 16, s // 16 % 16),
+                            decode_fn=lambda x, y: x + 16 * y)
+        codec = make_codec(scheme, PMF.uniform(k), n=4, gamma=0.5,
+                           require_valid=False)
+        assert bool(codec._bytes) is packed
+        table = share_laws(codec).score_table.tolist()
+        for secret in [(0, 255, 17, k - 1), (k - 1, 16, 15, 0)]:
+            for i in range(4):
+                calls_match_the_oracle(codec, table, secret, (0,) * 4, i)
+
+    @pytest.mark.parametrize("m,packed", [(16, True), (17, False)])
+    def test_decode_cells_fit_a_byte_up_to_m_16(self, m, packed):
+        codec = make_codec(modular_scheme(m, 2), SKEW, n=8, gamma=0.3)
+        assert bool(codec._bytes) is packed
+        table = share_laws(codec).score_table.tolist()
+        rng = np.random.default_rng(3)
+        for i in range(8):
+            secret = tuple(rng.choice(2, size=8, p=SKEW.probs).tolist())
+            rand = tuple(rng.integers(m, size=8).tolist())
+            calls_match_the_oracle(codec, table, secret, rand, i)
+
+    def test_shares_outside_the_alphabet_alias_no_image_cell(self):
+        # symbol 2 has probability 0, so its shares (0, 4 + u) are in no
+        # image cell; read as x M + y, (0, 4) would be image cell (1, 0)
+        scheme = BaseScheme(
+            name="stray", secret_size=3, share_size=4, rand_size=4,
+            encode_fn=lambda s, u: (0, 4 + u) if s == 2 else fstar(4, s, u),
+            decode_fn=lambda x, y: gstar(4, 2, x, y))
+        codec = make_codec(scheme, PMF.from_probs([0.5, 0.5, 0.0]), n=3,
+                           gamma=0.5, require_valid=False)
+        assert codec._bytes
+        assert encode_n(codec, (2, 1, 0), (0, 0, 1)) == ((0, 1, 3), (4, 0, 1))
+        for check in (decode_n, accepts_n):
+            with pytest.raises(ValueError, match=r"^share symbol 4 outside \[0, 4\)$"):
+                check(codec, (0, 1, 3), (4, 0, 1))
+        assert decode_n(codec, (1, 1, 3), (0, 0, 1)).secret == (1, 1, 0)
+        table = share_laws(codec).score_table.tolist()
+        for i in range(3):
+            calls_match_the_oracle(codec, table, (1, 1, 0), (0, 0, 1), i)
 
 
 def brute_error_prob(codec):
