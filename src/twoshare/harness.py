@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from . import attack as atk
 from . import block, symbol
 from ._version import __version__
-from .prob import PMF, CapExceededError, RandomStream
+from .prob import MAX_TRIALS, PMF, CapExceededError, RandomStream
 from .typical import EmptyTypicalSetError, GammaSchedule, build_index
 
 HOLDS = "holds"
@@ -141,6 +141,10 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'exact' or 'mc', not {self.mode!r}")
         if self.mode == "mc" and self.trials < 1:
             raise ConfigError("mc mode needs a positive trial count")
+        if self.mode == "mc" and self.trials > MAX_TRIALS:
+            raise ConfigError(f"mc mode runs at most 2**36 trials per "
+                              f"estimate (2**20 chunks of 2**16), not "
+                              f"{self.trials}")
         _check_seed(self.seed)
         n = self.n_values
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):

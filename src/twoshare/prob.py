@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -128,7 +129,8 @@ class RandomStream:
     from stream 0, three levels of any index fit in 64 bits, and
     `substream` raises where a deeper child would not.  The generator is
     built on first use, so a stream that only hands out substreams builds
-    none; `_estimate` builds one per estimate and re-keys it per chunk.
+    none.  `_estimate` builds none either: it re-keys one generator per
+    thread to each chunk's (seed, stream) key.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -157,6 +159,25 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
 
+# Trials per chunk, and the most one estimate runs: chunk c draws from
+# substream c, and `RandomStream.substream` numbers 2**20 of them.
+CHUNK = 1 << 16
+MAX_TRIALS = CHUNK << 20
+
+# `_estimate`'s generator on each thread ("gen"), and whether an estimate
+# is drawing from it ("busy")
+_thread = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    """This thread's one Philox generator, built on the thread's first
+    estimate that draws.  Its key and counter carry nothing from one
+    estimate to the next: `_estimate` re-keys it before every chunk."""
+    if (gen := getattr(_thread, "gen", None)) is None:
+        gen = _thread.gen = np.random.Generator(np.random.Philox(0))
+    return gen
+
+
 def _estimate(trials: int, rng: RandomStream, hit: float, live: float = 0.0,
               draw_live: Callable[[np.random.Generator, int], int] | None = None
               ) -> tuple[float, float]:
@@ -166,40 +187,64 @@ def _estimate(trials: int, rng: RandomStream, hit: float, live: float = 0.0,
     `live`, and misses otherwise; `draw_live(gen, count)` runs `count`
     trials that went on and returns how many hit.  Chunk c of at most
     2**16 trials draws from substream c, so the estimate does not depend
-    on execution order.  The first chunk that draws builds its substream's
-    generator; each later chunk re-keys that one Philox to its own
-    substream (counter 0, empty buffer), so it draws exactly what a fresh
-    `rng.substream(c).gen` would.  A chunk splits its trials by one
-    multinomial over (hit, live, the rest); when `hit` is 0, by one
-    binomial, and not at all when `live` is 1.  With `live` 0 and `hit` 0
-    or 1 no chunk draws, and no generator is built.  The hit count keeps
-    its exact binomial law.
+    on execution order; an estimate runs at most MAX_TRIALS = 2**36
+    trials, one chunk per substream index, and refuses more before it
+    draws.  Every chunk, the first included, re-keys this thread's one
+    Philox generator to its substream (counter 0, empty buffer), so it
+    draws exactly what a fresh `rng.substream(c).gen` would; the last
+    chunk's stream id is checked once, before the first draw.  A chunk
+    splits its trials by one multinomial over (hit, live, the rest); when
+    `hit` is 0, by one binomial, and not at all when `live` is 1.  With
+    `live` 0 and `hit` 0 or 1 every trial's outcome is fixed, so nothing
+    is drawn.  The hit count keeps its exact binomial law.  A `draw_live`
+    that starts another estimate on the same thread is a RuntimeError:
+    the inner one would re-key the outer chunk's generator.
     Zero hits fall back to the rule of three: the half-width is then the
     one-sided 95% upper bound 3/trials; otherwise it is the Wald half-width.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    fixed = not live and hit in (0.0, 1.0)
-    pvals = (hit, live, max(1.0 - hit - live, 0.0))
-    hits, chunk, gen = 0, 1 << 16, None
-    for c, start in enumerate(range(0, trials, chunk)):
-        take = min(chunk, trials - start)
-        if fixed:
-            hits += take * int(hit)
-            continue
-        if gen is None:
-            gen = rng.substream(c).gen
-            fresh = gen.bit_generator.state   # as keyed: nothing drawn yet
-        else:
-            # substreams share the seed word, so the stream word is the key
-            fresh["state"]["key"][1] = rng.substream(c).stream
-            gen.bit_generator.state = fresh
-        if hit:
-            now, go, _ = gen.multinomial(take, pvals).tolist()
-        else:
-            now, go = 0, take if live == 1.0 else gen.binomial(take, live)
-        hits += now + (draw_live(gen, go) if go else 0)
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials {trials} pass the limit of 2**36 per "
+                         f"estimate (2**20 chunks of 2**16)")
+    if getattr(_thread, "busy", False):
+        raise RuntimeError("an estimate cannot start inside another "
+                           "estimate's draws on the same thread")
+    if not live and hit in (0.0, 1.0):
+        hits = trials * int(hit)
+    else:
+        hits = _draw_hits(trials, rng, hit, live, draw_live)
     if hits == 0:
         return 0.0, 3.0 / trials
     est = hits / trials
     return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
+
+
+def _draw_hits(trials: int, rng: RandomStream, hit: float, live: float,
+               draw_live) -> int:
+    """`_estimate`'s hit count, drawn chunk by chunk."""
+    # ids grow with the chunk, so the last one's check covers every chunk;
+    # chunk c's stream word is then the first chunk's plus c
+    last = (trials - 1) // CHUNK
+    word = rng.substream(last).stream - last
+    pvals = np.array([hit, live, max(1.0 - hit - live, 0.0)])
+    gen = _thread_generator()
+    bits = gen.bit_generator
+    # plain ints: the state setter reads them faster than numpy words
+    keyed = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": keyed, "buffer": (0,) * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    hits, _thread.busy = 0, True
+    try:
+        for c, start in enumerate(range(0, trials, CHUNK)):
+            keyed["key"] = (rng.seed, word + c)
+            bits.state = state
+            take = min(CHUNK, trials - start)
+            if hit:
+                now, go, _ = gen.multinomial(take, pvals).tolist()
+            else:
+                now, go = 0, take if live == 1.0 else gen.binomial(take, live)
+            hits += now + (draw_live(gen, go) if go else 0)
+    finally:
+        _thread.busy = False
+    return hits

@@ -156,6 +156,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="non-negative"):
             dataclasses.replace(cfg, ell=math.nan)
 
+    def test_mc_trials_stop_at_two_to_the_36(self):
+        # an estimate draws 2**20 chunks of 2**16 trials at most; exact
+        # mode leaves the count unused
+        ExperimentConfig.from_dict(base_dict(mode="mc", trials=2 ** 36))
+        ExperimentConfig.from_dict(base_dict(trials=2 ** 36 + 1))
+        with pytest.raises(ConfigError, match=r"at most 2\*\*36 trials"):
+            ExperimentConfig.from_dict(base_dict(mode="mc",
+                                                 trials=2 ** 36 + 1))
+
     @pytest.mark.parametrize("raw,message", [
         (base_dict(n_values=[4.7, 8.2]),
          "bad config: 'n_values' entry 4.7 is not a whole number"),
@@ -917,6 +926,16 @@ class TestCli:
         code, _, err = self.run(["experiment", "--config", str(path)], capsys)
         assert code == 1
         assert err == "error: mc mode needs a positive trial count\n"
+
+    def test_attack_past_the_trial_limit_fails_up_front(self, capsys):
+        # refused as a config error before the exact attack or a draw
+        code, out, err = self.run(
+            ["attack", "--scheme", "blockwise", "--source", "0.7,0.3",
+             "--n", "8", "--ell", "1", "--mode", "mc",
+             "--trials", str(2 ** 36 + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: mc mode runs at most 2**36 trials per "
+                       "estimate (2**20 chunks of 2**16), not 68719476737\n")
 
     def test_non_object_config_names_the_top_level(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -19,7 +19,7 @@ import pytest
 import oracles
 from blockwise_oracle import atypical_mass
 import symbolwise_oracle as conv
-from twoshare import attack, block, harness, symbol, typical
+from twoshare import attack, block, harness, prob, symbol, typical
 from twoshare._comb import compositions
 from twoshare.prob import PMF, RandomStream, _estimate
 from twoshare.typical import build_index
@@ -281,25 +281,23 @@ class CountingGenerator:
         return getattr(self._gen, name)
 
 
-class CountingStream(RandomStream):
-    def __init__(self, seed, rows, values=None):
-        super().__init__(seed)
-        self.rows = rows
-        self.values = [] if values is None else values
-
-    def substream(self, i):
-        child = super().substream(i)
-        child.gen = CountingGenerator(child.gen, self.rows, self.values)
-        return child
+@pytest.fixture
+def tally(monkeypatch):
+    """(rows, values): what every estimate in the test draws, counted by a
+    wrapper around the one generator that `_estimate` draws from."""
+    rows, values, real = [], [], prob._thread_generator
+    monkeypatch.setattr(prob, "_thread_generator",
+                        lambda: CountingGenerator(real(), rows, values))
+    return rows, values
 
 
 class TestRekeyedChunks:
-    """An estimate builds one generator and re-keys it per chunk, so a
-    counting wrapper around the first chunk's generator sees every chunk."""
+    """An estimate draws every chunk from one generator, re-keyed per
+    chunk, so a counting wrapper around that generator sees every chunk."""
 
-    def test_wrapped_generator_counts_every_chunk(self):
-        rows, values, trials = [], [], 2 * (1 << 16) + 1
-        est, _ = _estimate(trials, CountingStream(9, rows, values), 0.3, 0.4,
+    def test_wrapped_generator_counts_every_chunk(self, tally):
+        (rows, values), trials = tally, 2 * (1 << 16) + 1
+        est, _ = _estimate(trials, RandomStream(9), 0.3, 0.4,
                            oracles.half_word_draws)
         hits = oracles.chunked_hits(trials, 9, 0, 0.3, 0.4,
                                     oracles.half_word_draws)
@@ -312,13 +310,13 @@ class TestClearGate:
     """A forged block can hit only with no -inf score, so each chunk draws
     how many trials clear that gate and only those draw count vectors."""
 
-    def test_all_minus_inf_row_estimates_zero(self):
+    def test_all_minus_inf_row_estimates_zero(self, tally):
         # share Y of `lopsided` takes only 0 and 1, so a forged 2 on side y
         # scores -inf against every honest X: its finite law has no mass
         codec = lopsided(8)
-        rows = []
+        rows, _ = tally
         res = attack.monte_carlo_attack(codec, "y", (2,) * 8, 5000,
-                                        CountingStream(1, rows))
+                                        RandomStream(1))
         assert (res.success_prob, res.ci_halfwidth) == (0.0, 3.0 / 5000)
         assert sum(rows) == 0
 
@@ -334,15 +332,15 @@ class TestClearGate:
         assert clear == pytest.approx(0.25 * 0.75, rel=1e-15)
         assert [law.tolist() for law, _ in laws] == [[0.5, 0.5], [0.0, 1.0]]
 
-    def test_draws_far_fewer_rows_than_trials(self):
+    def test_draws_far_fewer_rows_than_trials(self, tally):
         # uniform:2, M=4: each forged symbol scores -inf with mass 1/2, so
         # a trial clears with probability 2**-32; a row per trial would
         # draw 10**6 rows
         codec = modular(4, U2, 32, gamma=0.25)
         forged = attack.symbolwise_attack(codec, "x").optimal_forgery
-        rows = []
+        rows, _ = tally
         res = attack.monte_carlo_attack(codec, "x", forged, 10 ** 6,
-                                        CountingStream(3, rows))
+                                        RandomStream(3))
         assert sum(rows) < 100
         assert res.trials == 10 ** 6
         assert covers(res.success_prob, 10 ** 6,
@@ -436,28 +434,28 @@ class TestFirstCountDraw:
                         else typical.HIT)
                 assert fates[c0] == want, (g, c0)
 
-    def test_two_symbols_draw_no_multinomial(self):
+    def test_two_symbols_draw_no_multinomial(self, tally):
         # at k=2 the first count fixes the class, so no trial is undecided:
         # each chunk draws one split of its trials and no count vector
-        rows = []
+        rows, _ = tally
         gamma = power_gamma(64)
         est, _ = typical.atypical_mass_mc(SKEW, 64, gamma, 200_000,
-                                          CountingStream(14, rows))
+                                          RandomStream(14))
         assert rows == [1] * 4
         exact = build_index(SKEW, 64, gamma).delta
         assert 0.0 < exact and covers(est, 200_000, exact)
         rows.clear()
-        block.monte_carlo_error(blockwise(SKEW, 8), TRIALS,
-                                CountingStream(15, rows))
+        block.monte_carlo_error(blockwise(SKEW, 8), TRIALS, RandomStream(15))
         assert rows == [1]
 
     @pytest.mark.parametrize("n", [8, 32])
-    def test_three_symbols_draw_fewer_rows_than_trials(self, n):
-        gamma = power_gamma(n)
+    def test_three_symbols_draw_fewer_rows_than_trials(self, n, tally):
+        gamma, (rows, _) = power_gamma(n), tally
         for probs in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
-            rows, source = [], PMF.from_probs(probs)
+            rows.clear()
+            source = PMF.from_probs(probs)
             est, _ = typical.atypical_mass_mc(source, n, gamma, TRIALS,
-                                              CountingStream(16, rows))
+                                              RandomStream(16))
             # one split of the chunk, then a row for each trial whose gated
             # count is undecided, and no other
             split, drawn = rows
@@ -530,14 +528,14 @@ class TestBlockwiseGate:
     one rejected value.  So a trial is one Bernoulli of it, split off by
     one multinomial per chunk, and no honest component is drawn."""
 
-    def test_draws_far_fewer_honest_values_than_trials(self):
+    def test_draws_far_fewer_honest_values_than_trials(self, tally):
         # L = 2**15: drawing both honest components per trial would draw
         # 2 * 10**6 values; the estimate draws none, one row per chunk
         params = blockwise(U2, 10, ell=1.5)
         assert params.l_count == 1 << 15
-        rows, values = [], []
+        rows, values = tally
         res = attack.monte_carlo_attack(params, "x", (0, 0), 10 ** 6,
-                                        CountingStream(1, rows, values))
+                                        RandomStream(1))
         assert values == []
         assert rows == [1] * 16   # 10**6 trials in chunks of 2**16
         assert res.trials == 10 ** 6

@@ -2,6 +2,7 @@
 exact-rational oracles, plus distributional invariants."""
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,20 @@ from oracles import (JointPMF, RationalJoint, chunked_hits,
                      pushforward, sample)
 from twoshare import block, harness, symbol, typical
 from twoshare.prob import (
-    PMF, RandomStream, CapExceededError, _estimate, entropy, binary_entropy,
+    MAX_TRIALS, PMF, RandomStream, CapExceededError, _estimate, entropy,
+    binary_entropy,
 )
+
+def shipped_config(name):
+    path = Path(__file__).parent.parent / "configs" / f"{name}.json"
+    return harness.ExperimentConfig.from_dict(json.loads(path.read_text()))
+
+
+def on_fresh_thread(fn):
+    """fn() run on a new thread, which has built no generator yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
 
 # 20-digit reference, computed once with mpmath at 50 digits
 H_73 = 0.88129089923069261822
@@ -347,42 +360,51 @@ class TestRandomStream:
 
     def test_fixed_outcomes_build_no_generator(self, monkeypatch):
         # an estimate whose table fixes every trial's outcome draws nothing,
-        # so it builds no Philox; a k=2 atypical estimate builds one for
-        # its four chunks of at most 2**16 trials, re-keyed per chunk
+        # so a thread that runs only such estimates builds no Philox; a k=2
+        # atypical estimate builds the thread's one, re-keyed for each of
+        # its four chunks of at most 2**16 trials
         built, philox = [], np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
                             lambda *args, **kw: built.append(1) or philox(*args, **kw))
-        rng, u2 = RandomStream(4), PMF.uniform(2)
-        # symbolwise_mc at n=8: one score bucket holds every legitimate pair
-        codec = symbol.make_codec(symbol.modular_scheme(4, 2), u2, 8, 0.25)
-        assert symbol.monte_carlo_error(codec, 10 ** 6, rng) == (0.0, 3e-06)
-        # blockwise_uniform_mc at n=6: every type class is typical
-        params = block.BlockwiseParams(1.5, typical.build_index(u2, 6, 0.4))
-        assert block.monte_carlo_error(params, 200_000, rng)[0] == 0.0
-        # at n=1 every type class of the skewed source is atypical
-        skew = PMF.from_probs([0.7, 0.3])
-        assert typical.atypical_mass_mc(skew, 1, 0.01, 200_000, rng) \
-            == (1.0, 0.0)
-        assert built == []
-        typical.atypical_mass_mc(skew, 64, 64 ** (-1 / 3), 200_000, rng)
-        assert built == [1]
 
-    def test_one_generator_per_estimate_that_draws(self, monkeypatch):
-        # the Monte Carlo benchmark's estimates: each that draws builds one
-        # Philox (124 when every chunk built its own)
+        def run():
+            rng, u2 = RandomStream(4), PMF.uniform(2)
+            # symbolwise_mc at n=8: one score bucket holds every legitimate
+            # pair
+            codec = symbol.make_codec(symbol.modular_scheme(4, 2), u2, 8, 0.25)
+            assert symbol.monte_carlo_error(codec, 10 ** 6, rng) \
+                == (0.0, 3e-06)
+            # blockwise_uniform_mc at n=6: every type class is typical
+            params = block.BlockwiseParams(1.5, typical.build_index(u2, 6, 0.4))
+            assert block.monte_carlo_error(params, 200_000, rng)[0] == 0.0
+            # at n=1 every type class of the skewed source is atypical
+            skew = PMF.from_probs([0.7, 0.3])
+            assert typical.atypical_mass_mc(skew, 1, 0.01, 200_000, rng) \
+                == (1.0, 0.0)
+            assert built == []
+            typical.atypical_mass_mc(skew, 64, 64 ** (-1 / 3), 200_000, rng)
+            assert built == [1]
+        on_fresh_thread(run)
+
+    def test_mc_pass_builds_one_generator_per_thread(self, monkeypatch):
+        # the Monte Carlo benchmark's pass: both shipped Monte Carlo configs
+        # (p_x and p_y drawn at each of 3 blocklengths in each; every p_e
+        # is fixed by its table) and the atypical estimate.  A thread builds
+        # one Philox for all 13 estimates that draw (124 when every chunk
+        # built its own, 13 when every estimate did), and a second thread
+        # builds its own
         built, philox = [], np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
                             lambda *args, **kw: built.append(1) or philox(*args, **kw))
-        for name in ("symbolwise_mc", "blockwise_uniform_mc"):
-            path = Path(__file__).parent.parent / "configs" / f"{name}.json"
-            harness.run_experiment(
-                harness.ExperimentConfig.from_dict(json.loads(path.read_text())))
-        # p_x and p_y at each of 3 blocklengths in each config; every p_e
-        # is fixed by its table (one score bucket, all classes typical)
-        assert len(built) == 2 * 6
-        typical.atypical_mass_mc(PMF.from_probs([0.7, 0.3]), 64,
-                                 64 ** (-1 / 3), 200_000, RandomStream(1))
-        assert len(built) == 13
+
+        def run():
+            for name in ("symbolwise_mc", "blockwise_uniform_mc"):
+                harness.run_experiment(shipped_config(name))
+            typical.atypical_mass_mc(PMF.from_probs([0.7, 0.3]), 64,
+                                     64 ** (-1 / 3), 200_000, RandomStream(1))
+            return len(built)
+        assert on_fresh_thread(run) == 1
+        assert on_fresh_thread(run) == 2
 
     def test_draws_leave_half_a_word(self):
         gen = RandomStream(9).gen
@@ -400,10 +422,79 @@ class TestRandomStream:
                            half_word_draws)
         assert hits > 0 and est == hits / trials
 
+    def test_trials_past_two_to_the_36_raise_before_drawing(self):
+        # 2**20 chunks of 2**16: more would need a substream index past
+        # 2**20, so even a fixed estimate, which draws nothing, refuses
+        calls = []
+
+        def tally(gen, go):
+            calls.append(go)
+            return half_word_draws(gen, go)
+        assert _estimate(MAX_TRIALS, RandomStream(0), 1.0) == (1.0, 0.0)
+        for hit, live in ((1.0, 0.0), (0.3, 0.4)):
+            with pytest.raises(ValueError, match=r"limit of 2\*\*36"):
+                _estimate(MAX_TRIALS + 1, RandomStream(0), hit, live, tally)
+        # the last of 2**20 chunks of this stream passes the 2**64 stream
+        # ids: one check before the first chunk draws
+        with pytest.raises(ValueError, match=r"passes the 2\*\*64"):
+            _estimate(MAX_TRIALS, RandomStream(0, (1 << 44) - 1), 0.3, 0.4,
+                      tally)
+        assert calls == []
+
     def test_sample_follows_cdf(self):
         p = PMF.from_probs([0.7, 0.3])
         draws = sample(p, RandomStream(123), 200_000)
         assert abs(float(np.mean(draws == 1)) - 0.3) < 0.01
+
+
+class TestSharedGenerator:
+    """Every estimate on a thread draws from that thread's one generator,
+    so nothing an estimate leaves in it may reach the next."""
+
+    def test_interleaved_configs_rerun_byte_identical(self):
+        def records(name):
+            text = harness.emit_jsonl(harness.run_experiment(
+                shipped_config(name)))
+            return [line for line in text.splitlines()
+                    if '"type": "record"' in line]
+        first = records("symbolwise_mc")
+        records("blockwise_uniform_mc")
+        typical.atypical_mass_mc(PMF.from_probs([0.5, 0.3, 0.2]), 16,
+                                 16 ** (-1 / 3), 200_000, RandomStream(5))
+        assert len(first) == 3 and records("symbolwise_mc") == first
+
+    def test_estimate_after_a_raising_draw(self):
+        # the raise leaves the generator mid-chunk, its buffer part used
+        def broken(gen, go):
+            gen.integers(0, 1 << 31, size=3, dtype=np.uint32)
+            raise KeyError("bug")
+        with pytest.raises(KeyError):
+            _estimate(1 << 17, RandomStream(9, 4), 0.3, 0.4, broken)
+        trials = 2 * (1 << 16) + 1
+        est, _ = _estimate(trials, RandomStream(9, 4), 0.3, 0.4,
+                           half_word_draws)
+        assert est == chunked_hits(trials, 9, 4, 0.3, 0.4,
+                                   half_word_draws) / trials
+
+    def test_threads_draw_the_sequential_estimates(self):
+        def estimate(stream):
+            return _estimate(2 * (1 << 16) + 1, RandomStream(9, stream),
+                             0.3, 0.4, half_word_draws)
+        streams = range(6)
+        want = [estimate(s) for s in streams]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(estimate, streams)) == want
+
+    def test_nested_estimate_raises(self):
+        def nested(gen, go):
+            return round(_estimate(go, RandomStream(1), 1.0)[0] * go)
+        with pytest.raises(RuntimeError, match="inside another"):
+            _estimate(1000, RandomStream(9), 0.3, 0.4, nested)
+        # the refusal leaves the thread free for the next estimate
+        trials = 1000
+        assert _estimate(trials, RandomStream(9), 0.3, 0.4,
+                         half_word_draws)[0] == chunked_hits(
+            trials, 9, 0, 0.3, 0.4, half_word_draws) / trials
 
 
 class TestRationalJoint:
