@@ -8,16 +8,14 @@ sums over the count vectors of the score lattice.  Both score a vector by
 an integer form sum_j c_j w_j, and both decide a bar on it by intervals
 (`cuts`): fix every count but the last two, and the counts of the first
 of those two that pass the bar are one interval.  Both weigh a vector by
-its multinomial, and both find a vector's prefix by its rank, Cover's
-enumerative coding (IEEE T-IT 1973).  This module answers once how many
-and which compositions there are, in what order, where each interval
-lies, and how a float threshold becomes an exact int comparison.
+its multinomial.  This module answers once how many and which
+compositions there are, in what order, where each interval lies, and how
+a float threshold becomes an exact int comparison.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -115,49 +113,3 @@ def log2_factorials(m: int) -> np.ndarray:
     table = np.array(out + [math.inf] * (m + 1))
     table.flags.writeable = False
     return table
-
-
-def _prefix_rank(n: int, digits: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Rank of each row's prefix, its leading d = `digits` counts summing
-    to at most n, onto [0, C(n+d, d)).  The running sums S_1 <= ... <= S_d
-    <= n, shifted to S_i + i - 1, are a d-subset of [0, n+d), and its rank
-    in the combinatorial number system is the sum of C(S_i + i - 1, i),
-    read off one (n+1) x (d+1) table.  The first term, C(S_1, 1), is the
-    first count itself, so a one-count prefix is its own rank."""
-    table = np.array([[math.comb(t + i - 1, i) if t else 0
-                       for i in range(digits + 1)] for t in range(n + 1)],
-                     dtype=np.int64)
-
-    def rank(rows: np.ndarray) -> np.ndarray:
-        if not digits:
-            return np.zeros(len(rows), dtype=np.int64)
-        out = total = rows[:, 0]
-        for i in range(1, digits):
-            total = total + rows[:, i]
-            out = out + table[total, i + 1]
-        return out
-    return rank
-
-
-def prefix_lookup(prefixes, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The value of each row's prefix, for rows of count vectors that sum
-    to n: a prefix is a row's leading counts, and `prefixes` holds every
-    prefix a row can have, each once, with its value (a row of `values`)
-    alongside; ValueError when they do not.  The values sit in an array by
-    `_prefix_rank`, so a lookup is one gather per prefix count."""
-    table = np.array(prefixes, dtype=np.int64)
-    digits = table.shape[1]
-    # a prefix and the count it leaves form a composition of n
-    size = composition_count(n, digits + 1)
-    rank = _prefix_rank(n, digits)
-    # in range, each prefix has a rank below size: the ranks are then a
-    # permutation exactly when none repeats
-    if (len(table) != size or table.min(initial=0) < 0
-            or table.sum(axis=1).max(initial=0) > n
-            or np.bincount(ranks := rank(table), minlength=size).max() != 1):
-        raise ValueError(f"prefixes must list each of the {size} prefixes of "
-                         f"{digits} counts summing to at most {n} once")
-    values = np.asarray(values)
-    by_rank = np.empty((size,) + values.shape[1:], dtype=values.dtype)
-    by_rank[ranks] = values
-    return lambda counts: by_rank[rank(counts)]

@@ -67,57 +67,97 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
 # Symbolwise attacks
 
 
+def _classes(codec: SymbolwiseCodec, side: str) -> tuple[list, ...]:
+    """The forged symbols of one side in classes of equal mass vectors,
+    the honest share's mass on each lattice value against them, in order
+    of their least symbols: per class its mass vector, least symbol, count
+    of values of positive mass, and score law keyed by lattice weight."""
+    classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
+    for a, row in enumerate(codec.laws.forged[side]):
+        classes.setdefault(row, a)
+    masses, weights = list(classes), codec.lattice.weights
+    return (masses, list(classes.values()),
+            [sum(q > 0.0 for q in ms) for ms in masses],
+            [{w: q for w, q in zip(weights, ms) if q > 0.0} for ms in masses])
+
+
+def _points(sizes: list, counts) -> int:
+    """Lattice points `_success` walks for the class counts of a forgery:
+    the count vectors of the other classes times the prefixes of the
+    last, by each class's count of values of positive mass (`sizes`)."""
+    *rest, last = zip(counts, sizes)
+    return walk_size(*last) * math.prod(
+        composition_count(c, d) if d else 1 for c, d in rest)
+
+
+def _success(lat, last: tuple[float, ...], steps: list, counts) -> float:
+    """Exact success of a forgery that fills counts[i] positions with
+    symbols of class i: the other classes' score laws (`steps`) convolved,
+    keyed by their exact integer score, and the last class, of mass
+    vector `last`, summed by intervals against the bar shifted by each
+    key."""
+    law = {0: 1.0}   # integer score of the other classes' positions
+    for step, cnt in zip(steps, counts[:-1]):
+        for _ in range(cnt):
+            law = _convolve_scores(law, step)
+    return math.fsum(p * lat.mass(last, counts[-1], offset=key)
+                     for key, p in law.items())
+
+
 def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
     """Exact optimal forged sequence on the score lattice.
 
     A forged symbol fixes the mass the honest share puts on each lattice
     value, so forged symbols with equal mass vectors are interchangeable
-    and success depends only on how many positions each such class fills.
-    Per forged composition, the other classes' laws are convolved keyed by
-    their exact integer score, and the last class is summed by intervals
-    against the bar shifted by each key.  Against the modular splitter
-    every forged symbol falls in one class, so this is one interval sum.
-    `symbol.LATTICE_CAP` bounds the points walked: per composition, the
-    count vectors of the other classes times the prefixes of the last.
+    and success depends only on how many positions each such class fills
+    (`_classes`).  Each forged composition is scored by `_success`.
+    Against the modular splitter every forged symbol falls in one class,
+    so this is one interval sum.  `symbol.LATTICE_CAP` bounds the points
+    walked: per composition, the count vectors of the other classes times
+    the prefixes of the last.
     """
     _check_side(side)
     n = codec.n
-    lat = codec.lattice
-    classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
-    for a, row in enumerate(codec.laws.forged[side]):
-        classes.setdefault(row, a)
-    masses, class_min = list(classes), list(classes.values())
-    kc = len(masses)
-    sizes = [sum(q > 0.0 for q in ms) for ms in masses]
-
-    def points(counts) -> int:
-        *rest, last = zip(counts, sizes)
-        return walk_size(*last) * math.prod(
-            composition_count(c, d) if d else 1 for c, d in rest)
-
+    masses, least, sizes, steps = _classes(codec, side)
     # each composition walks at least one point: bound the scan first
-    check_lattice_points(n, composition_count(n, kc))
-    scan = compositions(n, kc).tolist()
-    check_lattice_points(n, sum(map(points, scan)))
-    steps = [{w: q for w, q in zip(lat.weights, ms) if q > 0.0}
-             for ms in masses]
+    check_lattice_points(n, composition_count(n, len(masses)))
+    scan = compositions(n, len(masses)).tolist()
+    check_lattice_points(n, sum(_points(sizes, c) for c in scan))
     best_prob = -1.0
     best_seq: tuple[int, ...] | None = None
     for counts in scan:
-        law = {0: 1.0}   # integer score of the other classes' positions
-        for step, cnt in zip(steps, counts[:-1]):
-            for _ in range(cnt):
-                law = _convolve_scores(law, step)
-        prob = math.fsum(p * lat.mass(masses[-1], counts[-1], offset=key)
-                         for key, p in law.items())
+        prob = _success(codec.lattice, masses[-1], steps, counts)
         seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
-                           for sym in [class_min[ci]] * cnt))
+                           for sym in [least[ci]] * cnt))
         if prob > best_prob or (prob == best_prob and best_seq is not None
                                 and seq < best_seq):
             best_prob = prob
             best_seq = seq
     return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
                         side=side, mode="exact")
+
+
+def _forgery_success(codec: SymbolwiseCodec, side: str, forgery) -> float:
+    """Exact success of one forged sequence: its positions counted per
+    class of `_classes`, then `_success` on those counts, as
+    `symbolwise_attack` scores the same counts, so the optimal forgery's
+    success is bit-equal to the attack's.  ValueError on a wrong length
+    (a PMF, say) or naming a symbol outside the share alphabet or not an
+    integer; LatticeCapError past `symbol.LATTICE_CAP` points."""
+    n, rows = codec.n, codec.laws.forged[side]
+    if np.ndim(forgery) != 1 or len(forgery) != n:
+        raise ValueError(f"forged sequence must have length {n}")
+    seq = [as_symbol(v, "share symbol") for v in forgery]
+    bad = [v for v in seq if not 0 <= v < len(rows)]
+    if bad:
+        raise ValueError(f"share symbol {bad[0]} outside [0, {len(rows)})")
+    masses, _, sizes, steps = _classes(codec, side)
+    col = {ms: i for i, ms in enumerate(masses)}
+    counts = [0] * len(masses)
+    for a in seq:
+        counts[col[rows[a]]] += 1
+    check_lattice_points(n, _points(sizes, counts))
+    return _success(codec.lattice, masses[-1], steps, counts)
 
 
 def _convolve_scores(a: dict, b: dict) -> dict:
@@ -141,59 +181,17 @@ def optimal_attack(scheme, side: str = "x") -> AttackResult:
 # Monte Carlo
 
 
-def _clear_gate(groups) -> tuple[float, list]:
-    """The -inf gate of a forged block, from (bucket row, positions) groups
-    whose rows put the -inf mass first.  Returns the probability that no
-    position scores -inf, prod (1 - q_inf)**c, and each group's finite law
-    given that.  A row with no finite mass closes the gate."""
-    if any(row[0] >= 1.0 or not row[1:].any() for row, _ in groups):
-        return 0.0, []
-    clear = math.exp(math.fsum(c * math.log1p(-row[0]) for row, c in groups))
-    return clear, [(row[1:] / math.fsum(row[1:]), c) for row, c in groups]
-
-
-def _symbolwise_gate(codec: SymbolwiseCodec, side: str, forgery):
-    """The -inf gate of a symbolwise forgery (`_clear_gate`), and a draw of
-    the cleared trials' hits: one score-bucket count vector each, from the
-    rows conditioned on no -inf score."""
-    n = codec.n
-    forged, minus_inf = codec.laws.forged[side], codec.laws.minus_inf[side]
-    size = len(forged)
-    if np.ndim(forgery) != 1 or len(forgery) != n:
-        raise ValueError(f"forged sequence must have length {n}")
-    seq = [as_symbol(v, "share symbol") for v in forgery]
-    bad = [v for v in seq if not 0 <= v < size]
-    if bad:
-        raise ValueError(f"share symbol {bad[0]} outside [0, {size})")
-    # only the rows of the symbols the sequence uses: the honest mass on
-    # -inf, then on each value
-    symbols, positions = np.unique(seq, return_counts=True)
-    groups = [(np.array((minus_inf[a], *forged[a])), int(c))
-              for a, c in zip(symbols.tolist(), positions)]
-    clear, laws = _clear_gate(groups)
-
-    def draw_live(gen, live):
-        counts = sum(gen.multinomial(c, law, size=live) for law, c in laws)
-        return int(np.count_nonzero(codec.lattice.accepted(counts)))
-    return clear, draw_live
-
-
 def monte_carlo_attack(scheme, side: str, forgery, trials: int,
                        rng: RandomStream) -> AttackResult:
-    """Estimate a forgery's acceptance probability by sampling honest shares.
+    """Estimate a forgery's acceptance probability with a 95% half-width.
 
     `forgery` is one concrete share: blockwise an (l, m) pair, symbolwise
     a sequence of n symbols.  Success is linear in the forger's law, so a
     fixed share is also what the exact attacks optimise over.  ValueError
     when it is anything else (a PMF, say) or falls outside the share
-    alphabet.  Blockwise, every share hits with the same mass M / ((M+1) L)
-    (`blockwise_forgery_success`), so a trial is one Bernoulli of it:
-    `_estimate`'s `hit`, split off by one multinomial per chunk, and no
-    mask is drawn.  Symbolwise, a trial can hit only when no position
-    scores -inf: that gate is `_estimate`'s live mass, a chunk draws how
-    many trials pass it, one binomial (none when it is certain), and only
-    those draw one score-bucket count vector (one multinomial per distinct
-    forged symbol against its row).
+    alphabet.  A trial is one Bernoulli of the share's exact success
+    (`prob._estimate`): blockwise M / ((M+1) L), which every share hits
+    with (`blockwise_forgery_success`), symbolwise `_forgery_success`.
     """
     _check_side(side)
     if isinstance(scheme, BlockwiseParams):
@@ -203,8 +201,8 @@ def monte_carlo_attack(scheme, side: str, forgery, trials: int,
                                          for v in forgery)))
         est, half = _estimate(trials, rng, blockwise_forgery_success(scheme))
     elif isinstance(scheme, SymbolwiseCodec):
-        clear, draw_live = _symbolwise_gate(scheme, side, forgery)
-        est, half = _estimate(trials, rng, 0.0, clear, draw_live)
+        est, half = _estimate(trials, rng,
+                              _forgery_success(scheme, side, forgery))
     else:
         raise TypeError(f"unsupported scheme object {type(scheme)!r}")
     return AttackResult(success_prob=est, optimal_forgery=tuple(forgery),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .outcome import DecodeOutcome, REJECT
 from .prob import CapExceededError, RandomStream, _estimate, entropy
-from .typical import TypicalIndex, atypical_draw
+from .typical import TypicalIndex
 
 # L = floor(2**bits) is an exact int at any size, but the attack success,
 # beta and the direct cap divide by it as a float, which holds L < 2**1024.
@@ -210,7 +210,7 @@ def monte_carlo_error(params: BlockwiseParams, trials: int,
                       rng: RandomStream) -> tuple[float, float]:
     """MC estimate of the decoding error probability with a 95% half-width.
 
-    A legitimate pair is rejected exactly when z = M, so a trial draws the
-    secret's composition and reads its type class; the rank map is unused.
+    A legitimate pair is rejected exactly when z = M, so a trial is one
+    Bernoulli of the atypical mass `index.delta` (`prob._estimate`).
     """
-    return _estimate(trials, rng, *atypical_draw(params.index))
+    return _estimate(trials, rng, params.index.delta)

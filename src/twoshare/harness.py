@@ -13,8 +13,10 @@ verdict (holds / violated / not_applicable) to each of five bound checks:
   sandwich  per-symbol I(X;Y) inside the blockwise window, or equal to
             log2(M) - H(S) for the symbolwise scheme
 
-Exact mode computes error and attack probabilities exhaustively; Monte
-Carlo mode estimates them by sampling while alpha and beta stay exact.
+Exact mode computes error and attack probabilities exhaustively.  Monte
+Carlo mode puts estimates of p_e, p_x and p_y in their place, each
+Binomial(trials, its exact value) / trials: sampling noise on the exact
+value, not independent evidence for it; alpha and beta stay exact.
 Verdicts that lean on an estimate judge it by the Wilson score interval of
 its hits at z = VERDICT_Z, so that sampling noise cannot manufacture a
 violation; the records still carry 95% half-widths.  Records

@@ -10,7 +10,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,8 +164,7 @@ class RandomStream:
 CHUNK = 1 << 16
 MAX_TRIALS = CHUNK << 20
 
-# `_estimate`'s generator on each thread ("gen"), and whether an estimate
-# is drawing from it ("busy")
+# `_estimate`'s generator on each thread
 _thread = threading.local()
 
 
@@ -178,73 +177,58 @@ def _thread_generator() -> np.random.Generator:
     return gen
 
 
-def _estimate(trials: int, rng: RandomStream, hit: float, live: float = 0.0,
-              draw_live: Callable[[np.random.Generator, int], int] | None = None
-              ) -> tuple[float, float]:
-    """Monte Carlo rate of an event, with a 95% half-width.
+def _estimate(trials: int, rng: RandomStream,
+              hit: float) -> tuple[float, float]:
+    """Monte Carlo rate of an event of exact mass `hit`, with a 95%
+    half-width: hits/trials, where the hit count is Binomial(trials, hit).
+    So an estimate is its exact mass plus sampling noise, and no
+    independent evidence for it.
 
-    A trial hits outright with probability `hit`, goes on with probability
-    `live`, and misses otherwise; `draw_live(gen, count)` runs `count`
-    trials that went on and returns how many hit.  Chunk c of at most
-    2**16 trials draws from substream c, so the estimate does not depend
-    on execution order; an estimate runs at most MAX_TRIALS = 2**36
-    trials, one chunk per substream index, and refuses more before it
-    draws.  Every chunk, the first included, re-keys this thread's one
-    Philox generator to its substream (counter 0, empty buffer), so it
-    draws exactly what a fresh `rng.substream(c).gen` would; the last
-    chunk's stream id is checked once, before the first draw.  A chunk
-    splits its trials by one multinomial over (hit, live, the rest); when
-    `hit` is 0, by one binomial, and not at all when `live` is 1.  With
-    `live` 0 and `hit` 0 or 1 every trial's outcome is fixed, so nothing
-    is drawn.  The hit count keeps its exact binomial law.  A `draw_live`
-    that starts another estimate on the same thread is a RuntimeError:
-    the inner one would re-key the outer chunk's generator.
-    Zero hits fall back to the rule of three: the half-width is then the
-    one-sided 95% upper bound 3/trials; otherwise it is the Wald half-width.
+    A `hit` that is NaN or outside [0, 1] is a ValueError, before any
+    draw.  Chunk c of at most 2**16 trials draws one binomial from
+    substream c, so the estimate does not depend on execution order; an
+    estimate runs at most MAX_TRIALS = 2**36 trials, one chunk per
+    substream index, and refuses more before it draws.  Every chunk, the
+    first included, re-keys this thread's one Philox generator to its
+    substream (counter 0, empty buffer), so it draws exactly what a fresh
+    `rng.substream(c).gen` would; the last chunk's stream id is checked
+    once, before the first draw.  With `hit` 0 or 1 every trial's outcome
+    is fixed, so nothing is drawn.  Zero hits fall back to the rule of
+    three: the half-width is then the one-sided 95% upper bound 3/trials;
+    otherwise it is the Wald half-width.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials {trials} pass the limit of 2**36 per "
                          f"estimate (2**20 chunks of 2**16)")
-    if getattr(_thread, "busy", False):
-        raise RuntimeError("an estimate cannot start inside another "
-                           "estimate's draws on the same thread")
-    if not live and hit in (0.0, 1.0):
+    if not 0.0 <= hit <= 1.0:   # NaN fails both comparisons
+        raise ValueError(f"hit mass {hit!r} is not a probability in [0, 1]")
+    if hit in (0.0, 1.0):
         hits = trials * int(hit)
     else:
-        hits = _draw_hits(trials, rng, hit, live, draw_live)
+        hits = _draw_hits(trials, rng, hit)
     if hits == 0:
         return 0.0, 3.0 / trials
     est = hits / trials
     return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
 
 
-def _draw_hits(trials: int, rng: RandomStream, hit: float, live: float,
-               draw_live) -> int:
-    """`_estimate`'s hit count, drawn chunk by chunk."""
+def _draw_hits(trials: int, rng: RandomStream, hit: float) -> int:
+    """`_estimate`'s hit count, one binomial per chunk."""
     # ids grow with the chunk, so the last one's check covers every chunk;
     # chunk c's stream word is then the first chunk's plus c
     last = (trials - 1) // CHUNK
     word = rng.substream(last).stream - last
-    pvals = np.array([hit, live, max(1.0 - hit - live, 0.0)])
     gen = _thread_generator()
     bits = gen.bit_generator
     # plain ints: the state setter reads them faster than numpy words
     keyed = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": keyed, "buffer": (0,) * 4,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    hits, _thread.busy = 0, True
-    try:
-        for c, start in enumerate(range(0, trials, CHUNK)):
-            keyed["key"] = (rng.seed, word + c)
-            bits.state = state
-            take = min(CHUNK, trials - start)
-            if hit:
-                now, go, _ = gen.multinomial(take, pvals).tolist()
-            else:
-                now, go = 0, take if live == 1.0 else gen.binomial(take, live)
-            hits += now + (draw_live(gen, go) if go else 0)
-    finally:
-        _thread.busy = False
+    hits = 0
+    for c, start in enumerate(range(0, trials, CHUNK)):
+        keyed["key"] = (rng.seed, word + c)
+        bits.state = state
+        hits += int(gen.binomial(min(CHUNK, trials - start), hit))
     return hits

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from ._comb import (composition_count, cuts, log2_factorials,
-                    over_one_denominator, prefix_lookup)
+                    over_one_denominator)
 from .outcome import DecodeOutcome, REJECT
 from .prob import (CapExceededError, PMF, RandomStream, _estimate, as_symbol,
                    entropy)
@@ -539,14 +539,13 @@ class LatticeLaws(NamedTuple):
     """Mass on each of `values`, the distinct finite scores ascending, of a
     legitimate pair (`legit`), an independent one (`indep`) and, per side,
     the honest share against each forged symbol (`forged["x"][a]`: Y
-    against x = a), with the honest mass on -inf against each forged
-    symbol in `minus_inf`.  Each is summed exactly and rounded once."""
+    against x = a); a row's mass short of 1 is on -inf.  Each is summed
+    exactly and rounded once."""
 
     values: tuple[float, ...]
     legit: tuple[float, ...]
     indep: tuple[float, ...]
     forged: dict[str, tuple[tuple[float, ...], ...]]
-    minus_inf: dict[str, tuple[float, ...]]
 
 
 def lattice_laws(law: ImageLaw, share_size: int,
@@ -571,18 +570,15 @@ def lattice_laws(law: ImageLaw, share_size: int,
         rows_y[b][j] += p_x[a]
     rounded = {}   # each distinct row once: a modular splitter has one
 
-    def round_row(row):   # per-value masses and the mass on -inf
+    def round_row(row):
         if row not in rounded:
-            rounded[row] = tuple(c / z for c in row), (z - sum(row)) / z
+            rounded[row] = tuple(c / z for c in row)
         return rounded[row]
-    forged, minus_inf = {}, {}
-    for side, rows in (("x", rows_x), ("y", rows_y)):
-        forged[side], minus_inf[side] = zip(*(
-            round_row(tuple(rows.get(a, [0] * len(values))))
-            for a in range(share_size)))
+    forged = {side: tuple(round_row(tuple(rows.get(a, [0] * len(values))))
+                          for a in range(share_size))
+              for side, rows in (("x", rows_x), ("y", rows_y))}
     return LatticeLaws(values, tuple(c / z for c in legit),
-                       tuple(c / (z * z) for c in indep), forged,
-                       minus_inf), scores
+                       tuple(c / (z * z) for c in indep), forged), scores
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +671,9 @@ class ScoreLattice:
     @functools.cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`cuts` of n positions over every value, with no offset; the
-        values ascend, so a prefix accepts the a below its cut.  The
-        Monte Carlo table reads them, and so does every `mass` over n
-        positions whose masses are all positive.  Raises LatticeCapError
-        past LATTICE_CAP prefixes."""
+        values ascend, so a prefix accepts the a below its cut.  Every
+        `mass` over n positions whose masses are all positive reads them.
+        Raises LatticeCapError past LATTICE_CAP prefixes."""
         check_lattice_points(self.n, walk_size(self.n, len(self.values)))
         heads, r, (cut,) = cuts(self.weights, (self.bar,), self.n,
                                 range(len(self.values)))
@@ -742,19 +737,6 @@ class ScoreLattice:
         weights = map((2.0).__pow__, logw.tolist())
         return min(math.fsum(map(operator.mul, weights, tails.tolist())), 1.0)
 
-    @functools.cached_property
-    def accepted(self) -> Callable[[np.ndarray], np.ndarray]:
-        """`accepts` over rows of count vectors over `values`: a row is
-        accepted when its count of the second-last value is below its
-        prefix's cut, read off `_walk`."""
-        parts = len(self.values)
-        if parts == 1:
-            hit = self.n * self.weights[0] > self.bar
-            return lambda counts: np.full(len(counts), hit)
-        heads, _, cut = self._walk
-        cut_of = prefix_lookup(heads, cut, self.n)
-        return lambda counts: counts[:, -2] < cut_of(counts)
-
 
 def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
     values = codec.laws.values
@@ -770,16 +752,8 @@ def rejection_probability(codec: SymbolwiseCodec) -> float:
 
 def monte_carlo_error(codec: SymbolwiseCodec, trials: int,
                       rng: RandomStream) -> tuple[float, float]:
-    """MC estimate of the rejection probability for legitimate pairs.
-
-    Each trial draws one block's count vector over the lattice values (no
-    legitimate pair scores -inf) and is decided on the lattice.  When one
-    value holds all the mass, every trial draws the same vector, so none
-    is drawn.
-    """
-    accepted, law = codec.lattice.accepted, np.array(codec.laws.legit)
-    if np.count_nonzero(law) == 1:
-        miss = not accepted(np.where(law > 0.0, codec.n, 0)[None])[0]
-        return _estimate(trials, rng, float(miss))
-    return _estimate(trials, rng, 0.0, 1.0, lambda gen, take: take - int(
-        np.count_nonzero(accepted(gen.multinomial(codec.n, law, size=take)))))
+    """MC estimate of the rejection probability for legitimate pairs, with
+    a 95% half-width: `trials` Bernoulli trials of the exact mass
+    `rejection_probability` (`prob._estimate`), which the lattice already
+    holds when the record computed p_e."""
+    return _estimate(trials, rng, rejection_probability(codec))

@@ -2,12 +2,11 @@
 
 Membership uses the window |mean surprisal - H(S)| <= gamma, decided
 exactly on a block's composition as an interval of one integer score
-(`_window`), which the scalar test, the rank index and the Monte Carlo
-draw all read.  No type class list is built: fix every count but the last
-two and the typical counts of the second-last form one interval
-(`_comb.cuts`), so counts and ranks sum exact binomial rows over those
-intervals, and the masses add one term per class.  None enumerates k**n
-sequences.
+(`_window`), which the scalar test and the rank index both read.  No type
+class list is built: fix every count but the last two and the typical
+counts of the second-last form one interval (`_comb.cuts`), so counts and
+ranks sum exact binomial rows over those intervals, and the masses add one
+term per class.  None enumerates k**n sequences.
 """
 from __future__ import annotations
 
@@ -17,11 +16,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._comb import cuts, multinomial, over_one_denominator, prefix_lookup
+from ._comb import cuts, multinomial, over_one_denominator
 from .prob import PMF, RandomStream, _estimate, as_symbol, entropy
 
 
@@ -126,14 +124,6 @@ class TypicalIndex:
         self._weights = [(n + 1) ** j for j in range(len(self._support))]
         self._rows, self._binomials, self._sizes = {}, {}, {}
 
-    def _cuts(self, m: int, offset: int = 0, idx=None):
-        """`cuts` of the window for m positions on top of a score offset,
-        over the support symbols in `idx` order (their own by default): per
-        prefix (heads, r), the typical counts of idx[-2] are [lo, hi)."""
-        idx = range(len(self._support)) if idx is None else idx
-        heads, r, (a, b) = cuts(self._surprisals, self._bars, m, idx, offset)
-        return heads, r, np.minimum(a, b), np.maximum(a, b)
-
     def _binomial_sums(self, r: int) -> list[int]:
         """0 and the running sums of the exact binomial row C(r, 0..r)."""
         if r not in self._binomials:
@@ -145,7 +135,8 @@ class TypicalIndex:
         return self._binomials[r]
 
     def _prefixes(self, m: int, offsets=(0,)) -> tuple[list, ...]:
-        """The prefixes of `_cuts` in the support's order, as Python ints:
+        """The `cuts` of the window for m positions over the support
+        symbols in their order, as Python ints:
         per prefix its multinomial(m; r, head), head and r, then per offset
         in `offsets` each prefix's lo and hi.  A lone support symbol has
         one class, its count r = m, typical: w = H(S) = 0."""
@@ -191,10 +182,13 @@ class TypicalIndex:
         each typical member's mass on its own value and delta on the
         sentinel.  A class's mass is log2 of its exact multinomial plus
         fsum of its c_j log2 p_j, raised in the exponent, so a huge count
-        times a tiny probability cannot overflow."""
+        times a tiny probability cannot overflow.  With no typical block,
+        delta is 1 exactly, and no rounding puts it above 1."""
         logs = [math.log2(p) for p in self.source.probs.tolist() if p > 0.0]
         if len(logs) == 1:   # one block, of mass 1 and log2 p = 0
             return 0.0, 0.0
+        if not self.m_count:   # every block is atypical
+            return 1.0, 0.0
         *head_logs, log_i, log_j = logs
         atypical, typical = [], []
         sizes, heads, rs, (los,), (his,) = self._block
@@ -209,7 +203,7 @@ class TypicalIndex:
                     typical.append(-mass * logp)
                 else:
                     atypical.append(mass)
-        delta, h_z = math.fsum(atypical), math.fsum(typical)
+        delta, h_z = min(math.fsum(atypical), 1.0), math.fsum(typical)
         return delta, h_z - delta * math.log2(delta) if delta > 0.0 else h_z
 
     @property
@@ -319,81 +313,11 @@ def build_index(source: PMF, n: int, gamma: float) -> TypicalIndex:
     return index
 
 
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """P(C = c) for c = 0..n of C ~ Binomial(n, p), 0 < p < 1: the ratios
-    P(c+1)/P(c) = (n-c)/(c+1) * p/(1-p) multiplied outward from the mode,
-    where the terms are largest, so none overflows; the result is
-    normalised by its sum."""
-    q, mode = 1.0 - p, min(int((n + 1) * p), n)
-    c = np.arange(n, dtype=np.float64)
-    down = (c[:mode] + 1.0) / (n - c[:mode]) * (q / p)
-    up = (n - c[mode:]) / (c[mode:] + 1.0) * (p / q)
-    pmf = np.concatenate((np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
-    return pmf / pmf.sum()
-
-
-MISS, HIT, OPEN = 0, 1, 2
-
-
-def _fates(index: TypicalIndex, g: int) -> np.ndarray:
-    """Per count c = 0..n of support symbol g, the fate of a trial that
-    draws it: MISS when every class with that count is typical, HIT when
-    every one is atypical, OPEN when they are mixed.  With g second-last, a
-    prefix of r has one class per c <= r, typical in [lo, hi)."""
-    idx = [j for j in range(len(index._support)) if j != g]
-    idx.insert(-1, g)
-    _, r, lo, hi = index._cuts(index.n, idx=idx)
-    ends = functools.partial(np.bincount, minlength=index.n + 2)
-    typical = np.cumsum(ends(lo) - ends(hi))[:-1]
-    classes = len(r) - np.cumsum(ends(r + 1))[:-1]
-    fates = np.where(classes > typical, HIT, MISS).astype(np.int8)
-    fates[(typical > 0) & (classes > typical)] = OPEN
-    return fates
-
-
-def atypical_draw(index: TypicalIndex) -> tuple[
-        float, float, Callable[[np.random.Generator, int], int] | None]:
-    """The atypical mass as `_estimate`'s (hit, open, draw_open): a trial
-    hits when its block's type class is atypical.  One support symbol's
-    count often settles that alone, so the gate is the symbol whose count
-    leaves the least mass undecided: `hit` and `open` are the masses of
-    its Binomial(n, p) counts that decide a hit and that leave the class
-    open.  `draw_open` draws an open trial's count from its pmf restricted
-    to the open counts, by inversion, then the other counts with one
-    multinomial on the rest of the block, and reads the class off the
-    window of its prefix.  When every class is on one side, each trial's
-    outcome is fixed, so `open` is 0 and `hit` is 0 or 1."""
-    n, support = index.n, index.source.probs[index.source.probs > 0.0]
-    if index.m_count in (0, len(support) ** n):
-        return float(not index.m_count), 0.0, None
-    fates = [_fates(index, g) for g in range(len(support))]
-    pmfs = [_binomial_pmf(n, float(p)) for p in support]
-    opens = [math.fsum(pmf[fate == OPEN]) for pmf, fate in zip(pmfs, fates)]
-    g = int(np.argmin(opens))
-    hit = math.fsum(pmfs[g][fates[g] == HIT])
-    if not opens[g]:
-        return hit, 0.0, None
-    counts = np.flatnonzero(fates[g] == OPEN)
-    cdf = np.cumsum(pmfs[g][counts])[:-1] / opens[g]
-    rest = np.delete(support, g)
-    rest /= rest.sum()
-    heads, _, lo, hi = index._cuts(n)
-    window = prefix_lookup(heads, np.column_stack((lo, hi)), n)
-
-    def draw_open(gen: np.random.Generator, take: int) -> int:
-        c = counts[np.searchsorted(cdf, gen.random(take), side="right")]
-        drawn = np.insert(gen.multinomial(n - c, rest), g, c, axis=1)
-        (lo, hi), a = window(drawn).T, drawn[:, -2]
-        return int(np.count_nonzero((a < lo) | (a >= hi)))
-    return hit, opens[g], draw_open
-
-
 def atypical_mass_mc(source: PMF, n: int, gamma: float, trials: int,
                      rng: RandomStream) -> tuple[float, float]:
-    """Monte Carlo estimate of the atypical mass with a 95% half-width.
-
-    Zero observed hits fall back to the rule of three: the half-width is
-    then the one-sided 95% upper bound 3/trials.
+    """Monte Carlo estimate of the atypical mass with a 95% half-width:
+    `trials` Bernoulli trials of the exact mass `TypicalIndex.delta`
+    (`prob._estimate`).  Zero observed hits fall back to the rule of
+    three: the half-width is then the one-sided 95% upper bound 3/trials.
     """
-    return _estimate(trials, rng,
-                     *atypical_draw(TypicalIndex(source, n, gamma)))
+    return _estimate(trials, rng, TypicalIndex(source, n, gamma).delta)

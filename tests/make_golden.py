@@ -6,9 +6,9 @@ Each shipped config in configs/ runs in its configured mode through
 in-process, and its JSON lines go to tests/golden/<config>.jsonl with the
 run's `wall_time_s` dropped.  The configs in MC_RUNS also run in Monte
 Carlo mode at MC_TRIALS trials, into tests/golden_mc/<name>.jsonl: they
-pin the draws the shipped Monte Carlo configs never make (a blockwise p_e
-that draws, split into hits and misses at k=2 and into hits, open trials
-and misses at k=3, and the symbolwise p_e multinomial).
+pin the draws the shipped Monte Carlo configs never make, a p_e strictly
+between 0 and 1 (blockwise at k=2 and k=3, and symbolwise), over three
+chunks, the last of one trial.
 `tests/test_golden.py` compares fresh runs with these files.  A change
 meant to move a shipped output reruns this from the repository root,
 

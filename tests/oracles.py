@@ -343,31 +343,15 @@ def sample(p: PMF, rng: RandomStream, size=None) -> int | np.ndarray:
     return idx.astype(np.int64)
 
 
-def chunked_hits(trials: int, seed: int, stream: int, hit: float,
-                 live: float, draw_live: Callable) -> int:
+def chunked_hits(trials: int, seed: int, stream: int, hit: float) -> int:
     """The hit count of `prob._estimate`'s loop with a fresh generator for
-    every chunk: chunk c of 2**16 trials draws from
+    every chunk: chunk c of 2**16 trials draws one binomial from
     `RandomStream(seed, stream).substream(c).gen`, built anew."""
     hits, chunk = 0, 1 << 16
-    pvals = (hit, live, max(1.0 - hit - live, 0.0))
     for c, start in enumerate(range(0, trials, chunk)):
-        take = min(chunk, trials - start)
         gen = RandomStream(seed, stream).substream(c).gen
-        if hit:
-            now, go, _ = gen.multinomial(take, pvals).tolist()
-        else:
-            now, go = 0, take if live == 1.0 else gen.binomial(take, live)
-        hits += now + (draw_live(gen, go) if go else 0)
+        hits += int(gen.binomial(min(chunk, trials - start), hit))
     return hits
-
-
-def half_word_draws(gen: np.random.Generator, go: int) -> int:
-    """A `draw_live` for `chunked_hits` and `prob._estimate`: how many of
-    `go` trials hit, from 2*go + 1 uint32 draws.  The odd count leaves half
-    a 64-bit Philox word cached, so a chunk hands the next one a generator
-    whose buffer is part used."""
-    draws = gen.integers(0, 1 << 31, size=2 * go + 1, dtype=np.uint32)
-    return int(np.count_nonzero(draws[:go] < draws[go:2 * go]))
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +579,6 @@ def class_quantities(classes: TypeClasses) -> tuple[int, float, float]:
     if delta > 0.0:
         h_z -= delta * math.log2(delta)
     return int(classes.sizes[typ].sum()), delta, h_z
-
-
-def class_fates(classes: TypeClasses, n: int, g: int) -> np.ndarray:
-    """Per count c = 0..n of support symbol g, from a scan of the classes:
-    MISS when every class with that count is typical, HIT when every one
-    is atypical, OPEN when they are mixed (MISS when there is none)."""
-    fates = np.full(n + 1, typical.MISS, dtype=np.int8)
-    for c in range(n + 1):
-        flags = set(classes.typical[classes.counts[:, g] == c].tolist())
-        if flags == {False}:
-            fates[c] = typical.HIT
-        elif len(flags) == 2:
-            fates[c] = typical.OPEN
-    return fates
 
 
 def class_row(classes: TypeClasses, support, prefix, t: int) -> tuple:

@@ -323,10 +323,7 @@ def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
         masses((table[a][b], q) for (a, b), q in dense.exact_xy.items()),
         masses((table[a][b], dense.exact_x[a] * dense.exact_y[b])
                for a, b in finite),
-        {side: tuple(map(masses, row)) for side, row in rows.items()},
-        # the honest marginal sums to exactly 1
-        {side: tuple(float(1 - sum(q for _, q in cells)) for cells in row)
-         for side, row in rows.items()})
+        {side: tuple(map(masses, row)) for side, row in rows.items()})
 
 
 def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:

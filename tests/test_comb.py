@@ -1,14 +1,13 @@
 """The combinatorics kernel both exact engines share: compositions, their
-count, multinomials, the log2-factorial row, prefix ranks and interval
-cuts, each against brute force or an exact integer formula."""
+count, multinomials, the log2-factorial row and interval cuts, each
+against brute force or an exact integer formula."""
 import itertools
 import math
 
-import numpy as np
 import pytest
 
-from twoshare._comb import (_prefix_rank, composition_count, compositions,
-                            cuts, log2_factorials, multinomial, prefix_lookup)
+from twoshare._comb import (composition_count, compositions, cuts,
+                            log2_factorials, multinomial)
 
 
 @pytest.mark.parametrize("parts", (1, 2, 3, 4))
@@ -42,36 +41,6 @@ def test_log2_factorials_round_each_factorial_once(m):
     assert row[-1] == row[-(m + 1)] == math.inf
     with pytest.raises(ValueError):
         row[0] = 1.0
-
-
-def test_prefix_rank_is_a_bijection():
-    for n in range(12):
-        for digits in range(5):
-            rows = compositions(n, digits + 1)
-            ranks = _prefix_rank(n, digits)(rows)
-            assert sorted(ranks.tolist()) == list(
-                range(composition_count(n, digits + 1)))
-            if digits == 1:   # a one-count prefix is its own rank
-                assert ranks.tolist() == rows[:, 0].tolist()
-
-
-def test_32_part_lookup_answers_past_int64_codes():
-    # 31 leading counts at n=4: base-5 codes of them would pass 2**63
-    rows = compositions(4, 32)
-    lookup = prefix_lookup(rows[:, :31], np.arange(len(rows)), 4)
-    order = np.random.default_rng(0).permutation(len(rows))
-    assert lookup(rows[order]).tolist() == order.tolist()
-
-
-def test_lookup_needs_every_prefix_once():
-    prefixes = [tuple(c[:2]) for c in compositions(3, 3).tolist()]
-    lookup = prefix_lookup(prefixes, range(len(prefixes)), 3)
-    assert lookup(np.array([(0, 3, 0), (1, 1, 1)])).tolist() == [
-        prefixes.index((0, 3)), prefixes.index((1, 1))]
-    for bad in (prefixes[1:], prefixes[:-1] + [prefixes[0]],
-                prefixes[:-1] + [(4, 0)], prefixes[:-1] + [(-1, 2)]):
-        with pytest.raises(ValueError, match="each of the 10 prefixes"):
-            prefix_lookup(bad, range(len(bad)), 3)
 
 
 @pytest.mark.parametrize("weights", [(1, 2, 5), (5, 2, 1), (3, 3, 3),

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (JointPMF, RationalJoint, chunked_hits,
-                     conditional_entropy, entropy_mp, half_word_draws,
-                     induce_joint, iid_extension, mutual_information,
-                     pushforward, sample)
-from twoshare import block, harness, symbol, typical
+                     conditional_entropy, entropy_mp, induce_joint,
+                     iid_extension, mutual_information, pushforward, sample)
+from twoshare import block, harness, prob, symbol, typical
 from twoshare.prob import (
     MAX_TRIALS, PMF, RandomStream, CapExceededError, _estimate, entropy,
     binary_entropy,
@@ -359,10 +358,11 @@ class TestRandomStream:
         assert stream.gen is stream.gen and built == [1]
 
     def test_fixed_outcomes_build_no_generator(self, monkeypatch):
-        # an estimate whose table fixes every trial's outcome draws nothing,
-        # so a thread that runs only such estimates builds no Philox; a k=2
-        # atypical estimate builds the thread's one, re-keyed for each of
-        # its four chunks of at most 2**16 trials
+        # an estimate whose exact mass is 0 or 1 fixes every trial's
+        # outcome and draws nothing, so a thread that runs only such
+        # estimates builds no Philox; an atypical estimate of a mass
+        # inside (0, 1) builds the thread's one, re-keyed for each of its
+        # four chunks of at most 2**16 trials
         built, philox = [], np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
                             lambda *args, **kw: built.append(1) or philox(*args, **kw))
@@ -389,7 +389,7 @@ class TestRandomStream:
     def test_mc_pass_builds_one_generator_per_thread(self, monkeypatch):
         # the Monte Carlo benchmark's pass: both shipped Monte Carlo configs
         # (p_x and p_y drawn at each of 3 blocklengths in each; every p_e
-        # is fixed by its table) and the atypical estimate.  A thread builds
+        # is 0 exactly, so fixed) and the atypical estimate.  A thread builds
         # one Philox for all 13 estimates that draw (124 when every chunk
         # built its own, 13 when every estimate did), and a second thread
         # builds its own
@@ -406,39 +406,44 @@ class TestRandomStream:
         assert on_fresh_thread(run) == 1
         assert on_fresh_thread(run) == 2
 
-    def test_draws_leave_half_a_word(self):
-        gen = RandomStream(9).gen
-        half_word_draws(gen, 3)
-        assert gen.bit_generator.state["has_uint32"] == 1
-
-    # three-way split, binomial split, every trial live
-    @pytest.mark.parametrize("hit,live", [(0.3, 0.4), (0.0, 0.5), (0.0, 1.0)])
-    def test_rekeyed_chunks_draw_as_fresh_generators(self, hit, live):
-        # three chunks, the last of one trial; each chunk leaves the
-        # generator's buffer part used, which the re-key must reset
+    # BTPE, inversion (a small mean) and a mass past 1/2, which numpy
+    # draws as the complement
+    @pytest.mark.parametrize("hit", [0.3, 1e-04, 0.7])
+    def test_rekeyed_chunks_draw_as_fresh_generators(self, hit):
+        # three chunks, the last of one trial
         trials = 2 * (1 << 16) + 1
-        hits = chunked_hits(trials, 9, 4, hit, live, half_word_draws)
-        est, _ = _estimate(trials, RandomStream(9, 4), hit, live,
-                           half_word_draws)
+        hits = chunked_hits(trials, 9, 4, hit)
+        est, _ = _estimate(trials, RandomStream(9, 4), hit)
         assert hits > 0 and est == hits / trials
 
-    def test_trials_past_two_to_the_36_raise_before_drawing(self):
+    def test_trials_past_two_to_the_36_raise_before_drawing(self,
+                                                             monkeypatch):
         # 2**20 chunks of 2**16: more would need a substream index past
         # 2**20, so even a fixed estimate, which draws nothing, refuses
         calls = []
-
-        def tally(gen, go):
-            calls.append(go)
-            return half_word_draws(gen, go)
+        monkeypatch.setattr(prob, "_thread_generator",
+                            lambda: calls.append(1))
         assert _estimate(MAX_TRIALS, RandomStream(0), 1.0) == (1.0, 0.0)
-        for hit, live in ((1.0, 0.0), (0.3, 0.4)):
+        for hit in (1.0, 0.3):
             with pytest.raises(ValueError, match=r"limit of 2\*\*36"):
-                _estimate(MAX_TRIALS + 1, RandomStream(0), hit, live, tally)
+                _estimate(MAX_TRIALS + 1, RandomStream(0), hit)
         # the last of 2**20 chunks of this stream passes the 2**64 stream
         # ids: one check before the first chunk draws
         with pytest.raises(ValueError, match=r"passes the 2\*\*64"):
-            _estimate(MAX_TRIALS, RandomStream(0, (1 << 44) - 1), 0.3, 0.4,
-                      tally)
+            _estimate(MAX_TRIALS, RandomStream(0, (1 << 44) - 1), 0.3)
+        assert calls == []
+
+    @pytest.mark.parametrize("hit", [math.nan, -1e-300, 1.0000000000000002,
+                                     math.inf, -math.inf])
+    def test_hit_outside_the_unit_interval_raises_before_drawing(
+            self, hit, monkeypatch):
+        # numpy's binomial would refuse NaN and p > 1 only mid-estimate
+        calls = []
+        monkeypatch.setattr(prob, "_thread_generator",
+                            lambda: calls.append(1))
+        with pytest.raises(ValueError, match=rf"^hit mass {hit!r} is not "
+                                             r"a probability in \[0, 1\]$"):
+            _estimate(1000, RandomStream(0), hit)
         assert calls == []
 
     def test_sample_follows_cdf(self):
@@ -463,38 +468,13 @@ class TestSharedGenerator:
                                  16 ** (-1 / 3), 200_000, RandomStream(5))
         assert len(first) == 3 and records("symbolwise_mc") == first
 
-    def test_estimate_after_a_raising_draw(self):
-        # the raise leaves the generator mid-chunk, its buffer part used
-        def broken(gen, go):
-            gen.integers(0, 1 << 31, size=3, dtype=np.uint32)
-            raise KeyError("bug")
-        with pytest.raises(KeyError):
-            _estimate(1 << 17, RandomStream(9, 4), 0.3, 0.4, broken)
-        trials = 2 * (1 << 16) + 1
-        est, _ = _estimate(trials, RandomStream(9, 4), 0.3, 0.4,
-                           half_word_draws)
-        assert est == chunked_hits(trials, 9, 4, 0.3, 0.4,
-                                   half_word_draws) / trials
-
     def test_threads_draw_the_sequential_estimates(self):
         def estimate(stream):
-            return _estimate(2 * (1 << 16) + 1, RandomStream(9, stream),
-                             0.3, 0.4, half_word_draws)
+            return _estimate(2 * (1 << 16) + 1, RandomStream(9, stream), 0.3)
         streams = range(6)
         want = [estimate(s) for s in streams]
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert list(pool.map(estimate, streams)) == want
-
-    def test_nested_estimate_raises(self):
-        def nested(gen, go):
-            return round(_estimate(go, RandomStream(1), 1.0)[0] * go)
-        with pytest.raises(RuntimeError, match="inside another"):
-            _estimate(1000, RandomStream(9), 0.3, 0.4, nested)
-        # the refusal leaves the thread free for the next estimate
-        trials = 1000
-        assert _estimate(trials, RandomStream(9), 0.3, 0.4,
-                         half_word_draws)[0] == chunked_hits(
-            trials, 9, 0, 0.3, 0.4, half_word_draws) / trials
 
 
 class TestRationalJoint:

@@ -211,8 +211,9 @@ class TestCodecConstruction:
         with pytest.raises(TypeError):
             codec.scores[0, 0] = 0.0
         laws = codec.laws
-        for law in (laws.values, laws.legit, laws.indep, *laws.forged.values(),
-                    *laws.minus_inf.values()):
+        for law in (laws.values, laws.legit, laws.indep,
+                    *laws.forged.values(), *laws.forged["x"],
+                    *laws.forged["y"]):
             assert isinstance(law, tuple)
         assert len(codec.scores) == 8 and dict(codec.scores) == {
             c: v for c, v in np.ndenumerate(share_laws(codec).score_table)

@@ -138,9 +138,8 @@ def blockwise_record(source, n, ell, gamma, mode):
 def window_verdicts(index, rows):
     """The window of the index's prefixes: a row of support counts is
     typical when its second-last count lies in its prefix's [lo, hi)."""
-    heads, _, lo, hi = index._cuts(index.n)
-    bounds = dict(zip(map(tuple, heads.tolist()), zip(lo.tolist(),
-                                                      hi.tolist())))
+    _, heads, _, (lo,), (hi,) = index._prefixes(index.n)
+    bounds = dict(zip(map(tuple, heads), zip(lo, hi)))
     return [bounds[tuple(row[:-2])][0] <= row[-2] < bounds[tuple(row[:-2])][1]
             for row in rows]
 
@@ -193,7 +192,7 @@ def test_record_at_a_window_edge_evaluates(mode):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_zero_probability_symbol_agrees_on_every_block(n):
     # k=4 with a zero-probability symbol: the scalar test, the rank index
-    # and the prefix intervals `atypical_draw` reads decide every block
+    # and the prefix intervals the masses sum over decide every block
     # alike
     source = PMF.from_probs([0.5, 0.0, 0.3, 0.2])
     gamma = 0.35

@@ -451,6 +451,18 @@ class TestMass:
                   for n in (4, 8, 16, 24)}
         assert masses[8] > masses[16] > masses[24]
 
+    @pytest.mark.parametrize("probs,n", [([0.6, 0.4], 7), ([0.9, 0.1], 5),
+                                         ([0.4, 0.3, 0.2, 0.1], 2)])
+    def test_empty_window_has_mass_one_exactly(self, probs, n):
+        # with no typical class, the sum of every class mass rounded to
+        # 1.0000000000000002 on these sources
+        source = PMF.from_probs(probs)
+        index = TypicalIndex(source, n, 1e-9)
+        assert index.m_count == 0
+        assert (index.delta, index.h_z) == (1.0, 0.0)
+        assert atypical_mass_mc(source, n, 1e-9, 1000, RandomStream(0)) \
+            == (1.0, 0.0)
+
     def test_mc_mass_within_interval(self):
         src = PMF.from_probs(SKEW)
         est, half = atypical_mass_mc(src, 8, 0.5, 200_000, RandomStream(9))
