@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 from . import attack as atk
 from . import block, symbol
 from ._version import __version__
-from .prob import MAX_TRIALS, PMF, CapExceededError, RandomStream
+from .prob import (MAX_TRIALS, PMF, CapExceededError, RandomStream,
+                   _estimate)
 from .typical import EmptyTypicalSetError, GammaSchedule, build_index
 
 HOLDS = "holds"
@@ -145,8 +146,7 @@ class ExperimentConfig:
             raise ConfigError("mc mode needs a positive trial count")
         if self.mode == "mc" and self.trials > MAX_TRIALS:
             raise ConfigError(f"mc mode runs at most 2**36 trials per "
-                              f"estimate (2**20 chunks of 2**16), not "
-                              f"{self.trials}")
+                              f"estimate, not {self.trials}")
         _check_seed(self.seed)
         n = self.n_values
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
@@ -350,9 +350,8 @@ def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
         rate_ok=measured, sandwich_ok=measured)
 
 
-# per scheme: its exact evaluation and the module of its error estimate
-_STEPS = {"blockwise": (_blockwise_exact, block),
-          "symbolwise": (_symbolwise_exact, symbol)}
+# per scheme: its exact evaluation
+_STEPS = {"blockwise": _blockwise_exact, "symbolwise": _symbolwise_exact}
 
 
 def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
@@ -360,24 +359,21 @@ def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
     """One blocklength: exact fields, both optimal attacks, in "mc" mode
     the estimates of p_e, p_x and p_y in their place, then the verdicts.
     A typed skip anywhere leaves only n, gamma_n and the reason."""
-    exact, engine = _STEPS[cfg.scheme_kind]
     try:
         scheme = build(n)
-        ev = exact(scheme)
+        ev = _STEPS[cfg.scheme_kind](scheme)
         rec = RunRecord(n=n, gamma_n=gamma, **ev.fields)
-        ax = atk.optimal_attack(scheme, "x")
-        ay = atk.optimal_attack(scheme, "y")
-        rec.p_x, rec.p_y = ax.success_prob, ay.success_prob
+        rec.p_x = atk.optimal_attack(scheme, "x").success_prob
+        rec.p_y = atk.optimal_attack(scheme, "y").success_prob
         if cfg.mode == "mc":
+            # each estimate draws on the exact mass the record holds
             base = rng.substream(rec_idx)
-            rec.p_e, rec.p_e_ci = engine.monte_carlo_error(
-                scheme, cfg.trials, base.substream(0))
-            mx = atk.monte_carlo_attack(scheme, "x", ax.optimal_forgery,
-                                        cfg.trials, base.substream(1))
-            my = atk.monte_carlo_attack(scheme, "y", ay.optimal_forgery,
-                                        cfg.trials, base.substream(2))
-            rec.p_x, rec.p_x_ci = mx.success_prob, mx.ci_halfwidth
-            rec.p_y, rec.p_y_ci = my.success_prob, my.ci_halfwidth
+            rec.p_e, rec.p_e_ci = _estimate(cfg.trials, base.substream(0),
+                                            rec.p_e)
+            rec.p_x, rec.p_x_ci = _estimate(cfg.trials, base.substream(1),
+                                            rec.p_x)
+            rec.p_y, rec.p_y_ci = _estimate(cfg.trials, base.substream(2),
+                                            rec.p_y)
     except _SKIPS as exc:
         return RunRecord(n=n, gamma_n=gamma, skipped=str(exc),
                          verdicts={k: NOT_APPLICABLE for k in VERDICT_KEYS})

@@ -123,14 +123,14 @@ class RandomStream:
     never wrapped onto another key.  Philox output is specified independent
     of platform and numpy pins the algorithm, so a fixed seed yields the
     same draws everywhere (numpy >= 1.24).  Substreams use distinct keys
-    and are statistically independent, which makes Monte Carlo work
-    partition-invariant: chunk c always draws from substream c no matter
-    which thread runs it.  Child stream ids are distinct at every depth;
-    from stream 0, three levels of any index fit in 64 bits, and
+    and are statistically independent, so a task keyed by its place in a
+    run draws the same numbers in any order and on any thread.  Child
+    stream ids are distinct at every depth; from stream 0, three levels of
+    any index fit in 64 bits (the harness nests two: record, task), and
     `substream` raises where a deeper child would not.  The generator is
     built on first use, so a stream that only hands out substreams builds
     none.  `_estimate` builds none either: it re-keys one generator per
-    thread to each chunk's (seed, stream) key.
+    thread to the stream's (seed, stream) key.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -159,10 +159,10 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
 
-# Trials per chunk, and the most one estimate runs: chunk c draws from
-# substream c, and `RandomStream.substream` numbers 2**20 of them.
-CHUNK = 1 << 16
-MAX_TRIALS = CHUNK << 20
+# The most trials one estimate runs.  One binomial draws any count in O(1),
+# so this is no sampler limit: it keeps the 2**36 that configs have always
+# been held to, so that no config changes meaning.
+MAX_TRIALS = 1 << 36
 
 # `_estimate`'s generator on each thread
 _thread = threading.local()
@@ -171,7 +171,7 @@ _thread = threading.local()
 def _thread_generator() -> np.random.Generator:
     """This thread's one Philox generator, built on the thread's first
     estimate that draws.  Its key and counter carry nothing from one
-    estimate to the next: `_estimate` re-keys it before every chunk."""
+    estimate to the next: `_estimate` re-keys it before every draw."""
     if (gen := getattr(_thread, "gen", None)) is None:
         gen = _thread.gen = np.random.Generator(np.random.Philox(0))
     return gen
@@ -185,50 +185,35 @@ def _estimate(trials: int, rng: RandomStream,
     independent evidence for it.
 
     A `hit` that is NaN or outside [0, 1] is a ValueError, before any
-    draw.  Chunk c of at most 2**16 trials draws one binomial from
-    substream c, so the estimate does not depend on execution order; an
-    estimate runs at most MAX_TRIALS = 2**36 trials, one chunk per
-    substream index, and refuses more before it draws.  Every chunk, the
-    first included, re-keys this thread's one Philox generator to its
-    substream (counter 0, empty buffer), so it draws exactly what a fresh
-    `rng.substream(c).gen` would; the last chunk's stream id is checked
-    once, before the first draw.  With `hit` 0 or 1 every trial's outcome
-    is fixed, so nothing is drawn.  Zero hits fall back to the rule of
-    three: the half-width is then the one-sided 95% upper bound 3/trials;
-    otherwise it is the Wald half-width.
+    draw, and so is a `trials` past MAX_TRIALS = 2**36, even when the
+    outcome is fixed.  With `hit` 0 or 1 every trial's outcome is fixed,
+    so nothing is drawn.  Otherwise the hit count is one binomial: this
+    thread's one Philox generator is re-keyed to `rng`'s (seed, stream)
+    key, counter 0 and empty buffer, so it draws exactly what
+    `rng.gen.binomial(trials, hit)` would, on any thread and whatever ran
+    before.  Zero hits fall back to the rule of three: the half-width is
+    then the one-sided 95% upper bound 3/trials; otherwise it is the Wald
+    half-width.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials {trials} pass the limit of 2**36 per "
-                         f"estimate (2**20 chunks of 2**16)")
+                         "estimate")
     if not 0.0 <= hit <= 1.0:   # NaN fails both comparisons
         raise ValueError(f"hit mass {hit!r} is not a probability in [0, 1]")
     if hit in (0.0, 1.0):
         hits = trials * int(hit)
     else:
-        hits = _draw_hits(trials, rng, hit)
+        gen = _thread_generator()
+        # plain ints: the state setter reads them faster than numpy words
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (rng.seed, rng.stream)},
+            "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
+        hits = int(gen.binomial(trials, hit))
     if hits == 0:
         return 0.0, 3.0 / trials
     est = hits / trials
     return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
-
-
-def _draw_hits(trials: int, rng: RandomStream, hit: float) -> int:
-    """`_estimate`'s hit count, one binomial per chunk."""
-    # ids grow with the chunk, so the last one's check covers every chunk;
-    # chunk c's stream word is then the first chunk's plus c
-    last = (trials - 1) // CHUNK
-    word = rng.substream(last).stream - last
-    gen = _thread_generator()
-    bits = gen.bit_generator
-    # plain ints: the state setter reads them faster than numpy words
-    keyed = {"counter": (0, 0, 0, 0), "key": None}
-    state = {"bit_generator": "Philox", "state": keyed, "buffer": (0,) * 4,
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    hits = 0
-    for c, start in enumerate(range(0, trials, CHUNK)):
-        keyed["key"] = (rng.seed, word + c)
-        bits.state = state
-        hits += int(gen.binomial(min(CHUNK, trials - start), hit))
-    return hits

@@ -378,8 +378,8 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
 
 
 def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
-    """(score, symbols) of a share pair: the integer score `ScoreLattice.
-    accepts` compares with `bar`, the sum of its positions' lattice
+    """(score, symbols) of a share pair: the integer score the strict test
+    compares with the lattice's `bar`, the sum of its positions' lattice
     weights, and their secret symbols; None when a position scores -inf.
     A tuple or list of each is read by the byte kernel (`ByteTables`) when
     it fits the codec, which gives the symbols only with `decode`, of an
@@ -432,8 +432,8 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
     """Strict threshold test on the score lattice; ties are rejected.  The
-    positions' weights sum to the integer score `ScoreLattice.accepts`
-    compares with `bar`: by the byte kernel, the count of each value times
+    positions' weights sum to the integer score compared with the
+    lattice's `bar`: by the byte kernel, the count of each value times
     its weight."""
     found = _cells(codec, xs, ys)
     return found is not None and found[0] > codec.lattice.bar
@@ -664,9 +664,6 @@ class ScoreLattice:
     weights: tuple[int, ...]
     bar: int
     n: int
-
-    def accepts(self, counts) -> bool:
-        return sum(map(operator.mul, counts, self.weights)) > self.bar
 
     @functools.cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,8 +7,7 @@ in-process, and its JSON lines go to tests/golden/<config>.jsonl with the
 run's `wall_time_s` dropped.  The configs in MC_RUNS also run in Monte
 Carlo mode at MC_TRIALS trials, into tests/golden_mc/<name>.jsonl: they
 pin the draws the shipped Monte Carlo configs never make, a p_e strictly
-between 0 and 1 (blockwise at k=2 and k=3, and symbolwise), over three
-chunks, the last of one trial.
+between 0 and 1 (blockwise at k=2 and k=3, and symbolwise).
 `tests/test_golden.py` compares fresh runs with these files.  A change
 meant to move a shipped output reruns this from the repository root,
 
@@ -29,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 GOLDEN_MC = ROOT / "tests" / "golden_mc"
-# two full chunks of 2**16 trials and a last chunk of one trial
+# one binomial draws any count alike; this one keeps the goldens' count
 MC_TRIALS = 2 * (1 << 16) + 1
 MC_RUNS = {"blockwise_skew": ROOT / "configs" / "blockwise_skew.json",
            "symbolwise_skew": ROOT / "configs" / "symbolwise_skew.json",

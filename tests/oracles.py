@@ -2,11 +2,11 @@
 conditional entropy of a dense table, dense joints, induced joints and
 pushforwards, the dense (S, U, X, Y) joint of a per-symbol
 splitter with its validation profile, its dense per-symbol share laws and
-score table, dense i.i.d. extensions and inverse-CDF sampling, the
-chunked Monte Carlo loop with a fresh generator per chunk, brute-force
-attacks and the dense alpha/beta, exact rationals, alpha/beta composed
-from the library's lattice sums, and the blockwise type classes listed one
-by one with the exact M, delta and H(Z) they sum to.  The dense ones are
+score table, dense i.i.d. extensions and inverse-CDF sampling,
+brute-force attacks and the dense alpha/beta, exact rationals,
+alpha/beta composed from the library's lattice sums, and the blockwise
+type classes listed one by one with the exact M, delta and H(Z) they sum
+to.  The dense ones are
 for small instances only; the library calls none of them.
 """
 from __future__ import annotations
@@ -341,17 +341,6 @@ def sample(p: PMF, rng: RandomStream, size=None) -> int | np.ndarray:
     if size is None:
         return int(idx)
     return idx.astype(np.int64)
-
-
-def chunked_hits(trials: int, seed: int, stream: int, hit: float) -> int:
-    """The hit count of `prob._estimate`'s loop with a fresh generator for
-    every chunk: chunk c of 2**16 trials draws one binomial from
-    `RandomStream(seed, stream).substream(c).gen`, built anew."""
-    hits, chunk = 0, 1 << 16
-    for c, start in enumerate(range(0, trials, chunk)):
-        gen = RandomStream(seed, stream).substream(c).gen
-        hits += int(gen.binomial(min(chunk, trials - start), hit))
-    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ only to certify the score-lattice engine on small blocks.
 The count-vector routines at the end are the library's former exact
 symbolwise engine, also unchanged: `count_distribution` lists the law of
 every count vector, and the accepted and rejected masses are summed over
-the whole list, vector by vector, with the scalar `ScoreLattice.accepts`.
+the whole list, vector by vector, with the scalar `accepts`.
 They certify the interval sums of `ScoreLattice.mass`.  Their per-value
 masses come from `reference_laws`, which sums the dense share laws of
 `oracles.share_laws` cell by cell in exact rationals, and also certifies
@@ -37,6 +37,13 @@ from twoshare.symbol import LatticeLaws, ScoreLattice, SymbolwiseCodec
 TYPE_CAP = 1 << 20
 
 DIST_CAP = 1 << 20
+
+
+def accepts(lat: ScoreLattice, counts) -> bool:
+    """The strict test of a count vector on the score lattice: its integer
+    score, the counts times the lattice weights, above `bar`; ties are
+    rejected."""
+    return sum(map(operator.mul, counts, lat.weights)) > lat.bar
 
 
 class SumDistCapError(CapExceededError):
@@ -344,7 +351,7 @@ def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult
             if cnt:
                 part = count_distribution(masses[ci], cnt)
                 dist = part if dist is None else _convolve_counts(dist, part)
-        prob = math.fsum(p for c, p in dist.items() if lat.accepts(c))
+        prob = math.fsum(p for c, p in dist.items() if accepts(lat, c))
         seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
                            for sym in [class_min[ci]] * cnt))
         if prob > best_prob or (prob == best_prob and best_seq is not None

@@ -219,14 +219,9 @@ class TestExactEndpoints:
         assert symbol.rejection_probability(codec) == 0.0
         assert symbol.monte_carlo_error(codec, 5000, RandomStream(3))[0] == 0.0
 
-    def test_fixed_outcomes_draw_nothing(self, monkeypatch):
+    def test_fixed_outcomes_draw_nothing(self, tally):
         # an exact mass of 0 or 1 fixes each trial's outcome: nothing is
         # drawn
-        class Undrawable:
-            gen = None   # any draw raises AttributeError
-
-        monkeypatch.setattr(RandomStream, "substream",
-                            lambda self, i: Undrawable())
         rng = RandomStream(4)
         tied = dataclasses.replace(modular(4, U2, 6), gamma=0.0)
         assert symbol.monte_carlo_error(tied, 10 ** 6, rng) == (1.0, 0.0)
@@ -237,6 +232,7 @@ class TestExactEndpoints:
         # at n=1 both compositions of the skewed source miss a tight window
         assert atypical_mass(SKEW, 1, 0.01) == 1.0
         assert typical.atypical_mass_mc(SKEW, 1, 0.01, 5000, rng) == (1.0, 0.0)
+        assert tally == []
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -259,7 +255,7 @@ class TestHitIsTheExactMass:
         def spy(trials, rng, hit):
             seen.append(hit)
             return real(trials, rng, hit)
-        for module in (attack, block, symbol, typical):
+        for module in (attack, block, harness, symbol, typical):
             monkeypatch.setattr(module, "_estimate", spy)
         return seen
 
@@ -325,23 +321,23 @@ def tally(monkeypatch):
     return draws
 
 
-class TestRekeyedChunks:
-    """An estimate draws every chunk from one generator, re-keyed per
-    chunk, so a counting wrapper around that generator sees every chunk."""
+class TestOneDraw:
+    """An estimate draws one binomial from the one generator of its
+    thread, whatever its trial count, so a counting wrapper around that
+    generator sees exactly one draw."""
 
-    def test_wrapped_generator_counts_every_chunk(self, tally):
-        trials = 2 * (1 << 16) + 1
+    @pytest.mark.parametrize("trials", [2 * (1 << 16) + 1, prob.MAX_TRIALS])
+    def test_wrapped_generator_counts_one_binomial(self, trials, tally):
         est, _ = _estimate(trials, RandomStream(9), 0.3)
-        hits = oracles.chunked_hits(trials, 9, 0, 0.3)
+        hits = int(RandomStream(9).gen.binomial(trials, 0.3))
         assert hits > 0 and est == hits / trials
-        # one binomial in each of the 3 chunks
-        assert tally == ["binomial"] * 3
+        assert tally == ["binomial"]
 
 
 class TestClearGate:
     """A forged block can hit only with no -inf score.  Its exact success
     counts that, so a forgery that never clears it estimates 0 without a
-    draw, and one that rarely does draws one binomial per chunk."""
+    draw, and one that rarely does draws one binomial."""
 
     def test_all_minus_inf_row_estimates_zero(self, tally):
         # share Y of `lopsided` takes only 0 and 1, so a forged 2 on side y
@@ -355,32 +351,32 @@ class TestClearGate:
     def test_draws_far_fewer_rows_than_trials(self, tally):
         # uniform:2, M=4: each forged symbol scores -inf with mass 1/2, so
         # a trial clears with probability 2**-32; a row per trial would
-        # draw 10**6 rows, and the estimate draws one binomial per chunk
+        # draw 10**6 rows, and the estimate draws one binomial
         codec = modular(4, U2, 32, gamma=0.25)
         forged = attack.symbolwise_attack(codec, "x").optimal_forgery
         res = attack.monte_carlo_attack(codec, "x", forged, 10 ** 6,
                                         RandomStream(3))
-        assert tally == ["binomial"] * 16   # 10**6 trials in chunks of 2**16
+        assert tally == ["binomial"]
         assert res.trials == 10 ** 6
         assert covers(res.success_prob, 10 ** 6,
                       attack.symbolwise_attack(codec, "x").success_prob)
 
 
 class TestShippedMonteCarloStreams:
-    """Values from the reports of the count-vector estimators, which drew
-    the same numbers as one binomial per chunk on these configs.  Every
-    p_e is 0 exactly, so nothing is drawn.  A blockwise attack chunk drew
-    a multinomial whose first binomial is today's.  Against uniform:2 with
-    M = 4, a symbolwise forgery that cleared the -inf gate, one binomial
-    per chunk, was always accepted or always rejected."""
+    """Record i's estimate of task j (p_e, p_x, p_y) is
+    `RandomStream(seed).substream(i).substream(j).gen.binomial(trials,
+    exact) / trials`, with the exact value of the same field; these pins
+    were computed that way, apart from the harness.  Every p_e is 0
+    exactly, so nothing is drawn.  At symbolwise n=32 each attack's exact
+    success is 2**-32, and 10**6 trials draw no hit."""
 
     PINNED = {
-        "symbolwise_mc": {8: (0.0, 0.003847, 0.003944),
-                          16: (0.0, 2.4e-05, 1.2e-05),
+        "symbolwise_mc": {8: (0.0, 0.003903, 0.003877),
+                          16: (0.0, 2.2e-05, 1.5e-05),
                           32: (0.0, 0.0, 0.0)},
-        "blockwise_uniform_mc": {6: (0.0, 0.002, 0.00182),
-                                 8: (0.0, 0.000255, 0.000265),
-                                 10: (0.0, 4e-05, 1.5e-05)},
+        "blockwise_uniform_mc": {6: (0.0, 0.00176, 0.001905),
+                                 8: (0.0, 0.0002, 0.000255),
+                                 10: (0.0, 3e-05, 3e-05)},
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -395,17 +391,17 @@ class TestShippedMonteCarloStreams:
 class TestBlockwiseGate:
     """Every blockwise forgery hits with the same mass M / ((M+1) L): the
     honest u_l matches with mass 1/L, and the honest u_m then misses the
-    one rejected value.  So a trial is one Bernoulli of it, one binomial
-    per chunk, and no honest component is drawn."""
+    one rejected value.  So a trial is one Bernoulli of it, the estimate
+    one binomial, and no honest component is drawn."""
 
     def test_draws_far_fewer_honest_values_than_trials(self, tally):
         # L = 2**15: drawing both honest components per trial would draw
-        # 2 * 10**6 values; the estimate draws none, one binomial per chunk
+        # 2 * 10**6 values; the estimate draws none, one binomial
         params = blockwise(U2, 10, ell=1.5)
         assert params.l_count == 1 << 15
         res = attack.monte_carlo_attack(params, "x", (0, 0), 10 ** 6,
                                         RandomStream(1))
-        assert tally == ["binomial"] * 16   # 10**6 trials in chunks of 2**16
+        assert tally == ["binomial"]
         assert res.trials == 10 ** 6
         m, l_count = params.m_count, params.l_count
         assert covers(res.success_prob, 10 ** 6, m / ((m + 1) * l_count))

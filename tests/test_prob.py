@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (JointPMF, RationalJoint, chunked_hits,
-                     conditional_entropy, entropy_mp, induce_joint,
-                     iid_extension, mutual_information, pushforward, sample)
+from oracles import (JointPMF, RationalJoint, conditional_entropy,
+                     entropy_mp, induce_joint, iid_extension,
+                     mutual_information, pushforward, sample)
 from twoshare import block, harness, prob, symbol, typical
 from twoshare.prob import (
     MAX_TRIALS, PMF, RandomStream, CapExceededError, _estimate, entropy,
@@ -361,8 +361,8 @@ class TestRandomStream:
         # an estimate whose exact mass is 0 or 1 fixes every trial's
         # outcome and draws nothing, so a thread that runs only such
         # estimates builds no Philox; an atypical estimate of a mass
-        # inside (0, 1) builds the thread's one, re-keyed for each of its
-        # four chunks of at most 2**16 trials
+        # inside (0, 1) builds the thread's one and re-keys it for its one
+        # draw
         built, philox = [], np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
                             lambda *args, **kw: built.append(1) or philox(*args, **kw))
@@ -390,9 +390,8 @@ class TestRandomStream:
         # the Monte Carlo benchmark's pass: both shipped Monte Carlo configs
         # (p_x and p_y drawn at each of 3 blocklengths in each; every p_e
         # is 0 exactly, so fixed) and the atypical estimate.  A thread builds
-        # one Philox for all 13 estimates that draw (124 when every chunk
-        # built its own, 13 when every estimate did), and a second thread
-        # builds its own
+        # one Philox for all 13 estimates that draw (13 when every estimate
+        # built its own), and a second thread builds its own
         built, philox = [], np.random.Philox
         monkeypatch.setattr(np.random, "Philox",
                             lambda *args, **kw: built.append(1) or philox(*args, **kw))
@@ -407,19 +406,21 @@ class TestRandomStream:
         assert on_fresh_thread(run) == 2
 
     # BTPE, inversion (a small mean) and a mass past 1/2, which numpy
-    # draws as the complement
+    # draws as the complement; at 2**36 trials every mass draws by BTPE
+    @pytest.mark.parametrize("trials", [2 * (1 << 16) + 1, MAX_TRIALS])
     @pytest.mark.parametrize("hit", [0.3, 1e-04, 0.7])
-    def test_rekeyed_chunks_draw_as_fresh_generators(self, hit):
-        # three chunks, the last of one trial
-        trials = 2 * (1 << 16) + 1
-        hits = chunked_hits(trials, 9, 4, hit)
+    def test_estimate_draws_as_the_stream_generator(self, hit, trials):
+        # the re-keyed thread generator draws what the stream's own would,
+        # after another estimate has drawn from it
+        _estimate(1000, RandomStream(3), 0.5)
+        hits = int(RandomStream(9, 4).gen.binomial(trials, hit))
         est, _ = _estimate(trials, RandomStream(9, 4), hit)
         assert hits > 0 and est == hits / trials
 
     def test_trials_past_two_to_the_36_raise_before_drawing(self,
                                                              monkeypatch):
-        # 2**20 chunks of 2**16: more would need a substream index past
-        # 2**20, so even a fixed estimate, which draws nothing, refuses
+        # the cap configs are held to: even a fixed estimate, which draws
+        # nothing, refuses more
         calls = []
         monkeypatch.setattr(prob, "_thread_generator",
                             lambda: calls.append(1))
@@ -427,10 +428,6 @@ class TestRandomStream:
         for hit in (1.0, 0.3):
             with pytest.raises(ValueError, match=r"limit of 2\*\*36"):
                 _estimate(MAX_TRIALS + 1, RandomStream(0), hit)
-        # the last of 2**20 chunks of this stream passes the 2**64 stream
-        # ids: one check before the first chunk draws
-        with pytest.raises(ValueError, match=r"passes the 2\*\*64"):
-            _estimate(MAX_TRIALS, RandomStream(0, (1 << 44) - 1), 0.3)
         assert calls == []
 
     @pytest.mark.parametrize("hit", [math.nan, -1e-300, 1.0000000000000002,

@@ -28,6 +28,7 @@ from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              score_lattice, validate_base)
 from broken_splitters import (identity_leak_scheme, nondecodable_scheme,
                               undersized_scheme)
+from symbolwise_oracle import accepts
 
 H_73 = 0.88129089923069261822  # frozen H(0.7, 0.3), cross-checked in test_prob
 
@@ -445,8 +446,8 @@ class TestLatticeDecisions:
         for xs in itertools.product(range(4), repeat=n):
             for ys in itertools.product(range(4), repeat=n):
                 scores = [table[x][y] for x, y in zip(xs, ys)]
-                expect = (-math.inf not in scores and lat.accepts(
-                    [scores.count(v) for v in lat.values]))
+                expect = (-math.inf not in scores and accepts(
+                    lat, [scores.count(v) for v in lat.values]))
                 assert decode_n(codec, xs, ys).rejected is not expect
                 accepted += expect
         assert 0 < accepted < 16 ** n
@@ -516,8 +517,8 @@ def expected_decode(codec, table, xs, ys):
     decoder's symbols."""
     scores = [table[x][y] for x, y in zip(xs, ys)]
     lat = codec.lattice
-    if -math.inf in scores or not lat.accepts(
-            [scores.count(v) for v in lat.values]):
+    if -math.inf in scores or not accepts(
+            lat, [scores.count(v) for v in lat.values]):
         return None
     out = [codec.scheme.decode_fn(x, y) for x, y in zip(xs, ys)]
     return RuntimeError if None in out else tuple(out)
