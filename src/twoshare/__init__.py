@@ -34,7 +34,6 @@ from .block import (
     accepts,
     decode,
     exact_quantities,
-    monte_carlo_error,
 )
 from .symbol import (
     BaseScheme,
@@ -55,7 +54,6 @@ from .attack import (
     BoundCheck,
     blockwise_attack,
     symbolwise_attack,
-    monte_carlo_attack,
     logsum_bound_check,
     fano_check,
     converse_exponent_check,

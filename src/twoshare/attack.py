@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._comb import composition_count, compositions
-from .block import BlockShare, BlockwiseParams
-from .prob import RandomStream, _estimate, as_symbol, binary_entropy
+from .block import BlockwiseParams
+from .prob import binary_entropy
 from .symbol import SymbolwiseCodec, check_lattice_points, walk_size
 
 
@@ -27,9 +25,6 @@ class AttackResult:
     success_prob: float
     optimal_forgery: tuple
     side: str
-    mode: str
-    trials: int | None = None
-    ci_halfwidth: float | None = None
 
 
 def _check_side(side: str):
@@ -60,7 +55,7 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     """
     _check_side(side)
     return AttackResult(success_prob=blockwise_forgery_success(params),
-                        optimal_forgery=(0, 0), side=side, mode="exact")
+                        optimal_forgery=(0, 0), side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +129,7 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
             best_prob = prob
             best_seq = seq
     return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
-                        side=side, mode="exact")
-
-
-def _forgery_success(codec: SymbolwiseCodec, side: str, forgery) -> float:
-    """Exact success of one forged sequence: its positions counted per
-    class of `_classes`, then `_success` on those counts, as
-    `symbolwise_attack` scores the same counts, so the optimal forgery's
-    success is bit-equal to the attack's.  ValueError on a wrong length
-    (a PMF, say) or naming a symbol outside the share alphabet or not an
-    integer; LatticeCapError past `symbol.LATTICE_CAP` points."""
-    n, rows = codec.n, codec.laws.forged[side]
-    if np.ndim(forgery) != 1 or len(forgery) != n:
-        raise ValueError(f"forged sequence must have length {n}")
-    seq = [as_symbol(v, "share symbol") for v in forgery]
-    bad = [v for v in seq if not 0 <= v < len(rows)]
-    if bad:
-        raise ValueError(f"share symbol {bad[0]} outside [0, {len(rows)})")
-    masses, _, sizes, steps = _classes(codec, side)
-    col = {ms: i for i, ms in enumerate(masses)}
-    counts = [0] * len(masses)
-    for a in seq:
-        counts[col[rows[a]]] += 1
-    check_lattice_points(n, _points(sizes, counts))
-    return _success(codec.lattice, masses[-1], steps, counts)
+                        side=side)
 
 
 def _convolve_scores(a: dict, b: dict) -> dict:
@@ -175,38 +147,6 @@ def optimal_attack(scheme, side: str = "x") -> AttackResult:
     if isinstance(scheme, SymbolwiseCodec):
         return symbolwise_attack(scheme, side)
     raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-
-
-def monte_carlo_attack(scheme, side: str, forgery, trials: int,
-                       rng: RandomStream) -> AttackResult:
-    """Estimate a forgery's acceptance probability with a 95% half-width.
-
-    `forgery` is one concrete share: blockwise an (l, m) pair, symbolwise
-    a sequence of n symbols.  Success is linear in the forger's law, so a
-    fixed share is also what the exact attacks optimise over.  ValueError
-    when it is anything else (a PMF, say) or falls outside the share
-    alphabet.  A trial is one Bernoulli of the share's exact success
-    (`prob._estimate`): blockwise M / ((M+1) L), which every share hits
-    with (`blockwise_forgery_success`), symbolwise `_forgery_success`.
-    """
-    _check_side(side)
-    if isinstance(scheme, BlockwiseParams):
-        if np.ndim(forgery) != 1 or len(forgery) != 2:
-            raise ValueError("forged share must be an (l, m) pair")
-        scheme.check_shares(BlockShare(*(as_symbol(v, "share symbol")
-                                         for v in forgery)))
-        est, half = _estimate(trials, rng, blockwise_forgery_success(scheme))
-    elif isinstance(scheme, SymbolwiseCodec):
-        est, half = _estimate(trials, rng,
-                              _forgery_success(scheme, side, forgery))
-    else:
-        raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-    return AttackResult(success_prob=est, optimal_forgery=tuple(forgery),
-                        side=side, mode="mc", trials=trials, ci_halfwidth=half)
 
 
 # ---------------------------------------------------------------------------

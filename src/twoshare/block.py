@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .outcome import DecodeOutcome, REJECT
-from .prob import CapExceededError, RandomStream, _estimate, entropy
+from .prob import CapExceededError, RandomStream, entropy
 from .typical import TypicalIndex
 
 # L = floor(2**bits) is an exact int at any size, but the attack success,
@@ -204,13 +204,3 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
         h_s=h_s, delta=delta, i_xy=i_xy,
         rate_x=math.log2(params.share_size) / n,
         h_s_given_xy=max(n * h_s - h_z, 0.0), sandwich_lo=lo, sandwich_hi=hi)
-
-
-def monte_carlo_error(params: BlockwiseParams, trials: int,
-                      rng: RandomStream) -> tuple[float, float]:
-    """MC estimate of the decoding error probability with a 95% half-width.
-
-    A legitimate pair is rejected exactly when z = M, so a trial is one
-    Bernoulli of the atypical mass `index.delta` (`prob._estimate`).
-    """
-    return _estimate(trials, rng, params.index.delta)

@@ -19,7 +19,7 @@ import sys
 from . import attack as atk
 from . import block, harness, symbol
 from .harness import _check_seed, _number
-from .prob import PMF, CapExceededError, RandomStream
+from .prob import PMF, CapExceededError, RandomStream, _estimate
 from .symbol import SchemeValidationError
 from .typical import EmptyTypicalSetError
 
@@ -129,15 +129,13 @@ def _cmd_decode(args) -> int:
 def _cmd_attack(args) -> int:
     cfg, obj = _build_scheme(args)
     res = atk.optimal_attack(obj, args.side)
-    if cfg.mode == "mc":
-        res = atk.monte_carlo_attack(obj, args.side, res.optimal_forgery,
-                                     cfg.trials, RandomStream(cfg.seed))
-    out = {"side": res.side, "mode": res.mode,
+    out = {"side": res.side, "mode": cfg.mode,
            "success_prob": res.success_prob,
            "optimal_forgery": list(res.optimal_forgery)}
-    if res.ci_halfwidth is not None:
-        out["ci_halfwidth"] = res.ci_halfwidth
-        out["trials"] = res.trials
+    if cfg.mode == "mc":
+        out["success_prob"], out["ci_halfwidth"] = _estimate(
+            cfg.trials, RandomStream(cfg.seed), res.success_prob)
+        out["trials"] = cfg.trials
     _emit(args, json.dumps(out, sort_keys=True))
     return 0
 

@@ -472,7 +472,9 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
 
 
 def read_report_jsonl(text: str) -> ExperimentReport:
-    """Rebuild a report from its JSON-lines emission."""
+    """Rebuild a report from its JSON-lines emission.  ConfigError names
+    the line that is not JSON, not an object of type "metadata" or
+    "record", or lacks a field of its type."""
     config = None
     version = "?"
     wall = 0.0
@@ -480,17 +482,23 @@ def read_report_jsonl(text: str) -> ExperimentReport:
     for i, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        kind = d.pop("type")
-        if kind == "metadata":
-            config = ExperimentConfig.from_dict(d["config"])
-            version = d["version"]
-            wall = d["wall_time_s"]
-        else:
-            try:
-                records.append(RunRecord(**d))
-            except TypeError as exc:   # a key it lacks, or n missing
-                raise ConfigError(f"jsonl report line {i}: {exc}") from None
+        try:
+            d = json.loads(line)
+            kind = d.pop("type", None) if isinstance(d, dict) else None
+            if kind == "metadata":
+                config = ExperimentConfig.from_dict(d["config"])
+                version = d["version"]
+                wall = d["wall_time_s"]
+            elif kind == "record":
+                records.append(RunRecord(**d))   # TypeError on a bad key
+            else:
+                raise ConfigError('not an object of type "metadata" or '
+                                  '"record"')
+        except KeyError as exc:
+            raise ConfigError(f"jsonl report line {i}: metadata lacks "
+                              f"{exc}") from None
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"jsonl report line {i}: {exc}") from None
     if config is None:
         raise ConfigError("jsonl report lacks a metadata line")
     return ExperimentReport(config=config, records=records, version=version,

@@ -30,8 +30,7 @@ import numpy as np
 from ._comb import (composition_count, cuts, log2_factorials,
                     over_one_denominator)
 from .outcome import DecodeOutcome, REJECT
-from .prob import (CapExceededError, PMF, RandomStream, _estimate, as_symbol,
-                   entropy)
+from .prob import CapExceededError, PMF, RandomStream, as_symbol, entropy
 
 
 @dataclass(frozen=True)
@@ -745,12 +744,3 @@ def rejection_probability(codec: SymbolwiseCodec) -> float:
     """Exact probability that a legitimate share pair (never -inf) is
     rejected: the lattice mass the test rejects, summed on that side."""
     return codec.lattice.mass(codec.laws.legit, codec.n, accepted=False)
-
-
-def monte_carlo_error(codec: SymbolwiseCodec, trials: int,
-                      rng: RandomStream) -> tuple[float, float]:
-    """MC estimate of the rejection probability for legitimate pairs, with
-    a 95% half-width: `trials` Bernoulli trials of the exact mass
-    `rejection_probability` (`prob._estimate`), which the lattice already
-    holds when the record computed p_e."""
-    return _estimate(trials, rng, rejection_probability(codec))

@@ -263,7 +263,7 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     best_m = int(np.argmax(comp_m))
     prob = float(comp_m[best_m]) / params.l_count
     return AttackResult(success_prob=prob, optimal_forgery=(0, best_m),
-                        side=side, mode="exact")
+                        side=side)
 
 
 def blockwise_test_quantities(params: BlockwiseParams) -> AlphaBeta:

@@ -193,7 +193,7 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x",
             best_prob = prob
             best_seq = seq
     return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
-                        side=side, mode="exact")
+                        side=side)
 
 
 def symbolwise_test_quantities(codec: SymbolwiseCodec) -> AlphaBeta:
@@ -359,4 +359,4 @@ def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult
             best_prob = prob
             best_seq = seq
     return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
-                        side=side, mode="exact")
+                        side=side)

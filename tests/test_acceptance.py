@@ -22,7 +22,7 @@ from oracles import JointPMF, iid_extension, mutual_information
 
 from twoshare import attack as atk
 from twoshare import block, harness, symbol
-from twoshare.prob import PMF, RandomStream, entropy
+from twoshare.prob import PMF, RandomStream, _estimate, entropy
 from twoshare.typical import GammaSchedule, build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -246,7 +246,8 @@ def test_08_rejection_probability_vanishes_with_blocklength():
     est = {}
     for i, n in enumerate((8, 16, 32)):
         codec = symbol.make_codec(scheme, SKEW, n, POWER.gamma_at(n))
-        est[n] = symbol.monte_carlo_error(codec, 1_000_000, RandomStream(41, i))
+        est[n] = _estimate(1_000_000, RandomStream(41, i),
+                           symbol.rejection_probability(codec))
     assert est[8][0] > est[16][0] > est[32][0]
     assert est[8][0] - est[8][1] > est[32][0] + est[32][1]
 

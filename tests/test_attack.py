@@ -13,15 +13,15 @@ from symbolwise_oracle import modular_attack_success
 from oracles import (attack_bruteforce, iid_extension, share_laws,
                      symbolwise_test_quantities)
 from oracles import test_quantities as dense_test_quantities
-from twoshare import symbol
+from twoshare import cli, symbol
 from twoshare.attack import (blockwise_attack, blockwise_forgery_success,
                              converse_exponent_check, fano_check,
-                             logsum_bound_check, monte_carlo_attack,
+                             logsum_bound_check, optimal_attack,
                              symbolwise_attack)
 from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
 from oracles import JointPMF
-from twoshare.prob import CapExceededError, PMF, RandomStream
+from twoshare.prob import CapExceededError, PMF, RandomStream, _estimate
 from twoshare.symbol import BaseScheme, make_codec, modular_scheme
 from broken_splitters import identity_leak_scheme
 from twoshare.typical import build_index
@@ -82,7 +82,7 @@ class TestBlockwiseAttack:
             best, _ = attack_bruteforce(fn, params.share_size, probs)
             res = blockwise_attack(params, side)
             assert res.success_prob == pytest.approx(best, abs=1e-12)
-            assert res.mode == "exact"
+            assert res.side == side
 
     def test_every_forgery_equally_good(self):
         # the acceptance test gives an attacker nothing to aim at: all
@@ -231,69 +231,48 @@ class TestSymbolwiseAttack:
 
 
 class TestMonteCarloAttack:
+    """An attack estimate is `_estimate` of the exact optimum's success:
+    the CLI's `attack --mode mc` draws one, the harness one per side."""
+
     def test_blockwise_within_confidence(self):
         # an estimate is one binomial draw, so its 95% half-width covers
         # the exact success on about 95% of streams: fewer than 180 of 200
         # has odds of about 1e-3, where one stream missed with odds 1/20.
         # Every blockwise share hits with the same mass, so both sides
-        # draw the same estimate from one stream
+        # estimate the same mass
         params = small_params()
         exact = blockwise_attack(params, "x").success_prob
+        assert blockwise_attack(params, "y").success_prob == exact
         covered = 0
         for s in range(200):
-            rx, ry = (monte_carlo_attack(params, side, (0, 0), 40000,
-                                         RandomStream(13, s))
-                      for side in ("x", "y"))
-            assert (rx.mode, rx.trials) == ("mc", 40000)
-            assert (rx.success_prob, rx.ci_halfwidth) \
-                == (ry.success_prob, ry.ci_halfwidth)
-            covered += abs(rx.success_prob - exact) <= rx.ci_halfwidth + 1e-12
+            est, half = _estimate(40000, RandomStream(13, s), exact)
+            covered += abs(est - exact) <= half + 1e-12
         assert covered >= 180
 
     def test_symbolwise_within_confidence(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
         best = symbolwise_attack(codec, "x")
-        res = monte_carlo_attack(codec, "x", best.optimal_forgery, 40000,
-                                 RandomStream(17))
-        assert abs(res.success_prob - best.success_prob) \
-            <= res.ci_halfwidth + 1e-12
+        est, half = _estimate(40000, RandomStream(17), best.success_prob)
+        assert abs(est - best.success_prob) <= half + 1e-12
 
-    def test_deterministic_for_fixed_seed(self):
-        params = small_params()
-        a = monte_carlo_attack(params, "y", (0, 3), 20000, RandomStream(29))
-        b = monte_carlo_attack(params, "y", (0, 3), 20000, RandomStream(29))
-        assert a == b
-
-    def test_non_integral_forgery_raises(self):
-        # (0.5, 0) used to be estimated as (0, 0), and (0.7, 0, 0, 0) as
-        # (0, 0, 0, 0)
-        params = small_params(n=8, ell=0.5, gamma=0.5)
-        with pytest.raises(ValueError,
-                           match="^share symbol 0.5 is not an integer$"):
-            monte_carlo_attack(params, "x", (0.5, 0), 1000, RandomStream(1))
-        codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
-        with pytest.raises(ValueError,
-                           match="^share symbol 0.7 is not an integer$"):
-            monte_carlo_attack(codec, "x", (0.7, 0, 0, 0), 1000,
-                               RandomStream(1))
-        # a symbol past int64 is out of range, not an OverflowError
-        with pytest.raises(ValueError, match=r"^share symbol \d+ outside"):
-            monte_carlo_attack(codec, "x", (2 ** 70, 0, 0, 0), 1000,
-                               RandomStream(1))
-        # values equal to integers are still taken
-        a = monte_carlo_attack(codec, "x", (0.0, 1, True, 0), 1000,
-                               RandomStream(2))
-        b = monte_carlo_attack(codec, "x", (0, 1, 1, 0), 1000, RandomStream(2))
-        assert a.success_prob == b.success_prob
+    def test_deterministic_for_fixed_seed(self, capsys):
+        argv = ["attack", "--scheme", "blockwise", "--source", "0.7,0.3",
+                "--n", "4", "--ell", "1.0", "--side", "y", "--mode", "mc",
+                "--trials", "20000", "--seed", "29"]
+        outs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_rejects_bad_arguments(self):
         params = small_params()
         with pytest.raises(ValueError):
-            monte_carlo_attack(params, "x", (0, 0), 0, RandomStream(1))
+            _estimate(0, RandomStream(1), blockwise_forgery_success(params))
         with pytest.raises(ValueError):
-            monte_carlo_attack(params, "q", (0, 0), 10, RandomStream(1))
+            optimal_attack(params, "q")
         with pytest.raises(TypeError):
-            monte_carlo_attack(object(), "x", (0, 0), 10, RandomStream(1))
+            optimal_attack(object(), "x")
 
 
 class TestExponents:

@@ -21,9 +21,9 @@ from twoshare import harness
 from twoshare.block import (
     BlockShare, BlockRandomness, BlockwiseParams, MaskBitsError, MaskDrawError,
     floor_pow2,
-    encode, accepts, decode, exact_quantities, monte_carlo_error,
+    encode, accepts, decode, exact_quantities,
 )
-from twoshare.prob import PMF, RandomStream, entropy
+from twoshare.prob import PMF, RandomStream, _estimate, entropy
 from twoshare.typical import build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -339,18 +339,23 @@ class TestExactQuantities:
 
 
 class TestMonteCarloError:
+    """A legitimate pair is rejected exactly when z = M, so an estimate of
+    p_e is `_estimate` of the atypical mass, the exact record's p_e."""
+
     def test_estimate_within_interval(self):
         params = make_params(SKEW, 8, 0.5)
-        est, half = monte_carlo_error(params, 200_000, RandomStream(3))
+        est, half = _estimate(200_000, RandomStream(3),
+                              exact_quantities(params).delta)
         assert abs(est - 0.01129221) <= half
 
     def test_deterministic(self):
-        params = make_params(SKEW, 8, 0.5)
-        a = monte_carlo_error(params, 50_000, RandomStream(5))
-        b = monte_carlo_error(params, 50_000, RandomStream(5))
+        p_e = exact_quantities(make_params(SKEW, 8, 0.5)).delta
+        a = _estimate(50_000, RandomStream(5), p_e)
+        b = _estimate(50_000, RandomStream(5), p_e)
         assert a == b
 
     def test_zero_error_source_rule_of_three(self):
         params = make_params(U2, 6, 0.5)
-        est, half = monte_carlo_error(params, 10_000, RandomStream(1))
+        est, half = _estimate(10_000, RandomStream(1),
+                              exact_quantities(params).delta)
         assert est == 0.0 and half == pytest.approx(3.0 / 10_000)

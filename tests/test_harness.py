@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -501,6 +502,34 @@ class TestMonteCarloVerdicts:
         assert rec.verdicts["exp"] == VIOLATED
         assert rec.verdicts["logsum"] == HOLDS
 
+    def test_estimate_below_the_converse_floor_holds(self, monkeypatch):
+        # whatever the streams draw: attack estimates three standard
+        # deviations below their exact M / ((M+1) L), which meets the
+        # converse floor with equality, so their 95% Wald interval lies
+        # below the floor while the z=5 Wilson interval still reaches it
+        real, lowered = harness._estimate, []
+
+        def low(trials, rng, hit):
+            if hit == 0.0:   # p_e: every type class is typical at n=6
+                return real(trials, rng, hit)
+            p = hit - 3.0 * math.sqrt(hit * (1.0 - hit) / trials)
+            half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
+            lowered.append((hit, p, half))
+            return p, half
+
+        monkeypatch.setattr(harness, "_estimate", low)
+        cfg = ExperimentConfig.from_dict(dict(UNIFORM_MC, n_values=[6]))
+        rec = run_experiment(cfg).records[0]
+        assert len(lowered) == 2
+        for hit, p, half in lowered:
+            assert p + half < hit <= harness._verdict_range(
+                p, half, cfg.trials)[1]
+            # read at the Wald upper end, the converse would be violated
+            assert not attack.converse_exponent_check(
+                rec.i_xy_per_symbol * rec.n, rec.alpha, p + half, p + half,
+                rec.n).holds
+        assert rec.verdicts["exp"] == HOLDS
+
 
 class TestEmission:
     def make_report(self, **over):
@@ -594,6 +623,25 @@ class TestEmission:
                 "^jsonl report line 2: .*unexpected keyword argument "
                 "'colour'$")):
             read_report_jsonl(meta + "\n" + rec + "\n")
+
+    @pytest.mark.parametrize("line,why", [
+        ('{"n": 4, "gamma_n": 0.5}', 'not an object of type "metadata" or '
+                                     '"record"'),
+        ('{"type": "bogus", "n": 4, "gamma_n": 0.5}',
+         'not an object of type "metadata" or "record"'),
+        ('[{"type": "record"}]', 'not an object of type "metadata" or '
+                                 '"record"'),
+        ('"record"', 'not an object of type "metadata" or "record"'),
+        ('{"type": "metadata", "version": "0", "wall_time_s": 0.0}',
+         "metadata lacks 'config'"),
+        ('{"type": "record", "n": 4', "Expecting ',' delimiter"),
+    ], ids=["no-type", "unknown-type", "list", "string", "no-config",
+            "invalid-json"])
+    def test_jsonl_rejects_a_malformed_line_by_number(self, line, why):
+        meta = emit_jsonl(self.make_report(n_values=[4])).splitlines()[0]
+        with pytest.raises(ConfigError, match=(
+                "^jsonl report line 3: " + re.escape(why))):
+            read_report_jsonl(meta + "\n\n" + line + "\n")
 
     def test_unknown_format_rejected(self):
         report = self.make_report(n_values=[4])

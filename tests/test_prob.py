@@ -372,11 +372,12 @@ class TestRandomStream:
             # symbolwise_mc at n=8: one score bucket holds every legitimate
             # pair
             codec = symbol.make_codec(symbol.modular_scheme(4, 2), u2, 8, 0.25)
-            assert symbol.monte_carlo_error(codec, 10 ** 6, rng) \
-                == (0.0, 3e-06)
+            assert _estimate(10 ** 6, rng, symbol.rejection_probability(
+                codec)) == (0.0, 3e-06)
             # blockwise_uniform_mc at n=6: every type class is typical
             params = block.BlockwiseParams(1.5, typical.build_index(u2, 6, 0.4))
-            assert block.monte_carlo_error(params, 200_000, rng)[0] == 0.0
+            assert _estimate(200_000, rng,
+                             block.exact_quantities(params).delta)[0] == 0.0
             # at n=1 every type class of the skewed source is atypical
             skew = PMF.from_probs([0.7, 0.3])
             assert typical.atypical_mass_mc(skew, 1, 0.01, 200_000, rng) \

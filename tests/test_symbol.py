@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 from twoshare import harness, symbol
 from oracles import (JointPMF, gamma_for_threshold, mutual_information,
                      scheme_joint, share_laws, splitter_profile)
-from twoshare.prob import PMF, RandomStream, entropy
+from twoshare.prob import PMF, RandomStream, _estimate, entropy
 from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
                              SchemeValidationError, SymbolwiseCodec,
                              accepts_n, decode_n, draw_randomness_n, encode_n,
                              fstar, gstar, make_codec, modular_scheme,
-                             monte_carlo_error, rejection_probability,
-                             score_lattice, validate_base)
+                             rejection_probability, score_lattice,
+                             validate_base)
 from broken_splitters import (identity_leak_scheme, nondecodable_scheme,
                               undersized_scheme)
 from symbolwise_oracle import accepts
@@ -1025,27 +1025,31 @@ def test_masking_hides_each_secret(s0, s1, s2, u0, u1, u2):
 
 
 class TestMonteCarlo:
+    """An estimate of p_e is `_estimate` of `rejection_probability`, the
+    exact mass the record holds."""
+
     def test_within_confidence_of_exact(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=8,
                            gamma=8.0 ** (-1.0 / 3.0))
         exact = rejection_probability(codec)
-        est, half = monte_carlo_error(codec, 100000, RandomStream(11))
+        est, half = _estimate(100000, RandomStream(11), exact)
         assert abs(est - exact) <= half + 1e-12
         assert half > 0.0
 
     def test_deterministic_for_fixed_seed(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=6, gamma=0.5)
-        a = monte_carlo_error(codec, 40000, RandomStream(5))
-        b = monte_carlo_error(codec, 40000, RandomStream(5))
+        a = _estimate(40000, RandomStream(5), rejection_probability(codec))
+        b = _estimate(40000, RandomStream(5), rejection_probability(codec))
         assert a == b
 
     def test_zero_hits_reports_rule_of_three(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.5)
-        est, half = monte_carlo_error(codec, 1000, RandomStream(2))
+        est, half = _estimate(1000, RandomStream(2),
+                              rejection_probability(codec))
         assert est == 0.0
         assert half == pytest.approx(3.0 / 1000)
 
     def test_rejects_zero_trials(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.5)
         with pytest.raises(ValueError):
-            monte_carlo_error(codec, 0, RandomStream(1))
+            _estimate(0, RandomStream(1), rejection_probability(codec))
