@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .outcome import DecodeOutcome, REJECT
-from .prob import CapExceededError, RandomStream, entropy
+from .prob import CapExceededError, RandomStream
 from .typical import TypicalIndex
 
 # L = floor(2**bits) is an exact int at any size, but the attack success,
@@ -196,7 +196,7 @@ def exact_quantities(params: BlockwiseParams) -> BlockQuantities:
     delta, h_z = idx.delta, idx.h_z
     i_l = math.log2(params.l_count)
     i_xy = i_l + _clamp_mi(math.log2(idx.m_count + 1) - h_z)
-    h_s = entropy(idx.source)
+    h_s = idx.source.entropy
     lo = i_l / n
     penalty = (delta * math.log2(delta) if delta > 0.0 else 0.0) + 1.0
     hi = lo + delta * h_s + (2.0 - delta) * idx.gamma + penalty / n

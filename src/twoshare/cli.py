@@ -39,8 +39,18 @@ def _value(text: str):
     return text
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _int_list(text: str, flag: str, size: int | None = None) -> tuple[int, ...]:
+    """The comma-separated integers of `flag`, `size` of them when given;
+    a ValueError naming the flag otherwise."""
+    try:
+        values = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = None
+    if values is None or size not in (None, len(values)):
+        count = "" if size is None else f"{size} "
+        raise ValueError(f"{flag} {text!r} is not {count}comma-separated "
+                         "integers")
+    return values
 
 
 def _common_flags(p: argparse.ArgumentParser):
@@ -95,7 +105,7 @@ def _emit(args, text: str):
 
 def _cmd_encode(args) -> int:
     cfg, obj = _build_scheme(args)
-    secret = _int_list(args.secret)
+    secret = _int_list(args.secret, "--secret")
     rng = RandomStream(cfg.seed)
     if isinstance(obj, block.BlockwiseParams):
         r = obj.draw_randomness(rng)
@@ -113,12 +123,13 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     _, obj = _build_scheme(args)
     if isinstance(obj, block.BlockwiseParams):
-        xl, xm = _int_list(args.x)
-        yl, ym = _int_list(args.y)
+        xl, xm = _int_list(args.x, "--x", 2)
+        yl, ym = _int_list(args.y, "--y", 2)
         outcome = block.decode(obj, block.BlockShare(xl, xm),
                                block.BlockShare(yl, ym))
     else:
-        outcome = symbol.decode_n(obj, _int_list(args.x), _int_list(args.y))
+        outcome = symbol.decode_n(obj, _int_list(args.x, "--x"),
+                                  _int_list(args.y, "--y"))
     if outcome.rejected:
         _emit(args, json.dumps({"rejected": True}))
     else:
@@ -162,7 +173,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise harness.ConfigError(
+                f"config {args.config} is not JSON: {exc}") from None
     # the override flags default to absent: the ones given replace the
     # file's values before the one parse
     overrides = {k: v for k, v in vars(args).items()

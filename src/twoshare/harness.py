@@ -471,10 +471,34 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
+# the JSON values that each declared type of a RunRecord field reads
+_JSON_TYPES = {"int": (int,), "float": (int, float), "dict": (dict,),
+               "float | None": (int, float, type(None)),
+               "str | None": (str, type(None))}
+
+
+def _read_record(d: dict) -> RunRecord:
+    """A record line's object as a RunRecord: TypeError on a missing or
+    unknown key, ValueError on the first value that is not of its field's
+    declared type, or a verdict that is not one of the three."""
+    rec = RunRecord(**d)
+    for f in dataclasses.fields(rec):
+        v = getattr(rec, f.name)
+        if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[f.type]):
+            raise ValueError(f"{f.name!r} is {v!r}, not {f.type}")
+    for key, v in rec.verdicts.items():
+        if key not in VERDICT_KEYS or v not in (HOLDS, VIOLATED,
+                                                NOT_APPLICABLE):
+            raise ValueError(f"verdict {key!r}: {v!r} is not a verdict of "
+                             f"a check in {VERDICT_KEYS}")
+    return rec
+
+
 def read_report_jsonl(text: str) -> ExperimentReport:
     """Rebuild a report from its JSON-lines emission.  ConfigError names
     the line that is not JSON, not an object of type "metadata" or
-    "record", or lacks a field of its type."""
+    "record", lacks a field of its type, or holds a record value that is
+    not of the type `RunRecord` declares."""
     config = None
     version = "?"
     wall = 0.0
@@ -490,7 +514,7 @@ def read_report_jsonl(text: str) -> ExperimentReport:
                 version = d["version"]
                 wall = d["wall_time_s"]
             elif kind == "record":
-                records.append(RunRecord(**d))   # TypeError on a bad key
+                records.append(_read_record(d))
             else:
                 raise ConfigError('not an object of type "metadata" or '
                                   '"record"')

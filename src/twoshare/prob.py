@@ -46,7 +46,14 @@ def _validate_probs(arr: np.ndarray):
 
 @dataclass(frozen=True)
 class PMF:
-    """A probability mass function over {0, ..., k-1}."""
+    """A probability mass function over {0, ..., k-1}.
+
+    Its per-source invariants are cached properties, each the expression
+    the library used to recompute on every call, now computed once:
+    `entropy`, H(S) in bits; `support`, the symbols of positive
+    probability; `surprisals`, their -log2 p by numpy; and `log2_probs`,
+    their log2 p by `math.log2`.  The two logs are kept apart: numpy's and
+    the math library's can differ in the last bit."""
 
     probs: np.ndarray
 
@@ -87,6 +94,23 @@ class PMF:
     def support_size(self) -> int:
         return int(self.probs.shape[0])
 
+    @functools.cached_property
+    def entropy(self) -> float:
+        return _entropy_bits(self.probs)
+
+    @functools.cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(a for a, p in enumerate(self.probs.tolist()) if p > 0.0)
+
+    @functools.cached_property
+    def surprisals(self) -> tuple[float, ...]:
+        p = self.probs
+        return tuple((-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist())
+
+    @functools.cached_property
+    def log2_probs(self) -> tuple[float, ...]:
+        return tuple(math.log2(p) for p in self.probs.tolist() if p > 0.0)
+
     def __len__(self):
         return self.support_size
 
@@ -98,8 +122,9 @@ def _entropy_bits(arr: np.ndarray) -> float:
 
 
 def entropy(p: PMF) -> float:
-    """Shannon entropy in bits."""
-    return _entropy_bits(p.probs)
+    """Shannon entropy in bits: a PMF's cached `entropy`, or that of any
+    other object's `.probs` table."""
+    return p.entropy if isinstance(p, PMF) else _entropy_bits(p.probs)
 
 
 def binary_entropy(q: float) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from ._comb import (composition_count, cuts, log2_factorials,
                     over_one_denominator)
 from .outcome import DecodeOutcome, REJECT
-from .prob import CapExceededError, PMF, RandomStream, as_symbol, entropy
+from .prob import CapExceededError, PMF, RandomStream, as_symbol
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def _information(source: PMF, law: ImageLaw,
     splitter's law, each from its cells grouped by their exact ratio."""
     z, p_s, p_x, p_y, p_xy = law.total, law.s, law.x, law.y, law.xy
     return (
-        entropy(source),
+        source.entropy,
         _bits(law, logs, ((c, p_x[a], c) for (_, a), c in law.sx.items())),
         _bits(law, logs, ((c, p_y[b], c) for (_, b), c in law.sy.items())),
         _bits(law, logs, ((c, p_xy[a, b], c)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._comb import cuts, multinomial, over_one_denominator
-from .prob import PMF, RandomStream, _estimate, as_symbol, entropy
+from .prob import PMF, RandomStream, _estimate, as_symbol
 
 
 class EmptyTypicalSetError(Exception):
@@ -73,10 +73,8 @@ def _window(source: PMF, n: int, gamma: float) -> tuple[list[int], int, int]:
     a float sum would take."""
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    p = source.probs
     *weights, h, g = over_one_denominator(
-        (-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist()
-        + [entropy(source), gamma])
+        [*source.surprisals, source.entropy, gamma])
     return weights, n * (h - g), n * (h + g)
 
 
@@ -120,7 +118,7 @@ class TypicalIndex:
         # the support symbols and the weights of their counts in a prefix
         # code; the chunk tables and the rank walk's rows, binomial rows
         # and prefix multinomials are built as first asked for
-        self._support = [a for a, p in enumerate(source.probs) if p > 0.0]
+        self._support = source.support
         self._weights = [(n + 1) ** j for j in range(len(self._support))]
         self._rows, self._binomials, self._sizes = {}, {}, {}
 
@@ -184,7 +182,7 @@ class TypicalIndex:
         fsum of its c_j log2 p_j, raised in the exponent, so a huge count
         times a tiny probability cannot overflow.  With no typical block,
         delta is 1 exactly, and no rounding puts it above 1."""
-        logs = [math.log2(p) for p in self.source.probs.tolist() if p > 0.0]
+        logs = self.source.log2_probs
         if len(logs) == 1:   # one block, of mass 1 and log2 p = 0
             return 0.0, 0.0
         if not self.m_count:   # every block is atypical

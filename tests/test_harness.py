@@ -218,6 +218,21 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("name", ["blockwise_skew", "symbolwise_skew",
+                                      "symbolwise_mc", "blockwise_uniform_mc"])
+    def test_a_warm_source_cache_emits_what_a_cold_one_does(self, name):
+        # the second run on one config reads the per-source invariants its
+        # PMF cached on the first; a fresh parse computes them anew
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        cfg, fresh = (ExperimentConfig.from_dict(raw) for _ in range(2))
+        cold = run_experiment(cfg)
+        assert "entropy" in vars(cfg.pmf)
+        warm = run_experiment(cfg)
+        assert "entropy" not in vars(fresh.pmf)
+        outs = [emit_jsonl(dataclasses.replace(report, wall_time_s=0.0))
+                for report in (cold, warm, run_experiment(fresh))]
+        assert outs[0] == outs[1] == outs[2]
+
     def test_blockwise_exact_all_bounds_hold(self):
         report = run_experiment(ExperimentConfig.from_dict(base_dict(
             scheme={"kind": "blockwise", "ell": 0.5})))
@@ -643,6 +658,46 @@ class TestEmission:
                 "^jsonl report line 3: " + re.escape(why))):
             read_report_jsonl(meta + "\n\n" + line + "\n")
 
+    @pytest.mark.parametrize("fields,why", [
+        ({"n": "four", "gamma_n": None, "p_e": "x"}, "'n' is 'four', not int"),
+        ({"n": 4, "gamma_n": None}, "'gamma_n' is None, not float"),
+        ({"n": 4, "gamma_n": 0.5, "p_e": "x"}, "'p_e' is 'x', not float"),
+        ({"n": True, "gamma_n": 0.5}, "'n' is True, not int"),
+        ({"n": 4, "gamma_n": 0.5, "p_x_ci": [0.1]},
+         "'p_x_ci' is [0.1], not float | None"),
+        ({"n": 4, "gamma_n": 0.5, "verdicts": []},
+         "'verdicts' is [], not dict"),
+        ({"n": 4, "gamma_n": 0.5, "skipped": 3}, "'skipped' is 3, not str"),
+        ({"n": 4, "gamma_n": 0.5, "verdicts": {"rate": 1}},
+         "verdict 'rate': 1 is not a verdict"),
+        ({"n": 4, "gamma_n": 0.5, "verdicts": {"colour": HOLDS}},
+         "verdict 'colour': 'holds' is not a verdict"),
+    ], ids=["example", "null-float", "text-float", "bool-int", "list-ci",
+            "list-verdicts", "int-skipped", "int-verdict", "unknown-check"])
+    def test_jsonl_rejects_a_record_value_of_the_wrong_type(self, fields, why):
+        # such a record used to be read, and emit_csv then raised a bare
+        # TypeError
+        meta = emit_jsonl(self.make_report(n_values=[4])).splitlines()[0]
+        line = json.dumps(dict(fields, type="record"))
+        with pytest.raises(ConfigError, match=(
+                "^jsonl report line 2: " + re.escape(why))):
+            read_report_jsonl(meta + "\n" + line + "\n")
+
+    def test_jsonl_reads_every_record_field_type(self):
+        # every type RunRecord declares has its JSON reading
+        assert {f.type for f in dataclasses.fields(RunRecord)} <= set(
+            harness._JSON_TYPES)
+
+    def test_jsonl_reads_integral_floats(self):
+        # json keeps 0.0 a float, but a report written by hand may not
+        meta = emit_jsonl(self.make_report(n_values=[4])).splitlines()[0]
+        line = json.dumps({"type": "record", "n": 4, "gamma_n": 1,
+                           "p_e": 0, "p_e_ci": 0})
+        rec = read_report_jsonl(meta + "\n" + line + "\n").records[0]
+        assert (rec.gamma_n, rec.p_e, rec.p_e_ci) == (1, 0, 0)
+        emit_csv(dataclasses.replace(self.make_report(n_values=[4]),
+                                     records=[rec]))
+
     def test_unknown_format_rejected(self):
         report = self.make_report(n_values=[4])
         with pytest.raises(ConfigError):
@@ -994,6 +1049,45 @@ class TestCli:
             ["experiment", "--config", str(path), "--seed", "3"], capsys)
         assert code == 1
         assert err == "error: bad config: the top level is not an object\n"
+
+    @pytest.mark.parametrize("argv,flag,text,count", [
+        (["decode", "--scheme", "blockwise", "--ell", "1", "--x", "1,2,3",
+          "--y", "0,0"], "--x", "1,2,3", "2 "),
+        (["decode", "--scheme", "blockwise", "--ell", "1", "--x", "1",
+          "--y", "0,0"], "--x", "1", "2 "),
+        (["decode", "--scheme", "blockwise", "--ell", "1", "--x", "0,0",
+          "--y", "0,b"], "--y", "0,b", "2 "),
+        (["decode", "--scheme", "symbolwise", "--m", "3", "--x", "0,1,0,1.5",
+          "--y", "0,0,0,0"], "--x", "0,1,0,1.5", ""),
+        (["encode", "--scheme", "blockwise", "--ell", "1",
+          "--secret", "0,a,1,0"], "--secret", "0,a,1,0", ""),
+        (["encode", "--scheme", "symbolwise", "--m", "3",
+          "--secret", "0,a,1,0"], "--secret", "0,a,1,0", ""),
+    ], ids=["x-three", "x-one", "y-text", "symbolwise-x", "secret",
+            "symbolwise-secret"])
+    def test_a_bad_symbol_list_names_its_flag(self, argv, flag, text, count,
+                                              capsys):
+        # it used to print Python's unpacking or int() message alone
+        code, out, err = self.run(
+            argv + ["--source", "0.7,0.3", "--n", "4"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {flag} {text!r} is not {count}"
+                       "comma-separated integers\n")
+
+    @pytest.mark.parametrize("content", [b"not json", b"", b"\xff{"],
+                             ids=["text", "empty", "bad-byte"])
+    def test_a_config_that_is_not_json_names_its_path(self, content,
+                                                      tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code, out, err = self.run(["experiment", "--config", str(path)],
+                                  capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config {path} is not JSON: ")
+        assert err.count("\n") == 1
+        if content == b"not json":
+            assert err.endswith(": Expecting value: line 1 column 1 "
+                                "(char 0)\n")
 
     def test_key_error_in_a_command_propagates(self, config_path,
                                                monkeypatch, capsys):

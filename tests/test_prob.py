@@ -1,5 +1,6 @@
 """Probability core: exact quantities against high-precision and
 exact-rational oracles, plus distributional invariants."""
+import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -100,6 +101,60 @@ class TestEntropy:
         assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
             binary_entropy(1.5)
+
+
+def bits(values):
+    """Floats as hex, so that equality is bit equality (-0.0 included)."""
+    return [float(v).hex() for v in values]
+
+
+class TestPerSourceInvariants:
+    """A PMF's cached invariants are the expressions the library computed
+    on every call before, bit for bit."""
+
+    @pytest.mark.parametrize("pmf", [
+        PMF.from_probs([0.7, 0.3]), PMF.from_probs([0.5, 0.3, 0.2]),
+        PMF.uniform(2), PMF.from_probs([0.6, 0.0, 0.4]),
+        PMF.from_probs([0.0, 1.0, 0.0])], ids=["skew", "k3", "uniform",
+                                               "zero-symbol", "point"])
+    def test_bit_equal_to_the_expressions_they_replace(self, pmf):
+        p = pmf.probs
+        pos = p[p > 0.0]
+        assert bits([pmf.entropy]) == bits([-(pos * np.log2(pos)).sum()])
+        assert bits([entropy(pmf)]) == bits([pmf.entropy])
+        assert pmf.support == tuple(
+            a for a, q in enumerate(p) if q > 0.0)
+        assert bits(pmf.surprisals) == bits(
+            (-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist())
+        assert bits(pmf.log2_probs) == bits(
+            math.log2(q) for q in p.tolist() if q > 0.0)
+        assert len(pmf.support) == len(pmf.surprisals) == len(pmf.log2_probs)
+
+    def test_a_zero_probability_symbol_stays_out_of_the_support(self):
+        assert PMF.from_probs([0.6, 0.0, 0.4]).support == (0, 2)
+
+    def test_computed_once(self):
+        pmf = PMF.from_probs([0.5, 0.3, 0.2])
+        for name in ("entropy", "support", "surprisals", "log2_probs"):
+            assert getattr(pmf, name) is getattr(pmf, name)
+
+    def test_replace_gets_fresh_values(self):
+        pmf = PMF.from_probs([0.7, 0.3])
+        assert pmf.entropy == pytest.approx(H_73, abs=1e-15)
+        other = dataclasses.replace(pmf, probs=[0.5, 0.0, 0.5])
+        assert (other.entropy, other.support) == (1.0, (0, 2))
+        assert other.surprisals == (1.0, 1.0)
+        assert other.log2_probs == (-1.0, -1.0)
+        same = dataclasses.replace(pmf)
+        assert not {"entropy", "support", "surprisals",
+                    "log2_probs"} & set(vars(same))
+        assert same.entropy == pmf.entropy
+
+    def test_entropy_of_a_joint_reads_its_table(self):
+        arr = np.array([[0.1, 0.2], [0.3, 0.4]])
+        h = entropy(JointPMF(arr))
+        assert h == prob._entropy_bits(arr)
+        assert h == pytest.approx(entropy(PMF(arr.ravel())), abs=1e-15)
 
 
 class TestJointPMF:
