@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .outcome import DecodeOutcome, REJECT
-from .prob import CapExceededError, RandomStream
+from .prob import CapExceededError, RandomStream, as_symbol
 from .typical import TypicalIndex
 
 # L = floor(2**bits) is an exact int at any size, but the attack success,
@@ -102,12 +102,17 @@ class BlockwiseParams:
         """Number of distinct share values L * (M + 1)."""
         return self.l_count * self.mp1
 
-    def check_shares(self, *shares: BlockShare):
-        """ValueError naming the first share outside the share alphabet."""
-        l_count, mp1 = self.l_count, self.mp1
+    def check_shares(self, *shares: BlockShare) -> list[int]:
+        """Each share's l and m, in turn, as ints; ValueError naming the first
+        that is not an integer or share outside the share alphabet."""
+        out = []
         for share in shares:
-            if not (0 <= share.l < l_count and 0 <= share.m < mp1):
+            l = share.l if type(share.l) is int else as_symbol(share.l, "share l")
+            m = share.m if type(share.m) is int else as_symbol(share.m, "share m")
+            if not (0 <= l < self.l_count and 0 <= m < self.mp1):
                 raise ValueError(f"share {share} outside the share alphabet")
+            out += l, m
+        return out
 
     def draw_randomness(self, rng: RandomStream) -> BlockRandomness:
         """Uniform u_l and u_m, each one numpy integer draw; the only code
@@ -123,30 +128,31 @@ class BlockwiseParams:
 
 def encode(params: BlockwiseParams, secret, r: BlockRandomness) -> tuple[BlockShare, BlockShare]:
     """Split one secret block into two shares using randomness r."""
-    mp1 = params.mp1
-    if not 0 <= r.u_l < params.l_count:
-        raise ValueError(f"u_l={r.u_l} outside [0, {params.l_count})")
-    if not 0 <= r.u_m < mp1:
-        raise ValueError(f"u_m={r.u_m} outside [0, {mp1})")
+    u_l = r.u_l if type(r.u_l) is int else as_symbol(r.u_l, "u_l")
+    u_m = r.u_m if type(r.u_m) is int else as_symbol(r.u_m, "u_m")
+    if not 0 <= u_l < params.l_count:
+        raise ValueError(f"u_l={u_l} outside [0, {params.l_count})")
+    if not 0 <= u_m < params.mp1:
+        raise ValueError(f"u_m={u_m} outside [0, {params.mp1})")
     z = params.index.xi_plus(secret)
-    x = BlockShare(r.u_l, (z - r.u_m) % mp1)
-    y = BlockShare(r.u_l, r.u_m)
-    return x, y
+    return BlockShare(u_l, (z - u_m) % params.mp1), BlockShare(u_l, u_m)
+
+
+def _rank(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> int | None:
+    """The rank z of an accepted share pair, from its checked components."""
+    xl, xm, yl, ym = params.check_shares(x, y)
+    z = (xm + ym) % params.mp1
+    return z if xl == yl and z != params.mp1 - 1 else None
 
 
 def accepts(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> bool:
     """Share-pair acceptance test: matching mask, non-sentinel modular sum."""
-    params.check_shares(x, y)
-    if x.l != y.l:
-        return False
-    return (x.m + y.m) % params.mp1 != params.mp1 - 1
+    return _rank(params, x, y) is not None
 
 
 def decode(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> DecodeOutcome:
-    if not accepts(params, x, y):
-        return REJECT
-    z = (x.m + y.m) % params.mp1
-    return DecodeOutcome(params.index.unrank(z))
+    z = _rank(params, x, y)
+    return REJECT if z is None else DecodeOutcome(params.index.unrank(z))
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,8 @@ class PMF:
     Its per-source invariants are cached properties, each the expression
     the library used to recompute on every call, now computed once:
     `entropy`, H(S) in bits; `support`, the symbols of positive
-    probability; `surprisals`, their -log2 p by numpy; and `log2_probs`,
-    their log2 p by `math.log2`.  The two logs are kept apart: numpy's and
-    the math library's can differ in the last bit."""
+    probability; and `surprisals`, their -log2 p by numpy, the one log of
+    p that the typical-set window and its class masses read."""
 
     probs: np.ndarray
 
@@ -106,10 +105,6 @@ class PMF:
     def surprisals(self) -> tuple[float, ...]:
         p = self.probs
         return tuple((-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist())
-
-    @functools.cached_property
-    def log2_probs(self) -> tuple[float, ...]:
-        return tuple(math.log2(p) for p in self.probs.tolist() if p > 0.0)
 
     def __len__(self):
         return self.support_size

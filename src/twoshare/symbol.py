@@ -339,36 +339,31 @@ def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Apply the splitter by the byte kernel (`ByteTables`) on a tuple or
-    list of each when it fits the codec, or by lookups in `codec.tables`.
-    A call both miss goes position by position: ValueError on a wrong
-    length or naming the first symbol outside its alphabet or not an
-    integer, secret first, and a cell the table lacks calls the splitter
-    again, so it raises there."""
-    kernel, shares, n = codec._bytes, codec.tables.shares, codec.n
-    if kernel and type(secret) in _SEQUENCES and type(rand) in _SEQUENCES:
-        out = kernel.encode(secret, rand)
-        if out:
-            return out
-    try:
-        if len(secret) == len(rand) == n:
-            return tuple(zip(*map(shares.__getitem__, zip(secret, rand))))
-    except (KeyError, TypeError):
+    """The splitter by the byte kernel (`ByteTables`) on a tuple or list of
+    each, if it fits the codec, else by `_lookup` in `codec.tables`; each
+    missed position is checked in order, secret first: ValueError naming
+    a symbol outside its alphabet or not an integer, and a cell the table
+    lacks calls the splitter again, so it raises there."""
+    kernel, shares = codec._bytes, codec.tables.shares
+    if (kernel and type(secret) in _SEQUENCES and type(rand) in _SEQUENCES
+            and (out := kernel.encode(secret, rand))):
+        return out
+    secret, rand, found = _lookup(shares, secret, rand, codec.n,
+                                  "secret and randomness")
+    try:   # a hit is a pair, a miss None, which zip cannot read
+        return tuple(zip(*found))
+    except TypeError:
         pass
-    secret, rand = tuple(secret), tuple(rand)
-    if len(secret) != n or len(rand) != n:
-        raise ValueError(f"secret and randomness must have length {n}")
-    out = []
-    for s, u in zip(secret, rand):
-        s = as_symbol(s, "secret symbol")
+    for i in [i for i, hit in enumerate(found) if hit is None]:
+        s = as_symbol(secret[i], "secret symbol")
         if not 0 <= s < codec.scheme.secret_size:
             raise ValueError(f"secret symbol {s} outside the alphabet")
-        u = as_symbol(u, "randomness symbol")
+        u = as_symbol(rand[i], "randomness symbol")
         if not 0 <= u < codec.scheme.rand_size:
             raise ValueError(f"randomness symbol {u} outside the alphabet")
         x, y = shares.get((s, u)) or codec.scheme.encode_fn(s, u)
-        out.append((x, y))
-    return tuple(zip(*out))
+        found[i] = x, y
+    return tuple(zip(*found))
 
 
 def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, ...]:
@@ -376,34 +371,40 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
                                                   size=codec.n))
 
 
+def _lookup(table: dict, a, b, n: int, what: str):
+    """(a, b, `table.get` of each position's pair), a tuple or list as it
+    is, an ndarray by `tolist`, any other iterable as a tuple; ValueError
+    unless both have length n.  An unhashable symbol misses everywhere."""
+    if type(a) not in _SEQUENCES or type(b) not in _SEQUENCES:
+        a, b = (v if type(v) in _SEQUENCES else v.tolist()
+                if hasattr(v, "tolist") else tuple(v) for v in (a, b))
+    if len(a) != n or len(b) != n:
+        raise ValueError(f"{what} must have length {n}")
+    try:
+        return a, b, list(map(table.get, zip(a, b)))
+    except TypeError:
+        return a, b, [None] * n
+
+
 def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
     """(score, symbols) of a share pair: the integer score the strict test
     compares with the lattice's `bar`, the sum of its positions' lattice
-    weights, and their secret symbols; None when a position scores -inf.
-    A tuple or list of each is read by the byte kernel (`ByteTables`) when
-    it fits the codec, which gives the symbols only with `decode`, of an
-    accepted pair; a pair it misses or does not read, by lookups in
-    `codec.tables`.  A pair both miss goes position by position:
-    ValueError on a wrong length or naming the first symbol, of xs then
-    ys, outside [0, M) or not an integer; a missed finite cell reads as
-    its own symbol, or with `decode`, on an accepted pair, calls the
-    decoder again, so a hole raises RuntimeError."""
-    n, m, cells = codec.n, codec.scheme.share_size, codec.tables.cells
-    kernel = codec._bytes
-    if kernel and type(xs) in _SEQUENCES and type(ys) in _SEQUENCES:
-        found = kernel.cells(xs, ys, decode)
-        if found is not False:
-            return found
-    try:
-        if len(xs) == len(ys) == n:
-            weights, symbols = zip(*map(cells.__getitem__, zip(xs, ys)))
-            return sum(weights), symbols
-    except (KeyError, TypeError):
+    weights, and their secret symbols (by the kernel, only with `decode`,
+    of an accepted pair); None when a position scores -inf.  Read as
+    `encode_n` reads; the missed positions are checked: ValueError naming
+    the first symbol, of xs then ys, outside [0, M) or not an integer; a
+    missed finite cell reads as its own symbol, or with `decode`, on an
+    accepted pair, calls the decoder again, so a hole raises RuntimeError."""
+    m, kernel = codec.scheme.share_size, codec._bytes
+    if (kernel and type(xs) in _SEQUENCES and type(ys) in _SEQUENCES
+            and (found := kernel.cells(xs, ys, decode)) is not False):
+        return found
+    xs, ys, found = _lookup(codec.tables.cells, xs, ys, codec.n, "shares")
+    try:   # a hit is a pair, a miss None, which zip cannot read
+        weights, symbols = zip(*found)
+        return sum(weights), symbols
+    except TypeError:
         pass
-    xs, ys = tuple(xs), tuple(ys)
-    if len(xs) != n or len(ys) != n:
-        raise ValueError(f"shares must have length {n}")
-    found = list(map(cells.get, zip(xs, ys)))
     # a symbol at fault is in no key, so it sits at a miss
     miss = [i for i, hit in enumerate(found) if hit is None]
     for v in [xs[i] for i in miss] + [ys[i] for i in miss]:
@@ -417,16 +418,14 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
         if score is None:
             return None
         found[i] = lat.weights[lat.values.index(score)], cell
-    weights, symbols = zip(*found)
-    score = sum(weights)
+    score = sum(w for w, _ in found)
     if decode and score > lat.bar:
-        symbols = list(symbols)
         for i in miss:
-            symbols[i] = codec.scheme.decode_fn(*symbols[i])
-            if symbols[i] is None:
+            s = codec.scheme.decode_fn(*found[i][1])
+            if s is None:
                 raise RuntimeError("decoder undefined on an accepted share pair")
-            symbols[i] = int(symbols[i])
-    return score, tuple(symbols)
+            found[i] = 0, int(s)
+    return score, tuple(s for _, s in found)
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
@@ -439,9 +438,8 @@ def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
-    """The secret of an accepted share pair, by the byte kernel or by
-    lookups in `codec.tables`; RuntimeError when an accepted pair hits a
-    hole of the decoder."""
+    """The secret of an accepted share pair, read by `_cells`; RuntimeError
+    when an accepted pair hits a hole of the decoder."""
     found = _cells(codec, xs, ys, decode=True)
     if found is None or found[0] <= codec.lattice.bar:
         return REJECT

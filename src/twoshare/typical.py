@@ -182,7 +182,7 @@ class TypicalIndex:
         fsum of its c_j log2 p_j, raised in the exponent, so a huge count
         times a tiny probability cannot overflow.  With no typical block,
         delta is 1 exactly, and no rounding puts it above 1."""
-        logs = self.source.log2_probs
+        logs = [-v for v in self.source.surprisals]
         if len(logs) == 1:   # one block, of mass 1 and log2 p = 0
             return 0.0, 0.0
         if not self.m_count:   # every block is atypical

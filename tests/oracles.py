@@ -549,7 +549,7 @@ def type_classes(source: PMF, n: int, gamma: float) -> TypeClasses:
     window (`typical._window`); its mass is log2 of its exact multinomial
     plus fsum of its c_j log2 p_j, raised in the exponent."""
     weights, lo, hi = typical._window(source, n, gamma)
-    logs = [math.log2(p) for p in source.probs.tolist() if p > 0.0]
+    logs = [-v for v in source.surprisals]
     counts = compositions(n, len(logs))
     rows = counts.tolist()
     sizes = [multinomial(c) for c in rows]

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,26 @@ class TestEncode:
                        np.array([0, 1, 0, 0]), iter((0, 1, 0, 0))]:
             assert encode(p, secret, r) == want
 
+    def test_non_integral_randomness_raises(self):
+        # BlockRandomness(5.5, 7) used to give two shares with l = 5.5
+        p = make_params(SKEW, 6, 1.0)
+        for r, message in [(BlockRandomness(5.5, 7), "u_l 5.5"),
+                           (BlockRandomness(5, 7.5), "u_m 7.5"),
+                           (BlockRandomness("5", 7), "u_l '5'")]:
+            with pytest.raises(ValueError,
+                               match=f"^{message} is not an integer$"):
+                encode(p, (0, 1, 0, 0, 1, 0), r)
+
+    def test_randomness_equal_to_integers_encodes_alike(self):
+        p = make_params(SKEW, 6, 1.0)
+        secret = (0, 1, 0, 0, 1, 0)
+        want = encode(p, secret, BlockRandomness(5, 7))
+        for r in [BlockRandomness(5.0, 7.0), BlockRandomness(np.int64(5), 7),
+                  BlockRandomness(np.uint8(5), np.float64(7.0))]:
+            x, y = encode(p, secret, r)
+            assert (x, y) == want
+            assert all(type(v) is int for v in (x.l, x.m, y.l, y.m))
+
     def test_randomness_range_checked(self):
         p = make_params(U2, 2, 0.0, gamma=0.5)
         with pytest.raises(ValueError):
@@ -215,6 +236,45 @@ class TestAcceptDecode:
     def test_mask_mismatch_rejected(self):
         p = make_params(U2, 2, 1.0, gamma=0.5)
         assert decode(p, BlockShare(0, 1), BlockShare(1, 1)).rejected
+
+    def test_non_integral_mask_component_raises(self):
+        # l = 5.5 in both shares used to match and decode the secret
+        p = make_params(SKEW, 6, 1.0)
+        x, y = encode(p, (0, 1, 0, 0, 1, 0), BlockRandomness(5, 7))
+        for check in (accepts, decode):
+            with pytest.raises(ValueError, match="^share l 5.5 "
+                               "is not an integer$"):
+                check(p, BlockShare(5.5, x.m), BlockShare(5.5, y.m))
+
+    def test_share_component_equal_to_an_integer_decodes(self):
+        # an m of 11.0 used to reach unrank as a float: a bare TypeError
+        p = make_params(SKEW, 6, 1.0)
+        secret = (0, 1, 0, 0, 1, 0)
+        x, y = encode(p, secret, BlockRandomness(5, 7))
+        assert x == BlockShare(5, 11)
+        for a, b in [(BlockShare(5, 11.0), y),
+                     (BlockShare(5.0, 11.0), BlockShare(np.int64(5), 7.0)),
+                     (BlockShare(np.int8(5), np.uint16(11)), y)]:
+            assert accepts(p, a, b)
+            assert decode(p, a, b).secret == secret
+        one = make_params(U2, 2, 1.0, gamma=0.5)
+        assert accepts(one, BlockShare(True, 1), BlockShare(1, False))
+
+    @pytest.mark.parametrize("share,message", [
+        (BlockShare("a", 11), "share l 'a' is not an integer"),
+        (BlockShare(5, "11"), "share m '11' is not an integer"),
+        (BlockShare(5, None), "share m None is not an integer"),
+        (BlockShare([5], 11), "share l [5] is not an integer"),
+        (BlockShare(5, 11.5), "share m 11.5 is not an integer"),
+    ])
+    def test_share_component_that_is_no_integer_is_named(self, share, message):
+        # 'a' used to raise a bare TypeError from a comparison
+        p = make_params(SKEW, 6, 1.0)
+        y = BlockShare(5, 7)
+        for check in (accepts, decode):
+            for pair in ((share, y), (y, share)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    check(p, *pair)
 
 
 def oracle_quantities(params, source):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -696,12 +697,17 @@ class TestDictCodec:
         ((1, 0, 2, 1), (0, None, 2, 3), "randomness symbol None is not an integer"),
         ((1, 0, float("inf"), 1), (0, 1, 2, 3),
          "secret symbol inf is not an integer"),
+        # an unhashable symbol misses every lookup, and is named in order
+        ((1, [1], 2, 1), (0, 1, 2, 3), "secret symbol [1] is not an integer"),
+        ((1, 0, 2, 1), (0, {1}, 2, 3), "randomness symbol {1} is not an integer"),
+        ((1, 0, 2.5, 1), ([0], 1, 2, 3), "randomness symbol [0] is not an integer"),
+        ((1, 0, 2.5, {1}), (0, 1, 2, 3), "secret symbol 2.5 is not an integer"),
     ])
     def test_non_integral_symbol_raises_in_position_order(self, secret, rand,
                                                           message):
         # (1.5, 0, 2.9, 1) used to be encoded as (1, 0, 2, 1)
         codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             encode_n(codec, secret, rand)
 
     @pytest.mark.parametrize("check", [decode_n, accepts_n])
@@ -721,6 +727,23 @@ class TestDictCodec:
             check(codec, xs[:3] + (0.5,), (7,) + ys[1:])
         with pytest.raises(ValueError, match=r"^share symbol 7 outside \[0, 5\)$"):
             check(codec, (4,) + xs[1:], ys[:3] + (7,))
+
+    @pytest.mark.parametrize("check", [decode_n, accepts_n])
+    @pytest.mark.parametrize("bad", [[1], {1}], ids=["list", "set"])
+    def test_unhashable_share_symbol_raises(self, check, bad):
+        # used to escape as a bare TypeError: unhashable type
+        codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
+        xs, ys = encode_n(codec, (1, 0, 2, 1), (0, 1, 2, 3))
+        named = f"^{re.escape(f'share symbol {bad} is not an integer')}$"
+        for shares in ((xs[:2] + (bad,) + xs[3:], ys), (xs, ys[:3] + (bad,))):
+            with pytest.raises(ValueError, match=named):
+                check(codec, *shares)
+        # xs before ys, and before a -inf cell rejects the pair
+        with pytest.raises(ValueError,
+                           match="^share symbol 0.5 is not an integer$"):
+            check(codec, xs[:3] + (0.5,), (bad,) + ys[1:])
+        with pytest.raises(ValueError, match=named):
+            check(codec, xs, ((4 - xs[0]) % 5,) + ys[1:3] + (bad,))
 
     @pytest.mark.parametrize("wrap", WRAPS.values(), ids=WRAPS.keys())
     def test_any_sequence_of_integers_round_trips(self, wrap):
@@ -745,7 +768,7 @@ class TestDictCodec:
         xs, ys = encode_n(codec, (0, 1, 1), (2, 0, 3))
         assert not accepts_n(tied, xs, ys)
         assert decode_n(tied, xs, ys).rejected
-        assert decode_n(tied, iter(xs), iter(ys)).rejected   # by position
+        assert decode_n(tied, iter(xs), iter(ys)).rejected   # table path
         assert decode_n(codec, xs, ys).secret == (0, 1, 1)
         # a tied pair is never decoded, so a decoder hole does not raise
         holes = make_codec(hole_scheme(), U2, n=3, gamma=0.5,
@@ -822,7 +845,7 @@ def calls_match_the_oracle(codec, table, secret, rand, i):
             expect = expected_decode(codec, table, *shares)
             assert decode_n(codec, *map(wrap, shares)).secret == expect
             assert accepts_n(codec, *map(wrap, shares)) is (expect is not None)
-        for bad in (m, -1, 256):
+        for bad in (m, -1, max(256, m + 1)):   # 256: past a byte
             for side in (0, 1):
                 shares = [list(xs), list(forged)]
                 shares[side][i] = bad
@@ -924,6 +947,46 @@ class TestByteKernel:
         table = share_laws(codec).score_table.tolist()
         for i in range(3):
             calls_match_the_oracle(codec, table, (1, 1, 0), (0, 0, 1), i)
+
+
+class TestTablePath:
+    """The codecs the byte kernel does not pack: one pass of lookups in
+    `codec.tables`, then checks of the positions it missed."""
+
+    CODECS = {
+        "symbolwise_wide_m": lambda: shipped_codec(
+            next(p for p in SHIPPED_SYMBOLWISE if p not in PACKED)),
+        "modular-17": lambda: make_codec(modular_scheme(17, 2), SKEW, n=16,
+                                         gamma=0.3)}
+
+    def test_calls_match_the_oracle_at_m_1024(self):
+        # M=17 runs the oracle in test_decode_cells_fit_a_byte_up_to_m_16
+        codec = self.CODECS["symbolwise_wide_m"]()
+        assert codec._bytes is None
+        r, n = codec.scheme.rand_size, codec.n
+        # an M x M ndarray, not its list: 10^6 floats at M=1024
+        table = share_laws(codec).score_table
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            secret = tuple(rng.choice(2, size=n, p=codec.source.probs).tolist())
+            rand = tuple(rng.integers(r, size=n).tolist())
+            calls_match_the_oracle(codec, table, secret, rand,
+                                   int(rng.integers(n)))
+
+    @pytest.mark.parametrize("make", CODECS.values(), ids=CODECS.keys())
+    @pytest.mark.parametrize("bad", [[1], {1}], ids=["list", "set"])
+    def test_unhashable_symbols_are_named(self, make, bad):
+        codec = make()
+        secret, rand = (0,) * codec.n, (1,) * codec.n
+        xs, ys = encode_n(codec, secret, rand)
+        for wrap in (tuple, list):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"randomness symbol {bad} is not an integer")):
+                encode_n(codec, wrap(secret), wrap(rand[:-1] + (bad,)))
+            for check in (decode_n, accepts_n):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"share symbol {bad} is not an integer")):
+                    check(codec, wrap(xs), wrap((bad,) + ys[1:]))
 
 
 def brute_error_prob(codec):
