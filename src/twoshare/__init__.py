@@ -38,7 +38,6 @@ from .block import (
 from .symbol import (
     BaseScheme,
     ValidationReport,
-    SchemeValidationError,
     SymbolwiseCodec,
     fstar,
     gstar,

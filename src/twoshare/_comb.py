@@ -43,25 +43,26 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.array(cols + [rest]).T
 
 
-def cuts(weights, bars, m: int, idx, offset: int = 0):
+def cuts(weights, bars, m: int, idx):
     """Every prefix of an m-position count vector over the `weights` at
     `idx` (at least two), as int64 arrays (heads, r), r ascending, and per
     bar in `bars` an int64 array of cuts.  heads[p] counts idx[:-2], and
     r[p] positions are left to the last two, i and j.  With a at i the
-    score is s + a (w_i - w_j), s = offset + head.w + r w_j, and it passes
-    a bar when above it (a tie does not): for the a below the cut when
+    score is s + a (w_i - w_j), s = head.w + r w_j, and it passes a bar
+    when above it (a tie does not): for the a below the cut when
     w_i <= w_j, from the cut on when w_i > w_j, the cut clamped to
     [0, r+1].  So the window lo <= score <= hi, passing lo - 1 but not hi,
-    is [min, max) of its two cuts.  The weights reach 2**60 at n=96, so
-    s - bar is summed in int64 only when a bound keeps it below 2**63, and
-    in Python ints otherwise: exact either way.
+    is [min, max) of its two cuts.  A score already collected elsewhere
+    shifts the bars.  The weights reach 2**60 at n=96, so s - bar is
+    summed in int64 only when a bound keeps it below 2**63, and in Python
+    ints otherwise: exact either way.
     """
     *head_idx, i, j = idx
     w = weights
     prefixes = compositions(m, len(head_idx) + 1)
     heads, r = prefixes[:, 1:], prefixes[:, 0]
     gap = w[i] - w[j]
-    base = offset + m * w[j]
+    base = m * w[j]
     steps = [w[h] - w[j] for h in head_idx]
     bound = (max(abs(base - bar) for bar in bars)
              + m * sum(map(abs, steps)) + abs(gap) + 1)

@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._comb import composition_count, compositions
 from .block import BlockwiseParams
 from .prob import binary_entropy
-from .symbol import SymbolwiseCodec, check_lattice_points, walk_size
+from .symbol import SymbolwiseCodec
 
 
 @dataclass(frozen=True)
@@ -62,82 +61,19 @@ def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
 # Symbolwise attacks
 
 
-def _classes(codec: SymbolwiseCodec, side: str) -> tuple[list, ...]:
-    """The forged symbols of one side in classes of equal mass vectors,
-    the honest share's mass on each lattice value against them, in order
-    of their least symbols: per class its mass vector, least symbol, count
-    of values of positive mass, and score law keyed by lattice weight."""
-    classes: dict[tuple[float, ...], int] = {}   # mass vector -> least symbol
-    for a, row in enumerate(codec.laws.forged[side]):
-        classes.setdefault(row, a)
-    masses, weights = list(classes), codec.lattice.weights
-    return (masses, list(classes.values()),
-            [sum(q > 0.0 for q in ms) for ms in masses],
-            [{w: q for w, q in zip(weights, ms) if q > 0.0} for ms in masses])
-
-
-def _points(sizes: list, counts) -> int:
-    """Lattice points `_success` walks for the class counts of a forgery:
-    the count vectors of the other classes times the prefixes of the
-    last, by each class's count of values of positive mass (`sizes`)."""
-    *rest, last = zip(counts, sizes)
-    return walk_size(*last) * math.prod(
-        composition_count(c, d) if d else 1 for c, d in rest)
-
-
-def _success(lat, last: tuple[float, ...], steps: list, counts) -> float:
-    """Exact success of a forgery that fills counts[i] positions with
-    symbols of class i: the other classes' score laws (`steps`) convolved,
-    keyed by their exact integer score, and the last class, of mass
-    vector `last`, summed by intervals against the bar shifted by each
-    key."""
-    law = {0: 1.0}   # integer score of the other classes' positions
-    for step, cnt in zip(steps, counts[:-1]):
-        for _ in range(cnt):
-            law = _convolve_scores(law, step)
-    return math.fsum(p * lat.mass(last, counts[-1], offset=key)
-                     for key, p in law.items())
-
-
 def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
     """Exact optimal forged sequence on the score lattice.
 
-    A forged symbol fixes the mass the honest share puts on each lattice
-    value, so forged symbols with equal mass vectors are interchangeable
-    and success depends only on how many positions each such class fills
-    (`_classes`).  Each forged composition is scored by `_success`.
-    Against the modular splitter every forged symbol falls in one class,
-    so this is one interval sum.  `symbol.LATTICE_CAP` bounds the points
-    walked: per composition, the count vectors of the other classes times
-    the prefixes of the last.
+    Against the modular splitter the honest share meets each secret
+    symbol once whichever symbol is forged, on either side, so every
+    forged symbol puts the same mass on each lattice value
+    (`laws.forged`) and every forged sequence succeeds with one interval
+    sum over n positions.  The tie resolves to the least forgery, all
+    zeros.  Raises LatticeCapError past `symbol.LATTICE_CAP` prefixes.
     """
     _check_side(side)
-    n = codec.n
-    masses, least, sizes, steps = _classes(codec, side)
-    # each composition walks at least one point: bound the scan first
-    check_lattice_points(n, composition_count(n, len(masses)))
-    scan = compositions(n, len(masses)).tolist()
-    check_lattice_points(n, sum(_points(sizes, c) for c in scan))
-    best_prob = -1.0
-    best_seq: tuple[int, ...] | None = None
-    for counts in scan:
-        prob = _success(codec.lattice, masses[-1], steps, counts)
-        seq = tuple(sorted(sym for ci, cnt in enumerate(counts)
-                           for sym in [least[ci]] * cnt))
-        if prob > best_prob or (prob == best_prob and best_seq is not None
-                                and seq < best_seq):
-            best_prob = prob
-            best_seq = seq
-    return AttackResult(success_prob=float(best_prob), optimal_forgery=best_seq,
-                        side=side)
-
-
-def _convolve_scores(a: dict, b: dict) -> dict:
-    out: dict[int, float] = {}
-    for ka, pa in a.items():
-        for kb, pb in b.items():
-            out[ka + kb] = out.get(ka + kb, 0.0) + pa * pb
-    return out
+    return AttackResult(success_prob=codec.lattice.mass(codec.laws.forged),
+                        optimal_forgery=(0,) * codec.n, side=side)
 
 
 def optimal_attack(scheme, side: str = "x") -> AttackResult:
@@ -155,7 +91,7 @@ def optimal_attack(scheme, side: str = "x") -> AttackResult:
 
 def symbolwise_beta(codec: SymbolwiseCodec) -> float:
     """Exact beta: the lattice mass of accepted independent pairs."""
-    return codec.lattice.mass(codec.laws.indep, codec.n)
+    return codec.lattice.mass(codec.laws.indep)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from . import attack as atk
 from . import block, harness, symbol
 from .harness import _check_seed, _number
 from .prob import PMF, CapExceededError, RandomStream, _estimate
-from .symbol import SchemeValidationError
 from .typical import EmptyTypicalSetError
 
 
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (harness.ConfigError, SchemeValidationError, EmptyTypicalSetError,
+    except (harness.ConfigError, EmptyTypicalSetError,
             CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

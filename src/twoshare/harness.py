@@ -268,24 +268,17 @@ def make_scheme(cfg: ExperimentConfig, n: int):
 
 
 # what turns a record into a skip: the reason is the exception's text
-_SKIPS = (CapExceededError, EmptyTypicalSetError, symbol.SchemeValidationError)
+_SKIPS = (CapExceededError, EmptyTypicalSetError)
 
 
 def _builder(cfg: ExperimentConfig):
     """`make_scheme` of a sweep, as build(n).  The blockwise index depends
     on n and gamma, so it is built per record.  The symbolwise codec's
     laws do not: it is built once, at the first blocklength, and each
-    record derives its own with `dataclasses.replace`; a build that fails
-    skips every record with its reason."""
+    record derives its own with `dataclasses.replace`."""
     if cfg.scheme_kind == "blockwise":
         return functools.partial(make_scheme, cfg)
-    try:
-        codec = make_scheme(cfg, cfg.n_values[0])
-    except _SKIPS as exc:
-        def build(n, failure=exc):
-            raise failure
-        return build
-    sched = cfg.schedule()
+    codec, sched = make_scheme(cfg, cfg.n_values[0]), cfg.schedule()
     return lambda n: dataclasses.replace(codec, n=n, gamma=sched.gamma_at(n))
 
 

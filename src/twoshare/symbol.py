@@ -1,6 +1,6 @@
 """Symbolwise two-share scheme: a per-symbol splitter applied i.i.d.
 
-The workhorse splitter is modular masking over {0..M-1}:
+The paper's splitter is modular masking over {0..M-1}:
 
     f(s, u) = ((s - u) mod M, u)      g(x, y) = (x + y) mod M, or None
                                        when the sum falls outside the
@@ -11,19 +11,18 @@ pairs whose empirical log-likelihood ratio clears I(X;Y) - gamma_n gives
 forgery detection at an exponent approaching the correlation level
 ell = log2(M) - H(S).
 
-Any per-symbol splitter with the same secrecy and decodability profile can
-be dropped in; `validate_base` checks the profile exactly before use.
+`make_codec` builds the codec of this splitter from closed forms, in O(k)
+whatever M.  `validate_base` checks the secrecy and decodability profile
+of any per-symbol splitter exactly, by calling it on its support points.
 """
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import operator
-import types
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,14 +61,32 @@ def gstar(share_size: int, secret_size: int, x: int, y: int) -> int | None:
     return v if v < secret_size else None
 
 
-def modular_scheme(share_size: int, secret_size: int) -> BaseScheme:
-    if share_size < secret_size:
-        raise ValueError("share alphabet must cover the secret alphabet")
-    return BaseScheme(
-        name=f"modular(M={share_size},S={secret_size})",
-        secret_size=secret_size, share_size=share_size, rand_size=share_size,
-        encode_fn=lambda s, u: fstar(share_size, s, u),
-        decode_fn=lambda x, y: gstar(share_size, secret_size, x, y))
+@dataclass(frozen=True)
+class ModularScheme(BaseScheme):
+    """`fstar` and `gstar` over M = `share_size` symbols with |U| = M: the
+    one splitter `make_codec` builds a codec for.  Its name, |U| and maps
+    follow from its two sizes, so `dataclasses.replace` cannot give it
+    others."""
+
+    name: str = field(init=False)
+    rand_size: int = field(init=False)
+    encode_fn: Callable[[int, int], tuple[int, int]] = field(init=False,
+                                                            repr=False)
+    decode_fn: Callable[[int, int], int | None] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m, k = self.share_size, self.secret_size
+        if m < k:
+            raise ValueError("share alphabet must cover the secret alphabet")
+        for key, value in (("name", f"modular(M={m},S={k})"), ("rand_size", m),
+                           ("encode_fn", functools.partial(fstar, m)),
+                           ("decode_fn", functools.partial(gstar, m, k))):
+            object.__setattr__(self, key, value)
+        super().__post_init__()
+
+
+def modular_scheme(share_size: int, secret_size: int) -> ModularScheme:
+    return ModularScheme(secret_size=secret_size, share_size=share_size)
 
 
 SECRECY_TOL = 1e-9
@@ -154,14 +171,13 @@ class _Logs(dict):
         return v
 
 
-def _bits(law: ImageLaw, logs: _Logs, cells) -> float:
-    """Sum of mass * log2(num / den) / total over (mass, num, den) cells:
-    the masses are summed exactly per distinct log, then each group is
-    rounded once."""
+def _bits(z: int, logs: _Logs, cells) -> float:
+    """Sum of mass * log2(num / den) / z over (mass, num, den) cells: the
+    masses are summed exactly per distinct log, then each group is rounded
+    once."""
     groups = collections.defaultdict(int)
     for c, num, den in cells:
         groups[logs[num, den]] += c
-    z = law.total
     return math.fsum(c / z * v for v, c in groups.items())
 
 
@@ -172,16 +188,16 @@ def _information(source: PMF, law: ImageLaw,
     z, p_s, p_x, p_y, p_xy = law.total, law.s, law.x, law.y, law.xy
     return (
         source.entropy,
-        _bits(law, logs, ((c, p_x[a], c) for (_, a), c in law.sx.items())),
-        _bits(law, logs, ((c, p_y[b], c) for (_, b), c in law.sy.items())),
-        _bits(law, logs, ((c, p_xy[a, b], c)
-                          for (_, a, b), c in law.sxy.items())),
-        max(_bits(law, logs, ((c, c * z, p_x[a] * p_y[b])
-                              for (a, b), c in p_xy.items())), 0.0),
-        max(_bits(law, logs, ((c, c * z, p_s[t] * p_x[a])
-                              for (t, a), c in law.sx.items())), 0.0),
-        max(_bits(law, logs, ((c, c * z, p_s[t] * p_y[b])
-                              for (t, b), c in law.sy.items())), 0.0))
+        _bits(z, logs, ((c, p_x[a], c) for (_, a), c in law.sx.items())),
+        _bits(z, logs, ((c, p_y[b], c) for (_, b), c in law.sy.items())),
+        _bits(z, logs, ((c, p_xy[a, b], c)
+                        for (_, a, b), c in law.sxy.items())),
+        max(_bits(z, logs, ((c, c * z, p_x[a] * p_y[b])
+                            for (a, b), c in p_xy.items())), 0.0),
+        max(_bits(z, logs, ((c, c * z, p_s[t] * p_x[a])
+                            for (t, a), c in law.sx.items())), 0.0),
+        max(_bits(z, logs, ((c, c * z, p_s[t] * p_y[b])
+                            for (t, b), c in law.sy.items())), 0.0))
 
 
 def _report(scheme: BaseScheme, information: tuple[float, ...],
@@ -216,31 +232,71 @@ def validate_base(scheme: BaseScheme, source: PMF) -> ValidationReport:
     return _report(scheme, _information(source, law, _Logs()), law)
 
 
-class SchemeValidationError(Exception):
-    pass
+class LatticeLaws(NamedTuple):
+    """Mass on each of `values`, the distinct finite scores ascending, of a
+    legitimate pair (`legit`), an independent one (`indep`) and the honest
+    share against a forged symbol (`forged`: the same row for every symbol
+    on either side); a row's mass short of 1 is on -inf.  `column[s]` is
+    the index in `values` of secret symbol s's score, None where p(s) = 0.
+    Each mass is summed exactly and rounded once."""
+
+    values: tuple[float, ...]
+    legit: tuple[float, ...]
+    indep: tuple[float, ...]
+    forged: tuple[float, ...]
+    column: tuple[int | None, ...]
+
+
+def modular_laws(source: PMF,
+                 share_size: int) -> tuple[LatticeLaws, tuple[float, ...]]:
+    """The `LatticeLaws` and the `_information` of `modular_scheme(M, k)`
+    over `source`, from closed forms in O(k), each float as the splitter's
+    exact law (`validate_base`) gives it.  With weight_s and total z = W M
+    as in `ImageLaw`, W the sum of the weights, each cell (x, y) of
+    s = (x + y) mod M < k, p(s) > 0, carries weight_s, and each share
+    symbol W: the cell scores log2(weight_s W M / W^2), the M cells of s
+    hold legitimate mass M weight_s and independent mass M W^2, and a
+    forged symbol of either side meets each s once against honest mass W.
+    A share alone is uniform and the pair fixes s, so H(S|X) = H(S|Y) and
+    H(S|XY) = I(S;X) = I(S;Y) = 0 exactly."""
+    weight = over_one_denominator(source.probs.tolist())
+    m, w_all = share_size, sum(weight)
+    z, logs = w_all * m, _Logs()
+    score = [logs[w * z, w_all * w_all] if w else None for w in weight]
+    values = tuple(sorted({v for v in score if v is not None}))
+    column = tuple(v if v is None else values.index(v) for v in score)
+    legit, count = [0] * len(values), [0] * len(values)
+    for w, j in zip(weight, column):
+        if j is not None:
+            legit[j] += m * w
+            count[j] += 1
+    laws = LatticeLaws(
+        values, tuple(c / z for c in legit),
+        tuple(c * m * w_all * w_all / (z * z) for c in count),
+        tuple(c * w_all / z for c in count), column)
+    h_s_x = _bits(z, logs, ((m * w, w_all, w) for w in weight if w))
+    i_xy = max(math.fsum(map(operator.mul, laws.legit, values)), 0.0)
+    return laws, (source.entropy, h_s_x, h_s_x, 0.0, i_xy, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class SymbolwiseCodec:
-    """A validated per-symbol splitter repeated over n-blocks.
+    """The modular splitter repeated over n-blocks.
 
-    Carries the finite score of each cell (x, y) of the splitter's image
-    (`scores`; every other cell scores -inf), the entropies and
-    informations of the splitter (each computed once, from the exact law
-    the validation used) and the `laws` of the acceptance test, none of
-    size M^2.  None of these depends on n or gamma, so
-    `dataclasses.replace(codec, n=..., gamma=...)` gives the codec of
-    another blocklength without calling the splitter.  `threshold` is the
-    per-symbol acceptance cutoff I(X;Y) - gamma; a pair is accepted when
-    its mean score strictly exceeds it, decided exactly on `lattice`.
+    Carries the `laws` of the acceptance test and the entropies and
+    informations of the splitter, each from the closed forms of
+    `modular_laws`, none of size M.  None of these depends on n or gamma,
+    so `dataclasses.replace(codec, n=..., gamma=...)` gives the codec of
+    another blocklength.  `threshold` is the per-symbol acceptance cutoff
+    I(X;Y) - gamma; a pair is accepted when its mean score strictly
+    exceeds it, decided exactly on `lattice`.
     """
 
-    scheme: BaseScheme
+    scheme: ModularScheme
     source: PMF
     n: int
     gamma: float
-    scores: Mapping[tuple[int, int], float] = field(repr=False)
-    laws: "LatticeLaws" = field(repr=False)
+    laws: LatticeLaws = field(repr=False)
     i_xy: float
     h_s: float = field(repr=False)
     h_s_given_x: float = field(repr=False)
@@ -265,105 +321,89 @@ class SymbolwiseCodec:
         return self.i_xy - self.gamma
 
     @functools.cached_property
-    def tables(self) -> "SplitterTables":
-        """The lookup tables of `encode_n` and `decode_n`, built on first
-        use (a codec that only evaluates never needs them): at most 2 k |U|
-        calls."""
-        scheme, lat = self.scheme, self.lattice
-        shares, cells, weight = {}, {}, dict(zip(lat.values, lat.weights))
-        for s, u in itertools.product(range(scheme.secret_size),
-                                      range(scheme.rand_size)):
-            try:
-                x, y = scheme.encode_fn(s, u)
-                shares[s, u] = operator.index(x), operator.index(y)
-            except Exception:
-                pass
-        for (x, y), score in self.scores.items():
-            try:
-                cells[x, y] = weight[score], int(scheme.decode_fn(x, y))
-            except Exception:  # a hole fails int()
-                pass
-        return SplitterTables(shares, cells)
-
-    @functools.cached_property
     def _bytes(self) -> "ByteTables | None":
-        """`tables` as `ByteTables`, built on first use from them, the
-        scores and the lattice (no splitter call), or None when a cell or
-        a symbol does not fit in a byte."""
-        (shares, cells), lat = self.tables, self.lattice
-        k, r, m = (self.scheme.secret_size, self.scheme.rand_size,
-                   self.scheme.share_size)
-        # the dicts return a share as the splitter gave it: a bool is no byte
-        if (k * r > 256 or m * m > 256 or len(lat.values) >= _MISS
-                or not all(type(v) is int and 0 <= v < 256
-                           for pair in shares.values() for v in pair)
-                or not all(0 <= s < 256 for _, s in cells.values())):
+        """The `ByteTables` of a codec whose cells fit in a byte, M <= 16
+        (so k |U| <= M^2 <= 256), built on first use from the closed form
+        and `laws.column`; None past that."""
+        k, m, lat = self.scheme.secret_size, self.scheme.share_size, self.lattice
+        if m > 16:
             return None
-        x, y = bytearray(256), bytearray(256)
-        for (s, u), (a, b) in shares.items():
-            x[s * r + u], y[s * r + u] = a, b
-        raised = bytes(s * r + u for s in range(k) for u in range(r)
-                       if (s, u) not in shares)
-        value, secret = bytearray([_MINUS_INF]) * 256, bytearray(256)
-        col = {v: j for j, v in enumerate(lat.values)}
-        # every score cell is an image cell, in [0, M)^2: no two share a code
-        for (a, b), score in self.scores.items():
-            cell = cells.get((a, b))
-            value[a * m + b] = _MISS if cell is None else col[score]
-            secret[a * m + b] = 0 if cell is None else cell[1]
-        return ByteTables(self.n, bytes(range(k)), bytes(range(r)),
-                          bytes(range(m)), bytes(x), bytes(y), raised,
-                          bytes(value), bytes(secret), lat.weights, lat.bar)
+        column = self.laws.column + (None,) * (m - k)
+        sums = [(a + b) % m for a in range(m) for b in range(m)]
+        tables = (bytes((s - u) % m for s in range(k) for u in range(m)),
+                  bytes(range(m)) * k,
+                  bytes(_MINUS_INF if column[s] is None else column[s]
+                        for s in sums),
+                  bytes(sums))
+        return ByteTables(self.n, bytes(range(k)), *[bytes(range(m))] * 2,
+                          *(t.ljust(256, b"\0") for t in tables),
+                          lat.weights, lat.bar)
 
 
-def make_codec(scheme: BaseScheme, source: PMF, n: int, gamma: float,
-               require_valid: bool = True) -> SymbolwiseCodec:
+def make_codec(scheme: ModularScheme, source: PMF, n: int,
+               gamma: float) -> SymbolwiseCodec:
+    """The codec of `modular_scheme(M, k)` over `source` by `modular_laws`:
+    O(k), with no call of the splitter.  ValueError for any other
+    splitter; `validate_base` checks one."""
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    # one pass of the splitter over the support points and one exact law
-    # serve the validation, the codec and its exact quantities
-    law = _image_law(scheme, source)
-    logs = _Logs()
-    information = _information(source, law, logs)
-    if require_valid:
-        report = _report(scheme, information, law)
-        if not report.passed:
-            raise SchemeValidationError("; ".join(report.failures))
+    if not isinstance(scheme, ModularScheme):
+        raise ValueError("make_codec builds the codec of modular_scheme(M, k) "
+                         "only; check another splitter with validate_base")
+    if source.support_size != scheme.secret_size:
+        raise ValueError("source alphabet does not match the scheme")
+    laws, information = modular_laws(source, scheme.share_size)
     h_s, h_s_x, h_s_y, h_s_xy, i_xy, i_sx, i_sy = information
-    laws, scores = lattice_laws(law, scheme.share_size, logs)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
-                           scores=types.MappingProxyType(scores), laws=laws,
-                           i_xy=i_xy, h_s=h_s, h_s_given_x=h_s_x,
+                           laws=laws, i_xy=i_xy, h_s=h_s, h_s_given_x=h_s_x,
                            h_s_given_y=h_s_y, h_s_given_xy=h_s_xy,
                            i_sx=i_sx, i_sy=i_sy)
 
 
+def _sequences(a, b, n: int, what: str):
+    """a and b as sequences: a tuple or list as it is, an ndarray by
+    `tolist`, any other iterable as a tuple; ValueError unless both have
+    length n."""
+    if type(a) not in _SEQUENCES or type(b) not in _SEQUENCES:
+        a, b = (v if type(v) in _SEQUENCES else v.tolist()
+                if hasattr(v, "tolist") else tuple(v) for v in (a, b))
+    if len(a) != n or len(b) != n:
+        raise ValueError(f"{what} must have length {n}")
+    return a, b
+
+
+def _symbol(v, name: str, size: int, alphabet: str) -> int:
+    """v as an int in [0, size); ValueError naming it otherwise."""
+    if type(v) is not int:
+        v = as_symbol(v, name)
+    if not 0 <= v < size:
+        raise ValueError(f"{name} {v} outside {alphabet}")
+    return v
+
+
+def _ints(values, size: int) -> bool:
+    """Whether n >= 1 `values` are all ints in [0, size): the check that
+    lets a call skip `_symbol` at every position."""
+    return ({*map(type, values)} == {int}
+            and 0 <= min(values) and max(values) < size)
+
+
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The splitter by the byte kernel (`ByteTables`) on a tuple or list of
-    each, if it fits the codec, else by `_lookup` in `codec.tables`; each
-    missed position is checked in order, secret first: ValueError naming
-    a symbol outside its alphabet or not an integer, and a cell the table
-    lacks calls the splitter again, so it raises there."""
-    kernel, shares = codec._bytes, codec.tables.shares
+    """x = (s - u) mod M and y = u at each position: by the byte kernel
+    (`ByteTables`) on a tuple or list of each, if it fits the codec, else
+    position by position, secret then randomness symbol, each checked:
+    ValueError naming the first outside its alphabet or not an integer."""
+    kernel = codec._bytes
     if (kernel and type(secret) in _SEQUENCES and type(rand) in _SEQUENCES
             and (out := kernel.encode(secret, rand))):
         return out
-    secret, rand, found = _lookup(shares, secret, rand, codec.n,
-                                  "secret and randomness")
-    try:   # a hit is a pair, a miss None, which zip cannot read
-        return tuple(zip(*found))
-    except TypeError:
-        pass
-    for i in [i for i, hit in enumerate(found) if hit is None]:
-        s = as_symbol(secret[i], "secret symbol")
-        if not 0 <= s < codec.scheme.secret_size:
-            raise ValueError(f"secret symbol {s} outside the alphabet")
-        u = as_symbol(rand[i], "randomness symbol")
-        if not 0 <= u < codec.scheme.rand_size:
-            raise ValueError(f"randomness symbol {u} outside the alphabet")
-        x, y = shares.get((s, u)) or codec.scheme.encode_fn(s, u)
-        found[i] = x, y
-    return tuple(zip(*found))
+    secret, rand = _sequences(secret, rand, codec.n, "secret and randomness")
+    k, m = codec.scheme.secret_size, codec.scheme.share_size
+    if not (_ints(secret, k) and _ints(rand, m)):
+        secret, rand = zip(*[(_symbol(s, "secret symbol", k, "the alphabet"),
+                              _symbol(u, "randomness symbol", m, "the alphabet"))
+                             for s, u in zip(secret, rand)])
+    return tuple([(s - u) % m for s, u in zip(secret, rand)]), tuple(rand)
 
 
 def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, ...]:
@@ -371,61 +411,30 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
                                                   size=codec.n))
 
 
-def _lookup(table: dict, a, b, n: int, what: str):
-    """(a, b, `table.get` of each position's pair), a tuple or list as it
-    is, an ndarray by `tolist`, any other iterable as a tuple; ValueError
-    unless both have length n.  An unhashable symbol misses everywhere."""
-    if type(a) not in _SEQUENCES or type(b) not in _SEQUENCES:
-        a, b = (v if type(v) in _SEQUENCES else v.tolist()
-                if hasattr(v, "tolist") else tuple(v) for v in (a, b))
-    if len(a) != n or len(b) != n:
-        raise ValueError(f"{what} must have length {n}")
-    try:
-        return a, b, list(map(table.get, zip(a, b)))
-    except TypeError:
-        return a, b, [None] * n
-
-
 def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
     """(score, symbols) of a share pair: the integer score the strict test
     compares with the lattice's `bar`, the sum of its positions' lattice
     weights, and their secret symbols (by the kernel, only with `decode`,
     of an accepted pair); None when a position scores -inf.  Read as
-    `encode_n` reads; the missed positions are checked: ValueError naming
-    the first symbol, of xs then ys, outside [0, M) or not an integer; a
-    missed finite cell reads as its own symbol, or with `decode`, on an
-    accepted pair, calls the decoder again, so a hole raises RuntimeError."""
-    m, kernel = codec.scheme.share_size, codec._bytes
+    `encode_n` reads, else by s = (x + y) mod M after checking every x
+    symbol, then every y symbol: ValueError naming the first outside
+    [0, M) or not an integer.  A cell scores -inf when s >= k or p(s) = 0."""
+    kernel = codec._bytes
     if (kernel and type(xs) in _SEQUENCES and type(ys) in _SEQUENCES
             and (found := kernel.cells(xs, ys, decode)) is not False):
         return found
-    xs, ys, found = _lookup(codec.tables.cells, xs, ys, codec.n, "shares")
-    try:   # a hit is a pair, a miss None, which zip cannot read
-        weights, symbols = zip(*found)
-        return sum(weights), symbols
-    except TypeError:
-        pass
-    # a symbol at fault is in no key, so it sits at a miss
-    miss = [i for i, hit in enumerate(found) if hit is None]
-    for v in [xs[i] for i in miss] + [ys[i] for i in miss]:
-        v = as_symbol(v, "share symbol")
-        if not 0 <= v < m:
-            raise ValueError(f"share symbol {v} outside [0, {m})")
-    lat = codec.lattice
-    for i in miss:
-        cell = int(xs[i]), int(ys[i])
-        score = codec.scores.get(cell)
-        if score is None:
-            return None
-        found[i] = lat.weights[lat.values.index(score)], cell
-    score = sum(w for w, _ in found)
-    if decode and score > lat.bar:
-        for i in miss:
-            s = codec.scheme.decode_fn(*found[i][1])
-            if s is None:
-                raise RuntimeError("decoder undefined on an accepted share pair")
-            found[i] = 0, int(s)
-    return score, tuple(s for _, s in found)
+    xs, ys = _sequences(xs, ys, codec.n, "shares")
+    k, m = codec.scheme.secret_size, codec.scheme.share_size
+    if not (_ints(xs, m) and _ints(ys, m)):
+        xs, ys = ([_symbol(v, "share symbol", m, f"[0, {m})") for v in side]
+                  for side in (xs, ys))
+    symbols = [(x + y) % m for x, y in zip(xs, ys)]
+    if max(symbols) >= k:
+        return None
+    weights = [None if j is None else codec.lattice.weights[j]
+               for j in codec.laws.column]
+    found = [weights[s] for s in symbols]
+    return None if None in found else (sum(found), tuple(symbols))
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
@@ -438,45 +447,31 @@ def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
-    """The secret of an accepted share pair, read by `_cells`; RuntimeError
-    when an accepted pair hits a hole of the decoder."""
+    """The secret of an accepted share pair, read by `_cells`."""
     found = _cells(codec, xs, ys, decode=True)
     if found is None or found[0] <= codec.lattice.bar:
         return REJECT
     return DecodeOutcome(found[1])
 
 
-class SplitterTables(NamedTuple):
-    """`shares[s, u]` is (x, y) wherever the splitter returned integers;
-    `cells[x, y]` is (lattice weight of its score, s) on each finite-score
-    cell, the splitter's image, where the decoder returned an int.  Neither
-    exceeds k |U| entries.  The splitter must be deterministic."""
-
-    shares: dict
-    cells: dict
-
-
 # a decode cell's byte in `ByteTables.value` past every value index: a
-# finite score with no decoded symbol, and a -inf score
-_MISS, _MINUS_INF = 254, 255
+# -inf score
+_MINUS_INF = 255
 # the inputs the byte kernel reads: bytes() of an ndarray or an array.array
 # would read its raw buffer, not its elements
 _SEQUENCES = (tuple, list)
 
 
 class ByteTables(NamedTuple):
-    """`SplitterTables` as `bytes.translate` tables, for a splitter whose
-    cells and symbols fit in a byte: k |U| <= 256, M^2 <= 256, every share
-    and decoded symbol in range(256), and under 254 lattice values.
+    """The modular codec as `bytes.translate` tables, for M <= 16.
 
     A block's two symbol tuples become one key of n cells by one big-int
     multiply-add, s |U| + u to encode and x M + y to decode; each symbol
     is checked against its alphabet first, so no cell carries into the
     next.  `x` and `y` read an encode cell's shares; `value` reads a
-    decode cell's lattice value index, and `secret` its decoded symbol.
-    A symbol that is not an int or lies outside its alphabet, a cell the
-    splitter raised on (`raised`) and a finite cell with no decoded symbol
-    are misses, which the caller reads by the dict lookups instead."""
+    decode cell's lattice value index, or `_MINUS_INF`, and `secret` its
+    decoded symbol.  A symbol that is not an int or lies outside its
+    alphabet is a miss, which the caller reads by arithmetic instead."""
 
     n: int
     secrets: bytes   # each alphabet's symbols: range(k), range(|U|), range(M)
@@ -484,7 +479,6 @@ class ByteTables(NamedTuple):
     shares: bytes
     x: bytes
     y: bytes
-    raised: bytes
     value: bytes
     secret: bytes
     weights: tuple[int, ...]
@@ -509,8 +503,7 @@ class ByteTables(NamedTuple):
     def encode(self, secret, rand):
         """(xs, ys), or None on a miss."""
         key = self._key(secret, rand, self.secrets, self.rands)
-        if key is None or (self.raised and len(
-                key.translate(None, self.raised)) < self.n):
+        if key is None:
             return None
         return tuple(key.translate(self.x)), tuple(key.translate(self.y))
 
@@ -523,59 +516,11 @@ class ByteTables(NamedTuple):
         v = key.translate(self.value)
         if _MINUS_INF in v:
             return None
-        if _MISS in v:
-            return False
         score = sum(map(operator.mul, map(v.count, range(len(self.weights))),
                         self.weights))
         if decode and score > self.bar:
             return score, tuple(key.translate(self.secret))
         return score, None
-
-
-class LatticeLaws(NamedTuple):
-    """Mass on each of `values`, the distinct finite scores ascending, of a
-    legitimate pair (`legit`), an independent one (`indep`) and, per side,
-    the honest share against each forged symbol (`forged["x"][a]`: Y
-    against x = a); a row's mass short of 1 is on -inf.  Each is summed
-    exactly and rounded once."""
-
-    values: tuple[float, ...]
-    legit: tuple[float, ...]
-    indep: tuple[float, ...]
-    forged: dict[str, tuple[tuple[float, ...], ...]]
-
-
-def lattice_laws(law: ImageLaw, share_size: int,
-                 logs: _Logs) -> tuple[LatticeLaws, dict]:
-    """The `LatticeLaws` of a splitter's exact law and the score of each
-    image cell, log2 p(x,y) / (p(x) p(y)), from one pass over the image:
-    at most k |U| cells."""
-    z, p_x, p_y = law.total, law.x, law.y
-    scores = {(a, b): logs[c * z, p_x[a] * p_y[b]]
-              for (a, b), c in law.xy.items()}
-    values = tuple(sorted(set(scores.values())))
-    col = {v: j for j, v in enumerate(values)}
-    legit, indep = [0] * len(values), [0] * len(values)
-    # per forged symbol of each side, the honest mass on each value
-    rows_x, rows_y = (collections.defaultdict(lambda: [0] * len(values))
-                      for _ in range(2))
-    for (a, b), c in law.xy.items():
-        j = col[scores[a, b]]
-        legit[j] += c
-        indep[j] += p_x[a] * p_y[b]
-        rows_x[a][j] += p_y[b]
-        rows_y[b][j] += p_x[a]
-    rounded = {}   # each distinct row once: a modular splitter has one
-
-    def round_row(row):
-        if row not in rounded:
-            rounded[row] = tuple(c / z for c in row)
-        return rounded[row]
-    forged = {side: tuple(round_row(tuple(rows.get(a, [0] * len(values))))
-                          for a in range(share_size))
-              for side, rows in (("x", rows_x), ("y", rows_y))}
-    return LatticeLaws(values, tuple(c / z for c in legit),
-                       tuple(c / (z * z) for c in indep), forged), scores
 
 
 # ---------------------------------------------------------------------------
@@ -587,18 +532,6 @@ LATTICE_CAP = 1 << 20
 
 class LatticeCapError(CapExceededError):
     """An exact score-lattice sum would visit more points than its cap."""
-
-
-def check_lattice_points(n: int, points: int):
-    if points > LATTICE_CAP:
-        raise LatticeCapError(f"n={n}: {points} score-lattice points exceed "
-                              f"the cap {LATTICE_CAP}; lower n")
-
-
-def walk_size(m: int, values: int) -> int:
-    """Prefixes `ScoreLattice.mass` walks for m positions over `values`
-    values of positive mass: C(m+c-2, c-2), and one below two values."""
-    return composition_count(m, values - 1) if values >= 2 else 1
 
 
 # floats in one block of binomial rows that `ScoreLattice.mass` builds at
@@ -664,63 +597,57 @@ class ScoreLattice:
 
     @functools.cached_property
     def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`cuts` of n positions over every value, with no offset; the
-        values ascend, so a prefix accepts the a below its cut.  Every
-        `mass` over n positions whose masses are all positive reads them.
-        Raises LatticeCapError past LATTICE_CAP prefixes."""
-        check_lattice_points(self.n, walk_size(self.n, len(self.values)))
+        """`cuts` of n positions over every value; the values ascend, so a
+        prefix accepts the a below its cut.  Every `mass` of two values or
+        more reads them.  Raises LatticeCapError past LATTICE_CAP
+        prefixes, C(n+c-2, c-2) of them over c values."""
+        points = composition_count(self.n, len(self.values) - 1)
+        if points > LATTICE_CAP:
+            raise LatticeCapError(f"n={self.n}: {points} score-lattice points "
+                                  f"exceed the cap {LATTICE_CAP}; lower n")
         heads, r, (cut,) = cuts(self.weights, (self.bar,), self.n,
                                 range(len(self.values)))
         return heads, r, cut
 
     @functools.cached_property
     def _sums(self) -> dict:
-        """`mass` results by (masses, m, accepted, offset); it lives and
-        dies with the lattice, one per codec of a blocklength."""
+        """`mass` results by (masses, accepted); it lives and dies with the
+        lattice, one per codec of a blocklength."""
         return {}
 
-    def mass(self, masses, m: int, accepted: bool = True,
-             offset: int = 0) -> float:
-        """Accepted (or rejected) mass of the count vectors of m i.i.d.
-        scores with per-value `masses`, on top of an integer score `offset`
-        already collected; mass off the lattice is in neither side.
+    def mass(self, masses, accepted: bool = True) -> float:
+        """Accepted (or rejected) mass of the count vectors of n i.i.d.
+        scores with per-value `masses`, each positive (ValueError
+        otherwise); mass off the lattice is in neither side.
 
-        Sums over the `cuts` of the values of positive mass: each prefix
-        adds one interval of a binomial row, multinomial(m; head, r) times
-        the terms C(r, a) q_i^a q_j^(r-a) with a below the cut (or from it
-        on).  The rows are built in log2, in blocks (`_row_tails`), each
-        scaled by its largest term and summed from the side asked for, so
-        a tiny tail is never 1 minus the rest.  Sums over n positions and
-        every value share the lattice's cut table (`_walk`), and each
-        distinct sum is taken once per lattice: against the modular
-        splitter both attacks, and often beta, ask for the same one.
-        Raises LatticeCapError past LATTICE_CAP prefixes.
+        Sums over the `cuts` of the values: each prefix adds one interval
+        of a binomial row, multinomial(n; head, r) times the terms
+        C(r, a) q_i^a q_j^(r-a) with a below the cut (or from it on).  The
+        rows are built in log2, in blocks (`_row_tails`), each scaled by
+        its largest term and summed from the side asked for, so a tiny
+        tail is never 1 minus the rest.  Every sum shares the lattice's
+        cut table (`_walk`), and each distinct sum is taken once per
+        lattice: both attacks and beta ask for the same one.  Raises
+        LatticeCapError past LATTICE_CAP prefixes.
         """
-        key = (tuple(masses), m, accepted, offset)
+        key = (tuple(masses), accepted)
         sums = self._sums
         if key not in sums:
             sums[key] = self._mass(*key)
         return sums[key]
 
-    def _mass(self, masses: tuple[float, ...], m: int, accepted: bool,
-              offset: int) -> float:
-        idx = [j for j, q in enumerate(masses) if q > 0.0]
-        if not idx:
-            return float(m == 0 and (offset > self.bar) == accepted)
-        if len(idx) == 1:
-            j = idx[0]
-            hit = (offset + m * self.weights[j] > self.bar) == accepted
-            return masses[j] ** m if hit else 0.0
-        if (m, offset, len(idx)) == (self.n, 0, len(self.values)):
-            heads, r, cut = self._walk
-        else:
-            check_lattice_points(m, walk_size(m, len(idx)))
-            heads, r, (cut,) = cuts(self.weights, (self.bar,), m, idx,
-                                    offset)
-        lf = log2_factorials(m)
-        *head_logs, lq_i, lq_j = (math.log2(masses[j]) for j in idx)
+    def _mass(self, masses: tuple[float, ...], accepted: bool) -> float:
+        n = self.n
+        if min(masses) <= 0.0:
+            raise ValueError("every lattice value needs a positive mass")
+        if len(masses) == 1:
+            hit = (n * self.weights[0] > self.bar) == accepted
+            return masses[0] ** n if hit else 0.0
+        heads, r, cut = self._walk
+        lf = log2_factorials(n)
+        *head_logs, lq_i, lq_j = map(math.log2, masses)
         tops, tails = _row_tails(lf, lq_i, lq_j, r, cut, accepted)
-        logw = lf[m] + tops
+        logw = lf[n] + tops
         if head_logs:
             # added left to right: for up to two head terms (four values)
             # that is the correctly rounded sum fsum gave one prefix at a time
@@ -741,4 +668,4 @@ def score_lattice(codec: SymbolwiseCodec) -> ScoreLattice:
 def rejection_probability(codec: SymbolwiseCodec) -> float:
     """Exact probability that a legitimate share pair (never -inf) is
     rejected: the lattice mass the test rejects, summed on that side."""
-    return codec.lattice.mass(codec.laws.legit, codec.n, accepted=False)
+    return codec.lattice.mass(codec.laws.legit, accepted=False)

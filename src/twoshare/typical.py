@@ -288,7 +288,7 @@ class TypicalIndex:
     def unrank(self, m: int) -> tuple[int, ...]:
         """The typical sequence of rank m: per chunk, the value at which
         the running sums of the prefix's row pass m."""
-        m = operator.index(m)
+        m = m if type(m) is int else as_symbol(m, "rank")
         if not 0 <= m < self.m_count:
             raise IndexError(f"rank {m} outside [0, {self.m_count})")
         rows, code, out = self._rows, 0, []

@@ -304,11 +304,32 @@ def forged_rows(codec: SymbolwiseCodec, side: str):
             else (dense.score_table.T, dense.p_x))
 
 
+def forged_laws(codec: SymbolwiseCodec, side: str) -> list[tuple[float, ...]]:
+    """Per forged symbol of one side, the honest share's mass on each
+    finite score, summed cell by cell from the dense share laws in exact
+    rationals and rounded once: a generic splitter's rows, not the one row
+    the modular codec holds."""
+    dense = share_laws(codec)
+    table, m = dense.score_table.tolist(), codec.scheme.share_size
+    values = sorted({v for row in table for v in row if v != -math.inf})
+    rows = []
+    for a in range(m):
+        out = dict.fromkeys(values, Fraction(0))
+        for b in range(m):
+            v = table[a][b] if side == "x" else table[b][a]
+            if v != -math.inf:
+                out[v] += dense.exact_y[b] if side == "x" else dense.exact_x[b]
+        rows.append(tuple(map(float, out.values())))
+    return rows
+
+
 def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
     """The codec's `LatticeLaws`, rebuilt cell by cell from the dense share
     laws: per value, the exact rational mass of its cells, rounded once.
-    Every forged row is masked against its honest marginal on its own,
-    and the independent law sums the dense outer product."""
+    Every forged row of either side is masked against its honest marginal
+    on its own (AssertionError unless all 2 M agree), the independent law
+    sums the dense outer product, and each secret symbol's column is the
+    value of a cell the splitter sends it to."""
     dense = share_laws(codec)
     table, m = dense.score_table.tolist(), codec.scheme.share_size
     finite = [(a, b) for a in range(m) for b in range(m)
@@ -321,16 +342,17 @@ def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
             out[v] += q
         return tuple(map(float, out.values()))
 
-    rows = {"x": [[] for _ in range(m)], "y": [[] for _ in range(m)]}
-    for a, b in finite:
-        rows["x"][a].append((table[a][b], dense.exact_y[b]))
-        rows["y"][b].append((table[a][b], dense.exact_x[a]))
+    (forged,) = set(forged_laws(codec, "x") + forged_laws(codec, "y"))
+    scheme = codec.scheme
+    column = tuple(values.index(table[x][y]) if p > 0.0 else None
+                   for s, p in enumerate(codec.source.probs.tolist())
+                   for x, y in [scheme.encode_fn(s, 0)])
     return LatticeLaws(
         values,
         masses((table[a][b], q) for (a, b), q in dense.exact_xy.items()),
         masses((table[a][b], dense.exact_x[a] * dense.exact_y[b])
                for a, b in finite),
-        {side: tuple(map(masses, row)) for side, row in rows.items()})
+        forged, column)
 
 
 def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
@@ -340,7 +362,7 @@ def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult
     n = codec.n
     lat = codec.lattice
     classes: dict[tuple[float, ...], int] = {}
-    for a, row in enumerate(reference_laws(codec).forged[side]):
+    for a, row in enumerate(forged_laws(codec, side)):
         classes.setdefault(row, a)
     masses, class_min = list(classes), list(classes.values())
     best_prob = -1.0

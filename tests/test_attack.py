@@ -22,8 +22,7 @@ from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
 from oracles import JointPMF
 from twoshare.prob import CapExceededError, PMF, RandomStream, _estimate
-from twoshare.symbol import BaseScheme, make_codec, modular_scheme
-from broken_splitters import identity_leak_scheme
+from twoshare.symbol import make_codec, modular_scheme
 from twoshare.typical import build_index
 
 SKEW = PMF.from_probs([0.7, 0.3])
@@ -147,36 +146,6 @@ class TestSymbolwiseAttack:
         res = symbolwise_attack(codec, "x")
         assert res.success_prob == pytest.approx(best, abs=1e-12)
 
-    def test_matches_bruteforce_asymmetric_scheme(self):
-        # a leaky splitter makes forged symbols genuinely unequal, which
-        # exercises the type scan and its class grouping
-        codec = make_codec(identity_leak_scheme(3, 2), SKEW, n=3, gamma=0.2,
-                           require_valid=False)
-        m, n = 3, 3
-        seqs = list(itertools.product(range(m), repeat=n))
-        dense = share_laws(codec)
-        table, p_y = dense.score_table, dense.p_y
-        honest_y = np.array([math.prod(p_y[b] for b in s) for s in seqs])
-
-        def fn_x(f, h):
-            score = sum(table[a, b] for a, b in zip(seqs[f], seqs[h])) / n
-            return score > codec.threshold
-
-        best, _ = attack_bruteforce(fn_x, len(seqs), honest_y)
-        res = symbolwise_attack(codec, "x")
-        assert res.success_prob == pytest.approx(best, abs=1e-12)
-
-        p_x = dense.p_x
-        honest_x = np.array([math.prod(p_x[b] for b in s) for s in seqs])
-
-        def fn_y(f, h):
-            score = sum(table[b, a] for a, b in zip(seqs[f], seqs[h])) / n
-            return score > codec.threshold
-
-        best_y, _ = attack_bruteforce(fn_y, len(seqs), honest_x)
-        res_y = symbolwise_attack(codec, "y")
-        assert res_y.success_prob == pytest.approx(best_y, abs=1e-12)
-
     def test_agrees_with_uniform_recombination_count(self):
         # against the modular splitter the success mass is a pure count of
         # accepted recombined sequences over M**n; verify by enumeration
@@ -213,16 +182,17 @@ class TestSymbolwiseAttack:
                                         abs=1e-12)
 
     def test_type_cap_enforced(self, monkeypatch):
-        codec = make_codec(identity_leak_scheme(3, 2), SKEW, n=6, gamma=0.2,
-                           require_valid=False)
+        # four lattice values give C(8, 2) = 28 prefixes at n=6; Monte
+        # Carlo mode calls the exact attack too, so it is no way out
+        codec = make_codec(modular_scheme(6, 4),
+                           PMF.from_probs([0.4, 0.3, 0.2, 0.1]), n=6, gamma=0.2)
         monkeypatch.setattr(symbol, "LATTICE_CAP", 5)
-        with pytest.raises(CapExceededError) as err:
-            symbolwise_attack(codec, "x")
-        # two forged classes give 7 compositions on a one-value lattice;
-        # Monte Carlo mode calls the exact attack too, so it is no way out
-        msg = str(err.value)
-        assert "n=6" in msg and "7 score-lattice points" in msg
-        assert "lower n" in msg and "Monte Carlo" not in msg
+        for side in "xy":
+            with pytest.raises(CapExceededError) as err:
+                symbolwise_attack(codec, side)
+            msg = str(err.value)
+            assert "n=6" in msg and "28 score-lattice points" in msg
+            assert "lower n" in msg and "Monte Carlo" not in msg
 
     def test_rejects_bad_side(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=2, gamma=0.5)

@@ -60,7 +60,9 @@ def test_cuts_match_brute_force(weights):
                           .tolist() for s in [sum(map(
                               int.__mul__, c, (weights[t] for t in idx)))]}
                 bars = sorted(scores | {b - 1 for b in scores})
-                heads, r, got = cuts(weights, bars, m, idx, offset)
+                # a score already collected moves the bars down by it
+                heads, r, got = cuts(weights, [b - offset for b in bars], m,
+                                     idx)
                 for p, (head, left) in enumerate(zip(heads.tolist(),
                                                      r.tolist())):
                     base = offset + sum(map(int.__mul__, head, (

@@ -18,7 +18,6 @@ from twoshare.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                               RunRecord, VERDICT_KEYS, VIOLATED, emit_csv,
                               emit_jsonl, emit_report, read_report_jsonl,
                               run_experiment)
-from twoshare.symbol import FAIL_SECRECY_X
 from broken_splitters import identity_leak_scheme
 
 
@@ -407,38 +406,32 @@ class TestRunExperiment:
         assert 0.0 <= rec.p_e < 1e-9
 
     @staticmethod
-    def count_splitter_calls(monkeypatch, build=symbol.modular_scheme):
-        """Route the harness's splitter through `build`, counting calls of
-        its encoder and decoder."""
+    def count_splitter_calls(monkeypatch):
+        """Count the calls of the modular splitter's encoder and decoder,
+        `symbol.fstar` and `symbol.gstar`, that the harness's schemes
+        bind."""
         calls = {"encode": 0, "decode": 0}
-
-        def counting(m, k):
-            base = build(m, k)
-
-            def encode_fn(s, u):
-                calls["encode"] += 1
-                return base.encode_fn(s, u)
-
-            def decode_fn(x, y):
-                calls["decode"] += 1
-                return base.decode_fn(x, y)
-            return dataclasses.replace(base, encode_fn=encode_fn,
-                                       decode_fn=decode_fn)
-
-        monkeypatch.setattr(symbol, "modular_scheme", counting)
+        for name, fn in (("encode", symbol.fstar), ("decode", symbol.gstar)):
+            def counting(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(symbol, {"encode": "fstar",
+                                         "decode": "gstar"}[name], counting)
         return calls
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_symbolwise_sweep_calls_the_splitter_once(self, mode,
-                                                      monkeypatch):
+    def test_symbolwise_sweep_never_calls_the_splitter(self, mode,
+                                                       monkeypatch):
         calls = self.count_splitter_calls(monkeypatch)
+        assert symbol.modular_scheme(5, 3).encode_fn(1, 2) == (4, 2)
+        assert calls == {"encode": 1, "decode": 0}   # the count is live
+        calls.update(encode=0)
         for n_values in ([6], [6, 8, 10, 12]):
             run_experiment(ExperimentConfig.from_dict(base_dict(
                 source=[0.5, 0.3, 0.2], scheme={"kind": "symbolwise", "m": 5},
                 n_values=n_values, mode=mode, trials=1000)))
-            # one pass over the 3 x 5 support points, whatever the sweep
-            assert calls == {"encode": 15, "decode": 15}, n_values
-            calls.update(encode=0, decode=0)
+            # the codec's laws are closed forms: no splitter call at all
+            assert calls == {"encode": 0, "decode": 0}, n_values
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_sweep_records_match_one_codec_per_blocklength(self, mode):
@@ -457,14 +450,13 @@ class TestRunExperiment:
                 dict(raw, n_values=[n]))).records
             assert vars(alone) == vars(sweep[i]), n
 
-    def test_failed_codec_build_skips_every_record(self, monkeypatch):
-        calls = self.count_splitter_calls(monkeypatch, identity_leak_scheme)
-        report = run_experiment(ExperimentConfig.from_dict(base_dict(
-            scheme={"kind": "symbolwise", "m": 3}, n_values=[4, 6, 8])))
-        assert [r.skipped for r in report.records] == [FAIL_SECRECY_X] * 3
-        assert all(r.verdicts == {k: NOT_APPLICABLE for k in VERDICT_KEYS}
-                   for r in report.records)
-        assert calls["encode"] == 2 * 3
+    def test_failed_codec_build_propagates(self, monkeypatch):
+        # a codec build that fails is no cap: it is not turned into skipped
+        # records but reaches the caller, naming what went wrong
+        monkeypatch.setattr(symbol, "modular_scheme", identity_leak_scheme)
+        with pytest.raises(ValueError, match="modular_scheme"):
+            run_experiment(ExperimentConfig.from_dict(base_dict(
+                scheme={"kind": "symbolwise", "m": 3}, n_values=[4, 6, 8])))
 
     def test_wide_share_alphabet_config_evaluates(self):
         # k=2, M=1024: a share alphabet past the old dense (S,U,X,Y) joint

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import broken_splitters
 import oracles
 import symbolwise_oracle as conv
 from twoshare import _comb, attack, harness, symbol
@@ -34,12 +33,6 @@ def modular(m, source, n, gamma=None):
     gamma = power_gamma(n) if gamma is None else gamma
     return symbol.make_codec(symbol.modular_scheme(m, source.support_size),
                              source, n, gamma)
-
-
-def leaky(m, source, n):
-    scheme = broken_splitters.identity_leak_scheme(m, source.support_size)
-    return symbol.make_codec(scheme, source, n, power_gamma(n),
-                             require_valid=False)
 
 
 CASES = (
@@ -95,31 +88,6 @@ def test_modular_matches_convolution_oracle(m, source, n):
     assert_parity(modular(m, source, n))
 
 
-@pytest.mark.parametrize("m,source", [(3, SKEW), (4, K3)])
-@pytest.mark.parametrize("n", (3, 4, 6))
-def test_identity_leak_matches_convolution_oracle(m, source, n):
-    codec = leaky(m, source, n)
-    # the forged symbol outside the secret alphabet forms its own class
-    assert len(set(codec.laws.forged["x"])) > 1
-    assert_parity(codec)
-
-
-def test_valid_splitter_can_have_several_forged_classes():
-    # a splitter that passes validation can still leave share symbols out
-    # of its image: a forged x = 2 or 3 scores -inf everywhere and forms a
-    # class of its own, so the multi-class attack is not only for splitters
-    # built with require_valid=False
-    scheme = symbol.BaseScheme(
-        "half-alphabet", secret_size=2, share_size=4, rand_size=2,
-        encode_fn=lambda s, u: ((s + u) % 2, u),
-        decode_fn=lambda x, y: (x - y) % 2 if max(x, y) < 2 else None)
-    for n in (3, 4, 6):
-        codec = symbol.make_codec(scheme, SKEW, n, power_gamma(n))
-        for side in "xy":
-            assert len(set(codec.laws.forged[side])) == 2
-        assert_parity(codec)
-
-
 def test_uniform_source_has_one_lattice_value():
     codec = modular(4, PMF.uniform(2), 8)
     assert symbol.score_lattice(codec).values == (1.0,)
@@ -166,51 +134,24 @@ SHAPES = [pytest.param(4, PMF.uniform(2), id="c1-uniform2-m4"),
 
 def laws(codec):
     """Every distinct per-position score law the engines sum: legitimate
-    pairs, independent pairs, and each forged symbol's honest row."""
+    pairs, independent pairs, and the forged symbols' honest row."""
     table = codec.laws
-    return list(dict.fromkeys([table.legit, table.indep,
-                               *table.forged["x"], *table.forged["y"]]))
-
-
-def lopsided():
-    # share Y takes only 0 and 1: a forged y = 2 or 3 scores -inf everywhere
-    scheme = symbol.BaseScheme(
-        "lopsided", secret_size=3, share_size=4, rand_size=4,
-        encode_fn=lambda s, u: ((s + u) % 4, u // 2),
-        decode_fn=lambda x, y: None)
-    return symbol.make_codec(scheme, K3, 8, 0.3, require_valid=False)
+    return list(dict.fromkeys([table.legit, table.indep, table.forged]))
 
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: modular(1024, SKEW, 16), id="k2-m1024"),
-    pytest.param(lambda: modular(5, K3, 8), id="k3-m5"),
-    pytest.param(lopsided, id="lopsided"),
-    # share X is the secret: a forged x = 2 or 3 scores -inf everywhere
-    pytest.param(lambda: leaky(4, SKEW, 8), id="identity-leak")])
+    pytest.param(lambda: modular(5, K3, 8), id="k3-m5")])
 def test_laws_are_the_per_cell_sums(make):
     codec = make()
     assert codec.laws == conv.reference_laws(codec)
     assert codec.lattice.values == codec.laws.values
-    m = codec.scheme.share_size
-    assert [len(codec.laws.forged[side]) for side in "xy"] == [m, m]
-
-
-def test_minus_inf_only_rows_hold_no_mass():
-    # the last two cases above do have forged symbols that score -inf
-    # against every honest share; their rows keep the lattice's length
-    # and hold zeros
-    for codec, side in [(leaky(4, SKEW, 8), "x"), (lopsided(), "y")]:
-        scores, _ = conv.forged_rows(codec, side)
-        dead = np.isneginf(scores).all(axis=1)
-        assert 0 < dead.sum() < len(dead)
-        for row, is_dead in zip(codec.laws.forged[side], dead):
-            assert len(row) == len(codec.laws.values)
-            assert (not any(row)) == is_dead
+    assert len(codec.laws.column) == codec.scheme.secret_size
 
 
 def test_laws_are_built_once_per_sweep(monkeypatch):
-    calls, real = [], symbol.lattice_laws
-    monkeypatch.setattr(symbol, "lattice_laws",
+    calls, real = [], symbol.modular_laws
+    monkeypatch.setattr(symbol, "modular_laws",
                         lambda *args: calls.append(1) or real(*args))
     cfg = harness.ExperimentConfig.from_dict({
         "source": [0.5, 0.3, 0.2], "scheme": {"kind": "symbolwise", "m": 5},
@@ -248,22 +189,23 @@ GRID_SOURCES = [SKEW, K3, K4, GAP, PMF.from_probs([0.6, 0.25, 0.15]),
     for source in GRID_SOURCES for m in range(source.support_size, 17)])
 def test_modular_laws_are_exact(source, m):
     # equal true masses come out as equal floats: one lattice value per
-    # distinct positive p(s), every forged symbol in one class per side,
-    # and an independent pair scores as a forged one
-    laws = modular(m, source, 16).laws
+    # distinct positive p(s), every forged symbol of either side in the
+    # one row the codec holds, and an independent pair scores as a forged
+    # one
+    codec = modular(m, source, 16)
+    laws = codec.laws
     assert len(laws.values) == len({p for p in source.probs.tolist() if p > 0})
-    for side in "xy":
-        assert len(set(laws.forged[side])) == 1
-        assert laws.indep == laws.forged[side][0]
+    assert set(conv.forged_laws(codec, "x") + conv.forged_laws(codec, "y")) \
+        == {laws.forged}
+    assert laws.indep == laws.forged
 
 
 def test_memoised_mass_matches_a_fresh_lattice():
     codec = modular(5, K3, 24)
     lat = codec.lattice
-    calls = [(masses, m, accepted, offset)
-             for masses in laws(codec) + [(0.6, 0.0, 0.4), (0.0, 0.0, 1.0)]
-             for m in (0, 1, 24) for accepted in (True, False)
-             for offset in (0, lat.bar // 3, -lat.weights[-1])]
+    calls = [(masses, accepted)
+             for masses in laws(codec) + [(0.6, 0.1, 0.3), (0.2, 0.2, 0.6)]
+             for accepted in (True, False)]
     want = [dataclasses.replace(lat).mass(*args) for args in calls]
     for order in (range(len(calls)), range(len(calls))[::-1]):
         memo = dataclasses.replace(lat)
@@ -271,14 +213,18 @@ def test_memoised_mass_matches_a_fresh_lattice():
             got = {i: memo.mass(*calls[i]) for i in order}
             assert [got[i] for i in range(len(calls))] == want
         # a list names the same sum as its tuple
-        masses, m, accepted, offset = calls[0]
-        assert memo.mass(list(masses), m, accepted, offset) == want[0]
+        masses, accepted = calls[0]
+        assert memo.mass(list(masses), accepted) == want[0]
 
 
-def assert_mass_parity(lat, masses, m, offset=0):
+def assert_mass_parity(lat, masses, offset=0):
+    """Both sides of `lat.mass` against the count vectors of its n
+    positions; an `offset` already collected is the bar moved down by it."""
+    shifted = dataclasses.replace(lat, bar=lat.bar - offset)
     for accepted in (True, False):
-        assert lat.mass(masses, m, accepted, offset) == pytest.approx(
-            conv.count_vector_mass(lat, masses, m, accepted, offset), abs=TOL)
+        assert shifted.mass(masses, accepted) == pytest.approx(
+            conv.count_vector_mass(lat, masses, lat.n, accepted, offset),
+            abs=TOL)
 
 
 @pytest.mark.parametrize("m,source", SHAPES)
@@ -286,27 +232,38 @@ def assert_mass_parity(lat, masses, m, offset=0):
 def test_mass_matches_count_vectors(m, source, n):
     codec = modular(m, source, n)
     for masses in laws(codec):
-        assert_mass_parity(codec.lattice, masses, n)
+        assert_mass_parity(codec.lattice, masses)
 
 
 def test_zero_mass_values():
+    # every value is the score of a symbol of positive mass, so no law the
+    # codec sums holds a zero, even with a zero-probability symbol and at
+    # M = k; a zero given by hand is refused by name
+    for m in (3, 5):
+        codec = modular(m, GAP, 24)
+        assert all(q > 0.0 for law in laws(codec) for q in law)
+        for masses in laws(codec):
+            assert_mass_parity(codec.lattice, masses)
     lat = modular(5, K3, 24).lattice
     for masses in ((0.6, 0.0, 0.4), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)):
-        assert_mass_parity(lat, masses, 24)
+        with pytest.raises(ValueError, match="positive mass"):
+            lat.mass(masses)
 
 
 def test_offsets_shift_the_bar():
-    # a score already collected elsewhere moves every cut by the same amount
-    lat = modular(5, K3, 10).lattice
+    # a score already collected elsewhere moves every cut by the same
+    # amount: the lattice with its bar moved down by it
     masses = (0.2, 0.3, 0.5)
-    for m in (0, 1, 4):
+    for n in (1, 4, 10):
+        lat = modular(5, K3, n).lattice
         for offset in (-3 * lat.weights[-1], 0, lat.bar // 2, lat.bar):
-            assert_mass_parity(lat, masses, m, offset)
+            assert_mass_parity(lat, masses, offset)
 
 
 def walked_cuts(lat, m, idx, offset=0):
-    """The lattice's `_comb.cuts` as (head, r, cut) triples of Python ints."""
-    heads, rs, (cuts,) = _comb.cuts(lat.weights, (lat.bar,), m, idx, offset)
+    """The lattice's `_comb.cuts` as (head, r, cut) triples of Python ints,
+    on top of an integer score `offset`: its bar moved down by it."""
+    heads, rs, (cuts,) = _comb.cuts(lat.weights, (lat.bar - offset,), m, idx)
     return zip(map(tuple, heads.tolist()), rs.tolist(), cuts.tolist())
 
 
@@ -336,7 +293,7 @@ def test_window_edge_tie_is_rejected(m, source, counts):
               if h == tuple(head)]
     assert cut == a   # a * (w_j - w_i) == x: the tied count is the cut
     for masses in laws(codec):
-        assert_mass_parity(lat, masses, n)
+        assert_mass_parity(lat, masses)
     assert_parity(codec, float_keyed=False)
 
 
@@ -371,12 +328,13 @@ def test_mass_is_the_same_over_many_blocks(monkeypatch):
     # at 40 floats a block holds rows r..r1 with (r1 - r + 1)(r1 + 2) <= 40:
     # five rows at r = 0, one row from r = 18 on, and a row past 40 floats
     # (the single row of a two-value sum at n=48) makes a block of its own
-    shapes = [(modular(5, K3, 32), 32), (modular(6, K4, 16), 16),
-              (modular(4, SKEW, 48), 48), (leaky(5, K4, 8), 8)]
-    calls = [(lat, masses, m, accepted, offset)
-             for codec, m in shapes for lat in [codec.lattice]
-             for masses in laws(codec) for accepted in (True, False)
-             for offset in (0, lat.bar // 3, -lat.weights[-1])]
+    codecs = [modular(5, K3, 32), modular(6, K4, 16), modular(4, SKEW, 48),
+              modular(6, K4, 8)]
+    calls = [(lat, masses, accepted)
+             for codec in codecs for base in [codec.lattice]
+             for offset in (0, base.bar // 3, -base.weights[-1])
+             for lat in [dataclasses.replace(base, bar=base.bar - offset)]
+             for masses in laws(codec) for accepted in (True, False)]
     one = [lat.mass(*args) for lat, *args in calls]
     monkeypatch.setattr(symbol, "MASS_BLOCK", 40)
     assert [dataclasses.replace(lat).mass(*args)
@@ -389,7 +347,7 @@ def test_four_values_match_count_vectors_at_n40():
     for masses in laws(codec):
         for offset in (0, -2 * lat.weights[-1], lat.bar // 4, lat.bar // 2,
                        lat.weights[0] - lat.weights[-1]):
-            assert_mass_parity(lat, masses, 40, offset)
+            assert_mass_parity(lat, masses, offset)
 
 
 def assert_cuts_exact(lat, m, idx, offset):
@@ -405,7 +363,7 @@ def assert_cuts_exact(lat, m, idx, offset):
         if cut <= r:
             assert x + cut * w[i] + (r - cut) * w[j] <= lat.bar
         walked += 1
-    assert walked == symbol.walk_size(m, len(idx))
+    assert walked == _comb.composition_count(m, len(idx) - 1)
 
 
 @pytest.mark.parametrize("m,source,n", [(4, SKEW, 20), (5, K3, 20),

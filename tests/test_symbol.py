@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,23 +16,35 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twoshare import harness, symbol
+from twoshare import attack, harness, symbol
 from oracles import (JointPMF, gamma_for_threshold, mutual_information,
                      scheme_joint, share_laws, splitter_profile)
 from twoshare.prob import PMF, RandomStream, _estimate, entropy
 from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
-                             SchemeValidationError, SymbolwiseCodec,
-                             accepts_n, decode_n, draw_randomness_n, encode_n,
-                             fstar, gstar, make_codec, modular_scheme,
+                             ModularScheme, SymbolwiseCodec, accepts_n,
+                             decode_n, draw_randomness_n, encode_n, fstar,
+                             gstar, make_codec, modular_scheme,
                              rejection_probability, score_lattice,
                              validate_base)
 from broken_splitters import (identity_leak_scheme, nondecodable_scheme,
                               undersized_scheme)
-from symbolwise_oracle import accepts
+from symbolwise_oracle import accepts, reference_laws
 
 H_73 = 0.88129089923069261822  # frozen H(0.7, 0.3), cross-checked in test_prob
+
+# the refusal of any splitter but modular_scheme's
+NOT_MODULAR = "^make_codec builds the codec of modular_scheme"
+
+
+def score_of(codec, x, y) -> float:
+    """The finite score the codec gives cell (x, y), from its laws: the
+    value of s = (x + y) mod M, or -inf when s >= k or p(s) = 0."""
+    s = (x + y) % codec.scheme.share_size
+    column = codec.laws.column
+    j = column[s] if s < len(column) else None
+    return -math.inf if j is None else codec.laws.values[j]
 
 SKEW = PMF.from_probs([0.7, 0.3])
 U2 = PMF.uniform(2)
@@ -75,6 +88,24 @@ class TestSplitterAlgebra:
             BaseScheme(name="bad", secret_size=1, share_size=2, rand_size=2,
                        encode_fn=lambda s, u: (s, u),
                        decode_fn=lambda x, y: x)
+        with pytest.raises(ValueError, match="at least two symbols"):
+            modular_scheme(3, 1)
+
+    def test_modular_maps_follow_from_the_sizes(self):
+        # the codec reads fstar and gstar in closed form, so a modular
+        # scheme cannot be given other maps; a replaced size renames it
+        scheme = modular_scheme(5, 3)
+        assert isinstance(scheme, ModularScheme) and scheme.rand_size == 5
+        assert scheme.name == "modular(M=5,S=3)"
+        assert [scheme.encode_fn(2, u) for u in range(5)] == [
+            fstar(5, 2, u) for u in range(5)]
+        assert scheme.decode_fn(4, 3) == gstar(5, 3, 4, 3) == 2
+        for change in ({"encode_fn": fstar}, {"rand_size": 7}, {"name": "x"}):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(scheme, **change)
+        wider = dataclasses.replace(scheme, share_size=7)
+        assert (wider.name, wider.rand_size) == ("modular(M=7,S=3)", 7)
+        assert wider.encode_fn(0, 1) == (6, 1)
 
 
 class TestCorrelationLevel:
@@ -156,26 +187,34 @@ class TestValidateBase:
 
 class TestCodecConstruction:
     def test_rejects_broken_scheme(self):
-        with pytest.raises(SchemeValidationError):
+        with pytest.raises(ValueError, match=NOT_MODULAR):
             make_codec(identity_leak_scheme(4, 2), U2, n=4, gamma=0.5)
+        # a splitter with modular_scheme's maps that is not one is refused
+        # too: the codec is read off the closed form, not off the maps
+        base = modular_scheme(4, 2)
+        twin = BaseScheme(**{f.name: getattr(base, f.name)
+                             for f in dataclasses.fields(base)})
+        assert validate_base(twin, U2).passed
+        with pytest.raises(ValueError, match=NOT_MODULAR):
+            make_codec(twin, U2, n=4, gamma=0.5)
+        with pytest.raises(ValueError, match="^source alphabet does not match"):
+            make_codec(base, U3, n=4, gamma=0.5)
 
-    def test_require_valid_off_builds_anyway(self):
-        codec = make_codec(identity_leak_scheme(4, 2), U2, n=4, gamma=0.5,
-                           require_valid=False)
-        assert isinstance(codec, SymbolwiseCodec)
-
-    @pytest.mark.parametrize("splitter,require_valid", [
+    @pytest.mark.parametrize("splitter,builds", [
         (modular_scheme, True), (identity_leak_scheme, False),
         (nondecodable_scheme, False)])
-    def test_codec_holds_the_validation_entropies(self, splitter,
-                                                  require_valid):
-        # one joint and one set of entropies: the codec, the report and the
-        # exact quantities read the same floats
+    def test_codec_holds_the_validation_entropies(self, splitter, builds):
+        # the closed form and the splitter's exact law read the same
+        # floats; a splitter that fails validation gets no codec at all
         scheme = splitter(5, 3)
         source = PMF.from_probs([0.5, 0.3, 0.2])
         report = validate_base(scheme, source)
-        codec = make_codec(scheme, source, n=4, gamma=0.5,
-                           require_valid=require_valid)
+        assert report.passed is builds
+        if not builds:
+            with pytest.raises(ValueError, match=NOT_MODULAR):
+                make_codec(scheme, source, n=4, gamma=0.5)
+            return
+        codec = make_codec(scheme, source, n=4, gamma=0.5)
         assert (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
                 codec.h_s_given_xy, codec.i_xy) == (
             report.h_s, report.h_s_given_x, report.h_s_given_y,
@@ -205,25 +244,22 @@ class TestCodecConstruction:
             dataclasses.replace(codec, **change)
 
     def test_share_laws_are_read_only(self):
-        # the codec holds its laws as tuples and the cell scores behind a
-        # read-only view, and no array: nothing of size M^2
+        # the codec holds its laws as tuples of at most k entries, and no
+        # array and no table of cells: nothing of size M
         codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=0.5)
         assert not any(isinstance(getattr(codec, f.name), np.ndarray)
                        for f in dataclasses.fields(codec))
-        with pytest.raises(TypeError):
-            codec.scores[0, 0] = 0.0
-        laws = codec.laws
-        for law in (laws.values, laws.legit, laws.indep,
-                    *laws.forged.values(), *laws.forged["x"],
-                    *laws.forged["y"]):
-            assert isinstance(law, tuple)
-        assert len(codec.scores) == 8 and dict(codec.scores) == {
-            c: v for c, v in np.ndenumerate(share_laws(codec).score_table)
-            if v != -math.inf}
+        assert not hasattr(codec, "scores") and not hasattr(codec, "tables")
+        for law in codec.laws:
+            assert isinstance(law, tuple) and len(law) <= 2
+        assert codec.laws == reference_laws(codec)
+        assert {(x, y): score_of(codec, x, y) for x in range(4)
+                for y in range(4)} == dict(np.ndenumerate(
+                    share_laws(codec).score_table))
 
     def test_splitter_runs_on_support_points_only(self):
         # a zero-probability secret symbol is never split, so a splitter
-        # undefined there still builds; one undefined on the support raises
+        # undefined there validates; one undefined on the support raises
         def encode(bad):
             def fn(s, u):
                 if s == bad:
@@ -232,17 +268,17 @@ class TestCodecConstruction:
             return fn
         source = PMF.from_probs([0.6, 0.0, 0.4])
         for bad, ok in ((1, True), (2, False)):
-            scheme = dataclasses.replace(modular_scheme(4, 3),
-                                         encode_fn=encode(bad))
+            scheme = BaseScheme("partial", 3, 4, 4, encode(bad),
+                                modular_scheme(4, 3).decode_fn)
             if ok:
-                assert make_codec(scheme, source, n=4, gamma=0.5).i_xy > 0.0
+                assert validate_base(scheme, source).ell > 0.0
             else:
                 with pytest.raises(ValueError, match="support point"):
-                    make_codec(scheme, source, n=4, gamma=0.5)
+                    validate_base(scheme, source)
 
     def test_shares_outside_the_alphabet_raise(self):
-        scheme = dataclasses.replace(modular_scheme(4, 2),
-                                     encode_fn=lambda s, u: (s - u, u))
+        scheme = BaseScheme("unwrapped", 2, 4, 4, lambda s, u: (s - u, u),
+                            modular_scheme(4, 2).decode_fn)
         with pytest.raises(ValueError, match="outside the share alphabet"):
             validate_base(scheme, U2)
 
@@ -266,7 +302,8 @@ SHIPPED_SPLITTERS = [modular_scheme(5, 3), identity_leak_scheme(5, 3),
 
 
 class TestDenseParity:
-    """The per-symbol laws against the dense (S, U, X, Y) joint."""
+    """The per-symbol laws against the dense (S, U, X, Y) joint: the
+    report's of every splitter, and the codec's where there is one."""
 
     @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.6, 0.0, 0.4],
                                        [1 / 3, 1 / 3, 1 / 3]])
@@ -277,8 +314,15 @@ class TestDenseParity:
         dense = splitter_profile(scheme, source)
         report = validate_base(scheme, source)
         assert report.failures == dense.failures
-        codec = make_codec(scheme, source, n=4, gamma=0.5,
-                           require_valid=False)
+        assert (report.h_s, report.h_s_given_x, report.h_s_given_y,
+                report.h_s_given_xy, report.ell) == pytest.approx(
+            (dense.h_s, dense.h_s_given_x, dense.h_s_given_y,
+             dense.h_s_given_xy, dense.i_xy), rel=0.0, abs=1e-12)
+        if not isinstance(scheme, ModularScheme):
+            with pytest.raises(ValueError, match=NOT_MODULAR):
+                make_codec(scheme, source, n=4, gamma=0.5)
+            return
+        codec = make_codec(scheme, source, n=4, gamma=0.5)
         got = (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
                codec.h_s_given_xy, codec.i_xy, codec.i_sx, codec.i_sy)
         want = (dense.h_s, dense.h_s_given_x, dense.h_s_given_y,
@@ -289,9 +333,90 @@ class TestDenseParity:
                           (laws.p_y, (3,))):
             np.testing.assert_allclose(law, joint.marginal(*axes).probs,
                                        rtol=0.0, atol=1e-15)
-        if dense.failures:
-            with pytest.raises(SchemeValidationError):
-                make_codec(scheme, source, n=4, gamma=0.5)
+
+
+GRID_SOURCES = [[0.5, 0.5], [0.7, 0.3], [0.6, 0.0, 0.4], [0.5, 0.3, 0.2],
+                [1 / 3, 1 / 3, 1 / 3], [0.4, 0.3, 0.2, 0.1],
+                [0.25, 0.0, 0.5, 0.25], [0.35, 0.25, 0.2, 0.15, 0.05],
+                [0.2, 0.2, 0.0, 0.3, 0.3]]
+
+
+class TestClosedForm:
+    """`modular_laws` against the splitter's dense and exact laws, on a
+    grid of k <= 5 and M <= 64 that takes in M = k and zero-probability
+    symbols."""
+
+    @pytest.mark.parametrize("probs", GRID_SOURCES,
+                             ids=lambda p: "-".join(f"{v:.3g}" for v in p))
+    def test_laws_and_informations_match_the_oracles(self, probs):
+        source = PMF.from_probs(probs)
+        k = source.support_size
+        for m in sorted({k, k + 1, 8, 16, 17, 31, 64}):
+            scheme = modular_scheme(m, k)
+            codec = make_codec(scheme, source, n=4, gamma=0.5)
+            assert codec.laws == reference_laws(codec), m
+            report = validate_base(scheme, source)
+            assert report.passed
+            assert (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
+                    codec.h_s_given_xy, codec.i_xy) == (
+                report.h_s, report.h_s_given_x, report.h_s_given_y,
+                report.h_s_given_xy, report.ell)
+            assert (codec.h_s_given_xy, codec.i_sx, codec.i_sy) == (0.0,) * 3
+            dense = splitter_profile(scheme, source) if m <= 17 else None
+            if dense:
+                assert (codec.i_xy, codec.i_sx, codec.i_sy) == pytest.approx(
+                    (dense.i_xy, dense.i_sx, dense.i_sy), rel=0.0, abs=1e-12)
+            table = share_laws(codec).score_table
+            assert all(score_of(codec, x, y) == table[x, y]
+                       for x in range(m) for y in range(m))
+
+    @pytest.mark.parametrize("m", [5, 17, 64])
+    def test_both_paths_agree_with_fstar_and_gstar(self, m):
+        source = PMF.from_probs([0.5, 0.3, 0.2])
+        codec = make_codec(modular_scheme(m, 3), source, n=12, gamma=0.4)
+        table = share_laws(codec).score_table.tolist()
+        rng = np.random.default_rng(m)
+        for _ in range(40):
+            secret = tuple(rng.choice(3, size=12, p=source.probs).tolist())
+            rand = tuple(rng.integers(m, size=12).tolist())
+            want = tuple(zip(*(fstar(m, s, u) for s, u in zip(secret, rand))))
+            forged = list(want[1])
+            forged[int(rng.integers(12))] = int(rng.integers(m))
+            for wrap in (tuple, iter):   # the kernel at M=5, then arithmetic
+                assert encode_n(codec, wrap(secret), wrap(rand)) == want
+                for ys in (want[1], tuple(forged)):
+                    expect = expected_decode(codec, table, want[0], ys)
+                    out = decode_n(codec, wrap(want[0]), wrap(ys))
+                    assert out.secret == expect
+                    assert accepts_n(codec, wrap(want[0]), wrap(ys)) is (
+                        expect is not None)
+                    if expect:
+                        assert expect == tuple(
+                            gstar(m, 3, x, y) for x, y in zip(want[0], ys))
+
+    def test_a_2_to_the_32_alphabet_builds_in_memory_free_of_m(self):
+        # the codec and a record's four sums hold nothing of size M: the
+        # tracemalloc peak at M = 2^32 is that of M = 2^4
+        def peak(m):
+            tracemalloc.start()
+            try:
+                codec = make_codec(modular_scheme(m, 2), SKEW, n=64,
+                                   gamma=0.25)
+                rejection_probability(codec)
+                attack.symbolwise_attack(codec, "x")
+                attack.symbolwise_beta(codec)
+                return codec, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(16)   # import and warm the caches first
+        small, wide = peak(16), peak(1 << 32)
+        assert wide[1] <= small[1] + 4096, (small[1], wide[1])
+        codec = wide[0]
+        assert codec.laws.forged == (2.0 ** -32,) * 2
+        assert codec.i_xy == pytest.approx(32 - H_73, abs=1e-9)
+        secret, rand = (0, 1) * 32, tuple(range((1 << 32) - 64, 1 << 32))
+        xs, ys = encode_n(codec, secret, rand)
+        assert max(xs) < 1 << 32 and decode_n(codec, xs, ys).secret == secret
 
 
 class TestBlockEncode:
@@ -318,30 +443,32 @@ class TestBlockEncode:
 
 
 class TestScoring:
-    """The per-cell scores `codec.scores`: a cell outside the splitter's
-    image is absent, so it scores -inf."""
+    """The per-cell scores (`score_of`): a cell outside the splitter's
+    image scores -inf."""
 
     def test_valid_pair_scores_the_correlation_level(self):
         # dyadic probabilities make this exact, not just approximate
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
         xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
-        assert [codec.scores[cell] for cell in zip(xs, ys)] == [1.0] * 3
+        assert [score_of(codec, *cell) for cell in zip(xs, ys)] == [1.0] * 3
 
     def test_impossible_pair_scores_minus_infinity(self):
         codec = make_codec(modular_scheme(4, 2), U2, n=2, gamma=0.5)
         # (1, 1) recombines to 2, outside the secret alphabet
-        assert (1, 1) not in codec.scores
+        assert score_of(codec, 1, 1) == -math.inf
+        assert share_laws(codec).score_table[1, 1] == -math.inf
         assert not accepts_n(codec, (1, 0), (1, 0))
 
     def test_score_depends_only_on_recombined_secret(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=1, gamma=0.5)
+        table = share_laws(codec).score_table
         scores = {}
         for x in range(3):
             for y in range(3):
                 s = (x + y) % 3
-                val = codec.scores.get((x, y), -math.inf)
+                val = table[x, y]
                 scores.setdefault(s, val)
-                assert val == scores[s]
+                assert val == scores[s] == score_of(codec, x, y)
 
     def test_legit_distribution_masses(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=4, gamma=0.5)
@@ -369,7 +496,8 @@ class TestAcceptance:
         codec = make_codec(modular_scheme(4, 2), U2, n=3, gamma=0.5)
         tied = dataclasses.replace(codec, gamma=0.0)
         xs, ys = encode_n(codec, (0, 1, 1), (2, 0, 3))
-        assert {tied.scores[cell] for cell in zip(xs, ys)} == {tied.threshold}
+        assert {score_of(tied, *cell) for cell in zip(xs, ys)} == {
+            tied.threshold}
         assert not accepts_n(tied, xs, ys)
         assert accepts_n(codec, xs, ys)
 
@@ -377,7 +505,7 @@ class TestAcceptance:
         # M == |S| gives threshold -gamma < 0 == every legit score
         codec = make_codec(modular_scheme(2, 2), U2, n=5, gamma=0.25)
         xs, ys = encode_n(codec, (0, 1, 1, 0, 1), (1, 1, 0, 0, 1))
-        assert {codec.scores[cell] for cell in zip(xs, ys)} == {0.0}
+        assert {score_of(codec, *cell) for cell in zip(xs, ys)} == {0.0}
         assert accepts_n(codec, xs, ys)
 
     def test_decode_roundtrip(self):
@@ -395,17 +523,13 @@ class TestAcceptance:
         assert out.secret is None
 
     def test_decoder_hole_on_accepted_pair_raises(self):
-        # a broken decoder paired with require_valid=False must fail loudly
-        # rather than emit a bogus secret
-        broken = BaseScheme(name="hole", secret_size=2, share_size=2,
-                            rand_size=2,
-                            encode_fn=lambda s, u: fstar(2, s, u),
-                            decode_fn=lambda x, y: None)
-        codec = make_codec(broken, U2, n=1, gamma=0.5, require_valid=False)
-        xs, ys = encode_n(codec, (0,), (1,))
-        assert accepts_n(codec, xs, ys)
-        with pytest.raises(RuntimeError):
-            decode_n(codec, xs, ys)
+        # a splitter whose decoder has holes must fail loudly rather than
+        # emit a bogus secret: it fails validation, and make_codec builds
+        # it no codec, so no pair of it is ever decoded
+        broken = hole_scheme()
+        assert validate_base(broken, U2).failures == (FAIL_DECODER,)
+        with pytest.raises(ValueError, match=NOT_MODULAR):
+            make_codec(broken, U2, n=1, gamma=0.5)
 
 
 def edge_gamma() -> float:
@@ -415,7 +539,7 @@ def edge_gamma() -> float:
     on either side of it depending on position order."""
     codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=0.5)
     xs, ys = encode_n(codec, (0, 0, 1, 1), (0, 1, 2, 3))
-    mean = sum(Fraction(codec.scores[x, y]) for x, y in zip(xs, ys)) / 4
+    mean = sum(Fraction(score_of(codec, x, y)) for x, y in zip(xs, ys)) / 4
     below = float(mean)
     if below >= mean:
         below = math.nextafter(below, -math.inf)
@@ -433,7 +557,7 @@ class TestLatticeDecisions:
     def test_window_edge_verdict_is_order_free(self, secret):
         codec = make_codec(modular_scheme(4, 2), SKEW, n=4, gamma=EDGE_GAMMA)
         xs, ys = encode_n(codec, secret, (0, 1, 2, 3))
-        total = sum(Fraction(codec.scores[x, y]) for x, y in zip(xs, ys))
+        total = sum(Fraction(score_of(codec, x, y)) for x, y in zip(xs, ys))
         assert total > 4 * Fraction(codec.threshold)   # exact: accepted
         assert accepts_n(codec, xs, ys)
         assert decode_n(codec, xs, ys).secret == secret
@@ -514,42 +638,44 @@ TABLE_CASES = [
 
 def expected_decode(codec, table, xs, ys):
     """decode_n position by position, on the dense score `table`: None for
-    a rejection, RuntimeError for a hole on an accepted pair, else the
-    decoder's symbols."""
+    a rejection, else the decoder's symbols."""
     scores = [table[x][y] for x, y in zip(xs, ys)]
     lat = codec.lattice
     if -math.inf in scores or not accepts(
             lat, [scores.count(v) for v in lat.values]):
         return None
-    out = [codec.scheme.decode_fn(x, y) for x, y in zip(xs, ys)]
-    return RuntimeError if None in out else tuple(out)
+    return tuple(codec.scheme.decode_fn(x, y) for x, y in zip(xs, ys))
 
 
 class TestSplitterTables:
+    """The codec of the modular splitter against `fstar` and `gstar`, on
+    the byte kernel and on the arithmetic path; any other splitter gets
+    no codec."""
+
     @pytest.mark.parametrize("scheme,source", TABLE_CASES,
                              ids=[s.name for s, _ in TABLE_CASES])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_codec_matches_the_splitter_position_by_position(
             self, scheme, source, n):
-        codec = make_codec(scheme, source, n=n, gamma=0.3,
-                           require_valid=False)
+        if not isinstance(scheme, ModularScheme):
+            with pytest.raises(ValueError, match=NOT_MODULAR):
+                make_codec(scheme, source, n=n, gamma=0.3)
+            return
+        codec = make_codec(scheme, source, n=n, gamma=0.3)
         k, r, m = scheme.secret_size, scheme.rand_size, scheme.share_size
         table = share_laws(codec).score_table.tolist()
         for secret in itertools.product(range(k), repeat=n):
             for rand in itertools.product(range(r), repeat=n):
-                pairs = [scheme.encode_fn(s, u) for s, u in zip(secret, rand)]
-                assert encode_n(codec, secret, rand) == tuple(zip(*pairs))
+                want = tuple(zip(*(fstar(m, s, u) for s, u in zip(secret, rand))))
+                for wrap in (tuple, iter):   # the kernel, then arithmetic
+                    assert encode_n(codec, wrap(secret), wrap(rand)) == want
         for xs in itertools.product(range(m), repeat=n):
             for ys in itertools.product(range(m), repeat=n):
                 expect = expected_decode(codec, table, xs, ys)
-                if expect is RuntimeError:
-                    with pytest.raises(RuntimeError, match="^decoder "
-                                       "undefined on an accepted share pair$"):
-                        decode_n(codec, xs, ys)
-                    continue
-                out = decode_n(codec, xs, ys)
-                assert out.secret == expect
-                assert all(type(s) is int for s in out.secret or ())
+                for wrap in (tuple, iter):
+                    out = decode_n(codec, wrap(xs), wrap(ys))
+                    assert out.secret == expect
+                    assert all(type(s) is int for s in out.secret or ())
 
     def test_shares_are_python_ints(self):
         codec = make_codec(modular_scheme(5, 3), K3, n=4, gamma=0.3)
@@ -559,59 +685,21 @@ class TestSplitterTables:
 
     @pytest.mark.parametrize("shift", [-1, 1 << 70, 254, 255])
     def test_decoder_values_are_never_read_as_holes(self, shift):
-        # -1 is what a hole marker stored in the table would be, and 2**70
-        # does not fit an int64 cell; both are returned as decoded.  The
-        # decoder returns shift and shift + 1: the byte kernel packs them
-        # only when both fit a byte, and -1, 256 and 2**70 take the dicts
-        scheme = BaseScheme(
-            name="shifted", secret_size=2, share_size=4, rand_size=4,
-            encode_fn=lambda s, u: fstar(4, s, u),
-            decode_fn=lambda x, y: None if (x + y) % 4 >= 2 else
-            (x + y) % 4 + shift)
-        codec = make_codec(scheme, U2, n=3, gamma=0.5, require_valid=False)
-        assert bool(codec._bytes) is (0 <= shift < 255)
-        xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
-        assert decode_n(codec, xs, ys).secret == (shift, shift + 1, shift)
-        assert decode_n(codec, xs, (1,) + ys[1:]).rejected   # a -inf cell
-
-    def test_raising_encoder_cell_raises_only_when_hit(self):
-        # symbol 2 has zero probability, so building the codec never
-        # encodes it
-        def encode_fn(s, u):
-            if s == 2:
-                raise KeyError("no share for 2")
-            return fstar(3, s, u)
-        scheme = BaseScheme(name="partial", secret_size=3, share_size=3,
-                            rand_size=3, encode_fn=encode_fn,
-                            decode_fn=lambda x, y: gstar(3, 3, x, y))
-        source = PMF.from_probs([0.5, 0.5, 0.0])
-        codec = make_codec(scheme, source, n=2, gamma=0.5,
-                           require_valid=False)
-        assert encode_n(codec, (1, 0), (2, 2)) == ((2, 1), (2, 2))
-        with pytest.raises(KeyError, match="no share for 2"):
-            encode_n(codec, (0, 2), (0, 0))
-        # positions are taken in order: the raising cell comes first
-        with pytest.raises(KeyError, match="no share for 2"):
-            encode_n(codec, (2, 7), (0, 0))
-        with pytest.raises(ValueError,
-                           match="^secret symbol 7 outside the alphabet$"):
-            encode_n(codec, (7, 2), (0, 0))
-
-    def test_raising_decoder_cell_raises_only_when_hit(self):
-        def decode_fn(x, y):
-            if (x, y) == (0, 0):
-                raise LookupError("cell (0, 0)")
-            return gstar(4, 2, x, y)
-        scheme = BaseScheme(name="partial", secret_size=2, share_size=4,
-                            rand_size=4,
-                            encode_fn=lambda s, u: fstar(4, s, u),
-                            decode_fn=decode_fn)
-        codec = make_codec(scheme, U2, n=2, gamma=0.5, require_valid=False)
-        assert decode_n(codec, (1, 2), (0, 3)).secret == (1, 1)
-        with pytest.raises(LookupError, match=r"cell \(0, 0\)"):
-            decode_n(codec, (1, 0), (0, 0))
-        # a rejected pair is never decoded
-        assert decode_n(codec, (0, 0), (0, 2)).rejected
+        # -1 is what a hole marker stored in a table would be, 2**70 does
+        # not fit an int64 cell, and 254 and 255 fit a byte but are the
+        # kernel's old miss and -inf markers: as a share symbol each is
+        # named outside [0, M), by the kernel's codec (M=4) and by the
+        # arithmetic one (M=17), never read as a cell
+        for m in (4, 17):
+            codec = make_codec(modular_scheme(m, 2), U2, n=3, gamma=0.5)
+            assert bool(codec._bytes) is (m == 4)
+            xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
+            assert decode_n(codec, xs, ys).secret == (0, 1, 0)
+            for shares in ((xs[:2] + (shift,), ys), (xs, (shift,) + ys[1:])):
+                for check in (decode_n, accepts_n):
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"share symbol {shift} outside [0, {m})")):
+                        check(codec, *shares)
 
     @pytest.mark.parametrize("secret,rand,message", [
         ((1, 0), (2,), "secret and randomness must have length 2"),
@@ -637,43 +725,36 @@ class TestSplitterTables:
                 check(codec, xs, ys)
 
     def test_tables_are_built_on_first_codec_call_only(self, monkeypatch):
+        # the byte tables wait for the first codec call, and neither they
+        # nor a record nor a codec call ever calls the splitter: the maps
+        # are read in closed form
         calls = {"encode": 0, "decode": 0}
-        modular = modular_scheme
+        real = {"encode": symbol.fstar, "decode": symbol.gstar}
 
-        def counting(m, k):
-            base = modular(m, k)
-
-            def encode_fn(s, u):
-                calls["encode"] += 1
-                return base.encode_fn(s, u)
-
-            def decode_fn(x, y):
-                calls["decode"] += 1
-                return base.decode_fn(x, y)
-            return dataclasses.replace(base, encode_fn=encode_fn,
-                                       decode_fn=decode_fn)
-
-        monkeypatch.setattr(symbol, "modular_scheme", counting)
-        # one pass of S x U through the splitter, and the decoder check on
-        # the shares it tabulated; the tables add none
-        built = {"encode": 3 * 5, "decode": 3 * 5}
+        def counting(name):
+            def fn(*args):
+                calls[name] += 1
+                return real[name](*args)
+            return fn
+        monkeypatch.setattr(symbol, "fstar", counting("encode"))
+        monkeypatch.setattr(symbol, "gstar", counting("decode"))
         for mode in ("exact", "mc"):
             cfg = harness.ExperimentConfig.from_dict(
                 {"source": [0.5, 0.3, 0.2],
                  "scheme": {"kind": "symbolwise", "m": 5},
                  "n_values": [6], "mode": mode, "trials": 1000})
             harness.run_experiment(cfg)
-            assert calls == built
-            calls.update(encode=0, decode=0)
         codec = make_codec(symbol.modular_scheme(5, 3), K3, n=6, gamma=0.5)
-        assert calls == built and "tables" not in vars(codec)
+        assert "_bytes" not in vars(codec)
         xs, ys = encode_n(codec, (0, 1, 2, 0, 1, 2), (4, 3, 2, 1, 0, 0))
-        # first call: S x U once, and the decoder on the 15 finite cells
-        assert calls == {"encode": 30, "decode": 30}
+        assert "_bytes" in vars(codec)
         assert decode_n(codec, xs, ys).secret == (0, 1, 2, 0, 1, 2)
-        assert calls == {"encode": 30, "decode": 30}
+        assert decode_n(codec, iter(xs), iter(ys)).secret == (0, 1, 2, 0, 1, 2)
+        assert calls == {"encode": 0, "decode": 0}
+        # the scheme's own maps are the patched ones, and do count
+        assert codec.scheme.encode_fn(1, 0) == (1, 0) and calls["encode"] == 1
         tied = dataclasses.replace(codec, gamma=0.25)
-        assert "tables" not in vars(tied)
+        assert "_bytes" not in vars(tied)
 
 
 WRAPS = {"tuple": tuple, "list": list, "ndarray": np.array,
@@ -768,15 +849,10 @@ class TestDictCodec:
         xs, ys = encode_n(codec, (0, 1, 1), (2, 0, 3))
         assert not accepts_n(tied, xs, ys)
         assert decode_n(tied, xs, ys).rejected
-        assert decode_n(tied, iter(xs), iter(ys)).rejected   # table path
+        assert decode_n(tied, iter(xs), iter(ys)).rejected   # arithmetic
+        assert not accepts_n(tied, iter(xs), iter(ys))
         assert decode_n(codec, xs, ys).secret == (0, 1, 1)
-        # a tied pair is never decoded, so a decoder hole does not raise
-        holes = make_codec(hole_scheme(), U2, n=3, gamma=0.5,
-                           require_valid=False)
-        xs, ys = encode_n(holes, (0, 1, 1), (1, 0, 1))
-        with pytest.raises(RuntimeError):
-            decode_n(holes, xs, ys)
-        assert decode_n(dataclasses.replace(holes, gamma=0.0), xs, ys).rejected
+        assert decode_n(codec, iter(xs), iter(ys)).secret == (0, 1, 1)
 
     def test_bools_are_symbols(self):
         codec = make_codec(modular_scheme(2, 2), U2, n=3, gamma=0.25)
@@ -787,7 +863,9 @@ class TestDictCodec:
                         [bool(v) for v in ys]).secret == (1, 0, 1)
 
     def test_wide_share_alphabet_tables_hold_k_u_entries_at_most(self):
-        # the scheme of configs/symbolwise_wide_m.json: k=2, M=1024
+        # the scheme of configs/symbolwise_wide_m.json: k=2, M=1024.  No
+        # table is built at all: past M=16 every call is arithmetic, and
+        # the codec holds the k-entry laws only
         n = 64
         codec = make_codec(modular_scheme(1024, 2), SKEW, n=n,
                            gamma=GammaSchedule.power_law().gamma_at(n))
@@ -798,13 +876,13 @@ class TestDictCodec:
         assert decode_n(codec, xs, ys).secret == secret
         forged = ys[:5] + ((2 - xs[5]) % 1024,) + ys[6:]
         assert decode_n(codec, xs, forged).rejected
-        assert len(codec.tables.shares) == 2 * 1024
-        assert len(codec.tables.cells) == 2 * 1024
+        assert codec._bytes is None
+        assert max(map(len, codec.laws)) == 2
 
     def test_codec_calls_run_without_numpy(self, monkeypatch):
-        # honest and forged pairs alike: lookups only, no array round trip
+        # honest and forged pairs alike: no array round trip
         codec = make_codec(modular_scheme(5, 3), K3, n=6, gamma=0.5)
-        assert codec.tables
+        assert codec._bytes
         monkeypatch.setattr(symbol, "np", None)
         secret = (0, 1, 2, 0, 1, 0)
         xs, ys = encode_n(codec, secret, (4, 3, 2, 1, 0, 0))
@@ -902,22 +980,6 @@ class TestByteKernel:
         with pytest.raises(ValueError, match=r"^share symbol 7 outside \[0, 5\)$"):
             decode_n(codec, wide(xs[:5] + (7,)), wide(ys))
 
-    @pytest.mark.parametrize("k,packed", [(256, True), (257, False)])
-    def test_encode_cells_fit_a_byte_up_to_k_u_256(self, k, packed):
-        # |U| = 1: the secret's two hex digits are the shares, M = 16; at
-        # k = 257 symbol 256 shares the cell of symbol 0
-        scheme = BaseScheme(name=f"digits-{k}", secret_size=k, share_size=16,
-                            rand_size=1,
-                            encode_fn=lambda s, u: (s % 16, s // 16 % 16),
-                            decode_fn=lambda x, y: x + 16 * y)
-        codec = make_codec(scheme, PMF.uniform(k), n=4, gamma=0.5,
-                           require_valid=False)
-        assert bool(codec._bytes) is packed
-        table = share_laws(codec).score_table.tolist()
-        for secret in [(0, 255, 17, k - 1), (k - 1, 16, 15, 0)]:
-            for i in range(4):
-                calls_match_the_oracle(codec, table, secret, (0,) * 4, i)
-
     @pytest.mark.parametrize("m,packed", [(16, True), (17, False)])
     def test_decode_cells_fit_a_byte_up_to_m_16(self, m, packed):
         codec = make_codec(modular_scheme(m, 2), SKEW, n=8, gamma=0.3)
@@ -930,28 +992,26 @@ class TestByteKernel:
             calls_match_the_oracle(codec, table, secret, rand, i)
 
     def test_shares_outside_the_alphabet_alias_no_image_cell(self):
-        # symbol 2 has probability 0, so its shares (0, 4 + u) are in no
-        # image cell; read as x M + y, (0, 4) would be image cell (1, 0)
-        scheme = BaseScheme(
-            name="stray", secret_size=3, share_size=4, rand_size=4,
-            encode_fn=lambda s, u: (0, 4 + u) if s == 2 else fstar(4, s, u),
-            decode_fn=lambda x, y: gstar(4, 2, x, y))
-        codec = make_codec(scheme, PMF.from_probs([0.5, 0.5, 0.0]), n=3,
-                           gamma=0.5, require_valid=False)
+        # read as x M + y, the pair (0, 4) would be image cell (1, 0); and
+        # symbol 2 has probability 0, so its cells score -inf though the
+        # splitter still encodes it
+        codec = make_codec(modular_scheme(4, 3), PMF.from_probs([0.5, 0.5, 0.0]),
+                           n=3, gamma=0.5)
         assert codec._bytes
-        assert encode_n(codec, (2, 1, 0), (0, 0, 1)) == ((0, 1, 3), (4, 0, 1))
+        assert encode_n(codec, (2, 1, 0), (0, 0, 1)) == ((2, 1, 3), (0, 0, 1))
         for check in (decode_n, accepts_n):
             with pytest.raises(ValueError, match=r"^share symbol 4 outside \[0, 4\)$"):
                 check(codec, (0, 1, 3), (4, 0, 1))
         assert decode_n(codec, (1, 1, 3), (0, 0, 1)).secret == (1, 1, 0)
+        assert decode_n(codec, (2, 1, 3), (0, 0, 1)).rejected
         table = share_laws(codec).score_table.tolist()
         for i in range(3):
             calls_match_the_oracle(codec, table, (1, 1, 0), (0, 0, 1), i)
 
 
 class TestTablePath:
-    """The codecs the byte kernel does not pack: one pass of lookups in
-    `codec.tables`, then checks of the positions it missed."""
+    """The codecs the byte kernel does not pack, M > 16: every symbol
+    checked, then x = (s - u) mod M and s = (x + y) mod M."""
 
     CODECS = {
         "symbolwise_wide_m": lambda: shipped_codec(

@@ -411,6 +411,17 @@ class TestRankWalk:
             assert idx.xi_plus(wrap(seq)) == m
             assert is_typical(wrap(seq), idx.source, idx.gamma)
 
+    @pytest.mark.parametrize("rank,bad", [(3.5, "3.5"), ("a", "'a'"),
+                                          (None, "None"), ([3], r"\[3\]")])
+    def test_non_integral_rank_raises(self, rank, bad):
+        # unrank(3.0) used to raise a bare TypeError; a rank is read as a
+        # symbol is, so 3.0 and True are ranks and 3.5 is named
+        idx = build_index(PMF.from_probs(SKEW), 6, 0.5)
+        assert idx.unrank(3.0) == idx.unrank(np.int64(3)) == idx.unrank(3)
+        assert idx.unrank(True) == idx.unrank(1)
+        with pytest.raises(ValueError, match=f"^rank {bad} is not an integer$"):
+            idx.unrank(rank)
+
     def test_is_typical_of_non_integral_symbols_raises(self):
         # (0.5, 1.2, 0) used to read as the typical (0, 1, 0)
         with pytest.raises(ValueError, match="^symbol 0.5 is not an integer$"):
