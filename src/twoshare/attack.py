@@ -1,10 +1,10 @@
 """Impersonation attacks and information-theoretic bound checkers.
 
 The attacker hands the combiner a forged share and hopes the legitimate
-counterpart share makes the pair acceptable.  Success probability is linear
-in the forgery distribution, so an optimal attack sits on a point mass and
-exact search only needs to scan forged share values; ties resolve to the
-lexicographically smallest forgery.
+counterpart share makes the pair acceptable.  In both schemes each honest
+share is uniform and independent of the forgery, so every forged share,
+on either side, succeeds with one mass: that of an accepted independent
+pair, beta.  Ties resolve to the lexicographically smallest forgery.
 
 Bound checkers take exact or estimated test quantities as floats:
   alpha = P{legitimate pair rejected},  beta = P{independent pair accepted}.
@@ -35,25 +35,20 @@ def _check_side(side: str):
 # Blockwise attacks
 
 
-def blockwise_forgery_success(params: BlockwiseParams) -> float:
-    """M / ((M+1) L), the success of every forged share, and also beta:
-    an independent X is uniform like any forged share."""
-    # a forged share matches the uniform honest u_l with mass 1/L, and its
-    # masked component is rejected by exactly one of the M+1 honest masked
-    # values, each of which has mass 1/(M+1) whichever share is honest
-    return params.m_count / (params.m_count + 1) / params.l_count
-
-
 def blockwise_attack(params: BlockwiseParams, side: str = "x") -> AttackResult:
     """Exact optimal forgery against the blockwise acceptance test.
 
     Both components of either honest share are uniform (the masked X
     component is the rank shifted by a uniform mask), so every forged
-    share succeeds with the same mass M / ((M+1) L).  The tie resolves to
-    the lexicographically least forgery (0, 0).
+    share succeeds with the same mass M / ((M+1) L), which is also beta.
+    The tie resolves to the lexicographically least forgery (0, 0).
     """
     _check_side(side)
-    return AttackResult(success_prob=blockwise_forgery_success(params),
+    # a forged share matches the uniform honest u_l with mass 1/L, and its
+    # masked component is rejected by exactly one of the M+1 honest masked
+    # values, each of which has mass 1/(M+1) whichever share is honest
+    m = params.m_count
+    return AttackResult(success_prob=m / (m + 1) / params.l_count,
                         optimal_forgery=(0, 0), side=side)
 
 
@@ -68,30 +63,17 @@ def symbolwise_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:
     symbol once whichever symbol is forged, on either side, so every
     forged symbol puts the same mass on each lattice value
     (`laws.forged`) and every forged sequence succeeds with one interval
-    sum over n positions.  The tie resolves to the least forgery, all
-    zeros.  Raises LatticeCapError past `symbol.LATTICE_CAP` prefixes.
+    sum over n positions, which is also beta.  The tie resolves to the
+    least forgery, all zeros.  Raises LatticeCapError past
+    `symbol.LATTICE_CAP` prefixes.
     """
     _check_side(side)
     return AttackResult(success_prob=codec.lattice.mass(codec.laws.forged),
                         optimal_forgery=(0,) * codec.n, side=side)
 
 
-def optimal_attack(scheme, side: str = "x") -> AttackResult:
-    """The exact optimal attack on either scheme object."""
-    if isinstance(scheme, BlockwiseParams):
-        return blockwise_attack(scheme, side)
-    if isinstance(scheme, SymbolwiseCodec):
-        return symbolwise_attack(scheme, side)
-    raise TypeError(f"unsupported scheme object {type(scheme)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Test quantities and converse checkers
-
-
-def symbolwise_beta(codec: SymbolwiseCodec) -> float:
-    """Exact beta: the lattice mass of accepted independent pairs."""
-    return codec.lattice.mass(codec.laws.indep)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,10 @@ def _cmd_decode(args) -> int:
 
 def _cmd_attack(args) -> int:
     cfg, obj = _build_scheme(args)
-    res = atk.optimal_attack(obj, args.side)
+    if isinstance(obj, block.BlockwiseParams):
+        res = atk.blockwise_attack(obj, args.side)
+    else:
+        res = atk.symbolwise_attack(obj, args.side)
     out = {"side": res.side, "mode": cfg.mode,
            "success_prob": res.success_prob,
            "optimal_forgery": list(res.optimal_forgery)}

@@ -13,7 +13,8 @@ verdict (holds / violated / not_applicable) to each of five bound checks:
   sandwich  per-symbol I(X;Y) inside the blockwise window, or equal to
             log2(M) - H(S) for the symbolwise scheme
 
-Exact mode computes error and attack probabilities exhaustively.  Monte
+Exact mode computes error and attack probabilities in closed form or as
+exact sums over type classes or score-lattice count vectors.  Monte
 Carlo mode puts estimates of p_e, p_x and p_y in their place, each
 Binomial(trials, its exact value) / trials: sampling noise on the exact
 value, not independent evidence for it; alpha and beta stay exact.
@@ -159,6 +160,9 @@ class ExperimentConfig:
         if self.scheme_kind == "symbolwise" and (
                 self.share_size is None or self.share_size < len(self.source)):
             raise ConfigError("symbolwise 'm' must cover the secret alphabet")
+        if self.scheme_kind == "symbolwise" and (
+                self.share_size > symbol.MAX_SHARE_SIZE):
+            raise ConfigError("symbolwise 'm' must be at most 2**1022")
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -284,9 +288,9 @@ def _builder(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class _Exact:
-    """One scheme's exact evaluation: record fields in record units (alpha
-    and beta among them) and the inputs of the bound checks, informations
-    in bits over the whole block."""
+    """One scheme's exact evaluation: record fields in record units (alpha,
+    beta, p_x and p_y among them) and the inputs of the bound checks,
+    informations in bits over the whole block."""
 
     fields: dict
     direct_cap: float     # success every attack must stay under
@@ -296,9 +300,16 @@ class _Exact:
     sandwich_ok: bool
 
 
+# In both schemes each honest share is uniform and independent of a forged
+# one, so a forgery on either side succeeds exactly as often as an
+# independent pair is accepted: each step takes the one attack mass as
+# p_x, p_y and beta.
+
+
 def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
     n, gamma, ell = params.n, params.index.gamma, params.ell
     q = block.exact_quantities(params)
+    beta = atk.blockwise_attack(params).success_prob
     h_s = q.h_s
     # rate window around H(S) + ell, with the floor/sentinel slack 1/n;
     # the typical-set cardinality floor M >= (1 - delta) 2**(n (H(S) -
@@ -312,9 +323,8 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
         # both shares and the randomness take L (M+1) values; a rejection
         # is an atypical secret, and a single share is independent of it
         fields=dict(rate_x=q.rate_x, rate_y=q.rate_x, rate_u=q.rate_x,
-                    p_e=q.delta, i_sx=0.0, i_sy=0.0,
-                    i_xy_per_symbol=q.i_xy / n, alpha=q.delta,
-                    beta=atk.blockwise_forgery_success(params)),
+                    p_e=q.delta, p_x=beta, p_y=beta, i_sx=0.0, i_sy=0.0,
+                    i_xy_per_symbol=q.i_xy / n, alpha=q.delta, beta=beta),
         direct_cap=1.0 / params.l_count, i_xy=q.i_xy,
         h_s_given_xy=q.h_s_given_xy, rate_ok=rate_ok,
         sandwich_ok=(q.sandwich_lo - BOUND_TOL <= q.i_xy / n
@@ -324,22 +334,25 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
 def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
     n, gamma = codec.n, codec.gamma
     p_e = symbol.rejection_probability(codec)
+    beta = atk.symbolwise_attack(codec).success_prob
     # bits per symbol of each share and of the modular splitter's randomness
     rate = math.log2(codec.scheme.share_size)
-    # log2(M) - H(S) of the modular splitter, from the codec's H(S)
-    ell = rate - codec.h_s
+    # log2(M) - H(S) of the modular splitter
+    h_s = codec.source.entropy
+    ell = rate - h_s
     # rate = H(S) + I(X;Y) and I(X;Y) = ell are one equation: the rate
     # against the correlation level the codec measures
-    measured = abs(rate - (codec.h_s + codec.i_xy)) <= BOUND_TOL
+    measured = abs(rate - (h_s + codec.i_xy)) <= BOUND_TOL
     return _Exact(
-        # alpha is the legitimate rejection mass p_e: computed once
+        # alpha is the legitimate rejection mass p_e: computed once; a
+        # share alone is uniform and the pair fixes the secret, so
+        # I(S;X) = I(S;Y) = H(S|XY) = 0
         fields=dict(rate_x=rate, rate_y=rate, rate_u=rate, p_e=p_e,
-                    i_sx=n * codec.i_sx, i_sy=n * codec.i_sy,
-                    i_xy_per_symbol=codec.i_xy, alpha=p_e,
-                    beta=atk.symbolwise_beta(codec)),
+                    p_x=beta, p_y=beta, i_sx=0.0, i_sy=0.0,
+                    i_xy_per_symbol=codec.i_xy, alpha=p_e, beta=beta),
         # success at most 2**(-n (ell - gamma)); past 1 it bounds nothing
         direct_cap=2.0 ** min(-n * (ell - gamma), 0.0),
-        i_xy=n * codec.i_xy, h_s_given_xy=n * codec.h_s_given_xy,
+        i_xy=n * codec.i_xy, h_s_given_xy=0.0,
         rate_ok=measured, sandwich_ok=measured)
 
 
@@ -349,15 +362,12 @@ _STEPS = {"blockwise": _blockwise_exact, "symbolwise": _symbolwise_exact}
 
 def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
             rng: RandomStream, rec_idx: int) -> RunRecord:
-    """One blocklength: exact fields, both optimal attacks, in "mc" mode
-    the estimates of p_e, p_x and p_y in their place, then the verdicts.
-    A typed skip anywhere leaves only n, gamma_n and the reason."""
+    """One blocklength: exact fields, in "mc" mode the estimates of p_e,
+    p_x and p_y in their place, then the verdicts.  A typed skip anywhere
+    leaves only n, gamma_n and the reason."""
     try:
-        scheme = build(n)
-        ev = _STEPS[cfg.scheme_kind](scheme)
+        ev = _STEPS[cfg.scheme_kind](build(n))
         rec = RunRecord(n=n, gamma_n=gamma, **ev.fields)
-        rec.p_x = atk.optimal_attack(scheme, "x").success_prob
-        rec.p_y = atk.optimal_attack(scheme, "y").success_prob
         if cfg.mode == "mc":
             # each estimate draws on the exact mass the record holds
             base = rng.substream(rec_idx)

@@ -61,6 +61,13 @@ def gstar(share_size: int, secret_size: int, x: int, y: int) -> int | None:
     return v if v < secret_size else None
 
 
+# the largest M: past it M p(s) can overflow a float, and a forged mass
+# count / M falls below the normal floats
+MAX_SHARE_SIZE = 1 << 1022
+# the most support points (s, u) that `validate_base` walks
+VALIDATION_CAP = 1 << 20
+
+
 @dataclass(frozen=True)
 class ModularScheme(BaseScheme):
     """`fstar` and `gstar` over M = `share_size` symbols with |U| = M: the
@@ -78,6 +85,9 @@ class ModularScheme(BaseScheme):
         m, k = self.share_size, self.secret_size
         if m < k:
             raise ValueError("share alphabet must cover the secret alphabet")
+        if m > MAX_SHARE_SIZE:
+            raise ValueError(f"share alphabet M of {m.bit_length()} bits "
+                             "exceeds 2**1022: M p(s) could overflow a float")
         for key, value in (("name", f"modular(M={m},S={k})"), ("rand_size", m),
                            ("encode_fn", functools.partial(fstar, m)),
                            ("decode_fn", functools.partial(gstar, m, k))):
@@ -123,7 +133,6 @@ class ImageLaw(NamedTuple):
     cells of positive mass: at most k |U| of them."""
 
     total: int
-    s: dict     # s -> its mass |U| weight_s
     sxy: dict   # (s, x, y) -> mass
     xy: dict    # (x, y) -> mass
     sx: dict
@@ -134,11 +143,16 @@ class ImageLaw(NamedTuple):
 
 def _image_law(scheme: BaseScheme, source: PMF) -> ImageLaw:
     """The splitter on every support point (s, u), p(s) > 0, one call of
-    `encode_fn` each, and the exact law of the cells (s, x, y) it gives."""
+    `encode_fn` each, and the exact law of the cells (s, x, y) it gives.
+    Raises CapExceededError past VALIDATION_CAP support points, before the
+    first call."""
     if source.support_size != scheme.secret_size:
         raise ValueError("source alphabet does not match the scheme")
     weight = over_one_denominator(source.probs.tolist())
     m, r = scheme.share_size, scheme.rand_size
+    if (points := sum(map(bool, weight)) * r) > VALIDATION_CAP:
+        raise CapExceededError(f"{points} support points exceed the "
+                               f"validation cap {VALIDATION_CAP}; lower m")
     sxy = collections.defaultdict(int)
     for s, w in enumerate(weight):
         for u in range(r) if w else ():
@@ -158,8 +172,7 @@ def _image_law(scheme: BaseScheme, source: PMF) -> ImageLaw:
         sy[s, y] += c
         xs[x] += c
         ys[y] += c
-    return ImageLaw(sum(weight) * r, {s: w * r for s, w in enumerate(weight)},
-                    sxy, xy, sx, sy, xs, ys)
+    return ImageLaw(sum(weight) * r, sxy, xy, sx, sy, xs, ys)
 
 
 class _Logs(dict):
@@ -181,30 +194,22 @@ def _bits(z: int, logs: _Logs, cells) -> float:
     return math.fsum(c / z * v for v, c in groups.items())
 
 
-def _information(source: PMF, law: ImageLaw,
-                 logs: _Logs) -> tuple[float, ...]:
-    """H(S), H(S|X), H(S|Y), H(S|XY), I(X;Y), I(S;X) and I(S;Y) of a
-    splitter's law, each from its cells grouped by their exact ratio."""
-    z, p_s, p_x, p_y, p_xy = law.total, law.s, law.x, law.y, law.xy
-    return (
-        source.entropy,
-        _bits(z, logs, ((c, p_x[a], c) for (_, a), c in law.sx.items())),
-        _bits(z, logs, ((c, p_y[b], c) for (_, b), c in law.sy.items())),
-        _bits(z, logs, ((c, p_xy[a, b], c)
-                        for (_, a, b), c in law.sxy.items())),
-        max(_bits(z, logs, ((c, c * z, p_x[a] * p_y[b])
-                            for (a, b), c in p_xy.items())), 0.0),
-        max(_bits(z, logs, ((c, c * z, p_s[t] * p_x[a])
-                            for (t, a), c in law.sx.items())), 0.0),
-        max(_bits(z, logs, ((c, c * z, p_s[t] * p_y[b])
-                            for (t, b), c in law.sy.items())), 0.0))
-
-
-def _report(scheme: BaseScheme, information: tuple[float, ...],
-            law: ImageLaw) -> ValidationReport:
-    """`validate_base` on the `_information` of the splitter's law; the
-    decoder is checked on each cell (s, x, y) of its image."""
-    h_s, h_s_x, h_s_y, h_s_xy, ell = information[:5]
+def validate_base(scheme: BaseScheme, source: PMF) -> ValidationReport:
+    """Exact check of per-symbol secrecy, decodability, and sizes.  H(S|X),
+    H(S|Y), H(S|XY) and I(X;Y) come from the splitter's exact law
+    (`_image_law`), its cells grouped by their exact ratio.  The decoder is
+    checked where the splitter can send the secret: on each cell (s, x, y)
+    of its image.  Raises CapExceededError past VALIDATION_CAP support
+    points."""
+    law, logs = _image_law(scheme, source), _Logs()
+    z, p_x, p_y, p_xy = law.total, law.x, law.y, law.xy
+    h_s = source.entropy
+    h_s_x = _bits(z, logs, ((c, p_x[a], c) for (_, a), c in law.sx.items()))
+    h_s_y = _bits(z, logs, ((c, p_y[b], c) for (_, b), c in law.sy.items()))
+    h_s_xy = _bits(z, logs, ((c, p_xy[a, b], c)
+                             for (_, a, b), c in law.sxy.items()))
+    ell = max(_bits(z, logs, ((c, c * z, p_x[a] * p_y[b])
+                              for (a, b), c in p_xy.items())), 0.0)
     sizes_ok = min(scheme.share_size, scheme.rand_size) >= scheme.secret_size
     decoder_ok = all(scheme.decode_fn(x, y) == s for s, x, y in law.sxy)
     failures = []
@@ -224,41 +229,30 @@ def _report(scheme: BaseScheme, information: tuple[float, ...],
         failures=tuple(failures))
 
 
-def validate_base(scheme: BaseScheme, source: PMF) -> ValidationReport:
-    """Exact check of per-symbol secrecy, decodability, and sizes.  The
-    decoder is checked where the splitter can send the secret: on the
-    support points."""
-    law = _image_law(scheme, source)
-    return _report(scheme, _information(source, law, _Logs()), law)
-
-
 class LatticeLaws(NamedTuple):
     """Mass on each of `values`, the distinct finite scores ascending, of a
-    legitimate pair (`legit`), an independent one (`indep`) and the honest
-    share against a forged symbol (`forged`: the same row for every symbol
-    on either side); a row's mass short of 1 is on -inf.  `column[s]` is
-    the index in `values` of secret symbol s's score, None where p(s) = 0.
+    legitimate pair (`legit`) and of the honest share against a forged
+    symbol (`forged`: the same row for every symbol on either side, and
+    the law of an independent pair, whose shares are uniform like any
+    forgery); a row's mass short of 1 is on -inf.  `column[s]` is the
+    index in `values` of secret symbol s's score, None where p(s) = 0.
     Each mass is summed exactly and rounded once."""
 
     values: tuple[float, ...]
     legit: tuple[float, ...]
-    indep: tuple[float, ...]
     forged: tuple[float, ...]
     column: tuple[int | None, ...]
 
 
-def modular_laws(source: PMF,
-                 share_size: int) -> tuple[LatticeLaws, tuple[float, ...]]:
-    """The `LatticeLaws` and the `_information` of `modular_scheme(M, k)`
-    over `source`, from closed forms in O(k), each float as the splitter's
+def modular_laws(source: PMF, share_size: int) -> tuple[LatticeLaws, float]:
+    """The `LatticeLaws` and I(X;Y) of `modular_scheme(M, k)` over
+    `source`, from closed forms in O(k), each float as the splitter's
     exact law (`validate_base`) gives it.  With weight_s and total z = W M
     as in `ImageLaw`, W the sum of the weights, each cell (x, y) of
     s = (x + y) mod M < k, p(s) > 0, carries weight_s, and each share
     symbol W: the cell scores log2(weight_s W M / W^2), the M cells of s
-    hold legitimate mass M weight_s and independent mass M W^2, and a
-    forged symbol of either side meets each s once against honest mass W.
-    A share alone is uniform and the pair fixes s, so H(S|X) = H(S|Y) and
-    H(S|XY) = I(S;X) = I(S;Y) = 0 exactly."""
+    hold legitimate mass M weight_s, and a forged symbol of either side
+    meets each s once against honest mass W."""
     weight = over_one_denominator(source.probs.tolist())
     m, w_all = share_size, sum(weight)
     z, logs = w_all * m, _Logs()
@@ -270,26 +264,21 @@ def modular_laws(source: PMF,
         if j is not None:
             legit[j] += m * w
             count[j] += 1
-    laws = LatticeLaws(
-        values, tuple(c / z for c in legit),
-        tuple(c * m * w_all * w_all / (z * z) for c in count),
-        tuple(c * w_all / z for c in count), column)
-    h_s_x = _bits(z, logs, ((m * w, w_all, w) for w in weight if w))
-    i_xy = max(math.fsum(map(operator.mul, laws.legit, values)), 0.0)
-    return laws, (source.entropy, h_s_x, h_s_x, 0.0, i_xy, 0.0, 0.0)
+    laws = LatticeLaws(values, tuple(c / z for c in legit),
+                       tuple(c * w_all / z for c in count), column)
+    return laws, max(math.fsum(map(operator.mul, laws.legit, values)), 0.0)
 
 
 @dataclass(frozen=True)
 class SymbolwiseCodec:
     """The modular splitter repeated over n-blocks.
 
-    Carries the `laws` of the acceptance test and the entropies and
-    informations of the splitter, each from the closed forms of
-    `modular_laws`, none of size M.  None of these depends on n or gamma,
-    so `dataclasses.replace(codec, n=..., gamma=...)` gives the codec of
-    another blocklength.  `threshold` is the per-symbol acceptance cutoff
-    I(X;Y) - gamma; a pair is accepted when its mean score strictly
-    exceeds it, decided exactly on `lattice`.
+    Carries the `laws` of the acceptance test and I(X;Y), both from the
+    closed forms of `modular_laws`, none of size M.  Neither depends on n
+    or gamma, so `dataclasses.replace(codec, n=..., gamma=...)` gives the
+    codec of another blocklength.  `threshold` is the per-symbol
+    acceptance cutoff I(X;Y) - gamma; a pair is accepted when its mean
+    score strictly exceeds it, decided exactly on `lattice`.
     """
 
     scheme: ModularScheme
@@ -298,12 +287,6 @@ class SymbolwiseCodec:
     gamma: float
     laws: LatticeLaws = field(repr=False)
     i_xy: float
-    h_s: float = field(repr=False)
-    h_s_given_x: float = field(repr=False)
-    h_s_given_y: float = field(repr=False)
-    h_s_given_xy: float = field(repr=False)
-    i_sx: float = field(repr=False)
-    i_sy: float = field(repr=False)
     lattice: "ScoreLattice" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -352,12 +335,9 @@ def make_codec(scheme: ModularScheme, source: PMF, n: int,
                          "only; check another splitter with validate_base")
     if source.support_size != scheme.secret_size:
         raise ValueError("source alphabet does not match the scheme")
-    laws, information = modular_laws(source, scheme.share_size)
-    h_s, h_s_x, h_s_y, h_s_xy, i_xy, i_sx, i_sy = information
+    laws, i_xy = modular_laws(source, scheme.share_size)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
-                           laws=laws, i_xy=i_xy, h_s=h_s, h_s_given_x=h_s_x,
-                           h_s_given_y=h_s_y, h_s_given_xy=h_s_xy,
-                           i_sx=i_sx, i_sy=i_sy)
+                           laws=laws, i_xy=i_xy)
 
 
 def _sequences(a, b, n: int, what: str):
@@ -609,12 +589,6 @@ class ScoreLattice:
                                 range(len(self.values)))
         return heads, r, cut
 
-    @functools.cached_property
-    def _sums(self) -> dict:
-        """`mass` results by (masses, accepted); it lives and dies with the
-        lattice, one per codec of a blocklength."""
-        return {}
-
     def mass(self, masses, accepted: bool = True) -> float:
         """Accepted (or rejected) mass of the count vectors of n i.i.d.
         scores with per-value `masses`, each positive (ValueError
@@ -626,17 +600,9 @@ class ScoreLattice:
         rows are built in log2, in blocks (`_row_tails`), each scaled by
         its largest term and summed from the side asked for, so a tiny
         tail is never 1 minus the rest.  Every sum shares the lattice's
-        cut table (`_walk`), and each distinct sum is taken once per
-        lattice: both attacks and beta ask for the same one.  Raises
-        LatticeCapError past LATTICE_CAP prefixes.
+        cut table (`_walk`).  Raises LatticeCapError past LATTICE_CAP
+        prefixes.
         """
-        key = (tuple(masses), accepted)
-        sums = self._sums
-        if key not in sums:
-            sums[key] = self._mass(*key)
-        return sums[key]
-
-    def _mass(self, masses: tuple[float, ...], accepted: bool) -> float:
         n = self.n
         if min(masses) <= 0.0:
             raise ValueError("every lattice value needs a positive mass")

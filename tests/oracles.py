@@ -23,7 +23,6 @@ import numpy as np
 
 from twoshare import typical
 from twoshare._comb import compositions, multinomial
-from twoshare.attack import symbolwise_beta
 from twoshare.prob import (CapExceededError, PMF, RandomStream,
                            _entropy_bits, _validate_probs, entropy)
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
@@ -392,10 +391,23 @@ def test_quantities(joint_xy: JointPMF, accept_fn: Callable[[int, int], bool]) -
     return AlphaBeta(alpha=alpha, beta=beta)
 
 
+def independent_law(codec: SymbolwiseCodec) -> tuple[float, ...]:
+    """Per finite score of the dense share laws, ascending, the exact mass
+    P(X) P(Y) of an independent pair on its cells, rounded once: the law
+    beta sums, read off the splitter's cells rather than the codec's."""
+    dense = share_laws(codec)
+    out: dict[float, Fraction] = {}
+    for (a, b), v in np.ndenumerate(dense.score_table):
+        if v != -math.inf:
+            out[v] = out.get(v, 0) + dense.exact_x[a] * dense.exact_y[b]
+    return tuple(float(out[v]) for v in sorted(out))
+
+
 def symbolwise_test_quantities(codec: SymbolwiseCodec) -> AlphaBeta:
-    """Exact alpha and beta on the score lattice."""
+    """Exact alpha and beta on the score lattice: alpha the library's
+    rejection mass, beta the lattice sum of `independent_law`."""
     return AlphaBeta(alpha=rejection_probability(codec),
-                     beta=symbolwise_beta(codec))
+                     beta=codec.lattice.mass(independent_law(codec)))
 
 
 def gamma_for_threshold(i_xy: float, target: float) -> float:

@@ -327,32 +327,21 @@ def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
     """The codec's `LatticeLaws`, rebuilt cell by cell from the dense share
     laws: per value, the exact rational mass of its cells, rounded once.
     Every forged row of either side is masked against its honest marginal
-    on its own (AssertionError unless all 2 M agree), the independent law
-    sums the dense outer product, and each secret symbol's column is the
-    value of a cell the splitter sends it to."""
+    on its own (AssertionError unless all 2 M agree), and each secret
+    symbol's column is the value of a cell the splitter sends it to."""
     dense = share_laws(codec)
-    table, m = dense.score_table.tolist(), codec.scheme.share_size
-    finite = [(a, b) for a in range(m) for b in range(m)
-              if table[a][b] != -math.inf]
-    values = tuple(sorted({table[a][b] for a, b in finite}))
-
-    def masses(cells):   # (score, exact mass) -> per-value floats
-        out = dict.fromkeys(values, Fraction(0))
-        for v, q in cells:
-            out[v] += q
-        return tuple(map(float, out.values()))
-
+    table = dense.score_table.tolist()
+    values = tuple(sorted({v for row in table for v in row if v != -math.inf}))
+    legit = dict.fromkeys(values, Fraction(0))
+    for (a, b), q in dense.exact_xy.items():
+        legit[table[a][b]] += q
     (forged,) = set(forged_laws(codec, "x") + forged_laws(codec, "y"))
     scheme = codec.scheme
     column = tuple(values.index(table[x][y]) if p > 0.0 else None
                    for s, p in enumerate(codec.source.probs.tolist())
                    for x, y in [scheme.encode_fn(s, 0)])
-    return LatticeLaws(
-        values,
-        masses((table[a][b], q) for (a, b), q in dense.exact_xy.items()),
-        masses((table[a][b], dense.exact_x[a] * dense.exact_y[b])
-               for a, b in finite),
-        forged, column)
+    return LatticeLaws(values, tuple(map(float, legit.values())), forged,
+                       column)
 
 
 def count_vector_attack(codec: SymbolwiseCodec, side: str = "x") -> AttackResult:

@@ -14,9 +14,8 @@ from oracles import (attack_bruteforce, iid_extension, share_laws,
                      symbolwise_test_quantities)
 from oracles import test_quantities as dense_test_quantities
 from twoshare import cli, symbol
-from twoshare.attack import (blockwise_attack, blockwise_forgery_success,
-                             converse_exponent_check, fano_check,
-                             logsum_bound_check, optimal_attack,
+from twoshare.attack import (blockwise_attack, converse_exponent_check,
+                             fano_check, logsum_bound_check,
                              symbolwise_attack)
 from twoshare.block import (BlockRandomness, BlockwiseParams, accepts, encode,
                             exact_quantities)
@@ -238,11 +237,12 @@ class TestMonteCarloAttack:
     def test_rejects_bad_arguments(self):
         params = small_params()
         with pytest.raises(ValueError):
-            _estimate(0, RandomStream(1), blockwise_forgery_success(params))
+            _estimate(0, RandomStream(1), blockwise_attack(params).success_prob)
         with pytest.raises(ValueError):
-            optimal_attack(params, "q")
-        with pytest.raises(TypeError):
-            optimal_attack(object(), "x")
+            blockwise_attack(params, "q")
+        with pytest.raises(ValueError):
+            symbolwise_attack(make_codec(modular_scheme(3, 2), SKEW, n=4,
+                                         gamma=0.5), "q")
 
 
 class TestExponents:
@@ -287,8 +287,10 @@ class TestDenseQuantities:
             lambda f, h: accepts(params, flat_to_share(params, f),
                                  flat_to_share(params, h)))
         assert params.index.delta == pytest.approx(dense.alpha, abs=1e-12)
-        assert blockwise_forgery_success(params) == pytest.approx(
-            dense.beta, abs=1e-12)
+        # every forgery, on either side, succeeds with the dense beta
+        for side in "xy":
+            assert blockwise_attack(params, side).success_prob == \
+                pytest.approx(dense.beta, abs=1e-12)
 
     def test_blockwise_alpha_is_the_error_probability(self):
         # the record reads delta for both; the dense grid's error agrees
@@ -312,13 +314,16 @@ class TestDenseQuantities:
         assert tq.alpha == pytest.approx(dense.alpha, abs=1e-12)
         assert tq.beta == pytest.approx(dense.beta, abs=1e-12)
 
-    def test_symbolwise_beta_below_best_forgery(self):
-        # beta mixes over forged values drawn from the share marginal, so it
-        # can never exceed the best point forgery
+    def test_symbolwise_beta_equals_best_forgery(self):
+        # beta sums the dense independent-pair law, the attack the codec's
+        # forged row: the rows are equal floats, so the sums are too, and
+        # both are the count of accepted recombined sequences over M**n
         codec = make_codec(modular_scheme(3, 2), SKEW, n=5, gamma=0.5)
         tq = symbolwise_test_quantities(codec)
-        best = symbolwise_attack(codec, "x").success_prob
-        assert tq.beta <= best + 1e-12
+        for side in "xy":
+            assert symbolwise_attack(codec, side).success_prob == tq.beta
+        assert tq.beta == pytest.approx(modular_attack_success(codec),
+                                        abs=1e-12)
 
 
 class TestBoundCheckers:
@@ -373,10 +378,11 @@ class TestBoundCheckers:
     def test_checkers_hold_on_real_scheme(self):
         params = small_params(n=8, ell=1.0)
         q = exact_quantities(params)
-        alpha, beta = params.index.delta, blockwise_forgery_success(params)
+        alpha = params.index.delta
+        beta = blockwise_oracle.blockwise_test_quantities(params).beta
         px = blockwise_attack(params, "x").success_prob
         py = blockwise_attack(params, "y").success_prob
-        assert beta <= min(px, py) + 1e-12
+        assert px == py == pytest.approx(beta, abs=1e-12)
         assert logsum_bound_check(q.i_xy, alpha, beta).holds
         assert fano_check(q.delta, q.h_s_given_xy, params.n, 2).holds
         assert converse_exponent_check(q.i_xy, alpha, px, py,

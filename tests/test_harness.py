@@ -197,6 +197,23 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         assert str(err.value) == message
 
+    def test_share_alphabet_stops_at_two_to_the_1022(self):
+        # at the bound a record evaluates, in both modes, with one forgery
+        # mass; one past it is refused by name
+        for mode in ("exact", "mc"):
+            cfg = ExperimentConfig.from_dict(base_dict(
+                scheme={"kind": "symbolwise", "m": 1 << 1022}, n_values=[1, 4],
+                mode=mode, trials=1000))
+            one, four = run_experiment(cfg).records
+            assert one.skipped is None and four.skipped is None
+            assert one.beta == 2.0 ** -1021 and four.beta == 0.0
+            assert all(v == HOLDS for r in (one, four)
+                       for v in r.verdicts.values())
+        with pytest.raises(ConfigError,
+                           match=r"^symbolwise 'm' must be at most 2\*\*1022$"):
+            ExperimentConfig.from_dict(base_dict(
+                scheme={"kind": "symbolwise", "m": (1 << 1022) + 1}))
+
     def test_seed_is_one_64_bit_key_word(self):
         # -1 used to run as seed 2**64 - 1; the top word itself is a seed
         top = (1 << 64) - 1
@@ -809,6 +826,28 @@ class TestCli:
              "--variant", "identity-leak"], capsys)
         assert code == 1 and out == ""
         assert "--variant" in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["experiment", "--config", "@m"], "at most 2**1022"),
+        (["attack", "--scheme", "symbolwise", "--source", "0.7,0.3",
+          "--n", "4", "--m", str(1 << 1100)], "at most 2**1022"),
+        (["validate-scheme", "--source", "0.7,0.3", "--m", str(1 << 1100)],
+         "exceeds 2**1022"),
+        (["validate-scheme", "--source", "0.7,0.3", "--m", str(1 << 32)],
+         "8589934592 support points exceed the validation cap 1048576"),
+    ])
+    def test_share_alphabets_past_a_bound_print_one_error_line(
+            self, argv, named, tmp_path, capsys):
+        # M = 2**1100 once ended in an OverflowError traceback, and
+        # validate-scheme at M = 2**32 walked 2**33 support points
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(base_dict(
+            scheme={"kind": "symbolwise", "m": 1 << 1100})))
+        argv = [str(path) if a == "@m" else a for a in argv]
+        code, out, err = self.run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_experiment_csv_stdout(self, config_path, capsys):
         code, out, _ = self.run(["experiment", "--config", config_path],

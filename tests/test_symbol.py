@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from twoshare import attack, harness, symbol
 from oracles import (JointPMF, gamma_for_threshold, mutual_information,
                      scheme_joint, share_laws, splitter_profile)
-from twoshare.prob import PMF, RandomStream, _estimate, entropy
+from twoshare.prob import (CapExceededError, PMF, RandomStream, _estimate,
+                           entropy)
 from twoshare.typical import GammaSchedule
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, BaseScheme,
@@ -184,8 +185,39 @@ class TestValidateBase:
         report = validate_base(leaky, U2)
         assert report.failures == (FAIL_SECRECY_Y,)
 
+    @pytest.mark.parametrize("scheme,source,points", [
+        (modular_scheme(1 << 32, 2), SKEW, 1 << 33),
+        # only symbols of positive probability are split
+        (modular_scheme((1 << 20) + 1, 2), PMF.from_probs([1.0, 0.0]),
+         (1 << 20) + 1)])
+    def test_support_points_past_the_cap_raise_before_any_call(
+            self, scheme, source, points):
+        def never(*args):
+            raise AssertionError("splitter called past the cap")
+        scheme = BaseScheme(scheme.name, scheme.secret_size,
+                            scheme.share_size, scheme.rand_size, never, never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=(
+                    f"^{points} support points exceed the validation cap "
+                    f"{symbol.VALIDATION_CAP}; lower m$")):
+                validate_base(scheme, source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
 
 class TestCodecConstruction:
+    def test_share_alphabet_stops_at_two_to_the_1022(self):
+        # M p(s) stays a float, and each forged mass count / M a normal one
+        codec = make_codec(modular_scheme(1 << 1022, 2),
+                           PMF.from_probs([1.0, 0.0]), n=1, gamma=0.5)
+        assert codec.laws.forged == (2.0 ** -1022,)
+        assert attack.symbolwise_attack(codec).success_prob == 2.0 ** -1022
+        with pytest.raises(ValueError, match=r"1023 bits exceeds 2\*\*1022"):
+            modular_scheme((1 << 1022) + 1, 2)
+
     def test_rejects_broken_scheme(self):
         with pytest.raises(ValueError, match=NOT_MODULAR):
             make_codec(identity_leak_scheme(4, 2), U2, n=4, gamma=0.5)
@@ -205,7 +237,8 @@ class TestCodecConstruction:
         (nondecodable_scheme, False)])
     def test_codec_holds_the_validation_entropies(self, splitter, builds):
         # the closed form and the splitter's exact law read the same
-        # floats; a splitter that fails validation gets no codec at all
+        # I(X;Y), and the law puts H(S|XY) at the 0.0 a record writes; a
+        # splitter that fails validation gets no codec at all
         scheme = splitter(5, 3)
         source = PMF.from_probs([0.5, 0.3, 0.2])
         report = validate_base(scheme, source)
@@ -215,11 +248,8 @@ class TestCodecConstruction:
                 make_codec(scheme, source, n=4, gamma=0.5)
             return
         codec = make_codec(scheme, source, n=4, gamma=0.5)
-        assert (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
-                codec.h_s_given_xy, codec.i_xy) == (
-            report.h_s, report.h_s_given_x, report.h_s_given_y,
-            report.h_s_given_xy, report.ell)
-        assert codec.h_s == entropy(source)
+        assert (codec.i_xy, report.h_s_given_xy) == (report.ell, 0.0)
+        assert report.h_s == entropy(source)
         # I(X;Y) is the mean score of a legitimate pair, over the same
         # grouped cells
         assert codec.i_xy == math.fsum(
@@ -323,11 +353,11 @@ class TestDenseParity:
                 make_codec(scheme, source, n=4, gamma=0.5)
             return
         codec = make_codec(scheme, source, n=4, gamma=0.5)
-        got = (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
-               codec.h_s_given_xy, codec.i_xy, codec.i_sx, codec.i_sy)
-        want = (dense.h_s, dense.h_s_given_x, dense.h_s_given_y,
-                dense.h_s_given_xy, dense.i_xy, dense.i_sx, dense.i_sy)
-        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert codec.i_xy == pytest.approx(dense.i_xy, rel=0.0, abs=1e-12)
+        # the constants a record writes: a share alone tells nothing of
+        # the secret, and the pair all of it
+        assert (dense.i_sx, dense.i_sy, dense.h_s_given_xy) == pytest.approx(
+            (0.0,) * 3, rel=0.0, abs=1e-12)
         joint, laws = scheme_joint(scheme, source), share_laws(codec)
         for law, axes in ((laws.p_xy, (2, 3)), (laws.p_x, (2,)),
                           (laws.p_y, (3,))):
@@ -357,15 +387,11 @@ class TestClosedForm:
             assert codec.laws == reference_laws(codec), m
             report = validate_base(scheme, source)
             assert report.passed
-            assert (codec.h_s, codec.h_s_given_x, codec.h_s_given_y,
-                    codec.h_s_given_xy, codec.i_xy) == (
-                report.h_s, report.h_s_given_x, report.h_s_given_y,
-                report.h_s_given_xy, report.ell)
-            assert (codec.h_s_given_xy, codec.i_sx, codec.i_sy) == (0.0,) * 3
+            assert (codec.i_xy, report.h_s_given_xy) == (report.ell, 0.0)
             dense = splitter_profile(scheme, source) if m <= 17 else None
             if dense:
-                assert (codec.i_xy, codec.i_sx, codec.i_sy) == pytest.approx(
-                    (dense.i_xy, dense.i_sx, dense.i_sy), rel=0.0, abs=1e-12)
+                assert (codec.i_xy, dense.i_sx, dense.i_sy) == pytest.approx(
+                    (dense.i_xy, 0.0, 0.0), rel=0.0, abs=1e-12)
             table = share_laws(codec).score_table
             assert all(score_of(codec, x, y) == table[x, y]
                        for x in range(m) for y in range(m))
@@ -395,7 +421,7 @@ class TestClosedForm:
                             gstar(m, 3, x, y) for x, y in zip(want[0], ys))
 
     def test_a_2_to_the_32_alphabet_builds_in_memory_free_of_m(self):
-        # the codec and a record's four sums hold nothing of size M: the
+        # the codec and a record's sums hold nothing of size M: the
         # tracemalloc peak at M = 2^32 is that of M = 2^4
         def peak(m):
             tracemalloc.start()
@@ -404,7 +430,7 @@ class TestClosedForm:
                                    gamma=0.25)
                 rejection_probability(codec)
                 attack.symbolwise_attack(codec, "x")
-                attack.symbolwise_beta(codec)
+                attack.symbolwise_attack(codec, "y")
                 return codec, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1084,18 +1110,22 @@ class TestExactQuantities:
         assert rejection_probability(codec) == 0.0
 
     def test_secrecy_and_correlation_fields(self):
+        # the codec's I(X;Y), and the dense joint behind the constants a
+        # record writes for I(S;X), I(S;Y) and H(S|XY)
         codec = make_codec(modular_scheme(4, 2), U2, n=4, gamma=0.5)
         assert codec.i_xy == pytest.approx(1.0, abs=1e-9)
-        assert codec.i_sx == pytest.approx(0.0, abs=1e-9)
-        assert codec.i_sy == pytest.approx(0.0, abs=1e-9)
-        assert codec.h_s_given_x == pytest.approx(1.0, abs=1e-12)
-        assert codec.h_s_given_y == pytest.approx(1.0, abs=1e-12)
-        assert codec.h_s_given_xy == pytest.approx(0.0, abs=1e-12)
+        dense = splitter_profile(codec.scheme, U2)
+        assert dense.i_sx == pytest.approx(0.0, abs=1e-9)
+        assert dense.i_sy == pytest.approx(0.0, abs=1e-9)
+        assert dense.h_s_given_x == pytest.approx(1.0, abs=1e-12)
+        assert dense.h_s_given_y == pytest.approx(1.0, abs=1e-12)
+        assert dense.h_s_given_xy == pytest.approx(0.0, abs=1e-12)
 
     def test_skewed_fields(self):
         codec = make_codec(modular_scheme(3, 2), SKEW, n=6, gamma=0.5)
         assert codec.i_xy == pytest.approx(math.log2(3) - H_73, abs=1e-9)
-        assert codec.h_s_given_x == pytest.approx(H_73, abs=1e-9)
+        assert validate_base(codec.scheme, SKEW).h_s_given_x == pytest.approx(
+            H_73, abs=1e-9)
 
     def test_error_prob_shrinks_as_margin_grows(self):
         vals = []

@@ -54,7 +54,7 @@ def test_matches_dense_grid_oracle(source, n, ell, gamma):
 
     tq_ref = dense.blockwise_test_quantities(params)
     assert params.index.delta == pytest.approx(tq_ref.alpha, abs=1e-12)
-    assert attack.blockwise_forgery_success(params) == pytest.approx(
+    assert attack.blockwise_attack(params).success_prob == pytest.approx(
         tq_ref.beta, abs=1e-12)
     for side in ("x", "y"):
         res, res_ref = (attack.blockwise_attack(params, side),
