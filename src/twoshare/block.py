@@ -29,12 +29,6 @@ class MaskBitsError(CapExceededError, ValueError):
     """n * ell asks for more masking bits than MAX_MASK_BITS."""
 
 
-class MaskDrawError(CapExceededError):
-    """`draw_randomness` (so `twoshare encode`) cannot draw u_l or u_m: L or
-    M + 1 values are more than one 64-bit integer draw covers.  No record
-    draws a mask, so no record is skipped for it."""
-
-
 def floor_pow2(bits: float) -> int:
     """floor(2**bits), exactly: 2**(c/2**e), for bits = i + c/2**e, is e
     square roots y <- sqrt(y 2**bit), per bit of c from the lowest, bounded
@@ -115,15 +109,9 @@ class BlockwiseParams:
         return out
 
     def draw_randomness(self, rng: RandomStream) -> BlockRandomness:
-        """Uniform u_l and u_m, each one numpy integer draw; the only code
-        that draws a mask."""
-        for name, count, lower in (("u_l", self.l_count, "n or ell"),
-                                   ("u_m", self.mp1, "n")):
-            if count > 1 << 63:
-                raise MaskDrawError(f"n={self.n}: {count} values of {name} "
-                                    f"exceed a 64-bit integer draw; lower {lower}")
-        return BlockRandomness(int(rng.gen.integers(self.l_count)),
-                               int(rng.gen.integers(self.mp1)))
+        """Uniform u_l, then u_m, at any L and M + 1: the only mask draw."""
+        return BlockRandomness(rng.integers(self.l_count),
+                               rng.integers(self.mp1))
 
 
 def encode(params: BlockwiseParams, secret, r: BlockRandomness) -> tuple[BlockShare, BlockShare]:

@@ -18,7 +18,7 @@ import sys
 
 from . import attack as atk
 from . import block, harness, symbol
-from .harness import _check_seed, _number
+from .harness import _number, _owned, _shown
 from .prob import PMF, CapExceededError, RandomStream, _estimate
 from .typical import EmptyTypicalSetError
 
@@ -38,16 +38,14 @@ def _value(text: str):
     return text
 
 
-def _int_list(text: str, flag: str, size: int | None = None) -> tuple[int, ...]:
-    """The comma-separated integers of `flag`, `size` of them when given;
-    a ValueError naming the flag otherwise."""
+def _int_list(text: str, flag: str, size: int) -> tuple[int, ...]:
+    """The `size` comma-separated integers of `flag`, else a ValueError."""
     try:
         values = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
-        values = None
-    if values is None or size not in (None, len(values)):
-        count = "" if size is None else f"{size} "
-        raise ValueError(f"{flag} {text!r} is not {count}comma-separated "
+        values = ()
+    if len(values) != size:
+        raise ValueError(f"{flag} {text!r} is not {size} comma-separated "
                          "integers")
     return values
 
@@ -104,16 +102,15 @@ def _emit(args, text: str):
 
 def _cmd_encode(args) -> int:
     cfg, obj = _build_scheme(args)
-    secret = _int_list(args.secret, "--secret")
+    secret = _int_list(args.secret, "--secret", obj.n)
     rng = RandomStream(cfg.seed)
     if isinstance(obj, block.BlockwiseParams):
-        r = obj.draw_randomness(rng)
-        x, y = block.encode(obj, secret, r)
+        x, y = block.encode(obj, secret, obj.draw_randomness(rng))
         out = {"x": {"l": x.l, "m": x.m}, "y": {"l": y.l, "m": y.m},
                "l_count": obj.l_count, "m_count": obj.m_count}
     else:
-        rand = symbol.draw_randomness_n(obj, rng)
-        xs, ys = symbol.encode_n(obj, secret, rand)
+        xs, ys = symbol.encode_n(obj, secret,
+                                 symbol.draw_randomness_n(obj, rng))
         out = {"x": list(xs), "y": list(ys)}
     _emit(args, json.dumps(out, sort_keys=True))
     return 0
@@ -127,8 +124,8 @@ def _cmd_decode(args) -> int:
         outcome = block.decode(obj, block.BlockShare(xl, xm),
                                block.BlockShare(yl, ym))
     else:
-        outcome = symbol.decode_n(obj, _int_list(args.x, "--x"),
-                                  _int_list(args.y, "--y"))
+        outcome = symbol.decode_n(obj, _int_list(args.x, "--x", obj.n),
+                                  _int_list(args.y, "--y", obj.n))
     if outcome.rejected:
         _emit(args, json.dumps({"rejected": True}))
     else:
@@ -154,14 +151,14 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    source = PMF.from_text(args.source)
-    # judged as a config's whole numbers are, the seed by its range too;
-    # --seed and --trials go unused
+    # each flag judged as a config's value is; --seed and --trials go unused
+    source = _owned(PMF.from_text, args.source,
+                    key=f"'source' {_shown(args.source)}: ")
     m, seed, _ = [_number(v, f"'{name}'", whole=True) for name, v in (
         ("m", source.support_size if args.m is None else args.m),
         ("seed", args.seed), ("trials", args.trials))]
-    _check_seed(seed)
-    scheme = symbol.modular_scheme(m, source.support_size)
+    _owned(RandomStream, seed)
+    scheme = _owned(symbol.modular_scheme, m, source.support_size, key="'m': ")
     report = symbol.validate_base(scheme, source)
     out = {"scheme": scheme.name, "passed": report.passed,
            "h_s": report.h_s, "h_s_given_x": report.h_s_given_x,

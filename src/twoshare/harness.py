@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from . import attack as atk
 from . import block, symbol
 from ._version import __version__
-from .prob import (MAX_TRIALS, PMF, CapExceededError, RandomStream,
-                   _estimate)
+from .prob import (PMF, CapExceededError, RandomStream, _estimate,
+                   check_trials)
 from .typical import EmptyTypicalSetError, GammaSchedule, build_index
 
 HOLDS = "holds"
@@ -89,9 +89,13 @@ def _number(value, name: str, whole: bool = False):
                           f"{'whole' if whole else 'finite'} number") from None
 
 
-def _check_seed(seed: int):
-    if not 0 <= seed < 1 << 64:   # one 64-bit Philox key word
-        raise ConfigError(f"bad config: 'seed' {seed} is not in [0, 2**64)")
+def _owned(rule, *args, key: str = ""):
+    """rule(*args), a config value's rule by its one owner: its ValueError
+    as a ConfigError, after `key` where the owner does not name it."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bad config: {key}{exc}") from exc
 
 
 def _numbers(value, name: str, whole: bool = False) -> tuple:
@@ -116,7 +120,7 @@ def _kind(value, table: dict, where: str) -> tuple:
     key, whole, default = table[kind]
     _known_keys(value, ("kind", key), f"the {kind} {where}")
     if value.get(key) is None and default is None:   # absent or null
-        raise ConfigError(f"{kind} {where} needs '{key}'")
+        raise ConfigError(f"bad config: {kind} {where} needs '{key}'")
     return kind, _number(value.get(key, default), f"{kind} '{key}'", whole)
 
 
@@ -137,59 +141,54 @@ class ExperimentConfig:
     schedule_param: float = 1.0 / 3.0
 
     def __post_init__(self):
-        try:
-            self.pmf, self.schedule()
-        except ValueError as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
+        # each rule is its owner's; the owner of 'ell' needs a built index
+        _owned(lambda: self.pmf, key="'source': ")
+        _owned(self.schedule, key="'schedule': ")
         if self.mode not in ("exact", "mc"):
-            raise ConfigError(f"mode must be 'exact' or 'mc', not {self.mode!r}")
-        if self.mode == "mc" and self.trials < 1:
-            raise ConfigError("mc mode needs a positive trial count")
-        if self.mode == "mc" and self.trials > MAX_TRIALS:
-            raise ConfigError(f"mc mode runs at most 2**36 trials per "
-                              f"estimate, not {self.trials}")
-        _check_seed(self.seed)
+            raise ConfigError(f"bad config: 'mode' {_shown(self.mode)} is not "
+                              "'exact' or 'mc'")
+        if self.mode == "mc":
+            _owned(check_trials, self.trials)
+        _owned(RandomStream, self.seed)
         n = self.n_values
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
-            raise ConfigError("n_values must be increasing positive integers")
+            raise ConfigError("bad config: 'n_values' must be increasing "
+                              "positive integers")
         if self.scheme_kind not in _SCHEMES:
-            raise ConfigError(f"unknown scheme kind {self.scheme_kind!r}")
-        if self.scheme_kind == "blockwise" and (
-                self.ell is None or not self.ell >= 0.0):
-            raise ConfigError("blockwise 'ell' must be non-negative")
-        if self.scheme_kind == "symbolwise" and (
-                self.share_size is None or self.share_size < len(self.source)):
-            raise ConfigError("symbolwise 'm' must cover the secret alphabet")
-        if self.scheme_kind == "symbolwise" and (
-                self.share_size > symbol.MAX_SHARE_SIZE):
-            raise ConfigError("symbolwise 'm' must be at most 2**1022")
+            raise ConfigError(f"bad config: unknown scheme kind "
+                              f"{_shown(self.scheme_kind)}")
+        if self.scheme_kind == "blockwise" and not (
+                self.ell is not None and self.ell >= 0.0):
+            raise ConfigError(f"bad config: blockwise 'ell' must be "
+                              f"non-negative, not {_shown(self.ell)}")
+        if self.scheme_kind == "symbolwise" and self.share_size is None:
+            raise ConfigError("bad config: symbolwise scheme needs 'm'")
+        if self.scheme_kind == "symbolwise":
+            _owned(symbol.modular_scheme, self.share_size, len(self.source),
+                   key="symbolwise 'm': ")
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
         """Parse a config's JSON value: numbers finite, whole where they
         count, and no unknown key (the other scheme's parameter is one)."""
-        try:
-            if not isinstance(raw, dict):
-                raise ConfigError("bad config: the top level is not an object")
-            _known_keys(raw, _KEYS, "the top level")
-            kind, param = _kind(raw["scheme"], _SCHEMES, "scheme")
-            sk, sp = _kind(raw.get("schedule", {"kind": "power_law"}),
-                           _SCHEDULES, "schedule")
-            source = raw["source"]
-            return cls(
-                source=(tuple(PMF.from_text(source).probs.tolist())
-                        if isinstance(source, str)
-                        else _numbers(source, "'source'")),
-                scheme_kind=kind,
-                n_values=_numbers(raw["n_values"], "'n_values'", whole=True),
-                seed=_number(raw.get("seed", 0), "'seed'", whole=True),
-                mode=raw.get("mode", "exact"),
-                trials=_number(raw.get("trials", 100_000), "'trials'",
-                               whole=True),
-                **{"ell" if kind == "blockwise" else "share_size": param},
-                schedule_kind=sk, schedule_param=sp)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad config: {exc!r}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("bad config: the top level is not an object")
+        _known_keys(raw, _KEYS, "the top level")
+        kind, param = _kind(raw.get("scheme"), _SCHEMES, "scheme")
+        sk, sp = _kind(raw.get("schedule", {"kind": "power_law"}),
+                       _SCHEDULES, "schedule")
+        source = raw.get("source")
+        return cls(
+            source=(_owned(lambda: tuple(PMF.from_text(source).probs.tolist()),
+                           key=f"'source' {_shown(source)}: ")
+                    if isinstance(source, str) else _numbers(source, "'source'")),
+            scheme_kind=kind,
+            n_values=_numbers(raw.get("n_values"), "'n_values'", whole=True),
+            seed=_number(raw.get("seed", 0), "'seed'", whole=True),
+            mode=raw.get("mode", "exact"),
+            trials=_number(raw.get("trials", 100_000), "'trials'", whole=True),
+            **{"ell" if kind == "blockwise" else "share_size": param},
+            schedule_kind=sk, schedule_param=sp)
 
     @functools.cached_property
     def pmf(self) -> PMF:

@@ -154,16 +154,30 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed, self.stream = int(seed), int(stream)
         if not (0 <= self.seed < 1 << 64 and 0 <= self.stream < 1 << 64):
-            raise ValueError(f"{self!r}: seed and stream must lie in "
-                             f"[0, 2**64)")
+            name = "stream" if 0 <= self.seed < 1 << 64 else "seed"
+            raise ValueError(f"'{name}' {getattr(self, name)} is not in [0, 2**64)")
 
     @functools.cached_property
     def gen(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def integers(self, count: int, size: int | None = None) -> int | tuple:
+        """Exactly uniform ints in [0, count): one, or a tuple of `size`.
+        Up to 2**63 values, `gen.integers(count, size=size)`; past it, the
+        top (count - 1).bit_length() bits of whole 64-bit words of the
+        stream, first word highest, drawn again while not below `count`."""
+        if count <= 1 << 63:
+            out = self.gen.integers(count, size=size)
+            return int(out) if size is None else tuple(out.tolist())
+        bits, out = (count - 1).bit_length(), []
+        while len(out) < (1 if size is None else size):
+            raw = self.gen.bit_generator.random_raw(-(-bits // 64)).astype(">u8")
+            if (v := int.from_bytes(raw, "big") >> -bits % 64) < count:
+                out.append(v)
+        return out[0] if size is None else tuple(out)
 
     def substream(self, i: int) -> "RandomStream":
         """Independent child stream i of 2**20; ValueError when the child's
@@ -179,10 +193,16 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"
 
 
-# The most trials one estimate runs.  One binomial draws any count in O(1),
-# so this is no sampler limit: it keeps the 2**36 that configs have always
-# been held to, so that no config changes meaning.
+# The most trials one estimate runs: no sampler limit, as one binomial draws
+# any count in O(1), but the 2**36 configs have always been held to.
 MAX_TRIALS = 1 << 36
+
+
+def check_trials(trials: int):
+    """ValueError naming `trials` unless in [1, MAX_TRIALS], per estimate."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"'trials' {trials} is not in [1, 2**36]")
+
 
 # `_estimate`'s generator on each thread
 _thread = threading.local()
@@ -205,7 +225,7 @@ def _estimate(trials: int, rng: RandomStream,
     independent evidence for it.
 
     A `hit` that is NaN or outside [0, 1] is a ValueError, before any
-    draw, and so is a `trials` past MAX_TRIALS = 2**36, even when the
+    draw, and so is a `trials` that `check_trials` refuses, even when the
     outcome is fixed.  With `hit` 0 or 1 every trial's outcome is fixed,
     so nothing is drawn.  Otherwise the hit count is one binomial: this
     thread's one Philox generator is re-keyed to `rng`'s (seed, stream)
@@ -215,11 +235,7 @@ def _estimate(trials: int, rng: RandomStream,
     then the one-sided 95% upper bound 3/trials; otherwise it is the Wald
     half-width.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials {trials} pass the limit of 2**36 per "
-                         "estimate")
+    check_trials(trials)
     if not 0.0 <= hit <= 1.0:   # NaN fails both comparisons
         raise ValueError(f"hit mass {hit!r} is not a probability in [0, 1]")
     if hit in (0.0, 1.0):

@@ -84,7 +84,7 @@ class ModularScheme(BaseScheme):
     def __post_init__(self):
         m, k = self.share_size, self.secret_size
         if m < k:
-            raise ValueError("share alphabet must cover the secret alphabet")
+            raise ValueError(f"share alphabet M={m} is smaller than |S|={k}")
         if m > MAX_SHARE_SIZE:
             raise ValueError(f"share alphabet M of {m.bit_length()} bits "
                              "exceeds 2**1022: M p(s) could overflow a float")
@@ -387,8 +387,7 @@ def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tup
 
 
 def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, ...]:
-    return tuple(int(v) for v in rng.gen.integers(codec.scheme.rand_size,
-                                                  size=codec.n))
+    return rng.integers(codec.scheme.rand_size, size=codec.n)
 
 
 def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):

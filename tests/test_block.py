@@ -20,7 +20,7 @@ from oracles import (JointPMF, conditional_entropy, iid_extension,
                      mutual_information, pushforward)
 from twoshare import harness
 from twoshare.block import (
-    BlockShare, BlockRandomness, BlockwiseParams, MaskBitsError, MaskDrawError,
+    BlockShare, BlockRandomness, BlockwiseParams, MaskBitsError,
     floor_pow2,
     encode, accepts, decode, exact_quantities,
 )
@@ -176,7 +176,8 @@ class TestEncode:
 
 
 class TestDrawRandomness:
-    """The only mask draw: u_l and u_m, one numpy integer draw each."""
+    """The only mask draw: u_l and u_m, by `RandomStream.integers`, at any
+    L and M + 1."""
 
     def test_u_l_of_2_to_the_63_values_draws(self):
         # n * ell = 63 bits: the most one 64-bit integer draw covers
@@ -185,23 +186,44 @@ class TestDrawRandomness:
         r = p.draw_randomness(RandomStream(1))
         assert 0 <= r.u_l < p.l_count and 0 <= r.u_m < p.mp1
 
-    def test_u_l_past_int64_raises(self):
-        # n * ell = 70 bits, while M + 1 stays a 64-bit draw
+    @staticmethod
+    def _draws_in_range_and_repeat(p, secret):
+        r = p.draw_randomness(RandomStream(1))
+        assert 0 <= r.u_l < p.l_count and 0 <= r.u_m < p.mp1
+        assert p.draw_randomness(RandomStream(1)) == r
+        assert p.draw_randomness(RandomStream(2)) != r
+        assert decode(p, *encode(p, secret, r)).secret == secret
+        return r
+
+    def test_u_l_past_int64_draws(self):
+        # n * ell = 70 bits, while M + 1 stays a 64-bit draw: MaskDrawError
+        # used to refuse u_l
         p = make_params(SKEW, 35, 2.0)
         assert p.l_count == 1 << 70 and p.mp1 <= 1 << 63
-        with pytest.raises(MaskDrawError, match=(
-                rf"^n=35: {1 << 70} values of u_l exceed a 64-bit integer "
-                "draw; lower n or ell$")):
-            p.draw_randomness(RandomStream(1))
+        r = self._draws_in_range_and_repeat(p, (0,) * 25 + (1,) * 10)
+        # u_m is still one numpy draw, after the two words of u_l (2**70
+        # values take the top 70 bits, so none is drawn again)
+        gen = RandomStream(1).gen
+        gen.bit_generator.random_raw(2)
+        assert r.u_m == int(gen.integers(p.mp1))
 
-    def test_u_m_past_int64_raises(self):
-        # every uniform block is typical: M + 1 = 2**70 + 1, L = 2**35
+    def test_u_m_past_int64_draws(self):
+        # every uniform block is typical: M + 1 = 2**70 + 1, L = 2**35;
+        # MaskDrawError used to refuse u_m
         p = make_params(U2, 70, 0.5)
         assert p.l_count == 1 << 35 and p.mp1 == (1 << 70) + 1
-        with pytest.raises(MaskDrawError, match=(
-                rf"^n=70: {(1 << 70) + 1} values of u_m exceed a 64-bit "
-                "integer draw; lower n$")):
-            p.draw_randomness(RandomStream(1))
+        r = self._draws_in_range_and_repeat(p, (0, 1) * 35)
+        assert r.u_l == int(RandomStream(1).gen.integers(p.l_count))
+
+    @pytest.mark.parametrize("n", [64, 400, 1000])
+    def test_blockwise_round_trips_past_a_64_bit_mask(self, n):
+        # [0.7,0.3], ell=0.25: M + 1 passes 2**63 from n=64 on, where
+        # MaskDrawError ended every encode
+        p = make_params(SKEW, n, 0.25)
+        assert p.mp1 > 1 << 63
+        ones = round(0.3 * n)
+        secret = (0,) * (n - ones) + (1,) * ones
+        self._draws_in_range_and_repeat(p, secret)
 
 
 class TestAcceptDecode:

@@ -151,17 +151,24 @@ class TestConfig:
             ExperimentConfig(source=(0.7, 0.3), scheme_kind="blockwise",
                              n_values=(), seed=0, ell=1.0)
         cfg = ExperimentConfig.from_dict(base_dict())
-        with pytest.raises(ConfigError, match="trial count"):
+        with pytest.raises(ConfigError,
+                           match=r"^bad config: 'trials' 0 is not in"):
             dataclasses.replace(cfg, mode="mc", trials=0)
         with pytest.raises(ConfigError, match="non-negative"):
             dataclasses.replace(cfg, ell=math.nan)
+        # the splitter owns M's rule, but a config without one is refused
+        # before it is asked
+        with pytest.raises(ConfigError,
+                           match="^bad config: symbolwise scheme needs 'm'$"):
+            dataclasses.replace(cfg, scheme_kind="symbolwise")
 
     def test_mc_trials_stop_at_two_to_the_36(self):
         # an estimate runs 2**36 trials at most; exact mode leaves the
         # count unused
         ExperimentConfig.from_dict(base_dict(mode="mc", trials=2 ** 36))
         ExperimentConfig.from_dict(base_dict(trials=2 ** 36 + 1))
-        with pytest.raises(ConfigError, match=r"at most 2\*\*36 trials"):
+        with pytest.raises(ConfigError, match=(
+                r"^bad config: 'trials' 68719476737 is not in \[1, 2\*\*36\]$")):
             ExperimentConfig.from_dict(base_dict(mode="mc",
                                                  trials=2 ** 36 + 1))
 
@@ -171,7 +178,7 @@ class TestConfig:
         (base_dict(n_values=[True, 8]),
          "bad config: 'n_values' entry true is not a whole number"),
         (base_dict(scheme={"kind": "blockwise", "ell": None}),
-         "blockwise scheme needs 'ell'"),
+         "bad config: blockwise scheme needs 'ell'"),
         (base_dict(schedule={"kind": "power_law", "a": None}),
          "bad config: power_law 'a' null is not a finite number"),
         (base_dict(schedule={"kind": "constant", "gamma": math.nan}),
@@ -183,16 +190,41 @@ class TestConfig:
         (base_dict(scheme={"kind": "symbolwise", "m": 4, "ell": 1.0}),
          "bad config: unknown key 'ell' in the symbolwise scheme"),
         (base_dict(source=[0.5, 0.6]),
-         "bad config: probabilities sum to 1.1, not 1 within 1e-12"),
+         "bad config: 'source': probabilities sum to 1.1, not 1 within "
+         "1e-12"),
         (base_dict(scheme={"kind": "blockwise", "ell": 10 ** 400}),
          f"bad config: blockwise 'ell' {10 ** 400} is not a finite number"),
         (base_dict(seed=-1), "bad config: 'seed' -1 is not in [0, 2**64)"),
         (base_dict(seed=1 << 64),
          f"bad config: 'seed' {1 << 64} is not in [0, 2**64)"),
+        ({"scheme": {"kind": "blockwise", "ell": 1.0}, "n_values": [4]},
+         "bad config: 'source' null is not an array"),
+        (base_dict(source="uniform:0"),
+         "bad config: 'source' \"uniform:0\": alphabet size must be positive"),
+        (base_dict(schedule={"kind": "power_law", "a": 0.5}),
+         "bad config: 'schedule': power-law exponent must lie strictly in "
+         "(0, 0.5)"),
+        (base_dict(mode="fast"),
+         "bad config: 'mode' \"fast\" is not 'exact' or 'mc'"),
+        (base_dict(mode="mc", trials=0),
+         "bad config: 'trials' 0 is not in [1, 2**36]"),
+        (base_dict(n_values=[8, 4]),
+         "bad config: 'n_values' must be increasing positive integers"),
+        (base_dict(scheme={"kind": "blockwise", "ell": -1}),
+         "bad config: blockwise 'ell' must be non-negative, not -1.0"),
+        (base_dict(scheme={"kind": "symbolwise", "m": 1}),
+         "bad config: symbolwise 'm': share alphabet M=1 is smaller than "
+         "|S|=2"),
     ], ids=["fractional-n", "boolean-n", "null-ell", "null-a", "nan-gamma",
             "schedule-text", "typo-key", "other-scheme-key", "source-sum",
-            "int-past-float-range", "negative-seed", "seed-past-64-bits"])
+            "int-past-float-range", "negative-seed", "seed-past-64-bits",
+            "missing-key", "source-text", "schedule-rule", "mode", "trials",
+            "n-order", "negative-ell", "small-m"])
     def test_malformed_input_is_named(self, raw, message):
+        # each rule reads "bad config:", names its key, and shows no
+        # exception repr: a missing key read "bad config: KeyError('source')",
+        # and "uniform:0" "bad config: ValueError('alphabet size must be
+        # positive')"
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(raw)
         assert str(err.value) == message
@@ -209,8 +241,9 @@ class TestConfig:
             assert one.beta == 2.0 ** -1021 and four.beta == 0.0
             assert all(v == HOLDS for r in (one, four)
                        for v in r.verdicts.values())
-        with pytest.raises(ConfigError,
-                           match=r"^symbolwise 'm' must be at most 2\*\*1022$"):
+        with pytest.raises(ConfigError, match=(
+                r"^bad config: symbolwise 'm': share alphabet M of 1023 bits "
+                r"exceeds 2\*\*1022: M p\(s\) could overflow a float$")):
             ExperimentConfig.from_dict(base_dict(
                 scheme={"kind": "symbolwise", "m": (1 << 1022) + 1}))
 
@@ -737,26 +770,54 @@ class TestCli:
         assert payload["x"]["l"] == 0  # level 0 leaves a single mask value
         assert 0 <= payload["x"]["m"] <= payload["m_count"]
 
-    def test_encode_past_a_64_bit_u_l_draw_exits_one(self, capsys):
-        # n * ell = 70 bits: numpy refused the draw of u_l with a bare
-        # "high is out of bounds" ValueError
-        secret = ",".join(["0"] * 25 + ["1"] * 10)
-        code, out, err = self.run(
-            ["encode", "--scheme", "blockwise", "--source", "0.7,0.3",
-             "--n", "35", "--ell", "2.0", "--secret", secret], capsys)
-        assert code == 1 and out == ""
-        assert err == (f"error: n=35: {1 << 70} values of u_l exceed a 64-bit "
-                       "integer draw; lower n or ell\n")
+    def round_trip(self, flags, secret, capsys) -> dict:
+        """`encode` then `decode` of `secret` under the scheme flags; the
+        shares as `encode` printed them."""
+        code, out, err = self.run(["encode", *flags, "--secret",
+                                   ",".join(map(str, secret)), "--seed", "3"],
+                                  capsys)
+        assert (code, err) == (0, "")
+        shares = json.loads(out)
+        x, y = (",".join(map(str, s.values() if isinstance(s, dict) else s))
+                for s in (shares["x"], shares["y"]))
+        code, out, _ = self.run(["decode", *flags, "--x", x, "--y", y], capsys)
+        assert code == 0 and json.loads(out) == {"secret": list(secret)}
+        return shares
 
-    def test_encode_past_a_64_bit_u_m_draw_exits_one(self, capsys):
+    def test_encode_past_a_64_bit_u_l_draw_round_trips(self, capsys):
+        # n * ell = 70 bits: this exited 1 with MaskDrawError, and before
+        # that with numpy's bare "high is out of bounds" ValueError
+        shares = self.round_trip(
+            ["--scheme", "blockwise", "--source", "0.7,0.3", "--n", "35",
+             "--ell", "2.0"], [0] * 25 + [1] * 10, capsys)
+        assert shares["l_count"] == 1 << 70 and shares["x"]["l"] < 1 << 70
+
+    def test_encode_past_a_64_bit_u_m_draw_round_trips(self, capsys):
         # n * ell = 35 bits of u_l, but M + 1 = 2**70 + 1 values of u_m
-        secret = ",".join(["0", "1"] * 35)
-        code, out, err = self.run(
-            ["encode", "--scheme", "blockwise", "--source", "uniform:2",
-             "--n", "70", "--ell", "0.5", "--secret", secret], capsys)
-        assert code == 1 and out == ""
-        assert err == (f"error: n=70: {(1 << 70) + 1} values of u_m exceed a "
-                       "64-bit integer draw; lower n\n")
+        shares = self.round_trip(
+            ["--scheme", "blockwise", "--source", "uniform:2", "--n", "70",
+             "--ell", "0.5"], [0, 1] * 35, capsys)
+        assert shares["m_count"] == 1 << 70
+
+    @pytest.mark.parametrize("n", [64, 400, 1000])
+    def test_blockwise_encode_at_every_evaluated_blocklength(self, n,
+                                                            capsys):
+        # [0.7,0.3], ell=0.25: M + 1 passes 2**63 from n=64 on, where
+        # MaskDrawError ended every encode
+        ones = round(0.3 * n)
+        shares = self.round_trip(
+            ["--scheme", "blockwise", "--source", "0.7,0.3", "--n", str(n),
+             "--ell", "0.25"], [0] * (n - ones) + [1] * ones, capsys)
+        assert shares["m_count"] >= 1 << 63
+
+    def test_symbolwise_encode_past_2_to_the_63_symbols(self, capsys):
+        # M = 2**64: numpy's int64 draw ended the encode with "high is out
+        # of bounds for int64"
+        shares = self.round_trip(
+            ["--scheme", "symbolwise", "--source", "0.7,0.3", "--m",
+             str(1 << 64), "--n", "8"], [0] * 6 + [1] * 2, capsys)
+        assert all(0 <= u < 1 << 64 for u in shares["y"])
+        assert max(shares["y"]) >= 1 << 63
 
     def test_attack_mc_past_a_64_bit_mask(self, capsys):
         # 2**400 values of u_l and more than 2**63 of u_m: the estimate
@@ -828,9 +889,9 @@ class TestCli:
         assert "--variant" in err
 
     @pytest.mark.parametrize("argv,named", [
-        (["experiment", "--config", "@m"], "at most 2**1022"),
+        (["experiment", "--config", "@m"], "exceeds 2**1022"),
         (["attack", "--scheme", "symbolwise", "--source", "0.7,0.3",
-          "--n", "4", "--m", str(1 << 1100)], "at most 2**1022"),
+          "--n", "4", "--m", str(1 << 1100)], "exceeds 2**1022"),
         (["validate-scheme", "--source", "0.7,0.3", "--m", str(1 << 1100)],
          "exceeds 2**1022"),
         (["validate-scheme", "--source", "0.7,0.3", "--m", str(1 << 32)],
@@ -979,6 +1040,19 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err == f"error: bad config: 'seed' {seed} is not in [0, 2**64)\n"
 
+    @pytest.mark.parametrize("flags,err", [
+        (["--source", "uniform:0"], "bad config: 'source' \"uniform:0\": "
+         "alphabet size must be positive"),
+        (["--source", "0.7,0.3", "--m", "1"],
+         "bad config: 'm': share alphabet M=1 is smaller than |S|=2"),
+    ])
+    def test_validate_scheme_flags_read_as_config_values(self, flags, err,
+                                                         capsys):
+        # the source and M rules are their owners', in the config's form;
+        # both once printed the owner's bare message
+        code, out, got = self.run(["validate-scheme", *flags], capsys)
+        assert (code, out, got) == (1, "", f"error: {err}\n")
+
     @pytest.mark.parametrize("raw", MALFORMED)
     def test_malformed_config_prints_one_error_line(self, raw, tmp_path,
                                                     capsys):
@@ -987,7 +1061,7 @@ class TestCli:
         code, out, err = self.run(["experiment", "--config", str(path)],
                                   capsys)
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith("error: bad config: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("flags,scheme,change", [
         (["--ell", "-1"], {"kind": "blockwise", "ell": -1}, {}),
@@ -1061,7 +1135,7 @@ class TestCli:
             assert (cfg.mode, cfg.trials) == (mode, trials)
         code, _, err = self.run(["experiment", "--config", str(path)], capsys)
         assert code == 1
-        assert err == "error: mc mode needs a positive trial count\n"
+        assert err == "error: bad config: 'trials' 0 is not in [1, 2**36]\n"
 
     def test_attack_past_the_trial_limit_fails_up_front(self, capsys):
         # refused as a config error before the exact attack or a draw
@@ -1070,8 +1144,8 @@ class TestCli:
              "--n", "8", "--ell", "1", "--mode", "mc",
              "--trials", str(2 ** 36 + 1)], capsys)
         assert (code, out) == (1, "")
-        assert err == ("error: mc mode runs at most 2**36 trials per "
-                       "estimate, not 68719476737\n")
+        assert err == ("error: bad config: 'trials' 68719476737 is not in "
+                       "[1, 2**36]\n")
 
     def test_non_object_config_names_the_top_level(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -1089,16 +1163,27 @@ class TestCli:
         (["decode", "--scheme", "blockwise", "--ell", "1", "--x", "0,0",
           "--y", "0,b"], "--y", "0,b", "2 "),
         (["decode", "--scheme", "symbolwise", "--m", "3", "--x", "0,1,0,1.5",
-          "--y", "0,0,0,0"], "--x", "0,1,0,1.5", ""),
+          "--y", "0,0,0,0"], "--x", "0,1,0,1.5", "4 "),
         (["encode", "--scheme", "blockwise", "--ell", "1",
-          "--secret", "0,a,1,0"], "--secret", "0,a,1,0", ""),
+          "--secret", "0,a,1,0"], "--secret", "0,a,1,0", "4 "),
         (["encode", "--scheme", "symbolwise", "--m", "3",
-          "--secret", "0,a,1,0"], "--secret", "0,a,1,0", ""),
+          "--secret", "0,a,1,0"], "--secret", "0,a,1,0", "4 "),
+        (["encode", "--scheme", "symbolwise", "--m", "3",
+          "--secret", "0,1"], "--secret", "0,1", "4 "),
+        (["encode", "--scheme", "blockwise", "--ell", "1",
+          "--secret", "0,1"], "--secret", "0,1", "4 "),
+        (["decode", "--scheme", "symbolwise", "--m", "3", "--x", "0,1",
+          "--y", "0,0,0,0"], "--x", "0,1", "4 "),
+        (["decode", "--scheme", "symbolwise", "--m", "3", "--x", "0,0,0,0",
+          "--y", "0,0,0,0,0"], "--y", "0,0,0,0,0", "4 "),
     ], ids=["x-three", "x-one", "y-text", "symbolwise-x", "secret",
-            "symbolwise-secret"])
+            "symbolwise-secret", "symbolwise-secret-length",
+            "secret-length", "symbolwise-x-length", "symbolwise-y-length"])
     def test_a_bad_symbol_list_names_its_flag(self, argv, flag, text, count,
                                               capsys):
-        # it used to print Python's unpacking or int() message alone
+        # it used to print Python's unpacking or int() message alone; a
+        # list of the wrong length named the codec's arguments ("secret
+        # and randomness must have length 4") or the block, not the flag
         code, out, err = self.run(
             argv + ["--source", "0.7,0.3", "--n", "4"], capsys)
         assert (code, out) == (1, "")

@@ -371,8 +371,11 @@ class TestRandomStream:
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (1 << 64, 0),
                                              (0, -1), (0, 1 << 64)])
     def test_key_words_outside_64_bits_raise(self, seed, stream):
-        # -1 used to draw as 2**64 - 1, and 2**64 as 0
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        # -1 used to draw as 2**64 - 1, and 2**64 as 0; the error names the
+        # word, as the config's seed error does
+        name, word = (("seed", seed) if stream == 0 else ("stream", stream))
+        with pytest.raises(ValueError, match=(
+                rf"^'{name}' {word} is not in \[0, 2\*\*64\)$")):
             RandomStream(seed, stream)
 
     def test_top_key_words_draw_as_before(self):
@@ -380,6 +383,44 @@ class TestRandomStream:
         top = (1 << 64) - 1
         assert RandomStream(top, 1 << 63).gen.random(2).tolist() == [
             0.21062414884101022, 0.5083194060081541]
+
+    @pytest.mark.parametrize("count", [1, 2, 5, (1 << 32) + 1,
+                                       (1 << 62) + 3, 1 << 63])
+    def test_integers_up_to_2_to_the_63_draw_as_numpy(self, count):
+        # one value, then 7, from one stream: gen.integers' values on a
+        # fresh stream of the same key, so every seed encodes as it did
+        gen = RandomStream(5, 2).gen
+        one, seven = int(gen.integers(count)), gen.integers(count, size=7)
+        rng = RandomStream(5, 2)
+        assert rng.integers(count) == one
+        got = rng.integers(count, size=7)
+        assert got == tuple(seven.tolist())
+        assert all(type(v) is int for v in got)
+
+    def test_integers_past_2_to_the_63_are_uniform(self):
+        # 4,000 draws below 3 * 2**64 at a fixed seed: each third holds
+        # Binomial(4000, 1/3) of them and each half of a third
+        # Binomial(4000, 1/2), each within 5 standard deviations
+        count, trials = 3 << 64, 4000
+        draws = RandomStream(11).integers(count, size=trials)
+        assert all(type(v) is int and 0 <= v < count for v in draws)
+        for parts, cells in ((3, [v >> 64 for v in draws]),
+                             (2, [v >> 63 & 1 for v in draws])):
+            sd = math.sqrt(trials * (1 / parts) * (1 - 1 / parts))
+            for cell in range(parts):
+                assert abs(cells.count(cell) - trials / parts) <= 5 * sd
+
+    def test_integers_past_2_to_the_63_repeat(self):
+        # pinned: the top 66 bits of two words, the first word highest
+        assert RandomStream(0).integers(3 << 64) == 852000084807869036
+        big = (1 << 200) + 1
+        three = RandomStream(7).integers(big, size=3)
+        assert three == RandomStream(7).integers(big, size=3)
+        assert three[0] == RandomStream(7).integers(big)
+        assert len(set(three)) == 3
+        # 2**64 values are one whole word, never drawn again
+        assert RandomStream(3).integers(1 << 64) == int(
+            RandomStream(3).gen.bit_generator.random_raw(1)[0])
 
     def test_substream_past_64_bits_raises(self):
         # child 2**44 * 2**20 + 6 used to wrap onto stream 6, the key of
@@ -487,7 +528,8 @@ class TestRandomStream:
                             lambda: calls.append(1))
         assert _estimate(MAX_TRIALS, RandomStream(0), 1.0) == (1.0, 0.0)
         for hit in (1.0, 0.3):
-            with pytest.raises(ValueError, match=r"limit of 2\*\*36"):
+            with pytest.raises(ValueError, match=(
+                    r"^'trials' 68719476737 is not in \[1, 2\*\*36\]$")):
                 _estimate(MAX_TRIALS + 1, RandomStream(0), hit)
         assert calls == []
 

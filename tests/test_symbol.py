@@ -467,6 +467,19 @@ class TestBlockEncode:
         assert len(u) == 6
         assert all(0 <= v < 4 for v in u)
 
+    def test_draw_past_2_to_the_63_round_trips(self):
+        # M = 2**64: numpy's int64 draw raised "high is out of bounds for
+        # int64"; the draw repeats for the same seed
+        m = 1 << 64
+        codec = make_codec(modular_scheme(m, 2), SKEW, n=8, gamma=0.5)
+        u = draw_randomness_n(codec, RandomStream(3))
+        assert u == draw_randomness_n(codec, RandomStream(3))
+        assert all(type(v) is int and 0 <= v < m for v in u)
+        assert max(u) >= 1 << 63
+        secret = (0,) * 6 + (1,) * 2
+        xs, ys = encode_n(codec, secret, u)
+        assert ys == u and decode_n(codec, xs, ys).secret == secret
+
 
 class TestScoring:
     """The per-cell scores (`score_of`): a cell outside the splitter's
