@@ -78,14 +78,15 @@ class PMF:
         """Parse a PMF from external text.
 
         Accepts either a JSON-style list ("[0.7, 0.3]"), a bare
-        comma-separated list ("0.7,0.3"), or "uniform:k".
+        comma-separated list ("0.7,0.3"), or "uniform:k"; a bracket
+        anywhere but as one matched outer pair is refused.
         """
         text = text.strip()
         if text.startswith("uniform:"):
             return cls.uniform(int(text.split(":", 1)[1]))
-        body = text.strip("[]")
+        body = text[1:-1] if text[:1] == "[" and text[-1:] == "]" else text
         parts = [p for p in body.split(",") if p.strip()]
-        if not parts:
+        if not parts or "[" in body or "]" in body:
             raise ValueError(f"cannot parse PMF from {text!r}")
         return cls.from_probs([float(p) for p in parts])
 

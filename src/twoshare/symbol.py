@@ -304,23 +304,19 @@ class SymbolwiseCodec:
         return self.i_xy - self.gamma
 
     @functools.cached_property
-    def _bytes(self) -> "ByteTables | None":
-        """The `ByteTables` of a codec whose cells fit in a byte, M <= 16
-        (so k |U| <= M^2 <= 256), built on first use from the closed form
-        and `laws.column`; None past that."""
-        k, m, lat = self.scheme.secret_size, self.scheme.share_size, self.lattice
-        if m > 16:
+    def _bytes(self) -> tuple[int, bytes, bytes] | None:
+        """The byte kernel's tables, for M <= 128, where each position's
+        s + M - u and x + y fit in a byte: M at each of n bytes, the table
+        of t mod M, and the table of each x + y's lattice value index
+        (`_MINUS_INF` at a -inf score), built on first use from
+        `laws.column`; None past M=128."""
+        m, column = self.scheme.share_size, self.laws.column
+        if m > 128:
             return None
-        column = self.laws.column + (None,) * (m - k)
-        sums = [(a + b) % m for a in range(m) for b in range(m)]
-        tables = (bytes((s - u) % m for s in range(k) for u in range(m)),
-                  bytes(range(m)) * k,
-                  bytes(_MINUS_INF if column[s] is None else column[s]
-                        for s in sums),
-                  bytes(sums))
-        return ByteTables(self.n, bytes(range(k)), *[bytes(range(m))] * 2,
-                          *(t.ljust(256, b"\0") for t in tables),
-                          lat.weights, lat.bar)
+        mod = bytes(t % m for t in range(256))
+        value = bytes(_MINUS_INF if s >= len(column) or column[s] is None
+                      else column[s] for s in mod)
+        return int.from_bytes(bytes([m]) * self.n, "big"), mod, value
 
 
 def make_codec(scheme: ModularScheme, source: PMF, n: int,
@@ -338,6 +334,13 @@ def make_codec(scheme: ModularScheme, source: PMF, n: int,
     laws, i_xy = modular_laws(source, scheme.share_size)
     return SymbolwiseCodec(scheme=scheme, source=source, n=n, gamma=gamma,
                            laws=laws, i_xy=i_xy)
+
+
+# a key byte's `value` past every value index: a -inf score
+_MINUS_INF = 255
+# the inputs the byte kernel reads: bytes() of an ndarray or an array.array
+# would read its raw buffer, not its elements
+_SEQUENCES = (tuple, list)
 
 
 def _sequences(a, b, n: int, what: str):
@@ -368,17 +371,35 @@ def _ints(values, size: int) -> bool:
             and 0 <= min(values) and max(values) < size)
 
 
+def _pack(v, n: int, mod: bytes, size: int | None = None) -> bytes | None:
+    """v's n symbols as bytes, or None unless v is a tuple or list of n
+    integers in [0, M), the bytes the mod-M table `mod` maps to
+    themselves, or in [0, size) if given."""
+    if type(v) not in _SEQUENCES or len(v) != n:
+        return None
+    try:
+        v = bytes(v)
+    except (TypeError, ValueError):   # not integers in range(256)
+        return None
+    # translate deletes [0, size), and none may be left, or fixes [0, M)
+    if v.translate(None, mod[:size]) if size else v.translate(mod) != v:
+        return None
+    return v
+
+
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """x = (s - u) mod M and y = u at each position: by the byte kernel
-    (`ByteTables`) on a tuple or list of each, if it fits the codec, else
-    position by position, secret then randomness symbol, each checked:
-    ValueError naming the first outside its alphabet or not an integer."""
-    kernel = codec._bytes
-    if (kernel and type(secret) in _SEQUENCES and type(rand) in _SEQUENCES
-            and (out := kernel.encode(secret, rand))):
-        return out
-    secret, rand = _sequences(secret, rand, codec.n, "secret and randomness")
-    k, m = codec.scheme.secret_size, codec.scheme.share_size
+    """x = (s - u) mod M and y = u at each position: by the byte kernel on
+    a tuple or list of each, if it fits the codec, else position by
+    position, secret then randomness symbol, each checked: ValueError
+    naming the first outside its alphabet or not an integer."""
+    k, n = codec.scheme.secret_size, codec.n
+    if ((kernel := codec._bytes) and (s := _pack(secret, n, kernel[1], k))
+            and (u := _pack(rand, n, kernel[1]))):
+        # each byte of s + M - u lies in [1, 2M): none borrows
+        x = int.from_bytes(s, "big") + kernel[0] - int.from_bytes(u, "big")
+        return tuple(x.to_bytes(n, "big").translate(kernel[1])), tuple(u)
+    m = codec.scheme.share_size
+    secret, rand = _sequences(secret, rand, n, "secret and randomness")
     if not (_ints(secret, k) and _ints(rand, m)):
         secret, rand = zip(*[(_symbol(s, "secret symbol", k, "the alphabet"),
                               _symbol(u, "randomness symbol", m, "the alphabet"))
@@ -395,23 +416,32 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
     compares with the lattice's `bar`, the sum of its positions' lattice
     weights, and their secret symbols (by the kernel, only with `decode`,
     of an accepted pair); None when a position scores -inf.  Read as
-    `encode_n` reads, else by s = (x + y) mod M after checking every x
-    symbol, then every y symbol: ValueError naming the first outside
-    [0, M) or not an integer.  A cell scores -inf when s >= k or p(s) = 0."""
-    kernel = codec._bytes
-    if (kernel and type(xs) in _SEQUENCES and type(ys) in _SEQUENCES
-            and (found := kernel.cells(xs, ys, decode)) is not False):
-        return found
-    xs, ys = _sequences(xs, ys, codec.n, "shares")
+    `encode_n` reads, the kernel's key x + y a byte per position, else by
+    s = (x + y) mod M after checking every x symbol, then every y symbol:
+    ValueError naming the first outside [0, M) or not an integer.  A cell
+    scores -inf when s >= k or p(s) = 0."""
+    n, lat = codec.n, codec.lattice
+    if ((kernel := codec._bytes) and (a := _pack(xs, n, kernel[1]))
+            and (b := _pack(ys, n, kernel[1]))):
+        # each byte of x + y lies in [0, 2M - 1): none carries
+        key = (int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(
+            n, "big")
+        v = key.translate(kernel[2])
+        if _MINUS_INF in v:
+            return None
+        score = sum(map(operator.mul, map(v.count, range(len(lat.weights))),
+                        lat.weights))
+        return score, (tuple(key.translate(kernel[1]))
+                       if decode and score > lat.bar else None)
     k, m = codec.scheme.secret_size, codec.scheme.share_size
+    xs, ys = _sequences(xs, ys, n, "shares")
     if not (_ints(xs, m) and _ints(ys, m)):
         xs, ys = ([_symbol(v, "share symbol", m, f"[0, {m})") for v in side]
                   for side in (xs, ys))
     symbols = [(x + y) % m for x, y in zip(xs, ys)]
     if max(symbols) >= k:
         return None
-    weights = [None if j is None else codec.lattice.weights[j]
-               for j in codec.laws.column]
+    weights = [None if j is None else lat.weights[j] for j in codec.laws.column]
     found = [weights[s] for s in symbols]
     return None if None in found else (sum(found), tuple(symbols))
 
@@ -431,75 +461,6 @@ def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
     if found is None or found[0] <= codec.lattice.bar:
         return REJECT
     return DecodeOutcome(found[1])
-
-
-# a decode cell's byte in `ByteTables.value` past every value index: a
-# -inf score
-_MINUS_INF = 255
-# the inputs the byte kernel reads: bytes() of an ndarray or an array.array
-# would read its raw buffer, not its elements
-_SEQUENCES = (tuple, list)
-
-
-class ByteTables(NamedTuple):
-    """The modular codec as `bytes.translate` tables, for M <= 16.
-
-    A block's two symbol tuples become one key of n cells by one big-int
-    multiply-add, s |U| + u to encode and x M + y to decode; each symbol
-    is checked against its alphabet first, so no cell carries into the
-    next.  `x` and `y` read an encode cell's shares; `value` reads a
-    decode cell's lattice value index, or `_MINUS_INF`, and `secret` its
-    decoded symbol.  A symbol that is not an int or lies outside its
-    alphabet is a miss, which the caller reads by arithmetic instead."""
-
-    n: int
-    secrets: bytes   # each alphabet's symbols: range(k), range(|U|), range(M)
-    rands: bytes
-    shares: bytes
-    x: bytes
-    y: bytes
-    value: bytes
-    secret: bytes
-    weights: tuple[int, ...]
-    bar: int
-
-    def _key(self, a, b, a_set: bytes, b_set: bytes):
-        """The key of cells a |b_set| + b, or None unless a and b are n
-        integers each, in `a_set` and in `b_set`: [0, k) and [0, |U|) to
-        encode, [0, M) to decode."""
-        try:
-            a, b = bytes(a), bytes(b)
-        except (TypeError, ValueError):   # not integers in range(256)
-            return None
-        # translate deletes the symbols of each alphabet: none may be left
-        n = self.n
-        if (len(a) != n or len(b) != n or a.translate(None, a_set)
-                or b.translate(None, b_set)):
-            return None
-        return (int.from_bytes(a, "big") * len(b_set)
-                + int.from_bytes(b, "big")).to_bytes(n, "big")
-
-    def encode(self, secret, rand):
-        """(xs, ys), or None on a miss."""
-        key = self._key(secret, rand, self.secrets, self.rands)
-        if key is None:
-            return None
-        return tuple(key.translate(self.x)), tuple(key.translate(self.y))
-
-    def cells(self, xs, ys, decode: bool):
-        """As `_cells`: (integer score, symbols of an accepted pair with
-        `decode`) or None at a -inf cell; False on a miss."""
-        key = self._key(xs, ys, self.shares, self.shares)
-        if key is None:
-            return False
-        v = key.translate(self.value)
-        if _MINUS_INF in v:
-            return None
-        score = sum(map(operator.mul, map(v.count, range(len(self.weights))),
-                        self.weights))
-        if decode and score > self.bar:
-            return score, tuple(key.translate(self.secret))
-        return score, None
 
 
 # ---------------------------------------------------------------------------

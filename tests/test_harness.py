@@ -1011,6 +1011,15 @@ class TestCli:
         assert code == 1
         assert "error:" in err
 
+    def test_unmatched_source_bracket_is_refused(self, capsys):
+        # "[0.7,0.3" once ran as the source [0.7, 0.3]
+        code, out, err = self.run(
+            ["attack", "--scheme", "symbolwise", "--source", "[0.7,0.3",
+             "--m", "3", "--n", "4"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: bad config: 'source' \"[0.7,0.3\": cannot "
+                       "parse PMF from '[0.7,0.3'\n")
+
     @pytest.mark.parametrize("argv", [
         ["encode", "--scheme", "blockwise", "--source", "0.7,0.3", "--n", "4",
          "--secret", "0,0,0,0", "--seed", "x"],

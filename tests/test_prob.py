@@ -3,6 +3,7 @@ exact-rational oracles, plus distributional invariants."""
 import dataclasses
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -77,6 +78,14 @@ class TestPMF:
     def test_from_text_garbage(self):
         with pytest.raises(ValueError):
             PMF.from_text("[]")
+        # brackets are one matched outer pair or none: each of these once
+        # parsed as [0.7, 0.3]
+        for text in ("[0.7,0.3", "0.7,0.3]", "[[0.7,0.3]]", "[0.7],[0.3]",
+                     "0.7,[0.3]"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"cannot parse PMF from {text!r}")):
+                PMF.from_text(text)
+        assert PMF.from_text(" [0.7, 0.3] ").probs.tolist() == [0.7, 0.3]
 
 
 class TestEntropy:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from twoshare import attack, harness, symbol
 from oracles import (JointPMF, gamma_for_threshold, mutual_information,
                      scheme_joint, share_laws, splitter_profile)
+from twoshare.outcome import DecodeOutcome
 from twoshare.prob import (CapExceededError, PMF, RandomStream, _estimate,
                            entropy)
 from twoshare.typical import GammaSchedule
@@ -727,11 +728,11 @@ class TestSplitterTables:
         # -1 is what a hole marker stored in a table would be, 2**70 does
         # not fit an int64 cell, and 254 and 255 fit a byte but are the
         # kernel's old miss and -inf markers: as a share symbol each is
-        # named outside [0, M), by the kernel's codec (M=4) and by the
-        # arithmetic one (M=17), never read as a cell
-        for m in (4, 17):
+        # named outside [0, M), by the kernel's codecs (M=4 and M=128) and
+        # by the arithmetic one (M=129), never read as a cell
+        for m in (4, 128, 129):
             codec = make_codec(modular_scheme(m, 2), U2, n=3, gamma=0.5)
-            assert bool(codec._bytes) is (m == 4)
+            assert bool(codec._bytes) is (m <= 128)
             xs, ys = encode_n(codec, (0, 1, 0), (3, 2, 1))
             assert decode_n(codec, xs, ys).secret == (0, 1, 0)
             for shares in ((xs[:2] + (shift,), ys), (xs, (shift,) + ys[1:])):
@@ -764,7 +765,7 @@ class TestSplitterTables:
                 check(codec, xs, ys)
 
     def test_tables_are_built_on_first_codec_call_only(self, monkeypatch):
-        # the byte tables wait for the first codec call, and neither they
+        # the kernel's tables wait for the first codec call, and neither they
         # nor a record nor a codec call ever calls the splitter: the maps
         # are read in closed form
         calls = {"encode": 0, "decode": 0}
@@ -903,7 +904,7 @@ class TestDictCodec:
 
     def test_wide_share_alphabet_tables_hold_k_u_entries_at_most(self):
         # the scheme of configs/symbolwise_wide_m.json: k=2, M=1024.  No
-        # table is built at all: past M=16 every call is arithmetic, and
+        # table is built at all: past M=128 every call is arithmetic, and
         # the codec holds the k-entry laws only
         n = 64
         codec = make_codec(modular_scheme(1024, 2), SKEW, n=n,
@@ -1019,8 +1020,8 @@ class TestByteKernel:
         with pytest.raises(ValueError, match=r"^share symbol 7 outside \[0, 5\)$"):
             decode_n(codec, wide(xs[:5] + (7,)), wide(ys))
 
-    @pytest.mark.parametrize("m,packed", [(16, True), (17, False)])
-    def test_decode_cells_fit_a_byte_up_to_m_16(self, m, packed):
+    @pytest.mark.parametrize("m,packed", [(128, True), (129, False)])
+    def test_decode_cells_fit_a_byte_up_to_m_128(self, m, packed):
         codec = make_codec(modular_scheme(m, 2), SKEW, n=8, gamma=0.3)
         assert bool(codec._bytes) is packed
         table = share_laws(codec).score_table.tolist()
@@ -1031,9 +1032,9 @@ class TestByteKernel:
             calls_match_the_oracle(codec, table, secret, rand, i)
 
     def test_shares_outside_the_alphabet_alias_no_image_cell(self):
-        # read as x M + y, the pair (0, 4) would be image cell (1, 0); and
-        # symbol 2 has probability 0, so its cells score -inf though the
-        # splitter still encodes it
+        # read as the key byte x + y, the pair (0, 4) would be a cell of
+        # symbol (0 + 4) mod 4 = 0; and symbol 2 has probability 0, so its
+        # cells score -inf though the splitter still encodes it
         codec = make_codec(modular_scheme(4, 3), PMF.from_probs([0.5, 0.5, 0.0]),
                            n=3, gamma=0.5)
         assert codec._bytes
@@ -1048,9 +1049,88 @@ class TestByteKernel:
             calls_match_the_oracle(codec, table, (1, 1, 0), (0, 0, 1), i)
 
 
+# (M, source) pairs at the kernel's edges and past it: a zero-probability
+# symbol and s >= k give -inf cells, and at k = M = 128 the encode byte
+# s + M - u reaches 255
+DIFFERENTIAL = [(m, PMF.from_probs([0.7, 0.3] if m == 2 else [0.5, 0.0, 0.3, 0.2]))
+                for m in (2, 5, 16, 17, 64, 127, 128, 129)] + [
+                    (128, PMF.uniform(128))]
+
+
+class TestKernelAgainstArithmetic:
+    """The byte kernel (tuple or list input, M <= 128) against the
+    arithmetic path, which ndarray input forces."""
+
+    @staticmethod
+    def outcome(call, codec, *args):
+        """call on lists and on ndarrays: its result, decode_n's secret,
+        or its ValueError's message, equal on both."""
+        out = []
+        for wrap in (list, np.array):
+            try:
+                got = call(codec, *map(wrap, args))
+            except ValueError as exc:
+                got = f"ValueError: {exc}"
+            out.append(got.secret if isinstance(got, DecodeOutcome) else got)
+        assert out[0] == out[1]
+        return out[0]
+
+    @pytest.mark.parametrize("m,source", DIFFERENTIAL,
+                             ids=[f"M={m}-k={s.support_size}"
+                                  for m, s in DIFFERENTIAL])
+    def test_list_and_ndarray_calls_agree(self, m, source, monkeypatch):
+        n, k = 8, source.support_size
+        # gamma = 1 accepts every honest pair: no surprisal passes H(S) + 1
+        codec = make_codec(modular_scheme(m, k), source, n=n, gamma=1.0)
+        assert (codec._bytes is not None) is (m <= 128)
+        rng = np.random.default_rng(m + k)
+        secret = [k - 1] + rng.choice(k, size=n - 1, p=source.probs).tolist()
+        rand = [0] + rng.integers(m, size=n - 1).tolist()
+        xs, ys = self.outcome(encode_n, codec, secret, rand)
+        assert (xs[0] + ys[0]) % m == k - 1 and ys == tuple(rand)
+        assert all(type(v) is int for v in xs + ys)
+        # the honest pair, symbols t = 0, 1, k - 1 and k mod M at position
+        # i (-inf where s >= k or p(s) = 0), then every symbol out of range
+        # or not an integer
+        pairs = [(xs, ys)] + [
+            (xs, ys[:i] + ((t - xs[i]) % m,) + ys[i + 1:])
+            for i in (0, n - 1) for t in sorted({0, 1, k - 1, k % m})]
+        symbols = len(pairs)
+        for i in (0, n - 1):
+            for bad in (-1, m, 255, 256, 1 << 70, 2.5):
+                pairs += [(xs[:i] + (bad,) + xs[i + 1:], ys),
+                          (xs, ys[:i] + (bad,) + ys[i + 1:])]
+        pairs.append((xs[1:], ys))
+        for pair in pairs:
+            found = self.outcome(decode_n, codec, *pair)
+            accepted = self.outcome(accepts_n, codec, *pair)
+            assert accepted == found if isinstance(found, str) else (
+                accepted is (found is not None))
+        assert self.outcome(decode_n, codec, xs, ys) == tuple(secret)
+        for bad in (-1, k, 256, 2.5):
+            self.outcome(encode_n, codec, [bad] + secret[1:], rand)
+            self.outcome(encode_n, codec, secret, rand[:-1] + [bad])
+        self.outcome(encode_n, codec, secret, rand[1:])
+        # bools and numpy ints are symbols, and every output a plain int
+        for wrap in (lambda v: [bool(s) if s < 2 else s for s in v],
+                     lambda v: [np.int64(s) for s in v]):
+            shares = encode_n(codec, wrap(secret), wrap(rand))
+            found = decode_n(codec, wrap(xs), wrap(ys)).secret
+            assert shares == (xs, ys) and found == tuple(secret)
+            assert all(type(v) is int for v in shares[0] + shares[1] + found)
+        # a kernel codec answers lists without the arithmetic path
+        if m <= 128:
+            monkeypatch.setattr(symbol, "_sequences", None)
+            assert encode_n(codec, secret, rand) == (xs, ys)
+            for pair in pairs[:symbols]:
+                decode_n(codec, *pair)
+                accepts_n(codec, *pair)
+
+
 class TestTablePath:
-    """The codecs the byte kernel does not pack, M > 16: every symbol
-    checked, then x = (s - u) mod M and s = (x + y) mod M."""
+    """The arithmetic path: codecs the byte kernel does not pack, M > 128,
+    and symbols it misses at M=17: every symbol checked, then
+    x = (s - u) mod M and s = (x + y) mod M."""
 
     CODECS = {
         "symbolwise_wide_m": lambda: shipped_codec(
@@ -1059,7 +1139,7 @@ class TestTablePath:
                                          gamma=0.3)}
 
     def test_calls_match_the_oracle_at_m_1024(self):
-        # M=17 runs the oracle in test_decode_cells_fit_a_byte_up_to_m_16
+        # M=129 runs the oracle in test_decode_cells_fit_a_byte_up_to_m_128
         codec = self.CODECS["symbolwise_wide_m"]()
         assert codec._bytes is None
         r, n = codec.scheme.rand_size, codec.n
