@@ -41,7 +41,7 @@ def _value(text: str):
 def _int_list(text: str, flag: str, size: int) -> tuple[int, ...]:
     """The `size` comma-separated integers of `flag`, else a ValueError."""
     try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
+        values = tuple(map(int, text.split(",")))
     except ValueError:
         values = ()
     if len(values) != size:

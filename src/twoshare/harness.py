@@ -127,9 +127,11 @@ def _kind(value, table: dict, where: str) -> tuple:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run spec, checked when it is built (by the constructor,
-    `from_dict` or `dataclasses.replace`), so a config that exists is valid."""
+    `from_dict` or `dataclasses.replace`), so a config that exists is valid
+    and holds no value it would ignore.  `source` is the parsed PMF; any
+    other sequence given for it is parsed once, here."""
 
-    source: tuple[float, ...]
+    source: PMF
     scheme_kind: str                 # "blockwise" | "symbolwise"
     n_values: tuple[int, ...]
     seed: int
@@ -142,7 +144,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each rule is its owner's; the owner of 'ell' needs a built index
-        _owned(lambda: self.pmf, key="'source': ")
+        if not isinstance(self.source, PMF):
+            object.__setattr__(self, "source", _owned(PMF, self.source,
+                                                      key="'source': "))
         _owned(self.schedule, key="'schedule': ")
         if self.mode not in ("exact", "mc"):
             raise ConfigError(f"bad config: 'mode' {_shown(self.mode)} is not "
@@ -154,18 +158,22 @@ class ExperimentConfig:
         if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
             raise ConfigError("bad config: 'n_values' must be increasing "
                               "positive integers")
-        if self.scheme_kind not in _SCHEMES:
+        if (kind := self.scheme_kind) not in _SCHEMES:
             raise ConfigError(f"bad config: unknown scheme kind "
-                              f"{_shown(self.scheme_kind)}")
-        if self.scheme_kind == "blockwise" and not (
-                self.ell is not None and self.ell >= 0.0):
-            raise ConfigError(f"bad config: blockwise 'ell' must be "
-                              f"non-negative, not {_shown(self.ell)}")
-        if self.scheme_kind == "symbolwise" and self.share_size is None:
+                              f"{_shown(kind)}")
+        if kind == "blockwise":
+            if not (self.ell is not None and self.ell >= 0.0):
+                raise ConfigError(f"bad config: blockwise 'ell' must be "
+                                  f"non-negative, not {_shown(self.ell)}")
+            _number(self.ell, "blockwise 'ell'")
+        elif self.share_size is None:
             raise ConfigError("bad config: symbolwise scheme needs 'm'")
-        if self.scheme_kind == "symbolwise":
+        else:
             _owned(symbol.modular_scheme, self.share_size, len(self.source),
                    key="symbolwise 'm': ")
+        # the other scheme's parameter, which `to_dict` would drop
+        _known_keys([k for k, v in (("ell", self.ell), ("m", self.share_size))
+                     if v is not None], _SCHEMES[kind][:1], f"the {kind} scheme")
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -179,7 +187,7 @@ class ExperimentConfig:
                        _SCHEDULES, "schedule")
         source = raw.get("source")
         return cls(
-            source=(_owned(lambda: tuple(PMF.from_text(source).probs.tolist()),
+            source=(_owned(PMF.from_text, source,
                            key=f"'source' {_shown(source)}: ")
                     if isinstance(source, str) else _numbers(source, "'source'")),
             scheme_kind=kind,
@@ -190,16 +198,12 @@ class ExperimentConfig:
             **{"ell" if kind == "blockwise" else "share_size": param},
             schedule_kind=sk, schedule_param=sp)
 
-    @functools.cached_property
-    def pmf(self) -> PMF:
-        return PMF.from_probs(self.source)
-
     def schedule(self) -> GammaSchedule:
         return GammaSchedule(self.schedule_kind, self.schedule_param)
 
     def to_dict(self) -> dict:
         param = self.ell if self.scheme_kind == "blockwise" else self.share_size
-        return {"source": list(self.source),
+        return {"source": list(self.source.probs),
                 "scheme": {"kind": self.scheme_kind,
                            _SCHEMES[self.scheme_kind][0]: param},
                 "schedule": {"kind": self.schedule_kind,
@@ -262,8 +266,9 @@ def _exponent(p: float) -> float:
 def make_scheme(cfg: ExperimentConfig, n: int):
     """The scheme object blocklength n of cfg runs on: blockwise parameters
     over the typical-set index, or the modular symbolwise codec with its
-    score lattice."""
-    source, gamma = cfg.pmf, cfg.schedule().gamma_at(n)
+    score lattice, whose per-source laws `symbol.modular_laws` computes
+    once per sweep."""
+    source, gamma = cfg.source, cfg.schedule().gamma_at(n)
     if cfg.scheme_kind == "blockwise":
         return block.BlockwiseParams(cfg.ell, build_index(source, n, gamma))
     scheme = symbol.modular_scheme(cfg.share_size, source.support_size)
@@ -272,17 +277,6 @@ def make_scheme(cfg: ExperimentConfig, n: int):
 
 # what turns a record into a skip: the reason is the exception's text
 _SKIPS = (CapExceededError, EmptyTypicalSetError)
-
-
-def _builder(cfg: ExperimentConfig):
-    """`make_scheme` of a sweep, as build(n).  The blockwise index depends
-    on n and gamma, so it is built per record.  The symbolwise codec's
-    laws do not: it is built once, at the first blocklength, and each
-    record derives its own with `dataclasses.replace`."""
-    if cfg.scheme_kind == "blockwise":
-        return functools.partial(make_scheme, cfg)
-    codec, sched = make_scheme(cfg, cfg.n_values[0]), cfg.schedule()
-    return lambda n: dataclasses.replace(codec, n=n, gamma=sched.gamma_at(n))
 
 
 @dataclass(frozen=True)
@@ -359,13 +353,13 @@ def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
 _STEPS = {"blockwise": _blockwise_exact, "symbolwise": _symbolwise_exact}
 
 
-def _record(cfg: ExperimentConfig, n: int, gamma: float, build,
+def _record(cfg: ExperimentConfig, n: int, gamma: float,
             rng: RandomStream, rec_idx: int) -> RunRecord:
     """One blocklength: exact fields, in "mc" mode the estimates of p_e,
     p_x and p_y in their place, then the verdicts.  A typed skip anywhere
     leaves only n, gamma_n and the reason."""
     try:
-        ev = _STEPS[cfg.scheme_kind](build(n))
+        ev = _STEPS[cfg.scheme_kind](make_scheme(cfg, n))
         rec = RunRecord(n=n, gamma_n=gamma, **ev.fields)
         if cfg.mode == "mc":
             # each estimate draws on the exact mass the record holds
@@ -423,8 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     start = time.monotonic()
     sched = cfg.schedule()
     rng = RandomStream(cfg.seed)
-    build = _builder(cfg)
-    records = [_record(cfg, n, sched.gamma_at(n), build, rng, i)
+    records = [_record(cfg, n, sched.gamma_at(n), rng, i)
                for i, n in enumerate(cfg.n_values)]
     report = ExperimentReport(config=cfg, records=records)
     report.wall_time_s = time.monotonic() - start

@@ -34,44 +34,44 @@ def as_symbol(value, name: str = "symbol") -> int:
     raise ValueError(f"{name} {shown} is not an integer")
 
 
-def _validate_probs(arr: np.ndarray):
-    if arr.ndim < 1 or arr.size == 0:
-        raise ValueError("probability table must be non-empty")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("probabilities must be finite and non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
-
-
 @dataclass(frozen=True)
 class PMF:
-    """A probability mass function over {0, ..., k-1}.
+    """A probability mass function over {0, ..., k-1}: a value, so equal
+    PMFs compare equal and hash alike.
 
-    Its per-source invariants are cached properties, each the expression
-    the library used to recompute on every call, now computed once:
-    `entropy`, H(S) in bits; `support`, the symbols of positive
-    probability; and `surprisals`, their -log2 p by numpy, the one log of
-    p that the typical-set window and its class masses read."""
+    `probs` is a tuple of floats, non-empty, finite and non-negative, whose
+    exact sum (`math.fsum`) is 1 within SUM_TOL.  Its per-source invariants
+    are cached properties, each computed once: `entropy`, H(S) in bits;
+    `support`, the symbols of positive probability; and `surprisals`, their
+    -log2 p, the one log of p that the typical-set window and its class
+    masses read.  Every log is `math.log2`, which does not dispatch on the
+    CPU."""
 
-    probs: np.ndarray
+    probs: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        _validate_probs(arr)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        try:
+            probs = tuple(map(float, self.probs))
+        except TypeError:
+            raise ValueError("probabilities must be numbers") from None
+        if not probs:
+            raise ValueError("probability table must be non-empty")
+        if not all(0.0 <= p < math.inf for p in probs):   # NaN fails too
+            raise ValueError("probabilities must be finite and non-negative")
+        if abs((total := math.fsum(probs)) - 1.0) > SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1 within "
+                             f"{SUM_TOL}")
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def from_probs(cls, values: Sequence[float]) -> "PMF":
-        return cls(np.asarray(list(values), dtype=np.float64))
+        return cls(values)
 
     @classmethod
     def uniform(cls, k: int) -> "PMF":
         if k < 1:
             raise ValueError("alphabet size must be positive")
-        return cls(np.full(k, 1.0 / k))
+        return cls((1.0 / k,) * k)
 
     @classmethod
     def from_text(cls, text: str) -> "PMF":
@@ -79,48 +79,46 @@ class PMF:
 
         Accepts either a JSON-style list ("[0.7, 0.3]"), a bare
         comma-separated list ("0.7,0.3"), or "uniform:k"; a bracket
-        anywhere but as one matched outer pair is refused.
+        anywhere but as one matched outer pair, or an empty field between
+        commas, is refused.
         """
         text = text.strip()
         if text.startswith("uniform:"):
             return cls.uniform(int(text.split(":", 1)[1]))
         body = text[1:-1] if text[:1] == "[" and text[-1:] == "]" else text
-        parts = [p for p in body.split(",") if p.strip()]
-        if not parts or "[" in body or "]" in body:
+        parts = body.split(",")
+        if not all(map(str.strip, parts)) or "[" in body or "]" in body:
             raise ValueError(f"cannot parse PMF from {text!r}")
-        return cls.from_probs([float(p) for p in parts])
+        return cls(parts)
 
     @property
     def support_size(self) -> int:
-        return int(self.probs.shape[0])
+        return len(self.probs)
 
     @functools.cached_property
     def entropy(self) -> float:
-        return _entropy_bits(self.probs)
+        # summed left to right, as numpy summed fewer than 8 terms
+        total = 0.0
+        for p in self.probs:
+            if p > 0.0:
+                total += p * math.log2(p)
+        return -total
 
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
-        return tuple(a for a, p in enumerate(self.probs.tolist()) if p > 0.0)
+        return tuple(a for a, p in enumerate(self.probs) if p > 0.0)
 
     @functools.cached_property
     def surprisals(self) -> tuple[float, ...]:
-        p = self.probs
-        return tuple((-np.log2(np.where(p > 0.0, p, 1.0)))[p > 0.0].tolist())
+        return tuple(-math.log2(p) for p in self.probs if p > 0.0)
 
     def __len__(self):
         return self.support_size
 
 
-def _entropy_bits(arr: np.ndarray) -> float:
-    flat = np.asarray(arr, dtype=np.float64).ravel()
-    pos = flat[flat > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
 def entropy(p: PMF) -> float:
-    """Shannon entropy in bits: a PMF's cached `entropy`, or that of any
-    other object's `.probs` table."""
-    return p.entropy if isinstance(p, PMF) else _entropy_bits(p.probs)
+    """Shannon entropy in bits of a PMF: its cached `entropy`."""
+    return p.entropy
 
 
 def binary_entropy(q: float) -> float:

@@ -73,13 +73,14 @@ class ModularScheme(BaseScheme):
     """`fstar` and `gstar` over M = `share_size` symbols with |U| = M: the
     one splitter `make_codec` builds a codec for.  Its name, |U| and maps
     follow from its two sizes, so `dataclasses.replace` cannot give it
-    others."""
+    others, and two schemes of equal sizes compare equal."""
 
     name: str = field(init=False)
     rand_size: int = field(init=False)
-    encode_fn: Callable[[int, int], tuple[int, int]] = field(init=False,
-                                                            repr=False)
-    decode_fn: Callable[[int, int], int | None] = field(init=False, repr=False)
+    encode_fn: Callable[[int, int], tuple[int, int]] = field(
+        init=False, repr=False, compare=False)
+    decode_fn: Callable[[int, int], int | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, k = self.share_size, self.secret_size
@@ -148,7 +149,7 @@ def _image_law(scheme: BaseScheme, source: PMF) -> ImageLaw:
     first call."""
     if source.support_size != scheme.secret_size:
         raise ValueError("source alphabet does not match the scheme")
-    weight = over_one_denominator(source.probs.tolist())
+    weight = over_one_denominator(source.probs)
     m, r = scheme.share_size, scheme.rand_size
     if (points := sum(map(bool, weight)) * r) > VALIDATION_CAP:
         raise CapExceededError(f"{points} support points exceed the "
@@ -244,6 +245,7 @@ class LatticeLaws(NamedTuple):
     column: tuple[int | None, ...]
 
 
+@functools.lru_cache(maxsize=64)
 def modular_laws(source: PMF, share_size: int) -> tuple[LatticeLaws, float]:
     """The `LatticeLaws` and I(X;Y) of `modular_scheme(M, k)` over
     `source`, from closed forms in O(k), each float as the splitter's
@@ -252,8 +254,9 @@ def modular_laws(source: PMF, share_size: int) -> tuple[LatticeLaws, float]:
     s = (x + y) mod M < k, p(s) > 0, carries weight_s, and each share
     symbol W: the cell scores log2(weight_s W M / W^2), the M cells of s
     hold legitimate mass M weight_s, and a forged symbol of either side
-    meets each s once against honest mass W."""
-    weight = over_one_denominator(source.probs.tolist())
+    meets each s once against honest mass W.  Memoised per (source, M),
+    so every codec of a sweep reads one computation."""
+    weight = over_one_denominator(source.probs)
     m, w_all = share_size, sum(weight)
     z, logs = w_all * m, _Logs()
     score = [logs[w * z, w_all * w_all] if w else None for w in weight]

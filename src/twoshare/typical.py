@@ -11,6 +11,7 @@ term per class.  None enumerates k**n sequences.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -89,9 +90,9 @@ def is_typical(seq, source: PMF, gamma: float) -> bool:
     if not 0 <= bad < k:
         raise ValueError(f"symbol {bad} outside [0, {k})")
     weights, lo, hi = _window(source, len(symbols), gamma)
-    counts, on = np.bincount(symbols, minlength=k), source.probs > 0.0
-    return not counts[~on].any() and lo <= sum(
-        map(operator.mul, counts[on].tolist(), weights)) <= hi
+    counts = collections.Counter(symbols)
+    return all(source.probs[a] > 0.0 for a in counts) and lo <= sum(
+        map(operator.mul, (counts[a] for a in source.support), weights)) <= hi
 
 
 class TypicalIndex:

@@ -21,8 +21,8 @@ import numpy as np
 
 from twoshare.attack import AttackResult
 from twoshare.block import BlockShare, BlockwiseParams
-from oracles import AlphaBeta, iid_extension
-from twoshare.prob import PMF, _entropy_bits, entropy
+from oracles import AlphaBeta, _entropy_bits, iid_extension
+from twoshare.prob import PMF, entropy
 from twoshare.typical import TypicalIndex
 
 
@@ -36,9 +36,10 @@ def flat_to_share(params: BlockwiseParams, flat: int) -> BlockShare:
 
 
 def _surprisal_table(source: PMF) -> np.ndarray:
-    """-log2 p per symbol, +inf where p = 0."""
-    p = source.probs
-    return np.where(p > 0.0, -np.log2(np.where(p > 0.0, p, 1.0)), np.inf)
+    """-log2 p per symbol by `math.log2`, the library's log, +inf where
+    p = 0."""
+    return np.array([-math.log2(p) if p > 0.0 else math.inf
+                     for p in source.probs])
 
 
 def typical_mask(source: PMF, n: int, gamma: float) -> np.ndarray:

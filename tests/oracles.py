@@ -23,8 +23,7 @@ import numpy as np
 
 from twoshare import typical
 from twoshare._comb import compositions, multinomial
-from twoshare.prob import (CapExceededError, PMF, RandomStream,
-                           _entropy_bits, _validate_probs, entropy)
+from twoshare.prob import SUM_TOL, CapExceededError, PMF, RandomStream
 from twoshare.symbol import (FAIL_DECODE, FAIL_DECODER, FAIL_SECRECY_X,
                              FAIL_SECRECY_Y, FAIL_SIZE, SECRECY_TOL,
                              BaseScheme, SymbolwiseCodec,
@@ -41,6 +40,28 @@ RATIONAL_CAP = 1 << 16
 
 
 MI_TOL = 1e-9
+
+
+def _validate_probs(arr: np.ndarray):
+    if arr.ndim < 1 or arr.size == 0:
+        raise ValueError("probability table must be non-empty")
+    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        raise ValueError("probabilities must be finite and non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+
+
+def _entropy_bits(arr: np.ndarray) -> float:
+    flat = np.asarray(arr, dtype=np.float64).ravel()
+    pos = flat[flat > 0.0]
+    return float(-(pos * np.log2(pos)).sum())
+
+
+def entropy(p) -> float:
+    """Shannon entropy in bits: a PMF's cached `entropy`, or that of any
+    other object's `.probs` table (a `JointPMF`'s, say)."""
+    return p.entropy if isinstance(p, PMF) else _entropy_bits(p.probs)
 
 
 def mutual_information(table: np.ndarray) -> float:
@@ -101,9 +122,9 @@ class JointPMF:
         size = math.prod(p.support_size for p in pmfs)
         if size > DENSE_CAP:
             raise CapExceededError(f"{size} states exceed the dense cap {DENSE_CAP}")
-        arr = pmfs[0].probs
+        arr = np.asarray(pmfs[0].probs)
         for p in pmfs[1:]:
-            arr = np.multiply.outer(arr, p.probs)
+            arr = np.multiply.outer(arr, np.asarray(p.probs))
         return cls(arr)
 
     @property
@@ -133,7 +154,7 @@ def induce_joint(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -
     be defined on every support point.  The result has one axis per input
     followed by one per output.
     """
-    in_arr = src.probs
+    in_arr = np.asarray(src.probs)
     in_dims = tuple(in_arr.shape)
     total = math.prod(in_dims) * math.prod(out_dims)
     if total > DENSE_CAP:
@@ -227,7 +248,7 @@ def share_laws(codec: SymbolwiseCodec) -> ShareLaws:
     """The dense per-symbol laws of a codec's splitter, rebuilt from the
     splitter and the source in exact rationals: every support point (s, u)
     carries p(s) / (sum of p) / |U|.  M x M floats: small M only."""
-    scheme, probs = codec.scheme, codec.source.probs.tolist()
+    scheme, probs = codec.scheme, codec.source.probs
     m, total = scheme.share_size, sum(map(Fraction, probs))
     xy: dict[tuple[int, int], Fraction] = {}
     for s, p in enumerate(probs):
@@ -248,7 +269,7 @@ def share_laws(codec: SymbolwiseCodec) -> ShareLaws:
 
 def pushforward(src: JointPMF | PMF, fn: Callable, out_dims: tuple[int, ...]) -> JointPMF | PMF:
     """Distribution of fn(inputs) alone; inputs are summed out on the fly."""
-    in_arr = src.probs
+    in_arr = np.asarray(src.probs)
     size = math.prod(out_dims)
     if size > DENSE_CAP:
         raise CapExceededError(f"{size} states exceed the dense cap {DENSE_CAP}")
@@ -317,7 +338,7 @@ class IIDExtension:
         """Probabilities of every length-n sequence, in lexicographic order."""
         if self.size > cap:
             raise CapExceededError(f"{self.size} sequences exceed the cap {cap}")
-        p = self.source.probs
+        p = np.asarray(self.source.probs)
         total = p.copy()
         for _ in range(self.n - 1):
             total = (total[:, None] * p[None, :]).ravel()
@@ -619,7 +640,7 @@ def exact_blockwise(source: PMF, n: int, gamma: float,
     all counts but the last two, i and j; along a prefix of r the terms
     T(a) = C(r, a) A_i^a A_j^(r-a) follow one another by small exact
     products and divisions, so n=2000 takes a fraction of a second."""
-    probs = [Fraction(p) for p in source.probs.tolist() if p > 0.0]
+    probs = [Fraction(p) for p in source.probs if p > 0.0]
     k = len(probs)
     den = max(p.denominator for p in probs)
     ints = [int(p * den) for p in probs]

@@ -338,7 +338,7 @@ def reference_laws(codec: SymbolwiseCodec) -> LatticeLaws:
     (forged,) = set(forged_laws(codec, "x") + forged_laws(codec, "y"))
     scheme = codec.scheme
     column = tuple(values.index(table[x][y]) if p > 0.0 else None
-                   for s, p in enumerate(codec.source.probs.tolist())
+                   for s, p in enumerate(codec.source.probs)
                    for x, y in [scheme.encode_fn(s, 0)])
     return LatticeLaws(values, tuple(map(float, legit.values())), forged,
                        column)

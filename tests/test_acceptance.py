@@ -253,7 +253,7 @@ def test_08_rejection_probability_vanishes_with_blocklength():
 
 
 def exact_attack_pair(cfg, rec):
-    source = PMF.from_probs(cfg.source)
+    source = cfg.source
     if cfg.scheme_kind == "blockwise":
         params = block.BlockwiseParams(cfg.ell,
                                        build_index(source, rec.n, rec.gamma_n))

@@ -110,7 +110,7 @@ class TestConfig:
 
     def test_string_source(self):
         cfg = ExperimentConfig.from_dict(base_dict(source="uniform:3"))
-        assert cfg.source == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert cfg.source.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_round_trip_blockwise(self):
         cfg = ExperimentConfig.from_dict(base_dict())
@@ -161,6 +161,35 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match="^bad config: symbolwise scheme needs 'm'$"):
             dataclasses.replace(cfg, scheme_kind="symbolwise")
+
+    @pytest.mark.parametrize("kind,params,keys,message", [
+        ("blockwise", dict(ell=1.0, share_size=4), {"ell": 1.0, "m": 4},
+         "bad config: unknown key 'm' in the blockwise scheme"),
+        ("symbolwise", dict(ell=1.0, share_size=4), {"ell": 1.0, "m": 4},
+         "bad config: unknown key 'ell' in the symbolwise scheme"),
+        ("blockwise", dict(ell=math.inf), {"ell": math.inf},
+         "bad config: blockwise 'ell' Infinity is not a finite number"),
+    ], ids=["m-on-blockwise", "ell-on-symbolwise", "infinite-ell"])
+    def test_a_value_the_config_would_ignore_is_refused(self, kind, params,
+                                                       keys, message):
+        # the other scheme's parameter was accepted and dropped by
+        # `to_dict`; ell = inf was accepted and then skipped every record.
+        # The constructor, `dataclasses.replace` and `from_dict` name the
+        # key alike
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(source=(0.7, 0.3), scheme_kind=kind,
+                             n_values=(4,), seed=0, **params)
+        assert str(err.value) == message
+        valid = {"blockwise": {"ell": 1.0}, "symbolwise": {"m": 4}}[kind]
+        cfg = ExperimentConfig.from_dict(base_dict(
+            scheme={"kind": kind, **valid}))
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, **params)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(base_dict(
+                scheme={"kind": kind, **keys}))
+        assert str(err.value) == message
 
     def test_mc_trials_stop_at_two_to_the_36(self):
         # an estimate runs 2**36 trials at most; exact mode leaves the
@@ -275,9 +304,9 @@ class TestRunExperiment:
         raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         cfg, fresh = (ExperimentConfig.from_dict(raw) for _ in range(2))
         cold = run_experiment(cfg)
-        assert "entropy" in vars(cfg.pmf)
+        assert "entropy" in vars(cfg.source)
         warm = run_experiment(cfg)
-        assert "entropy" not in vars(fresh.pmf)
+        assert "entropy" not in vars(fresh.source)
         outs = [emit_jsonl(dataclasses.replace(report, wall_time_s=0.0))
                 for report in (cold, warm, run_experiment(fresh))]
         assert outs[0] == outs[1] == outs[2]
@@ -1011,6 +1040,15 @@ class TestCli:
         assert code == 1
         assert "error:" in err
 
+    def test_an_empty_source_field_is_refused(self, capsys):
+        # "0.7,,0.3" once ran as the source [0.7, 0.3]
+        code, out, err = self.run(
+            ["attack", "--scheme", "symbolwise", "--source", "0.7,,0.3",
+             "--m", "3", "--n", "4"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: bad config: 'source' \"0.7,,0.3\": cannot "
+                       "parse PMF from '0.7,,0.3'\n")
+
     def test_unmatched_source_bracket_is_refused(self, capsys):
         # "[0.7,0.3" once ran as the source [0.7, 0.3]
         code, out, err = self.run(
@@ -1185,9 +1223,21 @@ class TestCli:
           "--y", "0,0,0,0"], "--x", "0,1", "4 "),
         (["decode", "--scheme", "symbolwise", "--m", "3", "--x", "0,0,0,0",
           "--y", "0,0,0,0,0"], "--y", "0,0,0,0,0", "4 "),
+        # an empty field is no integer: "0,1,,0,1" encoded four symbols,
+        # and "1,,2" read as the share (1, 2)
+        (["encode", "--scheme", "symbolwise", "--m", "3",
+          "--secret", "0,1,,0,1"], "--secret", "0,1,,0,1", "4 "),
+        (["encode", "--scheme", "blockwise", "--ell", "1",
+          "--secret", "0,1,0,1,"], "--secret", "0,1,0,1,", "4 "),
+        (["decode", "--scheme", "blockwise", "--ell", "1", "--x", "1,,2",
+          "--y", "0,0"], "--x", "1,,2", "2 "),
+        (["decode", "--scheme", "symbolwise", "--m", "3", "--x", "0,0,0,0",
+          "--y", ",0,0,0,0"], "--y", ",0,0,0,0", "4 "),
     ], ids=["x-three", "x-one", "y-text", "symbolwise-x", "secret",
             "symbolwise-secret", "symbolwise-secret-length",
-            "secret-length", "symbolwise-x-length", "symbolwise-y-length"])
+            "secret-length", "symbolwise-x-length", "symbolwise-y-length",
+            "symbolwise-secret-empty-field", "secret-empty-field",
+            "x-empty-field", "symbolwise-y-empty-field"])
     def test_a_bad_symbol_list_names_its_flag(self, argv, flag, text, count,
                                               capsys):
         # it used to print Python's unpacking or int() message alone; a

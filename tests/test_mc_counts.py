@@ -61,7 +61,7 @@ def cli_attack(capsys, *flags) -> dict:
 
 
 def source_text(source: PMF) -> str:
-    return ",".join(map(repr, source.probs.tolist()))
+    return ",".join(map(repr, source.probs))
 
 
 def scan_success(codec, side, forgery) -> float:

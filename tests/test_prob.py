@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (JointPMF, RationalJoint, conditional_entropy,
-                     entropy_mp, induce_joint, iid_extension,
-                     mutual_information, pushforward, sample)
+from oracles import (JointPMF, RationalJoint, _entropy_bits,
+                     conditional_entropy, entropy_mp, induce_joint,
+                     iid_extension, mutual_information, pushforward, sample)
+from oracles import entropy as table_entropy
 from twoshare import block, harness, prob, symbol, typical
 from twoshare.prob import (
     MAX_TRIALS, PMF, RandomStream, CapExceededError, _estimate, entropy,
@@ -56,6 +57,12 @@ class TestPMF:
         with pytest.raises(ValueError):
             PMF.from_probs([1.2, -0.2])
 
+    def test_rejects_what_is_not_a_sequence_of_numbers(self):
+        # a ValueError, which a config names as its source's error
+        for bad in (5, None, [None, 1.0]):
+            with pytest.raises(ValueError, match="must be numbers"):
+                PMF(bad)
+
     def test_uniform_and_point_mass(self):
         u = PMF.uniform(4)
         assert np.allclose(u.probs, 0.25)
@@ -64,7 +71,8 @@ class TestPMF:
 
     def test_probs_are_read_only(self):
         p = PMF.from_probs([0.7, 0.3])
-        with pytest.raises(ValueError):
+        assert type(p.probs) is tuple
+        with pytest.raises(TypeError):
             p.probs[0] = 0.5
 
     @pytest.mark.parametrize("text,expect", [
@@ -78,14 +86,28 @@ class TestPMF:
     def test_from_text_garbage(self):
         with pytest.raises(ValueError):
             PMF.from_text("[]")
-        # brackets are one matched outer pair or none: each of these once
-        # parsed as [0.7, 0.3]
+        # brackets are one matched outer pair or none, and no field between
+        # commas is empty: each of these once parsed as [0.7, 0.3]
         for text in ("[0.7,0.3", "0.7,0.3]", "[[0.7,0.3]]", "[0.7],[0.3]",
-                     "0.7,[0.3]"):
+                     "0.7,[0.3]", "0.7,,0.3", "0.7,0.3,", ",0.7,0.3",
+                     "[0.7,0.3,]", "[,0.7,0.3]", "0.7, ,0.3"):
             with pytest.raises(ValueError, match=re.escape(
                     f"cannot parse PMF from {text!r}")):
                 PMF.from_text(text)
-        assert PMF.from_text(" [0.7, 0.3] ").probs.tolist() == [0.7, 0.3]
+        assert PMF.from_text(" [0.7, 0.3] ").probs == (0.7, 0.3)
+
+    def test_equal_pmfs_compare_and_hash_as_values(self):
+        a, b = PMF.from_probs([0.7, 0.3]), PMF.from_text("[0.7, 0.3]")
+        c = PMF(np.array([0.7, 0.3]))
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert all(type(p) is float for p in c.probs)
+        assert PMF.uniform(2) == PMF.from_probs([0.5, 0.5])
+        assert a != PMF.from_probs([0.3, 0.7])
+        assert a != PMF.from_probs([0.7, 0.3, 0.0])
+        assert len({a, b, c, PMF.uniform(2)}) == 2
+        # a cached invariant is not part of the value
+        assert a.entropy > 0.0 and "entropy" not in vars(b)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestEntropy:
@@ -127,7 +149,7 @@ class TestPerSourceInvariants:
         PMF.from_probs([0.0, 1.0, 0.0])], ids=["skew", "k3", "uniform",
                                                "zero-symbol", "point"])
     def test_bit_equal_to_the_expressions_they_replace(self, pmf):
-        p = pmf.probs
+        p = np.asarray(pmf.probs)
         pos = p[p > 0.0]
         assert bits([pmf.entropy]) == bits([-(pos * np.log2(pos)).sum()])
         assert bits([entropy(pmf)]) == bits([pmf.entropy])
@@ -166,8 +188,8 @@ class TestPerSourceInvariants:
 
     def test_entropy_of_a_joint_reads_its_table(self):
         arr = np.array([[0.1, 0.2], [0.3, 0.4]])
-        h = entropy(JointPMF(arr))
-        assert h == prob._entropy_bits(arr)
+        h = table_entropy(JointPMF(arr))
+        assert h == _entropy_bits(arr)
         assert h == pytest.approx(entropy(PMF(arr.ravel())), abs=1e-15)
 
 
@@ -235,7 +257,7 @@ class TestMutualInformation:
         arr = rng.random((3, 4))
         arr /= arr.sum()
         j = JointPMF(arr)
-        h_joint = entropy(j)
+        h_joint = table_entropy(j)
         h_b = entropy(PMF(arr.sum(axis=0)))
         assert conditional_entropy(j, 0) == pytest.approx(h_joint - h_b, abs=1e-12)
 
@@ -269,7 +291,8 @@ def test_chain_rule_on_random_joints(data):
     # H(A,B) = H(A) + H(B|A), and I <= min(H(A), H(B))
     h_a = entropy(PMF(arr.sum(axis=1)))
     h_b = entropy(PMF(arr.sum(axis=0)))
-    assert entropy(j) == pytest.approx(h_a + conditional_entropy(j, 1), abs=1e-9)
+    assert table_entropy(j) == pytest.approx(h_a + conditional_entropy(j, 1),
+                                             abs=1e-9)
     mi = mutual_information(j)
     assert -1e-12 <= mi <= min(h_a, h_b) + 1e-9
 

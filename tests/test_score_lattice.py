@@ -149,16 +149,37 @@ def test_laws_are_the_per_cell_sums(make):
     assert len(codec.laws.column) == codec.scheme.secret_size
 
 
-def test_laws_are_built_once_per_sweep(monkeypatch):
-    calls, real = [], symbol.modular_laws
-    monkeypatch.setattr(symbol, "modular_laws",
-                        lambda *args: calls.append(1) or real(*args))
-    cfg = harness.ExperimentConfig.from_dict({
-        "source": [0.5, 0.3, 0.2], "scheme": {"kind": "symbolwise", "m": 5},
-        "n_values": [8, 16, 24], "mode": "exact"})
-    records = harness.run_experiment(cfg).records
+def test_codecs_of_equal_sources_are_equal():
+    # a PMF is a value, so two parses of one source, each with its own
+    # scheme object, give one codec
+    scheme = symbol.modular_scheme(5, 3)
+    a, b = (symbol.make_codec(symbol.modular_scheme(5, 3), source, 8, 0.25)
+            for source in (PMF.from_probs([0.5, 0.3, 0.2]),
+                           PMF.from_text("[0.5, 0.3, 0.2]")))
+    assert a.source is not b.source
+    assert a == b and hash(a) == hash(b)
+    assert a != symbol.make_codec(scheme, a.source, 9, 0.25)
+    assert a != symbol.make_codec(symbol.modular_scheme(6, 3), a.source, 8,
+                                  0.25)
+    assert a != symbol.make_codec(scheme, PMF.from_probs([0.2, 0.3, 0.5]), 8,
+                                  0.25)
+
+
+def test_laws_are_built_once_per_sweep():
+    # each record builds its codec, and every codec of the sweep reads the
+    # laws memoised per (source, M): one cache miss, then hits; a second
+    # sweep over an equal source, parsed anew, misses nothing
+    raw = {"source": [0.5, 0.3, 0.2], "scheme": {"kind": "symbolwise", "m": 5},
+           "n_values": [8, 16, 24], "mode": "exact"}
+    symbol.modular_laws.cache_clear()
+    records = harness.run_experiment(
+        harness.ExperimentConfig.from_dict(raw)).records
     assert [r.skipped for r in records] == [None] * 3
-    assert len(calls) == 1
+    info = symbol.modular_laws.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    harness.run_experiment(harness.ExperimentConfig.from_dict(raw))
+    info = symbol.modular_laws.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 @pytest.mark.parametrize("name,sums", [("symbolwise_skew", 6),
@@ -185,7 +206,7 @@ GRID_SOURCES = [SKEW, K3, K4, GAP, PMF.from_probs([0.6, 0.25, 0.15]),
 
 
 @pytest.mark.parametrize("source,m", [
-    pytest.param(source, m, id=f"{'-'.join(map(str, source.probs.tolist()))}-m{m}")
+    pytest.param(source, m, id=f"{'-'.join(map(str, source.probs))}-m{m}")
     for source in GRID_SOURCES for m in range(source.support_size, 17)])
 def test_modular_laws_are_exact(source, m):
     # equal true masses come out as equal floats: one lattice value per
@@ -194,7 +215,7 @@ def test_modular_laws_are_exact(source, m):
     # share laws is that row too, so beta is the attack's sum
     codec = modular(m, source, 16)
     laws = codec.laws
-    assert len(laws.values) == len({p for p in source.probs.tolist() if p > 0})
+    assert len(laws.values) == len({p for p in source.probs if p > 0})
     assert set(conv.forged_laws(codec, "x") + conv.forged_laws(codec, "y")) \
         == {laws.forged}
     assert oracles.independent_law(codec) == laws.forged

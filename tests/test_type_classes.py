@@ -151,7 +151,7 @@ def test_class_verdicts_match_the_exact_window(probs):
     # exact values: the surprisals, H(S) and gamma as rationals, both in
     # the class list and on the index's interval cuts
     source = PMF.from_probs(probs)
-    w = [Fraction(v) for v in (-np.log2(source.probs)).tolist()]
+    w = [Fraction(-math.log2(p)) for p in source.probs]
     h = Fraction(entropy(source))
     for n in range(1, 15):
         for gamma in (n ** -0.33, n ** -0.45, KNIFE_EDGE):

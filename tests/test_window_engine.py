@@ -85,7 +85,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def shipped(name):
     cfg = harness.ExperimentConfig.from_dict(
         json.loads((CONFIG_DIR / f"{name}.json").read_text()))
-    return [(name, cfg.pmf, n, cfg.schedule().gamma_at(n))
+    return [(name, cfg.source, n, cfg.schedule().gamma_at(n))
             for n in cfg.n_values]
 
 
