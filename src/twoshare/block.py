@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .outcome import DecodeOutcome, REJECT
 from .prob import CapExceededError, RandomStream, as_symbol
@@ -51,17 +52,21 @@ def floor_pow2(bits: float) -> int:
         p *= 2
 
 
-@dataclass(frozen=True)
-class BlockShare:
-    """One share: a common-randomness component and a masked-rank component."""
+class BlockShare(NamedTuple):
+    """One share: a common-randomness component and a masked-rank component.
+    A value: it compares and hashes as the tuple (l, m)."""
     l: int
     m: int
 
 
-@dataclass(frozen=True)
-class BlockRandomness:
+class BlockRandomness(NamedTuple):
     u_l: int
     u_m: int
+
+
+# builds a share or an outcome from a tuple of checked ints, without the
+# NamedTuple constructor's Python frame
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -96,14 +101,21 @@ class BlockwiseParams:
         """Number of distinct share values L * (M + 1)."""
         return self.l_count * self.mp1
 
-    def check_shares(self, *shares: BlockShare) -> list[int]:
-        """Each share's l and m, in turn, as ints; ValueError naming the first
-        that is not an integer or share outside the share alphabet."""
-        out = []
-        for share in shares:
-            l = share.l if type(share.l) is int else as_symbol(share.l, "share l")
-            m = share.m if type(share.m) is int else as_symbol(share.m, "share m")
-            if not (0 <= l < self.l_count and 0 <= m < self.mp1):
+    def check_shares(self, x: BlockShare, y: BlockShare) -> tuple[int, ...]:
+        """x's l and m, then y's, as ints; ValueError naming the first that
+        is not an integer or share outside the share alphabet.  Four ints
+        in range pass on one type test and one range test each."""
+        (xl, xm), (yl, ym) = x, y
+        l_count, mp1 = self.l_count, self.mp1
+        if (type(xl) is type(xm) is type(yl) is type(ym) is int
+                and 0 <= xl < l_count and 0 <= yl < l_count
+                and 0 <= xm < mp1 and 0 <= ym < mp1):
+            return xl, xm, yl, ym
+        out = ()
+        for share in (x, y):
+            l, m = (v if type(v) is int else as_symbol(v, f"share {name}")
+                    for v, name in zip(share, "lm"))
+            if not (0 <= l < l_count and 0 <= m < mp1):
                 raise ValueError(f"share {share} outside the share alphabet")
             out += l, m
         return out
@@ -115,15 +127,22 @@ class BlockwiseParams:
 
 
 def encode(params: BlockwiseParams, secret, r: BlockRandomness) -> tuple[BlockShare, BlockShare]:
-    """Split one secret block into two shares using randomness r."""
-    u_l = r.u_l if type(r.u_l) is int else as_symbol(r.u_l, "u_l")
-    u_m = r.u_m if type(r.u_m) is int else as_symbol(r.u_m, "u_m")
-    if not 0 <= u_l < params.l_count:
-        raise ValueError(f"u_l={u_l} outside [0, {params.l_count})")
-    if not 0 <= u_m < params.mp1:
-        raise ValueError(f"u_m={u_m} outside [0, {params.mp1})")
+    """Split one secret block into two shares using randomness r: u_l and
+    u_m as ints, ValueError naming the first that is not an integer or out
+    of range."""
+    u_l, u_m = r
+    mp1 = params.mp1
+    if not (type(u_l) is type(u_m) is int and 0 <= u_l < params.l_count
+            and 0 <= u_m < mp1):
+        u_l = u_l if type(u_l) is int else as_symbol(u_l, "u_l")
+        u_m = u_m if type(u_m) is int else as_symbol(u_m, "u_m")
+        if not 0 <= u_l < params.l_count:
+            raise ValueError(f"u_l={u_l} outside [0, {params.l_count})")
+        if not 0 <= u_m < mp1:
+            raise ValueError(f"u_m={u_m} outside [0, {mp1})")
     z = params.index.xi_plus(secret)
-    return BlockShare(u_l, (z - u_m) % params.mp1), BlockShare(u_l, u_m)
+    return (_new(BlockShare, (u_l, (z - u_m) % mp1)),
+            _new(BlockShare, (u_l, u_m)))
 
 
 def _rank(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> int | None:
@@ -140,7 +159,8 @@ def accepts(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> bool:
 
 def decode(params: BlockwiseParams, x: BlockShare, y: BlockShare) -> DecodeOutcome:
     z = _rank(params, x, y)
-    return REJECT if z is None else DecodeOutcome(params.index.unrank(z))
+    return REJECT if z is None else _new(DecodeOutcome,
+                                         (params.index.unrank(z),))
 
 
 @dataclass(frozen=True)

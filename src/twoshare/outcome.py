@@ -1,15 +1,15 @@
 """Decoder outcome type shared by both schemes."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
+class DecodeOutcome(NamedTuple):
     """Either a recovered secret sequence or a rejection.
 
     A rejection carries no partial information about the secret; callers
-    must branch on `rejected` before touching `secret`.
+    must branch on `rejected` before touching `secret`.  A value: it
+    compares and hashes as the 1-tuple `(secret,)`.
     """
 
     secret: tuple[int, ...] | None = None

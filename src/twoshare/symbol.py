@@ -272,6 +272,27 @@ def modular_laws(source: PMF, share_size: int) -> tuple[LatticeLaws, float]:
     return laws, max(math.fsum(map(operator.mul, laws.legit, values)), 0.0)
 
 
+# a key byte's `value` past every value index: a -inf score
+_MINUS_INF = 255
+
+
+class _ByteTables(NamedTuple):
+    """The byte kernel of a codec with M <= 128: `ones` is M at each of n
+    bytes, `mod` maps a byte t to t mod M, `secret` fixes [0, k) and
+    moves every other byte, and `value` maps x + y to its lattice value
+    index (`_MINUS_INF` at a -inf score).  The n counts of a finite block
+    sum to n, so its score is `base`, n times the last lattice weight,
+    plus each other value's count times its weight less the last:
+    `weights` holds those (index, weight - last) that are not 0."""
+
+    ones: int
+    mod: bytes
+    secret: bytes
+    value: bytes
+    base: int
+    weights: tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class SymbolwiseCodec:
     """The modular splitter repeated over n-blocks.
@@ -307,19 +328,23 @@ class SymbolwiseCodec:
         return self.i_xy - self.gamma
 
     @functools.cached_property
-    def _bytes(self) -> tuple[int, bytes, bytes] | None:
-        """The byte kernel's tables, for M <= 128, where each position's
-        s + M - u and x + y fit in a byte: M at each of n bytes, the table
-        of t mod M, and the table of each x + y's lattice value index
-        (`_MINUS_INF` at a -inf score), built on first use from
-        `laws.column`; None past M=128."""
-        m, column = self.scheme.share_size, self.laws.column
+    def _bytes(self) -> _ByteTables | None:
+        """The byte kernel's tables (`_ByteTables`), for M <= 128, where
+        each position's s + M - u and x + y fit in a byte, built on first
+        use from `laws.column`; None past M=128."""
+        m, k, column = (self.scheme.share_size, self.scheme.secret_size,
+                        self.laws.column)
         if m > 128:
             return None
         mod = bytes(t % m for t in range(256))
         value = bytes(_MINUS_INF if s >= len(column) or column[s] is None
                       else column[s] for s in mod)
-        return int.from_bytes(bytes([m]) * self.n, "big"), mod, value
+        *weights, last = self.lattice.weights
+        return _ByteTables(
+            int.from_bytes(bytes([m]) * self.n, "big"), mod,
+            bytes(t if t < k else 0 for t in range(256)), value,
+            self.n * last,
+            tuple((j, w - last) for j, w in enumerate(weights) if w != last))
 
 
 def make_codec(scheme: ModularScheme, source: PMF, n: int,
@@ -339,10 +364,8 @@ def make_codec(scheme: ModularScheme, source: PMF, n: int,
                            laws=laws, i_xy=i_xy)
 
 
-# a key byte's `value` past every value index: a -inf score
-_MINUS_INF = 255
-# the inputs the byte kernel reads: bytes() of an ndarray or an array.array
-# would read its raw buffer, not its elements
+# the inputs read as they are: bytes() of an ndarray or an array.array
+# would read its raw buffer, not its elements, so those are read by `tolist`
 _SEQUENCES = (tuple, list)
 
 
@@ -374,34 +397,34 @@ def _ints(values, size: int) -> bool:
             and 0 <= min(values) and max(values) < size)
 
 
-def _pack(v, n: int, mod: bytes, size: int | None = None) -> bytes | None:
-    """v's n symbols as bytes, or None unless v is a tuple or list of n
-    integers in [0, M), the bytes the mod-M table `mod` maps to
-    themselves, or in [0, size) if given."""
-    if type(v) not in _SEQUENCES or len(v) != n:
+def _pack(v, n: int, fix: bytes) -> bytes | None:
+    """v's n symbols as bytes, or None unless v is a tuple, a list, or an
+    ndarray or array.array (read by `tolist`) of n integers in the range
+    that the table `fix` maps to itself."""
+    if type(v) not in _SEQUENCES:
+        if not hasattr(v, "tolist") or type(v := v.tolist()) is not list:
+            return None
+    if len(v) != n:
         return None
     try:
         v = bytes(v)
     except (TypeError, ValueError):   # not integers in range(256)
         return None
-    # translate deletes [0, size), and none may be left, or fixes [0, M)
-    if v.translate(None, mod[:size]) if size else v.translate(mod) != v:
-        return None
-    return v
+    return v if v.translate(fix) == v else None
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """x = (s - u) mod M and y = u at each position: by the byte kernel on
-    a tuple or list of each, if it fits the codec, else position by
+    a tuple, list or array of each, if it fits the codec, else position by
     position, secret then randomness symbol, each checked: ValueError
     naming the first outside its alphabet or not an integer."""
-    k, n = codec.scheme.secret_size, codec.n
-    if ((kernel := codec._bytes) and (s := _pack(secret, n, kernel[1], k))
-            and (u := _pack(rand, n, kernel[1]))):
+    n = codec.n
+    if ((kernel := codec._bytes) and (s := _pack(secret, n, kernel.secret))
+            and (u := _pack(rand, n, kernel.mod))):
         # each byte of s + M - u lies in [1, 2M): none borrows
-        x = int.from_bytes(s, "big") + kernel[0] - int.from_bytes(u, "big")
-        return tuple(x.to_bytes(n, "big").translate(kernel[1])), tuple(u)
-    m = codec.scheme.share_size
+        x = int.from_bytes(s, "big") + kernel.ones - int.from_bytes(u, "big")
+        return tuple(x.to_bytes(n, "big").translate(kernel.mod)), tuple(u)
+    k, m = codec.scheme.secret_size, codec.scheme.share_size
     secret, rand = _sequences(secret, rand, n, "secret and randomness")
     if not (_ints(secret, k) and _ints(rand, m)):
         secret, rand = zip(*[(_symbol(s, "secret symbol", k, "the alphabet"),
@@ -423,20 +446,21 @@ def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
     s = (x + y) mod M after checking every x symbol, then every y symbol:
     ValueError naming the first outside [0, M) or not an integer.  A cell
     scores -inf when s >= k or p(s) = 0."""
-    n, lat = codec.n, codec.lattice
-    if ((kernel := codec._bytes) and (a := _pack(xs, n, kernel[1]))
-            and (b := _pack(ys, n, kernel[1]))):
+    n = codec.n
+    if ((kernel := codec._bytes) and (a := _pack(xs, n, kernel.mod))
+            and (b := _pack(ys, n, kernel.mod))):
         # each byte of x + y lies in [0, 2M - 1): none carries
         key = (int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(
             n, "big")
-        v = key.translate(kernel[2])
+        v = key.translate(kernel.value)
         if _MINUS_INF in v:
             return None
-        score = sum(map(operator.mul, map(v.count, range(len(lat.weights))),
-                        lat.weights))
-        return score, (tuple(key.translate(kernel[1]))
-                       if decode and score > lat.bar else None)
-    k, m = codec.scheme.secret_size, codec.scheme.share_size
+        score = kernel.base
+        for j, w in kernel.weights:
+            score += v.count(j) * w
+        return score, (tuple(key.translate(kernel.mod))
+                       if decode and score > codec.lattice.bar else None)
+    lat, k, m = codec.lattice, codec.scheme.secret_size, codec.scheme.share_size
     xs, ys = _sequences(xs, ys, n, "shares")
     if not (_ints(xs, m) and _ints(ys, m)):
         xs, ys = ([_symbol(v, "share symbol", m, f"[0, {m})") for v in side]
@@ -463,7 +487,7 @@ def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
     found = _cells(codec, xs, ys, decode=True)
     if found is None or found[0] <= codec.lattice.bar:
         return REJECT
-    return DecodeOutcome(found[1])
+    return tuple.__new__(DecodeOutcome, (found[1],))
 
 
 # ---------------------------------------------------------------------------

@@ -218,9 +218,9 @@ class TypicalIndex:
         """The chunk length b, the largest with k'**b <= 256 values over the
         k' support symbols (at most n), and the chunks the walk reads: b
         positions per row, the last n mod b when that is not 0: one dict
-        from a chunk value's symbols to (its position, its code step), and
-        per chunk of the walk, its values in lexicographic order as
-        (symbols, code step)."""
+        from a chunk value's symbols to (its position, its code step), per
+        chunk of the walk its values in lexicographic order as (symbols,
+        code step), and per chunk its span of positions, a slice."""
         support, n = self._support, self.n
         parts, b = len(support), 1
         while b < n and parts ** (b + 1) <= 256:
@@ -233,14 +233,16 @@ class TypicalIndex:
                 symbols = tuple(support[j] for j in slots)
                 find[symbols] = (len(values), step)
                 values.append((symbols, step))
-        return b, find, [tables[min(b, n - d)] for d in range(0, n, b)]
+        starts = range(0, n, b)
+        return (b, find, [tables[min(b, n - d)] for d in starts],
+                [slice(d, d + b) for d in starts])
 
     def _row(self, code: int) -> tuple[int, ...]:
         """Running sums, over the chunk values in lexicographic order, of
         the typical continuations of a prefix coded in base n+1 by its
         composition: a chunk value adds the typical blocks that extend the
         prefix with it, one count per chunk composition (its code step)."""
-        (b, _, chunks), n = self._chunks, self.n
+        (b, _, chunks, _), n = self._chunks, self.n
         values = chunks[sum(code // w % (n + 1) for w in self._weights) // b]
         steps = list({s for _, s in values})
         prefixes = [[(code + s) // w % (n + 1) for w in self._weights]
@@ -257,10 +259,12 @@ class TypicalIndex:
         return row
 
     def _walk(self, seq) -> int:
-        b, find, _ = self._chunks
+        _, find, _, spans = self._chunks
         rows, code, z = self._rows, 0, 0
-        for i in range(0, self.n, b):
-            v, step = find[tuple(seq[i:i + b])]
+        if type(seq) is not tuple:
+            seq = tuple(seq)
+        for span in spans:
+            v, step = find[seq[span]]
             row = rows.get(code) or self._row(code)
             z += row[v]
             code += step

@@ -24,6 +24,7 @@ from twoshare.block import (
     floor_pow2,
     encode, accepts, decode, exact_quantities,
 )
+from twoshare.outcome import DecodeOutcome, REJECT
 from twoshare.prob import PMF, RandomStream, _estimate, entropy
 from twoshare.typical import build_index
 
@@ -297,6 +298,56 @@ class TestAcceptDecode:
             for pair in ((share, y), (y, share)):
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     check(p, *pair)
+
+
+class TestValueTypes:
+    """Shares, randomness and outcomes are values: immutable, equal and
+    hashed by their fields, each as the plain tuple of its fields."""
+
+    VALUES = [(BlockShare(5, 11), (5, 11)),
+              (BlockRandomness(5, 7), (5, 7)),
+              (DecodeOutcome((0, 1, 0)), ((0, 1, 0),)),
+              (REJECT, (None,))]
+
+    @pytest.mark.parametrize("value,fields", VALUES)
+    def test_assigning_a_field_raises(self, value, fields):
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        assert tuple(value) == fields
+
+    @pytest.mark.parametrize("value,fields", VALUES)
+    def test_equal_values_hash_alike(self, value, fields):
+        twin = type(value)(*fields)
+        assert twin == value and hash(twin) == hash(value)
+        assert len({value, twin}) == 1
+        # the spec since shares became tuples: each equals its fields
+        assert value == fields and hash(value) == hash(fields)
+
+    def test_reprs_are_unchanged(self):
+        assert repr(REJECT) == "DecodeOutcome(REJECT)"
+        assert repr(DecodeOutcome()) == "DecodeOutcome(REJECT)"
+        assert repr(DecodeOutcome((0, 1))) == "DecodeOutcome(secret=(0, 1))"
+        assert repr(BlockShare(5, 11)) == "BlockShare(l=5, m=11)"
+        assert repr(BlockRandomness(5, 7)) == "BlockRandomness(u_l=5, u_m=7)"
+        assert REJECT.rejected and not DecodeOutcome((0,)).rejected
+
+    @pytest.mark.parametrize("r", [BlockRandomness(5, 7), (5, 7),
+                                   BlockRandomness(np.int64(5), 7.0),
+                                   BlockRandomness(True, np.uint8(7))])
+    def test_encode_returns_block_shares_of_plain_ints(self, r):
+        p = make_params(SKEW, 6, 1.0)
+        secret = (0, 1, 0, 0, 1, 0)
+        shares = encode(p, secret, r)
+        assert [type(v) for v in shares] == [BlockShare, BlockShare]
+        assert all(type(v) is int for share in shares for v in share)
+        assert shares[1] == tuple(map(int, r))
+        out = decode(p, *shares)
+        assert type(out) is DecodeOutcome and out.secret == secret
+        assert all(type(v) is int for v in out.secret)
+        # a share is read as the plain tuple (l, m) it equals
+        assert decode(p, *map(tuple, shares)) == out
+        assert decode(p, tuple(shares[0]), shares[1]) == out
 
 
 def oracle_quantities(params, source):

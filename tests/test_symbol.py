@@ -1058,21 +1058,21 @@ DIFFERENTIAL = [(m, PMF.from_probs([0.7, 0.3] if m == 2 else [0.5, 0.0, 0.3, 0.2
 
 
 class TestKernelAgainstArithmetic:
-    """The byte kernel (tuple or list input, M <= 128) against the
-    arithmetic path, which ndarray input forces."""
+    """The byte kernel (list or ndarray input, M <= 128) against the
+    arithmetic path, which generator input forces."""
 
     @staticmethod
     def outcome(call, codec, *args):
-        """call on lists and on ndarrays: its result, decode_n's secret,
-        or its ValueError's message, equal on both."""
+        """call on lists, on ndarrays and on generators: its result,
+        decode_n's secret, or its ValueError's message, equal on all."""
         out = []
-        for wrap in (list, np.array):
+        for wrap in (list, np.array, iter):
             try:
                 got = call(codec, *map(wrap, args))
             except ValueError as exc:
                 got = f"ValueError: {exc}"
             out.append(got.secret if isinstance(got, DecodeOutcome) else got)
-        assert out[0] == out[1]
+        assert out[0] == out[1] == out[2]
         return out[0]
 
     @pytest.mark.parametrize("m,source", DIFFERENTIAL,
@@ -1118,13 +1118,15 @@ class TestKernelAgainstArithmetic:
             found = decode_n(codec, wrap(xs), wrap(ys)).secret
             assert shares == (xs, ys) and found == tuple(secret)
             assert all(type(v) is int for v in shares[0] + shares[1] + found)
-        # a kernel codec answers lists without the arithmetic path
+        # a kernel codec answers lists and ndarrays of ints without the
+        # arithmetic path
         if m <= 128:
             monkeypatch.setattr(symbol, "_sequences", None)
-            assert encode_n(codec, secret, rand) == (xs, ys)
-            for pair in pairs[:symbols]:
-                decode_n(codec, *pair)
-                accepts_n(codec, *pair)
+            for wrap in (list, np.array):
+                assert encode_n(codec, wrap(secret), wrap(rand)) == (xs, ys)
+                for pair in pairs[:symbols]:
+                    decode_n(codec, *map(wrap, pair))
+                    accepts_n(codec, *map(wrap, pair))
 
 
 class TestTablePath:
