@@ -6,9 +6,10 @@ sum to t.  The blockwise engine sums over the type classes of an n-block,
 the compositions of n over the source's support; the symbolwise engine
 sums over the count vectors of the score lattice.  Both score a vector by
 an integer form sum_j c_j w_j, and both decide a bar on it by intervals
-(`cuts`): fix every count but the last two, and the counts of the first
-of those two that pass the bar are one interval.  Both weigh a vector by
-its multinomial.  This module answers once how many and which
+(`cut`): fix every count but the last two, and the counts of the first
+of those two that pass the bar are one interval; `cuts` finds them for a
+whole table of prefixes at once.  Both weigh a vector by its
+multinomial.  This module answers once how many and which
 compositions there are, in what order, where each interval lies, and how
 a float threshold becomes an exact int comparison.
 """
@@ -43,19 +44,34 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.array(cols + [rest]).T
 
 
+def cut(x, y: int, gap: int, top):
+    """Where a bar cuts the count a at i when the score less the bar is
+    x + y + a gap and top - 1 positions are left to i and j: a passes
+    (above the bar; a tie does not) for the a below the cut when gap <= 0,
+    from the cut on when gap > 0, the cut clamped to [0, top].  x and top
+    are Python ints, or int arrays decided elementwise; y is an int."""
+    if gap < 0:      # ceil((x + y) / -gap): the a below it pass
+        c = (x + (y - gap - 1)) // -gap
+    elif gap > 0:    # the least a that passes
+        c = ((gap - y) - x) // gap
+    else:            # every a passes, or none does
+        return (x + y > 0) * top
+    if type(top) is int:
+        return max(min(c, top), 0)
+    return np.maximum(np.minimum(c, top), 0)
+
+
 def cuts(weights, bars, m: int, idx):
     """Every prefix of an m-position count vector over the `weights` at
     `idx` (at least two), as int64 arrays (heads, r), r ascending, and per
-    bar in `bars` an int64 array of cuts.  heads[p] counts idx[:-2], and
+    bar in `bars` an int64 array of `cut`s.  heads[p] counts idx[:-2], and
     r[p] positions are left to the last two, i and j.  With a at i the
-    score is s + a (w_i - w_j), s = head.w + r w_j, and it passes a bar
-    when above it (a tie does not): for the a below the cut when
-    w_i <= w_j, from the cut on when w_i > w_j, the cut clamped to
-    [0, r+1].  So the window lo <= score <= hi, passing lo - 1 but not hi,
-    is [min, max) of its two cuts.  A score already collected elsewhere
-    shifts the bars.  The weights reach 2**60 at n=96, so s - bar is
-    summed in int64 only when a bound keeps it below 2**63, and in Python
-    ints otherwise: exact either way.
+    score is s + a (w_i - w_j), s = head.w + r w_j, so the window
+    lo <= score <= hi, passing lo - 1 but not hi, is [min, max) of its two
+    cuts.  A score already collected elsewhere shifts the bars.  The
+    weights reach 2**60 at n=96, so s - bar is summed in int64 only when a
+    bound keeps it below 2**63, and in Python ints otherwise: exact either
+    way.
     """
     *head_idx, i, j = idx
     w = weights
@@ -67,21 +83,12 @@ def cuts(weights, bars, m: int, idx):
     bound = (max(abs(base - bar) for bar in bars)
              + m * sum(map(abs, steps)) + abs(gap) + 1)
     dtype = np.int64 if bound < 1 << 63 else object
-    x = 0
+    x = np.zeros(len(r), dtype)
     for step, col in zip(steps, heads.T):
         x = x + col.astype(dtype) * step
-    out, top = [], r + 1
-    for bar in bars:
-        y = base - bar   # the score less the bar is x + y + a gap
-        if gap < 0:      # ceil((x + y) / -gap): the a below it pass
-            cut = (x + (y - gap - 1)) // -gap
-        elif gap > 0:    # the least a that passes
-            cut = ((gap - y) - x) // gap
-        else:
-            cut = np.where(x + y > 0, top, 0)
-        cut = np.maximum(np.minimum(np.asarray(cut, dtype=dtype), top), 0)
-        out.append(cut.astype(np.int64, copy=False))
-    return heads, r, out
+    top = r + 1
+    return heads, r, [cut(x, base - bar, gap, top).astype(np.int64, copy=False)
+                      for bar in bars]
 
 
 def over_one_denominator(values) -> list[int]:

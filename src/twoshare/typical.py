@@ -4,9 +4,11 @@ Membership uses the window |mean surprisal - H(S)| <= gamma, decided
 exactly on a block's composition as an interval of one integer score
 (`_window`), which the scalar test and the rank index both read.  No type
 class list is built: fix every count but the last two and the typical
-counts of the second-last form one interval (`_comb.cuts`), so counts and
-ranks sum exact binomial rows over those intervals, and the masses add one
-term per class.  None enumerates k**n sequences.
+counts of the second-last form one interval between two `_comb.cut`s, so
+counts and ranks sum exact binomial rows over those intervals, and the
+masses add one term per class.  Two support symbols leave one prefix,
+cut in Python ints; from three on the prefixes form a table, which
+`_comb.cuts` cuts in numpy.  None enumerates k**n sequences.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._comb import cuts, multinomial, over_one_denominator
+from ._comb import cut, cuts, multinomial, over_one_denominator
 from .prob import PMF, RandomStream, _estimate, as_symbol
 
 
@@ -100,9 +102,9 @@ class TypicalIndex:
 
     Fix the counts of every support symbol but the last two (a prefix),
     and the typical counts of the second-last form one interval [lo, hi)
-    between the `cuts` of the window's bars.  `m_count` and each rank-map
-    row add, per prefix, its multinomial times an interval of an exact
-    binomial row; `delta` and `h_z` add one term per class.
+    between the two `cut`s of the window's bars.  `m_count` and each
+    rank-map row add, per prefix, its multinomial times an interval of an
+    exact binomial row; `delta` and `h_z` add one term per class.
 
     Rank m is the (m+1)-th typical sequence in lexicographic order, found
     by enumerative coding, b positions at a time: each lexicographically
@@ -134,14 +136,28 @@ class TypicalIndex:
         return self._binomials[r]
 
     def _prefixes(self, m: int, offsets=(0,)) -> tuple[list, ...]:
-        """The `cuts` of the window for m positions over the support
+        """The cuts of the window for m positions over the support
         symbols in their order, as Python ints:
         per prefix its multinomial(m; r, head), head and r, then per offset
         in `offsets` each prefix's lo and hi.  A lone support symbol has
-        one class, its count r = m, typical: w = H(S) = 0."""
+        one class, its count r = m, typical: w = H(S) = 0.  Two support
+        symbols have one prefix, no head and r = m, and its two `cut`s per
+        offset are a few int operations, where a numpy table would cost
+        some twenty calls on one-element arrays.  From three on the
+        prefixes form a table, which `cuts` decides in numpy: a Python
+        loop of `cut`s over it runs several times slower."""
         if len(self._support) == 1:
             return ([1], [[]], [m], [[m]] * len(offsets),
                     [[m + 1]] * len(offsets))
+        if len(self._support) == 2:
+            w_i, w_j = self._surprisals
+            lo, hi = [], []
+            for offset in offsets:
+                a, b = (cut(0, m * w_j + offset - bar, w_i - w_j, m + 1)
+                        for bar in self._bars)
+                lo.append([min(a, b)])
+                hi.append([max(a, b)])
+            return [1], [[]], [m], lo, hi
         # `cuts` reads an offset only through offset - bar, so one call
         # with each offset's two bars shifted by it serves every offset
         heads, r, ends = cuts(self._surprisals, [
@@ -189,20 +205,26 @@ class TypicalIndex:
         if not self.m_count:   # every block is atypical
             return 1.0, 0.0
         *head_logs, log_i, log_j = logs
-        atypical, typical = [], []
         sizes, heads, rs, (los,), (his,) = self._block
-        for size, head, r, lo, hi in zip(sizes, heads, rs, los, his):
-            sums = self._binomial_sums(r)
-            terms = list(map(operator.mul, head, head_logs))
-            for a in range(r + 1):
-                logp = math.fsum(terms + [a * log_i, (r - a) * log_j])
-                mass = 2.0 ** (math.log2(size * (sums[a + 1] - sums[a]))
-                               + logp)
-                if lo <= a < hi:
-                    typical.append(-mass * logp)
-                else:
-                    atypical.append(mass)
-        delta, h_z = min(math.fsum(atypical), 1.0), math.fsum(typical)
+
+        def terms(typical: bool):
+            # -mass log2 p per typical class (lo <= a < hi, a the count of
+            # the second-last symbol) or the mass of each atypical one
+            # (a < lo or a >= hi): lo <= hi, so each class is computed once
+            for size, head, r, lo, hi in zip(sizes, heads, rs, los, his):
+                sums = self._binomial_sums(r)
+                fixed = list(map(operator.mul, head, head_logs))
+                for a in (range(lo, hi) if typical else
+                          itertools.chain(range(lo), range(hi, r + 1))):
+                    logp = math.fsum(fixed + [a * log_i, (r - a) * log_j])
+                    mass = 2.0 ** (math.log2(size * (sums[a + 1] - sums[a]))
+                                   + logp)
+                    yield -mass * logp if typical else mass
+
+        # fsum rounds once, whatever order its terms come in, and holds no
+        # list of them
+        delta = min(math.fsum(terms(False)), 1.0)
+        h_z = math.fsum(terms(True))
         return delta, h_z - delta * math.log2(delta) if delta > 0.0 else h_z
 
     @property

@@ -617,6 +617,48 @@ class TestMonteCarloVerdicts:
         assert rec.verdicts["exp"] == HOLDS
 
 
+def shipped_exact(name, n):
+    """A shipped config at blocklength n, its record and its real `_Exact`."""
+    cfg = ExperimentConfig.from_dict(json.loads(
+        (CONFIG_DIR / f"{name}.json").read_text()))
+    step = {"blockwise": harness._blockwise_exact,
+            "symbolwise": harness._symbolwise_exact}[cfg.scheme_kind]
+    ev = step(harness.make_scheme(cfg, n))
+    return cfg, RunRecord(n=n, gamma_n=cfg.schedule().gamma_at(n),
+                          **ev.fields), ev
+
+
+class TestExactVerdictMargin:
+    # the exp verdict of an exact record allows its attacks no more than
+    # the direct cap plus BOUND_TOL = 1e-9: raising p_x or p_y only lowers
+    # its exponent, so the converse half still holds and only the cap can
+    # read violated
+
+    @pytest.mark.parametrize("name,n", [("blockwise_skew", 8),
+                                        ("symbolwise_skew", 32)])
+    @pytest.mark.parametrize("side", ["p_x", "p_y"])
+    def test_success_just_above_the_direct_cap_violates(self, name, n, side):
+        cfg, rec, ev = shipped_exact(name, n)
+        assert harness._exp_ok(rec, ev.direct_cap, ev.i_xy, cfg.trials)
+        forged = dataclasses.replace(rec, **{side: ev.direct_cap + 1e-6})
+        assert not harness._exp_ok(forged, ev.direct_cap, ev.i_xy,
+                                   cfg.trials)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("side", ["p_x", "p_y"])
+    def test_symbolwise_cap_is_one_gamma_below_ell(self, n, side):
+        # the cap is 2^(-n (ell - gamma)); a success between it and
+        # 2^(-n (ell - 2 gamma)) reads violated
+        cfg, rec, ev = shipped_exact("symbolwise_skew", n)
+        ell = math.log2(cfg.share_size) - cfg.source.entropy
+        tight, loose = (2.0 ** (-n * (ell - t * rec.gamma_n)) for t in (1, 2))
+        assert ev.direct_cap == tight < loose < 1.0
+        assert harness._exp_ok(rec, ev.direct_cap, ev.i_xy, cfg.trials)
+        between = dataclasses.replace(rec, **{side: math.sqrt(tight * loose)})
+        assert not harness._exp_ok(between, ev.direct_cap, ev.i_xy,
+                                   cfg.trials)
+
+
 class TestEmission:
     def make_report(self, **over):
         return run_experiment(ExperimentConfig.from_dict(base_dict(**over)))

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import oracles
-from twoshare import harness, typical
+from twoshare import _comb, harness, typical
 from twoshare.prob import PMF, RandomStream
 
 
@@ -115,3 +115,88 @@ def test_sums_keep_their_accuracy(source, n, gamma, delta_err, h_err):
     else:
         assert index.delta == 0.0
     assert abs(mpmath.mpf(index.h_z) - exact.h_z) <= h_err * n
+
+
+# two support symbols leave one prefix, whose cuts `_prefixes` finds in
+# Python ints; the table path of `_comb.cuts` and the scalar window test
+# must agree with it, for each sign of the weight gap
+TWO_SYMBOLS = [
+    pytest.param([0.7, 0.3], id="gap-negative"),
+    pytest.param([0.3, 0.7], id="gap-positive"),
+    pytest.param("uniform:2", id="gap-zero"),
+    pytest.param([0.6, 0.0, 0.4], id="two-of-three"),
+]
+
+
+def edge_gammas(source, n):
+    """Gammas whose window has a bar exactly on a class's score: each
+    class's |mean surprisal - H(S)| as a float, kept when the window's
+    integer bars meet that score."""
+    s_i, s_j = (Fraction(v) for v in source.surprisals)
+    out = set()
+    for a in range(n + 1):
+        gamma = float(abs((a * s_i + (n - a) * s_j) / n
+                          - Fraction(source.entropy)))
+        if gamma > 0.0:
+            (w_i, w_j), lo, hi = typical._window(source, n, gamma)
+            if a * w_i + (n - a) * w_j in (lo, hi):
+                out.add(gamma)
+    return sorted(out)
+
+
+def table_path(index, m, offsets):
+    """`_prefixes` of two support symbols through the `_comb.cuts` table."""
+    _, r, ends = _comb.cuts(index._surprisals, [
+        bar - offset for offset in offsets for bar in index._bars], m,
+        range(2))
+    pairs = [(int(a[0]), int(b[0])) for a, b in zip(ends[0::2], ends[1::2])]
+    return ([1], [[]], r.tolist(), [[min(p)] for p in pairs],
+            [[max(p)] for p in pairs])
+
+
+@pytest.mark.parametrize("probs", TWO_SYMBOLS)
+def test_two_symbol_cuts_match_the_table_and_the_scalar_test(probs):
+    source = source_of(probs)
+    (s_i, s_j), edges = source.support, 0
+    for n in range(1, 41):
+        found = edge_gammas(source, n)
+        edges += len(found)
+        for gamma in [power_gamma(n), 0.05, 0.6] + found:
+            index = typical.TypicalIndex(source, n, gamma)
+            calls, real = [(n, (0,))], index._prefixes
+            index._prefixes = lambda m, offsets=(0,): (
+                calls.append((m, tuple(offsets))) or real(m, offsets))
+            if index.m_count:
+                walk(index, n)
+            # the scalar test of each class, by its count of s_i
+            member = [typical.is_typical([s_i] * c + [s_j] * (n - c),
+                                         source, gamma) for c in range(n + 1)]
+            w_i, w_j = index._surprisals
+            for m, offsets in calls:
+                got = real(m, offsets)
+                assert got == table_path(index, m, offsets)
+                for offset, (lo,), (hi,) in zip(offsets, got[3], got[4]):
+                    # a prefix of n - m symbols with this score, then a
+                    # of s_i in the m positions left
+                    head = next(c for c in range(n - m + 1)
+                                if c * w_i + (n - m - c) * w_j == offset)
+                    assert [member[head + a] for a in range(m + 1)] == [
+                        lo <= a < hi for a in range(m + 1)]
+    # the gap-zero source scores every class H(S): no bar can meet it
+    assert edges > 0 or probs == "uniform:2"
+
+
+@pytest.mark.parametrize("probs", TWO_SYMBOLS)
+@pytest.mark.parametrize("n", [1, 8, 19, 40])
+def test_two_symbol_index_reads_no_table(probs, n, monkeypatch):
+    source, gamma = source_of(probs), power_gamma(n)
+    expect = oracles.class_quantities(oracles.type_classes(source, n, gamma))
+
+    def table(*args):
+        raise AssertionError("a two-symbol index read the cuts table")
+
+    monkeypatch.setattr(_comb, "cuts", table)
+    monkeypatch.setattr(typical, "cuts", table)
+    index = typical.TypicalIndex(source, n, gamma)
+    assert (index.m_count, index.delta, index.h_z) == expect
+    walk(index, n)
