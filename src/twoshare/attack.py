@@ -84,7 +84,8 @@ class BoundCheck:
     vacuous: bool = False
 
 
-LOGSUM_TOL = 1e-9
+# slack of every bound verdict, here and in the harness
+BOUND_TOL = 1e-9
 
 
 def logsum_bound_check(i_xy_bits: float, alpha: float,
@@ -99,7 +100,7 @@ def logsum_bound_check(i_xy_bits: float, alpha: float,
     rhs = -binary_entropy(min(max(alpha, 0.0), 1.0)) \
         - (1.0 - alpha) * math.log2(beta)
     return BoundCheck(lhs=i_xy_bits, rhs=rhs,
-                      holds=i_xy_bits >= rhs - LOGSUM_TOL)
+                      holds=i_xy_bits >= rhs - BOUND_TOL)
 
 
 def fano_check(p_e: float, h_s_given_xy_bits: float, n: int,
@@ -107,7 +108,7 @@ def fano_check(p_e: float, h_s_given_xy_bits: float, n: int,
     """(1/n) H(S^n | X Y) <= (1/n) h(P_e) + P_e log2 |S|."""
     lhs = h_s_given_xy_bits / n
     rhs = binary_entropy(min(max(p_e, 0.0), 1.0)) / n + p_e * math.log2(secret_size)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LOGSUM_TOL)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + BOUND_TOL)
 
 
 def converse_exponent_check(i_xy_bits: float, alpha: float, p_x: float,
@@ -125,4 +126,4 @@ def converse_exponent_check(i_xy_bits: float, alpha: float, p_x: float,
     lhs = max(-math.log2(p_x) / n, -math.log2(p_y) / n)
     rhs = (i_xy_bits / n + binary_entropy(min(max(alpha, 0.0), 1.0)) / n) \
         / (1.0 - alpha)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + LOGSUM_TOL)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + BOUND_TOL)

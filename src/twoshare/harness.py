@@ -56,7 +56,6 @@ CSV_COLUMNS = ("n", "gamma_n", "rate_x", "rate_y", "rate_u", "p_e", "p_x",
                "p_y", "i_sx", "i_sy", "i_xy_per_symbol", "exp_x", "exp_y",
                "v_rate", "v_exp", "v_logsum", "v_fano", "v_sandwich")
 
-BOUND_TOL = 1e-9
 # one-sided z of the interval a Monte Carlo verdict allows an estimate:
 # a bound that holds, even with equality, then reads violated with odds
 # of about 3e-7 per estimate (normal tail), where 95% gave 2.5e-2
@@ -253,9 +252,7 @@ class ExperimentReport:
                    for v in r.verdicts.values())
 
 
-def _verdict(ok: bool | None) -> str:
-    if ok is None:
-        return NOT_APPLICABLE
+def _verdict(ok: bool) -> str:
     return HOLDS if ok else VIOLATED
 
 
@@ -309,8 +306,8 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
     # gamma)) backs its lower end, compared in log2 since M is an exact int
     log_floor = (math.log2(1.0 - q.delta) + n * (h_s - gamma)
                  + math.log2(1.0 - 1e-9) if q.delta < 1.0 else -math.inf)
-    rate_ok = (h_s + ell - gamma - 1.0 / n - BOUND_TOL <= q.rate_x
-               <= h_s + ell + gamma + 1.0 / n + BOUND_TOL
+    rate_ok = (h_s + ell - gamma - 1.0 / n - atk.BOUND_TOL <= q.rate_x
+               <= h_s + ell + gamma + 1.0 / n + atk.BOUND_TOL
                and math.log2(params.m_count) >= log_floor)
     return _Exact(
         # both shares and the randomness take L (M+1) values; a rejection
@@ -320,8 +317,8 @@ def _blockwise_exact(params: block.BlockwiseParams) -> _Exact:
                     i_xy_per_symbol=q.i_xy / n, alpha=q.delta, beta=beta),
         direct_cap=1.0 / params.l_count, i_xy=q.i_xy,
         h_s_given_xy=q.h_s_given_xy, rate_ok=rate_ok,
-        sandwich_ok=(q.sandwich_lo - BOUND_TOL <= q.i_xy / n
-                     <= q.sandwich_hi + BOUND_TOL))
+        sandwich_ok=(q.sandwich_lo - atk.BOUND_TOL <= q.i_xy / n
+                     <= q.sandwich_hi + atk.BOUND_TOL))
 
 
 def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
@@ -335,7 +332,7 @@ def _symbolwise_exact(codec: symbol.SymbolwiseCodec) -> _Exact:
     ell = rate - h_s
     # rate = H(S) + I(X;Y) and I(X;Y) = ell are one equation: the rate
     # against the correlation level the codec measures
-    measured = abs(rate - (h_s + codec.i_xy)) <= BOUND_TOL
+    measured = abs(rate - (h_s + codec.i_xy)) <= atk.BOUND_TOL
     return _Exact(
         # alpha is the legitimate rejection mass p_e: computed once; a
         # share alone is uniform and the pair fixes the secret, so
@@ -408,7 +405,7 @@ def _exp_ok(rec: RunRecord, direct_cap: float, i_xy_bits: float,
     lo_x, hi_x = _verdict_range(rec.p_x, rec.p_x_ci, trials)
     lo_y, hi_y = _verdict_range(rec.p_y, rec.p_y_ci, trials)
     conv = atk.converse_exponent_check(i_xy_bits, rec.alpha, hi_x, hi_y, rec.n)
-    return (max(lo_x, lo_y) <= direct_cap + BOUND_TOL
+    return (max(lo_x, lo_y) <= direct_cap + atk.BOUND_TOL
             and (conv.vacuous or conv.holds))
 
 

@@ -369,16 +369,12 @@ def make_codec(scheme: ModularScheme, source: PMF, n: int,
 _SEQUENCES = (tuple, list)
 
 
-def _sequences(a, b, n: int, what: str):
-    """a and b as sequences: a tuple or list as it is, an ndarray by
-    `tolist`, any other iterable as a tuple; ValueError unless both have
-    length n."""
-    if type(a) not in _SEQUENCES or type(b) not in _SEQUENCES:
-        a, b = (v if type(v) in _SEQUENCES else v.tolist()
-                if hasattr(v, "tolist") else tuple(v) for v in (a, b))
-    if len(a) != n or len(b) != n:
-        raise ValueError(f"{what} must have length {n}")
-    return a, b
+def _read(v):
+    """v as a sequence, read once: a tuple or list as it is, an ndarray or
+    array.array by `tolist`, any other iterable as a tuple."""
+    if type(v) not in _SEQUENCES:
+        v = v.tolist() if hasattr(v, "tolist") else tuple(v)
+    return v
 
 
 def _symbol(v, name: str, size: int, alphabet: str) -> int:
@@ -397,15 +393,9 @@ def _ints(values, size: int) -> bool:
             and 0 <= min(values) and max(values) < size)
 
 
-def _pack(v, n: int, fix: bytes) -> bytes | None:
-    """v's n symbols as bytes, or None unless v is a tuple, a list, or an
-    ndarray or array.array (read by `tolist`) of n integers in the range
-    that the table `fix` maps to itself."""
-    if type(v) not in _SEQUENCES:
-        if not hasattr(v, "tolist") or type(v := v.tolist()) is not list:
-            return None
-    if len(v) != n:
-        return None
+def _pack(v, fix: bytes) -> bytes | None:
+    """The symbols of a sequence `_read` gave as bytes, or None unless
+    they are integers in the range that the table `fix` maps to itself."""
     try:
         v = bytes(v)
     except (TypeError, ValueError):   # not integers in range(256)
@@ -414,18 +404,20 @@ def _pack(v, n: int, fix: bytes) -> bytes | None:
 
 
 def encode_n(codec: SymbolwiseCodec, secret, rand) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """x = (s - u) mod M and y = u at each position: by the byte kernel on
-    a tuple, list or array of each, if it fits the codec, else position by
-    position, secret then randomness symbol, each checked: ValueError
-    naming the first outside its alphabet or not an integer."""
-    n = codec.n
-    if ((kernel := codec._bytes) and (s := _pack(secret, n, kernel.secret))
-            and (u := _pack(rand, n, kernel.mod))):
+    """x = (s - u) mod M and y = u at each position, each input read once
+    by `_read`: by the byte kernel if every symbol fits the codec's
+    tables, else position by position, secret then randomness symbol,
+    each checked: ValueError naming the first outside its alphabet or not
+    an integer."""
+    n, secret, rand = codec.n, _read(secret), _read(rand)
+    if len(secret) != n or len(rand) != n:
+        raise ValueError(f"secret and randomness must have length {n}")
+    if ((kernel := codec._bytes) and (s := _pack(secret, kernel.secret))
+            and (u := _pack(rand, kernel.mod))):
         # each byte of s + M - u lies in [1, 2M): none borrows
         x = int.from_bytes(s, "big") + kernel.ones - int.from_bytes(u, "big")
         return tuple(x.to_bytes(n, "big").translate(kernel.mod)), tuple(u)
     k, m = codec.scheme.secret_size, codec.scheme.share_size
-    secret, rand = _sequences(secret, rand, n, "secret and randomness")
     if not (_ints(secret, k) and _ints(rand, m)):
         secret, rand = zip(*[(_symbol(s, "secret symbol", k, "the alphabet"),
                               _symbol(u, "randomness symbol", m, "the alphabet"))
@@ -437,40 +429,45 @@ def draw_randomness_n(codec: SymbolwiseCodec, rng: RandomStream) -> tuple[int, .
     return rng.integers(codec.scheme.rand_size, size=codec.n)
 
 
-def _cells(codec: SymbolwiseCodec, xs, ys, decode: bool = False):
-    """(score, symbols) of a share pair: the integer score the strict test
-    compares with the lattice's `bar`, the sum of its positions' lattice
-    weights, and their secret symbols (by the kernel, only with `decode`,
-    of an accepted pair); None when a position scores -inf.  Read as
-    `encode_n` reads, the kernel's key x + y a byte per position, else by
+def _cells(codec: SymbolwiseCodec, xs, ys):
+    """The secret symbols of a share pair the strict test accepts, None
+    when it rejects the pair: its integer score, the sum of its
+    positions' lattice weights, must exceed the lattice's `bar`, and a
+    position that scores -inf rejects it.  Read as `encode_n` reads, by
+    the kernel as its key x + y, a byte per position, else by
     s = (x + y) mod M after checking every x symbol, then every y symbol:
     ValueError naming the first outside [0, M) or not an integer.  A cell
     scores -inf when s >= k or p(s) = 0."""
-    n = codec.n
-    if ((kernel := codec._bytes) and (a := _pack(xs, n, kernel.mod))
-            and (b := _pack(ys, n, kernel.mod))):
-        # each byte of x + y lies in [0, 2M - 1): none carries
-        key = (int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(
-            n, "big")
-        v = key.translate(kernel.value)
+    n, lat, xs, ys = codec.n, codec.lattice, _read(xs), _read(ys)
+    if len(xs) != n or len(ys) != n:
+        raise ValueError(f"shares must have length {n}")
+    if ((kernel := codec._bytes) and (a := _pack(xs, kernel.mod))
+            and (b := _pack(ys, kernel.mod))):
+        # the key x + y, unreduced until decode_n: each byte lies in
+        # [0, 2M - 1), so none carries
+        symbols = (int.from_bytes(a, "big")
+                   + int.from_bytes(b, "big")).to_bytes(n, "big")
+        v = symbols.translate(kernel.value)
         if _MINUS_INF in v:
             return None
         score = kernel.base
         for j, w in kernel.weights:
             score += v.count(j) * w
-        return score, (tuple(key.translate(kernel.mod))
-                       if decode and score > codec.lattice.bar else None)
-    lat, k, m = codec.lattice, codec.scheme.secret_size, codec.scheme.share_size
-    xs, ys = _sequences(xs, ys, n, "shares")
-    if not (_ints(xs, m) and _ints(ys, m)):
-        xs, ys = ([_symbol(v, "share symbol", m, f"[0, {m})") for v in side]
-                  for side in (xs, ys))
-    symbols = [(x + y) % m for x, y in zip(xs, ys)]
-    if max(symbols) >= k:
-        return None
-    weights = [None if j is None else lat.weights[j] for j in codec.laws.column]
-    found = [weights[s] for s in symbols]
-    return None if None in found else (sum(found), tuple(symbols))
+    else:
+        k, m = codec.scheme.secret_size, codec.scheme.share_size
+        if not (_ints(xs, m) and _ints(ys, m)):
+            xs, ys = ([_symbol(v, "share symbol", m, f"[0, {m})")
+                       for v in side] for side in (xs, ys))
+        symbols = [(x + y) % m for x, y in zip(xs, ys)]
+        if max(symbols) >= k:
+            return None
+        weights = [None if j is None else lat.weights[j]
+                   for j in codec.laws.column]
+        found = [weights[s] for s in symbols]
+        if None in found:
+            return None
+        score = sum(found)
+    return symbols if score > lat.bar else None
 
 
 def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
@@ -478,16 +475,17 @@ def accepts_n(codec: SymbolwiseCodec, xs, ys) -> bool:
     positions' weights sum to the integer score compared with the
     lattice's `bar`: by the byte kernel, the count of each value times
     its weight."""
-    found = _cells(codec, xs, ys)
-    return found is not None and found[0] > codec.lattice.bar
+    return _cells(codec, xs, ys) is not None
 
 
 def decode_n(codec: SymbolwiseCodec, xs, ys) -> DecodeOutcome:
     """The secret of an accepted share pair, read by `_cells`."""
-    found = _cells(codec, xs, ys, decode=True)
-    if found is None or found[0] <= codec.lattice.bar:
+    found = _cells(codec, xs, ys)
+    if found is None:
         return REJECT
-    return tuple.__new__(DecodeOutcome, (found[1],))
+    if type(found) is bytes:   # the kernel's key x + y, a byte per position
+        found = found.translate(codec._bytes.mod)
+    return tuple.__new__(DecodeOutcome, (tuple(found),))
 
 
 # ---------------------------------------------------------------------------

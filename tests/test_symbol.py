@@ -1057,22 +1057,58 @@ DIFFERENTIAL = [(m, PMF.from_probs([0.7, 0.3] if m == 2 else [0.5, 0.0, 0.3, 0.2
                     (128, PMF.uniform(128))]
 
 
+def _as_range(v):
+    """v as a range; ValueError unless it is an arithmetic progression."""
+    got = range(v[0], v[0] + (v[1] - v[0]) * len(v), v[1] - v[0])
+    if tuple(got) != tuple(v):
+        raise ValueError("not a progression")
+    return got
+
+
+def swap(v: tuple, i: int, value) -> tuple:
+    """v with `value` at position i."""
+    return v[:i] + (value,) + v[i + 1:]
+
+
+# every input type a codec call reads (tuple, list, ndarray, array.array,
+# generator, range, bytes), each made from a tuple of symbols; one that
+# cannot hold them raises, and is left out of that call
+READERS = (tuple, list, np.array, lambda v: array.array("q", v),
+           lambda v: (s for s in v), _as_range, bytes)
+
+
+def _outcome(call, codec, args, path: str = "either"):
+    """call's result, decode_n's secret, or its ValueError's message.
+    `path` "arithmetic" packs nothing, so no call takes the byte kernel;
+    "kernel" disables the arithmetic path's symbol checks, so a call that
+    reaches them raises TypeError."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "arithmetic":
+            mp.setattr(symbol, "_pack", lambda v, fix: None)
+        elif path == "kernel":
+            mp.setattr(symbol, "_ints", None)
+            mp.setattr(symbol, "_symbol", None)
+        try:
+            got = call(codec, *args)
+        except ValueError as exc:
+            got = f"ValueError: {exc}"
+    return got.secret if isinstance(got, DecodeOutcome) else got
+
+
 class TestKernelAgainstArithmetic:
-    """The byte kernel (list or ndarray input, M <= 128) against the
-    arithmetic path, which generator input forces."""
+    """The byte kernel (M <= 128, every symbol an int in its alphabet)
+    against the arithmetic path, which a `_pack` that packs nothing
+    forces."""
 
     @staticmethod
     def outcome(call, codec, *args):
-        """call on lists, on ndarrays and on generators: its result,
-        decode_n's secret, or its ValueError's message, equal on all."""
-        out = []
-        for wrap in (list, np.array, iter):
-            try:
-                got = call(codec, *map(wrap, args))
-            except ValueError as exc:
-                got = f"ValueError: {exc}"
-            out.append(got.secret if isinstance(got, DecodeOutcome) else got)
-        assert out[0] == out[1] == out[2]
+        """call on lists, on ndarrays and on generators, and on lists by
+        the arithmetic path: its result, decode_n's secret, or its
+        ValueError's message, equal on all."""
+        out = [_outcome(call, codec, [*map(wrap, args)])
+               for wrap in (list, np.array, iter)]
+        out.append(_outcome(call, codec, [*map(list, args)], "arithmetic"))
+        assert out[0] == out[1] == out[2] == out[3]
         return out[0]
 
     @pytest.mark.parametrize("m,source", DIFFERENTIAL,
@@ -1118,15 +1154,76 @@ class TestKernelAgainstArithmetic:
             found = decode_n(codec, wrap(xs), wrap(ys)).secret
             assert shares == (xs, ys) and found == tuple(secret)
             assert all(type(v) is int for v in shares[0] + shares[1] + found)
-        # a kernel codec answers lists and ndarrays of ints without the
-        # arithmetic path
+        # a kernel codec answers lists, ndarrays and generators of ints
+        # without the arithmetic path, whose symbol checks then raise
         if m <= 128:
-            monkeypatch.setattr(symbol, "_sequences", None)
-            for wrap in (list, np.array):
+            monkeypatch.setattr(symbol, "_ints", None)
+            monkeypatch.setattr(symbol, "_symbol", None)
+            for wrap in (list, np.array, iter):
                 assert encode_n(codec, wrap(secret), wrap(rand)) == (xs, ys)
                 for pair in pairs[:symbols]:
                     decode_n(codec, *map(wrap, pair))
                     accepts_n(codec, *map(wrap, pair))
+
+    @pytest.mark.parametrize("m", [5, 129])
+    def test_both_inputs_are_read_before_their_lengths(self, m):
+        # a short first input beside one that is not iterable: the second
+        # input's TypeError comes before the length ValueError
+        codec = make_codec(modular_scheme(m, 2), SKEW, n=4, gamma=0.3)
+        for call in (encode_n, decode_n, accepts_n):
+            with pytest.raises(TypeError):
+                call(codec, [0] * 3, 5)
+            with pytest.raises(ValueError, match="must have length 4"):
+                call(codec, [0] * 3, [0] * 4)
+
+    @pytest.mark.parametrize("m", [2, 5, 17, 128, 129])
+    def test_every_input_type_reads_alike_on_both_paths(self, m):
+        n, probs = 8, [0.7, 0.3] if m == 2 else [0.5, 0.0, 0.3, 0.2]
+        k = len(probs)
+        # gamma = 0.3 rejects a block of the least likely symbol by score
+        codec = make_codec(modular_scheme(m, k), PMF.from_probs(probs), n=n,
+                           gamma=0.3)
+        bads = (-1, k, m, 255, 256, 1 << 70, 2.5, 2.0, True)
+        secrets = [(0, k // 2, 0, 0, k - 1, 0, 0, 0), (k - 1,) * n,
+                   tuple(range(n)), tuple(range(k - 1, k - 1 + 2 * n, 2))]
+        rands = [tuple((7 * i + 3) % m for i in range(n)), tuple(range(n)),
+                 (m - 1,) * n, tuple(range(n - 1, -1, -1))]
+        calls = [(encode_n, s, u) for s in secrets for u in rands]
+        calls += [(encode_n, s, u) for s, u in (
+            (secrets[0][1:], rands[0]), (secrets[0], rands[0] + (0,)))]
+        for i, bad in itertools.product((0, n - 1), bads):
+            calls += [(encode_n, swap(secrets[0], i, bad), rands[0]),
+                      (encode_n, secrets[0], swap(rands[0], i, bad))]
+        pairs = []
+        for s, u in itertools.product(secrets[:2], rands):
+            if max(u) >= m:
+                continue
+            xs, ys = encode_n(codec, s, u)
+            pairs += [(xs, ys), (ys, xs), (xs, tuple(range(n))),
+                      (tuple(range(n - 1, -1, -1)), ys), (xs, ys[1:])]
+        xs, ys = encode_n(codec, secrets[0], rands[0])
+        for i, bad in itertools.product((0, n - 1), bads):
+            pairs += [(swap(xs, i, bad), ys), (xs, swap(ys, i, bad))]
+        calls += [(check, *pair) for pair in pairs
+                  for check in (decode_n, accepts_n)]
+        for call, *args in calls:
+            # whether the kernel must serve the call: every symbol an int
+            # in its alphabet, at M <= 128
+            fits = m <= 128 and all(len(v) == n for v in args) and all(
+                type(v) is int and 0 <= v < size
+                for v, size in zip(itertools.chain(*args),
+                                   [k] * n + [m] * n if call is encode_n
+                                   else [m] * 2 * n))
+            out = set()
+            for wrap in READERS:
+                try:
+                    [*map(wrap, args)]
+                except (TypeError, ValueError, OverflowError):
+                    continue
+                for path in ("kernel" if fits else "either", "arithmetic"):
+                    out.add(repr(_outcome(call, codec,
+                                          [*map(wrap, args)], path)))
+            assert len(out) == 1, (call.__name__, args, out)
 
 
 class TestTablePath:
